@@ -31,7 +31,6 @@ from .komplex import (
     contracted_complex,
     wedge_agreement,
 )
-from .parallel import thread_cap
 from .scalar import Scalar
 
 CHECK_NAMES = [
@@ -126,9 +125,7 @@ class RunConfig:
     degree_bound: int = 6
     checks: list = dataclass_field(default_factory=lambda: ["all"])
     format: str = "text"
-    seed: int = 0
     out: Optional[str] = None
-    threads: int = 1
 
 
 def explain(check_name: str) -> str:
@@ -169,19 +166,17 @@ def run(config: RunConfig):
         return {
             "error": f"degree bound {D} is below the relation degree {pres.N}"
         }, 2
-    if any(c in selected for c in ("tor3", "pbw")) and D < 2 * pres.N:
+    if not from_all and any(c in selected for c in ("tor3", "pbw")) and D < 2 * pres.N:
         return {
             "error": f"tor3 and pbw need a bound of at least 2N = {2 * pres.N}"
         }, 2
 
-    threads = max(config.threads, 1)
     report: dict = {
         "config": {
             "input": config.input_path,
             "degree_bound": D,
             "checks": selected,
             "format": config.format,
-            "seed": config.seed,
         },
         "input": {
             "dimV": pres.ctx.dimV,
@@ -201,8 +196,14 @@ def run(config: RunConfig):
     family_box: dict = {}
 
     def family() -> NComplexSlice:
+        """The slice family, built once; a failed build raises the same error again."""
         if "f" not in family_box:
-            family_box["f"] = NComplexSlice(pres, D)
+            try:
+                family_box["f"] = NComplexSlice(pres, D)
+            except (ValueError, UnsupportedStructure) as exc:
+                family_box["f"] = exc
+        if isinstance(family_box["f"], Exception):
+            raise family_box["f"]
         return family_box["f"]
 
     def record(name: str, ok: Optional[bool], data: dict) -> None:
@@ -213,6 +214,10 @@ def run(config: RunConfig):
             failures.append(name)
 
     for name in selected:
+        if name in ("tor3", "pbw") and D < 2 * pres.N:
+            # reached only under "all"; an explicit request exits 2 above
+            record(name, None, {"skipped": f"{name} needs a bound of at least 2N = {2 * pres.N}"})
+            continue
         if name == "condition_I":
             cond_i = check_condition_I(pres)
             record(name, cond_i, {})
@@ -228,13 +233,13 @@ def run(config: RunConfig):
             rep = check_ec(pres.homogenization())
             record(name, rep.holds, rep.to_json())
         elif name == "tor3":
-            rep = check_tor3_concentration(pres.homogenization(), D, threads)
+            rep = check_tor3_concentration(pres.homogenization(), D)
             record(name, rep.holds, rep.to_json())
         elif name == "koszul_complex":
-            cert = koszul_complex_check(pres.homogenization(), D, threads)
+            cert = koszul_complex_check(pres.homogenization(), D)
             record(name, cert.exact_everywhere, cert.to_json())
         elif name == "pbw":
-            rep = pbw_verdict(pres, D, threads)
+            rep = pbw_verdict(pres, D)
             record(name, rep.certified, rep.to_json())
         elif name == "oracle":
             rep = oracle_pbw(pres, D)
@@ -252,14 +257,12 @@ def run(config: RunConfig):
                 record(name, False, {"skipped": "condition_I failed"})
                 continue
             N = pres.N
-            if name == "dN_zero" and pres.ctx.conductor % N != 0 and N != 2:
-                return {
-                    "error": (
+            try:
+                if name == "dN_zero" and pres.ctx.conductor % N != 0 and N != 2:
+                    raise ValueError(
                         "dN_zero needs a primitive N-th root of unity: declare a"
                         f" conductor divisible by N = {N}"
                     )
-                }, 2
-            try:
                 fam = family()
             except (ValueError, UnsupportedStructure) as exc:
                 if from_all:
@@ -377,7 +380,6 @@ def main(argv: Optional[list] = None) -> int:
         help="comma-separated subset of: all, " + ", ".join(CHECK_NAMES),
     )
     parser.add_argument("--format", choices=["text", "json"], default="text")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write the report to a file")
     args = parser.parse_args(argv)
     config = RunConfig(
@@ -385,9 +387,7 @@ def main(argv: Optional[list] = None) -> int:
         degree_bound=args.degree_bound,
         checks=[c.strip() for c in args.checks.split(",") if c.strip()],
         format=args.format,
-        seed=args.seed,
         out=args.out,
-        threads=thread_cap(),
     )
     report, code = run(config)
     text = emit(report, config.format)

@@ -140,15 +140,6 @@ class RationalField:
     def zeta_power(self, k: int):
         return _ONE
 
-    def scale_vec(self, c, vec):
-        return [c * x for x in vec]
-
-    def axpy(self, y: list, a, x: list) -> None:
-        """In-place y += a*x on raw vectors."""
-        for i, xi in enumerate(x):
-            if xi:
-                y[i] += a * xi
-
 
 class CyclotomicField:
     """Field operations for Q(zeta_m), m > 1.
@@ -295,18 +286,6 @@ class CyclotomicField:
         for _ in range(k - d):
             out = self.mul(out, zeta)
         return out
-
-    def scale_vec(self, c, vec):
-        mul = self.mul
-        return [mul(c, x) for x in vec]
-
-    def axpy(self, y: list, a, x: list) -> None:
-        mul = self.mul
-        is_zero = self.is_zero
-        for i, xi in enumerate(x):
-            if not is_zero(xi):
-                p = mul(a, xi)
-                y[i] = tuple(u + v for u, v in zip(y[i], p))
 
 
 @lru_cache(maxsize=None)

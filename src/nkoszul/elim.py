@@ -1,4 +1,4 @@
-"""Internal incremental row reduction on sparse raw-valued rows.
+"""Incremental row reduction on sparse raw-valued rows: the one elimination engine.
 
 Rows are dicts mapping column index to a nonzero raw field element.  The
 eliminator keeps a fully reduced basis (each pivot column appears in exactly
@@ -6,9 +6,11 @@ one row, with coefficient one), so reduction against it yields unique normal
 forms.  Insertion order never changes the resulting row space, and the
 stored basis equals the canonical RREF basis of that space.
 
-This is an implementation detail: the public ``Subspace`` API stays dense,
-but ambient dimensions in the thousands with very sparse rows make dense
-elimination wasteful, so the heavy modules route through this engine.
+Every subspace in the package is held as such canonical rows (``Subspace``
+in ``scalar`` builds its dense views from them on demand), and the row
+operations built on the engine live here: expressing a vector over fully
+reduced rows, solving over tagged generators, the kernel of a combination
+matrix, and intersections.
 """
 
 from __future__ import annotations
@@ -134,96 +136,119 @@ class SparseEliminator:
         return [dict(self.pivot_rows[p]) for p in sorted(self.pivot_rows)]
 
 
-def vec_to_sparse(field, vec) -> dict:
-    return {j: x for j, x in enumerate(vec) if not field.is_zero(x)}
+def canonical_rows(field, rows) -> list[dict]:
+    """Canonical RREF rows of the span of ``rows``."""
+    elim = SparseEliminator(field)
+    elim.add_all(rows)
+    return elim.rows_canonical()
 
 
-def sparse_to_vec(field, row: dict, n: int) -> list:
-    out = [field.zero] * n
-    for j, v in row.items():
-        out[j] = v
+def add_scaled(field, out: dict, row: dict, c) -> None:
+    """In place ``out += c * row`` on sparse rows, dropping zero entries."""
+    for col, v in row.items():
+        term = field.mul(c, v)
+        cur = out.get(col)
+        nv = term if cur is None else field.add(cur, term)
+        if field.is_zero(nv):
+            out.pop(col, None)
+        else:
+            out[col] = nv
+
+
+def combine(field, rows: list[dict], coeffs) -> dict:
+    """The combination sum of c * rows[i] over the pairs (i, c) in ``coeffs``."""
+    out: dict = {}
+    for i, c in coeffs:
+        add_scaled(field, out, rows[i], c)
     return out
 
 
-def sparse_rank(field, rows) -> int:
-    elim = SparseEliminator(field)
-    return elim.add_all(rows)
+def pivot_index(rows: list[dict]) -> dict[int, int]:
+    """Pivot column -> position, for fully reduced rows."""
+    return {min(r): t for t, r in enumerate(rows)}
+
+
+def express(field, rows: list[dict], index: dict[int, int], vec: dict) -> list:
+    """Coefficients (t, c) of ``vec`` over fully reduced rows, t ascending.
+
+    ``index`` is ``pivot_index(rows)``.  Row t is the only row with an entry
+    at its pivot, where that entry is one, so the coefficient of row t is
+    the pivot entry of ``vec``.  The residual after subtracting the
+    combination must vanish; otherwise ``vec`` lies outside the span and
+    ValueError is raised.
+    """
+    coeffs = sorted((index[col], v) for col, v in vec.items() if col in index)
+    residual = dict(vec)
+    for t, c in coeffs:
+        add_scaled(field, residual, rows[t], field.neg(c))
+    if residual:
+        raise ValueError("vector does not lie in the span of the rows")
+    return coeffs
+
+
+class TaggedRows:
+    """Generator rows eliminated together with one tag column each.
+
+    Generator i is inserted as its row plus a one in column ``ambient + i``,
+    with ``ambient`` beyond every generator column.  The canonical rows then
+    split at ``ambient``: those with an earlier pivot restrict to the
+    canonical rows of the generators' span, and those with a pivot at a tag
+    are the canonical rows of the kernel of the combination matrix, the
+    coefficient vectors c with sum c_i g_i = 0.
+    """
+
+    def __init__(self, field, generators, ambient: int | None = None):
+        generators = list(generators)
+        if ambient is None:
+            ambient = 1 + max((c for g in generators for c in g), default=-1)
+        self.field = field
+        self.ambient = ambient
+        self.elim = SparseEliminator(field)
+        for i, gen in enumerate(generators):
+            row = dict(gen)
+            row[ambient + i] = field.one
+            self.elim.add(row)
+
+    def span_rows(self) -> list[dict]:
+        amb = self.ambient
+        rows = self.elim.pivot_rows
+        return [
+            {c: v for c, v in rows[p].items() if c < amb} for p in sorted(rows) if p < amb
+        ]
+
+    def kernel_rows(self) -> list[dict]:
+        amb = self.ambient
+        rows = self.elim.pivot_rows
+        return [{c - amb: v for c, v in rows[p].items()} for p in sorted(rows) if p >= amb]
+
+    def solve(self, vec: dict) -> list:
+        """Pairs (i, c), i ascending, with sum c * generator_i = vec.
+
+        Raises ValueError when ``vec`` is outside the generators' span.
+        """
+        field = self.field
+        amb = self.ambient
+        residual = self.elim.reduce(vec)
+        if any(c < amb for c in residual):
+            raise ValueError("vector does not lie in the span of the generators")
+        return sorted((c - amb, field.neg(v)) for c, v in residual.items())
 
 
 def sparse_span_equal(field, rows_a, rows_b) -> bool:
-    ea = SparseEliminator(field)
-    ea.add_all(rows_a)
-    eb = SparseEliminator(field)
-    eb.add_all(rows_b)
-    if ea.rank != eb.rank:
-        return False
-    return ea.rows_canonical() == eb.rows_canonical()
+    return canonical_rows(field, rows_a) == canonical_rows(field, rows_b)
 
 
 def sparse_intersection(field, rows_a, rows_b) -> list[dict]:
     """Canonical RREF rows of span(rows_a) ∩ span(rows_b).
 
-    Solves for combinations of the A-rows that reduce to zero against the
-    B-span; the kernel of the residual coefficient matrix gives the
+    The combinations of the A-rows whose residuals against the B-span
+    cancel, the kernel of the residual combination matrix, give the
     intersection.
     """
-    ea = SparseEliminator(field)
-    ea.add_all(rows_a)
-    basis_a = ea.rows_canonical()
+    basis_a = canonical_rows(field, rows_a)
     eb = SparseEliminator(field)
     eb.add_all(rows_b)
-    residuals = [eb.reduce(r) for r in basis_a]
-    support = sorted({c for r in residuals for c in r})
-    col_of = {c: i for i, c in enumerate(support)}
-    # dense kernel over the combination space
-    nrows = len(basis_a)
-    mat = [[field.zero] * nrows for _ in support]
-    for i, r in enumerate(residuals):
-        for c, v in r.items():
-            mat[col_of[c]][i] = v
-    # row reduce mat (equations) to find free combination coordinates
-    pivots: dict[int, list] = {}
-    for eq in mat:
-        eq = list(eq)
-        for p, prow in sorted(pivots.items()):
-            c = eq[p]
-            if not field.is_zero(c):
-                for j in range(nrows):
-                    if not field.is_zero(prow[j]):
-                        eq[j] = field.sub(eq[j], field.mul(c, prow[j]))
-        lead = None
-        for j in range(nrows):
-            if not field.is_zero(eq[j]):
-                lead = j
-                break
-        if lead is None:
-            continue
-        inv = field.inv(eq[lead])
-        eq = [field.mul(inv, x) for x in eq]
-        for p, prow in pivots.items():
-            c = prow[lead]
-            if not field.is_zero(c):
-                for j in range(nrows):
-                    if not field.is_zero(eq[j]):
-                        prow[j] = field.sub(prow[j], field.mul(c, eq[j]))
-        pivots[lead] = eq
-    out = SparseEliminator(field)
-    free = [j for j in range(nrows) if j not in pivots]
-    for fc in free:
-        combo = {fc: field.one}
-        for p, prow in pivots.items():
-            c = prow[fc]
-            if not field.is_zero(c):
-                combo[p] = field.neg(c)
-        vec: dict = {}
-        for idx, coeff in combo.items():
-            for col, v in basis_a[idx].items():
-                cur = vec.get(col)
-                term = field.mul(coeff, v)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    vec.pop(col, None)
-                else:
-                    vec[col] = nv
-        out.add(vec)
-    return out.rows_canonical()
+    residuals = TaggedRows(field, [eb.reduce(r) for r in basis_a])
+    return canonical_rows(
+        field, [combine(field, basis_a, k.items()) for k in residuals.kernel_rows()]
+    )

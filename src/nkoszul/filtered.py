@@ -26,11 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .elim import SparseEliminator
+from .elim import SparseEliminator, TaggedRows, combine, express, pivot_index
 from .homogeneous import (
     HomogeneousAlgebra,
     Tor3Report,
     check_tor3_concentration,
+    prefix_split,
     w_rows,
 )
 from .scalar import DimensionMismatch, Scalar
@@ -56,11 +57,21 @@ class FilteredPresentation:
         self.P = P
         self._R: Optional[Subbimodule] = None
         self._A: Optional[HomogeneousAlgebra] = None
+        self._oracles: dict[int, OracleEngine] = {}
 
     def homogenization(self) -> HomogeneousAlgebra:
         if self._A is None:
             self._A = HomogeneousAlgebra(self.ctx, self.N, project_R(self))
         return self._A
+
+    def oracle(self, D: int) -> "OracleEngine":
+        """The filtration oracle run up to the bound D, built once per bound."""
+        engine = self._oracles.get(D)
+        if engine is None:
+            engine = OracleEngine(self, D)
+            engine.run()
+            self._oracles[D] = engine
+        return engine
 
     def __repr__(self):
         return (
@@ -73,13 +84,7 @@ def project_R(pres: FilteredPresentation) -> Subbimodule:
     """Image of P under the block projection onto the top degree."""
     if pres._R is None:
         top = pres.P.block_projection(pres.N)
-        terms = [
-            pres.ctx.sparse_to_terms(
-                {j: x.raw for j, x in enumerate(row) if not x.is_zero()}, pres.N
-            )
-            for row in top.basis_rows()
-        ]
-        pres._R = Subbimodule.from_elements(pres.ctx, pres.N, terms, close=False)
+        pres._R = Subbimodule.from_rows(pres.ctx, pres.N, top.rows, close=False)
     return pres._R
 
 
@@ -119,19 +124,7 @@ class PhiMap:
     def apply_to_R_vector(self, coeffs: list) -> dict:
         """phi of the element with the given R-basis coefficients."""
         field = self.pres.ctx.field
-        out: dict = {}
-        for t, c in enumerate(coeffs):
-            if field.is_zero(c):
-                continue
-            for col, v in self.rows[t].items():
-                term = field.mul(c, v)
-                cur = out.get(col)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    out.pop(col, None)
-                else:
-                    out[col] = nv
-        return out
+        return combine(field, self.rows, [(t, c) for t, c in enumerate(coeffs) if not field.is_zero(c)])
 
     def rebuild_P(self) -> FilteredSubspace:
         """Span of {x_t - phi(x_t)}; equals P whenever condition (I) holds."""
@@ -190,65 +183,13 @@ def build_phi(pres: FilteredPresentation) -> PhiMap:
 # -- lifted applications of phi on W_{N+1} ----------------------------------
 
 
-def _left_splits(pres: FilteredPresentation, w_row: dict, r_rows: list, r_pivots) -> list:
-    """w = sum e_j ⊗ (R combination): triples (j, t, coeff)."""
-    ctx = pres.ctx
-    field = ctx.field
-    lower = ctx.dimV**pres.N * ctx.order
-    blocks: dict[int, dict] = {}
-    for coord, raw in w_row.items():
-        j, rest = divmod(coord, lower)
-        blocks.setdefault(j, {})[rest] = raw
-    out = []
-    for j, block in sorted(blocks.items()):
-        residual = dict(block)
-        for t, piv in enumerate(r_pivots):
-            c = residual.get(piv)
-            if c is None or field.is_zero(c):
-                continue
-            out.append((j, t, c))
-            for col, v in r_rows[t].items():
-                cur = residual.get(col)
-                term = field.mul(c, v)
-                nv = field.sub(cur, term) if cur is not None else field.neg(term)
-                if field.is_zero(nv):
-                    residual.pop(col, None)
-                else:
-                    residual[col] = nv
-        if residual:
-            raise ValueError("degree N+1 overlap element does not lie in E·R")
-    return out
-
-
 def _right_splits(pres: FilteredPresentation, w_row: dict, r_rows: list) -> list:
     """w = sum (R combination) · (e_l ⊗ g): triples ((t, l, g), coeff)."""
     ctx = pres.ctx
-    field = ctx.field
-    N = pres.N
-    dimR = len(r_rows)
-    amb = ctx.component_dim(N + 1)
-    # augmented solve: rows r_t·(e_l ⊗ g) with tag coordinates
-    elim = SparseEliminator(field)
-    tags = {}
-    idx = 0
-    one = Scalar.one(ctx.conductor)
-    for t, r in enumerate(r_rows):
-        r_terms = ctx.sparse_to_terms(r, N)
-        for l in range(ctx.dimV):
-            for g in range(ctx.order):
-                prod = ctx.smash_mul_terms(r_terms, {((l,), g): one})
-                row = ctx.terms_to_sparse(prod)
-                row[amb + idx] = field.one
-                tags[idx] = (t, l, g)
-                elim.add(row)
-                idx += 1
-    residual = elim.reduce(dict(w_row))
-    out = []
-    for c, v in residual.items():
-        if c < amb:
-            raise ValueError("degree N+1 overlap element does not lie in R·E")
-        out.append((tags[c - amb], field.neg(v)))
-    return out
+    tags = [(t, l, g) for t in range(len(r_rows)) for l in range(ctx.dimV) for g in range(ctx.order)]
+    generators = [ctx.right_action_sparse(ctx.append_letter(r_rows[t], l), g) for t, l, g in tags]
+    solver = TaggedRows(ctx.field, generators, ctx.component_dim(pres.N + 1))
+    return [(tags[i], c) for i, c in solver.solve(w_row)]
 
 
 def _phi_lift_difference(pres: FilteredPresentation, phi: PhiMap, w_row: dict) -> dict:
@@ -259,7 +200,6 @@ def _phi_lift_difference(pres: FilteredPresentation, phi: PhiMap, w_row: dict) -
     ctx = pres.ctx
     field = ctx.field
     N = pres.N
-    r_pivots = [min(r) for r in phi.r_rows]
     one = Scalar.one(ctx.conductor)
     out: dict = {}
 
@@ -280,7 +220,8 @@ def _phi_lift_difference(pres: FilteredPresentation, phi: PhiMap, w_row: dict) -
         prod = ctx.smash_mul_terms(phi_terms, {((l,), g): one})
         accumulate(prod, coeff)
     # phi^{2,N+1}: w = sum e_j ⊗ (r_t combination) -> (e_j ⊗ 1)·phi(r_t)
-    for j, t, coeff in _left_splits(pres, w_row, phi.r_rows, r_pivots):
+    lower = ctx.component_dim(N)
+    for j, t, coeff in prefix_split(field, w_row, lower, phi.r_rows, pivot_index(phi.r_rows)):
         phi_terms = FilteredSubspace.sparse_to_terms(ctx, N - 1, phi.rows[t])
         prod = ctx.smash_mul_terms({((j,), 0): one}, phi_terms)
         accumulate(prod, field.neg(coeff))
@@ -349,30 +290,20 @@ def check_condition_J(pres: FilteredPresentation) -> JReport:
     # strategy 3: componentwise equations
     offs = FilteredSubspace.offsets(ctx, N)
     top_lo = offs[N]
-    r_pivots = [min(r) for r in phi.r_rows]
+    r_index = pivot_index(phi.r_rows)
     j1 = True
     j2 = {j: True for j in range(1, N)}
     j3 = True
     for diff in diffs:
         top = {c - top_lo: v for c, v in diff.items() if c >= top_lo}
-        residual = dict(top)
-        coeffs = []
-        for t, piv in enumerate(r_pivots):
-            c = residual.get(piv, field.zero)
-            coeffs.append(c)
-            if field.is_zero(c):
-                continue
-            for col, v in phi.r_rows[t].items():
-                cur = residual.get(col)
-                term = field.mul(c, v)
-                nv = field.sub(cur, term) if cur is not None else field.neg(term)
-                if field.is_zero(nv):
-                    residual.pop(col, None)
-                else:
-                    residual[col] = nv
-        if residual:
+        try:
+            pairs = express(field, phi.r_rows, r_index, top)
+        except ValueError:
             j1 = False
             continue
+        coeffs = [field.zero] * len(phi.r_rows)
+        for t, c in pairs:
+            coeffs[t] = c
         phi_of_top = phi.apply_to_R_vector(coeffs)
         for j in range(1, N):
             lo, hi = offs[j], offs[j + 1]
@@ -484,24 +415,16 @@ class OracleEngine:
         return out
 
     def _append_letter(self, row: dict, letter: int) -> dict:
-        ctx = self.pres.ctx
-        field = ctx.field
-        order = ctx.order
-        out: dict = {}
+        """row · (e_letter ⊗ 1), block by block; block d moves to block d + 1."""
+        offs = self.offsets_desc
+        blocks: dict[int, dict] = {}
         for coord, raw in row.items():
             d = self.block_of(coord)
-            local = coord - self.offsets_desc[d + 1]
-            g = local % order
-            wnum = local // order
-            for i, c in ctx._cols[g][letter]:
-                coord2 = self.offsets_desc[d + 2] + (wnum * ctx.dimV + i) * order + g
-                term = field.mul(raw, c)
-                cur = out.get(coord2)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    out.pop(coord2, None)
-                else:
-                    out[coord2] = nv
+            blocks.setdefault(d, {})[coord - offs[d + 1]] = raw
+        out: dict = {}
+        for d, block in blocks.items():
+            base = offs[d + 2]
+            out.update((base + c, v) for c, v in self.pres.ctx.append_letter(block, letter).items())
         return out
 
     def run(self) -> None:
@@ -595,8 +518,7 @@ class OracleReport:
 
 def oracle_pbw(pres: FilteredPresentation, D: int) -> OracleReport:
     """Direct check of the filtration equalities J^n ∩ F^{n-1} = J^{n-1}."""
-    engine = OracleEngine(pres, D)
-    engine.run()
+    engine = pres.oracle(D)
     tower = pres.homogenization().tower()
     cands = [engine.candidate_gr_dim(n) for n in range(D + 1)]
     a_dims = [tower.adim(n) for n in range(D + 1)]
@@ -663,7 +585,7 @@ class PBWReport:
         }
 
 
-def pbw_verdict(pres: FilteredPresentation, D: int, threads: int = 1) -> PBWReport:
+def pbw_verdict(pres: FilteredPresentation, D: int) -> PBWReport:
     """Conditions (I) and (J) plus Tor-3 concentration up to the bound.
 
     The verdict is ``pbw_certified_up_to_bound`` when all three hold; the
@@ -692,7 +614,7 @@ def pbw_verdict(pres: FilteredPresentation, D: int, threads: int = 1) -> PBWRepo
         )
     j_report = check_condition_J(pres)
     phi0_zero = check_remark_310(pres)
-    tor3 = check_tor3_concentration(alg, D, threads)
+    tor3 = check_tor3_concentration(alg, D)
     unconditional = is_antisymmetrizer_relations(alg)
     if not j_report.holds:
         failed = []

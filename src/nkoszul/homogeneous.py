@@ -25,10 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .elim import SparseEliminator, sparse_intersection, sparse_span_equal
-from .parallel import parallel_map
+from .elim import (
+    SparseEliminator,
+    TaggedRows,
+    add_scaled,
+    combine,
+    express,
+    pivot_index,
+    sparse_intersection,
+    sparse_span_equal,
+)
 from .scalar import DimensionMismatch
-from .smashtensor import GroupData, Subbimodule, TensorContext
+from .smashtensor import GroupData, Subbimodule, TensorContext, placement_rows
 
 
 def zeta(n: int, N: int) -> int:
@@ -95,57 +103,11 @@ def scalar_extension_slice(alg: HomogeneousAlgebra) -> Optional[Subbimodule]:
     field = ctx.field
     rows = alg.R.basis_sparse()
     # kernel of the projection killing the identity-slice coordinates
-    offgrid = []
-    for r in rows:
-        offgrid.append({c: v for c, v in r.items() if c % order != 0})
-    support = sorted({c for r in offgrid for c in r})
-    col_of = {c: i for i, c in enumerate(support)}
-    nrows = len(rows)
-    pivots: dict[int, list] = {}
-    eqs = [[field.zero] * nrows for _ in support]
-    for i, r in enumerate(offgrid):
-        for c, v in r.items():
-            eqs[col_of[c]][i] = v
-    for eq in eqs:
-        eq = list(eq)
-        for p, prow in sorted(pivots.items()):
-            c = eq[p]
-            if not field.is_zero(c):
-                for j in range(nrows):
-                    if not field.is_zero(prow[j]):
-                        eq[j] = field.sub(eq[j], field.mul(c, prow[j]))
-        lead = next((j for j in range(nrows) if not field.is_zero(eq[j])), None)
-        if lead is None:
-            continue
-        inv = field.inv(eq[lead])
-        eq = [field.mul(inv, x) for x in eq]
-        for prow in pivots.values():
-            c = prow[lead]
-            if not field.is_zero(c):
-                for j in range(nrows):
-                    if not field.is_zero(eq[j]):
-                        prow[j] = field.sub(prow[j], field.mul(c, eq[j]))
-        pivots[lead] = eq
+    offgrid = TaggedRows(field, [{c: v for c, v in r.items() if c % order} for r in rows])
     trivial_ctx = TensorContext(ctx.dimV, GroupData.trivial(ctx.dimV, ctx.conductor), ctx.conductor)
     slice_rows = []
-    for fc in (j for j in range(nrows) if j not in pivots):
-        combo = {fc: field.one}
-        for p, prow in pivots.items():
-            c = prow[fc]
-            if not field.is_zero(c):
-                combo[p] = field.neg(c)
-        vec: dict = {}
-        for idx, coeff in combo.items():
-            for c, v in rows[idx].items():
-                term = field.mul(coeff, v)
-                cur = vec.get(c)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    vec.pop(c, None)
-                else:
-                    vec[c] = nv
-        if any(c % order for c in vec):
-            return None
+    for k in offgrid.kernel_rows():
+        vec = combine(field, rows, k.items())
         slice_rows.append({c // order: v for c, v in vec.items()})
     if len(slice_rows) * order != alg.R.dim:
         return None
@@ -157,13 +119,7 @@ def scalar_extension_slice(alg: HomogeneousAlgebra) -> Optional[Subbimodule]:
         for g in range(order):
             if not elim.contains({c * order + g: v for c, v in s.items()}):
                 return None
-    sub = Subbimodule.from_elements(
-        trivial_ctx,
-        alg.N,
-        [trivial_ctx.sparse_to_terms(s, alg.N) for s in slice_rows],
-        close=False,
-    )
-    return sub
+    return Subbimodule.from_rows(trivial_ctx, alg.N, slice_rows, close=False)
 
 
 def field_level(alg: HomogeneousAlgebra) -> Optional[HomogeneousAlgebra]:
@@ -193,31 +149,16 @@ def change_of_rings(alg: HomogeneousAlgebra, group: GroupData) -> HomogeneousAlg
     if group.dimV != alg.ctx.dimV:
         raise DimensionMismatch("group must act on the same V")
     # stability check: rho(g) applied slotwise preserves the relation space
-    rows = alg.R.basis_sparse()
-    elim = SparseEliminator(alg.ctx.field)
-    for r in rows:
-        elim.add(r)
-    for g in group.generators:
-        for r in rows:
-            img: dict = {}
-            for c, v in r.items():
-                word, _ = alg.ctx.word_of(c, alg.N)
-                for tw, raw in ctx2.apply_group_to_word(g, word):
-                    coord = alg.ctx.coord(tw, 0)
-                    term = alg.ctx.field.mul(v, raw)
-                    cur = img.get(coord)
-                    nv = term if cur is None else alg.ctx.field.add(cur, term)
-                    if alg.ctx.field.is_zero(nv):
-                        img.pop(coord, None)
-                    else:
-                        img[coord] = nv
-            if not elim.contains(img):
-                raise ValueError("relations are not stable under the group action")
     order = group.order
-    elements = []
-    for r in rows:
-        elements.append(ctx2.sparse_to_terms({c * order: v for c, v in r.items()}, alg.N))
-    R2 = Subbimodule.from_elements(ctx2, alg.N, elements, close=True)
+    lifted = [{c * order: v for c, v in r.items()} for r in alg.R.basis_sparse()]
+    elim = SparseEliminator(alg.ctx.field)
+    elim.add_all(alg.R.basis_sparse())
+    for g in group.generators:
+        for r in lifted:
+            img = ctx2.left_action_sparse(g, r, alg.N)
+            if not elim.contains({c // order: v for c, v in img.items()}):
+                raise ValueError("relations are not stable under the group action")
+    R2 = Subbimodule.from_rows(ctx2, alg.N, lifted)
     return HomogeneousAlgebra(ctx2, alg.N, R2)
 
 
@@ -389,14 +330,13 @@ class BalancedTensor:
         self.ns = ns
         elim = SparseEliminator(field)
         if ctx.order > 1 and na and ns:
-            piv_cols = S.space.pivots
+            index = pivot_index(rows)
             for g in ctx.group.generators:
                 # g acting on S rows, expressed back over the S basis
-                action = []
-                for t, srow in enumerate(rows):
-                    img = ctx.left_action_sparse(g, srow, S.degree)
-                    coeffs = [(t2, img.get(piv, field.zero)) for t2, piv in enumerate(piv_cols)]
-                    action.append([(t2, c) for t2, c in coeffs if not field.is_zero(c)])
+                action = [
+                    express(field, rows, index, ctx.left_action_sparse(g, srow, S.degree))
+                    for srow in rows
+                ]
                 for b in range(na):
                     wb, gb = tower.reps(a)[b]
                     u = tower.nf(wb, ctx.group.mult_table[gb][g])
@@ -495,44 +435,7 @@ class KoszulCertificate:
         }
 
 
-# -- sparse placement rows --------------------------------------------------
-
-
-def _right_letter(ctx: TensorContext, row: dict, degree: int, letter: int) -> dict:
-    """Sparse row of degree+1 representing row · (e_letter ⊗ 1)."""
-    field = ctx.field
-    order = ctx.order
-    out: dict = {}
-    for coord, raw in row.items():
-        g = coord % order
-        widx = coord // order
-        for i, c in ctx._cols[g][letter]:
-            coord2 = (widx * ctx.dimV + i) * order + g
-            term = field.mul(raw, c)
-            cur = out.get(coord2)
-            nv = term if cur is None else field.add(cur, term)
-            if field.is_zero(nv):
-                out.pop(coord2, None)
-            else:
-                out[coord2] = nv
-    return out
-
-
-def placement_rows(alg: HomogeneousAlgebra, i: int, j: int) -> list[dict]:
-    """Sparse spanning rows of V^{⊗i} R V^{⊗j}."""
-    ctx = alg.ctx
-    rows = alg.R.basis_sparse()
-    deg = alg.N
-    for _ in range(j):
-        rows = [_right_letter(ctx, r, deg, letter) for r in rows for letter in range(ctx.dimV)]
-        deg += 1
-    top = ctx.dimV**deg
-    out = []
-    for wnum in range(ctx.dimV**i):
-        base = wnum * top * ctx.order
-        for r in rows:
-            out.append({base + c: v for c, v in r.items()})
-    return out
+# -- W_n on sparse rows -------------------------------------------------------
 
 
 def w_rows(alg: HomogeneousAlgebra, n: int, cache: dict | None = None) -> list[dict]:
@@ -559,7 +462,7 @@ def w_rows(alg: HomogeneousAlgebra, n: int, cache: dict | None = None) -> list[d
             base = wnum * top
             for r in prev:
                 lifted.append({base + c: v for c, v in r.items()})
-        out = sparse_intersection(ctx.field, lifted, placement_rows(alg, 0, n - N))
+        out = sparse_intersection(ctx.field, lifted, placement_rows(alg.R, 0, n - N))
     if cache is not None:
         cache[n] = out
     return out
@@ -581,10 +484,10 @@ def check_ec(alg: HomogeneousAlgebra) -> EcReport:
     wn1 = w_rows(alg, N + 1, {})
     for n in range(N + 2, 2 * N):
         a = n - N
-        lhs_left = placement_rows(alg, a, 0)
+        lhs_left = placement_rows(alg.R, a, 0)
         rhs_sum: list[dict] = []
         for i in range(a):
-            rhs_sum.extend(placement_rows(alg, i, n - N - i))
+            rhs_sum.extend(placement_rows(alg.R, i, n - N - i))
         lhs = sparse_intersection(ctx.field, lhs_left, rhs_sum)
         top = ctx.dimV ** (N + 1) * ctx.order
         expected = []
@@ -598,37 +501,23 @@ def check_ec(alg: HomogeneousAlgebra) -> EcReport:
     return report
 
 
-def _first_letter_split_over(ctx: TensorContext, row: dict, degree: int, base_rows: list[dict], base_pivots) -> list[tuple[int, int, object]]:
-    """Write a degree-n row as sum_j e_j ⊗ (combination of base rows).
+def prefix_split(field, row: dict, lower: int, rows: list[dict], index: dict) -> list[tuple[int, int, object]]:
+    """Write a row as sum_j (prefix j) ⊗ (combination of ``rows``).
 
-    Returns triples (j, t, coeff).  Requires each first-letter block of the
-    row to lie in the span of ``base_rows`` (RREF rows with ``base_pivots``).
+    Coordinates split as j * lower + rest, with ``lower`` the dimension of
+    the component that ``rows`` (fully reduced, ``index`` their pivot
+    index) live in.  Returns triples (j, t, coeff); raises ValueError when
+    a block lies outside the span of ``rows``.
     """
-    field = ctx.field
     blocks: dict[int, dict] = {}
-    lower = ctx.dimV ** (degree - 1) * ctx.order
     for coord, raw in row.items():
         j, rest = divmod(coord, lower)
         blocks.setdefault(j, {})[rest] = raw
-    out = []
-    for j, block in sorted(blocks.items()):
-        residual = dict(block)
-        for t, piv in enumerate(base_pivots):
-            c = residual.get(piv)
-            if c is None or field.is_zero(c):
-                continue
-            out.append((j, t, c))
-            for col, v in base_rows[t].items():
-                cur = residual.get(col)
-                term = field.mul(c, v)
-                nv = field.sub(cur, term) if cur is not None else field.neg(term)
-                if field.is_zero(nv):
-                    residual.pop(col, None)
-                else:
-                    residual[col] = nv
-        if residual:
-            raise ValueError("block does not lie in the stated span")
-    return out
+    return [
+        (j, t, c)
+        for j, block in sorted(blocks.items())
+        for t, c in express(field, rows, index, block)
+    ]
 
 
 def tor3_relation_holds(alg: HomogeneousAlgebra, n: int, w_cache: dict) -> bool:
@@ -648,22 +537,13 @@ def tor3_relation_holds(alg: HomogeneousAlgebra, n: int, w_cache: dict) -> bool:
     dimR = len(r_rows)
     # left side: v^a * dimR - rank of the map into A_{n-1} (x)_K E
     elim = SparseEliminator(field)
-    words = _all_words(ctx.dimV, a)
     dimV = ctx.dimV
-    for word in words:
+    for word in ctx.words(a):
         for rrow in r_rows:
             vec: dict = {}
             for coord, raw in rrow.items():
                 rword, g = ctx.word_of(coord, N)
-                img = tower.mod_IE_map(n, word + rword, g)
-                for pos, v in img.items():
-                    cur = vec.get(pos)
-                    term = field.mul(raw, v)
-                    nv = term if cur is None else field.add(cur, term)
-                    if field.is_zero(nv):
-                        vec.pop(pos, None)
-                    else:
-                        vec[pos] = nv
+                add_scaled(field, vec, tower.mod_IE_map(n, word + rword, g), raw)
             elim.add(vec)
     lhs_dim = dimV**a * dimR - elim.rank
 
@@ -672,12 +552,12 @@ def tor3_relation_holds(alg: HomogeneousAlgebra, n: int, w_cache: dict) -> bool:
     dim_VaR = dimV**a * dimR
     dim_IaR = dim_VaR - bt.dim
     wn1 = w_rows(alg, N + 1, w_cache)
-    splits = [
-        _first_letter_split_over(ctx, w, N + 1, r_rows, alg.R.space.pivots) for w in wn1
-    ]
+    lower = ctx.component_dim(N)
+    index = pivot_index(r_rows)
+    splits = [prefix_split(field, w, lower, r_rows, index) for w in wn1]
     elim2 = SparseEliminator(field)
     ns = len(r_rows)
-    for word in _all_words(dimV, a - 1):
+    for word in ctx.words(a - 1):
         for split in splits:
             vec: dict = {}
             for j, t, c in split:
@@ -696,29 +576,18 @@ def tor3_relation_holds(alg: HomogeneousAlgebra, n: int, w_cache: dict) -> bool:
     return lhs_dim == rhs_dim
 
 
-def _all_words(dimV: int, length: int):
-    if length == 0:
-        return [()]
-    out = [()]
-    for _ in range(length):
-        out = [w + (i,) for w in out for i in range(dimV)]
-    return out
-
-
-def check_tor3_concentration(alg: HomogeneousAlgebra, D: int, threads: int = 1) -> Tor3Report:
+def check_tor3_concentration(alg: HomogeneousAlgebra, D: int) -> Tor3Report:
     """(ec) plus the degree 2N..D relations; verdict holds_up_to_D or fails(n)."""
     if D < 2 * alg.N:
         raise ValueError("the bound must reach 2N to exercise any relation")
     sub = field_level(alg)
     if sub is not None and sub is not alg:
-        rep = check_tor3_concentration(sub, D, threads)
-        return rep
+        return check_tor3_concentration(sub, D)
     ec = check_ec(alg)
     w_cache: dict = {}
     degrees = list(range(2 * alg.N, D + 1))
     alg.tower().ensure(D - 1)
-    results = parallel_map(lambda n: tor3_relation_holds(alg, n, w_cache), degrees, threads)
-    relations = dict(zip(degrees, results))
+    relations = {n: tor3_relation_holds(alg, n, w_cache) for n in degrees}
     verdict = "holds_up_to_%d" % D
     if not ec.holds:
         verdict = "fails(ec)"
@@ -746,7 +615,7 @@ def _w_subbimodules(alg: HomogeneousAlgebra, top: int, w_cache: dict) -> list:
     return out
 
 
-def koszul_complex_check(alg: HomogeneousAlgebra, D: int, threads: int = 1) -> KoszulCertificate:
+def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
     """Rank-counted exactness of the Koszul complex in internal degrees <= D.
 
     Position 1 is exact for structural reasons (the image of the second
@@ -758,7 +627,7 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int, threads: int = 1) -> K
         raise ValueError("degree bound must be nonnegative")
     sub = field_level(alg)
     if sub is not None and sub is not alg:
-        cert = koszul_complex_check(sub, D, threads)
+        cert = koszul_complex_check(sub, D)
         order = alg.ctx.order
         scaled = [
             DegreeCertificate(
@@ -807,33 +676,16 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int, threads: int = 1) -> K
         rows_hi = w_sparse[m_hi]
         lo_rows = w_sparse.get(m_lo) if m_lo >= N else None
         # rows of R · W_{m_lo}
-        prod = []
         if m_lo == 0:
             prod = alg.R.basis_sparse()
         elif m_lo == 1:
-            prod = placement_rows(alg, 0, 1)
+            prod = placement_rows(alg.R, 0, 1)
         else:
-            # (x ⊗ g) · w = x ⊗ g(w-part) ⊗ g·(w-group): prepend the word of
-            # each relation term to the g-translated lower W row.
-            for rrow in alg.R.basis_sparse():
-                for lrow in lo_rows:
-                    vec: dict = {}
-                    for c1, v1 in rrow.items():
-                        g = c1 % ctx.order
-                        w1 = c1 // ctx.order
-                        act = ctx.left_action_sparse(g, lrow, m_lo)
-                        for c2, v2 in act.items():
-                            g2 = c2 % ctx.order
-                            w2 = c2 // ctx.order
-                            coord = (w1 * ctx.dimV**m_lo + w2) * ctx.order + g2
-                            term = field.mul(v1, v2)
-                            cur = vec.get(coord)
-                            nv = term if cur is None else field.add(cur, term)
-                            if field.is_zero(nv):
-                                vec.pop(coord, None)
-                            else:
-                                vec[coord] = nv
-                    prod.append(vec)
+            prod = [
+                ctx.row_product(rrow, lrow, m_lo)
+                for rrow in alg.R.basis_sparse()
+                for lrow in lo_rows
+            ]
         elim = SparseEliminator(field)
         for r in prod:
             elim.add(r)
@@ -847,47 +699,16 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int, threads: int = 1) -> K
     def bt_for(a: int, m: int) -> BalancedTensor:
         key = (a, m)
         if key not in bt_cache:
-            rows = w_sparse[m]
-            terms = [ctx.sparse_to_terms(r, m) for r in rows]
-            sub_m = Subbimodule.from_elements(ctx, m, terms, close=False)
+            sub_m = Subbimodule.from_rows(ctx, m, w_sparse[m], close=False)
             bt_cache[key] = BalancedTensor(tower, a, sub_m)
         return bt_cache[key]
 
     # expansions of W_{zeta(i)} over V^{delta} ⊗ W_{zeta(i-1)} for i >= 3
     def expansion(i: int):
-        m = zetas[i]
-        m_prev = zetas[i - 1]
-        delta = m - m_prev
-        rows = w_sparse[m]
-        prev_rows = w_sparse[m_prev]
-        prev_pivots = [min(r) for r in prev_rows]
-        out = []
-        lower = ctx.dimV**m_prev * ctx.order
-        for row in rows:
-            blocks: dict[int, dict] = {}
-            for coord, raw in row.items():
-                dnum, rest = divmod(coord, lower)
-                blocks.setdefault(dnum, {})[rest] = raw
-            triple = []
-            for dnum, block in sorted(blocks.items()):
-                residual = dict(block)
-                for t, piv in enumerate(prev_pivots):
-                    c = residual.get(piv)
-                    if c is None or field.is_zero(c):
-                        continue
-                    triple.append((dnum, t, c))
-                    for col, v in prev_rows[t].items():
-                        cur = residual.get(col)
-                        term = field.mul(c, v)
-                        nv = field.sub(cur, term) if cur is not None else field.neg(term)
-                        if field.is_zero(nv):
-                            residual.pop(col, None)
-                        else:
-                            residual[col] = nv
-                if residual:
-                    raise ValueError("W expansion failed: block outside previous W")
-            out.append(triple)
-        return out
+        prev_rows = w_sparse[zetas[i - 1]]
+        index = pivot_index(prev_rows)
+        lower = ctx.component_dim(zetas[i - 1])
+        return [prefix_split(field, row, lower, prev_rows, index) for row in w_sparse[zetas[i]]]
 
     expansions = {}
     for i in range(3, len(zetas)):
@@ -932,11 +753,11 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int, threads: int = 1) -> K
                 bt = bt_for(a_prev, m_prev) if ctx.order > 1 else None
                 elim = SparseEliminator(field)
                 exp = expansions[i]
-                for word in _all_words(ctx.dimV, a_i):
+                for word in ctx.words(a_i):
                     for triple in exp:
                         vec: dict = {}
                         for dnum, t2, raw in triple:
-                            dword = _num_to_word(dnum, ctx.dimV, zetas[i] - m_prev)
+                            dword = ctx.num_word(dnum, zetas[i] - m_prev)
                             nfv = tower.nf(word + dword, 0)
                             for b, v in nfv.items():
                                 pos = b * len(w_sparse[m_prev]) + t2
@@ -954,7 +775,7 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int, threads: int = 1) -> K
             exact.append(ranks[i] + ranks[i + 1] == dims[i])
         return DegreeCertificate(d=d, dims=dims, ranks=ranks[1 : imax + 2], exact=exact)
 
-    degree_list = parallel_map(degree_data, list(range(D + 1)), threads)
+    degree_list = [degree_data(d) for d in range(D + 1)]
     verdict = f"verified_up_to_{D}"
     for dc in degree_list:
         for i, ok in enumerate(dc.exact, start=1):
@@ -976,10 +797,3 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int, threads: int = 1) -> K
         unconditional=unconditional,
     )
 
-
-def _num_to_word(num: int, dimV: int, length: int) -> tuple[int, ...]:
-    word = []
-    for _ in range(length):
-        word.append(num % dimV)
-        num //= dimV
-    return tuple(reversed(word))

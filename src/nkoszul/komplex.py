@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .elim import SparseEliminator
-from .filtered import FilteredPresentation, OracleEngine, build_phi
+from .elim import SparseEliminator, TaggedRows, add_scaled, express, pivot_index
+from .filtered import FilteredPresentation, build_phi
 from .grouppres import PsiMap, wedge_apply
 from .homogeneous import w_rows, zeta
 from .scalar import DimensionMismatch, Scalar
-from .smashtensor import GroupData, TensorContext
+from .smashtensor import GroupData
 
 
 class UnsupportedStructure(ValueError):
@@ -47,8 +47,7 @@ class TruncatedU:
     def __init__(self, pres: FilteredPresentation, bound: int):
         self.pres = pres
         self.bound = bound
-        engine = OracleEngine(pres, bound)
-        engine.run()
+        engine = pres.oracle(bound)
         if not all(engine.equalities.values()):
             bad = sorted(n for n, ok in engine.equalities.items() if not ok)
             raise ValueError(
@@ -123,17 +122,9 @@ class TruncatedU:
         d, word, g = self.basis[idx]
         if d + 1 > self.bound:
             raise DimensionMismatch("product exceeds the truncation bound")
-        field = self.field
-        vec: dict = {}
-        for i, c in self.ctx._cols[g][letter]:
-            coord = self.engine.coord_desc(word + (i,), g)
-            cur = vec.get(coord)
-            nv = c if cur is None else field.add(cur, c)
-            if field.is_zero(nv):
-                vec.pop(coord, None)
-            else:
-                vec[coord] = nv
-        out = sorted(self._reduce_coord_vec(vec).items())
+        base = self.engine.offsets_desc[d + 2]
+        prod = self.ctx.append_letter({self.ctx.coord(word, g): self.field.one}, letter)
+        out = sorted(self._reduce_coord_vec({base + c: v for c, v in prod.items()}).items())
         self._rmul_letter[key] = out
         return out
 
@@ -156,18 +147,9 @@ class TruncatedU:
         if got is not None:
             return got
         d, word, g = self.basis[idx]
-        field = self.field
-        gg = self.ctx.group.mult_table[g2][g]
-        vec: dict = {}
-        for tw, c in self.ctx.apply_group_to_word(g2, word):
-            coord = self.engine.coord_desc(tw, gg)
-            cur = vec.get(coord)
-            nv = c if cur is None else field.add(cur, c)
-            if field.is_zero(nv):
-                vec.pop(coord, None)
-            else:
-                vec[coord] = nv
-        out = sorted(self._reduce_coord_vec(vec).items())
+        base = self.engine.offsets_desc[d + 1]
+        prod = self.ctx.left_action_sparse(g2, {self.ctx.coord(word, g): self.field.one}, d)
+        out = sorted(self._reduce_coord_vec({base + c: v for c, v in prod.items()}).items())
         self._lmul_group[key] = out
         return out
 
@@ -262,7 +244,6 @@ class _XSpace:
         ctx = tu.ctx
         field = tu.field
         self.w_rows = w_row_list
-        nb = len(tu.basis)
         vn = ctx.dimV**n
         max_u = tu.bound - n
         # coordinate order: U-degree descending, then word number, then index
@@ -277,51 +258,20 @@ class _XSpace:
             for w in range(vn):
                 self.coord_rank[(w, b)] = len(self.coord_list)
                 self.coord_list.append((w, b))
-        elim = SparseEliminator(field)
-        generators = []
-        tags = {}
-        amb = len(self.coord_list)
-        tag_no = 0
-        order = ctx.order
-        for t, w_row in enumerate(w_row_list):
-            for b_idx, (d, _, _) in enumerate(tu.basis):
-                if d > max_u:
-                    continue
-                vec: dict = {}
-                for coord, raw in w_row.items():
-                    g = coord % order
-                    wnum = coord // order
-                    if g == 0:
-                        entries = [(b_idx, field.one)]
-                    else:
-                        entries = tu.left_mult_group(b_idx, g)
-                    for b2, c in entries:
-                        key = self.coord_rank[(wnum, b2)]
-                        term = field.mul(raw, c)
-                        cur = vec.get(key)
-                        nv = term if cur is None else field.add(cur, term)
-                        if field.is_zero(nv):
-                            vec.pop(key, None)
-                        else:
-                            vec[key] = nv
-                vec[amb + tag_no] = field.one
-                tags[tag_no] = (t, b_idx)
-                generators.append(vec)
-                tag_no += 1
-        self.amb = amb
-        self.tags = tags
-        gen_elim = SparseEliminator(field)
-        for gvec in generators:
-            gen_elim.add(gvec)
-        # canonical rows of the untagged space
-        plain = SparseEliminator(field)
-        for gvec in generators:
-            plain.add({c: v for c, v in gvec.items() if c < amb})
-        self.rows = plain.rows_canonical()
+        self._gen_cache: dict[tuple[int, int], dict] = {}
+        self.tags = [
+            (t, b_idx)
+            for t in range(len(w_row_list))
+            for b_idx, (d, _, _) in enumerate(tu.basis)
+            if d <= max_u
+        ]
+        self._solver = TaggedRows(
+            field, [self._embed(t, b) for t, b in self.tags], len(self.coord_list)
+        )
+        self.rows = self._solver.span_rows()
         self.pivots = [min(r) for r in self.rows]
-        self.level = [self.tu.basis[self.coord_list[min(r)][1]][0] for r in self.rows]
-        self._gen_elim = gen_elim
-        self._gen_cache: dict[tuple[int, int], list] = {}
+        self._index = pivot_index(self.rows)
+        self.level = [self.tu.basis[self.coord_list[p][1]][0] for p in self.pivots]
 
     @property
     def dim(self) -> int:
@@ -329,43 +279,21 @@ class _XSpace:
 
     def express(self, vec: dict) -> list:
         """Coefficients of a vector over the canonical rows."""
-        field = self.tu.field
-        residual = dict(vec)
-        out = []
-        for t, piv in enumerate(self.pivots):
-            c = residual.get(piv)
-            if c is None or field.is_zero(c):
-                continue
-            out.append((t, c))
-            for col, v in self.rows[t].items():
-                cur = residual.get(col)
-                term = field.mul(c, v)
-                nv = field.sub(cur, term) if cur is not None else field.neg(term)
-                if field.is_zero(nv):
-                    residual.pop(col, None)
-                else:
-                    residual[col] = nv
-        if residual:
-            raise ValueError("vector does not lie in the tensor space")
-        return out
+        return express(self.tu.field, self.rows, self._index, vec)
 
     def generator_expression(self, row_idx: int) -> list:
         """The canonical row as a combination of generators w_t (x) b."""
-        field = self.tu.field
-        res = self._gen_elim.reduce(dict(self.rows[row_idx]))
-        out = []
-        for c, v in res.items():
-            if c < self.amb:
-                raise RuntimeError("generator expression failed")
-            out.append((self.tags[c - self.amb], field.neg(v)))
-        return out
+        return [(self.tags[i], c) for i, c in self._solver.solve(self.rows[row_idx])]
 
     def embed_generator(self, t: int, b_idx: int) -> dict:
         """Embedded vector of w_t (x) b as coordinates (word, U-index)."""
         key = (t, b_idx)
         got = self._gen_cache.get(key)
-        if got is not None:
-            return got
+        if got is None:
+            got = self._gen_cache[key] = self._embed(t, b_idx)
+        return got
+
+    def _embed(self, t: int, b_idx: int) -> dict:
         tu = self.tu
         ctx = tu.ctx
         field = tu.field
@@ -384,7 +312,6 @@ class _XSpace:
                     vec.pop(k, None)
                 else:
                     vec[k] = nv
-        self._gen_cache[key] = vec
         return vec
 
     def group_action(self, g: int, row_idx: int) -> list:
@@ -396,9 +323,9 @@ class _XSpace:
         vec: dict = {}
         for key, raw in self.rows[row_idx].items():
             wnum, b = self.coord_list[key]
-            word = _num_to_word(wnum, ctx.dimV, self.n)
+            word = ctx.num_word(wnum, self.n)
             for tw, c in ctx.apply_group_to_word(g, word):
-                wnum2 = _word_to_num(tw, ctx.dimV)
+                wnum2 = ctx.word_num(tw)
                 for b2, c2 in tu.left_mult_group(b, g):
                     k = self.coord_rank[(wnum2, b2)]
                     term = field.mul(raw, field.mul(c, c2))
@@ -441,21 +368,6 @@ class _XSpace:
                 else:
                     vec[k] = nv
         return target.express(vec)
-
-
-def _num_to_word(num: int, dimV: int, length: int) -> tuple[int, ...]:
-    word = []
-    for _ in range(length):
-        word.append(num % dimV)
-        num //= dimV
-    return tuple(reversed(word))
-
-
-def _word_to_num(word: tuple[int, ...], dimV: int) -> int:
-    num = 0
-    for letter in word:
-        num = num * dimV + letter
-    return num
 
 
 # -- the complex family -------------------------------------------------
@@ -637,61 +549,24 @@ class NComplexSlice:
             out.append(vals)
         return out
 
-    def _w_left_split(self, n: int) -> list:
-        """W_n rows over r_t · W_{n-N}: lists of (t, kappa, coeff)."""
-        ctx = self.ctx
-        field = ctx.field
-        r_rows = self.pres.homogenization().R.basis_sparse()
-        low = self._w_list(n - self.N)
-        amb = ctx.component_dim(n)
-        elim = SparseEliminator(field)
-        tags = {}
-        tag = 0
-        for t, rrow in enumerate(r_rows):
-            for kappa, wrow in enumerate(low):
-                vec = _smash_row_product(ctx, rrow, self.N, wrow, n - self.N)
-                vec[amb + tag] = field.one
-                tags[tag] = (t, kappa)
-                elim.add(vec)
-                tag += 1
-        out = []
-        for wrow in self._w_list(n):
-            res = elim.reduce(dict(wrow))
-            combo = []
-            for c, v in res.items():
-                if c < amb:
-                    raise ValueError("W row does not lie in R · W")
-                combo.append((tags[c - amb], field.neg(v)))
-            out.append(combo)
-        return out
+    def _w_split(self, n: int, r_first: bool) -> list:
+        """W_n rows over products of R rows r_t and W_{n-N} rows w_kappa.
 
-    def _w_right_split(self, n: int) -> list:
-        """W_n rows over W_{n-N} · r_t: lists of (kappa, t, coeff)."""
+        Lists of ((t, kappa), coeff) over r_t · w_kappa when ``r_first``,
+        else of ((kappa, t), coeff) over w_kappa · r_t.
+        """
         ctx = self.ctx
-        field = ctx.field
-        r_rows = self.pres.homogenization().R.basis_sparse()
-        low = self._w_list(n - self.N)
-        amb = ctx.component_dim(n)
-        elim = SparseEliminator(field)
-        tags = {}
-        tag = 0
-        for kappa, wrow in enumerate(low):
-            for t, rrow in enumerate(r_rows):
-                vec = _smash_row_product(ctx, wrow, n - self.N, rrow, self.N)
-                vec[amb + tag] = field.one
-                tags[tag] = (kappa, t)
-                elim.add(vec)
-                tag += 1
-        out = []
-        for wrow in self._w_list(n):
-            res = elim.reduce(dict(wrow))
-            combo = []
-            for c, v in res.items():
-                if c < amb:
-                    raise ValueError("W row does not lie in W · R")
-                combo.append((tags[c - amb], field.neg(v)))
-            out.append(combo)
-        return out
+        N = self.N
+        r_rows = self._alg.R.basis_sparse()
+        low = self._w_list(n - N)
+        if r_first:
+            tags = [(t, k) for t in range(len(r_rows)) for k in range(len(low))]
+            gens = [ctx.row_product(r_rows[t], low[k], n - N) for t, k in tags]
+        else:
+            tags = [(k, t) for k in range(len(low)) for t in range(len(r_rows))]
+            gens = [ctx.row_product(low[k], r_rows[t], N) for k, t in tags]
+        solver = TaggedRows(ctx.field, gens, ctx.component_dim(n))
+        return [[(tags[i], c) for i, c in solver.solve(w)] for w in self._w_list(n)]
 
     def phi_left(self, n: int) -> dict:
         """Columns of 1 (x) phi^{1,N} (x) 1 : slice n -> slice n-N."""
@@ -702,31 +577,14 @@ class NComplexSlice:
         self.basis(n - self.N)
         index = self._slice_index[n - self.N]
         phi_vals = self._phi_K_values()
-        left_split = self._w_left_split(n)
+        left_split = self._w_split(n, r_first=True)
         w_low = self._w_list(n - self.N)
-        # group action on the low W rows, expressed back over them
-        low_piv = [min(r) for r in w_low] if w_low else []
+        low_index = pivot_index(w_low)
 
         def act_on_w(g: int, kappa: int) -> list:
+            """g · w_kappa over the low W rows."""
             img = ctx.left_action_sparse(g, w_low[kappa], n - self.N)
-            out = []
-            residual = dict(img)
-            for t2, piv in enumerate(low_piv):
-                c = residual.get(piv)
-                if c is None or field.is_zero(c):
-                    continue
-                out.append((t2, c))
-                for col, v in w_low[t2].items():
-                    cur = residual.get(col)
-                    term = field.mul(c, v)
-                    nv = field.sub(cur, term) if cur is not None else field.neg(term)
-                    if field.is_zero(nv):
-                        residual.pop(col, None)
-                    else:
-                        residual[col] = nv
-            if residual:
-                raise ValueError("group action left the W space")
-            return out
+            return express(field, w_low, low_index, img)
 
         cols: dict = {}
         for src, (pos, t) in enumerate(self.basis(n)):
@@ -759,7 +617,7 @@ class NComplexSlice:
         self.basis(n - self.N)
         index = self._slice_index[n - self.N]
         phi_vals = self._phi_K_values()
-        right_split = self._w_right_split(n)
+        right_split = self._w_split(n, r_first=False)
         cols: dict = {}
         for src, (pos, t) in enumerate(self.basis(n)):
             out: dict = {}
@@ -828,33 +686,6 @@ class NComplexSlice:
         return cols
 
 
-def _smash_row_product(ctx: TensorContext, row1: dict, deg1: int, row2: dict, deg2: int) -> dict:
-    """Product of two sparse component rows inside the smash algebra."""
-    field = ctx.field
-    order = ctx.order
-    out: dict = {}
-    for c1, v1 in row1.items():
-        g1 = c1 % order
-        w1 = c1 // order
-        word2_cache = None
-        for c2, v2 in row2.items():
-            g2 = c2 % order
-            w2 = c2 // order
-            word2 = _num_to_word(w2, ctx.dimV, deg2)
-            coeff = field.mul(v1, v2)
-            gh = ctx.group.mult_table[g1][g2]
-            for tw, c in ctx.apply_group_to_word(g1, word2):
-                coord = (w1 * ctx.dimV**deg2 + _word_to_num(tw, ctx.dimV)) * order + gh
-                term = field.mul(coeff, c)
-                cur = out.get(coord)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    out.pop(coord, None)
-                else:
-                    out[coord] = nv
-    return out
-
-
 # -- map algebra --------------------------------------------------------
 
 
@@ -864,14 +695,7 @@ def compose_maps(outer: dict, inner: dict, field) -> dict:
     for src, vec in inner.items():
         out: dict = {}
         for mid, c in vec.items():
-            for tgt, c2 in outer.get(mid, {}).items():
-                term = field.mul(c, c2)
-                cur = out.get(tgt)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    out.pop(tgt, None)
-                else:
-                    out[tgt] = nv
+            add_scaled(field, out, outer.get(mid, {}), c)
         cols[src] = out
     return cols
 
@@ -1083,28 +907,32 @@ def _add_vec(a: dict, b: dict, field) -> dict:
     return out
 
 
-def _contraction_map(fam: NComplexSlice, i: int, zs: list, field) -> dict:
-    """Map out of homological position i: d when i is odd, d^{N-1} when even."""
-    hi = zs[i]
-    N = fam.N
-    if i % 2 == 1:
-        return map_difference(fam.d_left(hi), fam.d_right(hi), field, fam.slice_dim(hi))
+def alternating_step_sum(left, right, top: int, steps: int, ncols: int, field) -> dict:
+    """Columns of the sum over a + b = steps of left^a ∘ right^b out of ``top``.
+
+    ``left(m)`` and ``right(m)`` are the one-step maps out of level m; the
+    b right steps act first.
+    """
     total = None
-    ncols = fam.slice_dim(hi)
-    for a in range(N):
-        b = N - 1 - a
+    for a in range(steps + 1):
         cur = {src: {src: field.one} for src in range(ncols)}
-        level = hi
-        for _ in range(b):
-            cur = compose_maps(fam.d_right(level), cur, field)
-            level -= 1
-        for _ in range(a):
-            cur = compose_maps(fam.d_left(level), cur, field)
+        level = top
+        for step in [right] * (steps - a) + [left] * a:
+            cur = compose_maps(step(level), cur, field)
             level -= 1
         total = cur if total is None else {
             src: _add_vec(total[src], cur[src], field) for src in range(ncols)
         }
     return total
+
+
+def _contraction_map(fam: NComplexSlice, i: int, zs: list, field) -> dict:
+    """Map out of homological position i: d when i is odd, d^{N-1} when even."""
+    hi = zs[i]
+    ncols = fam.slice_dim(hi)
+    if i % 2 == 1:
+        return map_difference(fam.d_left(hi), fam.d_right(hi), field, ncols)
+    return alternating_step_sum(fam.d_left, fam.d_right, hi, fam.N - 1, ncols, field)
 
 
 # -- explicit wedge-basis differentials for antisymmetrizer presentations ----
@@ -1193,43 +1021,15 @@ class WedgeComplex:
         raise ValueError("parity must be 'odd' or 'even'")
 
     def _odd_map(self, m: int) -> dict:
+        """The left step minus the right step."""
         field = self.ctx.field
-        self.basis(m - 1)
-        cols = {}
-        for src, (pos, combo, b_idx) in enumerate(self.basis(m)):
-            out: dict = {}
-            b0_idx = self.family.b0[pos]
-            for jpos in range(m):
-                letter = combo[jpos]
-                rest = combo[:jpos] + combo[jpos + 1 :]
-                sign_l = field.one if jpos % 2 == 0 else field.neg(field.one)
-                self._left_term(out, m - 1, b0_idx, letter, rest, b_idx, sign_l)
-                sign_r = field.one if (m - 1 - jpos) % 2 == 0 else field.neg(field.one)
-                for b2, c in self.tu.left_mult_letter(b_idx, letter):
-                    self._emit(out, m - 1, pos, rest, b2, field.neg(field.mul(sign_r, c)))
-            cols[src] = out
-        return cols
+        return map_difference(self._left_step(m), self._right_step(m), field, len(self.basis(m)))
 
     def _even_map(self, m: int) -> dict:
         """Sum over a + b = p - 1 of a left-steps and b right-steps."""
         field = self.ctx.field
-        p = self.p
-        total = None
         ncols = len(self.basis(m))
-        for a in range(p):
-            b = p - 1 - a
-            cur = {src: {src: field.one} for src in range(ncols)}
-            level = m
-            for _ in range(b):
-                cur = compose_maps(self._right_step(level), cur, field)
-                level -= 1
-            for _ in range(a):
-                cur = compose_maps(self._left_step(level), cur, field)
-                level -= 1
-            total = cur if total is None else {
-                src: _add_vec(total[src], cur[src], field) for src in range(ncols)
-            }
-        return total
+        return alternating_step_sum(self._left_step, self._right_step, m, self.p - 1, ncols, field)
 
     def _left_step(self, m: int) -> dict:
         field = self.ctx.field
@@ -1280,7 +1080,7 @@ class WedgeComplex:
             vec: dict = {}
             for (word, g), coeff in terms.items():
                 raw = coeff.raw if coeff.conductor == self.ctx.conductor else field.from_fraction(coeff.as_fraction())
-                wnum = _word_to_num(word, self.ctx.dimV)
+                wnum = self.ctx.word_num(word)
                 key = x.coord_rank[(wnum, b_idx)]
                 cur = vec.get(key)
                 nv = raw if cur is None else field.add(cur, raw)

@@ -3,14 +3,17 @@
 Everything downstream rests on three types:
 
 * ``Scalar`` -- an element of Q(zeta_m), exact and canonical,
-* ``MatrixS`` -- a dense row-major matrix of scalars,
-* ``Subspace`` -- a subspace of k^n held in reduced row echelon form,
-  so that equal subspaces have identical bases entry for entry.
+* ``MatrixS`` -- a dense row-major matrix of scalars, used for the small
+  group and psi matrices,
+* ``Subspace`` -- a subspace of k^n held by the canonical sparse RREF rows
+  of ``elim.SparseEliminator``, so that equal subspaces have identical rows
+  entry for entry; the dense basis matrix is a view built on demand.
 
-The subspace operations (sum, intersection, kernel, image, membership) are
-pure functions of their inputs and always return canonical objects.  Two
-independent intersection algorithms are provided (Zassenhaus blocks and the
-kernel of the concatenated coordinate map); tests cross-check them.
+The subspace operations (sum, intersection, kernel, image, membership) run
+on the sparse engine, are pure functions of their inputs and always return
+canonical objects.  Two independent intersection algorithms are provided
+(Zassenhaus blocks and the kernel of the combination matrix); tests
+cross-check them.  ``rref_raw`` is the dense-row wrapper over the engine.
 """
 
 from __future__ import annotations
@@ -20,6 +23,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclo import get_field
+from .elim import (
+    SparseEliminator,
+    TaggedRows,
+    canonical_rows,
+    combine,
+    express,
+    pivot_index,
+)
 
 
 class DimensionMismatch(ValueError):
@@ -413,71 +424,70 @@ class MatrixS:
         return f"MatrixS[{self.rows}x{self.cols}: {body}]"
 
 
-# -- raw row echelon engine ---------------------------------------------
+# -- row echelon views over the sparse engine ---------------------------
+
+
+def _sparse(field, vec) -> dict:
+    return {j: x for j, x in enumerate(vec) if not field.is_zero(x)}
+
+
+def _dense(field, row: dict, n: int) -> list:
+    out = [field.zero] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
 def rref_raw(field, rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of raw-valued rows.  Returns (rows, pivots).
+    """Reduced row echelon form of dense raw-valued rows.  Returns (rows, pivots).
 
-    Deterministic: scans columns left to right, takes the first row with a
-    nonzero entry, normalizes the pivot to 1 and clears the column.
+    A dense view of the canonical rows of ``SparseEliminator``.
     """
-    rows = [list(r) for r in rows]
     if not rows:
         return [], []
     ncols = len(rows[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rank, len(rows)):
-            if not field.is_zero(rows[i][col]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        piv = rows[rank]
-        c = piv[col]
-        if not field.is_one(c):
-            cinv = field.inv(c)
-            for j in range(col, ncols):
-                if not field.is_zero(piv[j]):
-                    piv[j] = field.mul(cinv, piv[j])
-        for i in range(len(rows)):
-            if i == rank:
-                continue
-            factor = rows[i][col]
-            if field.is_zero(factor):
-                continue
-            r = rows[i]
-            for j in range(col, ncols):
-                if not field.is_zero(piv[j]):
-                    r[j] = field.sub(r[j], field.mul(factor, piv[j]))
-        pivots.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    return rows[:rank], pivots
+    canon = canonical_rows(field, [_sparse(field, r) for r in rows])
+    return [_dense(field, r, ncols) for r in canon], [min(r) for r in canon]
 
 
 class Subspace:
-    """A subspace of k^n held by its canonical RREF basis."""
+    """A subspace of k^n held by its canonical RREF rows.
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    ``rows`` are the sparse canonical rows of ``SparseEliminator`` (column to
+    raw value, sorted by pivot, pivot entry one, each pivot column zero in
+    every other row); callers must not mutate them.  The dense ``basis``
+    matrix and ``basis_rows()`` are views built on demand.
+    """
 
-    def __init__(self, ambient_dim: int, basis: MatrixS, pivots: tuple[int, ...]):
+    __slots__ = ("ambient_dim", "rows", "conductor")
+
+    def __init__(self, ambient_dim: int, rows: list[dict], conductor: int = 1):
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = tuple(pivots)
+        self.rows = rows
+        self.conductor = conductor
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.rows)
 
     @property
-    def conductor(self) -> int:
-        return self.basis.conductor
+    def field(self):
+        return get_field(self.conductor)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(min(r) for r in self.rows)
+
+    @property
+    def basis(self) -> MatrixS:
+        field = self.field
+        flat = [Scalar(field, x) for r in self.rows for x in _dense(field, r, self.ambient_dim)]
+        return MatrixS(self.dim, self.ambient_dim, flat, self.conductor)
+
+    @staticmethod
+    def from_rows(ambient_dim: int, rows, conductor: int = 1) -> "Subspace":
+        """Span of sparse raw-valued rows over Q(zeta_conductor)."""
+        return Subspace(ambient_dim, canonical_rows(get_field(conductor), rows), conductor)
 
     @staticmethod
     def from_vectors(vectors: Sequence[Sequence[Scalar]], ambient_dim: int, conductor: int = 1) -> "Subspace":
@@ -490,125 +500,113 @@ class Subspace:
                 if isinstance(x, Scalar):
                     m = max(m, x.conductor)
         field = get_field(m)
-
-        def raw_of(x):
-            if isinstance(x, Scalar):
-                if x.conductor == m:
-                    return x.raw
-                return field.from_fraction(x.as_fraction())
-            return field.from_fraction(_coerce_fraction(x))
-
-        raw_rows = [[raw_of(x) for x in v] for v in vecs]
-        rows, pivots = rref_raw(field, raw_rows)
-        flat = [Scalar(field, x) for r in rows for x in r]
-        return Subspace(ambient_dim, MatrixS(len(rows), ambient_dim, flat, m), tuple(pivots))
+        rows = [_sparse(field, [_raw_in(field, x) for x in v]) for v in vecs]
+        return Subspace.from_rows(ambient_dim, rows, m)
 
     @staticmethod
     def zero(ambient_dim: int, conductor: int = 1) -> "Subspace":
-        return Subspace(ambient_dim, MatrixS(0, ambient_dim, [], conductor), ())
+        return Subspace(ambient_dim, [], conductor)
 
     @staticmethod
     def full(ambient_dim: int, conductor: int = 1) -> "Subspace":
-        return Subspace(
-            ambient_dim, MatrixS.identity(ambient_dim, conductor), tuple(range(ambient_dim))
-        )
+        one = get_field(conductor).one
+        return Subspace(ambient_dim, [{i: one} for i in range(ambient_dim)], conductor)
 
     def basis_rows(self) -> list[list[Scalar]]:
         return self.basis.row_list()
 
-    def sum(self, other: "Subspace") -> "Subspace":
+    def _rows_over(self, m: int) -> list[dict]:
+        """The rows with raw values in Q(zeta_m), for rational or equal conductors."""
+        if m == self.conductor:
+            return self.rows
+        own, field = self.field, get_field(m)
+        return [
+            {j: field.from_fraction(Scalar(own, x).as_fraction()) for j, x in r.items()}
+            for r in self.rows
+        ]
+
+    def _common(self, other: "Subspace", what: str) -> int:
         if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("subspace sum needs equal ambient dimensions")
-        return Subspace.from_vectors(
-            self.basis_rows() + other.basis_rows(),
-            self.ambient_dim,
-            max(self.conductor, other.conductor),
-        )
+            raise DimensionMismatch(f"{what} needs equal ambient dimensions")
+        return max(self.conductor, other.conductor)
+
+    def sum(self, other: "Subspace") -> "Subspace":
+        m = self._common(other, "subspace sum")
+        return Subspace.from_rows(self.ambient_dim, self._rows_over(m) + other._rows_over(m), m)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the Zassenhaus block construction."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("intersection needs equal ambient dimensions")
+        """Intersection via the Zassenhaus block construction.
+
+        The rows (a | a) and (b | 0) are eliminated together; the canonical
+        rows with a pivot in the second half vanish on the first half and
+        are the canonical rows of the intersection.
+        """
+        m = self._common(other, "intersection")
         n = self.ambient_dim
-        m = max(self.conductor, other.conductor)
-        field = get_field(m)
-        zero = Scalar.zero(m)
-        block: list[list[Scalar]] = []
-        for row in self.basis_rows():
-            block.append(list(row) + list(row))
-        for row in other.basis_rows():
-            block.append(list(row) + [zero] * n)
-        raw_rows = [[(x.raw if x.conductor == m else field.from_fraction(x.as_fraction())) for x in r] for r in block]
-        rows, _ = rref_raw(field, raw_rows)
-        inter = []
-        for r in rows:
-            if all(field.is_zero(x) for x in r[:n]):
-                inter.append([Scalar(field, x) for x in r[n:]])
-        return Subspace.from_vectors(inter, n, m)
+        elim = SparseEliminator(get_field(m))
+        for r in self._rows_over(m):
+            block = dict(r)
+            block.update((n + j, x) for j, x in r.items())
+            elim.add(block)
+        elim.add_all(other._rows_over(m))
+        rows = elim.pivot_rows
+        inter = [{j - n: x for j, x in rows[p].items()} for p in sorted(rows) if p >= n]
+        return Subspace(n, inter, m)
 
     def intersect_via_kernel(self, other: "Subspace") -> "Subspace":
-        """Intersection through the kernel of [basis(self)^T | -basis(other)^T]."""
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("intersection needs equal ambient dimensions")
-        m = max(self.conductor, other.conductor)
-        a = self.basis_rows()
-        b = other.basis_rows()
-        if not a or not b:
+        """Intersection through the kernel of the combination matrix [basis(self); basis(other)].
+
+        A kernel vector (c, d) with sum c_i a_i + sum d_j b_j = 0 gives the
+        common vector sum c_i a_i.
+        """
+        m = self._common(other, "intersection")
+        field = get_field(m)
+        a = self._rows_over(m)
+        if not a or not other.rows:
             return Subspace.zero(self.ambient_dim, m)
-        rows = []
-        for i in range(self.ambient_dim):
-            rows.append([v[i] for v in a] + [-v[i] for v in b])
-        combined = MatrixS.from_rows(rows, m)
-        ker = kernel(combined)
-        vecs = []
-        zero = Scalar.zero(m)
-        for comb in ker.basis_rows():
-            vec = [zero] * self.ambient_dim
-            for coeff, row in zip(comb[: len(a)], a):
-                if not coeff.is_zero():
-                    for j, x in enumerate(row):
-                        vec[j] = vec[j] + coeff * x
-            vecs.append(vec)
-        return Subspace.from_vectors(vecs, self.ambient_dim, m)
+        combos = TaggedRows(field, a + other._rows_over(m), self.ambient_dim).kernel_rows()
+        vecs = [combine(field, a, [(i, c) for i, c in k.items() if i < len(a)]) for k in combos]
+        return Subspace.from_rows(self.ambient_dim, vecs, m)
 
     def contains(self, vector: Sequence[Scalar]) -> bool:
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        m = self.conductor
-        field = get_field(m)
-        vec = []
-        for x in vector:
-            if isinstance(x, Scalar):
-                vec.append(x.raw if x.conductor == m else field.from_fraction(x.as_fraction()))
-            else:
-                vec.append(field.from_fraction(_coerce_fraction(x)))
-        rows = self.basis.row_list()
-        raw_rows = [[x.raw for x in r] for r in rows]
-        for row, piv in zip(raw_rows, self.pivots):
-            c = vec[piv]
-            if not field.is_zero(c):
-                for j in range(piv, self.ambient_dim):
-                    if not field.is_zero(row[j]):
-                        vec[j] = field.sub(vec[j], field.mul(c, row[j]))
-        return all(field.is_zero(x) for x in vec)
+        field = self.field
+        return self._contains_rows([_sparse(field, [_raw_in(field, x) for x in vector])])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis_rows())
+        return self._contains_rows(other._rows_over(self.conductor))
+
+    def _contains_rows(self, rows: list[dict]) -> bool:
+        index = pivot_index(self.rows)
+        try:
+            for r in rows:
+                express(self.field, self.rows, index, r)
+        except ValueError:
+            return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self.pivots == other.pivots
-            and self.basis == other.basis
-        )
+        if self.ambient_dim != other.ambient_dim:
+            return False
+        if self.conductor != other.conductor:
+            return self.basis == other.basis
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.pivots, self.basis))
+        return hash((self.ambient_dim, self.pivots))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def _raw_in(field, x):
+    """Raw value of a Scalar or rational literal in ``field``."""
+    if isinstance(x, Scalar):
+        return x.raw if x.field is field else field.from_fraction(x.as_fraction())
+    return field.from_fraction(_coerce_fraction(x))
 
 
 def rref(matrix: MatrixS) -> Subspace:
@@ -617,22 +615,17 @@ def rref(matrix: MatrixS) -> Subspace:
 
 
 def kernel(matrix: MatrixS) -> Subspace:
-    """Exact right kernel {x : M x = 0} as a canonical subspace of k^cols."""
+    """Exact right kernel {x : M x = 0} as a canonical subspace of k^cols.
+
+    The kernel of M is the kernel of the combination matrix of its columns.
+    """
     field = get_field(matrix.conductor)
-    raw_rows = [[x.raw for x in matrix.row(i)] for i in range(matrix.rows)]
-    rows, pivots = rref_raw(field, raw_rows)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(matrix.cols) if j not in pivot_set]
-    vecs = []
-    for fc in free_cols:
-        vec = [Scalar.zero(matrix.conductor)] * matrix.cols
-        vec[fc] = Scalar.one(matrix.conductor)
-        for row, piv in zip(rows, pivots):
-            c = row[fc]
-            if not field.is_zero(c):
-                vec[piv] = Scalar(field, field.neg(c))
-        vecs.append(vec)
-    return Subspace.from_vectors(vecs, matrix.cols, matrix.conductor)
+    columns = [
+        {i: matrix[i, j].raw for i in range(matrix.rows) if not matrix[i, j].is_zero()}
+        for j in range(matrix.cols)
+    ]
+    rows = TaggedRows(field, columns, matrix.rows).kernel_rows()
+    return Subspace(matrix.cols, rows, matrix.conductor)
 
 
 def image(matrix: MatrixS) -> Subspace:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .cyclo import get_field
-from .elim import SparseEliminator
+from .elim import SparseEliminator, add_scaled
 from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace
 
 Terms = dict  # {(word tuple, g index): Scalar}
@@ -182,20 +182,31 @@ class TensorContext:
     def component_dim(self, n: int) -> int:
         return self.dimV**n * self.order
 
-    def coord(self, word: tuple[int, ...], g: int) -> int:
-        idx = 0
+    def word_num(self, word: tuple[int, ...]) -> int:
+        """Lexicographic number of a word, slot 1 most significant."""
+        num = 0
         for letter in word:
-            idx = idx * self.dimV + letter
-        return idx * self.order + g
+            num = num * self.dimV + letter
+        return num
+
+    def num_word(self, num: int, length: int) -> tuple[int, ...]:
+        """The word of the given length numbered ``num``; inverse of word_num."""
+        word = []
+        for _ in range(length):
+            num, letter = divmod(num, self.dimV)
+            word.append(letter)
+        return tuple(reversed(word))
+
+    def words(self, length: int) -> list[tuple[int, ...]]:
+        """All words of the given length, in number order."""
+        return [self.num_word(num, length) for num in range(self.dimV**length)]
+
+    def coord(self, word: tuple[int, ...], g: int) -> int:
+        return self.word_num(word) * self.order + g
 
     def word_of(self, coord: int, degree: int) -> tuple[tuple[int, ...], int]:
-        g = coord % self.order
-        idx = coord // self.order
-        word = []
-        for _ in range(degree):
-            word.append(idx % self.dimV)
-            idx //= self.dimV
-        return tuple(reversed(word)), g
+        num, g = divmod(coord, self.order)
+        return self.num_word(num, degree), g
 
     # -- term-level operations ---------------------------------------
 
@@ -284,6 +295,47 @@ class TensorContext:
                     out[coord2] = nv
         return out
 
+    def append_letter(self, row: dict, letter: int) -> dict:
+        """row · (e_letter ⊗ 1) on a sparse component row, one degree up.
+
+        (w ⊗ g)(e_l ⊗ 1) = w ⊗ rho(g) e_l ⊗ g.
+        """
+        field = self.field
+        order = self.order
+        dimV = self.dimV
+        out: dict = {}
+        for coord, raw in row.items():
+            wnum, g = divmod(coord, order)
+            for i, c in self._cols[g][letter]:
+                coord2 = (wnum * dimV + i) * order + g
+                term = field.mul(raw, c)
+                cur = out.get(coord2)
+                nv = term if cur is None else field.add(cur, term)
+                if field.is_zero(nv):
+                    out.pop(coord2, None)
+                else:
+                    out[coord2] = nv
+        return out
+
+    def row_product(self, row1: dict, row2: dict, degree2: int) -> dict:
+        """Smash product of a sparse component row with one of degree ``degree2``.
+
+        (w1 ⊗ g)(w2 ⊗ h) = w1 ⊗ g.(w2 ⊗ h), so each group slot g of row1
+        prepends its word to the left action of g on row2.
+        """
+        order = self.order
+        shift = self.dimV**degree2 * order
+        acted: dict[int, dict] = {}
+        out: dict = {}
+        for c1, v1 in row1.items():
+            wnum, g = divmod(c1, order)
+            img = acted.get(g)
+            if img is None:
+                img = acted[g] = self.left_action_sparse(g, row2, degree2)
+            base = wnum * shift
+            add_scaled(self.field, out, {base + c2: v2 for c2, v2 in img.items()}, v1)
+        return out
+
     def right_action_sparse(self, row: dict, g: int) -> dict:
         """(word ⊗ h) . g = word ⊗ hg; a permutation of coordinates."""
         order = self.order
@@ -296,6 +348,21 @@ class TensorContext:
 
 
 # -- sub-bimodules -------------------------------------------------------
+
+
+def _span_rows(field, rows, actions=()) -> list[dict]:
+    """Canonical rows of the smallest subspace containing ``rows`` and
+    stable under every map in ``actions``."""
+    elim = SparseEliminator(field)
+    work = [r for r in rows if elim.add(r) is not None]
+    while work and actions:
+        row = work.pop()
+        for act in actions:
+            red = elim.reduce(act(row))
+            if red:
+                elim.add(red)
+                work.append(red)
+    return elim.rows_canonical()
 
 
 class Subbimodule:
@@ -329,47 +396,29 @@ class Subbimodule:
             for coord in t:
                 if coord >= ctx.component_dim(degree):
                     raise DimensionMismatch("element does not live in the stated degree")
-        if close:
-            rows = _bimodule_closure_rows(ctx, degree, rows)
-        sub = _rows_to_subspace(ctx, rows, ctx.component_dim(degree))
-        out = Subbimodule(ctx, degree, sub)
+        return Subbimodule.from_rows(ctx, degree, rows, close)
+
+    @staticmethod
+    def from_rows(ctx: TensorContext, degree: int, rows: list[dict], close: bool = True) -> "Subbimodule":
+        """Bimodule closure of sparse degree-n rows, or with ``close=False``
+        their span, which must already be closed."""
+        actions = _actions(ctx, degree) if close else ()
+        rows = _span_rows(ctx.field, rows, actions)
+        out = Subbimodule(ctx, degree, Subspace(ctx.component_dim(degree), rows, ctx.conductor))
         if not close and not out.is_closed():
             raise ValueError("spanning set is not closed under the bimodule actions")
         return out
 
     def basis_terms(self) -> list[Terms]:
-        return [
-            self.ctx.sparse_to_terms(
-                {j: x.raw for j, x in enumerate(row) if not x.is_zero()}, self.degree
-            )
-            for row in self.space.basis_rows()
-        ]
+        return [self.ctx.sparse_to_terms(row, self.degree) for row in self.space.rows]
 
     def basis_sparse(self) -> list[dict]:
-        rows = []
-        for i in range(self.space.dim):
-            row = {}
-            for j in range(self.space.ambient_dim):
-                x = self.space.basis[i, j]
-                if not x.is_zero():
-                    row[j] = x.raw
-            rows.append(row)
-        return rows
+        """The canonical rows themselves; callers must not mutate them."""
+        return self.space.rows
 
     def is_closed(self) -> bool:
-        """Apply every generator action to every basis row, check containment."""
-        ctx = self.ctx
-        elim = SparseEliminator(ctx.field)
-        for r in self.basis_sparse():
-            elim.add(r)
-        gens = ctx.group.generators
-        for row in self.basis_sparse():
-            for g in gens:
-                if not elim.contains(ctx.left_action_sparse(g, row, self.degree)):
-                    return False
-                if not elim.contains(ctx.right_action_sparse(row, g)):
-                    return False
-        return True
+        rows = self.space.rows
+        return _span_rows(self.ctx.field, rows, _actions(self.ctx, self.degree)) == rows
 
     def sum(self, other: "Subbimodule") -> "Subbimodule":
         self._check_compatible(other)
@@ -380,12 +429,7 @@ class Subbimodule:
         return Subbimodule(self.ctx, self.degree, self.space.intersect(other.space))
 
     def _check_compatible(self, other: "Subbimodule"):
-        if other.ctx is not self.ctx and (
-            other.ctx.dimV != self.ctx.dimV
-            or other.ctx.conductor != self.ctx.conductor
-            or other.ctx.group.mult_table != self.ctx.group.mult_table
-        ):
-            raise DimensionMismatch("context mismatch")
+        _check_same_ctx(self.ctx, other.ctx)
         if other.degree != self.degree:
             raise DimensionMismatch("degree mismatch")
 
@@ -401,39 +445,25 @@ class Subbimodule:
         return f"Subbimodule(degree={self.degree}, dim={self.dim})"
 
 
-def _rows_to_subspace(ctx: TensorContext, rows: list[dict], ambient: int) -> Subspace:
-    elim = SparseEliminator(ctx.field)
-    for r in rows:
-        elim.add(r)
-    field = ctx.field
-    dense = []
-    for r in elim.rows_canonical():
-        vec = [Scalar(field, field.zero)] * ambient
-        for j, raw in r.items():
-            vec[j] = Scalar(field, raw)
-        dense.append(vec)
-    return Subspace.from_vectors(dense, ambient, ctx.conductor)
+def _actions(ctx: TensorContext, degree: int) -> list:
+    """Left and right actions of each group generator on degree-n rows."""
+    out = []
+    for g in ctx.group.generators:
+        out.append(lambda row, g=g: ctx.left_action_sparse(g, row, degree))
+        out.append(lambda row, g=g: ctx.right_action_sparse(row, g))
+    return out
 
 
-def _bimodule_closure_rows(ctx: TensorContext, degree: int, rows: list[dict]) -> list[dict]:
-    elim = SparseEliminator(ctx.field)
-    work = []
-    for r in rows:
-        if elim.add(r) is not None:
-            work.append(r)
-    gens = ctx.group.generators
-    while work:
-        row = work.pop()
-        for g in gens:
-            for img in (
-                ctx.left_action_sparse(g, row, degree),
-                ctx.right_action_sparse(row, g),
-            ):
-                red = elim.reduce(img)
-                if red:
-                    elim.add(red)
-                    work.append(red)
-    return elim.rows_canonical()
+def _check_same_ctx(a: TensorContext, b: TensorContext) -> None:
+    if a is not b and (
+        a.dimV != b.dimV or a.conductor != b.conductor or a.group.mult_table != b.group.mult_table
+    ):
+        raise DimensionMismatch("context mismatch")
+
+
+def _span(ctx: TensorContext, degree: int, rows) -> Subbimodule:
+    """Span of rows known to form a sub-bimodule."""
+    return Subbimodule(ctx, degree, Subspace.from_rows(ctx.component_dim(degree), rows, ctx.conductor))
 
 
 def smash_product(ctx: TensorContext, a: Terms, b: Terms) -> Terms:
@@ -443,73 +473,43 @@ def smash_product(ctx: TensorContext, a: Terms, b: Terms) -> Terms:
 
 def product_EF(E: Subbimodule, F: Subbimodule) -> Subbimodule:
     """Span of the smash products of basis elements; again a sub-bimodule."""
-    if E.ctx is not F.ctx and (
-        E.ctx.dimV != F.ctx.dimV
-        or E.ctx.conductor != F.ctx.conductor
-        or E.ctx.group.mult_table != F.ctx.group.mult_table
-    ):
-        raise DimensionMismatch("context mismatch")
+    _check_same_ctx(E.ctx, F.ctx)
     ctx = E.ctx
-    degree = E.degree + F.degree
-    elim = SparseEliminator(ctx.field)
-    e_terms = E.basis_terms()
-    f_terms = F.basis_terms()
-    for et in e_terms:
-        for ft in f_terms:
-            prod = ctx.smash_mul_terms(et, ft)
-            elim.add(ctx.terms_to_sparse(prod))
-    sub = _elim_to_subspace(ctx, elim, ctx.component_dim(degree))
-    return Subbimodule(ctx, degree, sub)
+    rows = [ctx.row_product(e, f, F.degree) for e in E.space.rows for f in F.space.rows]
+    return _span(ctx, E.degree + F.degree, rows)
 
 
-def _elim_to_subspace(ctx: TensorContext, elim: SparseEliminator, ambient: int) -> Subspace:
-    field = ctx.field
-    dense = []
-    for r in elim.rows_canonical():
-        vec = [Scalar(field, field.zero)] * ambient
-        for j, raw in r.items():
-            vec[j] = Scalar(field, raw)
-        dense.append(vec)
-    return Subspace.from_vectors(dense, ambient, ctx.conductor)
+def placement_rows(R: Subbimodule, i: int, j: int) -> list[dict]:
+    """Sparse spanning rows of V^{⊗i} R V^{⊗j}.
+
+    For a bimodule R the full space multiplies in letter by letter on the
+    right, and on the left as plain word prefixes.
+    """
+    ctx = R.ctx
+    rows = R.space.rows
+    for _ in range(j):
+        rows = [ctx.append_letter(r, letter) for r in rows for letter in range(ctx.dimV)]
+    shift = ctx.component_dim(R.degree + j)
+    return [
+        {wnum * shift + c: v for c, v in r.items()}
+        for wnum in range(ctx.dimV**i)
+        for r in rows
+    ]
 
 
 def left_full_product(X: Subbimodule, power: int = 1) -> Subbimodule:
-    """V^{⊗power} X for the full space on the left.
-
-    For a bimodule X this equals the span of words prepended to basis rows,
-    so no smash expansion is needed.
-    """
-    ctx = X.ctx
-    degree = X.degree + power
-    elim = SparseEliminator(ctx.field)
-    rows = X.basis_sparse()
-    shift = ctx.order
-    top = ctx.dimV ** X.degree
-    for wnum in range(ctx.dimV**power):
-        base = wnum * top * shift
-        for row in rows:
-            elim.add({base + c: v for c, v in row.items()})
-    return Subbimodule(ctx, degree, _elim_to_subspace(ctx, elim, ctx.component_dim(degree)))
+    """V^{⊗power} X for the full space on the left."""
+    return _span(X.ctx, X.degree + power, placement_rows(X, power, 0))
 
 
 def right_full_product(X: Subbimodule, power: int = 1) -> Subbimodule:
-    """X V^{⊗power} for the full space on the right (single power steps)."""
-    ctx = X.ctx
-    out = X
-    for _ in range(power):
-        elim = SparseEliminator(ctx.field)
-        degree = out.degree + 1
-        for terms in out.basis_terms():
-            for letter in range(ctx.dimV):
-                prod = ctx.smash_mul_terms(terms, {((letter,), 0): Scalar.one(ctx.conductor)})
-                elim.add(ctx.terms_to_sparse(prod))
-        out = Subbimodule(ctx, degree, _elim_to_subspace(ctx, elim, ctx.component_dim(degree)))
-    return out
+    """X V^{⊗power} for the full space on the right."""
+    return _span(X.ctx, X.degree + power, placement_rows(X, 0, power))
 
 
 def placement(R: Subbimodule, i: int, j: int) -> Subbimodule:
     """V^{⊗i} R V^{⊗j} as a sub-bimodule of degree i + N + j."""
-    return left_full_product(right_full_product(R, j), i)
+    return _span(R.ctx, R.degree + i + j, placement_rows(R, i, j))
 
 
 def ideal_component(R: Subbimodule, n: int) -> Subbimodule:
@@ -608,6 +608,8 @@ class FilteredSubspace:
 
     Blocks are laid out in degrees 0, 1, ..., n in that order; within a
     block, coordinates follow the (word, g) order of the graded component.
+    A block's offset does not depend on n, so F^n sits in F^{n+1} as the
+    leading coordinates.
     """
 
     def __init__(self, ctx: TensorContext, top_degree: int, space: Subspace):
@@ -673,90 +675,63 @@ class FilteredSubspace:
     @staticmethod
     def from_elements(ctx: TensorContext, top_degree: int, elements: Iterable[Terms], close: bool = True) -> "FilteredSubspace":
         rows = [FilteredSubspace.terms_to_sparse(ctx, top_degree, t) for t in elements]
-        if close:
-            rows = _filtered_closure_rows(ctx, top_degree, rows)
-        elim = SparseEliminator(ctx.field)
-        for r in rows:
-            elim.add(r)
-        ambient = FilteredSubspace.ambient(ctx, top_degree)
-        sub = _elim_to_subspace(ctx, elim, ambient)
-        out = FilteredSubspace(ctx, top_degree, sub)
+        actions = FilteredSubspace._actions(ctx, top_degree) if close else ()
+        out = FilteredSubspace._of_rows(ctx, top_degree, _span_rows(ctx.field, rows, actions))
         if not close and not out.is_closed():
             raise ValueError("spanning set is not closed under the bimodule actions")
         return out
 
+    @staticmethod
+    def _of_rows(ctx: TensorContext, top_degree: int, rows: list[dict]) -> "FilteredSubspace":
+        """Wrap canonical rows of F^top_degree."""
+        ambient = FilteredSubspace.ambient(ctx, top_degree)
+        return FilteredSubspace(ctx, top_degree, Subspace(ambient, rows, ctx.conductor))
+
     def basis_sparse(self) -> list[dict]:
-        rows = []
-        for i in range(self.space.dim):
-            row = {}
-            for j in range(self.space.ambient_dim):
-                x = self.space.basis[i, j]
-                if not x.is_zero():
-                    row[j] = x.raw
-            rows.append(row)
-        return rows
+        """The canonical rows themselves; callers must not mutate them."""
+        return self.space.rows
 
     def basis_terms(self) -> list[Terms]:
         return [
             FilteredSubspace.sparse_to_terms(self.ctx, self.top_degree, row)
-            for row in self.basis_sparse()
+            for row in self.space.rows
         ]
 
-    def _action_sparse(self, row: dict, g: int, side: str) -> dict:
-        ctx = self.ctx
-        offs = FilteredSubspace.offsets(ctx, self.top_degree)
-        field = ctx.field
-        out: dict = {}
-        by_degree: dict[int, dict] = {}
-        for coord, raw in row.items():
-            d = 0
-            while offs[d + 1] <= coord:
-                d += 1
-            by_degree.setdefault(d, {})[coord - offs[d]] = raw
-        for d, sub in by_degree.items():
-            img = (
-                ctx.left_action_sparse(g, sub, d)
-                if side == "left"
-                else ctx.right_action_sparse(sub, g)
-            )
-            for c, v in img.items():
-                coord = offs[d] + c
-                cur = out.get(coord)
-                nv = v if cur is None else field.add(cur, v)
-                if field.is_zero(nv):
-                    out.pop(coord, None)
-                else:
-                    out[coord] = nv
+    @staticmethod
+    def _actions(ctx: TensorContext, top_degree: int) -> list:
+        """Left and right actions of each group generator, block by block."""
+        offs = FilteredSubspace.offsets(ctx, top_degree)
+
+        def blockwise(row: dict, act) -> dict:
+            by_degree: dict[int, dict] = {}
+            for coord, raw in row.items():
+                d = 0
+                while offs[d + 1] <= coord:
+                    d += 1
+                by_degree.setdefault(d, {})[coord - offs[d]] = raw
+            # each action keeps the degree, so the blocks stay disjoint
+            out: dict = {}
+            for d, sub in by_degree.items():
+                out.update((offs[d] + c, v) for c, v in act(sub, d).items())
+            return out
+
+        out = []
+        for g in ctx.group.generators:
+            out.append(lambda row, g=g: blockwise(row, lambda sub, d: ctx.left_action_sparse(g, sub, d)))
+            out.append(lambda row, g=g: blockwise(row, lambda sub, d: ctx.right_action_sparse(sub, g)))
         return out
 
     def is_closed(self) -> bool:
-        elim = SparseEliminator(self.ctx.field)
-        for r in self.basis_sparse():
-            elim.add(r)
-        for row in self.basis_sparse():
-            for g in self.ctx.group.generators:
-                if not elim.contains(self._action_sparse(row, g, "left")):
-                    return False
-                if not elim.contains(self._action_sparse(row, g, "right")):
-                    return False
-        return True
+        rows = self.space.rows
+        actions = FilteredSubspace._actions(self.ctx, self.top_degree)
+        return _span_rows(self.ctx.field, rows, actions) == rows
 
     def block_projection(self, degree: int) -> Subspace:
         """Image of the subspace in the degree-``degree`` graded block."""
         offs = FilteredSubspace.offsets(self.ctx, self.top_degree)
         lo, hi = offs[degree], offs[degree + 1]
-        field = self.ctx.field
-        vecs = []
-        for row in self.basis_sparse():
-            vec = [Scalar(field, field.zero)] * (hi - lo)
-            nonzero = False
-            for c, v in row.items():
-                if lo <= c < hi:
-                    vec[c - lo] = Scalar(field, v)
-                    nonzero = True
-            if nonzero:
-                vecs.append(vec)
-        return Subspace.from_vectors(vecs, hi - lo, self.ctx.conductor)
+        rows = [{c - lo: v for c, v in row.items() if lo <= c < hi} for row in self.space.rows]
+        return Subspace.from_rows(hi - lo, rows, self.ctx.conductor)
 
     def extend_top(self, new_top: int) -> "FilteredSubspace":
         """Re-embed into the larger filtration level F^new_top."""
@@ -764,8 +739,7 @@ class FilteredSubspace:
             raise DimensionMismatch("cannot shrink the filtration level")
         if new_top == self.top_degree:
             return self
-        terms = self.basis_terms()
-        return FilteredSubspace.from_elements(self.ctx, new_top, terms, close=False)
+        return FilteredSubspace._of_rows(self.ctx, new_top, self.space.rows)
 
     def mul_E(self, side: str) -> "FilteredSubspace":
         """P·E (side='right') or E·P (side='left'), one degree up."""
@@ -786,23 +760,22 @@ class FilteredSubspace:
         return FilteredSubspace.from_elements(ctx, new_top, elements, close=False)
 
     def truncate_intersection(self, level: int) -> "FilteredSubspace":
-        """Intersection with F^level, returned inside F^level."""
+        """Intersection with F^level, returned inside F^level.
+
+        The coordinates beyond F^level are moved in front of it; the
+        canonical rows pivoting inside F^level then vanish beyond it and
+        are the canonical rows of the intersection.
+        """
         if level >= self.top_degree:
             return self.extend_top(level)
         cut = FilteredSubspace.offsets(self.ctx, self.top_degree)[level + 1]
-        coords = Subspace.from_vectors(
-            [
-                [Scalar.one(self.ctx.conductor) if j == i else Scalar.zero(self.ctx.conductor) for j in range(self.space.ambient_dim)]
-                for i in range(cut)
-            ],
-            self.space.ambient_dim,
-            self.ctx.conductor,
-        )
-        inter = self.space.intersect(coords)
-        field = self.ctx.field
-        vecs = [row[:cut] for row in inter.basis_rows()]
-        sub = Subspace.from_vectors(vecs, cut, self.ctx.conductor)
-        return FilteredSubspace(self.ctx, level, sub)
+        high = self.space.ambient_dim - cut
+        elim = SparseEliminator(self.ctx.field)
+        for row in self.space.rows:
+            elim.add({(c - cut if c >= cut else c + high): v for c, v in row.items()})
+        rows = elim.pivot_rows
+        inter = [{c - high: v for c, v in rows[p].items()} for p in sorted(rows) if p >= high]
+        return FilteredSubspace._of_rows(self.ctx, level, inter)
 
     def contains(self, other: "FilteredSubspace") -> bool:
         o = other.extend_top(self.top_degree)
@@ -815,25 +788,3 @@ class FilteredSubspace:
 
     def __repr__(self):
         return f"FilteredSubspace(top={self.top_degree}, dim={self.dim})"
-
-
-def _filtered_closure_rows(ctx: TensorContext, top: int, rows: list[dict]) -> list[dict]:
-    elim = SparseEliminator(ctx.field)
-    holder = FilteredSubspace(ctx, top, Subspace.zero(FilteredSubspace.ambient(ctx, top), ctx.conductor))
-    work = []
-    for r in rows:
-        if elim.add(r) is not None:
-            work.append(r)
-    gens = ctx.group.generators
-    while work:
-        row = work.pop()
-        for g in gens:
-            for img in (
-                holder._action_sparse(row, g, "left"),
-                holder._action_sparse(row, g, "right"),
-            ):
-                red = elim.reduce(img)
-                if red:
-                    elim.add(red)
-                    work.append(red)
-    return elim.rows_canonical()

@@ -146,7 +146,7 @@ def test_report_json_round_trip(tmp_path):
 
 def test_reports_byte_identical_across_runs(tmp_path):
     path = write(tmp_path, "sy.json", SYMPLECTIC)
-    cfg = RunConfig(input_path=path, degree_bound=6, checks=["all"], format="json", seed=11)
+    cfg = RunConfig(input_path=path, degree_bound=6, checks=["all"], format="json")
     first, _ = run(cfg)
     second, _ = run(cfg)
     assert emit(first, "json") == emit(second, "json")
@@ -167,15 +167,6 @@ def test_main_writes_out_file(tmp_path):
 def test_main_explain():
     assert main(["explain", "ec"]) == 0
     assert main(["explain", "nonsense"]) == 2
-
-
-def test_threaded_run_matches_sequential(tmp_path):
-    path = write(tmp_path, "sl2.json", SL2)
-    seq, code_a = run(RunConfig(input_path=path, degree_bound=6, checks=["tor3", "koszul_complex"], threads=1))
-    par, code_b = run(RunConfig(input_path=path, degree_bound=6, checks=["tor3", "koszul_complex"], threads=3))
-    assert code_a == code_b == 0
-    # thread count is configuration, not content: strip it and compare
-    assert emit(seq, "json") == emit(par, "json")
 
 
 def test_certificate_unconditional_for_antisymmetrizer(tmp_path):

@@ -1,0 +1,60 @@
+"""``--checks all`` skips what does not apply and builds shared work once."""
+
+import json
+
+from nkoszul import cli
+from nkoszul.cli import RunConfig, run
+
+DOWN_UP = {
+    "presentation": {"builder": "down_up", "alpha": "2", "beta": "-1", "gamma": "1"}
+}
+
+SL2 = {
+    "presentation": {
+        "builder": "lie",
+        "structure_constants": [[1, 2, 2, "2"], [1, 3, 3, "-2"], [2, 3, 1, "1"]],
+    }
+}
+
+
+def write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_all_builds_the_slice_family_once(tmp_path, monkeypatch):
+    built = []
+
+    class CountingSlice(cli.NComplexSlice):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "NComplexSlice", CountingSlice)
+    report, code = run(RunConfig(input_path=write(tmp_path, "sl2.json", SL2), degree_bound=6))
+    assert code == 0
+    assert len(built) == 1
+    # the failed build is reported the same way for both checks
+    reasons = {report["checks"][c]["skipped"] for c in ("dN_zero", "contraction")}
+    assert len(reasons) == 1
+    assert all(report["checks"][c]["ok"] is None for c in ("dN_zero", "contraction"))
+
+
+def test_all_on_down_up_skips_dN_zero(tmp_path):
+    path = write(tmp_path, "du.json", DOWN_UP)
+    report, code = run(RunConfig(input_path=path, degree_bound=6))
+    assert code == 0
+    entry = report["checks"]["dN_zero"]
+    assert entry["ok"] is None and "conductor" in entry["skipped"]
+    assert report["checks"]["pbw"]["ok"] is True
+
+
+def test_all_below_2N_skips_tor3_and_pbw(tmp_path):
+    path = write(tmp_path, "du.json", DOWN_UP)
+    report, code = run(RunConfig(input_path=path, degree_bound=5))
+    assert code == 0
+    for name in ("tor3", "pbw"):
+        entry = report["checks"][name]
+        assert entry["ok"] is None and "2N = 6" in entry["skipped"]
+    assert report["checks"]["oracle"]["ok"] is True

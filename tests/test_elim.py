@@ -1,0 +1,144 @@
+"""The sparse engine's row operations and the word and letter operations of
+TensorContext."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from nkoszul.cyclo import get_field
+from nkoszul.elim import (
+    TaggedRows,
+    add_scaled,
+    canonical_rows,
+    combine,
+    express,
+    pivot_index,
+    sparse_intersection,
+)
+from nkoszul.scalar import MatrixS, Scalar, Subspace, rref_raw
+from nkoszul.smashtensor import GroupData, TensorContext
+
+Q = get_field(1)
+F = Fraction
+
+
+def random_rows(rng, count, width=4):
+    """Sparse rows over Q with small entries and no stored zeros."""
+    rows = []
+    for _ in range(count):
+        cols = rng.sample(range(width), rng.randint(1, width))
+        rows.append({c: F(v) for c in cols if (v := rng.randint(-3, 3))})
+    return rows
+
+
+def test_add_scaled_and_combine_drop_cancelled_entries():
+    out = {0: F(1), 1: F(2)}
+    add_scaled(Q, out, {1: F(1), 2: F(3)}, F(-2))
+    assert out == {0: F(1), 2: F(-6)}
+    rows = [{0: F(1), 1: F(1)}, {1: F(1)}]
+    assert combine(Q, rows, [(0, F(2)), (1, F(-2))]) == {0: F(2)}
+
+
+def test_express_reads_coefficients_off_the_pivots():
+    rows = canonical_rows(Q, [{0: F(2), 2: F(4)}, {1: F(1), 2: F(-1)}, {0: F(1), 1: F(1)}])
+    index = pivot_index(rows)
+    assert index == {min(r): t for t, r in enumerate(rows)}
+    vec = combine(Q, rows, [(0, F(3)), (1, F(-5, 2))])
+    assert express(Q, rows, index, vec) == [(0, F(3)), (1, F(-5, 2))]
+    assert express(Q, rows, index, {}) == []
+
+
+def test_express_rejects_a_vector_outside_the_span():
+    rows = canonical_rows(Q, [{0: F(1), 2: F(1)}])
+    with pytest.raises(ValueError):
+        # right pivot entry, wrong tail
+        express(Q, rows, pivot_index(rows), {0: F(1), 2: F(2)})
+    with pytest.raises(ValueError):
+        express(Q, rows, pivot_index(rows), {1: F(1)})
+
+
+def test_express_over_a_cyclotomic_field():
+    K = get_field(3)
+    z = Scalar.zeta(3).raw
+    rows = canonical_rows(K, [{0: K.one, 1: z}, {1: K.one, 2: K.mul(z, z)}])
+    vec = combine(K, rows, [(0, z), (1, K.one)])
+    assert express(K, rows, pivot_index(rows), vec) == [(0, z), (1, K.one)]
+
+
+def test_tagged_rows_span_kernel_and_solve():
+    rng = random.Random(3)
+    for _ in range(20):
+        gens = random_rows(rng, rng.randint(1, 6))
+        tagged = TaggedRows(Q, gens, 4)
+        span = tagged.span_rows()
+        assert span == canonical_rows(Q, gens)
+        kernel = tagged.kernel_rows()
+        assert len(kernel) == len(gens) - len(span)
+        for k in kernel:
+            assert combine(Q, gens, k.items()) == {}
+        assert kernel == canonical_rows(Q, kernel)
+        target = combine(Q, gens, [(i, F(rng.randint(-2, 2))) for i in range(len(gens))])
+        assert combine(Q, gens, tagged.solve(target)) == target
+
+
+def test_tagged_rows_solve_rejects_a_vector_outside_the_span():
+    tagged = TaggedRows(Q, [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}])
+    assert tagged.ambient == 2
+    assert tagged.kernel_rows() == [{0: F(1), 1: F(-1, 2)}]
+    with pytest.raises(ValueError):
+        tagged.solve({0: F(1)})
+
+
+def test_sparse_intersection_matches_zassenhaus():
+    rng = random.Random(9)
+    for _ in range(20):
+        a = random_rows(rng, rng.randint(0, 3))
+        b = random_rows(rng, rng.randint(0, 3))
+        zass = Subspace.from_rows(4, a).intersect(Subspace.from_rows(4, b))
+        assert sparse_intersection(Q, a, b) == zass.rows
+
+
+def test_rref_raw_is_the_dense_view_of_the_canonical_rows():
+    rows = [[F(0), F(2), F(4)], [F(1), F(1), F(0)], [F(1), F(2), F(2)]]
+    red, pivots = rref_raw(Q, rows)
+    assert pivots == [0, 1]
+    assert red == [[F(1), F(0), F(-2)], [F(0), F(1), F(2)]]
+    assert rref_raw(Q, []) == ([], [])
+
+
+def test_subspace_keeps_sparse_rows_and_builds_the_dense_basis():
+    s = Subspace.from_vectors([[2, 0, 4], [0, 0, 0]], 3)
+    assert s.rows == [{0: F(1), 2: F(2)}]
+    assert s.pivots == (0,)
+    assert s.basis == MatrixS.from_rows([[1, 0, 2]])
+
+
+def symplectic_ctx():
+    neg = MatrixS.from_rows([[-1, 0], [0, -1]])
+    return TensorContext(2, GroupData.from_generators([neg]))
+
+
+def test_words_and_numbers_round_trip():
+    ctx = symplectic_ctx()
+    for length in range(4):
+        for num in range(ctx.dimV**length):
+            word = ctx.num_word(num, length)
+            assert len(word) == length and ctx.word_num(word) == num
+            for g in range(ctx.order):
+                assert ctx.word_of(ctx.coord(word, g), length) == (word, g)
+
+
+def test_append_letter_and_row_product_match_the_term_product():
+    ctx = symplectic_ctx()
+    one = Scalar.one()
+    rng = random.Random(4)
+    for _ in range(10):
+        row = {ctx.coord(ctx.num_word(rng.randrange(4), 2), rng.randrange(2)): F(rng.randint(1, 3))}
+        row2 = {rng.randrange(4): F(rng.randint(-2, 2) or 1), rng.randrange(4): F(1)}
+        terms = ctx.sparse_to_terms(row, 2)
+        for letter in range(2):
+            expect = ctx.smash_mul_terms(terms, {((letter,), 0): one})
+            assert ctx.append_letter(row, letter) == ctx.terms_to_sparse(expect)
+        expect = ctx.smash_mul_terms(terms, ctx.sparse_to_terms(row2, 1))
+        assert ctx.row_product(row, row2, 1) == ctx.terms_to_sparse(expect)
