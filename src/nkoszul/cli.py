@@ -264,6 +264,11 @@ def run(config: RunConfig):
                         f" conductor divisible by N = {N}"
                     )
                 fam = family()
+                if name == "dN_zero":
+                    q = Scalar.rational(-1, pres.ctx.conductor) if N == 2 else Scalar.zeta(
+                        pres.ctx.conductor
+                    ) ** (pres.ctx.conductor // N)
+                    results = check_dN_zero(fam, q)
             except (ValueError, UnsupportedStructure) as exc:
                 if from_all:
                     # "all" runs the applicable checks only
@@ -271,13 +276,6 @@ def run(config: RunConfig):
                     continue
                 return {"error": str(exc)}, 2
             if name == "dN_zero":
-                q = Scalar.rational(-1, pres.ctx.conductor) if N == 2 else Scalar.zeta(
-                    pres.ctx.conductor
-                ) ** (pres.ctx.conductor // N)
-                try:
-                    results = check_dN_zero(fam, q)
-                except ValueError as exc:
-                    return {"error": str(exc)}, 2
                 ok = all(flag for _, flag in results)
                 record(name, ok, {"per_slice": {str(n): flag for n, flag in results}, "q": str(q)})
             elif name == "contraction":

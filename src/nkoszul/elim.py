@@ -8,9 +8,12 @@ stored basis equals the canonical RREF basis of that space.
 
 Every subspace in the package is held as such canonical rows (``Subspace``
 in ``scalar`` builds its dense views from them on demand), and the row
-operations built on the engine live here: expressing a vector over fully
-reduced rows, solving over tagged generators, the kernel of a combination
-matrix, and intersections.
+operations built on the engine live here: adding one value into a sparse
+row (``accumulate``), adding a scaled row (``add_scaled``) or a scaled
+column map (``add_maps``), expressing a vector over fully reduced rows,
+solving over tagged generators, the kernel of a combination matrix, and
+intersections.  Code elsewhere builds its sparse vectors and maps through
+these helpers rather than repeating the drop-on-cancel step.
 """
 
 from __future__ import annotations
@@ -143,16 +146,47 @@ def canonical_rows(field, rows) -> list[dict]:
     return elim.rows_canonical()
 
 
+def accumulate(field, out: dict, key, value) -> None:
+    """In place ``out[key] += value``, dropping the key when the sum is zero."""
+    cur = out.get(key)
+    nv = value if cur is None else field.add(cur, value)
+    if field.is_zero(nv):
+        out.pop(key, None)
+    else:
+        out[key] = nv
+
+
 def add_scaled(field, out: dict, row: dict, c) -> None:
-    """In place ``out += c * row`` on sparse rows, dropping zero entries."""
+    """In place ``out += c * row`` on sparse rows, dropping zero entries.
+
+    Most coefficients in the complexes are signs, so c = 1 and c = -1 add
+    or subtract the entries without a field multiplication.
+    """
+    unit = field.is_one(c)
+    negated = not unit and field.is_one(field.neg(c))
     for col, v in row.items():
-        term = field.mul(c, v)
+        if unit:
+            term = v
+        elif negated:
+            term = field.neg(v)
+        else:
+            term = field.mul(c, v)
         cur = out.get(col)
         nv = term if cur is None else field.add(cur, term)
         if field.is_zero(nv):
             out.pop(col, None)
         else:
             out[col] = nv
+
+
+def add_maps(field, a: dict, b: dict, c, n_cols: int) -> dict:
+    """Columns of ``a + c * b`` for sparse column maps on columns 0..n_cols-1."""
+    cols = {}
+    for src in range(n_cols):
+        out = dict(a.get(src, {}))
+        add_scaled(field, out, b.get(src, {}), c)
+        cols[src] = out
+    return cols
 
 
 def combine(field, rows: list[dict], coeffs) -> dict:

@@ -26,7 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .elim import SparseEliminator, TaggedRows, combine, express, pivot_index
+from .elim import (
+    SparseEliminator,
+    TaggedRows,
+    accumulate,
+    add_scaled,
+    combine,
+    express,
+    pivot_index,
+)
 from .homogeneous import (
     HomogeneousAlgebra,
     Tor3Report,
@@ -183,48 +191,47 @@ def build_phi(pres: FilteredPresentation) -> PhiMap:
 # -- lifted applications of phi on W_{N+1} ----------------------------------
 
 
-def _right_splits(pres: FilteredPresentation, w_row: dict, r_rows: list) -> list:
-    """w = sum (R combination) · (e_l ⊗ g): triples ((t, l, g), coeff)."""
+def _right_split_solver(pres: FilteredPresentation, r_rows: list) -> TaggedRows:
+    """Solver over the generators r_t · (e_l ⊗ g) of degree N+1.
+
+    Generator (t, l, g) has index (t * dimV + l) * |Gamma| + g.
+    """
     ctx = pres.ctx
-    tags = [(t, l, g) for t in range(len(r_rows)) for l in range(ctx.dimV) for g in range(ctx.order)]
-    generators = [ctx.right_action_sparse(ctx.append_letter(r_rows[t], l), g) for t, l, g in tags]
-    solver = TaggedRows(ctx.field, generators, ctx.component_dim(pres.N + 1))
-    return [(tags[i], c) for i, c in solver.solve(w_row)]
+    generators = [
+        ctx.right_action_sparse(ctx.append_letter(row, l), g)
+        for row in r_rows
+        for l in range(ctx.dimV)
+        for g in range(ctx.order)
+    ]
+    return TaggedRows(ctx.field, generators, ctx.component_dim(pres.N + 1))
 
 
-def _phi_lift_difference(pres: FilteredPresentation, phi: PhiMap, w_row: dict) -> dict:
+def _phi_lift_difference(
+    pres: FilteredPresentation, phi: PhiMap, w_row: dict, right_splits: TaggedRows
+) -> dict:
     """(phi^{1,N} - phi^{2,N+1}) applied to a degree N+1 overlap element.
 
-    Returned as a sparse vector over the filtration coordinates of F^N.
+    ``right_splits`` is ``_right_split_solver(pres, phi.r_rows)``.  Returned
+    as a sparse vector over the filtration coordinates of F^N.
     """
     ctx = pres.ctx
     field = ctx.field
     N = pres.N
     one = Scalar.one(ctx.conductor)
     out: dict = {}
-
-    def accumulate(terms, scale):
-        row = FilteredSubspace.terms_to_sparse(ctx, N, terms)
-        for c, v in row.items():
-            term = field.mul(scale, v)
-            cur = out.get(c)
-            nv = term if cur is None else field.add(cur, term)
-            if field.is_zero(nv):
-                out.pop(c, None)
-            else:
-                out[c] = nv
-
     # phi^{1,N}: w = sum (r_t combination)·(e_l ⊗ g) -> phi(r_t)·(e_l ⊗ g)
-    for (t, l, g), coeff in _right_splits(pres, w_row, phi.r_rows):
+    for i, coeff in right_splits.solve(w_row):
+        t, rest = divmod(i, ctx.dimV * ctx.order)
+        l, g = divmod(rest, ctx.order)
         phi_terms = FilteredSubspace.sparse_to_terms(ctx, N - 1, phi.rows[t])
         prod = ctx.smash_mul_terms(phi_terms, {((l,), g): one})
-        accumulate(prod, coeff)
+        add_scaled(field, out, FilteredSubspace.terms_to_sparse(ctx, N, prod), coeff)
     # phi^{2,N+1}: w = sum e_j ⊗ (r_t combination) -> (e_j ⊗ 1)·phi(r_t)
     lower = ctx.component_dim(N)
     for j, t, coeff in prefix_split(field, w_row, lower, phi.r_rows, pivot_index(phi.r_rows)):
         phi_terms = FilteredSubspace.sparse_to_terms(ctx, N - 1, phi.rows[t])
         prod = ctx.smash_mul_terms({((j,), 0): one}, phi_terms)
-        accumulate(prod, field.neg(coeff))
+        add_scaled(field, out, FilteredSubspace.terms_to_sparse(ctx, N, prod), field.neg(coeff))
     return out
 
 
@@ -279,10 +286,11 @@ def check_condition_J(pres: FilteredPresentation) -> JReport:
     p_elim = SparseEliminator(field)
     for r in pres.P.basis_sparse():
         p_elim.add(r)
+    right_splits = _right_split_solver(pres, phi.r_rows) if wn1 else None
     lifted = True
     diffs = []
     for w in wn1:
-        diff = _phi_lift_difference(pres, phi, w)
+        diff = _phi_lift_difference(pres, phi, w, right_splits)
         diffs.append(diff)
         if p_elim.reduce(diff):
             lifted = False
@@ -312,12 +320,7 @@ def check_condition_J(pres: FilteredPresentation) -> JReport:
             # X_j + phi_j(pi X) = 0
             acc = dict(block_x)
             for c, v in block_phi.items():
-                cur = acc.get(c)
-                nv = field.add(cur, v) if cur is not None else v
-                if field.is_zero(nv):
-                    acc.pop(c, None)
-                else:
-                    acc[c] = nv
+                accumulate(field, acc, c, v)
             if acc:
                 j2[j] = False
         lo, hi = offs[0], offs[1]
@@ -651,7 +654,6 @@ def build_lie(structure_constants, dimV: Optional[int] = None, conductor: int = 
     vectors; entries may also be given as an iterable of rows
     [i, j, k, coeff].
     """
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
     max_index = 0
     items = (
         structure_constants.items()
@@ -669,6 +671,8 @@ def build_lie(structure_constants, dimV: Optional[int] = None, conductor: int = 
             bucket[k] = bucket.get(k, Scalar.zero(conductor)) + c
         max_index = max(max_index, i, j, *val.keys())
     n = dimV if dimV is not None else max_index
+    if any(not 1 <= x <= n for (i, j), val in merged.items() for x in (i, j, *val)):
+        raise ValueError(f"structure constant indices must lie in 1..{n}")
     ctx = TensorContext(n, GroupData.trivial(n, conductor), conductor)
     one = Scalar.one(conductor)
     elements = []

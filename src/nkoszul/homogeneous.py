@@ -28,6 +28,7 @@ from typing import Optional
 from .elim import (
     SparseEliminator,
     TaggedRows,
+    accumulate,
     add_scaled,
     combine,
     express,
@@ -228,17 +229,9 @@ class _Tower:
                         for j, rest, g, raw in terms:
                             ggb = mult[g][gb]
                             for tw, c in ctx.apply_group_to_word(g, wb):
-                                nfv = self.nf(rest + tw, ggb)
                                 coeff = field.mul(raw, c)
-                                for b2, v in nfv.items():
-                                    pos = j * width + b2
-                                    cur = row.get(pos)
-                                    term = field.mul(coeff, v)
-                                    nv = term if cur is None else field.add(cur, term)
-                                    if field.is_zero(nv):
-                                        row.pop(pos, None)
-                                    else:
-                                        row[pos] = nv
+                                for b2, v in self.nf(rest + tw, ggb).items():
+                                    accumulate(field, row, j * width + b2, field.mul(coeff, v))
                         elim.add(row)
             positions = ctx.dimV * width
             a_index = {}
@@ -269,23 +262,6 @@ class _Tower:
         red = level.elim.reduce(vec)
         out = {level.a_index[pos]: v for pos, v in red.items()}
         memo[key] = out
-        return out
-
-    def nf_product(self, w1: tuple[int, ...], g1: int, w2: tuple[int, ...], g2: int) -> dict:
-        """Normal form of the smash product of two monomials."""
-        ctx = self.ctx
-        field = ctx.field
-        gh = ctx.group.mult_table[g1][g2]
-        out: dict = {}
-        for tw, c in ctx.apply_group_to_word(g1, w2):
-            for b, v in self.nf(w1 + tw, gh).items():
-                cur = out.get(b)
-                term = field.mul(c, v)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    out.pop(b, None)
-                else:
-                    out[b] = nv
         return out
 
     # map from the degree-n component onto A_{n-1} (x)_K E, coords (b, i)
@@ -345,13 +321,7 @@ class BalancedTensor:
                         for b2, v in u.items():
                             row[b2 * ns + t] = v
                         for t2, c in action[t]:
-                            pos = b * ns + t2
-                            cur = row.get(pos)
-                            nv = field.sub(cur, c) if cur is not None else field.neg(c)
-                            if field.is_zero(nv):
-                                row.pop(pos, None)
-                            else:
-                                row[pos] = nv
+                            accumulate(field, row, b * ns + t2, field.neg(c))
                         elim.add(row)
         self.elim = elim
         self.index = {}
@@ -561,16 +531,8 @@ def tor3_relation_holds(alg: HomogeneousAlgebra, n: int, w_cache: dict) -> bool:
         for split in splits:
             vec: dict = {}
             for j, t, c in split:
-                nfv = tower.nf(word + (j,), 0)
-                for b, v in nfv.items():
-                    pos = b * ns + t
-                    cur = vec.get(pos)
-                    term = field.mul(c, v)
-                    nv = term if cur is None else field.add(cur, term)
-                    if field.is_zero(nv):
-                        vec.pop(pos, None)
-                    else:
-                        vec[pos] = nv
+                for b, v in tower.nf(word + (j,), 0).items():
+                    accumulate(field, vec, b * ns + t, field.mul(c, v))
             elim2.add(bt.reduce(vec))
     rhs_dim = dim_IaR + elim2.rank
     return lhs_dim == rhs_dim
@@ -758,16 +720,9 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
                         vec: dict = {}
                         for dnum, t2, raw in triple:
                             dword = ctx.num_word(dnum, zetas[i] - m_prev)
-                            nfv = tower.nf(word + dword, 0)
-                            for b, v in nfv.items():
+                            for b, v in tower.nf(word + dword, 0).items():
                                 pos = b * len(w_sparse[m_prev]) + t2
-                                cur = vec.get(pos)
-                                term = field.mul(raw, v)
-                                nv = term if cur is None else field.add(cur, term)
-                                if field.is_zero(nv):
-                                    vec.pop(pos, None)
-                                else:
-                                    vec[pos] = nv
+                                accumulate(field, vec, pos, field.mul(raw, v))
                         elim.add(bt.reduce(vec) if ctx.order > 1 else vec)
                 ranks.append(elim.rank)
         exact = []

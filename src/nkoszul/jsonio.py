@@ -70,6 +70,8 @@ def parse_context(block: dict) -> TensorContext:
 
 
 def parse_terms(ctx: TensorContext, items: list) -> dict:
+    if not isinstance(items, list):
+        raise InputError(f"a relation must be a list of terms, not {items!r}")
     out: dict = {}
     for item in items:
         try:
@@ -99,19 +101,25 @@ def parse_psi(block: dict, group: GroupData, conductor: int) -> PsiMap:
         name = block["builder"]
         factors = block.get("m")
         if name == "symplectic_reflection":
-            omega_rows = block["omega"]
-            n = len(omega_rows)
-            entries = [
-                parse_scalar(str(x), conductor) for row in omega_rows for x in row
-            ]
+            try:
+                omega_rows = block["omega"]
+                n = len(omega_rows)
+                entries = [
+                    parse_scalar(str(x), conductor) for row in omega_rows for x in row
+                ]
+            except (KeyError, TypeError) as exc:
+                raise InputError(f"bad symplectic_reflection block: {exc}") from exc
             omega = MatrixS(n, n, entries, conductor)
             return build_psi_symplectic_reflection(group, omega, factors, conductor)
         if name == "corollary45":
-            p = int(block["p"])
-            phi = {}
-            for key, val in block["phi"].items():
-                combo = tuple(int(i) - 1 for i in json.loads(key))
-                phi[combo] = parse_scalar(str(val), conductor)
+            try:
+                p = int(block["p"])
+                phi = {}
+                for key, val in block["phi"].items():
+                    combo = tuple(int(i) - 1 for i in json.loads(key))
+                    phi[combo] = parse_scalar(str(val), conductor)
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise InputError(f"bad corollary45 block: {exc}") from exc
             return build_psi_corollary45(group, p, phi, factors, conductor)
         raise InputError(f"unknown psi builder {name!r}")
     try:
@@ -140,6 +148,14 @@ def psi_to_json(psi: PsiMap) -> dict:
     return out
 
 
+def _structure_constant(row, conductor: int) -> list:
+    """A lie structure-constant row [i, j, k, coeff] with parsed entries."""
+    if not isinstance(row, list) or len(row) != 4:
+        raise InputError(f"a structure constant is [i, j, k, coeff], not {row!r}")
+    i, j, k, coeff = row
+    return [int(i), int(j), int(k), parse_scalar(str(coeff), conductor)]
+
+
 def parse_input(data: dict):
     """Returns (presentation, psi or None, hpsi data or None)."""
     if not isinstance(data, dict):
@@ -149,34 +165,36 @@ def parse_input(data: dict):
         raise InputError("missing presentation block")
     ctx: Optional[TensorContext] = None
     if "context" in data:
+        if not isinstance(data["context"], dict):
+            raise InputError("the context block must be a JSON object")
         ctx = parse_context(data["context"])
     builder = block.get("builder") if isinstance(block, dict) else None
     if builder == "down_up":
         conductor = ctx.conductor if ctx else 1
         if ctx and ctx.order != 1:
             raise InputError("the down-up builder uses the trivial group")
-        pres = build_down_up(
-            parse_scalar(str(block["alpha"]), conductor),
-            parse_scalar(str(block["beta"]), conductor),
-            parse_scalar(str(block["gamma"]), conductor),
-            conductor,
-        )
-        return pres, None, None
+        try:
+            params = [parse_scalar(str(block[k]), conductor) for k in ("alpha", "beta", "gamma")]
+        except KeyError as exc:
+            raise InputError(f"the down_up builder needs the field {exc}") from exc
+        return build_down_up(*params, conductor), None, None
     if builder == "lie":
         conductor = ctx.conductor if ctx else 1
         if ctx and ctx.order != 1:
             raise InputError("the lie builder uses the trivial group")
-        rows = block["structure_constants"]
-        sc = [
-            [int(r[0]), int(r[1]), int(r[2]), parse_scalar(str(r[3]), conductor)]
-            for r in rows
-        ]
+        try:
+            sc = [_structure_constant(r, conductor) for r in block["structure_constants"]]
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"bad lie block: {exc}") from exc
         pres = build_lie(sc, dimV=ctx.dimV if ctx else None, conductor=conductor)
         return pres, None, None
     if builder == "h_psi":
         if ctx is None:
             raise InputError("the h_psi builder needs a context block")
-        p = int(block["p"])
+        try:
+            p = int(block["p"])
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"bad h_psi block: {exc}") from exc
         psi_block = block.get("psi") or block.get("psi_builder")
         if psi_block is None:
             psi = PsiMap(p, ctx.dimV, ctx.order, {}, ctx.conductor)
@@ -193,6 +211,8 @@ def parse_input(data: dict):
         raw_elements = block["P"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad presentation block: {exc}") from exc
+    if not isinstance(raw_elements, list):
+        raise InputError("P must be a list of relations")
     elements = [parse_terms(ctx, item) for item in raw_elements]
     for terms in elements:
         for (word, _g) in terms:

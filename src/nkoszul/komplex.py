@@ -29,11 +29,19 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .elim import SparseEliminator, TaggedRows, add_scaled, express, pivot_index
+from .elim import (
+    SparseEliminator,
+    TaggedRows,
+    accumulate,
+    add_maps,
+    add_scaled,
+    express,
+    pivot_index,
+)
 from .filtered import FilteredPresentation, build_phi
 from .grouppres import PsiMap, wedge_apply
 from .homogeneous import w_rows, zeta
-from .scalar import DimensionMismatch, Scalar
+from .scalar import DimensionMismatch, Scalar, to_raw
 from .smashtensor import GroupData
 
 
@@ -102,14 +110,7 @@ class TruncatedU:
         for (word, g), c in terms.items():
             if len(word) > self.bound:
                 raise DimensionMismatch("term exceeds the truncation bound")
-            raw = c.raw if c.conductor == self.ctx.conductor else self.field.from_fraction(c.as_fraction())
-            coord = self.engine.coord_desc(word, g)
-            cur = vec.get(coord)
-            nv = raw if cur is None else field.add(cur, raw)
-            if field.is_zero(nv):
-                vec.pop(coord, None)
-            else:
-                vec[coord] = nv
+            accumulate(field, vec, self.engine.coord_desc(word, g), to_raw(field, c))
         return self._reduce_coord_vec(vec)
 
     # -- cached one-step multiplications --------------------------------
@@ -169,13 +170,7 @@ class TruncatedU:
         out: dict = {}
         for idx, c in vec.items():
             for idx2, c2 in step(idx):
-                term = field.mul(c, c2)
-                cur = out.get(idx2)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    out.pop(idx2, None)
-                else:
-                    out[idx2] = nv
+                accumulate(field, out, idx2, field.mul(c, c2))
         return out
 
     def multiply_basis(self, left_idx: int, right_idx: int) -> dict:
@@ -304,14 +299,7 @@ class _XSpace:
             wnum = coord // order
             entries = [(b_idx, field.one)] if g == 0 else tu.left_mult_group(b_idx, g)
             for b2, c in entries:
-                k = self.coord_rank[(wnum, b2)]
-                term = field.mul(raw, c)
-                cur = vec.get(k)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
+                accumulate(field, vec, self.coord_rank[(wnum, b2)], field.mul(raw, c))
         return vec
 
     def group_action(self, g: int, row_idx: int) -> list:
@@ -328,13 +316,7 @@ class _XSpace:
                 wnum2 = ctx.word_num(tw)
                 for b2, c2 in tu.left_mult_group(b, g):
                     k = self.coord_rank[(wnum2, b2)]
-                    term = field.mul(raw, field.mul(c, c2))
-                    cur = vec.get(k)
-                    nv = term if cur is None else field.add(cur, term)
-                    if field.is_zero(nv):
-                        vec.pop(k, None)
-                    else:
-                        vec[k] = nv
+                    accumulate(field, vec, k, field.mul(raw, field.mul(c, c2)))
         return self.express(vec)
 
     def first_letter_split(self, row_idx: int, target: "_XSpace") -> dict:
@@ -359,18 +341,23 @@ class _XSpace:
             wnum, b = self.coord_list[key]
             rest, ell = divmod(wnum, ctx.dimV)
             for b2, c in tu.left_mult_letter(b, ell):
-                k = target.coord_rank[(rest, b2)]
-                term = field.mul(raw, c)
-                cur = vec.get(k)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
+                accumulate(field, vec, target.coord_rank[(rest, b2)], field.mul(raw, c))
         return target.express(vec)
 
 
 # -- the complex family -------------------------------------------------
+
+
+def _emit_to_slice(field, out: dict, index: dict, key, value) -> None:
+    """Accumulate ``value`` into column ``out`` at the slice position of ``key``.
+
+    Every map between truncated slices lands inside the bound, so a key
+    without a position is an internal error.
+    """
+    skey = index.get(key)
+    if skey is None:
+        raise RuntimeError("image left the truncated slice")
+    accumulate(field, out, skey, value)
 
 
 class NComplexSlice:
@@ -474,16 +461,8 @@ class NComplexSlice:
                         targets = x_low.group_action(g, t)
                         act_cache[key] = targets
                 for t2, c2 in targets:
-                    skey = index.get((pos, t2))
-                    if skey is None:
-                        raise RuntimeError("image left the truncated slice")
                     term = field.mul(scale, field.mul(cu, field.mul(cx, c2)))
-                    cur = out.get(skey)
-                    nv = term if cur is None else field.add(cur, term)
-                    if field.is_zero(nv):
-                        out.pop(skey, None)
-                    else:
-                        out[skey] = nv
+                    _emit_to_slice(field, out, index, (pos, t2), term)
 
     def d_left(self, n: int) -> dict:
         """Columns of d_l : slice n -> slice n-1."""
@@ -523,15 +502,7 @@ class NComplexSlice:
         for src, (pos, t) in enumerate(self.basis(n)):
             out: dict = {}
             for t2, c in nus[t]:
-                skey = index.get((pos, t2))
-                if skey is None:
-                    raise RuntimeError("image left the truncated slice")
-                cur = out.get(skey)
-                nv = c if cur is None else field.add(cur, c)
-                if field.is_zero(nv):
-                    out.pop(skey, None)
-                else:
-                    out[skey] = nv
+                _emit_to_slice(field, out, index, (pos, t2), c)
             cols[src] = out
         self._dr[n] = cols
         return cols
@@ -596,16 +567,8 @@ class NComplexSlice:
                         for kappa2, c4 in act_on_w(g, kappa):
                             vec = x_lo.embed_generator(kappa2, b_idx)
                             for t2, c5 in x_lo.express(vec):
-                                skey = index.get((pos, t2))
-                                if skey is None:
-                                    raise RuntimeError("image left the truncated slice")
                                 term = field.mul(scale, field.mul(c4, c5))
-                                cur = out.get(skey)
-                                nv = term if cur is None else field.add(cur, term)
-                                if field.is_zero(nv):
-                                    out.pop(skey, None)
-                                else:
-                                    out[skey] = nv
+                                _emit_to_slice(field, out, index, (pos, t2), term)
             cols[src] = out
         return cols
 
@@ -628,16 +591,8 @@ class NComplexSlice:
                             vec = x_lo.embed_generator(kappa, b2)
                             scale = field.mul(cg, field.mul(c2, c3))
                             for t2, c5 in x_lo.express(vec):
-                                skey = index.get((pos, t2))
-                                if skey is None:
-                                    raise RuntimeError("image left the truncated slice")
                                 term = field.mul(scale, field.mul(c4, c5))
-                                cur = out.get(skey)
-                                nv = term if cur is None else field.add(cur, term)
-                                if field.is_zero(nv):
-                                    out.pop(skey, None)
-                                else:
-                                    out[skey] = nv
+                                _emit_to_slice(field, out, index, (pos, t2), term)
             cols[src] = out
         return cols
 
@@ -647,21 +602,7 @@ class NComplexSlice:
         """d = d_l - q^{n-1} d_r at slice n."""
         field = self.ctx.field
         qn = (q ** (n - 1)).raw
-        dl = self.d_left(n)
-        dr = self.d_right(n)
-        cols = {}
-        for src in range(self.slice_dim(n)):
-            out = dict(dl.get(src, {}))
-            for k, v in dr.get(src, {}).items():
-                term = field.mul(qn, v)
-                cur = out.get(k)
-                nv = field.neg(term) if cur is None else field.sub(cur, term)
-                if field.is_zero(nv):
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-            cols[src] = out
-        return cols
+        return add_maps(field, self.d_left(n), self.d_right(n), field.neg(qn), self.slice_dim(n))
 
     def mu_matrix(self) -> dict:
         """Multiplication (U (x)_K U)_{<= D} -> U^{<= D} on slice 0."""
@@ -673,15 +614,7 @@ class NComplexSlice:
             field = self.ctx.field
             for key, raw in x0.rows[t].items():
                 _, b = x0.coord_list[key]
-                prod = self.tu.multiply_basis(b0_idx, b)
-                for b2, c in prod.items():
-                    term = field.mul(raw, c)
-                    cur = out.get(b2)
-                    nv = term if cur is None else field.add(cur, term)
-                    if field.is_zero(nv):
-                        out.pop(b2, None)
-                    else:
-                        out[b2] = nv
+                add_scaled(field, out, self.tu.multiply_basis(b0_idx, b), raw)
             cols[src] = out
         return cols
 
@@ -701,18 +634,7 @@ def compose_maps(outer: dict, inner: dict, field) -> dict:
 
 
 def map_difference(a: dict, b: dict, field, n_cols: int) -> dict:
-    cols = {}
-    for src in range(n_cols):
-        out = dict(a.get(src, {}))
-        for k, v in b.get(src, {}).items():
-            cur = out.get(k)
-            nv = field.neg(v) if cur is None else field.sub(cur, v)
-            if field.is_zero(nv):
-                out.pop(k, None)
-            else:
-                out[k] = nv
-        cols[src] = out
-    return cols
+    return add_maps(field, a, b, field.neg(field.one), n_cols)
 
 
 def map_is_zero(cols: dict) -> bool:
@@ -895,18 +817,6 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     )
 
 
-def _add_vec(a: dict, b: dict, field) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        nv = v if cur is None else field.add(cur, v)
-        if field.is_zero(nv):
-            out.pop(k, None)
-        else:
-            out[k] = nv
-    return out
-
-
 def alternating_step_sum(left, right, top: int, steps: int, ncols: int, field) -> dict:
     """Columns of the sum over a + b = steps of left^a ∘ right^b out of ``top``.
 
@@ -920,9 +830,7 @@ def alternating_step_sum(left, right, top: int, steps: int, ncols: int, field) -
         for step in [right] * (steps - a) + [left] * a:
             cur = compose_maps(step(level), cur, field)
             level -= 1
-        total = cur if total is None else {
-            src: _add_vec(total[src], cur[src], field) for src in range(ncols)
-        }
+        total = cur if total is None else add_maps(field, total, cur, field.one, ncols)
     return total
 
 
@@ -973,16 +881,7 @@ class WedgeComplex:
         return self._basis[m]
 
     def _emit(self, out: dict, m_low: int, pos: int, combo: tuple, b_idx: int, coeff) -> None:
-        field = self.ctx.field
-        skey = self._index[m_low].get((pos, combo, b_idx))
-        if skey is None:
-            raise RuntimeError("wedge image left the truncated slice")
-        cur = out.get(skey)
-        nv = coeff if cur is None else field.add(cur, coeff)
-        if field.is_zero(nv):
-            out.pop(skey, None)
-        else:
-            out[skey] = nv
+        _emit_to_slice(self.ctx.field, out, self._index[m_low], (pos, combo, b_idx), coeff)
 
     def _left_term(self, out: dict, m_low: int, b0_idx: int, letter: int, combo: tuple, b_idx: int, scale) -> None:
         """(b0 · v_letter) (x) combo (x) b, normalized over b0 · Gamma."""
@@ -996,7 +895,7 @@ class WedgeComplex:
                 # push g through the wedge and the right factor
                 expansion = wedge_apply(self.group.matrices[g], combo, self.ctx.conductor)
                 for combo2, cw in expansion.items():
-                    raw_cw = cw.raw if cw.conductor == self.ctx.conductor else field.from_fraction(cw.as_fraction())
+                    raw_cw = to_raw(field, cw)
                     for b3, c3 in self.tu.left_mult_group(b_idx, g):
                         self._emit(
                             out,
@@ -1079,26 +978,11 @@ class WedgeComplex:
             terms = alternating_sum_terms(self.ctx, combo)
             vec: dict = {}
             for (word, g), coeff in terms.items():
-                raw = coeff.raw if coeff.conductor == self.ctx.conductor else field.from_fraction(coeff.as_fraction())
-                wnum = self.ctx.word_num(word)
-                key = x.coord_rank[(wnum, b_idx)]
-                cur = vec.get(key)
-                nv = raw if cur is None else field.add(cur, raw)
-                if field.is_zero(nv):
-                    vec.pop(key, None)
-                else:
-                    vec[key] = nv
+                key = x.coord_rank[(self.ctx.word_num(word), b_idx)]
+                accumulate(field, vec, key, to_raw(field, coeff))
             out: dict = {}
             for t, c in x.express(vec):
-                skey = index.get((pos, t))
-                if skey is None:
-                    raise RuntimeError("wedge embedding left the truncated slice")
-                cur = out.get(skey)
-                nv = c if cur is None else field.add(cur, c)
-                if field.is_zero(nv):
-                    out.pop(skey, None)
-                else:
-                    out[skey] = nv
+                _emit_to_slice(field, out, index, (pos, t), c)
             cols[src] = out
         return cols
 

@@ -240,6 +240,8 @@ def parse_scalar(text: str, conductor: int) -> Scalar:
                 i += 1
                 if i >= len(tokens) or not tokens[i].isdigit():
                     raise ValueError(f"bad fraction in {text!r}")
+                if int(tokens[i]) == 0:
+                    raise ValueError(f"zero denominator in {text!r}")
                 coeff = Fraction(num, int(tokens[i]))
                 i += 1
             else:
@@ -500,7 +502,7 @@ class Subspace:
                 if isinstance(x, Scalar):
                     m = max(m, x.conductor)
         field = get_field(m)
-        rows = [_sparse(field, [_raw_in(field, x) for x in v]) for v in vecs]
+        rows = [_sparse(field, [to_raw(field, x) for x in v]) for v in vecs]
         return Subspace.from_rows(ambient_dim, rows, m)
 
     @staticmethod
@@ -521,7 +523,7 @@ class Subspace:
             return self.rows
         own, field = self.field, get_field(m)
         return [
-            {j: field.from_fraction(Scalar(own, x).as_fraction()) for j, x in r.items()}
+            {j: to_raw(field, Scalar(own, x)) for j, x in r.items()}
             for r in self.rows
         ]
 
@@ -572,7 +574,7 @@ class Subspace:
         if len(vector) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
         field = self.field
-        return self._contains_rows([_sparse(field, [_raw_in(field, x) for x in vector])])
+        return self._contains_rows([_sparse(field, [to_raw(field, x) for x in vector])])
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return self._contains_rows(other._rows_over(self.conductor))
@@ -602,7 +604,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _raw_in(field, x):
+def to_raw(field, x):
     """Raw value of a Scalar or rational literal in ``field``."""
     if isinstance(x, Scalar):
         return x.raw if x.field is field else field.from_fraction(x.as_fraction())

@@ -18,8 +18,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .cyclo import get_field
-from .elim import SparseEliminator, add_scaled
-from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace
+from .elim import SparseEliminator, accumulate, add_scaled
+from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, to_raw
 
 Terms = dict  # {(word tuple, g index): Scalar}
 
@@ -164,12 +164,7 @@ class TensorContext:
             for l in range(dimV):
                 col = []
                 for i in range(dimV):
-                    e = mat[i, l]
-                    raw = (
-                        e.raw
-                        if e.conductor == conductor
-                        else field.from_fraction(e.as_fraction())
-                    )
+                    raw = to_raw(field, mat[i, l])
                     if not field.is_zero(raw):
                         col.append((i, raw))
                 cols.append(col)
@@ -255,16 +250,7 @@ class TensorContext:
         field = self.field
         out = {}
         for (word, g), c in terms.items():
-            if c.is_zero():
-                continue
-            raw = c.raw if c.conductor == self.conductor else field.from_fraction(c.as_fraction())
-            coord = self.coord(word, g)
-            cur = out.get(coord)
-            nv = raw if cur is None else field.add(cur, raw)
-            if field.is_zero(nv):
-                out.pop(coord, None)
-            else:
-                out[coord] = nv
+            accumulate(field, out, self.coord(word, g), to_raw(field, c))
         return out
 
     def sparse_to_terms(self, row: dict, degree: int) -> Terms:
@@ -278,21 +264,13 @@ class TensorContext:
     def left_action_sparse(self, g: int, row: dict, degree: int) -> dict:
         """g . (word ⊗ h) = rho(g)(word) ⊗ gh on a sparse degree-n vector."""
         field = self.field
-        order = self.order
         mult_row = self.group.mult_table[g]
         out: dict = {}
         for coord, raw in row.items():
             word, h = self.word_of(coord, degree)
             gh = mult_row[h]
             for tw, c in self.apply_group_to_word(g, word):
-                coord2 = self.coord(tw, gh)
-                term = field.mul(raw, c)
-                cur = out.get(coord2)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    out.pop(coord2, None)
-                else:
-                    out[coord2] = nv
+                accumulate(field, out, self.coord(tw, gh), field.mul(raw, c))
         return out
 
     def append_letter(self, row: dict, letter: int) -> dict:
@@ -307,14 +285,7 @@ class TensorContext:
         for coord, raw in row.items():
             wnum, g = divmod(coord, order)
             for i, c in self._cols[g][letter]:
-                coord2 = (wnum * dimV + i) * order + g
-                term = field.mul(raw, c)
-                cur = out.get(coord2)
-                nv = term if cur is None else field.add(cur, term)
-                if field.is_zero(nv):
-                    out.pop(coord2, None)
-                else:
-                    out[coord2] = nv
+                accumulate(field, out, (wnum * dimV + i) * order + g, field.mul(raw, c))
         return out
 
     def row_product(self, row1: dict, row2: dict, degree2: int) -> dict:
@@ -647,16 +618,8 @@ class FilteredSubspace:
         for (word, g), c in terms.items():
             if len(word) > top_degree:
                 raise DimensionMismatch("term exceeds the filtration level")
-            if c.is_zero():
-                continue
-            raw = c.raw if c.conductor == ctx.conductor else field.from_fraction(c.as_fraction())
             coord = FilteredSubspace.coord(ctx, top_degree, word, g)
-            cur = out.get(coord)
-            nv = raw if cur is None else field.add(cur, raw)
-            if field.is_zero(nv):
-                out.pop(coord, None)
-            else:
-                out[coord] = nv
+            accumulate(field, out, coord, to_raw(field, c))
         return out
 
     @staticmethod

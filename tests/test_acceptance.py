@@ -40,6 +40,7 @@ from nkoszul.filtered import (
     oracle_pbw,
     pbw_verdict,
     _phi_lift_difference,
+    _right_split_solver,
 )
 from nkoszul.grouppres import (
     PsiMap,
@@ -103,7 +104,7 @@ def test_criterion_1_down_up():
     # the displayed cancellation: the lifted difference vanishes on W_4,
     # in particular its degree-2 component is exactly zero
     phi = build_phi(pres)
-    diff = _phi_lift_difference(pres, phi, rows[0])
+    diff = _phi_lift_difference(pres, phi, rows[0], _right_split_solver(pres, phi.r_rows))
     assert diff == {}
     offs = FilteredSubspace.offsets(ctx, 3)
     assert not any(offs[2] <= c < offs[3] for c in diff)

@@ -91,6 +91,33 @@ def test_truncated_json_exit_two(tmp_path):
     assert code == 2 and "error" in report
 
 
+@pytest.mark.parametrize(
+    "presentation",
+    [
+        {"builder": "lie", "structure_constants": [[1, 2, 3]]},
+        {"builder": "lie", "structure_constants": [[1, 2, 2, "1/0"]]},
+        {"builder": "lie", "structure_constants": [[1, 2, 0, "1"]]},
+        {"builder": "lie"},
+        {"builder": "down_up", "alpha": "2", "beta": "-1"},
+        {"builder": "h_psi"},
+    ],
+    ids=[
+        "lie_row_arity",
+        "zero_denominator",
+        "lie_index",
+        "lie_missing",
+        "down_up_missing",
+        "h_psi_missing",
+    ],
+)
+def test_malformed_builder_input_exit_two(tmp_path, presentation):
+    data = {"context": {"conductor": 1, "dimV": 2}, "presentation": presentation}
+    path = write(tmp_path, "bad.json", data)
+    report, code = run(RunConfig(input_path=path, degree_bound=4, checks=["oracle"]))
+    assert code == 2
+    assert report["error"] and "\n" not in report["error"]
+
+
 def test_unknown_check_exit_two(tmp_path):
     path = write(tmp_path, "du.json", DOWN_UP)
     report, code = run(RunConfig(input_path=path, checks=["definitely_not_a_check"]))

@@ -58,3 +58,15 @@ def test_all_below_2N_skips_tor3_and_pbw(tmp_path):
         entry = report["checks"][name]
         assert entry["ok"] is None and "2N = 6" in entry["skipped"]
     assert report["checks"]["oracle"]["ok"] is True
+
+
+def test_all_skips_dN_zero_when_the_bound_admits_no_N_maps(tmp_path):
+    # an empty P: no slice up to D = 4 carries N = 2 successive maps
+    data = {"context": {"conductor": 1, "dimV": 2}, "presentation": {"N": 2, "P": []}}
+    path = write(tmp_path, "free.json", data)
+    report, code = run(RunConfig(input_path=path, degree_bound=4))
+    assert code == 0
+    entry = report["checks"]["dN_zero"]
+    assert entry["ok"] is None and "bound too small" in entry["skipped"]
+    report, code = run(RunConfig(input_path=path, degree_bound=4, checks=["dN_zero"]))
+    assert code == 2 and "bound too small" in report["error"]

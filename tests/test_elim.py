@@ -9,6 +9,8 @@ import pytest
 from nkoszul.cyclo import get_field
 from nkoszul.elim import (
     TaggedRows,
+    accumulate,
+    add_maps,
     add_scaled,
     canonical_rows,
     combine,
@@ -38,6 +40,39 @@ def test_add_scaled_and_combine_drop_cancelled_entries():
     assert out == {0: F(1), 2: F(-6)}
     rows = [{0: F(1), 1: F(1)}, {1: F(1)}]
     assert combine(Q, rows, [(0, F(2)), (1, F(-2))]) == {0: F(2)}
+
+
+def test_add_scaled_by_a_sign_matches_the_general_product():
+    for field in (Q, get_field(3)):
+        z = Scalar.zeta(3).raw if field is not Q else F(2)
+        row = {0: field.one, 2: z}
+        for c in (field.one, field.neg(field.one), z):
+            out = {0: field.one, 1: z}
+            add_scaled(field, out, row, c)
+            expected = {0: field.add(field.one, field.mul(c, field.one)), 1: z, 2: field.mul(c, z)}
+            assert out == {k: v for k, v in expected.items() if not field.is_zero(v)}
+        out = dict(row)
+        add_scaled(field, out, row, field.neg(field.one))
+        assert out == {}
+
+
+def test_accumulate_drops_a_cancelled_key_and_keeps_the_rest():
+    out = {0: F(1), 1: F(2)}
+    accumulate(Q, out, 1, F(-2))
+    assert out == {0: F(1)}
+    accumulate(Q, out, 0, F(1, 2))
+    accumulate(Q, out, 3, F(5))
+    assert out == {0: F(3, 2), 3: F(5)}
+    accumulate(Q, out, 4, F(0))
+    assert out == {0: F(3, 2), 3: F(5)}
+
+
+def test_add_maps_cancels_columns_and_keeps_one_sided_ones():
+    a = {0: {0: F(1), 1: F(2)}, 1: {2: F(1)}}
+    b = {0: {0: F(1, 2), 1: F(1)}, 2: {0: F(3)}}
+    # column 0 cancels to empty, column 1 is only in a, column 2 only in b
+    assert add_maps(Q, a, b, F(-2), 3) == {0: {}, 1: {2: F(1)}, 2: {0: F(-6)}}
+    assert a == {0: {0: F(1), 1: F(2)}, 1: {2: F(1)}}
 
 
 def test_express_reads_coefficients_off_the_pivots():

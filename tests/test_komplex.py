@@ -354,7 +354,7 @@ def test_wedge_odd_even_identical_for_p2():
     # sum_j (-1)^{j-1} (a v_j (x) ... (x) b  -  a (x) ... (x) v_j b):
     # the sign carried by the right-hand term flips with the wedge parity in
     # exactly the way that makes the printed formulas coincide
-    from nkoszul.komplex import WedgeComplex, _add_vec
+    from nkoszul.komplex import WedgeComplex
 
     pres, g, psi = symplectic_presentation()
     fam = NComplexSlice(pres, 5)
