@@ -39,15 +39,6 @@ def euler_phi(m: int) -> int:
     return result
 
 
-def _poly_mul_int(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
 def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # Exact division of integer polynomials with monic-up-to-sign divisor.
     num_l = list(num)

@@ -33,9 +33,6 @@ class SparseEliminator:
     def rank(self) -> int:
         return len(self.pivot_rows)
 
-    def pivot_columns(self) -> list[int]:
-        return sorted(self.pivot_rows)
-
     def reduce(self, row: dict) -> dict:
         """Normal form of a row against the current basis (input unchanged).
 

@@ -14,10 +14,12 @@ R defines the homogenized algebra A.  The module provides:
   for the associated graded algebra,
 * builders for enveloping-algebra and down-up presentations.
 
-The oracle works in degree-descending block coordinates so that the
-reduced rows of J^n in lower blocks are exactly the rows of J^{n-1}; a new
-pivot landing below the top block is precisely a witness that the
-filtration equality fails at that degree.
+The oracle works in the degree-descending coordinates of
+``Filtration(ctx, D, descending=True)`` so that the reduced rows of J^n in
+lower blocks are exactly the rows of J^{n-1}; a new pivot landing below
+the top block is precisely a witness that the filtration equality fails at
+that degree.  The truncated algebra in ``komplex`` reads its basis and
+products off the same layout.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Optional
 from .elim import (
     SparseEliminator,
     TaggedRows,
-    accumulate,
     add_scaled,
     combine,
     express,
@@ -44,6 +45,7 @@ from .homogeneous import (
 )
 from .scalar import DimensionMismatch, Scalar
 from .smashtensor import (
+    Filtration,
     FilteredSubspace,
     GroupData,
     Subbimodule,
@@ -119,12 +121,8 @@ class PhiMap:
 
     def component(self, j: int) -> list[dict]:
         """Degree-j graded piece of each phi value, as component-j vectors."""
-        ctx = self.pres.ctx
-        offs = FilteredSubspace.offsets(ctx, self.N - 1)
-        lo, hi = offs[j], offs[j + 1]
-        return [
-            {c - lo: v for c, v in row.items() if lo <= c < hi} for row in self.rows
-        ]
+        layout = Filtration(self.pres.ctx, self.N - 1)
+        return [layout.block(row, j) for row in self.rows]
 
     def is_zero_component(self, j: int) -> bool:
         return all(not comp for comp in self.component(j))
@@ -137,54 +135,32 @@ class PhiMap:
     def rebuild_P(self) -> FilteredSubspace:
         """Span of {x_t - phi(x_t)}; equals P whenever condition (I) holds."""
         ctx = self.pres.ctx
-        N = self.N
-        offs = FilteredSubspace.offsets(ctx, N)
-        elements = []
         field = ctx.field
+        # F^{N-1} is the leading part of F^N, so phi rows keep their coordinates
+        top = self.pres.P.layout.start[self.N]
+        rows = []
         for r_row, phi_row in zip(self.r_rows, self.rows):
-            terms = {}
-            for c, v in r_row.items():
-                word, g = ctx.word_of(c, N)
-                terms[(word, g)] = Scalar(field, v)
-            low = FilteredSubspace.sparse_to_terms(ctx, N - 1, phi_row)
-            for key, val in low.items():
-                terms[key] = terms.get(key, Scalar.zero(ctx.conductor)) - val
-            elements.append(terms)
-        return FilteredSubspace.from_elements(ctx, N, elements, close=False)
+            row = {top + c: v for c, v in r_row.items()}
+            add_scaled(field, row, phi_row, field.neg(field.one))
+            rows.append(row)
+        return FilteredSubspace.from_rows(ctx, self.N, rows, close=False)
 
 
 def build_phi(pres: FilteredPresentation) -> PhiMap:
-    """Extract phi from the graph structure of P over its top projection."""
-    if not check_condition_I(pres):
-        raise ValueError("phi exists only when P meets F^{N-1} trivially")
-    ctx = pres.ctx
-    field = ctx.field
+    """Extract phi from the graph structure of P over its top projection.
+
+    P echelonized with its top block first splits into rows x_t - phi(x_t)
+    and rows inside F^{N-1}; the latter exist exactly when (I) fails.
+    """
     N = pres.N
-    offs = FilteredSubspace.offsets(ctx, N)
-    top_lo = offs[N]
-    top_dim = ctx.component_dim(N)
-    low_dim = top_lo
-    # reorder coordinates: top block first, then the lower filtration
-    reordered = []
-    for row in pres.P.basis_sparse():
-        new = {}
-        for c, v in row.items():
-            if c >= top_lo:
-                new[c - top_lo] = v
-            else:
-                new[c + top_dim] = v
-        reordered.append(new)
-    elim = SparseEliminator(field)
-    for r in reordered:
-        elim.add(r)
-    r_rows = []
-    phi_rows = []
-    for piv in sorted(elim.pivot_rows):
-        row = elim.pivot_rows[piv]
-        if piv >= top_dim:
-            raise ValueError("phi exists only when P meets F^{N-1} trivially")
-        r_rows.append({c: v for c, v in row.items() if c < top_dim})
-        phi_rows.append({c - top_dim: field.neg(v) for c, v in row.items() if c >= top_dim})
+    layout = pres.P.layout
+    upper, lower = layout.split(pres.P.basis_sparse(), N - 1)
+    if lower:
+        raise ValueError("phi exists only when P meets F^{N-1} trivially")
+    neg = pres.ctx.field.neg
+    cut = layout.start[N]
+    r_rows = [layout.block(row, N) for row in upper]
+    phi_rows = [{c: neg(v) for c, v in row.items() if c < cut} for row in upper]
     return PhiMap(pres=pres, r_rows=r_rows, rows=phi_rows)
 
 
@@ -217,21 +193,18 @@ def _phi_lift_difference(
     ctx = pres.ctx
     field = ctx.field
     N = pres.N
-    one = Scalar.one(ctx.conductor)
+    low = Filtration(ctx, N - 1)
+    target = pres.P.layout
     out: dict = {}
     # phi^{1,N}: w = sum (r_t combination)·(e_l ⊗ g) -> phi(r_t)·(e_l ⊗ g)
     for i, coeff in right_splits.solve(w_row):
         t, rest = divmod(i, ctx.dimV * ctx.order)
         l, g = divmod(rest, ctx.order)
-        phi_terms = FilteredSubspace.sparse_to_terms(ctx, N - 1, phi.rows[t])
-        prod = ctx.smash_mul_terms(phi_terms, {((l,), g): one})
-        add_scaled(field, out, FilteredSubspace.terms_to_sparse(ctx, N, prod), coeff)
+        add_scaled(field, out, low.right_mul(phi.rows[t], l, g, target), coeff)
     # phi^{2,N+1}: w = sum e_j ⊗ (r_t combination) -> (e_j ⊗ 1)·phi(r_t)
     lower = ctx.component_dim(N)
     for j, t, coeff in prefix_split(field, w_row, lower, phi.r_rows, pivot_index(phi.r_rows)):
-        phi_terms = FilteredSubspace.sparse_to_terms(ctx, N - 1, phi.rows[t])
-        prod = ctx.smash_mul_terms({((j,), 0): one}, phi_terms)
-        add_scaled(field, out, FilteredSubspace.terms_to_sparse(ctx, N, prod), field.neg(coeff))
+        add_scaled(field, out, low.left_mul(phi.rows[t], j, 0, target), field.neg(coeff))
     return out
 
 
@@ -296,35 +269,25 @@ def check_condition_J(pres: FilteredPresentation) -> JReport:
             lifted = False
 
     # strategy 3: componentwise equations
-    offs = FilteredSubspace.offsets(ctx, N)
-    top_lo = offs[N]
+    layout = pres.P.layout
     r_index = pivot_index(phi.r_rows)
     j1 = True
     j2 = {j: True for j in range(1, N)}
     j3 = True
     for diff in diffs:
-        top = {c - top_lo: v for c, v in diff.items() if c >= top_lo}
         try:
-            pairs = express(field, phi.r_rows, r_index, top)
+            pairs = express(field, phi.r_rows, r_index, layout.block(diff, N))
         except ValueError:
             j1 = False
             continue
-        coeffs = [field.zero] * len(phi.r_rows)
-        for t, c in pairs:
-            coeffs[t] = c
-        phi_of_top = phi.apply_to_R_vector(coeffs)
+        phi_of_top = combine(field, phi.rows, pairs)
+        # X_j + phi_j(pi X) = 0 for 1 <= j < N
+        total = dict(diff)
+        add_scaled(field, total, phi_of_top, field.one)
         for j in range(1, N):
-            lo, hi = offs[j], offs[j + 1]
-            block_x = {c: v for c, v in diff.items() if lo <= c < hi}
-            block_phi = {c: v for c, v in phi_of_top.items() if lo <= c < hi}
-            # X_j + phi_j(pi X) = 0
-            acc = dict(block_x)
-            for c, v in block_phi.items():
-                accumulate(field, acc, c, v)
-            if acc:
+            if layout.block(total, j):
                 j2[j] = False
-        lo, hi = offs[0], offs[1]
-        if any(lo <= c < hi for c in phi_of_top):
+        if layout.block(phi_of_top, 0):
             j3 = False
 
     report = JReport(direct=direct, lifted=lifted, j1=j1, j2=j2, j3=j3)
@@ -367,68 +330,12 @@ class OracleEngine:
         self.pres = pres
         self.D = D
         ctx = pres.ctx
-        self.offsets_desc = [0] * (D + 2)
-        for d in range(D, -1, -1):
-            self.offsets_desc[d] = self.offsets_desc[d + 1] + ctx.component_dim(d)
-        # offsets_desc[d] is the end of block d; block d spans
-        # [offsets_desc[d+1], offsets_desc[d]).
+        self.layout = Filtration(ctx, D, descending=True)
         self.elim = SparseEliminator(ctx.field)
         self.j_dims: dict[int, int] = {}
         self.equalities: dict[int, bool] = {}
-        self.new_top: dict[int, int] = {}
         self.witnesses: dict[int, dict] = {}
         self._ran = False
-
-    def block_of(self, coord: int) -> int:
-        d = self.D
-        while coord >= self.offsets_desc[d]:
-            d -= 1
-        return d
-
-    def coord_desc(self, word: tuple[int, ...], g: int) -> int:
-        d = len(word)
-        return self.offsets_desc[d + 1] + self.pres.ctx.coord(word, g)
-
-    def decode(self, coord: int) -> tuple[tuple[int, ...], int]:
-        d = self.block_of(coord)
-        return self.pres.ctx.word_of(coord - self.offsets_desc[d + 1], d)
-
-    def _filtered_to_desc(self, row: dict, top: int) -> dict:
-        ctx = self.pres.ctx
-        offs = FilteredSubspace.offsets(ctx, top)
-        out = {}
-        for c, v in row.items():
-            d = 0
-            while offs[d + 1] <= c:
-                d += 1
-            out[self.offsets_desc[d + 1] + (c - offs[d])] = v
-        return out
-
-    def _prepend_letter(self, row: dict, letter: int) -> dict:
-        ctx = self.pres.ctx
-        order = ctx.order
-        out = {}
-        for coord, raw in row.items():
-            d = self.block_of(coord)
-            local = coord - self.offsets_desc[d + 1]
-            g = local % order
-            wnum = local // order
-            wnum2 = letter * ctx.dimV**d + wnum
-            out[self.offsets_desc[d + 2] + wnum2 * order + g] = raw
-        return out
-
-    def _append_letter(self, row: dict, letter: int) -> dict:
-        """row · (e_letter ⊗ 1), block by block; block d moves to block d + 1."""
-        offs = self.offsets_desc
-        blocks: dict[int, dict] = {}
-        for coord, raw in row.items():
-            d = self.block_of(coord)
-            blocks.setdefault(d, {})[coord - offs[d + 1]] = raw
-        out: dict = {}
-        for d, block in blocks.items():
-            base = offs[d + 2]
-            out.update((base + c, v) for c, v in self.pres.ctx.append_letter(block, letter).items())
-        return out
 
     def run(self) -> None:
         if self._ran:
@@ -438,7 +345,11 @@ class OracleEngine:
         ctx = pres.ctx
         N = pres.N
         tower = pres.homogenization().tower()
-        p_rows = [self._filtered_to_desc(r, N) for r in pres.P.basis_sparse()]
+        layout = self.layout
+        p_rows = [
+            pres.P.layout.map_blocks(r, lambda block, d: (d, block), layout)
+            for r in pres.P.basis_sparse()
+        ]
         pv_rows = p_rows  # P · V^{⊗m}, advanced each degree
         t_hat = []
         for n in range(N, self.D + 1):
@@ -446,12 +357,12 @@ class OracleEngine:
                 new_rows = list(p_rows)
             else:
                 new_rows = [
-                    self._prepend_letter(r, letter)
+                    layout.left_mul(r, letter, 0, layout)
                     for r in t_hat
                     for letter in range(ctx.dimV)
                 ]
                 pv_rows = [
-                    self._append_letter(r, letter)
+                    layout.right_mul(r, letter, 0, layout)
                     for r in pv_rows
                     for letter in range(ctx.dimV)
                 ]
@@ -459,7 +370,8 @@ class OracleEngine:
             t_hat = []
             top_added = 0
             low_added = 0
-            top_boundary = self.offsets_desc[n]
+            # rows of J^n lie in F^n; block n leads the descending layout
+            top_boundary = layout.start[n] + ctx.component_dim(n)
             for row in new_rows:
                 piv = self.elim.add(row)
                 if piv is None:
@@ -530,10 +442,7 @@ def oracle_pbw(pres: FilteredPresentation, D: int) -> OracleReport:
     for n in sorted(engine.witnesses):
         witness_degree = n
         row = engine.witnesses[n]
-        terms = {}
-        for c, v in row.items():
-            word, g = engine.decode(c)
-            terms[(word, g)] = Scalar(pres.ctx.field, v)
+        terms = {engine.layout.decode(c): Scalar(pres.ctx.field, v) for c, v in row.items()}
         witness = {
             "terms": [
                 {

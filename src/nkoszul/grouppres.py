@@ -421,14 +421,6 @@ def koszul_differential_injective(E_dim: int, p: int) -> bool:
     return kernel(mat).dim == 0
 
 
-def _component_wedges(dim_m: int, dim_l: int, r: int, s: int) -> list[tuple[int, ...]]:
-    out = []
-    for sm in combinations(range(dim_m), r):
-        for sl in combinations(range(dim_m, dim_m + dim_l), s):
-            out.append(sm + sl)
-    return out
-
-
 def leibniz_identity_holds(dim_m: int, dim_l: int, r: int, s: int, conductor: int = 1) -> bool:
     """Entry-exact comparison of the (r, s) component of the differential
     on V = M ⊕ L with the graded product rule built from the factors."""
@@ -439,7 +431,6 @@ def leibniz_identity_holds(dim_m: int, dim_l: int, r: int, s: int, conductor: in
     codomain_full = [
         (sp, j) for sp in combinations(range(n), p + 1) for j in range(n)
     ]
-    dom_rs = _component_wedges(dim_m, dim_l, r, s)
     dm = koszul_differential(dim_m, r, conductor)
     dl = koszul_differential(dim_l, s, conductor)
     dom_m = list(combinations(range(dim_m), r))
@@ -448,7 +439,6 @@ def leibniz_identity_holds(dim_m: int, dim_l: int, r: int, s: int, conductor: in
     cod_l = [(sp, j) for sp in combinations(range(dim_l), s + 1) for j in range(dim_l)]
     sign_r = Scalar.rational(-1 if r % 2 else 1, conductor)
     col_of_full = {S: i for i, S in enumerate(domain_full)}
-    row_of_full = {key: i for i, key in enumerate(codomain_full)}
     for sm in dom_m:
         for sl0 in dom_l:
             sl = tuple(dim_m + i for i in sl0)
@@ -472,7 +462,6 @@ def leibniz_identity_holds(dim_m: int, dim_l: int, r: int, s: int, conductor: in
             for rowi, key in enumerate(codomain_full):
                 got = full[rowi, col]
                 want = expected.get(key, Scalar.zero(conductor))
-                sp, j = key
                 # off-component rows must vanish; the two target components
                 # compared above are (r+1, s) ⊗ M and (r, s+1) ⊗ L
                 if got != want:

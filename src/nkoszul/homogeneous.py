@@ -48,6 +48,14 @@ def zeta(n: int, N: int) -> int:
     return q * N + r
 
 
+def zeta_degrees(N: int, bound: int) -> list[int]:
+    """zeta(0), zeta(1), ... up to the last value at most ``bound``."""
+    out = []
+    while zeta(len(out), N) <= bound:
+        out.append(zeta(len(out), N))
+    return out
+
+
 class HomogeneousAlgebra:
     """A = T(V)#Gamma / I(R) with R a sub-bimodule in a single degree N."""
 
@@ -61,6 +69,7 @@ class HomogeneousAlgebra:
         self.R = R
         self._tower: Optional[_Tower] = None
         self._scalar_ext: Optional[tuple] = None
+        self._tor3: dict[int, "Tor3Report"] = {}
 
     def tower(self) -> "_Tower":
         if self._tower is None:
@@ -426,12 +435,7 @@ def w_rows(alg: HomogeneousAlgebra, n: int, cache: dict | None = None) -> list[d
         out = alg.R.basis_sparse()
     else:
         prev = w_rows(alg, n - 1, cache)
-        top = ctx.dimV ** (n - 1) * ctx.order
-        lifted = []
-        for wnum in range(ctx.dimV):
-            base = wnum * top
-            for r in prev:
-                lifted.append({base + c: v for c, v in r.items()})
+        lifted = [ctx.prefix(r, wnum, n - 1) for wnum in range(ctx.dimV) for r in prev]
         out = sparse_intersection(ctx.field, lifted, placement_rows(alg.R, 0, n - N))
     if cache is not None:
         cache[n] = out
@@ -459,12 +463,7 @@ def check_ec(alg: HomogeneousAlgebra) -> EcReport:
         for i in range(a):
             rhs_sum.extend(placement_rows(alg.R, i, n - N - i))
         lhs = sparse_intersection(ctx.field, lhs_left, rhs_sum)
-        top = ctx.dimV ** (N + 1) * ctx.order
-        expected = []
-        for wnum in range(ctx.dimV ** (a - 1)):
-            base = wnum * top
-            for r in wn1:
-                expected.append({base + c: v for c, v in r.items()})
+        expected = [ctx.prefix(r, wnum, N + 1) for wnum in range(ctx.dimV ** (a - 1)) for r in wn1]
         ok = sparse_span_equal(ctx.field, lhs, expected)
         report.degrees[n] = ok
         report.holds = report.holds and ok
@@ -539,12 +538,25 @@ def tor3_relation_holds(alg: HomogeneousAlgebra, n: int, w_cache: dict) -> bool:
 
 
 def check_tor3_concentration(alg: HomogeneousAlgebra, D: int) -> Tor3Report:
-    """(ec) plus the degree 2N..D relations; verdict holds_up_to_D or fails(n)."""
+    """(ec) plus the degree 2N..D relations; verdict holds_up_to_D or fails(n).
+
+    The report is computed once per bound and algebra, so ``tor3`` and
+    ``pbw`` at the same bound share it.
+    """
     if D < 2 * alg.N:
         raise ValueError("the bound must reach 2N to exercise any relation")
-    sub = field_level(alg)
-    if sub is not None and sub is not alg:
-        return check_tor3_concentration(sub, D)
+    report = alg._tor3.get(D)
+    if report is None:
+        sub = field_level(alg)
+        if sub is not None and sub is not alg:
+            report = check_tor3_concentration(sub, D)
+        else:
+            report = _tor3_report(alg, D)
+        alg._tor3[D] = report
+    return report
+
+
+def _tor3_report(alg: HomogeneousAlgebra, D: int) -> Tor3Report:
     ec = check_ec(alg)
     w_cache: dict = {}
     degrees = list(range(2 * alg.N, D + 1))
@@ -616,11 +628,7 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
 
     # homological index i -> internal degree zeta(i); spaces vanish once
     # either zeta(i) > D or the W module is zero.
-    zetas = []
-    i = 0
-    while zeta(i, N) <= D:
-        zetas.append(zeta(i, N))
-        i += 1
+    zetas = zeta_degrees(N, D)
     w_dim = {0: ctx.order, 1: ctx.component_dim(1)}
     for m in range(N, D + 1):
         if m in w_sparse:

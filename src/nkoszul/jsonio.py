@@ -44,10 +44,24 @@ class InputError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+def _integer(value) -> int:
+    """An integer input field: an int (not a bool) or a decimal string.
+
+    Anything else, such as 1.9, 2.0 or true, is refused rather than
+    truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InputError(f"expected an integer, not {value!r}")
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise InputError(f"expected an integer, not {value!r}") from exc
+
+
 def parse_context(block: dict) -> TensorContext:
     try:
-        conductor = int(block.get("conductor", 1))
-        dimV = int(block["dimV"])
+        conductor = _integer(block.get("conductor", 1))
+        dimV = _integer(block["dimV"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad context block: {exc}") from exc
     gens = block.get("group_generators") or []
@@ -63,7 +77,7 @@ def parse_context(block: dict) -> TensorContext:
             raise InputError(f"bad group matrix entry: {exc}") from exc
         mats.append(MatrixS(dimV, dimV, entries, conductor))
     try:
-        group = GroupData.from_generators(mats, order_cap=int(block.get("order_cap", 1024)))
+        group = GroupData.from_generators(mats, order_cap=_integer(block.get("order_cap", 1024)))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return TensorContext(dimV, group, conductor)
@@ -76,8 +90,8 @@ def parse_terms(ctx: TensorContext, items: list) -> dict:
     for item in items:
         try:
             coeff = parse_scalar(str(item["coeff"]), ctx.conductor)
-            word = tuple(int(i) - 1 for i in item.get("word", []))
-            g = int(item.get("g", 0))
+            word = tuple(_integer(i) - 1 for i in item.get("word", []))
+            g = _integer(item.get("g", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad term {item!r}: {exc}") from exc
         if any(not 0 <= l < ctx.dimV for l in word):
@@ -113,23 +127,23 @@ def parse_psi(block: dict, group: GroupData, conductor: int) -> PsiMap:
             return build_psi_symplectic_reflection(group, omega, factors, conductor)
         if name == "corollary45":
             try:
-                p = int(block["p"])
+                p = _integer(block["p"])
                 phi = {}
                 for key, val in block["phi"].items():
-                    combo = tuple(int(i) - 1 for i in json.loads(key))
+                    combo = tuple(_integer(i) - 1 for i in json.loads(key))
                     phi[combo] = parse_scalar(str(val), conductor)
             except (KeyError, TypeError, AttributeError) as exc:
                 raise InputError(f"bad corollary45 block: {exc}") from exc
             return build_psi_corollary45(group, p, phi, factors, conductor)
         raise InputError(f"unknown psi builder {name!r}")
     try:
-        p = int(block["p"])
+        p = _integer(block["p"])
         comps: dict = {}
         for entry in block.get("psi", []):
-            g = int(entry["g"])
+            g = _integer(entry["g"])
             table = {}
             for key, val in entry.get("values", {}).items():
-                combo = tuple(int(i) - 1 for i in json.loads(key))
+                combo = tuple(_integer(i) - 1 for i in json.loads(key))
                 table[combo] = parse_scalar(str(val), conductor)
             comps[g] = table
     except (KeyError, TypeError, ValueError) as exc:
@@ -153,7 +167,7 @@ def _structure_constant(row, conductor: int) -> list:
     if not isinstance(row, list) or len(row) != 4:
         raise InputError(f"a structure constant is [i, j, k, coeff], not {row!r}")
     i, j, k, coeff = row
-    return [int(i), int(j), int(k), parse_scalar(str(coeff), conductor)]
+    return [_integer(i), _integer(j), _integer(k), parse_scalar(str(coeff), conductor)]
 
 
 def parse_input(data: dict):
@@ -192,7 +206,7 @@ def parse_input(data: dict):
         if ctx is None:
             raise InputError("the h_psi builder needs a context block")
         try:
-            p = int(block["p"])
+            p = _integer(block["p"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad h_psi block: {exc}") from exc
         psi_block = block.get("psi") or block.get("psi_builder")
@@ -207,7 +221,7 @@ def parse_input(data: dict):
     if ctx is None:
         raise InputError("explicit presentations need a context block")
     try:
-        N = int(block["N"])
+        N = _integer(block["N"])
         raw_elements = block["P"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad presentation block: {exc}") from exc

@@ -40,7 +40,7 @@ from .elim import (
 )
 from .filtered import FilteredPresentation, build_phi
 from .grouppres import PsiMap, wedge_apply
-from .homogeneous import w_rows, zeta
+from .homogeneous import w_rows, zeta_degrees
 from .scalar import DimensionMismatch, Scalar, to_raw
 from .smashtensor import GroupData
 
@@ -50,7 +50,11 @@ class UnsupportedStructure(ValueError):
 
 
 class TruncatedU:
-    """U = T(V)#Gamma / I(P) on a monomial coset basis up to degree D."""
+    """U = T(V)#Gamma / I(P) on a monomial coset basis up to degree D.
+
+    Coordinates and products are those of the oracle's descending layout,
+    ``engine.layout``; a product is reduced by the oracle's eliminator.
+    """
 
     def __init__(self, pres: FilteredPresentation, bound: int):
         self.pres = pres
@@ -64,27 +68,23 @@ class TruncatedU:
         self.engine = engine
         ctx = pres.ctx
         self.ctx = ctx
-        field = ctx.field
+        layout = engine.layout
         # basis: non-pivot coordinates, grouped by degree ascending
         pivots = engine.elim.pivot_rows
         self.basis: list[tuple[int, tuple[int, ...], int]] = []
         self.index_of_coord: dict[int, int] = {}
         self.dims_by_degree: list[int] = []
         for d in range(bound + 1):
-            start = engine.offsets_desc[d + 1]
-            end = engine.offsets_desc[d]
+            start = layout.start[d]
             count = 0
-            for coord in range(start, end):
-                if coord not in pivots:
-                    word, g = ctx.word_of(coord - start, d)
-                    self.index_of_coord[coord] = len(self.basis)
+            for local in range(ctx.component_dim(d)):
+                if start + local not in pivots:
+                    word, g = ctx.word_of(local, d)
+                    self.index_of_coord[start + local] = len(self.basis)
                     self.basis.append((d, word, g))
                     count += 1
             self.dims_by_degree.append(count)
-        self._rmul_letter: dict[tuple[int, int], list] = {}
-        self._lmul_letter: dict[tuple[int, int], list] = {}
-        self._lmul_group: dict[tuple[int, int], list] = {}
-        self._rmul_group: dict[tuple[int, int], list] = {}
+        self._products: dict[tuple, list] = {}
         self._b0: Optional[list] = None
         self._b0_index: Optional[dict] = None
 
@@ -95,11 +95,8 @@ class TruncatedU:
     def dim_filtration(self, n: int) -> int:
         return sum(self.dims_by_degree[: n + 1])
 
-    def degree_of(self, idx: int) -> int:
-        return self.basis[idx][0]
-
     def _reduce_coord_vec(self, vec: dict) -> dict:
-        """Reduce a degree-descending coordinate vector onto the basis."""
+        """Reduce a vector in the oracle's layout onto the basis."""
         red = self.engine.elim.reduce(vec)
         return {self.index_of_coord[c]: v for c, v in red.items()}
 
@@ -110,60 +107,37 @@ class TruncatedU:
         for (word, g), c in terms.items():
             if len(word) > self.bound:
                 raise DimensionMismatch("term exceeds the truncation bound")
-            accumulate(field, vec, self.engine.coord_desc(word, g), to_raw(field, c))
+            accumulate(field, vec, self.engine.layout.coord(word, g), to_raw(field, c))
         return self._reduce_coord_vec(vec)
 
     # -- cached one-step multiplications --------------------------------
 
+    def _product(self, side: str, idx: int, letter, g: int) -> list:
+        """Basis monomial idx times e_letter ⊗ g (1 ⊗ g when ``letter`` is
+        None) on the given side, reduced onto the basis."""
+        key = (side, idx, letter, g)
+        got = self._products.get(key)
+        if got is None:
+            d, word, g0 = self.basis[idx]
+            if letter is not None and d + 1 > self.bound:
+                raise DimensionMismatch("product exceeds the truncation bound")
+            layout = self.engine.layout
+            mul = layout.right_mul if side == "right" else layout.left_mul
+            prod = mul({layout.coord(word, g0): self.field.one}, letter, g, layout)
+            got = self._products[key] = sorted(self._reduce_coord_vec(prod).items())
+        return got
+
     def right_mult_letter(self, idx: int, letter: int) -> list:
-        key = (idx, letter)
-        got = self._rmul_letter.get(key)
-        if got is not None:
-            return got
-        d, word, g = self.basis[idx]
-        if d + 1 > self.bound:
-            raise DimensionMismatch("product exceeds the truncation bound")
-        base = self.engine.offsets_desc[d + 2]
-        prod = self.ctx.append_letter({self.ctx.coord(word, g): self.field.one}, letter)
-        out = sorted(self._reduce_coord_vec({base + c: v for c, v in prod.items()}).items())
-        self._rmul_letter[key] = out
-        return out
+        return self._product("right", idx, letter, 0)
 
     def left_mult_letter(self, idx: int, letter: int) -> list:
-        key = (idx, letter)
-        got = self._lmul_letter.get(key)
-        if got is not None:
-            return got
-        d, word, g = self.basis[idx]
-        if d + 1 > self.bound:
-            raise DimensionMismatch("product exceeds the truncation bound")
-        coord = self.engine.coord_desc((letter,) + word, g)
-        out = sorted(self._reduce_coord_vec({coord: self.field.one}).items())
-        self._lmul_letter[key] = out
-        return out
+        return self._product("left", idx, letter, 0)
 
-    def left_mult_group(self, idx: int, g2: int) -> list:
-        key = (idx, g2)
-        got = self._lmul_group.get(key)
-        if got is not None:
-            return got
-        d, word, g = self.basis[idx]
-        base = self.engine.offsets_desc[d + 1]
-        prod = self.ctx.left_action_sparse(g2, {self.ctx.coord(word, g): self.field.one}, d)
-        out = sorted(self._reduce_coord_vec({base + c: v for c, v in prod.items()}).items())
-        self._lmul_group[key] = out
-        return out
+    def left_mult_group(self, idx: int, g: int) -> list:
+        return self._product("left", idx, None, g)
 
-    def right_mult_group(self, idx: int, g2: int) -> list:
-        key = (idx, g2)
-        got = self._rmul_group.get(key)
-        if got is not None:
-            return got
-        d, word, g = self.basis[idx]
-        coord = self.engine.coord_desc(word, self.ctx.group.mult_table[g][g2])
-        out = sorted(self._reduce_coord_vec({coord: self.field.one}).items())
-        self._rmul_group[key] = out
-        return out
+    def right_mult_group(self, idx: int, g: int) -> list:
+        return self._product("right", idx, None, g)
 
     def apply_linear(self, vec: dict, step) -> dict:
         field = self.field
@@ -215,7 +189,7 @@ class TruncatedU:
                 b0.append(idx)
         b0_pos = {idx: pos for pos, idx in enumerate(b0)}
         for idx, (d, word, g) in enumerate(self.basis):
-            e_idx = self.index_of_coord[self.engine.coord_desc(word, 0)]
+            e_idx = self.index_of_coord[self.engine.layout.coord(word, 0)]
             decomposition[idx] = (b0_pos[e_idx], g)
         self._b0 = b0
         self._b0_index = decomposition
@@ -307,7 +281,6 @@ class _XSpace:
         tu = self.tu
         ctx = tu.ctx
         field = tu.field
-        vn = ctx.dimV**self.n
         vec: dict = {}
         for key, raw in self.rows[row_idx].items():
             wnum, b = self.coord_list[key]
@@ -510,15 +483,11 @@ class NComplexSlice:
     # -- phi-induced degree-N drops -------------------------------------
 
     def _phi_K_values(self) -> list:
-        """phi(r_t) as lists of (group element, raw coefficient)."""
-        out = []
-        for row in self.phi.rows:
-            vals = []
-            for c, v in row.items():
-                # phi is concentrated in degree zero: coordinates are group slots
-                vals.append((c, v))
-            out.append(vals)
-        return out
+        """phi(r_t) as lists of (group element, raw coefficient).
+
+        phi is concentrated in degree zero, so its coordinates are group slots.
+        """
+        return [list(row.items()) for row in self.phi.rows]
 
     def _w_split(self, n: int, r_first: bool) -> list:
         """W_n rows over products of R rows r_t and W_{n-N} rows w_kappa.
@@ -724,11 +693,7 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     if window < 0:
         raise ValueError("bound too small for a meaningful window")
     # homological positions i with zeta(i) <= bound and nonzero slices
-    zs = []
-    i = 0
-    while zeta(i, N) <= fam.bound:
-        zs.append(zeta(i, N))
-        i += 1
+    zs = zeta_degrees(N, fam.bound)
     maps = {}
     for i in range(1, len(zs)):
         hi = zs[i]
@@ -998,11 +963,7 @@ def wedge_agreement(family: NComplexSlice, group: GroupData, p: int, psi: PsiMap
     wc = WedgeComplex(family, group, p, psi)
     field = family.ctx.field
     N = family.N
-    zs = []
-    i = 0
-    while zeta(i, N) <= family.bound:
-        zs.append(zeta(i, N))
-        i += 1
+    zs = zeta_degrees(N, family.bound)
     ok = True
     for i in range(1, len(zs)):
         hi, lo = zs[i], zs[i - 1]

@@ -381,19 +381,6 @@ class MatrixS:
                 out.append(acc)
         return MatrixS(self.rows, other.cols, out, m)
 
-    def add(self, other: "MatrixS") -> "MatrixS":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix sum shape mismatch")
-        return MatrixS(
-            self.rows,
-            self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-            max(self.conductor, other.conductor),
-        )
-
-    def scale(self, c: Scalar) -> "MatrixS":
-        return MatrixS(self.rows, self.cols, [c * e for e in self.entries], self.conductor)
-
     def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")

@@ -11,10 +11,18 @@ intersections W_n that drive every homological check downstream.
 Basis order is fixed once and for all: words lexicographic with slot 1 most
 significant, group index innermost.  All outputs are canonical, so reports
 are reproducible bit for bit.
+
+The filtration F^n = (+)_{i<=n} V^{⊗i}⊗K has one layout owner,
+``Filtration``: block starts, coordinates, and the letter and group
+multiplications of rows of F^n.  ``FilteredSubspace`` uses its ascending
+order; the filtration oracle and the truncated algebra share one
+descending layout.  The term-dict product ``smash_mul_terms`` is the
+reference the sparse row operations are tested against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .cyclo import get_field
@@ -317,6 +325,116 @@ class TensorContext:
             out[(coord - h) + table[h][g]] = raw
         return out
 
+    def prefix(self, row: dict, wnum: int, degree: int) -> dict:
+        """The word numbered ``wnum`` placed in front of a degree-``degree`` row."""
+        base = wnum * self.component_dim(degree)
+        return {base + c: v for c, v in row.items()}
+
+
+class Filtration:
+    """Block layout of F^top = (+)_{d<=top} V^{⊗d}⊗K: the one owner of
+    filtration coordinates.
+
+    Block d holds the degree-d component in its (word, g) order and starts
+    at ``start[d]``.  Ascending blocks run 0, 1, ..., top, so F^n sits in
+    every F^m, m >= n, as the leading coordinates; descending blocks run
+    top, ..., 0, so a row's leading coordinate lies in its top degree.
+    """
+
+    def __init__(self, ctx: TensorContext, top: int, descending: bool = False):
+        self.ctx = ctx
+        self.top = top
+        self._degrees = list(range(top, -1, -1) if descending else range(top + 1))
+        self._sizes = [ctx.component_dim(d) for d in range(top + 1)]
+        self.start = [0] * (top + 1)
+        self._starts = []
+        pos = 0
+        for d in self._degrees:
+            self.start[d] = pos
+            self._starts.append(pos)
+            pos += self._sizes[d]
+        self.dim = pos
+
+    def block_of(self, coord: int) -> int:
+        return self._degrees[bisect_right(self._starts, coord) - 1]
+
+    def coord(self, word: tuple[int, ...], g: int) -> int:
+        return self.start[len(word)] + self.ctx.coord(word, g)
+
+    def decode(self, coord: int) -> tuple[tuple[int, ...], int]:
+        d = self.block_of(coord)
+        return self.ctx.word_of(coord - self.start[d], d)
+
+    def block(self, row: dict, d: int) -> dict:
+        """The degree-d block of a row, as a component-d row."""
+        lo = self.start[d]
+        hi = lo + self._sizes[d]
+        return {c - lo: v for c, v in row.items() if lo <= c < hi}
+
+    def map_blocks(self, row: dict, step, target: "Filtration") -> dict:
+        """Apply ``step(block, d) -> (d2, block2)`` to each block of ``row``.
+
+        The images are laid out in ``target``; distinct blocks must go to
+        distinct blocks.
+        """
+        blocks: dict[int, dict] = {}
+        for coord, raw in row.items():
+            d = self._degrees[bisect_right(self._starts, coord) - 1]
+            blocks.setdefault(d, {})[coord - self.start[d]] = raw
+        out: dict = {}
+        for d, block in blocks.items():
+            d2, image = step(block, d)
+            base = target.start[d2]
+            out.update((base + c, v) for c, v in image.items())
+        return out
+
+    def right_mul(self, row: dict, letter, g: int, target: "Filtration") -> dict:
+        """row · (e_letter ⊗ g), or row · (1 ⊗ g) when ``letter`` is None."""
+        ctx = self.ctx
+
+        def step(block, d):
+            if letter is not None:
+                block, d = ctx.append_letter(block, letter), d + 1
+            return d, (ctx.right_action_sparse(block, g) if g else block)
+
+        return self.map_blocks(row, step, target)
+
+    def left_mul(self, row: dict, letter, g: int, target: "Filtration") -> dict:
+        """(e_letter ⊗ g) · row, or (1 ⊗ g) · row when ``letter`` is None."""
+        if g:
+            ctx = self.ctx
+            row = self.map_blocks(row, lambda block, d: (d, ctx.left_action_sparse(g, block, d)), self)
+        if letter is None:
+            return row
+        # a prefix moves each coordinate on its own, from block d to block d + 1
+        starts, degrees, sizes = self._starts, self._degrees, self._sizes
+        out = {}
+        for c, v in row.items():
+            i = bisect_right(starts, c) - 1
+            d = degrees[i]
+            out[target.start[d + 1] + letter * sizes[d] + c - starts[i]] = v
+        return out
+
+    def split(self, rows: list[dict], level: int) -> tuple[list[dict], list[dict]]:
+        """Canonical rows of span(rows) echelonized with the blocks above
+        ``level`` first (ascending layout).
+
+        Returns (upper, lower) in the layout's coordinates: the rows that
+        lead above F^level, and the rows inside F^level, which span the
+        intersection of span(rows) with F^level.
+        """
+        cut = self.start[level + 1]
+        high = self.dim - cut
+        elim = SparseEliminator(self.ctx.field)
+        for row in rows:
+            elim.add({(c - cut if c >= cut else c + high): v for c, v in row.items()})
+        upper: list[dict] = []
+        lower: list[dict] = []
+        for p in sorted(elim.pivot_rows):
+            row = {(c + cut if c < high else c - high): v for c, v in elim.pivot_rows[p].items()}
+            (upper if p < high else lower).append(row)
+        return upper, lower
+
 
 # -- sub-bimodules -------------------------------------------------------
 
@@ -460,12 +578,7 @@ def placement_rows(R: Subbimodule, i: int, j: int) -> list[dict]:
     rows = R.space.rows
     for _ in range(j):
         rows = [ctx.append_letter(r, letter) for r in rows for letter in range(ctx.dimV)]
-    shift = ctx.component_dim(R.degree + j)
-    return [
-        {wnum * shift + c: v for c, v in r.items()}
-        for wnum in range(ctx.dimV**i)
-        for r in rows
-    ]
+    return [ctx.prefix(r, wnum, R.degree + j) for wnum in range(ctx.dimV**i) for r in rows]
 
 
 def left_full_product(X: Subbimodule, power: int = 1) -> Subbimodule:
@@ -575,10 +688,9 @@ def check_lemma22(E: Subbimodule, Ep: Subbimodule, F: Subbimodule, Fp: Subbimodu
 
 
 class FilteredSubspace:
-    """A subspace of F^n = (+)_{i<=n} V^{⊗i}⊗K in graded-block coordinates.
+    """A subspace of F^n = (+)_{i<=n} V^{⊗i}⊗K in the ascending block
+    coordinates of ``Filtration(ctx, n)``.
 
-    Blocks are laid out in degrees 0, 1, ..., n in that order; within a
-    block, coordinates follow the (word, g) order of the graded component.
     A block's offset does not depend on n, so F^n sits in F^{n+1} as the
     leading coordinates.
     """
@@ -587,58 +699,38 @@ class FilteredSubspace:
         self.ctx = ctx
         self.top_degree = top_degree
         self.space = space
+        self.layout = Filtration(ctx, top_degree)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     @staticmethod
-    def ambient(ctx: TensorContext, top_degree: int) -> int:
-        return sum(ctx.component_dim(i) for i in range(top_degree + 1))
-
-    @staticmethod
-    def offsets(ctx: TensorContext, top_degree: int) -> list[int]:
-        offs = [0]
-        for i in range(top_degree + 1):
-            offs.append(offs[-1] + ctx.component_dim(i))
-        return offs
-
-    def block_offset(self, degree: int) -> int:
-        return FilteredSubspace.offsets(self.ctx, self.top_degree)[degree]
-
-    @staticmethod
-    def coord(ctx: TensorContext, top_degree: int, word: tuple[int, ...], g: int) -> int:
-        offs = FilteredSubspace.offsets(ctx, top_degree)
-        return offs[len(word)] + ctx.coord(word, g)
-
-    @staticmethod
     def terms_to_sparse(ctx: TensorContext, top_degree: int, terms: Terms) -> dict:
+        layout = Filtration(ctx, top_degree)
         field = ctx.field
         out: dict = {}
         for (word, g), c in terms.items():
             if len(word) > top_degree:
                 raise DimensionMismatch("term exceeds the filtration level")
-            coord = FilteredSubspace.coord(ctx, top_degree, word, g)
-            accumulate(field, out, coord, to_raw(field, c))
+            accumulate(field, out, layout.coord(word, g), to_raw(field, c))
         return out
 
     @staticmethod
     def sparse_to_terms(ctx: TensorContext, top_degree: int, row: dict) -> Terms:
-        offs = FilteredSubspace.offsets(ctx, top_degree)
-        field = ctx.field
-        out = {}
-        for coord, raw in row.items():
-            d = 0
-            while offs[d + 1] <= coord:
-                d += 1
-            word, g = ctx.word_of(coord - offs[d], d)
-            out[(word, g)] = Scalar(field, raw)
-        return out
+        layout = Filtration(ctx, top_degree)
+        return {layout.decode(c): Scalar(ctx.field, v) for c, v in row.items()}
 
     @staticmethod
     def from_elements(ctx: TensorContext, top_degree: int, elements: Iterable[Terms], close: bool = True) -> "FilteredSubspace":
         rows = [FilteredSubspace.terms_to_sparse(ctx, top_degree, t) for t in elements]
-        actions = FilteredSubspace._actions(ctx, top_degree) if close else ()
+        return FilteredSubspace.from_rows(ctx, top_degree, rows, close)
+
+    @staticmethod
+    def from_rows(ctx: TensorContext, top_degree: int, rows: list[dict], close: bool = True) -> "FilteredSubspace":
+        """Bimodule closure of rows of F^top_degree, or with ``close=False``
+        their span, which must already be closed."""
+        actions = FilteredSubspace._actions(ctx, Filtration(ctx, top_degree)) if close else ()
         out = FilteredSubspace._of_rows(ctx, top_degree, _span_rows(ctx.field, rows, actions))
         if not close and not out.is_closed():
             raise ValueError("spanning set is not closed under the bimodule actions")
@@ -647,7 +739,7 @@ class FilteredSubspace:
     @staticmethod
     def _of_rows(ctx: TensorContext, top_degree: int, rows: list[dict]) -> "FilteredSubspace":
         """Wrap canonical rows of F^top_degree."""
-        ambient = FilteredSubspace.ambient(ctx, top_degree)
+        ambient = Filtration(ctx, top_degree).dim
         return FilteredSubspace(ctx, top_degree, Subspace(ambient, rows, ctx.conductor))
 
     def basis_sparse(self) -> list[dict]:
@@ -661,40 +753,22 @@ class FilteredSubspace:
         ]
 
     @staticmethod
-    def _actions(ctx: TensorContext, top_degree: int) -> list:
+    def _actions(ctx: TensorContext, layout: Filtration) -> list:
         """Left and right actions of each group generator, block by block."""
-        offs = FilteredSubspace.offsets(ctx, top_degree)
-
-        def blockwise(row: dict, act) -> dict:
-            by_degree: dict[int, dict] = {}
-            for coord, raw in row.items():
-                d = 0
-                while offs[d + 1] <= coord:
-                    d += 1
-                by_degree.setdefault(d, {})[coord - offs[d]] = raw
-            # each action keeps the degree, so the blocks stay disjoint
-            out: dict = {}
-            for d, sub in by_degree.items():
-                out.update((offs[d] + c, v) for c, v in act(sub, d).items())
-            return out
-
         out = []
         for g in ctx.group.generators:
-            out.append(lambda row, g=g: blockwise(row, lambda sub, d: ctx.left_action_sparse(g, sub, d)))
-            out.append(lambda row, g=g: blockwise(row, lambda sub, d: ctx.right_action_sparse(sub, g)))
+            out.append(lambda row, g=g: layout.left_mul(row, None, g, layout))
+            out.append(lambda row, g=g: layout.right_mul(row, None, g, layout))
         return out
 
     def is_closed(self) -> bool:
         rows = self.space.rows
-        actions = FilteredSubspace._actions(self.ctx, self.top_degree)
-        return _span_rows(self.ctx.field, rows, actions) == rows
+        return _span_rows(self.ctx.field, rows, FilteredSubspace._actions(self.ctx, self.layout)) == rows
 
     def block_projection(self, degree: int) -> Subspace:
         """Image of the subspace in the degree-``degree`` graded block."""
-        offs = FilteredSubspace.offsets(self.ctx, self.top_degree)
-        lo, hi = offs[degree], offs[degree + 1]
-        rows = [{c - lo: v for c, v in row.items() if lo <= c < hi} for row in self.space.rows]
-        return Subspace.from_rows(hi - lo, rows, self.ctx.conductor)
+        rows = [self.layout.block(row, degree) for row in self.space.rows]
+        return Subspace.from_rows(self.ctx.component_dim(degree), rows, self.ctx.conductor)
 
     def extend_top(self, new_top: int) -> "FilteredSubspace":
         """Re-embed into the larger filtration level F^new_top."""
@@ -707,37 +781,27 @@ class FilteredSubspace:
     def mul_E(self, side: str) -> "FilteredSubspace":
         """P·E (side='right') or E·P (side='left'), one degree up."""
         ctx = self.ctx
-        new_top = self.top_degree + 1
-        one = Scalar.one(ctx.conductor)
-        elements = []
-        for terms in self.basis_terms():
-            for letter in range(ctx.dimV):
-                for g in range(ctx.order):
-                    other = {((letter,), g): one}
-                    prod = (
-                        ctx.smash_mul_terms(terms, other)
-                        if side == "right"
-                        else ctx.smash_mul_terms(other, terms)
-                    )
-                    elements.append(prod)
-        return FilteredSubspace.from_elements(ctx, new_top, elements, close=False)
+        layout = self.layout
+        target = Filtration(ctx, self.top_degree + 1)
+        mul = layout.right_mul if side == "right" else layout.left_mul
+        rows = [
+            mul(row, letter, g, target)
+            for row in self.space.rows
+            for letter in range(ctx.dimV)
+            for g in range(ctx.order)
+        ]
+        return FilteredSubspace.from_rows(ctx, target.top, rows, close=False)
 
     def truncate_intersection(self, level: int) -> "FilteredSubspace":
         """Intersection with F^level, returned inside F^level.
 
-        The coordinates beyond F^level are moved in front of it; the
-        canonical rows pivoting inside F^level then vanish beyond it and
-        are the canonical rows of the intersection.
+        With the coordinates beyond F^level eliminated first, the canonical
+        rows pivoting inside F^level vanish beyond it and are the canonical
+        rows of the intersection.
         """
         if level >= self.top_degree:
             return self.extend_top(level)
-        cut = FilteredSubspace.offsets(self.ctx, self.top_degree)[level + 1]
-        high = self.space.ambient_dim - cut
-        elim = SparseEliminator(self.ctx.field)
-        for row in self.space.rows:
-            elim.add({(c - cut if c >= cut else c + high): v for c, v in row.items()})
-        rows = elim.pivot_rows
-        inter = [{c - high: v for c, v in rows[p].items()} for p in sorted(rows) if p >= high]
+        _, inter = self.layout.split(self.space.rows, level)
         return FilteredSubspace._of_rows(self.ctx, level, inter)
 
     def contains(self, other: "FilteredSubspace") -> bool:

@@ -16,6 +16,7 @@ import pytest
 from nkoszul.scalar import MatrixS, Scalar
 from nkoszul.smashtensor import (
     FilteredSubspace,
+    Filtration,
     GroupData,
     Subbimodule,
     TensorContext,
@@ -106,8 +107,7 @@ def test_criterion_1_down_up():
     phi = build_phi(pres)
     diff = _phi_lift_difference(pres, phi, rows[0], _right_split_solver(pres, phi.r_rows))
     assert diff == {}
-    offs = FilteredSubspace.offsets(ctx, 3)
-    assert not any(offs[2] <= c < offs[3] for c in diff)
+    assert not Filtration(ctx, 3).block(diff, 2)
 
     # oracle equalities for 3 <= n <= 8 and the staircase dimensions
     rep = pbw_verdict(pres, 8)

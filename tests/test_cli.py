@@ -118,6 +118,64 @@ def test_malformed_builder_input_exit_two(tmp_path, presentation):
     assert report["error"] and "\n" not in report["error"]
 
 
+PSI_TABLE = {
+    "context": SYMPLECTIC["context"],
+    "presentation": {
+        "builder": "h_psi",
+        "p": 2,
+        "psi": {"p": 2, "psi": [{"g": 0, "values": {"[1, 2]": "1"}}]},
+    },
+}
+
+
+def with_field(data, path, value):
+    """A deep copy of ``data`` with the entry at ``path`` replaced."""
+    out = json.loads(json.dumps(data))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        with_field(EXPLICIT, ("presentation", "P", 0, 0, "word"), [1.9, 2]),
+        with_field(EXPLICIT, ("presentation", "P", 0, 0, "word"), [1, 2.0]),
+        with_field(EXPLICIT, ("presentation", "P", 0, 0, "g"), False),
+        with_field(EXPLICIT, ("presentation", "N"), 2.0),
+        with_field(EXPLICIT, ("context", "dimV"), 2.0),
+        with_field(EXPLICIT, ("context", "conductor"), 1.0),
+        with_field(SYMPLECTIC, ("context", "order_cap"), 10.5),
+        with_field(SL2, ("presentation", "structure_constants", 0, 0), 1.0),
+        with_field(SL2, ("presentation", "structure_constants", 2, 2), True),
+        with_field(SYMPLECTIC, ("presentation", "p"), 2.0),
+        with_field(PSI_TABLE, ("presentation", "psi", "psi", 0, "g"), 0.0),
+        with_field(PSI_TABLE, ("presentation", "psi", "psi", 0, "values"), {"[1.0, 2]": "1"}),
+    ],
+    ids=[
+        "letter_1.9",
+        "letter_2.0",
+        "g_false",
+        "N_float",
+        "dimV_float",
+        "conductor_float",
+        "order_cap_float",
+        "lie_i_float",
+        "lie_k_true",
+        "p_float",
+        "psi_g_float",
+        "psi_key_float",
+    ],
+)
+def test_non_integer_index_exit_two(tmp_path, data):
+    path = write(tmp_path, "bad.json", data)
+    report, code = run(RunConfig(input_path=path, degree_bound=4, checks=["condition_I"]))
+    assert code == 2
+    assert "expected an integer" in report["error"]
+
+
 def test_unknown_check_exit_two(tmp_path):
     path = write(tmp_path, "du.json", DOWN_UP)
     report, code = run(RunConfig(input_path=path, checks=["definitely_not_a_check"]))

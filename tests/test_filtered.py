@@ -116,6 +116,19 @@ def test_degenerate_P_equal_to_constants():
         build_phi(pres)
 
 
+def test_phi_split_refuses_a_P_that_meets_the_lower_filtration():
+    ctx = trivial_ctx(2)
+    P = FilteredSubspace.from_elements(
+        ctx, 2, [{((0, 1), 0): S(1), ((1, 0), 0): S(-1)}, {((), 0): S(1)}]
+    )
+    pres = FilteredPresentation(ctx, 2, P)
+    assert not check_condition_I(pres)
+    upper, lower = P.layout.split(P.basis_sparse(), 1)
+    assert len(upper) == 1 and lower == [{0: ctx.field.one}]
+    with pytest.raises(ValueError, match="meets F"):
+        build_phi(pres)
+
+
 def test_condition_I_down_up():
     assert check_condition_I(build_down_up(2, -1, 1))
 

@@ -8,6 +8,7 @@ import pytest
 from nkoszul.scalar import DimensionMismatch, MatrixS, Scalar, Subspace
 from nkoszul.smashtensor import (
     FilteredSubspace,
+    Filtration,
     GroupData,
     Subbimodule,
     TensorContext,
@@ -366,3 +367,68 @@ def test_filtered_closure_under_group():
     assert p.is_closed()
     # the right action by -Id sends the constant slice e -> g
     assert p.dim == 2
+
+
+# -- the filtration layout --------------------------------------------------
+
+
+def sr_z6_ctx():
+    """Z/6 acting on Q(zeta6)^2 by diag(zeta, zeta^5)."""
+    z = Scalar.zeta(6)
+    gen = MatrixS(2, 2, [z, Scalar.zero(6), Scalar.zero(6), z**5], 6)
+    return TensorContext(2, GroupData.from_generators([gen]), 6)
+
+
+def s3_ctx():
+    gens = [perm_matrix([1, 0, 2]), perm_matrix([0, 2, 1])]
+    return TensorContext(3, GroupData.from_generators(gens))
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_filtration_coordinates_round_trip(descending):
+    ctx = sr_z6_ctx()
+    layout = Filtration(ctx, 3, descending=descending)
+    assert layout.dim == sum(ctx.component_dim(d) for d in range(4))
+    first = 3 if descending else 0
+    assert layout.start[first] == 0
+    for coord in range(layout.dim):
+        word, g = layout.decode(coord)
+        assert layout.block_of(coord) == len(word)
+        assert layout.coord(word, g) == coord
+    for d in range(4):
+        lo = layout.start[d]
+        hi = lo + ctx.component_dim(d) - 1
+        assert layout.block_of(lo) == layout.block_of(hi) == d
+        assert layout.block({lo: 1, hi: 2, layout.dim: 3}, d) == {0: 1, hi - lo: 2}
+
+
+def as_row(terms, layout):
+    return {layout.coord(w, g): c.raw for (w, g), c in terms.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("make_ctx", [sr_z6_ctx, s3_ctx], ids=["sr_z6", "s3"])
+@pytest.mark.parametrize("descending", [False, True])
+def test_filtration_products_match_the_term_product(make_ctx, descending):
+    ctx = make_ctx()
+    rng = random.Random(7)
+    layout = Filtration(ctx, 2, descending=descending)
+    target = Filtration(ctx, 3, descending=descending)
+    one = Scalar.one(ctx.conductor)
+    for _ in range(4):
+        terms = {}
+        for _ in range(5):
+            word = tuple(rng.randrange(ctx.dimV) for _ in range(rng.randrange(3)))
+            terms[(word, rng.randrange(ctx.order))] = Scalar.rational(rng.randint(-3, 3), ctx.conductor)
+        row = as_row(terms, layout)
+        for g in range(ctx.order):
+            for letter in range(ctx.dimV):
+                elem = {((letter,), g): one}
+                right = ctx.smash_mul_terms(terms, elem)
+                left = ctx.smash_mul_terms(elem, terms)
+                assert layout.right_mul(row, letter, g, target) == as_row(right, target)
+                assert layout.left_mul(row, letter, g, target) == as_row(left, target)
+            elem = {((), g): one}
+            right = ctx.smash_mul_terms(terms, elem)
+            left = ctx.smash_mul_terms(elem, terms)
+            assert layout.right_mul(row, None, g, layout) == as_row(right, layout)
+            assert layout.left_mul(row, None, g, layout) == as_row(left, layout)

@@ -1,0 +1,25 @@
+"""One Tor-3 computation per algebra and bound."""
+
+from nkoszul import homogeneous
+from nkoszul.filtered import build_lie, pbw_verdict
+from nkoszul.homogeneous import check_tor3_concentration
+
+
+def test_tor3_and_pbw_share_one_tor3_run(monkeypatch):
+    calls = []
+    original = homogeneous.tor3_relation_holds
+
+    def counting(alg, n, w_cache):
+        calls.append(n)
+        return original(alg, n, w_cache)
+
+    monkeypatch.setattr(homogeneous, "tor3_relation_holds", counting)
+    # sl2
+    pres = build_lie({(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
+    alg = pres.homogenization()
+    assert check_tor3_concentration(alg, 5).holds
+    assert pbw_verdict(pres, 5).certified
+    assert calls == [4, 5]
+    # another bound is another run
+    check_tor3_concentration(alg, 6)
+    assert calls == [4, 5, 4, 5, 6]
