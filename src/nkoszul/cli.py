@@ -1,8 +1,9 @@
 """Batch front end: parse a presentation file, run checks, emit a report.
 
-Exit codes distinguish the three outcomes a caller can meet: 0 when every
-selected check passes, 1 when some mathematical verdict is negative, and 2
-for input or usage errors, so CI suites can assert negative fixtures.
+Exit codes distinguish the outcomes a caller can meet: 0 when every
+selected check passes, 1 when some mathematical verdict is negative, 2 for
+input or usage errors, so CI suites can assert negative fixtures, and 3
+for an internal error, so that a crash is never read as a verdict.
 Reports are deterministic: identical configuration yields byte-identical
 output.
 """
@@ -387,11 +388,21 @@ def main(argv: Optional[list] = None) -> int:
         format=args.format,
         out=args.out,
     )
-    report, code = run(config)
-    text = emit(report, config.format)
+    try:
+        report, code = run(config)
+        text = emit(report, config.format)
+    except Exception as exc:
+        # an unexpected exception must not exit 1, the code of a negative verdict
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        sys.stderr.write(f"error: internal error: {detail}\n")
+        return 3
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {config.out}: {exc.strerror or exc}\n")
+            return 2
         if "error" in report:
             sys.stderr.write(f"error: {report['error']}\n")
     else:

@@ -164,7 +164,9 @@ class TensorContext:
                 raise DimensionMismatch(
                     "group matrix entries do not lie in the declared field"
                 )
-        # column expansions of each rho(g): _cols[g][l] = [(i, raw), ...]
+        # column expansions of each rho(g): _cols[g][l] = [(i, raw), ...];
+        # an entry equal to one is ``field.one`` itself, so products with
+        # it can be skipped by an identity test
         field = self.field
         self._cols = []
         for mat in group.matrices:
@@ -174,7 +176,7 @@ class TensorContext:
                 for i in range(dimV):
                     raw = to_raw(field, mat[i, l])
                     if not field.is_zero(raw):
-                        col.append((i, raw))
+                        col.append((i, field.one if field.is_one(raw) else raw))
                 cols.append(col)
             self._cols.append(cols)
 
@@ -219,13 +221,14 @@ class TensorContext:
         Yields (word, raw coefficient) pairs.
         """
         field = self.field
+        one = field.one
         cols = self._cols[g]
-        partial = [((), field.one)]
+        partial = [((), one)]
         for letter in word:
             nxt = []
             for pw, c in partial:
                 for i, raw in cols[letter]:
-                    nxt.append((pw + (i,), field.mul(c, raw)))
+                    nxt.append((pw + (i,), c if raw is one else field.mul(c, raw)))
             partial = nxt
         return partial
 
@@ -287,13 +290,15 @@ class TensorContext:
         (w ⊗ g)(e_l ⊗ 1) = w ⊗ rho(g) e_l ⊗ g.
         """
         field = self.field
+        one = field.one
         order = self.order
         dimV = self.dimV
         out: dict = {}
         for coord, raw in row.items():
             wnum, g = divmod(coord, order)
             for i, c in self._cols[g][letter]:
-                accumulate(field, out, (wnum * dimV + i) * order + g, field.mul(raw, c))
+                term = raw if c is one else field.mul(raw, c)
+                accumulate(field, out, (wnum * dimV + i) * order + g, term)
         return out
 
     def row_product(self, row1: dict, row2: dict, degree2: int) -> dict:

@@ -1,9 +1,11 @@
-"""Reports stay byte-identical on two benchmark cases.
+"""Reports stay byte-identical on four benchmark cases.
 
 ``perfbench/expected.json`` records the sha256 of each case's report body
 on the committed fixtures.  ``nonjacobi_all`` reports an oracle witness,
 which depends on the order in which the oracle inserts its rows, so a
 change of that order shows here and not only in the benchmark.
+``sl2_graded`` and ``cubic_graded`` cover the graded checks (ec, tor3 and
+the Koszul complex certificate) at the benchmark's bound D = 10.
 """
 
 import importlib.util
@@ -26,7 +28,9 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("case_name", ["down_up_oracle", "nonjacobi_all"])
+@pytest.mark.parametrize(
+    "case_name", ["down_up_oracle", "nonjacobi_all", "sl2_graded", "cubic_graded"]
+)
 def test_report_body_matches_the_recorded_digest(case_name):
     inputs = load("inputs")
     check = load("check")

@@ -249,6 +249,30 @@ def test_main_writes_out_file(tmp_path):
     assert data["verdict"] == "pass"
 
 
+def test_internal_error_exits_three_with_one_line(tmp_path, monkeypatch, capsys):
+    import nkoszul.cli as cli
+
+    def crash(alg):
+        raise RuntimeError("internal error: pivot vanished\nsecond line")
+
+    monkeypatch.setattr(cli, "check_ec", crash)
+    path = write(tmp_path, "du.json", DOWN_UP)
+    code = main(["--input", path, "--degree-bound", "6", "--checks", "ec"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: RuntimeError: internal error: pivot vanished second line\n"
+
+
+def test_unwritable_out_file_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "du.json", DOWN_UP)
+    out = tmp_path / "missing" / "report.json"
+    code = main(["--input", path, "--degree-bound", "6", "--checks", "ec", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}:") and err.count("\n") == 1
+
+
 def test_main_explain():
     assert main(["explain", "ec"]) == 0
     assert main(["explain", "nonsense"]) == 2
