@@ -202,9 +202,10 @@ def run(config: RunConfig):
             try:
                 family_box["f"] = NComplexSlice(pres, D)
             except (ValueError, UnsupportedStructure) as exc:
-                family_box["f"] = exc
-        if isinstance(family_box["f"], Exception):
-            raise family_box["f"]
+                # the message, not the exception: its traceback holds this box
+                family_box["f"] = str(exc)
+        if isinstance(family_box["f"], str):
+            raise ValueError(family_box["f"])
         return family_box["f"]
 
     def record(name: str, ok: Optional[bool], data: dict) -> None:

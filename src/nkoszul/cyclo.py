@@ -1,24 +1,34 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-An element of Q(zeta_m) is a polynomial in zeta_m reduced modulo the m-th
-cyclotomic polynomial Phi_m, stored as a coefficient vector of Fractions of
-length deg(Phi_m) = phi(m).  Two internal representations are used:
+An element of Q(zeta_m) is a polynomial in zeta_m of degree below
+d = phi(m), reduced modulo the m-th cyclotomic polynomial Phi_m.  Its raw
+value is a flat tuple of ints: the numerators of the coefficients of
+1, zeta, ..., zeta^(d-1) over one common denominator, then that
+denominator, the usual number-field representation (Cohen, *A Course in
+Computational Algebraic Number Theory*, 4.2):
 
-* for m = 1 the raw value is a single ``Fraction`` (plain rationals),
-* for m > 1 the raw value is a tuple of ``Fraction`` of length phi(m).
+* for m = 1 the raw value is ``(num, den)`` (plain rationals),
+* for m > 1 the raw value is ``(n_0, ..., n_{d-1}, den)``.
+
+Raw values are canonical: den > 0 and the gcd of all entries is one, so
+equal elements have equal raw values, and ``==``, hashing and the
+``field.one`` identity tests work on them directly.  Phi_m is monic, so
+the reduction modulo Phi_m stays integral and a product is normalized
+once; sums and products of integral elements (den = 1, nearly all of
+them) need no gcd at all.
 
 All field operations go through a field object obtained from ``get_field(m)``
 so that hot loops elsewhere can work on raw values without wrapper overhead.
-No floating point is used anywhere.
+``from_fraction``, ``from_coeffs`` and ``to_coeffs`` convert to and from
+``Fraction`` coefficients.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from math import gcd, lcm
+from operator import add as _add, neg as _neg, sub as _sub
 
 
 def euler_phi(m: int) -> int:
@@ -78,202 +88,250 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return poly
 
 
+def _normalized(out: list):
+    """Canonical raw value of numerators over the positive denominator ``out[-1]``."""
+    g = gcd(*out)
+    if g != 1:
+        out = [x // g for x in out]
+    return tuple(out)
+
+
 class RationalField:
-    """Field operations for Q.  Raw values are ``Fraction`` instances."""
+    """Field operations for Q.  Raw values are pairs ``(num, den)``."""
 
     conductor = 1
     degree = 1
 
     def __init__(self) -> None:
-        self.zero = _ZERO
-        self.one = _ONE
+        self.zero = (0, 1)
+        self.one = (1, 1)
 
     def from_fraction(self, q: Fraction):
-        return Fraction(q)
+        q = Fraction(q)
+        return (q.numerator, q.denominator)
 
     def add(self, a, b):
-        return a + b
+        an, ad = a
+        bn, bd = b
+        if ad == 1 and bd == 1:
+            return (an + bn, 1)
+        return _normalized([an * bd + bn * ad, ad * bd])
 
     def sub(self, a, b):
-        return a - b
+        an, ad = a
+        bn, bd = b
+        if ad == 1 and bd == 1:
+            return (an - bn, 1)
+        return _normalized([an * bd - bn * ad, ad * bd])
 
     def neg(self, a):
-        return -a
+        return (-a[0], a[1])
 
     def mul(self, a, b):
-        return a * b
+        an, ad = a
+        bn, bd = b
+        if ad == 1 and bd == 1:
+            return (an * bn, 1)
+        g1 = gcd(an, bd)
+        g2 = gcd(bn, ad)
+        return ((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
 
     def inv(self, a):
-        if a == 0:
+        n, d = a
+        if n == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return 1 / a
+        return (d, n) if n > 0 else (-d, -n)
 
     def div(self, a, b):
-        if b == 0:
+        an, ad = a
+        bn, bd = b
+        if bn == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return a / b
+        if bn < 0:
+            bn, bd = -bn, -bd
+        g1 = gcd(an, bn)
+        g2 = gcd(bd, ad)
+        return ((an // g1) * (bd // g2), (ad // g2) * (bn // g1))
 
     def is_zero(self, a) -> bool:
-        return a == 0
+        return a[0] == 0
 
     def is_one(self, a) -> bool:
-        return a == 1
+        return a == self.one
 
     def to_coeffs(self, a) -> tuple[Fraction, ...]:
-        return (a,)
+        return (Fraction(a[0], a[1]),)
 
     def from_coeffs(self, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != 1:
             raise ValueError("rational scalar takes exactly one coefficient")
-        return Fraction(coeffs[0])
+        return self.from_fraction(coeffs[0])
 
     def zeta_power(self, k: int):
-        return _ONE
+        return self.one
 
 
 class CyclotomicField:
     """Field operations for Q(zeta_m), m > 1.
 
-    Raw values are tuples of Fractions of length phi(m), coefficient of
-    zeta^0 first.
+    Raw values are tuples ``(n_0, ..., n_{d-1}, den)`` of ints, d = phi(m):
+    the element sum n_i zeta^i / den, with den > 0 and the gcd of all
+    d + 1 entries equal to one.
     """
 
     def __init__(self, m: int) -> None:
         self.conductor = m
         phi = cyclotomic_polynomial(m)
-        self.degree = len(phi) - 1
-        d = self.degree
-        self.zero = tuple([_ZERO] * d)
-        self.one = tuple([_ONE] + [_ZERO] * (d - 1))
-        self._phi = tuple(Fraction(c) for c in phi)
-        # Reduction table: zeta^(d+k) expressed on 1, zeta, ..., zeta^(d-1).
-        table = []
-        prev = [-self._phi[i] for i in range(d)]  # zeta^d
-        table.append(tuple(prev))
+        self.degree = d = len(phi) - 1
+        self.zero = (0,) * d + (1,)
+        self.one = (1,) + (0,) * (d - 1) + (1,)
+        self._phi = phi
+        # Reduction table: zeta^(d+k) on 1, zeta, ..., zeta^(d-1).  Phi_m is
+        # monic, so every entry is an integer.
+        table = [[-c for c in phi[:d]]]
         for _ in range(d - 2):
-            shifted = [_ZERO] + prev[: d - 1]
-            top = prev[d - 1]
+            prev = table[-1]
+            table.append([0] + prev[:-1])
+            top = prev[-1]
             if top:
-                for i in range(d):
-                    shifted[i] += top * table[0][i]
-            prev = shifted
-            table.append(tuple(prev))
-        self._red = table
+                table[-1] = [x + top * y for x, y in zip(table[-1], table[0])]
+        self._top = tuple(table[0])  # zeta^d
+        self._red = [[(i, c) for i, c in enumerate(row) if c] for row in table]
 
     def from_fraction(self, q: Fraction):
-        d = self.degree
-        return tuple([Fraction(q)] + [_ZERO] * (d - 1))
+        q = Fraction(q)
+        return (q.numerator,) + self.zero[1:-1] + (q.denominator,)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        da = a[-1]
+        db = b[-1]
+        if da == 1 and db == 1:
+            return (*map(_add, a[:-1], b), 1)
+        out = [x * db + y * da for x, y in zip(a, b)]
+        out[-1] = da * db
+        return _normalized(out)
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        da = a[-1]
+        db = b[-1]
+        if da == 1 and db == 1:
+            return (*map(_sub, a[:-1], b), 1)
+        out = [x * db - y * da for x, y in zip(a, b)]
+        out[-1] = da * db
+        return _normalized(out)
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return (*map(_neg, a[:-1]), a[-1])
 
     def mul(self, a, b):
         d = self.degree
-        conv = [_ZERO] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = self._red[k - d]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
+        if d == 2:
+            # Q(zeta_3), Q(zeta_4), Q(zeta_6): the product in closed form,
+            # with zeta^2 = r0 + r1 zeta
+            a0, a1, da = a
+            b0, b1, db = b
+            t = a1 * b1
+            r0, r1 = self._top
+            out = [a0 * b0 + r0 * t, a0 * b1 + a1 * b0 + r1 * t, da * db]
+        else:
+            out = [0] * (2 * d)
+            for i in range(d):
+                ai = a[i]
+                if ai:
+                    for j in range(d):
+                        bj = b[j]
+                        if bj:
+                            out[i + j] += ai * bj
+            for k in range(d, 2 * d - 1):
+                c = out[k]
+                if c:
+                    for i, r in self._red[k - d]:
+                        out[i] += c * r
+            del out[d + 1 :]
+            out[d] = a[d] * b[d]
+        if out[d] == 1:
+            return tuple(out)
+        return _normalized(out)
 
     def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError("division by zero scalar")
-        # Extended Euclid in Q[x] against Phi_m (irreducible over Q).
-        r0 = list(self._phi)
-        r1 = list(a)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        s0: list[Fraction] = [_ZERO]
-        s1: list[Fraction] = [_ONE]
-        while True:
-            if len(r1) == 1:
-                c = r1[0]
-                return self._pad([x / c for x in s1])
-            # divide r0 by r1
-            quo = [_ZERO] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for k in range(len(rem) - 1, len(r1) - 2, -1):
-                c = rem[k]
-                if c == 0:
-                    continue
-                q = c / r1[-1]
-                quo[k - (len(r1) - 1)] = q
-                for i in range(len(r1)):
-                    rem[k - (len(r1) - 1) + i] -= q * r1[i]
-            while len(rem) > 1 and rem[-1] == 0:
-                rem.pop()
-            # s_new = s0 - quo * s1
-            prod = [_ZERO] * (len(quo) + len(s1) - 1)
-            for i, qi in enumerate(quo):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        prod[i + j] += qi * sj
-            s_new = [_ZERO] * max(len(s0), len(prod))
-            for i, x in enumerate(s0):
-                s_new[i] += x
-            for i, x in enumerate(prod):
-                s_new[i] -= x
-            r0, r1 = r1, rem
-            s0, s1 = s1, s_new
-
-    def _pad(self, coeffs: list[Fraction]):
         d = self.degree
-        out = list(coeffs[:d]) + [_ZERO] * max(0, d - len(coeffs))
-        # coeffs may exceed degree after multiplication; reduce.
-        for k in range(d, len(coeffs)):
-            c = coeffs[k]
-            if c:
-                row = self._red[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return tuple(out)
+        r1 = list(a[:d])
+        while r1 and r1[-1] == 0:
+            r1.pop()
+        if not r1:
+            raise ZeroDivisionError("division by zero scalar")
+        # Fraction-free extended Euclid against Phi_m (irreducible over Q):
+        # keep r_i = s_i * num(a) mod Phi_m up to a common integer factor,
+        # pseudo-dividing with the leading coefficient, until r_i is a
+        # nonzero constant c.  Then 1/a = den * s_i / c.
+        r0 = list(self._phi)
+        s0: list[int] = [0]
+        s1: list[int] = [1]
+        while len(r1) > 1:
+            lead = r1[-1]
+            rem = r0
+            quo = [0] * (len(r0) - len(r1) + 1)
+            scale = 1
+            while len(rem) >= len(r1):
+                c = rem[-1]
+                shift = len(rem) - len(r1)
+                rem = [lead * x for x in rem]
+                quo = [lead * x for x in quo]
+                for i, y in enumerate(r1):
+                    rem[shift + i] -= c * y
+                quo[shift] += c
+                scale *= lead
+                rem.pop()
+                while rem and rem[-1] == 0:
+                    rem.pop()
+            s_new = [scale * x for x in s0] + [0] * max(0, len(quo) + len(s1) - 1 - len(s0))
+            for i, q in enumerate(quo):
+                if q:
+                    for j, s in enumerate(s1):
+                        s_new[i + j] -= q * s
+            while len(s_new) > 1 and s_new[-1] == 0:
+                s_new.pop()
+            g = gcd(*rem, *s_new)
+            r0, r1 = r1, [x // g for x in rem]
+            s0, s1 = s1, [x // g for x in s_new]
+        c = r1[0]
+        den = a[d]
+        if c < 0:
+            c, den = -c, -den
+        return _normalized([den * x for x in s1] + [0] * (d - len(s1)) + [c])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
-        return all(x == 0 for x in a)
+        return a == self.zero
 
     def is_one(self, a) -> bool:
-        return a[0] == 1 and all(x == 0 for x in a[1:])
+        return a == self.one
 
     def to_coeffs(self, a) -> tuple[Fraction, ...]:
-        return tuple(a)
+        den = a[-1]
+        return tuple(Fraction(x, den) for x in a[:-1])
 
     def from_coeffs(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != self.degree:
             raise ValueError(
                 f"scalar over conductor {self.conductor} takes {self.degree} coefficients"
             )
-        return coeffs
+        # Over the lcm of reduced denominators the numerators and the lcm
+        # are already coprime.
+        den = lcm(*(c.denominator for c in coeffs))
+        return tuple(c.numerator * (den // c.denominator) for c in coeffs) + (den,)
 
     def zeta_power(self, k: int):
         d = self.degree
         k %= self.conductor
         if k < d:
-            coeffs = [_ZERO] * d
-            coeffs[k] = _ONE
-            return tuple(coeffs)
-        zeta = self.zeta_power(1) if d >= 2 else tuple(self._red[0])
-        out = tuple(self._red[0])  # zeta^d reduced
+            return self.zero[:k] + (1,) + self.zero[k + 1 :]
+        out = self._top + (1,)
+        zeta = self.zeta_power(1) if d >= 2 else out
         for _ in range(k - d):
             out = self.mul(out, zeta)
         return out

@@ -55,15 +55,19 @@ class SparseEliminator:
             if prow is None:
                 continue
             c = out.pop(col)
+            # out -= c * prow; a coefficient of -1 adds the row, one of 1
+            # subtracts it, without a field multiplication
+            unit = field.is_one(c)
+            plus = not unit and field.is_one(field.neg(c))
             for j, v in prow.items():
                 if j == col:
                     continue
                 cur = out.get(j)
-                term = field.mul(c, v)
-                if cur is None:
-                    nv = field.neg(term)
+                if plus:
+                    nv = v if cur is None else field.add(cur, v)
                 else:
-                    nv = field.sub(cur, term)
+                    term = v if unit else field.mul(c, v)
+                    nv = field.neg(term) if cur is None else field.sub(cur, term)
                 if field.is_zero(nv):
                     out.pop(j, None)
                 else:
@@ -93,12 +97,17 @@ class SparseEliminator:
                 c = hrow.get(piv)
                 if c is None:
                     continue
+                unit = field.is_one(c)
+                plus = not unit and field.is_one(field.neg(c))
                 for j, v in red.items():
                     if j == piv:
                         continue
                     cur = hrow.get(j)
-                    term = field.mul(c, v)
-                    nv = field.sub(cur, term) if cur is not None else field.neg(term)
+                    if plus:
+                        nv = v if cur is None else field.add(cur, v)
+                    else:
+                        term = v if unit else field.mul(c, v)
+                        nv = field.neg(term) if cur is None else field.sub(cur, term)
                     if field.is_zero(nv):
                         if cur is not None:
                             del hrow[j]
@@ -162,14 +171,12 @@ def add_scaled(field, out: dict, row: dict, c) -> None:
     unit = field.is_one(c)
     negated = not unit and field.is_one(field.neg(c))
     for col, v in row.items():
-        if unit:
-            term = v
-        elif negated:
-            term = field.neg(v)
-        else:
-            term = field.mul(c, v)
         cur = out.get(col)
-        nv = term if cur is None else field.add(cur, term)
+        if negated:
+            nv = field.neg(v) if cur is None else field.sub(cur, v)
+        else:
+            term = v if unit else field.mul(c, v)
+            nv = term if cur is None else field.add(cur, term)
         if field.is_zero(nv):
             out.pop(col, None)
         else:

@@ -327,9 +327,12 @@ class OracleEngine:
     def __init__(self, pres: FilteredPresentation, D: int):
         if D < pres.N:
             raise ValueError("the bound must be at least the relation degree")
-        self.pres = pres
+        # the inputs, not the presentation: the presentation holds this engine
+        self.ctx = ctx = pres.ctx
+        self.N = pres.N
+        self.P = pres.P
+        self.alg = pres.homogenization()
         self.D = D
-        ctx = pres.ctx
         self.layout = Filtration(ctx, D, descending=True)
         self.elim = SparseEliminator(ctx.field)
         self.j_dims: dict[int, int] = {}
@@ -341,14 +344,13 @@ class OracleEngine:
         if self._ran:
             return
         self._ran = True
-        pres = self.pres
-        ctx = pres.ctx
-        N = pres.N
-        tower = pres.homogenization().tower()
+        ctx = self.ctx
+        N = self.N
+        tower = self.alg.tower()
         layout = self.layout
         p_rows = [
-            pres.P.layout.map_blocks(r, lambda block, d: (d, block), layout)
-            for r in pres.P.basis_sparse()
+            self.P.layout.map_blocks(r, lambda block, d: (d, block), layout)
+            for r in self.P.basis_sparse()
         ]
         pv_rows = p_rows  # P · V^{⊗m}, advanced each degree
         t_hat = []
@@ -391,12 +393,12 @@ class OracleEngine:
             self.equalities[n] = low_added == 0
 
     def j_dim(self, n: int) -> int:
-        if n < self.pres.N:
+        if n < self.N:
             return 0
         return self.j_dims[n]
 
     def candidate_gr_dim(self, n: int) -> int:
-        ctx = self.pres.ctx
+        ctx = self.ctx
         f_n = sum(ctx.component_dim(i) for i in range(n + 1))
         f_prev = f_n - ctx.component_dim(n)
         if n == 0:

@@ -190,7 +190,9 @@ class _Tower:
     """Per-degree kernels of E (x)_K A_{n-1} ->> A_n with normal forms."""
 
     def __init__(self, alg: HomogeneousAlgebra):
-        self.alg = alg
+        # the relations, not the algebra: the algebra holds this tower
+        self.N = alg.N
+        self.R = alg.R
         self.ctx = alg.ctx
         field = self.ctx.field
         order = self.ctx.order
@@ -213,10 +215,10 @@ class _Tower:
         if self._r_split is None:
             ctx = self.ctx
             out = []
-            for row in self.alg.R.basis_sparse():
+            for row in self.R.basis_sparse():
                 terms = []
                 for coord, raw in row.items():
-                    word, g = ctx.word_of(coord, self.alg.N)
+                    word, g = ctx.word_of(coord, self.N)
                     terms.append((word[0], word[1:], g, raw))
                 out.append(terms)
             self._r_split = out
@@ -232,8 +234,8 @@ class _Tower:
             prev = self.levels[-1]
             width = prev.adim
             elim = SparseEliminator(field)
-            if lv >= self.alg.N:
-                lower = self.levels[lv - self.alg.N]
+            if lv >= self.N:
+                lower = self.levels[lv - self.N]
                 for terms in self._relation_split():
                     for wb, gb in lower.reps:
                         row: dict = {}

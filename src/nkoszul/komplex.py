@@ -399,11 +399,12 @@ class NComplexSlice:
         if n not in self._slice_basis:
             x = self.x_space(n)
             out = []
+            fits: dict[int, list] = {}  # room left for the right factor -> its rows t
             for pos, b0_idx in enumerate(self.b0):
-                a = self.tu.basis[b0_idx][0]
-                for t in range(x.dim):
-                    if a + n + x.level[t] <= self.bound:
-                        out.append((pos, t))
+                room = self.bound - n - self.tu.basis[b0_idx][0]
+                if room not in fits:
+                    fits[room] = [t for t in range(x.dim) if x.level[t] <= room]
+                out.extend((pos, t) for t in fits[room])
             self._slice_basis[n] = out
             self._slice_index[n] = {key: i for i, key in enumerate(out)}
         return self._slice_basis[n]
@@ -836,11 +837,14 @@ class WedgeComplex:
             out = []
             dimV = self.ctx.dimV
             for pos, b0_idx in enumerate(self.family.b0):
-                a = self.tu.basis[b0_idx][0]
+                # the U basis ascends in degree, so the right factors of
+                # degree at most ``top`` are a prefix of it
+                top = self.family.bound - self.tu.basis[b0_idx][0] - m
+                if top < 0:
+                    continue
+                right = range(self.tu.dim_filtration(top))
                 for combo in combinations(range(dimV), m):
-                    for b_idx, (c, _, _) in enumerate(self.tu.basis):
-                        if a + m + c <= self.family.bound:
-                            out.append((pos, combo, b_idx))
+                    out.extend((pos, combo, b_idx) for b_idx in right)
             self._basis[m] = out
             self._index[m] = {key: i for i, key in enumerate(out)}
         return self._basis[m]

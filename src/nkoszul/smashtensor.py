@@ -648,7 +648,7 @@ def alternating_sum_terms(ctx: TensorContext, letters: tuple[int, ...]) -> Terms
                 if perm[i] > perm[j]:
                     sign = -sign
         word = tuple(letters[perm[i]] for i in range(p))
-        out[(word, 0)] = one * sign
+        out[(word, 0)] = one if sign > 0 else -one
     return out
 
 

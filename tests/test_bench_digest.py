@@ -1,11 +1,13 @@
-"""Reports stay byte-identical on four benchmark cases.
+"""Reports stay byte-identical on all seven benchmark cases.
 
 ``perfbench/expected.json`` records the sha256 of each case's report body
 on the committed fixtures.  ``nonjacobi_all`` reports an oracle witness,
 which depends on the order in which the oracle inserts its rows, so a
 change of that order shows here and not only in the benchmark.
 ``sl2_graded`` and ``cubic_graded`` cover the graded checks (ec, tor3 and
-the Koszul complex certificate) at the benchmark's bound D = 10.
+the Koszul complex certificate) at the benchmark's bound D = 10, and
+``sr_z6_all`` and ``cubic_ncomplex`` the N-complexes over Q(zeta6) with a
+group of order 6 and over Q(zeta3), so every benchmark case is covered.
 """
 
 import importlib.util
@@ -29,7 +31,16 @@ def load(name):
 
 
 @pytest.mark.parametrize(
-    "case_name", ["down_up_oracle", "nonjacobi_all", "sl2_graded", "cubic_graded"]
+    "case_name",
+    [
+        "sl2_all",
+        "down_up_oracle",
+        "nonjacobi_all",
+        "sl2_graded",
+        "cubic_graded",
+        "sr_z6_all",
+        "cubic_ncomplex",
+    ],
 )
 def test_report_body_matches_the_recorded_digest(case_name):
     inputs = load("inputs")

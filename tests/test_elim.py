@@ -22,7 +22,11 @@ from nkoszul.scalar import MatrixS, Scalar, Subspace, rref_raw
 from nkoszul.smashtensor import GroupData, TensorContext
 
 Q = get_field(1)
-F = Fraction
+
+
+def F(*args):
+    """The raw value in Q of ``Fraction(*args)``."""
+    return Q.from_fraction(Fraction(*args))
 
 
 def random_rows(rng, count, width=4):
