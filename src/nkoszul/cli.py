@@ -197,15 +197,17 @@ def run(config: RunConfig):
     family_box: dict = {}
 
     def family() -> NComplexSlice:
-        """The slice family, built once; a failed build raises the same error again."""
+        """The slice family, built once; a failed build raises an error of the
+        same type and message again."""
         if "f" not in family_box:
             try:
                 family_box["f"] = NComplexSlice(pres, D)
             except (ValueError, UnsupportedStructure) as exc:
-                # the message, not the exception: its traceback holds this box
-                family_box["f"] = str(exc)
-        if isinstance(family_box["f"], str):
-            raise ValueError(family_box["f"])
+                # type and arguments, not the exception: its traceback holds this box
+                family_box["f"] = (type(exc), exc.args)
+        if isinstance(family_box["f"], tuple):
+            kind, args = family_box["f"]
+            raise kind(*args)
         return family_box["f"]
 
     def record(name: str, ok: Optional[bool], data: dict) -> None:

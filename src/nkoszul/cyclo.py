@@ -143,15 +143,7 @@ class RationalField:
         return (d, n) if n > 0 else (-d, -n)
 
     def div(self, a, b):
-        an, ad = a
-        bn, bd = b
-        if bn == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        if bn < 0:
-            bn, bd = -bn, -bd
-        g1 = gcd(an, bn)
-        g2 = gcd(bd, ad)
-        return ((an // g1) * (bd // g2), (ad // g2) * (bn // g1))
+        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a[0] == 0
