@@ -1,24 +1,26 @@
 """Incremental row reduction on sparse raw-valued rows: the one elimination engine.
 
 Rows are dicts mapping column index to a nonzero raw field element.  The
-eliminator keeps a fully reduced basis (each pivot column appears in exactly
-one row, with coefficient one), so reduction against it yields unique normal
-forms.  Insertion order never changes the resulting row space, and the
-stored basis equals the canonical RREF basis of that space.
+eliminator keeps a fully reduced basis: each pivot column appears in exactly
+one row, with the entry ``field.one``.  Every normal form follows from one
+rule.  The coefficient of a basis row in a vector is the vector's entry at
+that row's pivot, so subtracting that multiple of each pivot row met in the
+vector's support, once, clears every pivot column.  Insertion order never
+changes the resulting row space, and the stored basis equals the canonical
+RREF basis of that space.
 
 Every subspace in the package is held as such canonical rows (``Subspace``
 in ``scalar`` builds its dense views from them on demand), and the row
 operations built on the engine live here: adding one value into a sparse
-row (``accumulate``), adding a scaled row (``add_scaled``) or a scaled
-column map (``add_maps``), expressing a vector over fully reduced rows,
-solving over tagged generators, the kernel of a combination matrix, and
-intersections.  Code elsewhere builds its sparse vectors and maps through
-these helpers rather than repeating the drop-on-cancel step.
+row (``accumulate``), adding a scaled row (``add_scaled``, the one
+scaled-row loop) or a scaled column map (``add_maps``), expressing a vector
+over fully reduced rows, solving over tagged generators, the kernel of a
+combination matrix, and the Zassenhaus intersection.  Code elsewhere builds
+its sparse vectors and maps through these helpers rather than repeating the
+drop-on-cancel step.
 """
 
 from __future__ import annotations
-
-import heapq
 
 
 class SparseEliminator:
@@ -27,6 +29,7 @@ class SparseEliminator:
     def __init__(self, field):
         self.field = field
         self.pivot_rows: dict[int, dict] = {}
+        # column -> pivots of the other rows with an entry in that column
         self._col_index: dict[int, set[int]] = {}
 
     @property
@@ -36,45 +39,17 @@ class SparseEliminator:
     def reduce(self, row: dict) -> dict:
         """Normal form of a row against the current basis (input unchanged).
 
-        Eliminating a pivot column only ever introduces larger column
-        indices (pivot rows have their pivot as least index), so a single
-        heap sweep visits every column that can need elimination.
+        The coefficient of pivot row p is the row's entry at p: pivot rows
+        vanish at every other pivot, so subtracting one multiple never
+        changes the entry another pivot row is read at.
         """
         field = self.field
-        out = dict(row)
         pivot_rows = self.pivot_rows
-        heap = list(out)
-        heapq.heapify(heap)
-        seen = set(heap)
-        while heap:
-            col = heapq.heappop(heap)
-            seen.discard(col)
-            if col not in out:
-                continue
-            prow = pivot_rows.get(col)
-            if prow is None:
-                continue
-            c = out.pop(col)
-            # out -= c * prow; a coefficient of -1 adds the row, one of 1
-            # subtracts it, without a field multiplication
-            unit = field.is_one(c)
-            plus = not unit and field.is_one(field.neg(c))
-            for j, v in prow.items():
-                if j == col:
-                    continue
-                cur = out.get(j)
-                if plus:
-                    nv = v if cur is None else field.add(cur, v)
-                else:
-                    term = v if unit else field.mul(c, v)
-                    nv = field.neg(term) if cur is None else field.sub(cur, term)
-                if field.is_zero(nv):
-                    out.pop(j, None)
-                else:
-                    out[j] = nv
-                    if j not in seen:
-                        seen.add(j)
-                        heapq.heappush(heap, j)
+        out = dict(row)
+        for p, v in row.items():
+            prow = pivot_rows.get(p)
+            if prow is not None:
+                add_scaled(field, out, prow, field.neg(v))
         return out
 
     def add(self, row: dict) -> int | None:
@@ -86,50 +61,35 @@ class SparseEliminator:
         piv = min(red)
         lead = red[piv]
         if not field.is_one(lead):
-            inv = field.inv(lead)
-            red = {j: field.mul(inv, v) for j, v in red.items()}
+            scaled: dict = {}
+            add_scaled(field, scaled, red, field.inv(lead))
+            red = scaled
         red[piv] = field.one
-        # Back-substitute into existing rows so the basis stays fully reduced.
-        holders = self._col_index.get(piv)
-        if holders:
-            for hp in list(holders):
-                hrow = self.pivot_rows[hp]
-                c = hrow.get(piv)
-                if c is None:
-                    continue
-                unit = field.is_one(c)
-                plus = not unit and field.is_one(field.neg(c))
-                for j, v in red.items():
-                    if j == piv:
-                        continue
-                    cur = hrow.get(j)
-                    if plus:
-                        nv = v if cur is None else field.add(cur, v)
-                    else:
-                        term = v if unit else field.mul(c, v)
-                        nv = field.neg(term) if cur is None else field.sub(cur, term)
-                    if field.is_zero(nv):
-                        if cur is not None:
-                            del hrow[j]
-                            self._discard_index(j, hp)
-                    else:
-                        if cur is None:
-                            self._col_index.setdefault(j, set()).add(hp)
-                        hrow[j] = nv
-                del hrow[piv]
-            holders.clear()
+        # Back-substitute into the rows holding the new pivot column, so the
+        # basis stays fully reduced.  Their entry there cancels by
+        # construction, so it is dropped and only the tail is added.
+        tail = {j: v for j, v in red.items() if j != piv}
+        for hp in self._col_index.pop(piv, ()):
+            hrow = self.pivot_rows[hp]
+            add_scaled(field, hrow, tail, field.neg(hrow.pop(piv)))
+            self._index(tail, hrow, hp)
         self.pivot_rows[piv] = red
-        for j in red:
-            if j != piv:
-                self._col_index.setdefault(j, set()).add(piv)
+        self._index(tail, red, piv)
         return piv
 
-    def _discard_index(self, col: int, pivot: int) -> None:
-        s = self._col_index.get(col)
-        if s is not None:
-            s.discard(pivot)
-            if not s:
-                del self._col_index[col]
+    def _index(self, cols, row: dict, pivot: int) -> None:
+        """Bring ``_col_index`` up to date on ``cols`` for the row with this pivot."""
+        index = self._col_index
+        for j in cols:
+            if j not in row:
+                holders = index[j]
+                holders.discard(pivot)
+                if not holders:
+                    del index[j]
+            elif j in index:
+                index[j].add(pivot)
+            else:
+                index[j] = {pivot}
 
     def add_all(self, rows) -> int:
         added = 0
@@ -166,8 +126,10 @@ def add_scaled(field, out: dict, row: dict, c) -> None:
     """In place ``out += c * row`` on sparse rows, dropping zero entries.
 
     Most coefficients in the complexes are signs, so c = 1 and c = -1 add
-    or subtract the entries without a field multiplication.
+    or subtract the entries without a field multiplication; so does an
+    entry that is ``field.one`` itself, as every pivot entry is.
     """
+    one = field.one
     unit = field.is_one(c)
     negated = not unit and field.is_one(field.neg(c))
     for col, v in row.items():
@@ -175,7 +137,7 @@ def add_scaled(field, out: dict, row: dict, c) -> None:
         if negated:
             nv = field.neg(v) if cur is None else field.sub(cur, v)
         else:
-            term = v if unit else field.mul(c, v)
+            term = v if unit else c if v is one else field.mul(c, v)
             nv = term if cur is None else field.add(cur, term)
         if field.is_zero(nv):
             out.pop(col, None)
@@ -272,21 +234,20 @@ class TaggedRows:
         return sorted((c - amb, field.neg(v)) for c, v in residual.items())
 
 
-def sparse_span_equal(field, rows_a, rows_b) -> bool:
-    return canonical_rows(field, rows_a) == canonical_rows(field, rows_b)
+def intersection(field, rows_a, rows_b, ambient: int) -> list[dict]:
+    """Canonical RREF rows of span(rows_a) ∩ span(rows_b) in k^ambient.
 
-
-def sparse_intersection(field, rows_a, rows_b) -> list[dict]:
-    """Canonical RREF rows of span(rows_a) ∩ span(rows_b).
-
-    The combinations of the A-rows whose residuals against the B-span
-    cancel, the kernel of the residual combination matrix, give the
-    intersection.
+    The Zassenhaus construction: the rows (a | a) and (b | 0) are eliminated
+    together, and the canonical rows with a pivot in the second half vanish
+    on the first half and are the canonical rows of the intersection.  The
+    kernel of the combination matrix (``Subspace.intersect_via_kernel``) is
+    the independent oracle the tests compare it with.
     """
-    basis_a = canonical_rows(field, rows_a)
-    eb = SparseEliminator(field)
-    eb.add_all(rows_b)
-    residuals = TaggedRows(field, [eb.reduce(r) for r in basis_a])
-    return canonical_rows(
-        field, [combine(field, basis_a, k.items()) for k in residuals.kernel_rows()]
-    )
+    elim = SparseEliminator(field)
+    for r in rows_a:
+        block = dict(r)
+        block.update((ambient + j, x) for j, x in r.items())
+        elim.add(block)
+    elim.add_all(rows_b)
+    rows = elim.pivot_rows
+    return [{j - ambient: x for j, x in rows[p].items()} for p in sorted(rows) if p >= ambient]

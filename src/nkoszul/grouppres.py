@@ -48,17 +48,21 @@ class PsiMap:
         self.conductor = conductor
         comps: dict[int, dict] = {}
         for g, table in components.items():
+            if not 0 <= g < order:
+                raise ValueError(f"psi group index {g} out of range 0..{order - 1}")
             clean = {}
             for combo, c in table.items():
                 combo = tuple(combo)
                 if len(combo) != p or list(combo) != sorted(set(combo)):
                     raise ValueError("wedge keys must be strictly increasing tuples")
+                if combo[0] < 0 or combo[-1] >= dimV:
+                    raise ValueError(f"wedge key {combo} has a letter outside 0..{dimV - 1}")
                 if not isinstance(c, Scalar):
                     c = Scalar.rational(Fraction(c), conductor)
                 if not c.is_zero():
                     clean[combo] = c
             if clean:
-                comps[int(g)] = clean
+                comps[g] = clean
         self.components = comps
 
     def value(self, g: int, combo: tuple[int, ...]) -> Scalar:

@@ -30,11 +30,11 @@ from .elim import (
     TaggedRows,
     accumulate,
     add_scaled,
+    canonical_rows,
     combine,
     express,
+    intersection,
     pivot_index,
-    sparse_intersection,
-    sparse_span_equal,
 )
 from .scalar import DimensionMismatch
 from .smashtensor import GroupData, Subbimodule, TensorContext, placement_rows
@@ -285,42 +285,37 @@ class _Tower:
 class BalancedTensor:
     """A_a (x)_K S as an explicit quotient of A_a (x)_k S.
 
-    Coordinates are pairs (A-basis index, S-row index); the balance rows
+    S is given by its canonical rows in degree ``degree``.  Coordinates are
+    pairs (A-basis index, S-row index); the balance rows
     b·g (x) s - b (x) g·s over the group generators are eliminated once and
-    reused for every reduction.
+    reused for every reduction.  Over the trivial group there are none, and
+    the quotient is A_a (x)_k S itself.
     """
 
-    def __init__(self, tower: _Tower, a: int, S: Subbimodule):
-        self.tower = tower
-        self.a = a
-        self.S = S
+    def __init__(self, tower: _Tower, a: int, rows: list[dict], degree: int):
         ctx = tower.ctx
         field = ctx.field
         tower.ensure(a)
         na = tower.adim(a)
-        rows = S.basis_sparse()
         ns = len(rows)
-        self.na = na
-        self.ns = ns
         elim = SparseEliminator(field)
-        if ctx.order > 1 and na and ns:
-            index = pivot_index(rows)
-            for g in ctx.group.generators:
-                # g acting on S rows, expressed back over the S basis
-                action = [
-                    express(field, rows, index, ctx.left_action_sparse(g, srow, S.degree))
-                    for srow in rows
-                ]
-                for b in range(na):
-                    wb, gb = tower.reps(a)[b]
-                    u = tower.nf(wb, ctx.group.mult_table[gb][g])
-                    for t in range(ns):
-                        row: dict = {}
-                        for b2, v in u.items():
-                            row[b2 * ns + t] = v
-                        for t2, c in action[t]:
-                            accumulate(field, row, b * ns + t2, field.neg(c))
-                        elim.add(row)
+        index = pivot_index(rows)
+        for g in ctx.group.generators:
+            # g acting on S rows, expressed back over the S basis
+            action = [
+                express(field, rows, index, ctx.left_action_sparse(g, srow, degree))
+                for srow in rows
+            ]
+            for b in range(na):
+                wb, gb = tower.reps(a)[b]
+                u = tower.nf(wb, ctx.group.mult_table[gb][g])
+                for t in range(ns):
+                    row: dict = {}
+                    for b2, v in u.items():
+                        row[b2 * ns + t] = v
+                    for t2, c in action[t]:
+                        accumulate(field, row, b * ns + t2, field.neg(c))
+                    elim.add(row)
         self.elim = elim
         self.index = {}
         for pos in range(na * ns):
@@ -409,10 +404,11 @@ class KoszulCertificate:
 def w_rows(alg: HomogeneousAlgebra, n: int, cache: dict | None = None) -> list[dict]:
     """Canonical sparse rows of W_n, computed incrementally.
 
-    W_N = R and W_n = (V · W_{n-1}) ∩ (R V^{⊗(n-N)}); the fold over all
+    W_N = R and W_n = (V · W_{n-1}) ∩ (R V^{⊗(n-N)}), one Zassenhaus
+    intersection (``elim.intersection``) per degree; the fold over all
     placements gives the same space by the exchange identities over our
     semisimple coefficients, and tests cross-check this against the public
-    fold.  Degrees below N give the full component.
+    fold.  Degrees below N raise ValueError.
     """
     ctx = alg.ctx
     N = alg.N
@@ -425,7 +421,7 @@ def w_rows(alg: HomogeneousAlgebra, n: int, cache: dict | None = None) -> list[d
     else:
         prev = w_rows(alg, n - 1, cache)
         lifted = [ctx.prefix(r, wnum, n - 1) for wnum in range(ctx.dimV) for r in prev]
-        out = sparse_intersection(ctx.field, lifted, placement_rows(alg.R, 0, n - N))
+        out = intersection(ctx.field, lifted, placement_rows(alg.R, 0, n - N), ctx.component_dim(n))
     if cache is not None:
         cache[n] = out
     return out
@@ -461,9 +457,9 @@ def _ec_report(alg: HomogeneousAlgebra) -> EcReport:
         rhs_sum: list[dict] = []
         for i in range(a):
             rhs_sum.extend(placement_rows(alg.R, i, n - N - i))
-        lhs = sparse_intersection(ctx.field, lhs_left, rhs_sum)
+        lhs = intersection(ctx.field, lhs_left, rhs_sum, ctx.component_dim(n))
         expected = [ctx.prefix(r, wnum, N + 1) for wnum in range(ctx.dimV ** (a - 1)) for r in wn1]
-        ok = sparse_span_equal(ctx.field, lhs, expected)
+        ok = lhs == canonical_rows(ctx.field, expected)
         report.degrees[n] = ok
         report.holds = report.holds and ok
     return report
@@ -511,7 +507,7 @@ def tor3_relation_holds(alg: HomogeneousAlgebra, n: int, w_cache: dict) -> bool:
     lhs_dim = dim_VaR - (dimV * tower.adim(n - 1) - tower.adim(n))
 
     # right side: dim I_a R + rank of V^{⊗(a-1)} W_{N+1} in A_a (x)_K R
-    bt = BalancedTensor(tower, a, alg.R)
+    bt = BalancedTensor(tower, a, r_rows, N)
     dim_IaR = dim_VaR - bt.dim
     wn1 = w_rows(alg, N + 1, w_cache)
     lower = ctx.component_dim(N)
@@ -662,8 +658,7 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
     def bt_for(a: int, m: int) -> BalancedTensor:
         key = (a, m)
         if key not in bt_cache:
-            sub_m = Subbimodule.from_rows(ctx, m, w_sparse[m], close=False)
-            bt_cache[key] = BalancedTensor(tower, a, sub_m)
+            bt_cache[key] = BalancedTensor(tower, a, w_sparse[m], m)
         return bt_cache[key]
 
     # expansions of W_{zeta(i)} over V^{delta} ⊗ W_{zeta(i-1)} for i >= 3
@@ -695,7 +690,7 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
                 if w_dim.get(m, 0) == 0:
                     dims.append(0)
                 else:
-                    dims.append(bt_for(a, m).dim if ctx.order > 1 else tower.adim(a) * w_dim[m])
+                    dims.append(bt_for(a, m).dim)
         for i in range(imax + 2):
             if i == 0:
                 ranks.append(0)
@@ -713,7 +708,7 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
                 a_i = d - zetas[i]
                 a_prev = d - zetas[i - 1]
                 m_prev = zetas[i - 1]
-                bt = bt_for(a_prev, m_prev) if ctx.order > 1 else None
+                bt = bt_for(a_prev, m_prev)
                 elim = SparseEliminator(field)
                 exp = expansions[i]
                 for word in ctx.words(a_i):
@@ -724,7 +719,7 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
                             for b, v in tower.nf(word + dword, 0).items():
                                 pos = b * len(w_sparse[m_prev]) + t2
                                 accumulate(field, vec, pos, field.mul(raw, v))
-                        elim.add(bt.reduce(vec) if ctx.order > 1 else vec)
+                        elim.add(bt.reduce(vec))
                 ranks.append(elim.rank)
         exact = []
         for i in range(1, imax + 1):

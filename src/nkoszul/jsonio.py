@@ -65,11 +65,13 @@ def parse_context(block: dict) -> TensorContext:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad context block: {exc}") from exc
     gens = block.get("group_generators") or []
+    if not isinstance(gens, list):
+        raise InputError("group_generators must be a list of matrices")
     if not gens:
         return TensorContext(dimV, GroupData.trivial(dimV, conductor), conductor)
     mats = []
     for flat in gens:
-        if len(flat) != dimV * dimV:
+        if not isinstance(flat, list) or len(flat) != dimV * dimV:
             raise InputError("group generator must have dimV^2 entries, row-major")
         try:
             entries = [parse_scalar(str(s), conductor) for s in flat]
@@ -111,9 +113,15 @@ def terms_to_json(terms: dict) -> list:
 
 
 def parse_psi(block: dict, group: GroupData, conductor: int) -> PsiMap:
+    if not isinstance(block, dict):
+        raise InputError("a psi block must be a JSON object")
     if "builder" in block:
         name = block["builder"]
         factors = block.get("m")
+        if factors is not None:
+            if not isinstance(factors, list):
+                raise InputError("m must be a list with one factor per group element")
+            factors = [parse_scalar(str(f), conductor) for f in factors]
         if name == "symplectic_reflection":
             try:
                 omega_rows = block["omega"]
@@ -141,8 +149,11 @@ def parse_psi(block: dict, group: GroupData, conductor: int) -> PsiMap:
         comps: dict = {}
         for entry in block.get("psi", []):
             g = _integer(entry["g"])
+            values = entry.get("values", {})
+            if not isinstance(values, dict):
+                raise InputError("psi values must be a JSON object")
             table = {}
-            for key, val in entry.get("values", {}).items():
+            for key, val in values.items():
                 combo = tuple(_integer(i) - 1 for i in json.loads(key))
                 table[combo] = parse_scalar(str(val), conductor)
             comps[g] = table

@@ -11,9 +11,11 @@ Everything downstream rests on three types:
 
 The subspace operations (sum, intersection, kernel, image, membership) run
 on the sparse engine, are pure functions of their inputs and always return
-canonical objects.  Two independent intersection algorithms are provided
-(Zassenhaus blocks and the kernel of the combination matrix); tests
-cross-check them.  ``rref_raw`` is the dense-row wrapper over the engine.
+canonical objects.  Operands must share one field: mixing conductors raises
+``DimensionMismatch``.  Intersections use the Zassenhaus construction
+(``elim.intersection``); the kernel of the combination matrix
+(``Subspace.intersect_via_kernel``) is kept as the independent oracle the
+tests compare it with.  ``rref_raw`` is the dense-row wrapper over the engine.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cyclo import get_field
-from .elim import (
-    SparseEliminator,
-    TaggedRows,
-    canonical_rows,
-    combine,
-    express,
-    pivot_index,
-)
+from .elim import TaggedRows, canonical_rows, combine, express, intersection, pivot_index
 
 
 class DimensionMismatch(ValueError):
@@ -504,56 +499,36 @@ class Subspace:
     def basis_rows(self) -> list[list[Scalar]]:
         return self.basis.row_list()
 
-    def _rows_over(self, m: int) -> list[dict]:
-        """The rows with raw values in Q(zeta_m), for rational or equal conductors."""
-        if m == self.conductor:
-            return self.rows
-        own, field = self.field, get_field(m)
-        return [
-            {j: to_raw(field, Scalar(own, x)) for j, x in r.items()}
-            for r in self.rows
-        ]
-
     def _common(self, other: "Subspace", what: str) -> int:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch(f"{what} needs equal ambient dimensions")
-        return max(self.conductor, other.conductor)
+        if self.conductor != other.conductor:
+            raise DimensionMismatch(f"{what} needs subspaces over one field")
+        return self.conductor
 
     def sum(self, other: "Subspace") -> "Subspace":
         m = self._common(other, "subspace sum")
-        return Subspace.from_rows(self.ambient_dim, self._rows_over(m) + other._rows_over(m), m)
+        return Subspace.from_rows(self.ambient_dim, self.rows + other.rows, m)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the Zassenhaus block construction.
-
-        The rows (a | a) and (b | 0) are eliminated together; the canonical
-        rows with a pivot in the second half vanish on the first half and
-        are the canonical rows of the intersection.
-        """
+        """Intersection by the Zassenhaus construction (``elim.intersection``)."""
         m = self._common(other, "intersection")
         n = self.ambient_dim
-        elim = SparseEliminator(get_field(m))
-        for r in self._rows_over(m):
-            block = dict(r)
-            block.update((n + j, x) for j, x in r.items())
-            elim.add(block)
-        elim.add_all(other._rows_over(m))
-        rows = elim.pivot_rows
-        inter = [{j - n: x for j, x in rows[p].items()} for p in sorted(rows) if p >= n]
-        return Subspace(n, inter, m)
+        return Subspace(n, intersection(self.field, self.rows, other.rows, n), m)
 
     def intersect_via_kernel(self, other: "Subspace") -> "Subspace":
         """Intersection through the kernel of the combination matrix [basis(self); basis(other)].
 
         A kernel vector (c, d) with sum c_i a_i + sum d_j b_j = 0 gives the
-        common vector sum c_i a_i.
+        common vector sum c_i a_i.  The tests' independent oracle for
+        ``intersect``.
         """
         m = self._common(other, "intersection")
         field = get_field(m)
-        a = self._rows_over(m)
+        a = self.rows
         if not a or not other.rows:
             return Subspace.zero(self.ambient_dim, m)
-        combos = TaggedRows(field, a + other._rows_over(m), self.ambient_dim).kernel_rows()
+        combos = TaggedRows(field, a + other.rows, self.ambient_dim).kernel_rows()
         vecs = [combine(field, a, [(i, c) for i, c in k.items() if i < len(a)]) for k in combos]
         return Subspace.from_rows(self.ambient_dim, vecs, m)
 
@@ -564,7 +539,8 @@ class Subspace:
         return self._contains_rows([_sparse(field, [to_raw(field, x) for x in vector])])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return self._contains_rows(other._rows_over(self.conductor))
+        self._common(other, "containment")
+        return self._contains_rows(other.rows)
 
     def _contains_rows(self, rows: list[dict]) -> bool:
         index = pivot_index(self.rows)
@@ -580,8 +556,7 @@ class Subspace:
             return NotImplemented
         if self.ambient_dim != other.ambient_dim:
             return False
-        if self.conductor != other.conductor:
-            return self.basis == other.basis
+        self._common(other, "comparison")
         return self.rows == other.rows
 
     def __hash__(self):

@@ -176,6 +176,40 @@ def test_non_integer_index_exit_two(tmp_path, data):
     assert "expected an integer" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        with_field(PSI_TABLE, ("presentation", "psi", "psi", 0, "g"), 2),
+        with_field(PSI_TABLE, ("presentation", "psi", "psi", 0, "g"), -1),
+        with_field(PSI_TABLE, ("presentation", "psi", "psi", 0, "values"), {"[1, 5]": "1"}),
+        with_field(
+            SYMPLECTIC,
+            ("presentation", "psi_builder"),
+            {"builder": "corollary45", "p": 2, "phi": {"[1, 5]": "1"}},
+        ),
+        with_field(SYMPLECTIC, ("context", "group_generators"), 5),
+        with_field(SYMPLECTIC, ("context", "group_generators"), [5]),
+        with_field(SYMPLECTIC, ("presentation", "psi_builder", "m"), 5),
+        with_field(PSI_TABLE, ("presentation", "psi", "psi", 0, "values"), [["[1, 2]", "1"]]),
+    ],
+    ids=[
+        "psi_g_2",
+        "psi_g_negative",
+        "psi_key_out_of_range",
+        "corollary45_key_out_of_range",
+        "generators_int",
+        "generator_int",
+        "m_int",
+        "psi_values_list",
+    ],
+)
+def test_malformed_psi_and_group_blocks_exit_two(tmp_path, data):
+    path = write(tmp_path, "bad.json", data)
+    report, code = run(RunConfig(input_path=path, degree_bound=4, checks=["condition_I"]))
+    assert code == 2
+    assert report["error"] and "\n" not in report["error"]
+
+
 def test_unknown_check_exit_two(tmp_path):
     path = write(tmp_path, "du.json", DOWN_UP)
     report, code = run(RunConfig(input_path=path, checks=["definitely_not_a_check"]))

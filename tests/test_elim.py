@@ -1,5 +1,5 @@
-"""The sparse engine's row operations and the word and letter operations of
-TensorContext."""
+"""The sparse engine, its row operations, and the word and letter operations
+of TensorContext."""
 
 import random
 from fractions import Fraction
@@ -8,6 +8,7 @@ import pytest
 
 from nkoszul.cyclo import get_field
 from nkoszul.elim import (
+    SparseEliminator,
     TaggedRows,
     accumulate,
     add_maps,
@@ -15,8 +16,8 @@ from nkoszul.elim import (
     canonical_rows,
     combine,
     express,
+    intersection,
     pivot_index,
-    sparse_intersection,
 )
 from nkoszul.scalar import MatrixS, Scalar, Subspace, rref_raw
 from nkoszul.smashtensor import GroupData, TensorContext
@@ -129,13 +130,69 @@ def test_tagged_rows_solve_rejects_a_vector_outside_the_span():
         tagged.solve({0: F(1)})
 
 
-def test_sparse_intersection_matches_zassenhaus():
+def test_intersection_matches_the_kernel_oracle():
     rng = random.Random(9)
     for _ in range(20):
         a = random_rows(rng, rng.randint(0, 3))
         b = random_rows(rng, rng.randint(0, 3))
-        zass = Subspace.from_rows(4, a).intersect(Subspace.from_rows(4, b))
-        assert sparse_intersection(Q, a, b) == zass.rows
+        oracle = Subspace.from_rows(4, a).intersect_via_kernel(Subspace.from_rows(4, b))
+        assert intersection(Q, a, b, 4) == oracle.rows
+
+
+def random_entry(rng, field):
+    """A small nonzero element: an integer or half-integer over Q, a + b·ζ over Q(ζ3)."""
+    while True:
+        x = field.from_fraction(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))))
+        if field is not Q:
+            b = field.from_fraction(Fraction(rng.randint(-2, 2)))
+            x = field.add(x, field.mul(b, Scalar.zeta(3).raw))
+        if not field.is_zero(x):
+            return x
+
+
+def assert_fully_reduced(field, elim):
+    rows = elim.pivot_rows
+    occupancy: dict = {}
+    for p, row in rows.items():
+        assert min(row) == p and row[p] is field.one
+        assert all(q not in row for q in rows if q != p)
+        for j in row:
+            if j != p:
+                occupancy.setdefault(j, set()).add(p)
+    assert elim._col_index == occupancy
+
+
+@pytest.mark.parametrize("conductor", [1, 3])
+def test_eliminator_invariants_under_shuffled_insertion(conductor):
+    field = get_field(conductor)
+    rng = random.Random(20 + conductor)
+    width = 7
+    for _ in range(25):
+        rows = [
+            {c: random_entry(rng, field) for c in rng.sample(range(width), rng.randint(1, 4))}
+            for _ in range(rng.randint(1, 6))
+        ]
+        # a dependent row, so that some insertions reduce to zero
+        rows.append(combine(field, rows, [(0, random_entry(rng, field)), (len(rows) - 1, field.one)]))
+        canonical = None
+        for _ in range(3):
+            order = rows[:]
+            rng.shuffle(order)
+            elim = SparseEliminator(field)
+            for r in order:
+                elim.add(r)
+                assert_fully_reduced(field, elim)
+            if canonical is None:
+                canonical = elim.rows_canonical()
+            assert elim.rows_canonical() == canonical
+        index = pivot_index(canonical)
+        for _ in range(5):
+            v = {c: random_entry(rng, field) for c in rng.sample(range(width), rng.randint(0, width))}
+            red = elim.reduce(v)
+            assert not set(red) & set(index)
+            diff = dict(v)
+            add_scaled(field, diff, red, field.neg(field.one))
+            assert combine(field, canonical, express(field, canonical, index, diff)) == diff
 
 
 def test_rref_raw_is_the_dense_view_of_the_canonical_rows():

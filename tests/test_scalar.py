@@ -197,6 +197,11 @@ def test_dimension_mismatch_raises():
         s.sum(t)
     with pytest.raises(DimensionMismatch):
         s.intersect(t)
+    # operands over different fields
+    u = Subspace.from_vectors([[1, 0]], 2, conductor=3)
+    for op in (s.sum, s.intersect, s.intersect_via_kernel, s.contains_subspace, s.__eq__):
+        with pytest.raises(DimensionMismatch):
+            op(u)
 
 
 # -- kernel / image ---------------------------------------------------------
