@@ -67,10 +67,10 @@ EXPLANATIONS = {
         " V^{n-N-1} W_{N+1}. Vacuous when N = 2."
     ),
     "tor3": (
-        "tor3: ec together with, for 2N <= n <= D, the equality"
-        " (V^{n-N} R) ∩ (I_{n-1} V) = V^{n-N-1} W_{N+1} + I_{n-N} R, which pins"
-        " the third Tor module of the homogenized algebra to degree N+1 up to"
-        " the bound."
+        "tor3: ec together with, for 2N <= n <= D, exactness of the Koszul"
+        " complex at position 2, A_{n-N} ⊗ R, in internal degree n, read off"
+        " the koszul_complex certificate; this pins the third Tor module of the"
+        " homogenized algebra to degree N+1 up to the bound."
     ),
     "koszul_complex": (
         "koszul_complex: rank-counted exactness, in every internal degree up to"

@@ -6,11 +6,16 @@ reduced form, which yields graded dimensions, normal forms of monomials,
 and canonical monomial bases without ever materializing the ideal in the
 ambient tensor component.  On top of the tower sit:
 
-* ``check_ec``            -- the intersection equalities in degrees N+2..2N-1,
-* ``check_tor3_concentration`` -- those plus the degree >= 2N relations that
-                             pin the third Tor module to degree N+1,
+* ``w_rows``                   -- W_n: V^{⊗n}⊗K below N, R in degree N, and
+                             the intersection of all placements of R above,
+* ``check_ec``                 -- the intersection equalities in degrees
+                             N+2..2N-1,
 * ``koszul_complex_check``     -- rank-counted exactness of the generalized
-                             Koszul complex up to an internal degree bound.
+                             Koszul complex A ⊗_K W_{zeta(i)} up to an
+                             internal degree bound, computed once per bound,
+* ``check_tor3_concentration`` -- ec plus exactness of that complex at
+                             position 2 (A ⊗_K R) in degrees 2N..D, which
+                             pins the third Tor module to degree N+1.
 
 Exactness is certified by rank counting, never by exhibiting homology
 bases.  When the relation module is a scalar extension R0 (x) K of a
@@ -70,7 +75,7 @@ class HomogeneousAlgebra:
         self._tower: Optional[_Tower] = None
         self._scalar_ext: Optional[tuple] = None
         self._ec: Optional["EcReport"] = None
-        self._tor3: dict[int, "Tor3Report"] = {}
+        self._koszul: dict[int, "KoszulCertificate"] = {}
 
     def tower(self) -> "_Tower":
         if self._tower is None:
@@ -288,8 +293,9 @@ class BalancedTensor:
     S is given by its canonical rows in degree ``degree``.  Coordinates are
     pairs (A-basis index, S-row index); the balance rows
     b·g (x) s - b (x) g·s over the group generators are eliminated once and
-    reused for every reduction.  Over the trivial group there are none, and
-    the quotient is A_a (x)_k S itself.
+    reused for every reduction.  Without balance rows (always over the
+    trivial group) the quotient is A_a (x)_k S itself and vectors pass
+    through unchanged.
     """
 
     def __init__(self, tower: _Tower, a: int, rows: list[dict], degree: int):
@@ -317,16 +323,17 @@ class BalancedTensor:
                         accumulate(field, row, b * ns + t2, field.neg(c))
                     elim.add(row)
         self.elim = elim
-        self.index = {}
-        for pos in range(na * ns):
-            if pos not in elim.pivot_rows:
-                self.index[pos] = len(self.index)
-        self.dim = len(self.index)
+        self.dim = na * ns - elim.rank
+        self.index = None
+        if elim.rank:
+            free = [pos for pos in range(na * ns) if pos not in elim.pivot_rows]
+            self.index = {pos: i for i, pos in enumerate(free)}
 
     def reduce(self, vec: dict) -> dict:
         """Quotient coordinates of a sparse (b, t)-vector."""
-        red = self.elim.reduce(vec) if self.elim.rank else vec
-        return {self.index[pos]: v for pos, v in red.items()}
+        if self.index is None:
+            return vec
+        return {self.index[pos]: v for pos, v in self.elim.reduce(vec).items()}
 
 
 # -- reports ---------------------------------------------------------------
@@ -404,24 +411,30 @@ class KoszulCertificate:
 def w_rows(alg: HomogeneousAlgebra, n: int, cache: dict | None = None) -> list[dict]:
     """Canonical sparse rows of W_n, computed incrementally.
 
-    W_N = R and W_n = (V · W_{n-1}) ∩ (R V^{⊗(n-N)}), one Zassenhaus
-    intersection (``elim.intersection``) per degree; the fold over all
-    placements gives the same space by the exchange identities over our
-    semisimple coefficients, and tests cross-check this against the public
-    fold.  Degrees below N raise ValueError.
+    W_n = V^{⊗n}⊗K below N, given by the canonical rows of the full
+    component; W_N = R and W_n = (V · W_{n-1}) ∩ (R V^{⊗(n-N)}), one
+    Zassenhaus intersection (``elim.intersection``) per degree; the fold
+    over all placements gives the same space by the exchange identities
+    over our semisimple coefficients, and tests cross-check this against
+    the public fold.  Past a zero W_{n-1} the result is empty without
+    building R V^{⊗(n-N)}.
     """
     ctx = alg.ctx
     N = alg.N
     if cache is not None and n in cache:
         return cache[n]
     if n < N:
-        raise ValueError("w_rows handles degrees >= N")
-    if n == N:
+        one = ctx.field.one
+        out = [{c: one} for c in range(ctx.component_dim(n))]
+    elif n == N:
         out = alg.R.basis_sparse()
     else:
         prev = w_rows(alg, n - 1, cache)
-        lifted = [ctx.prefix(r, wnum, n - 1) for wnum in range(ctx.dimV) for r in prev]
-        out = intersection(ctx.field, lifted, placement_rows(alg.R, 0, n - N), ctx.component_dim(n))
+        if prev:
+            lifted = [ctx.prefix(r, wnum, n - 1) for wnum in range(ctx.dimV) for r in prev]
+            out = intersection(ctx.field, lifted, placement_rows(alg.R, 0, n - N), ctx.component_dim(n))
+        else:
+            out = []
     if cache is not None:
         cache[n] = out
     return out
@@ -484,79 +497,26 @@ def prefix_split(field, row: dict, lower: int, rows: list[dict], index: dict) ->
     ]
 
 
-def tor3_relation_holds(alg: HomogeneousAlgebra, n: int, w_cache: dict) -> bool:
-    """Degree-n comparison pinning ker of the second differential.
-
-    Checks dim[(V^{⊗(n-N)} R) ∩ (I_{n-1} E)] = dim[V^{⊗(n-N-1)} W_{N+1} + I_{n-N} R];
-    the right side is contained in the left for structural reasons, so the
-    dimension equality is the whole content.  The left side needs no
-    elimination: V^{⊗(n-N)} R + I_{n-1} E = I_n, so the map of
-    V^{⊗(n-N)} ⊗ R into A_{n-1} (x)_K E has rank
-    dim I_n - dimV dim I_{n-1} = dimV dim A_{n-1} - dim A_n, read off the
-    tower (the tests keep the explicit elimination as an oracle).
-    """
-    ctx = alg.ctx
-    field = ctx.field
-    N = alg.N
-    tower = alg.tower()
-    a = n - N
-    tower.ensure(n)
-    r_rows = alg.R.basis_sparse()
-    dimV = ctx.dimV
-    dim_VaR = dimV**a * len(r_rows)
-    lhs_dim = dim_VaR - (dimV * tower.adim(n - 1) - tower.adim(n))
-
-    # right side: dim I_a R + rank of V^{⊗(a-1)} W_{N+1} in A_a (x)_K R
-    bt = BalancedTensor(tower, a, r_rows, N)
-    dim_IaR = dim_VaR - bt.dim
-    wn1 = w_rows(alg, N + 1, w_cache)
-    lower = ctx.component_dim(N)
-    index = pivot_index(r_rows)
-    splits = [prefix_split(field, w, lower, r_rows, index) for w in wn1]
-    elim2 = SparseEliminator(field)
-    ns = len(r_rows)
-    for word in ctx.words(a - 1):
-        for split in splits:
-            vec: dict = {}
-            for j, t, c in split:
-                for b, v in tower.nf(word + (j,), 0).items():
-                    accumulate(field, vec, b * ns + t, field.mul(c, v))
-            elim2.add(bt.reduce(vec))
-    rhs_dim = dim_IaR + elim2.rank
-    return lhs_dim == rhs_dim
-
-
 def check_tor3_concentration(alg: HomogeneousAlgebra, D: int) -> Tor3Report:
-    """(ec) plus the degree 2N..D relations; verdict holds_up_to_D or fails(n).
+    """(ec) plus, for 2N <= n <= D, exactness of the Koszul complex at
+    position 2 in internal degree n; verdict holds_up_to_D or fails(n).
 
-    The report is computed once per bound and algebra, so ``tor3`` and
-    ``pbw`` at the same bound share it.
+    Position 2 is A_{n-N} ⊗_K R; its exactness in degrees 2N..D is what
+    pins the third Tor module to degree N+1 up to the bound.  It is read
+    off ``koszul_complex_check`` at the same bound, so ``tor3``, ``pbw``
+    and ``koszul_complex`` share one certificate.
     """
     if D < 2 * alg.N:
         raise ValueError("the bound must reach 2N to exercise any relation")
-    report = alg._tor3.get(D)
-    if report is None:
-        sub = field_level(alg)
-        if sub is not None and sub is not alg:
-            report = check_tor3_concentration(sub, D)
-        else:
-            report = _tor3_report(alg, D)
-        alg._tor3[D] = report
-    return report
-
-
-def _tor3_report(alg: HomogeneousAlgebra, D: int) -> Tor3Report:
     ec = check_ec(alg)
-    w_cache: dict = {}
-    degrees = list(range(2 * alg.N, D + 1))
-    alg.tower().ensure(D)
-    relations = {n: tor3_relation_holds(alg, n, w_cache) for n in degrees}
+    cert = koszul_complex_check(alg, D)
+    relations = {dc.d: dc.exact[1] for dc in cert.degrees[2 * alg.N :]}
     verdict = "holds_up_to_%d" % D
     if not ec.holds:
         verdict = "fails(ec)"
     else:
-        for n in degrees:
-            if not relations[n]:
+        for n, ok in relations.items():
+            if not ok:
                 verdict = f"fails({n})"
                 break
     return Tor3Report(ec=ec, relations=relations, degree_bound=D, verdict=verdict)
@@ -565,89 +525,70 @@ def _tor3_report(alg: HomogeneousAlgebra, D: int) -> Tor3Report:
 # -- the Koszul complex certificate -----------------------------------------
 
 
-def _w_subbimodules(alg: HomogeneousAlgebra, top: int, w_cache: dict) -> list:
-    """W_m as sub-bimodule-like sparse row lists for m = N .. top."""
-    out = {}
-    for m in range(alg.N, top + 1):
-        rows = w_rows(alg, m, w_cache)
-        out[m] = rows
-        if not rows:
-            for mm in range(m + 1, top + 1):
-                out[mm] = []
-            break
-    return out
-
-
 def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
     """Rank-counted exactness of the Koszul complex in internal degrees <= D.
 
     Position 1 is exact for structural reasons (the image of the second
     differential is the kernel of the first); content starts at position 2.
     Composition-zero is certified once through the inclusions
-    W_{zeta(i+1)} ⊆ R · W_{zeta(i-1)}.
+    W_{zeta(i+1)} ⊆ R · W_{zeta(i-1)}.  The certificate is computed once
+    per bound and algebra, so ``tor3``, ``pbw`` and ``koszul_complex``
+    share it.
     """
     if D < 0:
         raise ValueError("degree bound must be nonnegative")
-    sub = field_level(alg)
-    if sub is not None and sub is not alg:
-        cert = koszul_complex_check(sub, D)
-        order = alg.ctx.order
-        scaled = [
-            DegreeCertificate(
-                dc.d, [x * order for x in dc.dims], [x * order for x in dc.ranks], list(dc.exact)
-            )
-            for dc in cert.degrees
-        ]
-        return KoszulCertificate(
-            degree_bound=D,
-            degrees=scaled,
-            verdict=cert.verdict,
-            composition_zero=cert.composition_zero,
-            scaled_by=order,
-            unconditional=cert.unconditional,
-        )
+    cert = alg._koszul.get(D)
+    if cert is None:
+        sub = field_level(alg)
+        if sub is not None and sub is not alg:
+            cert = _scaled(koszul_complex_check(sub, D), alg.ctx.order)
+        else:
+            cert = _koszul_certificate(alg, D)
+        alg._koszul[D] = cert
+    return cert
 
+
+def _scaled(cert: KoszulCertificate, order: int) -> KoszulCertificate:
+    """A field-level certificate with every dimension and rank times |Gamma|."""
+    scaled = [
+        DegreeCertificate(
+            dc.d, [x * order for x in dc.dims], [x * order for x in dc.ranks], list(dc.exact)
+        )
+        for dc in cert.degrees
+    ]
+    return KoszulCertificate(
+        degree_bound=cert.degree_bound,
+        degrees=scaled,
+        verdict=cert.verdict,
+        composition_zero=cert.composition_zero,
+        scaled_by=order,
+        unconditional=cert.unconditional,
+    )
+
+
+def _koszul_certificate(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
     ctx = alg.ctx
     field = ctx.field
     N = alg.N
     tower = alg.tower()
     tower.ensure(D)
-    w_cache: dict = {}
-    w_sparse = _w_subbimodules(alg, D, w_cache)
-
     # homological index i -> internal degree zeta(i); spaces vanish once
     # either zeta(i) > D or the W module is zero.
     zetas = zeta_degrees(N, D)
-    w_dim = {0: ctx.order, 1: ctx.component_dim(1)}
-    for m in range(N, D + 1):
-        if m in w_sparse:
-            w_dim[m] = len(w_sparse[m])
-    for m in range(2, min(N, D + 1)):
-        w_dim[m] = ctx.component_dim(m)
+    w_cache: dict = {}
+    w_sparse = {m: w_rows(alg, m, w_cache) for m in zetas}
 
     # composition-zero: W_{zeta(i+1)} ⊆ R · W_{zeta(i-1)} for all used i >= 1
     comp_zero = True
     for idx in range(1, len(zetas) - 1):
-        m_hi = zetas[idx + 1]
         m_lo = zetas[idx - 1]
-        if w_dim.get(m_hi, 0) == 0:
+        rows_hi = w_sparse[zetas[idx + 1]]
+        if not rows_hi:
             continue
-        rows_hi = w_sparse[m_hi]
-        lo_rows = w_sparse.get(m_lo) if m_lo >= N else None
-        # rows of R · W_{m_lo}
-        if m_lo == 0:
-            prod = alg.R.basis_sparse()
-        elif m_lo == 1:
-            prod = placement_rows(alg.R, 0, 1)
-        else:
-            prod = [
-                ctx.row_product(rrow, lrow, m_lo)
-                for rrow in alg.R.basis_sparse()
-                for lrow in lo_rows
-            ]
         elim = SparseEliminator(field)
-        for r in prod:
-            elim.add(r)
+        for rrow in alg.R.basis_sparse():
+            for lrow in w_sparse[m_lo]:
+                elim.add(ctx.row_product(rrow, lrow, m_lo))
         for r in rows_hi:
             if not elim.contains(r):
                 comp_zero = False
@@ -668,10 +609,7 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
         lower = ctx.component_dim(zetas[i - 1])
         return [prefix_split(field, row, lower, prev_rows, index) for row in w_sparse[zetas[i]]]
 
-    expansions = {}
-    for i in range(3, len(zetas)):
-        if w_dim.get(zetas[i], 0):
-            expansions[i] = expansion(i)
+    expansions = {i: expansion(i) for i in range(3, len(zetas))}
 
     def degree_data(d: int) -> DegreeCertificate:
         imax = 0
@@ -686,11 +624,7 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
             elif i == 1:
                 dims.append(tower.adim(a) * ctx.dimV)
             else:
-                m = zetas[i]
-                if w_dim.get(m, 0) == 0:
-                    dims.append(0)
-                else:
-                    dims.append(bt_for(a, m).dim)
+                dims.append(bt_for(a, zetas[i]).dim if w_sparse[zetas[i]] else 0)
         for i in range(imax + 2):
             if i == 0:
                 ranks.append(0)
@@ -702,7 +636,7 @@ def koszul_complex_check(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
                 else:
                     ranks.append(ctx.dimV * tower.adim(d - 1) - tower.adim(d))
             else:
-                if i > imax or w_dim.get(zetas[i], 0) == 0:
+                if i > imax or not w_sparse[zetas[i]]:
                     ranks.append(0)
                     continue
                 a_i = d - zetas[i]

@@ -360,7 +360,6 @@ class NComplexSlice:
         self.b0, self.b_decomp = self.tu.monomial_right_free_basis()
         alg = pres.homogenization()
         self._w_cache: dict = {}
-        self._w_lists: dict[int, list] = {}
         self._x: dict[int, _XSpace] = {}
         self._slice_basis: dict[int, list] = {}
         self._slice_index: dict[int, dict] = {}
@@ -371,18 +370,7 @@ class NComplexSlice:
         self.max_n = self._max_nonzero_w()
 
     def _w_list(self, n: int) -> list:
-        if n not in self._w_lists:
-            ctx = self.ctx
-            if n < self.N:
-                rows = []
-                order = ctx.order
-                for wnum in range(ctx.dimV**n):
-                    for g in range(order):
-                        rows.append({wnum * order + g: ctx.field.one})
-                self._w_lists[n] = rows
-            else:
-                self._w_lists[n] = w_rows(self._alg, n, self._w_cache)
-        return self._w_lists[n]
+        return w_rows(self._alg, n, self._w_cache)
 
     def _max_nonzero_w(self) -> int:
         for n in range(self.bound, -1, -1):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from nkoszul.scalar import MatrixS, Scalar
+from nkoszul.scalar import MatrixS, Scalar, Subspace
 from nkoszul.smashtensor import (
     GroupData,
     Subbimodule,
@@ -162,6 +162,35 @@ def test_w_rows_incremental_matches_public_fold():
             alg.ctx, n, [alg.ctx.sparse_to_terms(r, n) for r in rows], close=False
         )
         assert got == pub
+
+
+def test_w_rows_below_N_is_the_full_component():
+    neg = MatrixS.from_rows([[-1, 0], [0, -1]])
+    group_alg = change_of_rings(commutative_algebra(2), GroupData.from_generators([neg]))
+    for alg in (down_up_homogeneous(), group_alg):
+        for n in range(alg.N):
+            full = Subspace.full(alg.ctx.component_dim(n), alg.ctx.conductor)
+            assert w_rows(alg, n) == full.rows, n
+
+
+def test_w_rows_builds_nothing_past_a_zero_w(monkeypatch):
+    from nkoszul import homogeneous
+    from nkoszul.filtered import build_lie
+
+    placed = []
+    original = homogeneous.placement_rows
+
+    def counting(R, i, j):
+        placed.append(R.degree + i + j)
+        return original(R, i, j)
+
+    monkeypatch.setattr(homogeneous, "placement_rows", counting)
+    # sl2: W_3 is the volume form and W_4 = 0
+    alg = build_lie({(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}).homogenization()
+    cache: dict = {}
+    assert w_rows(alg, 8, cache) == []
+    assert [len(cache[n]) for n in range(2, 9)] == [3, 1, 0, 0, 0, 0, 0]
+    assert placed == [3, 4]
 
 
 def test_check_ec_vacuous_for_quadratic():

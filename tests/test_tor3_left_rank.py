@@ -1,6 +1,8 @@
-"""The left side of the Tor-3 relation is read off the quotient tower.
+"""The Koszul certificate's position-2 rank is read off the quotient tower.
 
-``tor3_relation_holds`` needs the rank of V^{n-N} ⊗ R -> A_{n-1} ⊗_K E.
+In internal degree n, ``koszul_complex_check`` needs the rank of the
+differential A_{n-N} ⊗_K R -> A_{n-1} ⊗_K E at position 2, which is the
+rank of V^{n-N} ⊗ R -> A_{n-1} ⊗_K E since V^{n-N} spans A_{n-N}.
 Since V^{n-N} R + I_{n-1} E = I_n, that rank is
 dim I_n - dimV * dim I_{n-1} = dimV * dim A_{n-1} - dim A_n.  The explicit
 elimination below is the oracle for that identity: it reduces every image
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from nkoszul.elim import SparseEliminator, add_scaled
+from nkoszul.homogeneous import koszul_complex_check
 from nkoszul.jsonio import load_input
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
@@ -62,10 +65,13 @@ def test_eliminated_rank_is_the_tower_identity(fixture, top, order):
     assert alg.ctx.order == order
     tower = alg.tower()
     dimV = alg.ctx.dimV
+    cert = koszul_complex_check(alg, top)
     checked = []
     for n in range(alg.N + 1, top + 1):
         rank = eliminated_rank(alg, n)
         assert rank == dimV * tower.adim(n - 1) - tower.adim(n), n
+        # the certificate's ranks start at position 1
+        assert cert.degrees[n].ranks[1] == rank, n
         checked.append(rank)
     # the identity is not vacuous: some relation has a nonzero image
     assert any(checked)
