@@ -105,6 +105,7 @@ class RationalField:
     def __init__(self) -> None:
         self.zero = (0, 1)
         self.one = (1, 1)
+        self.minus_one = (-1, 1)
 
     def from_fraction(self, q: Fraction):
         q = Fraction(q)
@@ -178,6 +179,7 @@ class CyclotomicField:
         self.degree = d = len(phi) - 1
         self.zero = (0,) * d + (1,)
         self.one = (1,) + (0,) * (d - 1) + (1,)
+        self.minus_one = (-1,) + (0,) * (d - 1) + (1,)
         self._phi = phi
         # Reduction table: zeta^(d+k) on 1, zeta, ..., zeta^(d-1).  Phi_m is
         # monic, so every entry is an integer.

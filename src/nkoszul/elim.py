@@ -131,7 +131,7 @@ def add_scaled(field, out: dict, row: dict, c) -> None:
     """
     one = field.one
     unit = field.is_one(c)
-    negated = not unit and field.is_one(field.neg(c))
+    negated = not unit and c == field.minus_one
     for col, v in row.items():
         cur = out.get(col)
         if negated:

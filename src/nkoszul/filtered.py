@@ -141,7 +141,7 @@ class PhiMap:
         rows = []
         for r_row, phi_row in zip(self.r_rows, self.rows):
             row = {top + c: v for c, v in r_row.items()}
-            add_scaled(field, row, phi_row, field.neg(field.one))
+            add_scaled(field, row, phi_row, field.minus_one)
             rows.append(row)
         return FilteredSubspace.from_rows(ctx, self.N, rows, close=False)
 

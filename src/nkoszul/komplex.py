@@ -9,18 +9,26 @@ operators on that basis.
 
 On top sit the spaces U (x)_K W_n (x)_K U truncated to total filtration
 degree <= D.  The right half W_n (x)_K U embeds into V^{(x)n} (x) U by
-moving group coordinates into the right tensorand; the left U is collapsed
-through a right-free monomial basis, which requires the pivot words of the
-ideal rows to be orbit-pure over the group.  That holds automatically when
-the relations extend field-level data (all the presentations built by this
-package); other inputs raise a clear error.
+moving group coordinates into the right tensorand.  It is spanned by the
+tensors w (x) b with w running over right K-generators of W_n, rows whose
+right translates w·g span W_n, since w·g (x) b = w (x) g·b; so it is
+tagged by about dim W_n / |Gamma| rows of W_n rather than all of them.  The
+left U is collapsed through a right-free monomial basis, which requires
+the pivot words of the ideal rows to be orbit-pure over the group.  That
+holds automatically when the relations extend field-level data (all the
+presentations built by this package); other inputs raise a clear error.
 
 The differentials d_l and d_r, the q-twisted maps d_l - q^{n-1} d_r, the
 degree-lowering correction maps induced by phi, the contracted complex
 alternating d and d^{N-1}, and the explicit wedge-basis formulas for
 antisymmetrizer presentations are all provided as sparse column maps, with
 rank checks restricted to the safe filtration window <= D - N where
-truncation cannot create spurious homology.
+truncation cannot create spurious homology.  Each map is built once:
+d^{N-1}, the sum of d_l^a d_r^b over a + b = N - 1, comes from the
+recurrence T_k(l) = T_{k-1}(l-1) ∘ d_r(l) + d_l^k(l) (``alternating_step_sum``),
+and each windowed map of the contracted complex is eliminated once.
+Products by one are skipped wherever a factor is the ``field.one`` object,
+as every cached one-step product stores its entries equal to one.
 """
 
 from __future__ import annotations
@@ -47,6 +55,16 @@ from .smashtensor import GroupData
 
 class UnsupportedStructure(ValueError):
     """The truncated algebra lacks the structure a construction needs."""
+
+
+def _mul(field, a, b):
+    """a * b, without a field product when a factor is the ``field.one`` object."""
+    one = field.one
+    if a is one:
+        return b
+    if b is one:
+        return a
+    return field.mul(a, b)
 
 
 class TruncatedU:
@@ -123,8 +141,15 @@ class TruncatedU:
                 raise DimensionMismatch("product exceeds the truncation bound")
             layout = self.engine.layout
             mul = layout.right_mul if side == "right" else layout.left_mul
-            prod = mul({layout.coord(word, g0): self.field.one}, letter, g, layout)
-            got = self._products[key] = sorted(self._reduce_coord_vec(prod).items())
+            field = self.field
+            one = field.one
+            prod = mul({layout.coord(word, g0): one}, letter, g, layout)
+            # entries equal to one are stored as ``field.one`` itself, so
+            # products with them can be skipped by identity
+            got = self._products[key] = [
+                (i, one if field.is_one(v) else v)
+                for i, v in sorted(self._reduce_coord_vec(prod).items())
+            ]
         return got
 
     def right_mult_letter(self, idx: int, letter: int) -> list:
@@ -144,7 +169,7 @@ class TruncatedU:
         out: dict = {}
         for idx, c in vec.items():
             for idx2, c2 in step(idx):
-                accumulate(field, out, idx2, field.mul(c, c2))
+                accumulate(field, out, idx2, _mul(field, c, c2))
         return out
 
     def multiply_basis(self, left_idx: int, right_idx: int) -> dict:
@@ -228,11 +253,16 @@ class _XSpace:
                 self.coord_rank[(w, b)] = len(self.coord_list)
                 self.coord_list.append((w, b))
         self._gen_cache: dict[tuple[int, int], dict] = {}
+        # w·g (x) b = w (x) g·b with g·b in U of the same degree, so rows
+        # whose right K-translates span W_n give all of W_n (x)_K U
+        right = SparseEliminator(field)
+        gens = []
+        for t, row in enumerate(w_row_list):
+            if not right.contains(row):
+                gens.append(t)
+                right.add_all(ctx.right_action_sparse(row, g) for g in range(ctx.order))
         self.tags = [
-            (t, b_idx)
-            for t in range(len(w_row_list))
-            for b_idx, (d, _, _) in enumerate(tu.basis)
-            if d <= max_u
+            (t, b_idx) for t in gens for b_idx, (d, _, _) in enumerate(tu.basis) if d <= max_u
         ]
         self._solver = TaggedRows(
             field, [self._embed(t, b) for t, b in self.tags], len(self.coord_list)
@@ -273,7 +303,7 @@ class _XSpace:
             wnum = coord // order
             entries = [(b_idx, field.one)] if g == 0 else tu.left_mult_group(b_idx, g)
             for b2, c in entries:
-                accumulate(field, vec, self.coord_rank[(wnum, b2)], field.mul(raw, c))
+                accumulate(field, vec, self.coord_rank[(wnum, b2)], _mul(field, raw, c))
         return vec
 
     def group_action(self, g: int, row_idx: int) -> list:
@@ -289,7 +319,7 @@ class _XSpace:
                 wnum2 = ctx.word_num(tw)
                 for b2, c2 in tu.left_mult_group(b, g):
                     k = self.coord_rank[(wnum2, b2)]
-                    accumulate(field, vec, k, field.mul(raw, field.mul(c, c2)))
+                    accumulate(field, vec, k, _mul(field, raw, _mul(field, c, c2)))
         return self.express(vec)
 
     def first_letter_split(self, row_idx: int, target: "_XSpace") -> dict:
@@ -314,7 +344,7 @@ class _XSpace:
             wnum, b = self.coord_list[key]
             rest, ell = divmod(wnum, ctx.dimV)
             for b2, c in tu.left_mult_letter(b, ell):
-                accumulate(field, vec, target.coord_rank[(rest, b2)], field.mul(raw, c))
+                accumulate(field, vec, target.coord_rank[(rest, b2)], _mul(field, raw, c))
         return target.express(vec)
 
 
@@ -423,7 +453,7 @@ class NComplexSlice:
                         targets = x_low.group_action(g, t)
                         act_cache[key] = targets
                 for t2, c2 in targets:
-                    term = field.mul(scale, field.mul(cu, field.mul(cx, c2)))
+                    term = _mul(field, scale, _mul(field, cu, _mul(field, cx, c2)))
                     _emit_to_slice(field, out, index, (pos, t2), term)
 
     def d_left(self, n: int) -> dict:
@@ -592,7 +622,7 @@ def compose_maps(outer: dict, inner: dict, field) -> dict:
 
 
 def map_difference(a: dict, b: dict, field, n_cols: int) -> dict:
-    return add_maps(field, a, b, field.neg(field.one), n_cols)
+    return add_maps(field, a, b, field.minus_one, n_cols)
 
 
 def map_is_zero(cols: dict) -> bool:
@@ -700,6 +730,16 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
                 elim.add(dict(vec))
         return elim.rank
 
+    ranks: dict[int, int] = {}
+
+    def rank_out_of(i: int) -> int:
+        """Windowed rank of the map out of position i, eliminated once."""
+        if i >= len(zs) or fam.slice_dim(zs[i]) == 0:
+            return 0
+        if i not in ranks:
+            ranks[i] = restricted_rank(maps[i], zs[i])
+        return ranks[i]
+
     def windowed_dim(n: int) -> int:
         basis = fam.basis(n)
         return sum(1 for key in basis if fam.total_degree(n, key) <= window)
@@ -708,14 +748,8 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     comp_zero = True
     exact_all = True
     # position 0: exactness of (U (x) U) -> U at the window
-    rank_mu = None
-    elim_mu = SparseEliminator(field)
-    basis0 = fam.basis(0)
-    for src, vec in mu.items():
-        if fam.total_degree(0, basis0[src]) <= window:
-            elim_mu.add(dict(vec))
-    rank_mu = elim_mu.rank
-    rank1 = restricted_rank(maps[1], zs[1]) if len(zs) > 1 else 0
+    rank_mu = restricted_rank(mu, 0)
+    rank1 = rank_out_of(1)
     dim0 = windowed_dim(0)
     exact0 = rank_mu + rank1 == dim0
     onto = rank_mu == fam.tu.dim_filtration(window)
@@ -734,12 +768,8 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     for i in range(1, len(zs)):
         if fam.slice_dim(zs[i]) == 0:
             break
-        rank_out = restricted_rank(maps[i], zs[i])
-        rank_in = (
-            restricted_rank(maps[i + 1], zs[i + 1])
-            if i + 1 < len(zs) and fam.slice_dim(zs[i + 1]) > 0
-            else 0
-        )
+        rank_out = rank_out_of(i)
+        rank_in = rank_out_of(i + 1)
         dim_i = windowed_dim(zs[i])
         ok = rank_out + rank_in == dim_i
         positions.append(
@@ -771,20 +801,23 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     )
 
 
-def alternating_step_sum(left, right, top: int, steps: int, ncols: int, field) -> dict:
+def alternating_step_sum(left, right, top: int, steps: int, field) -> dict:
     """Columns of the sum over a + b = steps of left^a ∘ right^b out of ``top``.
 
-    ``left(m)`` and ``right(m)`` are the one-step maps out of level m; the
-    b right steps act first.
+    ``left(m)`` and ``right(m)`` are the one-step maps out of level m, with
+    a column for every source; the b right steps act first, and steps >= 1.
+    The sum T_k(l) of k steps out of level l is built by the recurrence
+    T_k(l) = T_{k-1}(l-1) ∘ R(l) + L^k(l) from T_1 = L + R, so each
+    one-step map is built once and composed once or twice.
     """
-    total = None
-    for a in range(steps + 1):
-        cur = {src: {src: field.one} for src in range(ncols)}
-        level = top
-        for step in [right] * (steps - a) + [left] * a:
-            cur = compose_maps(step(level), cur, field)
-            level -= 1
-        total = cur if total is None else add_maps(field, total, cur, field.one, ncols)
+    low = top - steps + 1
+    left_pow = left(low)
+    total = add_maps(field, left_pow, right(low), field.one, len(left_pow))
+    for level in range(low + 1, top + 1):
+        step = left(level)
+        left_pow = compose_maps(left_pow, step, field)
+        total = compose_maps(total, right(level), field)
+        total = add_maps(field, total, left_pow, field.one, len(step))
     return total
 
 
@@ -794,7 +827,7 @@ def _contraction_map(fam: NComplexSlice, i: int, zs: list, field) -> dict:
     ncols = fam.slice_dim(hi)
     if i % 2 == 1:
         return map_difference(fam.d_left(hi), fam.d_right(hi), field, ncols)
-    return alternating_step_sum(fam.d_left, fam.d_right, hi, fam.N - 1, ncols, field)
+    return alternating_step_sum(fam.d_left, fam.d_right, hi, fam.N - 1, field)
 
 
 # -- explicit wedge-basis differentials for antisymmetrizer presentations ----
@@ -819,6 +852,7 @@ class WedgeComplex:
         self.ctx = family.ctx
         self._basis: dict[int, list] = {}
         self._index: dict[int, dict] = {}
+        self._iso: dict[int, dict] = {}
 
     def basis(self, m: int) -> list:
         if m not in self._basis:
@@ -845,7 +879,7 @@ class WedgeComplex:
         field = self.ctx.field
         for b2, c in self.tu.right_mult_letter(b0_idx, letter):
             pos2, g = self.family.b_decomp[b2]
-            coeff = field.mul(scale, c)
+            coeff = _mul(field, scale, c)
             if g == 0:
                 self._emit(out, m_low, pos2, combo, b_idx, coeff)
             else:
@@ -860,7 +894,7 @@ class WedgeComplex:
                             pos2,
                             combo2,
                             b3,
-                            field.mul(coeff, field.mul(raw_cw, c3)),
+                            _mul(field, coeff, _mul(field, raw_cw, c3)),
                         )
 
     def differential(self, m: int, parity: str) -> dict:
@@ -883,9 +917,7 @@ class WedgeComplex:
 
     def _even_map(self, m: int) -> dict:
         """Sum over a + b = p - 1 of a left-steps and b right-steps."""
-        field = self.ctx.field
-        ncols = len(self.basis(m))
-        return alternating_step_sum(self._left_step, self._right_step, m, self.p - 1, ncols, field)
+        return alternating_step_sum(self._left_step, self._right_step, m, self.p - 1, self.ctx.field)
 
     def _left_step(self, m: int) -> dict:
         field = self.ctx.field
@@ -897,7 +929,7 @@ class WedgeComplex:
             for jpos in range(m):
                 letter = combo[jpos]
                 rest = combo[:jpos] + combo[jpos + 1 :]
-                sign_l = field.one if jpos % 2 == 0 else field.neg(field.one)
+                sign_l = field.one if jpos % 2 == 0 else field.minus_one
                 self._left_term(out, m - 1, b0_idx, letter, rest, b_idx, sign_l)
             cols[src] = out
         return cols
@@ -911,9 +943,9 @@ class WedgeComplex:
             for jpos in range(m):
                 letter = combo[jpos]
                 rest = combo[:jpos] + combo[jpos + 1 :]
-                sign_r = field.one if (m - 1 - jpos) % 2 == 0 else field.neg(field.one)
+                sign_r = field.one if (m - 1 - jpos) % 2 == 0 else field.minus_one
                 for b2, c in self.tu.left_mult_letter(b_idx, letter):
-                    self._emit(out, m - 1, pos, rest, b2, field.mul(sign_r, c))
+                    self._emit(out, m - 1, pos, rest, b2, _mul(field, sign_r, c))
             cols[src] = out
         return cols
 
@@ -921,26 +953,42 @@ class WedgeComplex:
         """Column map identifying the wedge slice with the generic slice.
 
         Sends b0 (x) wedge(combo) (x) b to the generic basis expansion of
-        b0 (x) Alt(combo) (x) b.
+        b0 (x) Alt(combo) (x) b.  The image of Alt(combo) (x) b in the right
+        factor does not depend on b0, so each is expressed once; the map is
+        kept for the next call.
         """
+        got = self._iso.get(m)
+        if got is not None:
+            return got
         from .smashtensor import alternating_sum_terms
 
-        field = self.ctx.field
+        ctx = self.ctx
+        field = ctx.field
         fam = self.family
         x = fam.x_space(m)
         fam.basis(m)
         index = fam._slice_index[m]
+        alts: dict[tuple, list] = {}  # combo -> Alt(combo) as (word number, raw)
+        images: dict[tuple, list] = {}  # (combo, b) -> Alt(combo) (x) b over x's rows
         cols = {}
         for src, (pos, combo, b_idx) in enumerate(self.basis(m)):
-            terms = alternating_sum_terms(self.ctx, combo)
-            vec: dict = {}
-            for (word, g), coeff in terms.items():
-                key = x.coord_rank[(self.ctx.word_num(word), b_idx)]
-                accumulate(field, vec, key, to_raw(field, coeff))
+            image = images.get((combo, b_idx))
+            if image is None:
+                alt = alts.get(combo)
+                if alt is None:
+                    terms = alternating_sum_terms(ctx, combo)
+                    alt = alts[combo] = [
+                        (ctx.word_num(word), to_raw(field, coeff)) for (word, _), coeff in terms.items()
+                    ]
+                vec: dict = {}
+                for wnum, raw in alt:
+                    accumulate(field, vec, x.coord_rank[(wnum, b_idx)], raw)
+                image = images[(combo, b_idx)] = x.express(vec)
             out: dict = {}
-            for t, c in x.express(vec):
+            for t, c in image:
                 _emit_to_slice(field, out, index, (pos, t), c)
             cols[src] = out
+        self._iso[m] = cols
         return cols
 
 

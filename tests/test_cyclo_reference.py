@@ -312,6 +312,16 @@ def test_equal_elements_have_equal_raw_values(m):
             assert_canonical(field, r)
 
 
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_minus_one_is_the_negated_one(m):
+    # add_scaled tests a coefficient against minus_one to take its sign path
+    field = get_field(m)
+    assert field.minus_one == field.neg(field.one)
+    assert_canonical(field, field.minus_one)
+    assert field.is_zero(field.add(field.minus_one, field.one))
+    assert field.mul(field.minus_one, field.minus_one) == field.one
+
+
 def test_the_reference_reduces_by_the_same_polynomials():
     # guards the oracle itself: zeta is a root of Phi_m in both fields
     for m in CONDUCTORS[1:]:

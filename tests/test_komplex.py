@@ -1,7 +1,21 @@
-"""Tests for the truncated algebra, the N-complex and its contraction."""
+"""Tests for the truncated algebra, the N-complex and its contraction.
+
+Each N-complex map is built once; the old constructions replaced by the
+right K-generators of W_n and by the recurrence for d^{N-1} are kept here
+as oracles, and the last tests make sure the memos and skipped products do
+not hide a wrong map from ``wedge_agreement`` or ``contracted_complex``.
+"""
+
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from nkoszul import komplex
+from nkoszul.cyclo import get_field
+from nkoszul.elim import TaggedRows, add_maps, add_scaled
+from nkoszul.jsonio import load_input
 from nkoszul.scalar import MatrixS, Scalar
 from nkoszul.smashtensor import GroupData, TensorContext
 from nkoszul.filtered import build_down_up, build_lie
@@ -10,6 +24,8 @@ from nkoszul.komplex import (
     NComplexSlice,
     TruncatedU,
     UnsupportedStructure,
+    WedgeComplex,
+    alternating_step_sum,
     check_dN_zero,
     compose_maps,
     contracted_complex,
@@ -20,6 +36,8 @@ from nkoszul.komplex import (
     wedge_agreement,
     wedge_differentials,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 S = Scalar.rational
 
@@ -444,3 +462,157 @@ def test_graded_part_of_twisted_differential_matches_psi_zero():
                 if fam1.total_degree(n - 1, fam1.basis(n - 1)[k]) == deg:
                     top[inv1_tgt[k]] = v
             assert top == col0
+
+
+@pytest.fixture(scope="module")
+def sr_z6():
+    pres, _, _ = load_input(str(FIXTURES / "sr_z6.json"))
+    return NComplexSlice(pres, 6)
+
+
+# -- right K-generators of W_n ------------------------------------------------
+
+
+def all_generator_rows(x):
+    """The old construction: w_t (x) b for every row t of W_n."""
+    tu = x.tu
+    max_u = tu.bound - x.n
+    tags = [
+        (t, b) for t in range(len(x.w_rows)) for b, (d, _, _) in enumerate(tu.basis) if d <= max_u
+    ]
+    gens = [x._embed(t, b) for t, b in tags]
+    return TaggedRows(tu.field, gens, len(x.coord_list)).span_rows()
+
+
+def test_right_generators_tag_one_generator_per_dimension(sr_z6):
+    assert sr_z6.ctx.order == 6
+    for n in range(sr_z6.max_n + 1):
+        x = sr_z6.x_space(n)
+        assert x.dim > 0
+        assert len(x.tags) == x.dim
+        assert x.rows == all_generator_rows(x)
+
+
+def test_generator_expressions_recombine_to_the_rows(sr_z6):
+    field = sr_z6.ctx.field
+    for n in range(sr_z6.max_n + 1):
+        x = sr_z6.x_space(n)
+        for row_idx in range(0, x.dim, 7):
+            vec: dict = {}
+            for (t, b), c in x.generator_expression(row_idx):
+                add_scaled(field, vec, x.embed_generator(t, b), c)
+            assert vec == x.rows[row_idx]
+
+
+def test_products_store_one_as_the_field_one_object(sr_z6):
+    sr_z6.d_left(1)
+    sr_z6.d_right(1)
+    tu = sr_z6.tu
+    field = tu.field
+    ones = 0
+    for entries in tu._products.values():
+        for _, v in entries:
+            if field.is_one(v):
+                assert v is field.one
+                ones += 1
+    assert ones > 0
+
+
+# -- d^{N-1} by recurrence ----------------------------------------------------
+
+
+def brute_force_step_sum(left, right, top, steps, ncols, field):
+    """The old loop: every term L^a ∘ R^b composed from the identity."""
+    total = None
+    for a in range(steps + 1):
+        cur = {src: {src: field.one} for src in range(ncols)}
+        level = top
+        for step in [right] * (steps - a) + [left] * a:
+            cur = compose_maps(step(level), cur, field)
+            level -= 1
+        total = cur if total is None else add_maps(field, total, cur, field.one, ncols)
+    return total
+
+
+def random_map(rng, field, ncols, nrows):
+    cols = {}
+    for src in range(ncols):
+        cols[src] = {
+            r: field.from_fraction(Fraction(v, rng.choice((1, 1, 2, 3))))
+            for r in rng.sample(range(nrows), rng.randint(0, min(3, nrows)))
+            if (v := rng.randint(-2, 2))
+        }
+    return cols
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_step_sum_recurrence_matches_the_sum_of_compositions(steps):
+    field = get_field(1)
+    rng = random.Random(f"step-sum:{steps}")
+    for _ in range(5):
+        top = steps + rng.randint(0, 2)
+        dims = {level: rng.randint(1, 5) for level in range(top - steps, top + 1)}
+        lefts = {m: random_map(rng, field, dims[m], dims[m - 1]) for m in range(top - steps + 1, top + 1)}
+        rights = {m: random_map(rng, field, dims[m], dims[m - 1]) for m in range(top - steps + 1, top + 1)}
+        got = alternating_step_sum(lefts.__getitem__, rights.__getitem__, top, steps, field)
+        want = brute_force_step_sum(lefts.__getitem__, rights.__getitem__, top, steps, dims[top], field)
+        assert sorted(got) == list(range(dims[top]))
+        assert maps_equal(got, want, field, dims[top])
+
+
+def test_step_sum_recurrence_on_the_cubic_family():
+    pres, _, _ = cubic_zeta3_presentation()
+    fam = NComplexSlice(pres, 6)
+    field = fam.ctx.field
+    steps = fam.N - 1
+    nonzero = 0
+    for top in range(steps, fam.max_n + 1):
+        ncols = fam.slice_dim(top)
+        got = alternating_step_sum(fam.d_left, fam.d_right, top, steps, field)
+        want = brute_force_step_sum(fam.d_left, fam.d_right, top, steps, ncols, field)
+        assert maps_equal(got, want, field, ncols)
+        nonzero += any(got.values())
+    assert nonzero > 0
+
+
+# -- the cross-checks still see a wrong map -----------------------------------
+
+
+def test_wedge_agreement_sees_one_flipped_entry(monkeypatch):
+    pres, g, psi = weyl_presentation()
+    fam = NComplexSlice(pres, 6)
+    assert wedge_agreement(fam, g, 2, psi)
+    right_step = WedgeComplex._right_step
+
+    def flipped(self, m):
+        cols = right_step(self, m)
+        field = self.ctx.field
+        src = next(s for s in sorted(cols) if cols[s])
+        key = min(cols[src])
+        cols[src][key] = field.neg(cols[src][key])
+        return cols
+
+    monkeypatch.setattr(WedgeComplex, "_right_step", flipped)
+    assert not wedge_agreement(fam, g, 2, psi)
+
+
+@pytest.mark.parametrize("make", [weyl_presentation, cubic_zeta3_presentation])
+def test_contraction_eliminates_each_windowed_map_once(monkeypatch, make):
+    pres, _, _ = make()
+    fam = NComplexSlice(pres, 6)
+    # build the slices first, so only the rank eliminations are counted
+    first = contracted_complex(fam)
+    made = []
+
+    class Counting(komplex.SparseEliminator):
+        def __init__(self, field):
+            made.append(self)
+            super().__init__(field)
+
+    monkeypatch.setattr(komplex, "SparseEliminator", Counting)
+    rep = contracted_complex(fam)
+    assert rep.positions == first.positions
+    # mu out of position 0, then one map out of every other position
+    assert len(made) == len(rep.positions) > 2
+    for pos, nxt in zip(rep.positions, rep.positions[1:]):
+        assert pos["rank_in"] == nxt["rank_out"]
