@@ -3,8 +3,9 @@
 Rows are dicts mapping column index to a nonzero raw field element.  The
 eliminator keeps a fully reduced basis: each pivot column appears in exactly
 one row, with the entry ``field.one``.  Every normal form follows from one
-rule.  The coefficient of a basis row in a vector is the vector's entry at
-that row's pivot, so subtracting that multiple of each pivot row met in the
+rule, ``normal_form``, which also serves rows kept without an eliminator.
+The coefficient of a basis row in a vector is the vector's entry at that
+row's pivot, so subtracting that multiple of each pivot row met in the
 vector's support, once, clears every pivot column.  Insertion order never
 changes the resulting row space, and the stored basis equals the canonical
 RREF basis of that space.
@@ -37,20 +38,8 @@ class SparseEliminator:
         return len(self.pivot_rows)
 
     def reduce(self, row: dict) -> dict:
-        """Normal form of a row against the current basis (input unchanged).
-
-        The coefficient of pivot row p is the row's entry at p: pivot rows
-        vanish at every other pivot, so subtracting one multiple never
-        changes the entry another pivot row is read at.
-        """
-        field = self.field
-        pivot_rows = self.pivot_rows
-        out = dict(row)
-        for p, v in row.items():
-            prow = pivot_rows.get(p)
-            if prow is not None:
-                add_scaled(field, out, prow, field.neg(v))
-        return out
+        """Normal form of a row against the current basis (input unchanged)."""
+        return normal_form(self.field, self.pivot_rows, row)
 
     def add(self, row: dict) -> int | None:
         """Insert a row; returns the new pivot column or None if dependent."""
@@ -71,7 +60,7 @@ class SparseEliminator:
         tail = {j: v for j, v in red.items() if j != piv}
         for hp in self._col_index.pop(piv, ()):
             hrow = self.pivot_rows[hp]
-            add_scaled(field, hrow, tail, field.neg(hrow.pop(piv)))
+            add_scaled(field, hrow, tail, negated(field, hrow.pop(piv)))
             self._index(tail, hrow, hp)
         self.pivot_rows[piv] = red
         self._index(tail, red, piv)
@@ -105,6 +94,33 @@ class SparseEliminator:
         return [dict(self.pivot_rows[p]) for p in sorted(self.pivot_rows)]
 
 
+def normal_form(field, rows: dict, vec: dict) -> dict:
+    """Normal form of ``vec`` against fully reduced rows keyed by pivot (input unchanged).
+
+    The coefficient c of pivot row p is the entry of ``vec`` at p: pivot
+    rows vanish at every other pivot, so subtracting one multiple never
+    changes the entry another pivot row is read at.  Row p's own entry at
+    p is one, so that entry cancels by construction: it is dropped and
+    only c times the rest of the row is subtracted.
+    """
+    out = dict(vec)
+    for p, c in vec.items():
+        prow = rows.get(p)
+        if prow is not None:
+            del out[p]
+            add_scaled(field, out, prow, negated(field, c), skip=p)
+    return out
+
+
+def negated(field, c):
+    """-c, without a field operation when c is a sign."""
+    if c == field.one:
+        return field.minus_one
+    if c == field.minus_one:
+        return field.one
+    return field.neg(c)
+
+
 def canonical_rows(field, rows) -> list[dict]:
     """Canonical RREF rows of the span of ``rows``."""
     elim = SparseEliminator(field)
@@ -122,19 +138,22 @@ def accumulate(field, out: dict, key, value) -> None:
         out[key] = nv
 
 
-def add_scaled(field, out: dict, row: dict, c) -> None:
+def add_scaled(field, out: dict, row: dict, c, skip=None) -> None:
     """In place ``out += c * row`` on sparse rows, dropping zero entries.
 
     Most coefficients in the complexes are signs, so c = 1 and c = -1 add
     or subtract the entries without a field multiplication; so does an
-    entry that is ``field.one`` itself, as every pivot entry is.
+    entry that is ``field.one`` itself, as every pivot entry is.  Column
+    ``skip`` of ``row`` is left out: a pivot entry the caller cancels.
     """
     one = field.one
-    unit = field.is_one(c)
-    negated = not unit and c == field.minus_one
+    unit = c == one
+    minus = not unit and c == field.minus_one
     for col, v in row.items():
+        if col == skip:
+            continue
         cur = out.get(col)
-        if negated:
+        if minus:
             nv = field.neg(v) if cur is None else field.sub(cur, v)
         else:
             term = v if unit else c if v is one else field.mul(c, v)
@@ -173,17 +192,21 @@ def express(field, rows: list[dict], index: dict[int, int], vec: dict) -> list:
 
     ``index`` is ``pivot_index(rows)``.  Row t is the only row with an entry
     at its pivot, where that entry is one, so the coefficient of row t is
-    the pivot entry of ``vec``.  The residual after subtracting the
-    combination must vanish; otherwise ``vec`` lies outside the span and
-    ValueError is raised.
+    the pivot entry of ``vec``, and subtracting c times the rest of row t
+    clears that pivot, as in ``normal_form``.  The residual must vanish;
+    otherwise ``vec`` lies outside the span and ValueError is raised.
     """
-    coeffs = sorted((index[col], v) for col, v in vec.items() if col in index)
+    coeffs = []
     residual = dict(vec)
-    for t, c in coeffs:
-        add_scaled(field, residual, rows[t], field.neg(c))
+    for col, c in vec.items():
+        t = index.get(col)
+        if t is not None:
+            coeffs.append((t, c))
+            del residual[col]
+            add_scaled(field, residual, rows[t], negated(field, c), skip=col)
     if residual:
         raise ValueError("vector does not lie in the span of the rows")
-    return coeffs
+    return sorted(coeffs)
 
 
 class TaggedRows:

@@ -1,10 +1,16 @@
 """The N-homogeneous algebra A = T(V)#Gamma / I(R) and its Koszul checks.
 
-The graded components A_n are represented through a quotient tower: each
-level stores the kernel of the multiplication map E (x)_K A_{n-1} -> A_n in
-reduced form, which yields graded dimensions, normal forms of monomials,
-and canonical monomial bases without ever materializing the ideal in the
-ambient tensor component.  On top of the tower sit:
+The graded components A_n are represented through a quotient tower.
+Level n works on the positions j·adim(n-1) + b of E (x)_K A_{n-1} (letter
+j, A_{n-1} basis index b) and stores only the canonical rows of the kernel
+of the multiplication map onto A_n, keyed by pivot, with the pivots
+sorted.  The A_n basis is the non-pivot positions in order: position pos
+has basis index pos − bisect_left(pivots, pos), and its monomial is
+decoded on demand through divmod(pos, adim(n-1)) down the levels.  So
+graded dimensions, normal forms of monomials (one pivot-rule reduction per
+letter, ``elim.normal_form``) and canonical monomial bases come without
+materializing the ideal in the ambient tensor component, and without
+storing a word per basis element.  On top of the tower sit:
 
 * ``w_rows``                   -- W_n: V^{⊗n}⊗K below N, R in degree N, and
                              the intersection of all placements of R above,
@@ -27,6 +33,7 @@ dimensions and ranks scaled by |Gamma|.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -39,6 +46,7 @@ from .elim import (
     combine,
     express,
     intersection,
+    normal_form,
     pivot_index,
 )
 from .scalar import DimensionMismatch
@@ -182,17 +190,49 @@ def change_of_rings(alg: HomogeneousAlgebra, group: GroupData) -> HomogeneousAlg
 
 
 class _Level:
-    __slots__ = ("elim", "adim", "a_index", "reps")
+    """The quotient of k^positions by canonical rows, on its non-pivot positions.
 
-    def __init__(self, elim, adim, a_index, reps):
-        self.elim = elim
-        self.adim = adim
-        self.a_index = a_index
-        self.reps = reps
+    One degree n of the quotient tower: ``rows`` maps each pivot to its
+    canonical row of the kernel of E ⊗_K A_{n-1} -> A_n, on the
+    ``positions`` = dimV·adim(n-1) coordinates j·adim(n-1) + b (letter j,
+    A_{n-1} basis index b); ``pivots`` are the rows' pivots, sorted.  The
+    quotient basis is the complement of ``pivots`` in range(positions), in
+    order, so position pos has index pos − bisect_left(pivots, pos).
+    ``BalancedTensor`` keeps its balance quotient the same way.
+    """
+
+    __slots__ = ("rows", "pivots", "positions", "adim")
+
+    def __init__(self, rows: dict, positions: int):
+        self.rows = rows
+        self.pivots = sorted(rows)
+        self.positions = positions
+        self.adim = positions - len(rows)
+
+    def free(self):
+        """The non-pivot positions, ascending: basis index b is the b-th."""
+        start = 0
+        for p in self.pivots:
+            yield from range(start, p)
+            start = p + 1
+        yield from range(start, self.positions)
+
+    def reduce(self, field, vec: dict) -> dict:
+        """Quotient coordinates of a sparse vector over the positions."""
+        if not self.rows:
+            return vec
+        pivots = self.pivots
+        red = normal_form(field, self.rows, vec)
+        return {pos - bisect_left(pivots, pos): v for pos, v in red.items()}
 
 
 class _Tower:
-    """Per-degree kernels of E (x)_K A_{n-1} ->> A_n with normal forms."""
+    """Per-degree kernels of E (x)_K A_{n-1} ->> A_n with normal forms.
+
+    Each level is a ``_Level``: no eliminator and no basis words are kept,
+    ``reps`` decodes monomials on demand, and normal forms of monomials
+    are memoized in ``_nf_memo``.
+    """
 
     def __init__(self, alg: HomogeneousAlgebra):
         # the relations, not the algebra: the algebra holds this tower
@@ -201,9 +241,7 @@ class _Tower:
         self.ctx = alg.ctx
         field = self.ctx.field
         order = self.ctx.order
-        base_reps = [((), g) for g in range(order)]
-        base = _Level(SparseEliminator(field), order, {g: g for g in range(order)}, base_reps)
-        self.levels = [base]
+        self.levels = [_Level({}, order)]
         self._nf_memo: dict = {((), g): {g: field.one} for g in range(order)}
         self._r_split: Optional[list] = None
 
@@ -212,8 +250,23 @@ class _Tower:
         return self.levels[n].adim
 
     def reps(self, n: int) -> list:
+        """The monomial (word, g) of each A_n basis index, decoded afresh.
+
+        Basis index b of level m sits at the b-th non-pivot position
+        pos = j·adim(m-1) + b', and its monomial is the letter j in front
+        of the monomial of b' one level down.
+        """
         self.ensure(n)
-        return self.levels[n].reps
+        out = [((), g) for g in range(self.ctx.order)]
+        for level in self.levels[1 : n + 1]:
+            width = len(out)
+            prev = out
+            out = []
+            for pos in level.free():
+                j, b = divmod(pos, width)
+                wb, gb = prev[b]
+                out.append(((j,) + wb, gb))
+        return out
 
     def _relation_split(self) -> list:
         """Per relation row: list of (first letter j, rest word, g, raw)."""
@@ -236,13 +289,12 @@ class _Tower:
         mult = ctx.group.mult_table
         while len(self.levels) <= n:
             lv = len(self.levels)
-            prev = self.levels[-1]
-            width = prev.adim
+            width = self.levels[-1].adim
             elim = SparseEliminator(field)
             if lv >= self.N:
-                lower = self.levels[lv - self.N]
+                lower_reps = self.reps(lv - self.N)
                 for terms in self._relation_split():
-                    for wb, gb in lower.reps:
+                    for wb, gb in lower_reps:
                         row: dict = {}
                         for j, rest, g, raw in terms:
                             ggb = mult[g][gb]
@@ -252,17 +304,8 @@ class _Tower:
                                 coeff = raw if c is one else field.mul(raw, c)
                                 add_scaled(field, row, {base + b2: v for b2, v in nfv.items()}, coeff)
                         elim.add(row)
-            positions = ctx.dimV * width
-            a_index = {}
-            reps = []
-            pivots = elim.pivot_rows
-            for pos in range(positions):
-                if pos not in pivots:
-                    a_index[pos] = len(reps)
-                    j, b = divmod(pos, width)
-                    wb, gb = prev.reps[b]
-                    reps.append(((j,) + wb, gb))
-            self.levels.append(_Level(elim, len(reps), a_index, reps))
+            # only the rows: the column index serves inserts, and this level is done
+            self.levels.append(_Level(elim.pivot_rows, ctx.dimV * width))
 
     def nf(self, word: tuple[int, ...], g: int) -> dict:
         """Normal form of a monomial as a sparse vector over the A_n basis."""
@@ -275,11 +318,9 @@ class _Tower:
         self.ensure(n)
         level = self.levels[n]
         parent = self.nf(word[1:], g)
-        width = self.levels[n - 1].adim
-        base = word[0] * width
+        base = word[0] * self.levels[n - 1].adim
         vec = {base + b: v for b, v in parent.items()}
-        red = level.elim.reduce(vec)
-        out = {level.a_index[pos]: v for pos, v in red.items()}
+        out = level.reduce(self.ctx.field, vec)
         memo[key] = out
         return out
 
@@ -291,29 +332,29 @@ class BalancedTensor:
     """A_a (x)_K S as an explicit quotient of A_a (x)_k S.
 
     S is given by its canonical rows in degree ``degree``.  Coordinates are
-    pairs (A-basis index, S-row index); the balance rows
-    b·g (x) s - b (x) g·s over the group generators are eliminated once and
-    reused for every reduction.  Without balance rows (always over the
-    trivial group) the quotient is A_a (x)_k S itself and vectors pass
-    through unchanged.
+    pairs (A-basis index, S-row index) at position b·|S| + t; the balance
+    rows b·g (x) s - b (x) g·s over the group generators are eliminated
+    once and kept as a ``_Level``, canonical rows and sorted pivots only,
+    so a reduction lands on the non-pivot positions as the tower's normal
+    forms do.  Without balance rows (always over the trivial group) the
+    quotient is A_a (x)_k S itself and vectors pass through unchanged.
     """
 
     def __init__(self, tower: _Tower, a: int, rows: list[dict], degree: int):
         ctx = tower.ctx
         field = ctx.field
-        tower.ensure(a)
         na = tower.adim(a)
         ns = len(rows)
         elim = SparseEliminator(field)
         index = pivot_index(rows)
+        reps = tower.reps(a) if ctx.group.generators else []
         for g in ctx.group.generators:
             # g acting on S rows, expressed back over the S basis
             action = [
                 express(field, rows, index, ctx.left_action_sparse(g, srow, degree))
                 for srow in rows
             ]
-            for b in range(na):
-                wb, gb = tower.reps(a)[b]
+            for b, (wb, gb) in enumerate(reps):
                 u = tower.nf(wb, ctx.group.mult_table[gb][g])
                 for t in range(ns):
                     row: dict = {}
@@ -322,18 +363,14 @@ class BalancedTensor:
                     for t2, c in action[t]:
                         accumulate(field, row, b * ns + t2, field.neg(c))
                     elim.add(row)
-        self.elim = elim
-        self.dim = na * ns - elim.rank
-        self.index = None
-        if elim.rank:
-            free = [pos for pos in range(na * ns) if pos not in elim.pivot_rows]
-            self.index = {pos: i for i, pos in enumerate(free)}
+        self.field = field
+        # only the rows: the column index serves inserts, and they are done
+        self.quotient = _Level(elim.pivot_rows, na * ns)
+        self.dim = self.quotient.adim
 
     def reduce(self, vec: dict) -> dict:
         """Quotient coordinates of a sparse (b, t)-vector."""
-        if self.index is None:
-            return vec
-        return {self.index[pos]: v for pos, v in self.elim.reduce(vec).items()}
+        return self.quotient.reduce(self.field, vec)
 
 
 # -- reports ---------------------------------------------------------------

@@ -218,7 +218,9 @@ class TensorContext:
     def apply_group_to_word(self, g: int, word: tuple[int, ...]):
         """Expansion of rho(g) applied to each slot of a pure word.
 
-        Yields (word, raw coefficient) pairs.
+        Yields (word, raw coefficient) pairs.  A coefficient equal to one
+        is ``field.one`` itself (ζ·ζ⁵ too), so products with it are skipped
+        by an identity test here and by the callers.
         """
         field = self.field
         one = field.one
@@ -228,7 +230,15 @@ class TensorContext:
             nxt = []
             for pw, c in partial:
                 for i, raw in cols[letter]:
-                    nxt.append((pw + (i,), c if raw is one else field.mul(c, raw)))
+                    if raw is one:
+                        prod = c
+                    elif c is one:
+                        prod = raw
+                    else:
+                        prod = field.mul(c, raw)
+                        if field.is_one(prod):
+                            prod = one
+                    nxt.append((pw + (i,), prod))
             partial = nxt
         return partial
 
@@ -275,13 +285,15 @@ class TensorContext:
     def left_action_sparse(self, g: int, row: dict, degree: int) -> dict:
         """g . (word ⊗ h) = rho(g)(word) ⊗ gh on a sparse degree-n vector."""
         field = self.field
+        one = field.one
         mult_row = self.group.mult_table[g]
         out: dict = {}
         for coord, raw in row.items():
             word, h = self.word_of(coord, degree)
             gh = mult_row[h]
             for tw, c in self.apply_group_to_word(g, word):
-                accumulate(field, out, self.coord(tw, gh), field.mul(raw, c))
+                term = raw if c is one else c if raw is one else field.mul(raw, c)
+                accumulate(field, out, self.coord(tw, gh), term)
         return out
 
     def append_letter(self, row: dict, letter: int) -> dict:

@@ -17,6 +17,8 @@ from nkoszul.elim import (
     combine,
     express,
     intersection,
+    negated,
+    normal_form,
     pivot_index,
 )
 from nkoszul.scalar import MatrixS, Scalar, Subspace, rref_raw
@@ -59,6 +61,65 @@ def test_add_scaled_by_a_sign_matches_the_general_product():
         out = dict(row)
         add_scaled(field, out, row, field.neg(field.one))
         assert out == {}
+
+
+class CountingField:
+    """A field whose arithmetic counts its calls by name."""
+
+    def __init__(self, field):
+        self.field = field
+        self.one = field.one
+        self.minus_one = field.minus_one
+        self.calls: dict = {}
+
+    def __getattr__(self, name):
+        method = getattr(self.field, name)
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args)
+
+        return counted
+
+
+def test_normal_form_cancels_the_pivot_entry_without_arithmetic():
+    rows = {0: {0: Q.one, 2: F(3)}, 1: {1: Q.one, 2: F(-1)}}
+    vec = {0: F(1), 1: F(2), 3: F(5)}
+    field = CountingField(Q)
+    out = normal_form(field, rows, vec)
+    assert out == {2: F(-1), 3: F(5)}
+    assert vec == {0: F(1), 1: F(2), 3: F(5)}
+    # coefficient 1 is a sign: its tail entry 3 is negated, no product;
+    # coefficient 2 is negated once, then one product and one addition
+    # into column 2; the pivot columns 0 and 1 cost no arithmetic
+    assert field.calls == {"neg": 2, "mul": 1, "add": 1, "is_zero": 2}
+    eliminator = SparseEliminator(Q)
+    eliminator.add_all(rows.values())
+    assert eliminator.reduce(vec) == out
+    # express reads the same coefficients and clears the pivots the same way
+    field.calls.clear()
+    canonical = [rows[0], rows[1]]
+    assert express(field, canonical, pivot_index(canonical), {0: F(1), 1: F(2), 2: F(1)}) == [
+        (0, F(1)),
+        (1, F(2)),
+    ]
+    assert field.calls == {"sub": 1, "neg": 1, "mul": 1, "add": 1, "is_zero": 2}
+
+
+def test_negated_takes_signs_without_arithmetic():
+    for field in (Q, get_field(3)):
+        counting = CountingField(field)
+        assert negated(counting, field.one) is field.minus_one
+        assert negated(counting, field.minus_one) is field.one
+        assert counting.calls == {}
+        z = field.add(field.one, field.one)
+        assert negated(counting, z) == field.neg(z)
+
+
+def test_add_scaled_leaves_out_the_skipped_column():
+    out = {0: F(1)}
+    add_scaled(Q, out, {0: F(1), 1: F(2)}, F(3), skip=0)
+    assert out == {0: F(1), 1: F(6)}
 
 
 def test_accumulate_drops_a_cancelled_key_and_keeps_the_rest():

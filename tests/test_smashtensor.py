@@ -432,3 +432,29 @@ def test_filtration_products_match_the_term_product(make_ctx, descending):
             left = ctx.smash_mul_terms(elem, terms)
             assert layout.right_mul(row, None, g, layout) == as_row(right, layout)
             assert layout.left_mul(row, None, g, layout) == as_row(left, layout)
+
+
+def test_group_expansions_store_one_as_the_field_one_object(monkeypatch):
+    ctx = sr_z6_ctx()
+    field = ctx.field
+    ones = 0
+    for g in range(ctx.order):
+        for length in range(4):
+            for num in range(ctx.dimV**length):
+                for _, c in ctx.apply_group_to_word(g, ctx.num_word(num, length)):
+                    if field.is_one(c):
+                        assert c is field.one
+                        ones += 1
+    assert ones
+    # the generator scales e_1 by zeta and e_2 by zeta^5: the product is one
+    gen = ctx.group.generators[0]
+    word = (0, 1)
+    assert ctx.apply_group_to_word(gen, word) == [(word, field.one)]
+    assert ctx.apply_group_to_word(gen, word)[0][1] is field.one
+    calls = []
+    mul = type(field).mul
+    monkeypatch.setattr(type(field), "mul", lambda self, a, b: calls.append((a, b)) or mul(self, a, b))
+    out = ctx.left_action_sparse(gen, {ctx.coord(word, 0): field.one}, 2)
+    assert out == {ctx.coord(word, gen): field.one}
+    # the one product zeta·zeta^5, and none by one
+    assert len(calls) == 1 and not any(a is field.one or b is field.one for a, b in calls)
