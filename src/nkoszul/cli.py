@@ -135,14 +135,18 @@ def explain(check_name: str) -> str:
     return EXPLANATIONS[check_name]
 
 
-def _needs_hpsi(name: str) -> bool:
+def _needs_psi(name: str) -> bool:
     return name in ("equivariance", "theorem44", "wedge_agreement")
 
 
 def run(config: RunConfig):
-    """Execute the selected checks; returns (report dict, exit code)."""
+    """Execute the selected checks; returns (report dict, exit code).
+
+    The psi checks read Gamma off ``pres.ctx.group`` and p off ``psi.p``;
+    they need an h_psi input, the only kind that carries psi.
+    """
     try:
-        pres, psi, hpsi = load_input(config.input_path)
+        pres, psi = load_input(config.input_path)
     except InputError as exc:
         return {"error": str(exc)}, 2
 
@@ -153,13 +157,13 @@ def run(config: RunConfig):
         selected = [
             c
             for c in CHECK_NAMES
-            if not (_needs_hpsi(c) and hpsi is None)
+            if not (_needs_psi(c) and psi is None)
         ]
     unknown = [c for c in selected if c not in CHECK_NAMES]
     if unknown:
         return {"error": f"unknown checks: {', '.join(unknown)}"}, 2
     for c in selected:
-        if _needs_hpsi(c) and hpsi is None:
+        if _needs_psi(c) and psi is None:
             return {
                 "error": f"check {c} requires an h_psi presentation (group, p, psi)"
             }, 2
@@ -185,7 +189,7 @@ def run(config: RunConfig):
             "group_order": pres.ctx.order,
             "N": pres.N,
             "dimP": pres.P.dim,
-            "h_psi": hpsi is not None,
+            "h_psi": psi is not None,
         },
         "checks": {},
     }
@@ -249,10 +253,10 @@ def run(config: RunConfig):
             rep = oracle_pbw(pres, D)
             record(name, rep.holds, rep.to_json())
         elif name == "equivariance":
-            ok = check_equivariance(hpsi["group"], hpsi["p"], psi, pres.ctx.conductor)
+            ok = check_equivariance(pres.ctx.group, psi)
             record(name, ok, {})
         elif name == "theorem44":
-            rep = theorem_44_verdict(hpsi["group"], hpsi["p"], psi, pres.ctx.conductor)
+            rep = theorem_44_verdict(pres.ctx.group, psi)
             record(name, rep.holds, rep.to_json())
         elif name in ("dN_zero", "contraction", "wedge_agreement"):
             if cond_i is None:
@@ -286,7 +290,7 @@ def run(config: RunConfig):
                 rep = contracted_complex(fam)
                 record(name, rep.exact_in_window and rep.composition_zero, rep.to_json())
             else:
-                ok = wedge_agreement(fam, hpsi["group"], hpsi["p"], psi)
+                ok = wedge_agreement(fam)
                 record(name, ok, {})
         else:  # pragma: no cover - exhaustive above
             return {"error": f"unhandled check {name}"}, 2

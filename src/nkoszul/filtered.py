@@ -40,6 +40,7 @@ from .homogeneous import (
     HomogeneousAlgebra,
     Tor3Report,
     check_tor3_concentration,
+    is_antisymmetrizer_relations,
     prefix_split,
     w_rows,
 )
@@ -50,7 +51,7 @@ from .smashtensor import (
     GroupData,
     Subbimodule,
     TensorContext,
-    antisymmetrizer_subbimodule,
+    terms_to_json,
 )
 
 
@@ -255,7 +256,7 @@ def check_condition_J(pres: FilteredPresentation) -> JReport:
 
     # strategy 2: the lifted difference maps W_{N+1} into P
     alg = pres.homogenization()
-    wn1 = w_rows(alg, N + 1, {})
+    wn1 = w_rows(alg, N + 1, alg.w_cache)
     p_elim = SparseEliminator(field)
     for r in pres.P.basis_sparse():
         p_elim.add(r)
@@ -302,14 +303,6 @@ def check_remark_310(pres: FilteredPresentation) -> bool:
     """True iff phi_0 = 0, i.e. the trivial module structure exists."""
     phi = build_phi(pres)
     return phi.is_zero_component(0)
-
-
-def is_antisymmetrizer_relations(alg: HomogeneousAlgebra) -> bool:
-    """Does R equal the closed span of the antisymmetrized N-tensors?"""
-    if alg.N > alg.ctx.dimV:
-        return False
-    expected = antisymmetrizer_subbimodule(alg.ctx, alg.N)
-    return alg.R.space == expected.space
 
 
 # -- the brute-force filtration oracle ---------------------------------------
@@ -445,16 +438,7 @@ def oracle_pbw(pres: FilteredPresentation, D: int) -> OracleReport:
         witness_degree = n
         row = engine.witnesses[n]
         terms = {engine.layout.decode(c): Scalar(pres.ctx.field, v) for c, v in row.items()}
-        witness = {
-            "terms": [
-                {
-                    "coeff": str(val),
-                    "word": [i + 1 for i in word],
-                    "g": g,
-                }
-                for (word, g), val in sorted(terms.items())
-            ]
-        }
+        witness = {"terms": terms_to_json(terms)}
         break
     return OracleReport(
         degree_bound=D,

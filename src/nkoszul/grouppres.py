@@ -1,8 +1,10 @@
 """Presentations twisted by a finite group: the antisymmetrizer-minus-psi family.
 
-Given a finite group Gamma < GL(V), an integer 2 <= p <= dimV, and a linear
-map psi: Λ^p V -> k[Gamma], the algebra presented by the relations
-Alt(v_1, ..., v_p) - psi(v_1, ..., v_p) is filtered with top degree p.  This
+Given a finite group Gamma < GL(V) and a linear map psi: Λ^p V -> k[Gamma]
+with 2 <= p <= dimV, the algebra presented by the relations
+Alt(v_1, ..., v_p) - psi(v_1, ..., v_p) is filtered with top degree p.  The
+checks take Gamma and psi alone: p is the arity of psi, and the field is
+the larger of the two that Gamma's matrices and psi live in.  This
 module builds that presentation, decides the equivariance/identity
 criteria that characterize when it has the PBW property, constructs psi
 from a Gamma-invariant form, and provides the exterior-algebra
@@ -21,8 +23,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+from .cyclo import get_field
 from .filtered import FilteredPresentation
-from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, kernel, image
+from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, image, kernel, rref_raw
 from .smashtensor import (
     FilteredSubspace,
     GroupData,
@@ -102,14 +105,15 @@ def _det(rows: list[list[Scalar]], conductor: int) -> Scalar:
     return total
 
 
-def wedge_apply(mat: MatrixS, combo: tuple[int, ...], conductor: int) -> dict:
-    """Expansion of (mat e_{i1}) ∧ ... ∧ (mat e_{ip}) on the wedge basis."""
+def wedge_apply(mat: MatrixS, combo: tuple[int, ...]) -> dict:
+    """Expansion of (mat e_{i1}) ∧ ... ∧ (mat e_{ip}) on the wedge basis,
+    over the field of ``mat``."""
     p = len(combo)
     n = mat.rows
     out: dict = {}
     for target in combinations(range(n), p):
         minor = [[mat[i, j] for j in combo] for i in target]
-        d = _det(minor, conductor)
+        d = _det(minor, mat.conductor)
         if not d.is_zero():
             out[target] = d
     return out
@@ -128,19 +132,33 @@ class GDecomposition:
         return {"p": self.p, "a": list(self.a)}
 
 
-def decompose(group: GroupData, p: int, conductor: int = 1) -> GDecomposition:
-    """Image and kernel of Id - (-1)^p rho(g) for every group element."""
+def _over(group: GroupData, conductor: int) -> GroupData:
+    """Gamma with its matrices over Q(zeta_m), m the larger of ``conductor``
+    and theirs: the one field that Gamma and psi both live in."""
+    m = max(group.matrices[0].conductor, conductor)
+    if all(mat.conductor == m for mat in group.matrices):
+        return group
+    mats = [MatrixS(mat.rows, mat.cols, mat.entries, m) for mat in group.matrices]
+    return GroupData(mats, group.mult_table, group.inverses, group.conj_classes, group.generators)
+
+
+def _id_minus_signed(mat: MatrixS, p: int) -> MatrixS:
+    """Id - (-1)^p mat, over the field of ``mat``."""
+    n = mat.rows
+    sign = Scalar.rational(1 if p % 2 == 0 else -1, mat.conductor)
+    ident = MatrixS.identity(n, mat.conductor)
+    return MatrixS(n, n, [i - sign * e for i, e in zip(ident.entries, mat.entries)], mat.conductor)
+
+
+def decompose(group: GroupData, p: int) -> GDecomposition:
+    """Image and kernel of Id - (-1)^p rho(g) for every group element,
+    over the field of the group's matrices."""
     dimV = group.dimV
     if not 2 <= p <= dimV:
         raise ValueError("p must lie between 2 and dimV")
-    sign = Scalar.rational(1 if p % 2 == 0 else -1, conductor)
-    ident = MatrixS.identity(dimV, conductor)
     Ms, Ls, dims = [], [], []
     for mat in group.matrices:
-        entries = [
-            ident.entries[k] - sign * mat.entries[k] for k in range(dimV * dimV)
-        ]
-        op = MatrixS(dimV, dimV, entries, conductor)
+        op = _id_minus_signed(mat, p)
         m_space = image(op)
         l_space = kernel(op)
         if m_space.dim + l_space.dim != dimV or m_space.intersect(l_space).dim != 0:
@@ -151,18 +169,18 @@ def decompose(group: GroupData, p: int, conductor: int = 1) -> GDecomposition:
     return GDecomposition(p=p, M=Ms, L=Ls, a=dims)
 
 
-def build_H_psi(group: GroupData, p: int, psi: PsiMap, conductor: int = 1) -> FilteredPresentation:
+def build_H_psi(group: GroupData, psi: PsiMap) -> FilteredPresentation:
     """Presentation with relations Alt(e_{i1},...,e_{ip}) - psi(e_{i1},...,e_{ip}).
 
-    Equivariance of psi is deliberately not required here; when it fails,
-    the filtration condition on the built presentation detects it.
+    p is the arity of psi, and the field is the larger of the fields that
+    the group's matrices and psi live in.  Equivariance of psi is
+    deliberately not required here; when it fails, the filtration
+    condition on the built presentation detects it.
     """
-    conductor = max(conductor, psi.conductor)
+    conductor = max(group.matrices[0].conductor, psi.conductor)
     ctx = TensorContext(group.dimV, group, conductor)
-    if psi.p != p:
-        raise DimensionMismatch("psi has the wrong arity")
     elements = []
-    for combo in combinations(range(group.dimV), p):
+    for combo in combinations(range(group.dimV), psi.p):
         terms = dict(alternating_sum_terms(ctx, combo))
         for g in range(group.order):
             c = psi.value(g, combo)
@@ -170,21 +188,22 @@ def build_H_psi(group: GroupData, p: int, psi: PsiMap, conductor: int = 1) -> Fi
                 key = ((), g)
                 terms[key] = terms.get(key, Scalar.zero(conductor)) - c
         elements.append(terms)
-    P = FilteredSubspace.from_elements(ctx, p, elements, close=True)
-    return FilteredPresentation(ctx, p, P)
+    P = FilteredSubspace.from_elements(ctx, psi.p, elements, close=True)
+    return FilteredPresentation(ctx, psi.p, P)
 
 
-def check_equivariance(group: GroupData, p: int, psi: PsiMap, conductor: int = 1) -> bool:
-    """psi(rho(g) w) = g psi(w) g^{-1}, componentwise over the group."""
-    conductor = max(conductor, psi.conductor)
+def check_equivariance(group: GroupData, psi: PsiMap) -> bool:
+    """psi(rho(g) w) = g psi(w) g^{-1}, componentwise over the group, for w
+    in Λ^p V with p the arity of psi."""
+    group = _over(group, psi.conductor)
     for g in range(group.order):
         mat = group.matrices[g]
         ginv = group.inverses[g]
-        for combo in combinations(range(group.dimV), p):
-            expansion = wedge_apply(mat, combo, conductor)
+        for combo in combinations(range(group.dimV), psi.p):
+            expansion = wedge_apply(mat, combo)
             for h in range(group.order):
                 # coefficient of h in psi(rho(g) w)
-                lhs = Scalar.zero(conductor)
+                lhs = Scalar.zero(mat.conductor)
                 for target, c in expansion.items():
                     lhs = lhs + c * psi.value(h, target)
                 conj = group.mult(group.mult(ginv, h), g)
@@ -193,31 +212,26 @@ def check_equivariance(group: GroupData, p: int, psi: PsiMap, conductor: int = 1
     return True
 
 
-def check_identity_41(group: GroupData, p: int, psi: PsiMap, conductor: int = 1) -> bool:
+def check_identity_41(group: GroupData, psi: PsiMap) -> bool:
     """The alternating contraction identity for each group component.
 
     For every g and increasing (p+1)-tuple of basis vectors, the signed sum
     of psi_g on the p-subtuples weighted by (Id - (-1)^p rho(g)) applied to
-    the omitted vector must vanish.
+    the omitted vector must vanish; p is the arity of psi.
     """
-    conductor = max(conductor, psi.conductor)
+    group = _over(group, psi.conductor)
     dimV = group.dimV
-    sign_p = Scalar.rational(1 if p % 2 == 0 else -1, conductor)
-    ident = MatrixS.identity(dimV, conductor)
+    p = psi.p
     for g in range(group.order):
-        mat = group.matrices[g]
-        op_entries = [
-            ident.entries[k] - sign_p * mat.entries[k] for k in range(dimV * dimV)
-        ]
-        op = MatrixS(dimV, dimV, op_entries, conductor)
+        op = _id_minus_signed(group.matrices[g], p)
         for tup in combinations(range(dimV), p + 1):
-            acc = [Scalar.zero(conductor) for _ in range(dimV)]
+            acc = [Scalar.zero(op.conductor) for _ in range(dimV)]
             for pos in range(p + 1):
                 sub = tup[:pos] + tup[pos + 1 :]
                 c = psi.value(g, sub)
                 if c.is_zero():
                     continue
-                sign = Scalar.rational(-1 if (pos + 1) % 2 else 1, conductor)
+                sign = Scalar.rational(-1 if (pos + 1) % 2 else 1, op.conductor)
                 col = [op[i, tup[pos]] for i in range(dimV)]
                 for i in range(dimV):
                     acc[i] = acc[i] + sign * c * col[i]
@@ -236,32 +250,28 @@ class Theorem44Report:
         return {"equivariant": self.equivariant, "per_g": self.per_g, "holds": self.holds}
 
 
-def _adapted_basis(dec: GDecomposition, g: int, conductor: int) -> list[list[Scalar]]:
+def _adapted_basis(dec: GDecomposition, g: int) -> list[list[Scalar]]:
     """Concatenated canonical bases of M_g then L_g (column vectors)."""
-    cols = []
-    for row in dec.M[g].basis_rows():
-        cols.append(list(row))
-    for row in dec.L[g].basis_rows():
-        cols.append(list(row))
-    return cols
+    return [list(row) for row in dec.M[g].basis_rows() + dec.L[g].basis_rows()]
 
 
-def theorem_44_verdict(group: GroupData, p: int, psi: PsiMap, conductor: int = 1) -> Theorem44Report:
+def theorem_44_verdict(group: GroupData, psi: PsiMap) -> Theorem44Report:
     """Equivariance plus vanishing of psi_g off the a(g) component.
 
     The wedge power of V splits along V = M_g ⊕ L_g; psi_g restricted to
-    the summand with i factors from M_g must vanish unless i = a(g).
+    the summand with i factors from M_g must vanish unless i = a(g), where
+    p is the arity of psi.
     """
-    conductor = max(conductor, psi.conductor)
-    dec = decompose(group, p, conductor)
-    equivariant = check_equivariance(group, p, psi, conductor)
+    group = _over(group, psi.conductor)
+    dec = decompose(group, psi.p)
+    equivariant = check_equivariance(group, psi)
     per_g = []
     holds = equivariant
     for g in range(group.order):
-        basis = _adapted_basis(dec, g, conductor)
+        basis = _adapted_basis(dec, g)
         a = dec.a[g]
         table: dict[int, bool] = {}
-        for combo in combinations(range(group.dimV), p):
+        for combo in combinations(range(group.dimV), psi.p):
             vectors = [basis[i] for i in combo]
             mtype = sum(1 for i in combo if i < a)
             val = psi.evaluate_on_vectors(g, vectors)
@@ -292,12 +302,13 @@ def build_psi_corollary45(
     dimV = group.dimV
     base = PsiMap(p, dimV, group.order, {0: phi}, conductor)
     conductor = max(conductor, base.conductor)
+    group = _over(group, conductor)
     phi_map = {combo: base.value(0, combo) for combo in combinations(range(dimV), p)}
     # invariance of phi
     for g in range(group.order):
         mat = group.matrices[g]
         for combo in combinations(range(dimV), p):
-            expansion = wedge_apply(mat, combo, conductor)
+            expansion = wedge_apply(mat, combo)
             val = Scalar.zero(conductor)
             for target, c in expansion.items():
                 val = val + c * phi_map[target]
@@ -315,11 +326,11 @@ def build_psi_corollary45(
             vals = {factors[i] for i in cls}
             if len(vals) > 1:
                 raise ValueError("class factors must be constant on conjugacy classes")
-    dec = decompose(group, p, conductor)
+    dec = decompose(group, p)
     components: dict[int, dict] = {}
     for g in range(group.order):
         a = dec.a[g]
-        basis = _adapted_basis(dec, g, conductor)
+        basis = _adapted_basis(dec, g)
         # transition matrix from standard coordinates to the adapted basis
         cols = [[basis[j][i] for j in range(dimV)] for i in range(dimV)]
         T = MatrixS.from_rows(cols, conductor)
@@ -328,7 +339,7 @@ def build_psi_corollary45(
         for combo in combinations(range(dimV), p):
             # express e_{combo} over the adapted wedge basis, keep only the
             # summands with exactly a factors from M_g, evaluate phi there
-            expansion = wedge_apply(Tinv, combo, conductor)
+            expansion = wedge_apply(Tinv, combo)
             total = Scalar.zero(conductor)
             for target, c in expansion.items():
                 if sum(1 for i in target if i < a) != a:
@@ -346,9 +357,6 @@ def build_psi_corollary45(
 
 def _matrix_inverse(mat: MatrixS, conductor: int) -> MatrixS:
     n = mat.rows
-    from .cyclo import get_field
-    from .scalar import rref_raw
-
     field = get_field(conductor)
     rows = []
     for i in range(n):

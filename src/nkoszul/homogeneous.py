@@ -50,7 +50,13 @@ from .elim import (
     pivot_index,
 )
 from .scalar import DimensionMismatch
-from .smashtensor import GroupData, Subbimodule, TensorContext, placement_rows
+from .smashtensor import (
+    GroupData,
+    Subbimodule,
+    TensorContext,
+    antisymmetrizer_subbimodule,
+    placement_rows,
+)
 
 
 def zeta(n: int, N: int) -> int:
@@ -83,6 +89,8 @@ class HomogeneousAlgebra:
         self._tower: Optional[_Tower] = None
         self._scalar_ext: Optional[tuple] = None
         self._ec: Optional["EcReport"] = None
+        # the one W_n cache that every caller of ``w_rows`` passes
+        self.w_cache: dict[int, list[dict]] = {}
         self._koszul: dict[int, "KoszulCertificate"] = {}
 
     def tower(self) -> "_Tower":
@@ -442,6 +450,14 @@ class KoszulCertificate:
         }
 
 
+def is_antisymmetrizer_relations(alg: HomogeneousAlgebra) -> bool:
+    """Does R equal the closed span of the antisymmetrized N-tensors?"""
+    if alg.N > alg.ctx.dimV:
+        return False
+    expected = antisymmetrizer_subbimodule(alg.ctx, alg.N)
+    return alg.R.space == expected.space
+
+
 # -- W_n on sparse rows -------------------------------------------------------
 
 
@@ -454,7 +470,8 @@ def w_rows(alg: HomogeneousAlgebra, n: int, cache: dict | None = None) -> list[d
     over all placements gives the same space by the exchange identities
     over our semisimple coefficients, and tests cross-check this against
     the public fold.  Past a zero W_{n-1} the result is empty without
-    building R V^{⊗(n-N)}.
+    building R V^{⊗(n-N)}.  Callers pass ``alg.w_cache``, so each W_n is
+    built once per algebra.
     """
     ctx = alg.ctx
     N = alg.N
@@ -500,7 +517,7 @@ def _ec_report(alg: HomogeneousAlgebra) -> EcReport:
     report = EcReport()
     if N == 2:
         return report
-    wn1 = w_rows(alg, N + 1, {})
+    wn1 = w_rows(alg, N + 1, alg.w_cache)
     for n in range(N + 2, 2 * N):
         a = n - N
         lhs_left = placement_rows(alg.R, a, 0)
@@ -612,8 +629,7 @@ def _koszul_certificate(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
     # homological index i -> internal degree zeta(i); spaces vanish once
     # either zeta(i) > D or the W module is zero.
     zetas = zeta_degrees(N, D)
-    w_cache: dict = {}
-    w_sparse = {m: w_rows(alg, m, w_cache) for m in zetas}
+    w_sparse = {m: w_rows(alg, m, alg.w_cache) for m in zetas}
 
     # composition-zero: W_{zeta(i+1)} ⊆ R · W_{zeta(i-1)} for all used i >= 1
     comp_zero = True
@@ -708,8 +724,6 @@ def _koszul_certificate(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
             break
     # the antisymmetrizer relation family is Koszul outright, so for it a
     # clean certificate is not merely a bounded statement
-    from .filtered import is_antisymmetrizer_relations
-
     unconditional = verdict.startswith("verified") and is_antisymmetrizer_relations(alg)
     return KoszulCertificate(
         degree_bound=D,

@@ -37,7 +37,7 @@ from .grouppres import (
     build_psi_symplectic_reflection,
 )
 from .scalar import DimensionMismatch, MatrixS, Scalar, parse_scalar
-from .smashtensor import FilteredSubspace, GroupData, TensorContext
+from .smashtensor import FilteredSubspace, GroupData, TensorContext, terms_to_json  # noqa: F401
 
 
 class InputError(ValueError):
@@ -103,13 +103,6 @@ def parse_terms(ctx: TensorContext, items: list) -> dict:
         key = (word, g)
         out[key] = out.get(key, Scalar.zero(ctx.conductor)) + coeff
     return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def terms_to_json(terms: dict) -> list:
-    out = []
-    for (word, g), c in sorted(terms.items()):
-        out.append({"coeff": str(c), "word": [i + 1 for i in word], "g": g})
-    return out
 
 
 def parse_psi(block: dict, group: GroupData, conductor: int) -> PsiMap:
@@ -182,7 +175,12 @@ def _structure_constant(row, conductor: int) -> list:
 
 
 def parse_input(data: dict):
-    """Returns (presentation, psi or None, hpsi data or None)."""
+    """Returns (presentation, psi), psi None unless the builder is h_psi.
+
+    An h_psi presentation's group is ``pres.ctx.group`` and its p is
+    ``psi.p``; a psi block whose p differs from the presentation's is
+    refused.
+    """
     if not isinstance(data, dict):
         raise InputError("input must be a JSON object")
     block = data.get("presentation")
@@ -202,7 +200,7 @@ def parse_input(data: dict):
             params = [parse_scalar(str(block[k]), conductor) for k in ("alpha", "beta", "gamma")]
         except KeyError as exc:
             raise InputError(f"the down_up builder needs the field {exc}") from exc
-        return build_down_up(*params, conductor), None, None
+        return build_down_up(*params, conductor), None
     if builder == "lie":
         conductor = ctx.conductor if ctx else 1
         if ctx and ctx.order != 1:
@@ -212,7 +210,7 @@ def parse_input(data: dict):
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad lie block: {exc}") from exc
         pres = build_lie(sc, dimV=ctx.dimV if ctx else None, conductor=conductor)
-        return pres, None, None
+        return pres, None
     if builder == "h_psi":
         if ctx is None:
             raise InputError("the h_psi builder needs a context block")
@@ -225,8 +223,9 @@ def parse_input(data: dict):
             psi = PsiMap(p, ctx.dimV, ctx.order, {}, ctx.conductor)
         else:
             psi = parse_psi(psi_block, ctx.group, ctx.conductor)
-        pres = build_H_psi(ctx.group, p, psi, ctx.conductor)
-        return pres, psi, {"group": ctx.group, "p": p}
+            if psi.p != p:
+                raise InputError(f"the psi block has p = {psi.p}, the presentation p = {p}")
+        return build_H_psi(ctx.group, psi), psi
     if builder is not None:
         raise InputError(f"unknown builder {builder!r}")
     if ctx is None:
@@ -244,10 +243,11 @@ def parse_input(data: dict):
             if len(word) > N:
                 raise InputError("relation term exceeds the stated degree")
     P = FilteredSubspace.from_elements(ctx, N, elements, close=True)
-    return FilteredPresentation(ctx, N, P), None, None
+    return FilteredPresentation(ctx, N, P), None
 
 
 def load_input(path: str):
+    """``parse_input`` of a JSON file; any input fault is an ``InputError``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)

@@ -47,10 +47,10 @@ from .elim import (
     pivot_index,
 )
 from .filtered import FilteredPresentation, build_phi
-from .grouppres import PsiMap, wedge_apply
+from .grouppres import wedge_apply
 from .homogeneous import w_rows, zeta_degrees
 from .scalar import DimensionMismatch, Scalar, to_raw
-from .smashtensor import GroupData
+from .smashtensor import alternating_sum_terms
 
 
 class UnsupportedStructure(ValueError):
@@ -389,7 +389,6 @@ class NComplexSlice:
         self.phi = phi
         self.b0, self.b_decomp = self.tu.monomial_right_free_basis()
         alg = pres.homogenization()
-        self._w_cache: dict = {}
         self._x: dict[int, _XSpace] = {}
         self._slice_basis: dict[int, list] = {}
         self._slice_index: dict[int, dict] = {}
@@ -399,18 +398,15 @@ class NComplexSlice:
         self._act_cache: dict = {}
         self.max_n = self._max_nonzero_w()
 
-    def _w_list(self, n: int) -> list:
-        return w_rows(self._alg, n, self._w_cache)
-
     def _max_nonzero_w(self) -> int:
         for n in range(self.bound, -1, -1):
-            if self._w_list(n):
+            if w_rows(self._alg, n, self._alg.w_cache):
                 return n
         return 0
 
     def x_space(self, n: int) -> _XSpace:
         if n not in self._x:
-            self._x[n] = _XSpace(self.tu, n, self._w_list(n))
+            self._x[n] = _XSpace(self.tu, n, w_rows(self._alg, n, self._alg.w_cache))
         return self._x[n]
 
     def basis(self, n: int) -> list:
@@ -517,7 +513,7 @@ class NComplexSlice:
         ctx = self.ctx
         N = self.N
         r_rows = self._alg.R.basis_sparse()
-        low = self._w_list(n - N)
+        low = w_rows(self._alg, n - N, self._alg.w_cache)
         if r_first:
             tags = [(t, k) for t in range(len(r_rows)) for k in range(len(low))]
             gens = [ctx.row_product(r_rows[t], low[k], n - N) for t, k in tags]
@@ -525,7 +521,7 @@ class NComplexSlice:
             tags = [(k, t) for k in range(len(low)) for t in range(len(r_rows))]
             gens = [ctx.row_product(low[k], r_rows[t], N) for k, t in tags]
         solver = TaggedRows(ctx.field, gens, ctx.component_dim(n))
-        return [[(tags[i], c) for i, c in solver.solve(w)] for w in self._w_list(n)]
+        return [[(tags[i], c) for i, c in solver.solve(w)] for w in w_rows(self._alg, n, self._alg.w_cache)]
 
     def phi_left(self, n: int) -> dict:
         """Columns of 1 (x) phi^{1,N} (x) 1 : slice n -> slice n-N."""
@@ -537,7 +533,7 @@ class NComplexSlice:
         index = self._slice_index[n - self.N]
         phi_vals = self._phi_K_values()
         left_split = self._w_split(n, r_first=True)
-        w_low = self._w_list(n - self.N)
+        w_low = w_rows(self._alg, n - self.N, self._alg.w_cache)
         low_index = pivot_index(w_low)
 
         def act_on_w(g: int, kappa: int) -> list:
@@ -838,16 +834,12 @@ class WedgeComplex:
 
     Requires the presentation to come from the antisymmetrizer family, so
     that W_m is the span of antisymmetrized tensors with group coefficients
-    and the wedge words index it freely over K.
+    and the wedge words index it freely over K.  The group and p = N are
+    the family's.
     """
 
-    def __init__(self, family: NComplexSlice, group: GroupData, p: int, psi: PsiMap):
-        if family.N != p:
-            raise DimensionMismatch("the wedge picture needs relation degree p")
+    def __init__(self, family: NComplexSlice):
         self.family = family
-        self.group = group
-        self.p = p
-        self.psi = psi
         self.tu = family.tu
         self.ctx = family.ctx
         self._basis: dict[int, list] = {}
@@ -884,7 +876,7 @@ class WedgeComplex:
                 self._emit(out, m_low, pos2, combo, b_idx, coeff)
             else:
                 # push g through the wedge and the right factor
-                expansion = wedge_apply(self.group.matrices[g], combo, self.ctx.conductor)
+                expansion = wedge_apply(self.ctx.group.matrices[g], combo)
                 for combo2, cw in expansion.items():
                     raw_cw = to_raw(field, cw)
                     for b3, c3 in self.tu.left_mult_group(b_idx, g):
@@ -917,7 +909,7 @@ class WedgeComplex:
 
     def _even_map(self, m: int) -> dict:
         """Sum over a + b = p - 1 of a left-steps and b right-steps."""
-        return alternating_step_sum(self._left_step, self._right_step, m, self.p - 1, self.ctx.field)
+        return alternating_step_sum(self._left_step, self._right_step, m, self.family.N - 1, self.ctx.field)
 
     def _left_step(self, m: int) -> dict:
         field = self.ctx.field
@@ -960,8 +952,6 @@ class WedgeComplex:
         got = self._iso.get(m)
         if got is not None:
             return got
-        from .smashtensor import alternating_sum_terms
-
         ctx = self.ctx
         field = ctx.field
         fam = self.family
@@ -992,15 +982,17 @@ class WedgeComplex:
         return cols
 
 
-def wedge_differentials(family: NComplexSlice, group: GroupData, p: int, psi: PsiMap, parity: str, m: int) -> dict:
-    """Explicit wedge-formula matrix at wedge size m for the given parity."""
-    wc = WedgeComplex(family, group, p, psi)
+def wedge_differentials(family: NComplexSlice, parity: str, m: int) -> dict:
+    """Explicit wedge-formula matrix at wedge size m for the given parity,
+    over the family's group with p = N."""
+    wc = WedgeComplex(family)
     return wc.differential(m, parity)
 
 
-def wedge_agreement(family: NComplexSlice, group: GroupData, p: int, psi: PsiMap) -> bool:
-    """The wedge formulas match the generic maps under the identification."""
-    wc = WedgeComplex(family, group, p, psi)
+def wedge_agreement(family: NComplexSlice) -> bool:
+    """The wedge formulas match the generic maps under the identification;
+    the group and p = N are the family's."""
+    wc = WedgeComplex(family)
     field = family.ctx.field
     N = family.N
     zs = zeta_degrees(N, family.bound)

@@ -27,9 +27,17 @@ from typing import Iterable, Sequence
 
 from .cyclo import get_field
 from .elim import SparseEliminator, accumulate, add_scaled
-from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, to_raw
+from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, kernel, to_raw
 
 Terms = dict  # {(word tuple, g index): Scalar}
+
+
+def terms_to_json(terms: Terms) -> list:
+    """Terms as JSON objects in sorted order, with 1-based letters."""
+    return [
+        {"coeff": str(c), "word": [i + 1 for i in word], "g": g}
+        for (word, g), c in sorted(terms.items())
+    ]
 
 
 class GroupData:
@@ -77,7 +85,6 @@ class GroupData:
             raise ValueError("at least one generator (or use GroupData.trivial)")
         n = mats[0].rows
         conductor = max(m.conductor for m in mats)
-        from .scalar import kernel as _kernel
 
         gens = []
         for m in mats:
@@ -85,7 +92,7 @@ class GroupData:
                 raise DimensionMismatch("generators must be square of equal size")
             if m.conductor != conductor:
                 m = MatrixS(n, n, m.entries, conductor)
-            if _kernel(m).dim != 0:
+            if kernel(m).dim != 0:
                 raise ValueError("non-invertible generator")
             gens.append(m)
 
@@ -515,9 +522,6 @@ class Subbimodule:
             raise ValueError("spanning set is not closed under the bimodule actions")
         return out
 
-    def basis_terms(self) -> list[Terms]:
-        return [self.ctx.sparse_to_terms(row, self.degree) for row in self.space.rows]
-
     def basis_sparse(self) -> list[dict]:
         """The canonical rows themselves; callers must not mutate them."""
         return self.space.rows
@@ -734,11 +738,6 @@ class FilteredSubspace:
         return out
 
     @staticmethod
-    def sparse_to_terms(ctx: TensorContext, top_degree: int, row: dict) -> Terms:
-        layout = Filtration(ctx, top_degree)
-        return {layout.decode(c): Scalar(ctx.field, v) for c, v in row.items()}
-
-    @staticmethod
     def from_elements(ctx: TensorContext, top_degree: int, elements: Iterable[Terms], close: bool = True) -> "FilteredSubspace":
         rows = [FilteredSubspace.terms_to_sparse(ctx, top_degree, t) for t in elements]
         return FilteredSubspace.from_rows(ctx, top_degree, rows, close)
@@ -762,12 +761,6 @@ class FilteredSubspace:
     def basis_sparse(self) -> list[dict]:
         """The canonical rows themselves; callers must not mutate them."""
         return self.space.rows
-
-    def basis_terms(self) -> list[Terms]:
-        return [
-            FilteredSubspace.sparse_to_terms(self.ctx, self.top_degree, row)
-            for row in self.space.rows
-        ]
 
     @staticmethod
     def _actions(ctx: TensorContext, layout: Filtration) -> list:

@@ -171,8 +171,8 @@ def test_criterion_4_symplectic_reflection():
     omega = MatrixS.from_rows([[0, 1], [-1, 0]])
     for t in (0, 1):
         psi = build_psi_symplectic_reflection(group, omega, [1, t])
-        assert theorem_44_verdict(group, 2, psi).holds
-        pres = build_H_psi(group, 2, psi)
+        assert theorem_44_verdict(group, psi).holds
+        pres = build_H_psi(group, psi)
         rep = pbw_verdict(pres, 6)
         assert rep.certified
         assert rep.oracle.candidate_gr_dims == [2 * (n + 1) for n in range(7)]
@@ -246,8 +246,8 @@ def test_criterion_5_equivalence_laws():
     for _ in range(100):
         g = groups[rng.randrange(len(groups))]
         psi = _random_psi(rng, g, 2, g.dimV)
-        assert theorem_44_verdict(g, 2, psi).holds == (
-            check_equivariance(g, 2, psi) and check_identity_41(g, 2, psi)
+        assert theorem_44_verdict(g, psi).holds == (
+            check_equivariance(g, psi) and check_identity_41(g, psi)
         )
 
     # (c) theorem 4.4 verdict = conditions (I) and (J) on the built algebra
@@ -256,12 +256,12 @@ def test_criterion_5_equivalence_laws():
     for _ in range(100):
         g, p = cases[rng.randrange(len(cases))]
         psi = _random_psi(rng, g, p, g.dimV)
-        pres = build_H_psi(g, p, psi)
+        pres = build_H_psi(g, psi)
         if check_condition_I(pres):
             built = check_condition_J(pres).holds
         else:
             built = False
-        assert theorem_44_verdict(g, p, psi).holds == built
+        assert theorem_44_verdict(g, psi).holds == built
 
     # (d) product/intersection exchange identities on random sub-bimodules
     rng = random.Random(504)
@@ -300,8 +300,8 @@ def test_criterion_6_n_complex_over_zeta3():
     """A cubic example over Q(zeta_3): d^3 = 0, factorization, both roots."""
     group = GroupData.trivial(3, conductor=3)
     psi = PsiMap(3, 3, 1, {0: {(0, 1, 2): Scalar.one(3)}}, conductor=3)
-    assert theorem_44_verdict(group, 3, psi, conductor=3).holds
-    pres = build_H_psi(group, 3, psi, conductor=3)
+    assert theorem_44_verdict(group, psi).holds
+    pres = build_H_psi(group, psi)
     fam = NComplexSlice(pres, 6)
     first = check_dN_zero(fam, Scalar.zeta(3))
     assert first and all(ok for _, ok in first)
@@ -317,20 +317,20 @@ def test_criterion_7_wedge_cross_validation():
     neg = MatrixS.from_rows([[-1, 0], [0, -1]])
     group2 = GroupData.from_generators([neg])
     psi2 = build_psi_symplectic_reflection(group2, MatrixS.from_rows([[0, 1], [-1, 0]]), [1, 1])
-    pres2 = build_H_psi(group2, 2, psi2)
+    pres2 = build_H_psi(group2, psi2)
     fam2 = NComplexSlice(pres2, 5)
-    assert wedge_agreement(fam2, group2, 2, psi2)
+    assert wedge_agreement(fam2)
 
     group3 = GroupData.trivial(3)
     psi3 = PsiMap(3, 3, 1, {0: {(0, 1, 2): 1}})
-    pres3 = build_H_psi(group3, 3, psi3)
+    pres3 = build_H_psi(group3, psi3)
     fam3 = NComplexSlice(pres3, 5)
-    assert wedge_agreement(fam3, group3, 3, psi3)
+    assert wedge_agreement(fam3)
 
     # p = 2: both parity recipes instantiate the same uniform formula
     from nkoszul.komplex import WedgeComplex, maps_equal
 
-    wc = WedgeComplex(fam2, group2, 2, psi2)
+    wc = WedgeComplex(fam2)
     field = fam2.ctx.field
 
     def uniform(m):

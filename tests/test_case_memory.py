@@ -33,9 +33,9 @@ def test_the_presentation_dies_without_the_cyclic_collector(monkeypatch, fixture
     load = cli.load_input
 
     def tracking_load(path):
-        pres, psi, hpsi = load(path)
+        pres, psi = load(path)
         refs.append(weakref.ref(pres))
-        return pres, psi, hpsi
+        return pres, psi
 
     monkeypatch.setattr(cli, "load_input", tracking_load)
     gc.collect()

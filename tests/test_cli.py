@@ -390,6 +390,22 @@ def test_dN_zero_needs_compatible_conductor(tmp_path):
     assert code == 2 and "conductor" in report["error"]
 
 
+def test_psi_block_arity_must_match_the_presentation(tmp_path):
+    # a psi of arity 3 under an h_psi presentation of p = 2
+    data = {
+        "context": {"conductor": 1, "dimV": 3},
+        "presentation": {
+            "builder": "h_psi",
+            "p": 2,
+            "psi": {"p": 3, "psi": [{"g": 0, "values": {"[1,2,3]": "1"}}]},
+        },
+    }
+    path = write(tmp_path, "arity.json", data)
+    assert main(["--input", path, "--checks", "condition_I", "--out", str(tmp_path / "r.txt")]) == 2
+    report, code = run(RunConfig(input_path=path, checks=["condition_I"]))
+    assert code == 2 and "error" in report
+
+
 def test_terms_json_round_trip():
     from nkoszul.jsonio import parse_terms, terms_to_json
     from nkoszul.smashtensor import GroupData, TensorContext
@@ -406,9 +422,9 @@ def test_terms_json_round_trip():
 
 def test_psi_json_round_trip(tmp_path):
     path = write(tmp_path, "sy.json", SYMPLECTIC)
-    pres, psi, hpsi = load_input(path)
+    pres, psi = load_input(path)
     blob = psi_to_json(psi)
     from nkoszul.jsonio import parse_psi
 
-    again = parse_psi(blob, hpsi["group"], pres.ctx.conductor)
+    again = parse_psi(blob, pres.ctx.group, pres.ctx.conductor)
     assert again.components == psi.components

@@ -77,12 +77,25 @@ def test_decompose_p_out_of_range():
 def test_build_H_psi_zero_gives_antisymmetrizer():
     g = GroupData.from_generators([perm_matrix([1, 0, 2, 3]), perm_matrix([0, 2, 1, 3])])
     psi = PsiMap(3, 4, g.order, {})
-    pres = build_H_psi(g, 3, psi)
+    pres = build_H_psi(g, psi)
     R = project_R(pres)
     assert R.dim == comb(4, 3) * g.order
     ctx = pres.ctx
     assert R == antisymmetrizer_subbimodule(ctx, 3)
     assert W(R, 4).dim == comb(4, 4) * g.order
+
+
+def test_psi_over_a_larger_field_than_the_group():
+    # Gamma's matrices over Q, psi over Q(zeta3): the checks and the
+    # builders work in Q(zeta3), the larger of the two fields
+    g = GroupData.from_generators([MatrixS.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])])
+    psi = build_psi_corollary45(g, 3, {(0, 1, 2): Scalar.zeta(3)}, conductor=3)
+    assert psi.conductor == 3 and set(psi.components) == {0, 1}
+    assert check_equivariance(g, psi) and check_identity_41(g, psi)
+    assert theorem_44_verdict(g, psi).holds
+    pres = build_H_psi(g, psi)
+    assert pres.ctx.conductor == 3 and pres.ctx.group is g
+    assert check_condition_I(pres) and check_condition_J(pres).holds
 
 
 def test_build_H_psi_trivial_group_p2_matches_lie():
@@ -92,7 +105,7 @@ def test_build_H_psi_trivial_group_p2_matches_lie():
     # p = 2 with psi scalar-valued matches a central-extension bracket only
     # in its scalar part; compare against the explicit relation span instead
     psi = PsiMap(2, 3, 1, {0: {(0, 1): 1, (1, 2): -2}})
-    pres = build_H_psi(g, 2, psi)
+    pres = build_H_psi(g, psi)
     from nkoszul.smashtensor import FilteredSubspace
 
     ctx = pres.ctx
@@ -114,7 +127,7 @@ def test_build_H_psi_trivial_group_p2_matches_lie():
 def test_equivariance_trivial_group_always():
     g = GroupData.trivial(2)
     psi = PsiMap(2, 2, 1, {0: {(0, 1): 7}})
-    assert check_equivariance(g, 2, psi)
+    assert check_equivariance(g, psi)
 
 
 def test_equivariance_of_corollary_construction():
@@ -125,8 +138,8 @@ def test_equivariance_of_corollary_construction():
     # signs, so build from the full antisymmetrization-invariant on Z/2
     g2 = neg_group(2)
     psi = build_psi_symplectic_reflection(g2, MatrixS.from_rows([[0, 1], [-1, 0]]), [1, 1])
-    assert check_equivariance(g2, 2, psi)
-    assert check_identity_41(g2, 2, psi)
+    assert check_equivariance(g2, psi)
+    assert check_identity_41(g2, psi)
 
 
 def test_equivariance_fails_on_single_noncentral_support():
@@ -137,14 +150,14 @@ def test_equivariance_fails_on_single_noncentral_support():
         if g.matrices[i] == perm_matrix([1, 0, 2]):
             swap_idx = i
     psi = PsiMap(2, 3, g.order, {swap_idx: {(0, 1): 1, (0, 2): 2}})
-    assert not check_equivariance(g, 2, psi)
-    pres = build_H_psi(g, 2, psi)
+    assert not check_equivariance(g, psi)
+    pres = build_H_psi(g, psi)
     assert not check_condition_I(pres)
 
 
 def test_identity_41_zero_psi():
     g = neg_group(3)
-    assert check_identity_41(g, 2, PsiMap(2, 3, g.order, {}))
+    assert check_identity_41(g, PsiMap(2, 3, g.order, {}))
 
 
 def test_identity_41_on_and_off_component():
@@ -157,9 +170,9 @@ def test_identity_41_on_and_off_component():
     dec = decompose(g, 2)
     assert dec.a == [0, 2]
     on_component = PsiMap(2, 4, 2, {1: {(0, 1): 1}})  # supported on Λ²(M)
-    assert check_identity_41(g, 2, on_component)
+    assert check_identity_41(g, on_component)
     off_component = PsiMap(2, 4, 2, {1: {(2, 3): 1}})  # supported on Λ²(L)
-    assert not check_identity_41(g, 2, off_component)
+    assert not check_identity_41(g, off_component)
 
 
 def test_theorem44_detects_global_phi_assignment():
@@ -170,13 +183,13 @@ def test_theorem44_detects_global_phi_assignment():
     g = GroupData.from_generators([gmat])
     omega = {(0, 1): S(1), (2, 3): S(1)}  # invariant under g
     psi_wrong = PsiMap(2, 4, 2, {0: omega, 1: omega})
-    rep = theorem_44_verdict(g, 2, psi_wrong)
+    rep = theorem_44_verdict(g, psi_wrong)
     assert rep.equivariant
     assert not rep.holds
-    assert not check_identity_41(g, 2, psi_wrong)
+    assert not check_identity_41(g, psi_wrong)
     # the corrected component-wise construction passes
     psi_right = build_psi_corollary45(g, 2, omega, [1, 1])
-    assert theorem_44_verdict(g, 2, psi_right).holds
+    assert theorem_44_verdict(g, psi_right).holds
     # psi_g keeps only the Λ²(M_g) part for the reflection element
     assert psi_right.components[1] == {(0, 1): S(1)}
 
@@ -204,8 +217,8 @@ def test_theorem44_equals_equivariance_and_identity_randomized():
     for _ in range(40):
         g = groups[rng.randrange(len(groups))]
         psi = random_psi(rng, g, 2, g.dimV)
-        lhs = theorem_44_verdict(g, 2, psi).holds
-        rhs = check_equivariance(g, 2, psi) and check_identity_41(g, 2, psi)
+        lhs = theorem_44_verdict(g, psi).holds
+        rhs = check_equivariance(g, psi) and check_identity_41(g, psi)
         assert lhs == rhs
 
 
@@ -215,8 +228,8 @@ def test_theorem44_equals_pbw_conditions_randomized():
     for _ in range(20):
         g = groups[rng.randrange(len(groups))]
         psi = random_psi(rng, g, 2, g.dimV)
-        lhs = theorem_44_verdict(g, 2, psi).holds
-        pres = build_H_psi(g, 2, psi)
+        lhs = theorem_44_verdict(g, psi).holds
+        pres = build_H_psi(g, psi)
         if check_condition_I(pres):
             rhs = check_condition_J(pres).holds
         else:
@@ -235,7 +248,7 @@ def test_phi_of_group_presentation_is_psi_in_degree_zero():
 
     g = neg_group(2)
     psi = build_psi_symplectic_reflection(g, MatrixS.from_rows([[0, 1], [-1, 0]]), [1, 1])
-    pres = build_H_psi(g, 2, psi)
+    pres = build_H_psi(g, psi)
     phi = build_phi(pres)
     for j in range(1, 2):
         assert phi.is_zero_component(j)
@@ -286,7 +299,7 @@ def test_corollary45_symplectic_reflection_on_Q2():
     psi = build_psi_symplectic_reflection(g, MatrixS.from_rows([[0, 1], [-1, 0]]), [1, 1])
     assert psi.components[0] == {(0, 1): S(1)}
     assert psi.components[1] == {(0, 1): S(1)}
-    assert theorem_44_verdict(g, 2, psi).holds
+    assert theorem_44_verdict(g, psi).holds
 
 
 def test_corollary45_zero_class_function_gives_graded_case():

@@ -132,7 +132,7 @@ def load_or_refuse(data):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
         try:
-            pres, _psi, _hpsi = load_input(path)
+            pres, _psi = load_input(path)
         except InputError:
             return
     assert isinstance(pres, FilteredPresentation)

@@ -45,20 +45,20 @@ S = Scalar.rational
 def weyl_presentation():
     g = GroupData.trivial(2)
     psi = PsiMap(2, 2, 1, {0: {(0, 1): 1}})
-    return build_H_psi(g, 2, psi), g, psi
+    return build_H_psi(g, psi), g, psi
 
 
 def planes_p2_presentation():
     # p = 2 on Q^3 with a degenerate alternating scalar form: W_3 is nonzero
     g = GroupData.trivial(3)
     psi = PsiMap(2, 3, 1, {0: {(0, 1): 1, (1, 2): 1}})
-    return build_H_psi(g, 2, psi), g, psi
+    return build_H_psi(g, psi), g, psi
 
 
 def cubic_zeta3_presentation():
     g = GroupData.trivial(3, conductor=3)
     psi = PsiMap(3, 3, 1, {0: {(0, 1, 2): Scalar.one(3)}}, conductor=3)
-    return build_H_psi(g, 3, psi, conductor=3), g, psi
+    return build_H_psi(g, psi), g, psi
 
 
 def symplectic_presentation(t=1):
@@ -67,7 +67,7 @@ def symplectic_presentation(t=1):
     psi = build_psi_symplectic_reflection(
         g, MatrixS.from_rows([[0, 1], [-1, 0]]), [1, t]
     )
-    return build_H_psi(g, 2, psi), g, psi
+    return build_H_psi(g, psi), g, psi
 
 
 # -- the truncated algebra ----------------------------------------------------
@@ -206,7 +206,7 @@ def test_dl_power_equals_phi_lift():
 
 def test_dl_power_vanishes_in_graded_case():
     g = GroupData.trivial(2)
-    pres = build_H_psi(g, 2, PsiMap(2, 2, 1, {}))
+    pres = build_H_psi(g, PsiMap(2, 2, 1, {}))
     fam = NComplexSlice(pres, 4)
     field = fam.ctx.field
     dl2 = compose_maps(fam.d_left(1), fam.d_left(2), field)
@@ -364,7 +364,7 @@ def test_wedge_agreement_all_fixtures():
         cubic_zeta3_presentation(),
     ):
         fam = NComplexSlice(pres, 5)
-        assert wedge_agreement(fam, g, psi.p, psi)
+        assert wedge_agreement(fam)
 
 
 def test_wedge_odd_even_identical_for_p2():
@@ -376,7 +376,7 @@ def test_wedge_odd_even_identical_for_p2():
 
     pres, g, psi = symplectic_presentation()
     fam = NComplexSlice(pres, 5)
-    wc = WedgeComplex(fam, g, 2, psi)
+    wc = WedgeComplex(fam)
     field = fam.ctx.field
 
     def uniform(m):
@@ -407,7 +407,7 @@ def test_wedge_single_letter_formula():
     fam = NComplexSlice(pres, 4)
     from nkoszul.komplex import WedgeComplex
 
-    wc = WedgeComplex(fam, g, 2, psi)
+    wc = WedgeComplex(fam)
     basis1 = wc.basis(1)
     unit = next(
         i for i, (pos, combo, b) in enumerate(basis1)
@@ -425,8 +425,8 @@ def test_graded_part_of_twisted_differential_matches_psi_zero():
     # common monomial labels
     g = GroupData.trivial(2)
     psi = PsiMap(2, 2, 1, {0: {(0, 1): 1}})
-    pres1 = build_H_psi(g, 2, psi)
-    pres0 = build_H_psi(g, 2, PsiMap(2, 2, 1, {}))
+    pres1 = build_H_psi(g, psi)
+    pres0 = build_H_psi(g, PsiMap(2, 2, 1, {}))
     fam1 = NComplexSlice(pres1, 5)
     fam0 = NComplexSlice(pres0, 5)
 
@@ -466,7 +466,7 @@ def test_graded_part_of_twisted_differential_matches_psi_zero():
 
 @pytest.fixture(scope="module")
 def sr_z6():
-    pres, _, _ = load_input(str(FIXTURES / "sr_z6.json"))
+    pres, _ = load_input(str(FIXTURES / "sr_z6.json"))
     return NComplexSlice(pres, 6)
 
 
@@ -581,7 +581,7 @@ def test_step_sum_recurrence_on_the_cubic_family():
 def test_wedge_agreement_sees_one_flipped_entry(monkeypatch):
     pres, g, psi = weyl_presentation()
     fam = NComplexSlice(pres, 6)
-    assert wedge_agreement(fam, g, 2, psi)
+    assert wedge_agreement(fam)
     right_step = WedgeComplex._right_step
 
     def flipped(self, m):
@@ -593,7 +593,7 @@ def test_wedge_agreement_sees_one_flipped_entry(monkeypatch):
         return cols
 
     monkeypatch.setattr(WedgeComplex, "_right_step", flipped)
-    assert not wedge_agreement(fam, g, 2, psi)
+    assert not wedge_agreement(fam)
 
 
 @pytest.mark.parametrize("make", [weyl_presentation, cubic_zeta3_presentation])

@@ -7,7 +7,7 @@ from nkoszul.smashtensor import GroupData
 
 
 def weyl_presentation():
-    return build_H_psi(GroupData.trivial(2), 2, PsiMap(2, 2, 1, {0: {(0, 1): 1}}))
+    return build_H_psi(GroupData.trivial(2), PsiMap(2, 2, 1, {0: {(0, 1): 1}}))
 
 
 def test_pbw_oracle_and_slices_share_one_run(monkeypatch):

@@ -34,7 +34,7 @@ def test_tor3_and_pbw_share_one_tor3_run(monkeypatch):
     koszul_complex_check(alg, 6)
     assert calls == [5, 6]
     # over Z/6 the one run is at field level, and the scaled copy is kept
-    pres6, _, _ = load_input(str(FIXTURES / "sr_z6.json"))
+    pres6, _ = load_input(str(FIXTURES / "sr_z6.json"))
     alg6 = pres6.homogenization()
     cert = koszul_complex_check(alg6, 4)
     assert check_tor3_concentration(alg6, 4).holds

@@ -75,7 +75,7 @@ def sl2():
 
 def fixture(name):
     # the group-level algebra itself, not its field-level slice
-    pres, _, _ = load_input(str(FIXTURES / f"{name}.json"))
+    pres, _ = load_input(str(FIXTURES / f"{name}.json"))
     return pres.homogenization()
 
 

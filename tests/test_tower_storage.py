@@ -85,7 +85,7 @@ class StoredTower:
 
 
 def group_level(fixture):
-    pres, _, _ = load_input(str(FIXTURES / f"{fixture}.json"))
+    pres, _ = load_input(str(FIXTURES / f"{fixture}.json"))
     # the group-level homogenization itself, not its field-level slice
     return pres.homogenization()
 
