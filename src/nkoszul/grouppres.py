@@ -25,7 +25,7 @@ from typing import Optional
 
 from .cyclo import get_field
 from .filtered import FilteredPresentation
-from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, image, kernel, rref_raw
+from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, image, kernel, rref_raw, to_raw
 from .smashtensor import (
     FilteredSubspace,
     GroupData,
@@ -40,6 +40,8 @@ class PsiMap:
     ``components[g]`` maps an ascending tuple of 0-based letters to the
     coefficient of the group element g; absent entries are zero.
     Alternation is structural, so no skew-symmetry needs verifying.
+    Rational coefficients, and scalars of Q, are taken into the field of
+    ``conductor``.
     """
 
     def __init__(self, p: int, dimV: int, order: int, components: dict, conductor: int = 1):
@@ -49,6 +51,7 @@ class PsiMap:
         self.dimV = dimV
         self.order = order
         self.conductor = conductor
+        field = get_field(conductor)
         comps: dict[int, dict] = {}
         for g, table in components.items():
             if not 0 <= g < order:
@@ -62,6 +65,8 @@ class PsiMap:
                     raise ValueError(f"wedge key {combo} has a letter outside 0..{dimV - 1}")
                 if not isinstance(c, Scalar):
                     c = Scalar.rational(Fraction(c), conductor)
+                elif c.conductor == 1:
+                    c = Scalar(field, to_raw(field, c))
                 if not c.is_zero():
                     clean[combo] = c
             if clean:
@@ -132,14 +137,16 @@ class GDecomposition:
         return {"p": self.p, "a": list(self.a)}
 
 
-def _over(group: GroupData, conductor: int) -> GroupData:
-    """Gamma with its matrices over Q(zeta_m), m the larger of ``conductor``
-    and theirs: the one field that Gamma and psi both live in."""
-    m = max(group.matrices[0].conductor, conductor)
-    if all(mat.conductor == m for mat in group.matrices):
-        return group
-    mats = [MatrixS(mat.rows, mat.cols, mat.entries, m) for mat in group.matrices]
-    return GroupData(mats, group.mult_table, group.inverses, group.conj_classes, group.generators)
+def _over(group: GroupData, psi: PsiMap) -> tuple[GroupData, PsiMap]:
+    """Gamma and psi over Q(zeta_m), m the larger of their conductors: the
+    one field that Gamma and psi both live in."""
+    m = max(group.matrices[0].conductor, psi.conductor)
+    if any(mat.conductor != m for mat in group.matrices):
+        mats = [MatrixS(mat.rows, mat.cols, mat.entries, m) for mat in group.matrices]
+        group = GroupData(mats, group.mult_table, group.inverses, group.conj_classes, group.generators)
+    if psi.conductor != m:
+        psi = PsiMap(psi.p, psi.dimV, psi.order, psi.components, m)
+    return group, psi
 
 
 def _id_minus_signed(mat: MatrixS, p: int) -> MatrixS:
@@ -195,7 +202,7 @@ def build_H_psi(group: GroupData, psi: PsiMap) -> FilteredPresentation:
 def check_equivariance(group: GroupData, psi: PsiMap) -> bool:
     """psi(rho(g) w) = g psi(w) g^{-1}, componentwise over the group, for w
     in Λ^p V with p the arity of psi."""
-    group = _over(group, psi.conductor)
+    group, psi = _over(group, psi)
     for g in range(group.order):
         mat = group.matrices[g]
         ginv = group.inverses[g]
@@ -219,7 +226,7 @@ def check_identity_41(group: GroupData, psi: PsiMap) -> bool:
     of psi_g on the p-subtuples weighted by (Id - (-1)^p rho(g)) applied to
     the omitted vector must vanish; p is the arity of psi.
     """
-    group = _over(group, psi.conductor)
+    group, psi = _over(group, psi)
     dimV = group.dimV
     p = psi.p
     for g in range(group.order):
@@ -262,7 +269,7 @@ def theorem_44_verdict(group: GroupData, psi: PsiMap) -> Theorem44Report:
     the summand with i factors from M_g must vanish unless i = a(g), where
     p is the arity of psi.
     """
-    group = _over(group, psi.conductor)
+    group, psi = _over(group, psi)
     dec = decompose(group, psi.p)
     equivariant = check_equivariance(group, psi)
     per_g = []
@@ -300,9 +307,8 @@ def build_psi_corollary45(
     scalars, required constant on conjugacy classes, multiplying psi_g.
     """
     dimV = group.dimV
-    base = PsiMap(p, dimV, group.order, {0: phi}, conductor)
-    conductor = max(conductor, base.conductor)
-    group = _over(group, conductor)
+    group, base = _over(group, PsiMap(p, dimV, group.order, {0: phi}, conductor))
+    conductor = base.conductor
     phi_map = {combo: base.value(0, combo) for combo in combinations(range(dimV), p)}
     # invariance of phi
     for g in range(group.order):
@@ -360,7 +366,7 @@ def _matrix_inverse(mat: MatrixS, conductor: int) -> MatrixS:
     field = get_field(conductor)
     rows = []
     for i in range(n):
-        row = [mat[i, j].raw for j in range(n)]
+        row = [to_raw(field, mat[i, j]) for j in range(n)]
         row += [field.one if j == i else field.zero for j in range(n)]
         rows.append(row)
     red, pivots = rref_raw(field, rows)

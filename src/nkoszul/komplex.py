@@ -68,10 +68,13 @@ def _mul(field, a, b):
 
 
 class TruncatedU:
-    """U = T(V)#Gamma / I(P) on a monomial coset basis up to degree D.
+    """U = T(V)#Gamma / I(P) on the standard monomials up to degree D.
 
-    Coordinates and products are those of the oracle's descending layout,
-    ``engine.layout``; a product is reduced by the oracle's eliminator.
+    The basis is the oracle's standard monomials, degree by degree in
+    ascending layout order.  Vectors are in the oracle's descending layout,
+    ``engine.layout``, and a vector reduces to the sum of its entries times
+    the oracle's normal forms ``engine.nf``.  Under PBW the normal form
+    modulo J^D onto the standard monomials is unique.
     """
 
     def __init__(self, pres: FilteredPresentation, bound: int):
@@ -84,24 +87,15 @@ class TruncatedU:
                 f"filtration equalities fail at degree {bad[0]}; the truncated algebra is undefined"
             )
         self.engine = engine
-        ctx = pres.ctx
-        self.ctx = ctx
+        self.ctx = pres.ctx
         layout = engine.layout
-        # basis: non-pivot coordinates, grouped by degree ascending
-        pivots = engine.elim.pivot_rows
         self.basis: list[tuple[int, tuple[int, ...], int]] = []
         self.index_of_coord: dict[int, int] = {}
-        self.dims_by_degree: list[int] = []
+        self.dims_by_degree = [len(engine.std[d]) for d in range(bound + 1)]
         for d in range(bound + 1):
-            start = layout.start[d]
-            count = 0
-            for local in range(ctx.component_dim(d)):
-                if start + local not in pivots:
-                    word, g = ctx.word_of(local, d)
-                    self.index_of_coord[start + local] = len(self.basis)
-                    self.basis.append((d, word, g))
-                    count += 1
-            self.dims_by_degree.append(count)
+            for coord in engine.std[d]:
+                self.index_of_coord[coord] = len(self.basis)
+                self.basis.append((d, *layout.decode(coord)))
         self._products: dict[tuple, list] = {}
         self._b0: Optional[list] = None
         self._b0_index: Optional[dict] = None
@@ -115,7 +109,11 @@ class TruncatedU:
 
     def _reduce_coord_vec(self, vec: dict) -> dict:
         """Reduce a vector in the oracle's layout onto the basis."""
-        red = self.engine.elim.reduce(vec)
+        engine = self.engine
+        field = self.field
+        red: dict = {}
+        for c, v in vec.items():
+            add_scaled(field, red, engine.nf(*engine.layout.decode(c)), v)
         return {self.index_of_coord[c]: v for c, v in red.items()}
 
     def reduce_terms(self, terms: dict) -> dict:

@@ -98,6 +98,31 @@ def test_psi_over_a_larger_field_than_the_group():
     assert check_condition_I(pres) and check_condition_J(pres).holds
 
 
+def test_psi_over_a_smaller_field_than_the_group():
+    # Gamma = <diag(zeta, zeta^2)> over Q(zeta3), psi over Q: all three
+    # checks lift psi into Q(zeta3) and agree
+    z = Scalar.zeta(3)
+    g = GroupData.from_generators([MatrixS.from_rows([[z, 0], [0, z * z]], 3)])
+    psi = PsiMap(2, 2, 1, {0: {(0, 1): 1}})
+    assert psi.conductor == 1 and g.order == 3
+    equivariant = check_equivariance(g, psi)
+    identity = check_identity_41(g, psi)
+    verdict = theorem_44_verdict(g, psi)
+    assert equivariant and identity
+    assert verdict.equivariant == equivariant and verdict.holds == (equivariant and identity)
+
+
+def test_symplectic_reflection_psi_in_a_larger_field_than_omega():
+    # omega over Q with the conductor 3 declared: the nondegeneracy check
+    # inverts omega in Q(zeta3), and psi is the Q-built psi taken there
+    omega = MatrixS.from_rows([[0, 1], [-1, 0]])
+    psi3 = build_psi_symplectic_reflection(neg_group(2), omega, None, conductor=3)
+    psi1 = build_psi_symplectic_reflection(neg_group(2), omega, None)
+    assert psi3.conductor == 3
+    assert psi3.components == PsiMap(2, 2, 2, psi1.components, 3).components
+    assert set(psi3.components) == {0, 1}
+
+
 def test_build_H_psi_trivial_group_p2_matches_lie():
     # psi given by a bracket f recovers the enveloping-algebra presentation
     g = GroupData.trivial(3)

@@ -1,0 +1,194 @@
+"""The oracle's quotient tower against the full-space elimination of J^D.
+
+``OracleEngine._full_space`` row-reduces all of J^D in F^D, the way the
+oracle did before it built F^nU level by level; it stays in the engine as
+the path for inputs whose filtration equalities fail.  Here it is the
+reference: on inputs that satisfy the equalities the tower must give the
+same dimensions, the same standard monomials (the non-pivot coordinates
+of the reference) and the same products in the truncated algebra, and on
+inputs that do not it must stop at the first failing degree.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from nkoszul.filtered import (
+    FilteredPresentation,
+    OracleEngine,
+    build_down_up,
+    build_lie,
+    oracle_pbw,
+    pbw_verdict,
+)
+from nkoszul.jsonio import load_input
+from nkoszul.komplex import NComplexSlice, TruncatedU
+from nkoszul.scalar import MatrixS, Scalar
+from nkoszul.smashtensor import FilteredSubspace, GroupData, TensorContext
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+def sl2():
+    return build_lie({(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}})
+
+
+def non_jacobi():
+    return build_lie({(1, 3): {1: 1}, (2, 3): {3: 1}}, dimV=3)
+
+
+def fixture(name):
+    pres, _ = load_input(str(FIXTURES / f"{name}.json"))
+    return pres
+
+
+def reference(pres, D):
+    engine = OracleEngine(pres, D)
+    engine._full_space()
+    return engine
+
+
+def reference_std(engine):
+    """The non-pivot coordinates of each block of the full-space rows."""
+    layout = engine.layout
+    pivots = engine.elim.pivot_rows
+    return [
+        [c for c in range(layout.start[d], layout.start[d] + engine.ctx.component_dim(d)) if c not in pivots]
+        for d in range(engine.D + 1)
+    ]
+
+
+def first_failure(engine):
+    return min((n for n, ok in engine.equalities.items() if not ok), default=None)
+
+
+@pytest.mark.parametrize(
+    "build, D",
+    [
+        (sl2, 8),
+        (lambda: build_down_up(2, -1, 1), 10),
+        (lambda: fixture("sr_z6"), 6),
+        (lambda: fixture("cubic_z3"), 6),
+    ],
+    ids=["sl2", "down_up", "sr_z6", "cubic_z3"],
+)
+def test_tower_matches_the_full_space_elimination(build, D):
+    pres = build()
+    engine = OracleEngine(pres, D)
+    assert engine._tower() is None
+    ref = reference(pres, D)
+    assert engine.j_dims == ref.j_dims
+    assert engine.equalities == ref.equalities
+    assert all(ref.equalities.values())
+    assert engine.std == reference_std(ref)
+
+
+def random_presentation(rng):
+    """A small random filtered presentation: N in {2, 3}, 1-3 elements."""
+    kind = rng.choice(["trivial2", "trivial3", "minus", "swap"])
+    if kind.startswith("trivial"):
+        dimV = int(kind[-1])
+        group = GroupData.trivial(dimV)
+    else:
+        dimV = 2
+        mat = [[-1, 0], [0, -1]] if kind == "minus" else [[0, 1], [1, 0]]
+        group = GroupData.from_generators([MatrixS.from_rows(mat)])
+    ctx = TensorContext(dimV, group)
+    N = rng.choice([2, 3])
+    elements = []
+    for _ in range(rng.randint(1, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            # the top degree most often, constants and lower degrees too
+            degree = rng.choice([N, N, N, rng.randrange(N)])
+            word = tuple(rng.randrange(dimV) for _ in range(degree))
+            g = rng.randrange(group.order)
+            terms[(word, g)] = Scalar.rational(Fraction(rng.randint(-2, 2)))
+        elements.append(terms)
+    P = FilteredSubspace.from_elements(ctx, N, elements, close=True)
+    D = N + rng.randint(1, 3 if dimV == 2 else 2)
+    return FilteredPresentation(ctx, N, P), D
+
+
+def test_tower_agrees_with_the_full_space_on_random_presentations():
+    rng = random.Random(12)
+    outcomes = Counter()
+    for _ in range(150):
+        pres, D = random_presentation(rng)
+        ref = reference(pres, D)
+        engine = OracleEngine(pres, D)
+        stopped = engine._tower()
+        assert stopped == first_failure(ref)
+        outcomes["pbw" if stopped is None else "at N" if stopped == pres.N else "above N"] += 1
+        if stopped is None:
+            assert engine.j_dims == ref.j_dims
+            assert engine.equalities == ref.equalities
+            assert engine.std == reference_std(ref)
+        # the report itself never depends on the path
+        full = OracleEngine(pres, D)
+        full.run()
+        assert (full.j_dims, full.equalities, full.witnesses) == (
+            ref.j_dims,
+            ref.equalities,
+            ref.witnesses,
+        )
+    # both paths are exercised, and failures past the first level too
+    assert min(outcomes[k] for k in ("pbw", "at N", "above N")) >= 10
+
+
+@pytest.mark.parametrize(
+    "build, D",
+    [(sl2, 6), (lambda: fixture("sr_z6"), 5)],
+    ids=["sl2", "sr_z6"],
+)
+def test_truncated_products_match_full_space_reductions(build, D):
+    pres = build()
+    tu = TruncatedU(pres, D)
+    ref = reference(pres, D)
+    layout = ref.layout
+    ctx = pres.ctx
+    one = ctx.field.one
+    assert [(d, layout.coord(w, g)) for d, w, g in tu.basis] == [
+        (d, c) for d, coords in enumerate(reference_std(ref)) for c in coords
+    ]
+    for idx, (d, word, g0) in enumerate(tu.basis):
+        mono = {layout.coord(word, g0): one}
+        steps = [(letter, 0) for letter in range(ctx.dimV)] if d < D else []
+        steps += [(None, g) for g in range(ctx.order)]
+        for side, mul in (("right", layout.right_mul), ("left", layout.left_mul)):
+            for letter, g in steps:
+                expected = {
+                    tu.index_of_coord[c]: v
+                    for c, v in ref.elim.reduce(mul(mono, letter, g, layout)).items()
+                }
+                assert dict(tu._product(side, idx, letter, g)) == expected
+
+
+def test_sl2_tower_holds_a_row_per_pivot_position():
+    # F^8 of sl2: 9,841 coordinates, 165 standard monomials, and the tower's
+    # 361 positions; the full-space engine held all 9,676 rows of J^8
+    engine = sl2().oracle(8)
+    assert engine.elim.rank == 196
+    assert engine.j_dims[8] == 9676
+    assert sum(len(s) for s in engine.std) == 165
+
+
+def test_full_space_runs_only_when_an_equality_fails(monkeypatch):
+    runs = []
+    original = OracleEngine._full_space
+
+    def counting(self):
+        runs.append(self.D)
+        original(self)
+
+    monkeypatch.setattr(OracleEngine, "_full_space", counting)
+    assert pbw_verdict(sl2(), 6).certified
+    assert oracle_pbw(build_down_up(2, -1, 1), 8).holds
+    NComplexSlice(fixture("sr_z6"), 4)
+    assert runs == []
+    rep = oracle_pbw(non_jacobi(), 5)
+    assert runs == [5]
+    assert rep.witness_degree == 3 and not rep.equalities[3]
