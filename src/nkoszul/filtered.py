@@ -9,20 +9,17 @@ R defines the homogenized algebra A.  The module provides:
   intersection, the lifted-map form on W_{N+1}, and the componentwise
   equations), which must always agree,
 * a PBW verdict combining those with the degree-3 Tor concentration of A,
-* an oracle that builds the filtered pieces F^nU = F^n/J^n degree by
-  degree and checks J^n ∩ F^{n-1} = J^{n-1} directly, reporting candidate
-  dimensions for the associated graded algebra,
+* an oracle that builds the filtered pieces F^nU = F^n/J^n with the
+  quotient tower of ``homogeneous._Tower`` on the relations P and checks
+  J^n ∩ F^{n-1} = J^{n-1} directly, reporting candidate dimensions for the
+  associated graded algebra,
 * builders for enveloping-algebra and down-up presentations.
 
-The oracle works in the degree-descending coordinates of
-``Filtration(ctx, D, descending=True)``, so a row's pivot lies in its top
-degree and a new pivot landing below the top block is precisely a
-witness that the filtration equality fails at that degree.  While the
-equalities hold it eliminates only the relations of the quotient tower
-F^nU = (K ⊕ V ⊗ F^{n-1}U) / P·F^{n-N}U; at the first failure it
-eliminates all of J^D instead.  The truncated algebra in ``komplex``
-reads its basis, the standard monomials, and its normal forms off the
-same layout.
+A row of the tower without a top-degree entry is precisely a witness that
+the filtration equality fails at that degree; the oracle then eliminates
+all of J^D in the coordinates of ``Filtration(ctx, D, descending=True)``
+instead.  The truncated algebra in ``komplex`` reads its basis, the
+standard monomials, and its normal forms off the same tower.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from .elim import (
 from .homogeneous import (
     HomogeneousAlgebra,
     Tor3Report,
+    _Tower,
     check_tor3_concentration,
     is_antisymmetrizer_relations,
     prefix_split,
@@ -314,24 +312,13 @@ def check_remark_310(pres: FilteredPresentation) -> bool:
 class OracleEngine:
     """The filtered pieces F^nU = F^n/J^n, built level by level up to D.
 
-    Coordinates are those of ``Filtration(ctx, D, descending=True)``, so a
-    row's pivot lies in its top degree.  Level n is the quotient of
-    K ⊕ V ⊗ F^{n-1}U by the images of P·(s ⊗ h), for the standard
-    monomials s ⊗ h of degree n-N; F^{n-1}U is spanned by the standard
-    monomials of degree < n, and the letter a in front of one of them, s,
-    is the position a·s.  A term w ⊗ g of such a product enters as the
-    position ``w[0]`` in front of ``nf(w[1:], g)``.  One eliminator holds
-    the relations of every level, and the standard monomials of degree n
-    are the positions of block n that are not pivots.
-
-    While J^n ∩ F^{n-1} = J^{n-1} holds, each new pivot lies in block n
-    and the standard monomials of degree n number dim A_n.  A new pivot
-    below block n is exactly a failure of that equality.  The tower then
-    stops and the report comes from the full-space elimination of J^D
-    instead (``_full_space``), which also finds the witnesses.
-
-    ``std[d]`` lists the standard monomials of degree d as ascending
-    layout coordinates; ``nf`` writes a monomial over them.
+    ``tower`` is ``homogeneous._Tower`` on the relations P, the class that
+    builds A_n from R: level n is K ⊕ V ⊗ F^{n-1}U modulo P times the
+    standard monomials of degree n-N, and its non-pivot positions are the
+    standard monomials of degree n, as many as dim A_n while the equalities
+    hold.  At the first failing equality the tower is dropped and the
+    report comes from the elimination of J^D in ``layout`` instead
+    (``_full_space``), which also finds the witnesses.
     """
 
     def __init__(self, pres: FilteredPresentation, D: int):
@@ -344,9 +331,12 @@ class OracleEngine:
         self.alg = pres.homogenization()
         self.D = D
         self.layout = Filtration(ctx, D, descending=True)
-        self.elim = SparseEliminator(ctx.field)
-        self.std: list[list[int]] = []
-        self._nf_memo: dict = {}
+        relations = [
+            [(*pres.P.layout.decode(c), raw) for c, raw in row.items()]
+            for row in pres.P.basis_sparse()
+        ]
+        self.tower: Optional[_Tower] = _Tower(ctx, self.N, relations)
+        self.elim = SparseEliminator(ctx.field)  # J^D, filled by ``_full_space`` only
         self.j_dims: dict[int, int] = {}
         self.equalities: dict[int, bool] = {}
         self.witnesses: dict[int, dict] = {}
@@ -356,81 +346,24 @@ class OracleEngine:
         if self._ran:
             return
         self._ran = True
-        if self._tower() is not None:
-            self.elim = SparseEliminator(self.ctx.field)
-            self.std = []
-            self._nf_memo = {}
+        if self.tower.ensure(self.D) is not None:
+            self.tower = None
             self._full_space()
-
-    def _tower(self) -> Optional[int]:
-        """Build the levels; the first degree whose equality fails, or None."""
+            return
         ctx = self.ctx
-        field = ctx.field
-        one = field.one
-        mult = ctx.group.mult_table
-        layout = self.layout
-        N = self.N
-        tower = self.alg.tower()
-        p_terms = [
-            [(*self.P.layout.decode(c), raw) for c, raw in row.items()]
-            for row in self.P.basis_sparse()
-        ]
-        pivots = self.elim.pivot_rows
-        self.std = [[layout.coord((), g) for g in range(ctx.order)]]
-        f_dim = ctx.order
-        std_dim = ctx.order
-        for n in range(1, self.D + 1):
-            below = layout.start[n] + ctx.component_dim(n)
-            if n >= N:
-                lower = [layout.decode(s) for s in self.std[n - N]]
-                for terms in p_terms:
-                    for s_word, h in lower:
-                        row: dict = {}
-                        for w, g, raw in terms:
-                            gh = mult[g][h]
-                            for tw, c in ctx.apply_group_to_word(g, s_word):
-                                coeff = raw if c is one else field.mul(raw, c)
-                                add_scaled(field, row, self._position(w + tw, gh), coeff)
-                        piv = self.elim.add(row)
-                        if piv is not None and piv >= below:
-                            return n
-            shift = layout.start[n] - layout.start[n - 1]
-            width = ctx.component_dim(n - 1)
-            level = [
-                s + shift + a * width
-                for a in range(ctx.dimV)
-                for s in self.std[n - 1]
-            ]
-            self.std.append([pos for pos in level if pos not in pivots])
-            if len(self.std[n]) != tower.adim(n):
+        graded = self.alg.tower()
+        f_dim = std_dim = 0
+        for n in range(self.D + 1):
+            level = self.tower.levels[n]
+            if level.adim != graded.adim(n):
                 raise RuntimeError(
                     "internal error: the standard monomials disagree with the graded algebra"
                 )
             f_dim += ctx.component_dim(n)
-            std_dim += len(self.std[n])
-            if n >= N:
+            std_dim += level.adim
+            if n >= self.N:
                 self.j_dims[n] = f_dim - std_dim
                 self.equalities[n] = True
-        return None
-
-    def _position(self, word: tuple[int, ...], g: int) -> dict:
-        """The monomial (word, g) as ``word[0]`` in front of ``nf(word[1:], g)``."""
-        layout = self.layout
-        if not word:
-            return {layout.coord((), g): self.ctx.field.one}
-        return layout.left_mul(self.nf(word[1:], g), word[0], 0, layout)
-
-    def nf(self, word: tuple[int, ...], g: int) -> dict:
-        """Normal form of a monomial over the standard monomials (memoized).
-
-        Valid once the tower has passed the degree of ``word``; callers
-        must not mutate the result.
-        """
-        key = (word, g)
-        got = self._nf_memo.get(key)
-        if got is None:
-            got = self._nf_memo[key] = self.elim.reduce(self._position(word, g))
-        return got
 
     def _full_space(self) -> None:
         """Row-reduce J^D in all of F^D: the equalities, dimensions and witnesses.

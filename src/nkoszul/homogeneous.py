@@ -1,16 +1,16 @@
 """The N-homogeneous algebra A = T(V)#Gamma / I(R) and its Koszul checks.
 
-The graded components A_n are represented through a quotient tower.
-Level n works on the positions j·adim(n-1) + b of E (x)_K A_{n-1} (letter
-j, A_{n-1} basis index b) and stores only the canonical rows of the kernel
-of the multiplication map onto A_n, keyed by pivot, with the pivots
+The graded components A_n are represented through a quotient tower, the
+one ``_Tower`` that also builds the filtered pieces of U = T(V)#Gamma/I(P)
+for the PBW oracle.  Level n works on the positions j·adim(n-1) + b of
+E (x)_K A_{n-1} (letter j, A_{n-1} basis index b) and stores only the
+canonical rows of the relations there, keyed by pivot, with the pivots
 sorted.  The A_n basis is the non-pivot positions in order: position pos
 has basis index pos − bisect_left(pivots, pos), and its monomial is
 decoded on demand through divmod(pos, adim(n-1)) down the levels.  So
 graded dimensions, normal forms of monomials (one pivot-rule reduction per
 letter, ``elim.normal_form``) and canonical monomial bases come without
-materializing the ideal in the ambient tensor component, and without
-storing a word per basis element.  On top of the tower sit:
+materializing the ideal in the ambient tensor component.  On top of the tower sit:
 
 * ``w_rows``                   -- W_n: V^{⊗n}⊗K below N, R in degree N, and
                              the intersection of all placements of R above,
@@ -33,7 +33,7 @@ dimensions and ranks scaled by |Gamma|.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
@@ -95,7 +95,12 @@ class HomogeneousAlgebra:
 
     def tower(self) -> "_Tower":
         if self._tower is None:
-            self._tower = _Tower(self)
+            ctx = self.ctx
+            relations = [
+                [(*ctx.word_of(c, self.N), raw) for c, raw in row.items()]
+                for row in self.R.basis_sparse()
+            ]
+            self._tower = _Tower(ctx, self.N, relations)
         return self._tower
 
     def zeta(self, n: int) -> int:
@@ -196,14 +201,20 @@ def change_of_rings(alg: HomogeneousAlgebra, group: GroupData) -> HomogeneousAlg
 
 # -- the quotient tower ----------------------------------------------------
 
+# A normal form of degree n keys its degree-n part by A_n basis index b and
+# each lower-degree standard monomial by _LOWER + i, with i = starts[d] + b
+# its global index (degrees ascending).  _LOWER exceeds every position, so
+# in a level's eliminator these keys come after the top degree.
+_LOWER = 1 << 48
+
 
 class _Level:
     """The quotient of k^positions by canonical rows, on its non-pivot positions.
 
     One degree n of the quotient tower: ``rows`` maps each pivot to its
-    canonical row of the kernel of E ⊗_K A_{n-1} -> A_n, on the
-    ``positions`` = dimV·adim(n-1) coordinates j·adim(n-1) + b (letter j,
-    A_{n-1} basis index b); ``pivots`` are the rows' pivots, sorted.  The
+    canonical row of the relations in degree n, on the ``positions`` =
+    dimV·adim(n-1) coordinates j·adim(n-1) + b (letter j, A_{n-1} basis
+    index b) and lower keys; ``pivots`` are the rows' pivots, sorted.  The
     quotient basis is the complement of ``pivots`` in range(positions), in
     order, so position pos has index pos − bisect_left(pivots, pos).
     ``BalancedTensor`` keeps its balance quotient the same way.
@@ -226,32 +237,41 @@ class _Level:
         yield from range(start, self.positions)
 
     def reduce(self, field, vec: dict) -> dict:
-        """Quotient coordinates of a sparse vector over the positions."""
+        """Quotient coordinates of a sparse vector; lower keys pass through."""
         if not self.rows:
             return vec
         pivots = self.pivots
+        lower = _LOWER
         red = normal_form(field, self.rows, vec)
-        return {pos - bisect_left(pivots, pos): v for pos, v in red.items()}
+        return {(pos - bisect_left(pivots, pos) if pos < lower else pos): v for pos, v in red.items()}
 
 
 class _Tower:
-    """Per-degree kernels of E (x)_K A_{n-1} ->> A_n with normal forms.
+    """The quotient tower of T(V)#Gamma / I(relations), degree by degree.
 
-    Each level is a ``_Level``: no eliminator and no basis words are kept,
-    ``reps`` decodes monomials on demand, and normal forms of monomials
-    are memoized in ``_nf_memo``.
+    Each relation is a list of terms (word, g, raw) of degree at most N.
+    Level n is V ⊗ (degree n-1) plus the standard monomials of lower
+    degree, modulo the relations times the standard monomials (s, h) of
+    degree n-N; a term w ⊗ g enters as w·g(s) ⊗ gh.  With R every term has
+    degree N and level n is E ⊗_K A_{n-1} ->> A_n.  With P the lower-degree
+    terms give the normal forms tails of lower degree, and a row without a
+    degree-n entry is a failing equality J^n ∩ F^{n-1} = J^{n-1}: ``ensure``
+    stops at the first one.  A level is a ``_Level`` (no eliminator, no
+    words), ``reps`` decodes monomials on demand, and ``_nf_memo`` holds
+    the normal forms.
     """
 
-    def __init__(self, alg: HomogeneousAlgebra):
-        # the relations, not the algebra: the algebra holds this tower
-        self.N = alg.N
-        self.R = alg.R
-        self.ctx = alg.ctx
-        field = self.ctx.field
-        order = self.ctx.order
+    def __init__(self, ctx: TensorContext, N: int, relations: list):
+        self.ctx = ctx
+        self.N = N
+        self.relations = relations
+        field = ctx.field
+        order = ctx.order
         self.levels = [_Level({}, order)]
+        self.starts = [0, order]
+        self.failed: Optional[int] = None
         self._nf_memo: dict = {((), g): {g: field.one} for g in range(order)}
-        self._r_split: Optional[list] = None
+        self._fronts: dict = {}
 
     def adim(self, n: int) -> int:
         self.ensure(n)
@@ -276,47 +296,84 @@ class _Tower:
                 out.append(((j,) + wb, gb))
         return out
 
-    def _relation_split(self) -> list:
-        """Per relation row: list of (first letter j, rest word, g, raw)."""
-        if self._r_split is None:
-            ctx = self.ctx
-            out = []
-            for row in self.R.basis_sparse():
-                terms = []
-                for coord, raw in row.items():
-                    word, g = ctx.word_of(coord, self.N)
-                    terms.append((word[0], word[1:], g, raw))
-                out.append(terms)
-            self._r_split = out
-        return self._r_split
-
-    def ensure(self, n: int) -> None:
+    def ensure(self, n: int) -> Optional[int]:
+        """Build the levels up to n; the first failing degree, or None."""
         ctx = self.ctx
         field = ctx.field
         one = field.one
         mult = ctx.group.mult_table
         while len(self.levels) <= n:
+            if self.failed is not None:
+                return self.failed
             lv = len(self.levels)
-            width = self.levels[-1].adim
+            positions = ctx.dimV * self.levels[-1].adim
             elim = SparseEliminator(field)
             if lv >= self.N:
+                images: dict = {}  # g(s) for each (g, word of s), this level only
                 lower_reps = self.reps(lv - self.N)
-                for terms in self._relation_split():
+                for terms in self.relations:
                     for wb, gb in lower_reps:
                         row: dict = {}
-                        for j, rest, g, raw in terms:
+                        for word, g, raw in terms:
+                            image = images.get((g, wb))
+                            if image is None:
+                                image = images[g, wb] = ctx.apply_group_to_word(g, wb)
                             ggb = mult[g][gb]
-                            base = j * width
-                            for tw, c in ctx.apply_group_to_word(g, wb):
-                                nfv = self.nf(rest + tw, ggb)
+                            for tw, c in image:
                                 coeff = raw if c is one else field.mul(raw, c)
-                                add_scaled(field, row, {base + b2: v for b2, v in nfv.items()}, coeff)
-                        elim.add(row)
+                                add_scaled(field, row, self._vector(word + tw, ggb, lv), coeff)
+                        piv = elim.add(row)
+                        if piv is not None and piv >= positions:
+                            self.failed = lv
+                            return lv
             # only the rows: the column index serves inserts, and this level is done
-            self.levels.append(_Level(elim.pivot_rows, ctx.dimV * width))
+            self.levels.append(_Level(elim.pivot_rows, positions))
+            self.starts.append(self.starts[-1] + self.levels[-1].adim)
+        return None
+
+    def _vector(self, word: tuple[int, ...], g: int, n: int) -> dict:
+        """The monomial (word, g), of degree at most n, over level n's keys."""
+        if len(word) < n:
+            return self._lifted(len(word), self.nf(word, g))
+        return self._front(word[0], self.nf(word[1:], g), n)
+
+    def _front(self, j: int, vec: dict, n: int) -> dict:
+        """Letter j in front of a degree-(n-1) normal form, over level n's keys."""
+        base = j * self.levels[n - 1].adim
+        lower = _LOWER
+        out = {base + b: v for b, v in vec.items() if b < lower}
+        if len(out) < len(vec):
+            field = self.ctx.field
+            for k, v in vec.items():
+                if k >= lower:
+                    add_scaled(field, out, self._front_lower(j, k), v)
+        return out
+
+    def _front_lower(self, j: int, k: int) -> dict:
+        """Letter j in front of the standard monomial keyed k, in lower keys."""
+        got = self._fronts.get((j, k))
+        if got is None:
+            i = k - _LOWER
+            d = bisect_right(self.starts, i) - 1
+            pos = j * self.levels[d].adim + i - self.starts[d]
+            red = self.levels[d + 1].reduce(self.ctx.field, {pos: self.ctx.field.one})
+            got = self._fronts[j, k] = self._lifted(d + 1, red)
+        return got
+
+    def _lifted(self, n: int, vec: dict) -> dict:
+        """A degree-n normal form with its top degree moved to lower keys."""
+        base = _LOWER + self.starts[n]
+        lower = _LOWER
+        return {(base + b if b < lower else b): v for b, v in vec.items()}
+
+    def global_nf(self, word: tuple[int, ...], g: int) -> dict:
+        """``nf`` keyed by global index starts[d] + b in every degree d."""
+        start = self.starts[len(word)]
+        lower = _LOWER
+        return {(start + k if k < lower else k - lower): v for k, v in self.nf(word, g).items()}
 
     def nf(self, word: tuple[int, ...], g: int) -> dict:
-        """Normal form of a monomial as a sparse vector over the A_n basis."""
+        """Normal form of a monomial: A_n basis indices, then lower keys."""
         key = (word, g)
         memo = self._nf_memo
         got = memo.get(key)
@@ -324,12 +381,7 @@ class _Tower:
             return got
         n = len(word)
         self.ensure(n)
-        level = self.levels[n]
-        parent = self.nf(word[1:], g)
-        base = word[0] * self.levels[n - 1].adim
-        vec = {base + b: v for b, v in parent.items()}
-        out = level.reduce(self.ctx.field, vec)
-        memo[key] = out
+        out = memo[key] = self.levels[n].reduce(self.ctx.field, self._vector(word, g, n))
         return out
 
 

@@ -1,11 +1,10 @@
 """Bimodule N-complexes over a truncated filtered algebra.
 
 Given a presentation whose filtration oracle passes up to a bound D, the
-algebra U is represented on the monomial coset basis carved out by the
-oracle's reduced rows: the basis of each filtration level consists of the
-(word, g) coordinates that are not pivots of the ideal rows.  Right and
-left multiplications by generators and group elements are cached sparse
-operators on that basis.
+algebra U is represented on the standard monomials of the oracle's
+quotient tower (``homogeneous._Tower``), with products reduced by its
+normal forms.  Right and left multiplications by generators and group
+elements are cached sparse operators on that basis.
 
 On top sit the spaces U (x)_K W_n (x)_K U truncated to total filtration
 degree <= D.  The right half W_n (x)_K U embeds into V^{(x)n} (x) U by
@@ -70,11 +69,11 @@ def _mul(field, a, b):
 class TruncatedU:
     """U = T(V)#Gamma / I(P) on the standard monomials up to degree D.
 
-    The basis is the oracle's standard monomials, degree by degree in
-    ascending layout order.  Vectors are in the oracle's descending layout,
-    ``engine.layout``, and a vector reduces to the sum of its entries times
-    the oracle's normal forms ``engine.nf``.  Under PBW the normal form
-    modulo J^D onto the standard monomials is unique.
+    The basis is the oracle's standard monomials, ``engine.tower.reps(d)``
+    for d = 0..D, so the b-th one of degree d has index starts[d] + b; an
+    element reduces to the sum of its terms times the tower's normal forms
+    ``tower.global_nf``.  Under PBW the normal form modulo J^D onto the
+    standard monomials is unique.
     """
 
     def __init__(self, pres: FilteredPresentation, bound: int):
@@ -87,15 +86,16 @@ class TruncatedU:
                 f"filtration equalities fail at degree {bad[0]}; the truncated algebra is undefined"
             )
         self.engine = engine
+        self.tower = engine.tower
         self.ctx = pres.ctx
-        layout = engine.layout
-        self.basis: list[tuple[int, tuple[int, ...], int]] = []
-        self.index_of_coord: dict[int, int] = {}
-        self.dims_by_degree = [len(engine.std[d]) for d in range(bound + 1)]
-        for d in range(bound + 1):
-            for coord in engine.std[d]:
-                self.index_of_coord[coord] = len(self.basis)
-                self.basis.append((d, *layout.decode(coord)))
+        self.basis: list[tuple[int, tuple[int, ...], int]] = [
+            (d, word, g) for d in range(bound + 1) for word, g in self.tower.reps(d)
+        ]
+        # the oracle's layout coordinate of each basis monomial -> its index
+        self.index_of_coord = {
+            engine.layout.coord(word, g): idx for idx, (_, word, g) in enumerate(self.basis)
+        }
+        self.dims_by_degree = [self.tower.levels[d].adim for d in range(bound + 1)]
         self._products: dict[tuple, list] = {}
         self._b0: Optional[list] = None
         self._b0_index: Optional[dict] = None
@@ -107,24 +107,20 @@ class TruncatedU:
     def dim_filtration(self, n: int) -> int:
         return sum(self.dims_by_degree[: n + 1])
 
-    def _reduce_coord_vec(self, vec: dict) -> dict:
-        """Reduce a vector in the oracle's layout onto the basis."""
-        engine = self.engine
+    def _reduce(self, terms) -> dict:
+        """The sum of c·nf(word, g) over (word, g, raw c), over the basis."""
         field = self.field
-        red: dict = {}
-        for c, v in vec.items():
-            add_scaled(field, red, engine.nf(*engine.layout.decode(c)), v)
-        return {self.index_of_coord[c]: v for c, v in red.items()}
+        out: dict = {}
+        for word, g, c in terms:
+            if len(word) > self.bound:
+                raise DimensionMismatch("term exceeds the truncation bound")
+            add_scaled(field, out, self.tower.global_nf(word, g), c)
+        return out
 
     def reduce_terms(self, terms: dict) -> dict:
         """Normal form of a term dict as a sparse vector over the basis."""
-        vec: dict = {}
         field = self.field
-        for (word, g), c in terms.items():
-            if len(word) > self.bound:
-                raise DimensionMismatch("term exceeds the truncation bound")
-            accumulate(field, vec, self.engine.layout.coord(word, g), to_raw(field, c))
-        return self._reduce_coord_vec(vec)
+        return self._reduce((word, g, to_raw(field, c)) for (word, g), c in terms.items())
 
     # -- cached one-step multiplications --------------------------------
 
@@ -137,16 +133,21 @@ class TruncatedU:
             d, word, g0 = self.basis[idx]
             if letter is not None and d + 1 > self.bound:
                 raise DimensionMismatch("product exceeds the truncation bound")
-            layout = self.engine.layout
-            mul = layout.right_mul if side == "right" else layout.left_mul
+            act = self.ctx.apply_group_to_word
+            mult = self.ctx.group.mult_table
+            head = () if letter is None else (letter,)
+            if side == "right":
+                # (w ⊗ g0)(e_l ⊗ g) = w·ρ(g0)e_l ⊗ g0·g
+                terms = [(word + tw, mult[g0][g], c) for tw, c in act(g0, head)]
+            else:
+                # (e_l ⊗ g)(w ⊗ g0) = e_l·ρ(g)w ⊗ g·g0
+                terms = [(head + tw, mult[g][g0], c) for tw, c in act(g, word)]
             field = self.field
             one = field.one
-            prod = mul({layout.coord(word, g0): one}, letter, g, layout)
             # entries equal to one are stored as ``field.one`` itself, so
             # products with them can be skipped by identity
             got = self._products[key] = [
-                (i, one if field.is_one(v) else v)
-                for i, v in sorted(self._reduce_coord_vec(prod).items())
+                (i, one if field.is_one(v) else v) for i, v in sorted(self._reduce(terms).items())
             ]
         return got
 

@@ -9,6 +9,7 @@ of the reference) and the same products in the truncated algebra, and on
 inputs that do not it must stop at the first failing degree.
 """
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -24,6 +25,8 @@ from nkoszul.filtered import (
     oracle_pbw,
     pbw_verdict,
 )
+from nkoszul.grouppres import PsiMap, build_H_psi
+from nkoszul.homogeneous import _Tower
 from nkoszul.jsonio import load_input
 from nkoszul.komplex import NComplexSlice, TruncatedU
 from nkoszul.scalar import MatrixS, Scalar
@@ -61,6 +64,11 @@ def reference_std(engine):
     ]
 
 
+def tower_std(engine):
+    """The tower's standard monomials of each degree, as layout coordinates."""
+    return [[engine.layout.coord(w, g) for w, g in engine.tower.reps(d)] for d in range(engine.D + 1)]
+
+
 def first_failure(engine):
     return min((n for n, ok in engine.equalities.items() if not ok), default=None)
 
@@ -78,12 +86,13 @@ def first_failure(engine):
 def test_tower_matches_the_full_space_elimination(build, D):
     pres = build()
     engine = OracleEngine(pres, D)
-    assert engine._tower() is None
+    assert engine.tower.ensure(D) is None
+    engine.run()
     ref = reference(pres, D)
     assert engine.j_dims == ref.j_dims
     assert engine.equalities == ref.equalities
     assert all(ref.equalities.values())
-    assert engine.std == reference_std(ref)
+    assert tower_std(engine) == reference_std(ref)
 
 
 def random_presentation(rng):
@@ -120,13 +129,15 @@ def test_tower_agrees_with_the_full_space_on_random_presentations():
         pres, D = random_presentation(rng)
         ref = reference(pres, D)
         engine = OracleEngine(pres, D)
-        stopped = engine._tower()
+        stopped = engine.tower.ensure(D)
         assert stopped == first_failure(ref)
         outcomes["pbw" if stopped is None else "at N" if stopped == pres.N else "above N"] += 1
         if stopped is None:
+            std = tower_std(engine)
+            engine.run()
             assert engine.j_dims == ref.j_dims
             assert engine.equalities == ref.equalities
-            assert engine.std == reference_std(ref)
+            assert std == reference_std(ref)
         # the report itself never depends on the path
         full = OracleEngine(pres, D)
         full.run()
@@ -171,9 +182,9 @@ def test_sl2_tower_holds_a_row_per_pivot_position():
     # F^8 of sl2: 9,841 coordinates, 165 standard monomials, and the tower's
     # 361 positions; the full-space engine held all 9,676 rows of J^8
     engine = sl2().oracle(8)
-    assert engine.elim.rank == 196
+    assert sum(len(level.rows) for level in engine.tower.levels) == 196
     assert engine.j_dims[8] == 9676
-    assert sum(len(s) for s in engine.std) == 165
+    assert sum(level.adim for level in engine.tower.levels) == 165
 
 
 def test_full_space_runs_only_when_an_equality_fails(monkeypatch):
@@ -192,3 +203,37 @@ def test_full_space_runs_only_when_an_equality_fails(monkeypatch):
     rep = oracle_pbw(non_jacobi(), 5)
     assert runs == [5]
     assert rep.witness_degree == 3 and not rep.equalities[3]
+
+
+def test_without_lower_degree_terms_the_oracle_builds_the_graded_tower():
+    # psi = 0 leaves P = R: U's tower is A's, row for row
+    group = fixture("sr_z6").ctx.group
+    pres = build_H_psi(group, PsiMap(2, group.dimV, group.order, {}))
+    tower = pres.oracle(6).tower
+    graded = pres.homogenization().tower()
+    assert isinstance(tower, _Tower) and tower is not graded
+    for n in range(7):
+        assert tower.levels[n].rows == graded.levels[n].rows
+    ctx = pres.ctx
+    for n in range(5):
+        for word in itertools.product(range(ctx.dimV), repeat=n):
+            for g in range(ctx.order):
+                assert tower.nf(word, g) == graded.nf(word, g)
+
+
+def test_each_group_image_is_computed_once_per_level(monkeypatch):
+    engine = OracleEngine(fixture("sr_z6"), 6)
+    ctx = engine.ctx
+    original = ctx.apply_group_to_word
+    calls = []
+
+    def recording(g, word):
+        calls.append((g, word))
+        return original(g, word)
+
+    monkeypatch.setattr(ctx, "apply_group_to_word", recording)
+    for n in range(1, 7):
+        calls.clear()
+        assert engine.tower.ensure(n) is None
+        assert len(calls) == len(set(calls))
+        assert bool(calls) == (n >= engine.N)
