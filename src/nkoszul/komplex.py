@@ -2,9 +2,10 @@
 
 Given a presentation whose filtration oracle passes up to a bound D, the
 algebra U is represented on the standard monomials of the oracle's
-quotient tower (``homogeneous._Tower``), with products reduced by its
-normal forms.  Right and left multiplications by generators and group
-elements are cached sparse operators on that basis.
+quotient tower (``homogeneous._Tower``).  Every product is reduced by
+one rule: (w (x) g)(w' (x) h) = w·g(w') (x) gh, sent through the tower's
+normal forms in one step.  Right and left multiplications by generators
+and group elements are cached sparse operators on that basis.
 
 On top sit the spaces U (x)_K W_n (x)_K U truncated to total filtration
 degree <= D.  The right half W_n (x)_K U embeds into V^{(x)n} (x) U by
@@ -25,7 +26,10 @@ rank checks restricted to the safe filtration window <= D - N where
 truncation cannot create spurious homology.  Each map is built once:
 d^{N-1}, the sum of d_l^a d_r^b over a + b = N - 1, comes from the
 recurrence T_k(l) = T_{k-1}(l-1) ∘ d_r(l) + d_l^k(l) (``alternating_step_sum``),
-and each windowed map of the contracted complex is eliminated once.
+and each windowed map of the contracted complex is eliminated once.  The
+generic and wedge-basis complexes share one assembly of their maps out of
+each position (``contraction_map``), d^N and d_l^N, d_r^N share one N-fold
+composition, and phi's left and right lifts share one construction.
 Products by one are skipped wherever a factor is the ``field.one`` object,
 as every cached one-step product stores its entries equal to one.
 """
@@ -73,7 +77,9 @@ class TruncatedU:
     for d = 0..D, so the b-th one of degree d has index starts[d] + b; an
     element reduces to the sum of its terms times the tower's normal forms
     ``tower.global_nf``.  Under PBW the normal form modulo J^D onto the
-    standard monomials is unique.
+    standard monomials is unique, so the product of two monomials is
+    reduced in one step by the smash-product rule (``_times``), the rule the
+    cached one-step products use too.
     """
 
     def __init__(self, pres: FilteredPresentation, bound: int):
@@ -85,16 +91,11 @@ class TruncatedU:
             raise ValueError(
                 f"filtration equalities fail at degree {bad[0]}; the truncated algebra is undefined"
             )
-        self.engine = engine
         self.tower = engine.tower
         self.ctx = pres.ctx
         self.basis: list[tuple[int, tuple[int, ...], int]] = [
             (d, word, g) for d in range(bound + 1) for word, g in self.tower.reps(d)
         ]
-        # the oracle's layout coordinate of each basis monomial -> its index
-        self.index_of_coord = {
-            engine.layout.coord(word, g): idx for idx, (_, word, g) in enumerate(self.basis)
-        }
         self.dims_by_degree = [self.tower.levels[d].adim for d in range(bound + 1)]
         self._products: dict[tuple, list] = {}
         self._b0: Optional[list] = None
@@ -122,6 +123,21 @@ class TruncatedU:
         field = self.field
         return self._reduce((word, g, to_raw(field, c)) for (word, g), c in terms.items())
 
+    def _times(self, word1, g1, word2, g2) -> dict:
+        """(word1 ⊗ g1)(word2 ⊗ g2) = word1·ρ(g1)word2 ⊗ g1·g2 over the basis.
+
+        Every monomial up to the bound has one normal form, so the product
+        reduces in one step; ``_reduce`` rejects one beyond the bound.
+        """
+        g = self.ctx.group.mult_table[g1][g2]
+        return self._reduce((word1 + tw, g, c) for tw, c in self.ctx.apply_group_to_word(g1, word2))
+
+    def multiply_basis(self, left_idx: int, right_idx: int) -> dict:
+        """Product of two basis monomials as a sparse basis vector."""
+        _, word1, g1 = self.basis[left_idx]
+        _, word2, g2 = self.basis[right_idx]
+        return self._times(word1, g1, word2, g2)
+
     # -- cached one-step multiplications --------------------------------
 
     def _product(self, side: str, idx: int, letter, g: int) -> list:
@@ -130,24 +146,18 @@ class TruncatedU:
         key = (side, idx, letter, g)
         got = self._products.get(key)
         if got is None:
-            d, word, g0 = self.basis[idx]
-            if letter is not None and d + 1 > self.bound:
-                raise DimensionMismatch("product exceeds the truncation bound")
-            act = self.ctx.apply_group_to_word
-            mult = self.ctx.group.mult_table
+            _, word, g0 = self.basis[idx]
             head = () if letter is None else (letter,)
             if side == "right":
-                # (w ⊗ g0)(e_l ⊗ g) = w·ρ(g0)e_l ⊗ g0·g
-                terms = [(word + tw, mult[g0][g], c) for tw, c in act(g0, head)]
+                vec = self._times(word, g0, head, g)
             else:
-                # (e_l ⊗ g)(w ⊗ g0) = e_l·ρ(g)w ⊗ g·g0
-                terms = [(head + tw, mult[g][g0], c) for tw, c in act(g, word)]
+                vec = self._times(head, g, word, g0)
             field = self.field
             one = field.one
             # entries equal to one are stored as ``field.one`` itself, so
             # products with them can be skipped by identity
             got = self._products[key] = [
-                (i, one if field.is_one(v) else v) for i, v in sorted(self._reduce(terms).items())
+                (i, one if field.is_one(v) else v) for i, v in sorted(vec.items())
             ]
         return got
 
@@ -159,30 +169,6 @@ class TruncatedU:
 
     def left_mult_group(self, idx: int, g: int) -> list:
         return self._product("left", idx, None, g)
-
-    def right_mult_group(self, idx: int, g: int) -> list:
-        return self._product("right", idx, None, g)
-
-    def apply_linear(self, vec: dict, step) -> dict:
-        field = self.field
-        out: dict = {}
-        for idx, c in vec.items():
-            for idx2, c2 in step(idx):
-                accumulate(field, out, idx2, _mul(field, c, c2))
-        return out
-
-    def multiply_basis(self, left_idx: int, right_idx: int) -> dict:
-        """Product of two basis monomials as a sparse basis vector."""
-        d1, _, _ = self.basis[left_idx]
-        d2, word2, g2 = self.basis[right_idx]
-        if d1 + d2 > self.bound:
-            raise DimensionMismatch("product exceeds the truncation bound")
-        vec = {left_idx: self.field.one}
-        for letter in word2:
-            vec = self.apply_linear(vec, lambda i, l=letter: self.right_mult_letter(i, l))
-        if g2 != 0:
-            vec = self.apply_linear(vec, lambda i: self.right_mult_group(i, g2))
-        return vec
 
     # -- right-free monomial structure ----------------------------------
 
@@ -196,28 +182,21 @@ class TruncatedU:
         """
         if self._b0 is not None:
             return self._b0, self._b0_index
-        order = self.ctx.order
-        by_word: dict[tuple[int, tuple[int, ...]], list] = {}
-        for idx, (d, word, g) in enumerate(self.basis):
-            by_word.setdefault((d, word), []).append((g, idx))
-        b0 = []
-        decomposition = {}
-        for (d, word), entries in by_word.items():
-            if len(entries) != order:
-                raise UnsupportedStructure(
-                    "coset monomials are not orbit-pure over the group; "
-                    "the collapsed tensor representation is unavailable"
-                )
-        for idx, (d, word, g) in enumerate(self.basis):
-            if g == 0:
-                b0.append(idx)
+        by_word: dict[tuple[int, ...], dict] = {}  # word -> {g: basis index}
+        for idx, (_, word, g) in enumerate(self.basis):
+            by_word.setdefault(word, {})[g] = idx
+        if any(len(entries) != self.ctx.order for entries in by_word.values()):
+            raise UnsupportedStructure(
+                "coset monomials are not orbit-pure over the group; "
+                "the collapsed tensor representation is unavailable"
+            )
+        b0 = [idx for idx, (_, _, g) in enumerate(self.basis) if g == 0]
         b0_pos = {idx: pos for pos, idx in enumerate(b0)}
-        for idx, (d, word, g) in enumerate(self.basis):
-            e_idx = self.index_of_coord[self.engine.layout.coord(word, 0)]
-            decomposition[idx] = (b0_pos[e_idx], g)
         self._b0 = b0
-        self._b0_index = decomposition
-        return b0, decomposition
+        self._b0_index = {
+            idx: (b0_pos[by_word[word][0]], g) for idx, (_, word, g) in enumerate(self.basis)
+        }
+        return b0, self._b0_index
 
 
 # -- the right tensor factor W_n (x)_K U ------------------------------------
@@ -496,95 +475,69 @@ class NComplexSlice:
 
     # -- phi-induced degree-N drops -------------------------------------
 
-    def _phi_K_values(self) -> list:
-        """phi(r_t) as lists of (group element, raw coefficient).
+    def _phi_map(self, n: int, left: bool) -> dict:
+        """Columns of 1 (x) phi (x) 1 : slice n -> slice n-N, phi applied to
+        the first N tensor factors when ``left`` and to the last N otherwise.
 
-        phi is concentrated in degree zero, so its coordinates are group slots.
+        Each W_n row is written over the products r_s · w_kappa (``left``) or
+        w_kappa · r_s of R rows and W_{n-N} rows.  phi is concentrated in
+        degree zero, so phi(r_s) is a combination of group elements g; on the
+        left g acts on w_kappa, on the right it moves into the right U factor.
         """
-        return [list(row.items()) for row in self.phi.rows]
-
-    def _w_split(self, n: int, r_first: bool) -> list:
-        """W_n rows over products of R rows r_t and W_{n-N} rows w_kappa.
-
-        Lists of ((t, kappa), coeff) over r_t · w_kappa when ``r_first``,
-        else of ((kappa, t), coeff) over w_kappa · r_t.
-        """
+        field = self.ctx.field
         ctx = self.ctx
         N = self.N
+        x_hi = self.x_space(n)
+        x_lo = self.x_space(n - N)
+        self.basis(n - N)
+        index = self._slice_index[n - N]
         r_rows = self._alg.R.basis_sparse()
         low = w_rows(self._alg, n - N, self._alg.w_cache)
-        if r_first:
-            tags = [(t, k) for t in range(len(r_rows)) for k in range(len(low))]
-            gens = [ctx.row_product(r_rows[t], low[k], n - N) for t, k in tags]
+        if left:
+            tags = [(s, k) for s in range(len(r_rows)) for k in range(len(low))]
+            gens = [ctx.row_product(r_rows[s], low[k], n - N) for s, k in tags]
+            low_index = pivot_index(low)
         else:
-            tags = [(k, t) for k in range(len(low)) for t in range(len(r_rows))]
-            gens = [ctx.row_product(low[k], r_rows[t], N) for k, t in tags]
-        solver = TaggedRows(ctx.field, gens, ctx.component_dim(n))
-        return [[(tags[i], c) for i, c in solver.solve(w)] for w in w_rows(self._alg, n, self._alg.w_cache)]
+            tags = [(s, k) for k in range(len(low)) for s in range(len(r_rows))]
+            gens = [ctx.row_product(low[k], r_rows[s], N) for s, k in tags]
+        solver = TaggedRows(field, gens, ctx.component_dim(n))
+        split = [[(tags[i], c) for i, c in solver.solve(w)] for w in w_rows(self._alg, n, self._alg.w_cache)]
+
+        def moved(g: int, kappa: int, b_idx: int) -> list:
+            """g applied to w_kappa (x) b as (W_{n-N} row, U index, coeff)."""
+            if left:
+                img = ctx.left_action_sparse(g, low[kappa], n - N)
+                return [(k2, b_idx, c) for k2, c in express(field, low, low_index, img)]
+            return [(kappa, b2, c) for b2, c in self.tu.left_mult_group(b_idx, g)]
+
+        cols: dict = {}
+        for src, (pos, t) in enumerate(self.basis(n)):
+            out: dict = {}
+            for (gt, b_idx), cg in x_hi.generator_expression(t):
+                for (s, kappa), c2 in split[gt]:
+                    for g, c3 in self.phi.rows[s].items():
+                        scale = field.mul(cg, field.mul(c2, c3))
+                        for kappa2, b2, c4 in moved(g, kappa, b_idx):
+                            for t2, c5 in x_lo.express(x_lo.embed_generator(kappa2, b2)):
+                                term = field.mul(scale, field.mul(c4, c5))
+                                _emit_to_slice(field, out, index, (pos, t2), term)
+            cols[src] = out
+        return cols
 
     def phi_left(self, n: int) -> dict:
         """Columns of 1 (x) phi^{1,N} (x) 1 : slice n -> slice n-N."""
-        field = self.ctx.field
-        ctx = self.ctx
-        x_hi = self.x_space(n)
-        x_lo = self.x_space(n - self.N)
-        self.basis(n - self.N)
-        index = self._slice_index[n - self.N]
-        phi_vals = self._phi_K_values()
-        left_split = self._w_split(n, r_first=True)
-        w_low = w_rows(self._alg, n - self.N, self._alg.w_cache)
-        low_index = pivot_index(w_low)
-
-        def act_on_w(g: int, kappa: int) -> list:
-            """g · w_kappa over the low W rows."""
-            img = ctx.left_action_sparse(g, w_low[kappa], n - self.N)
-            return express(field, w_low, low_index, img)
-
-        cols: dict = {}
-        for src, (pos, t) in enumerate(self.basis(n)):
-            out: dict = {}
-            for (gt, b_idx), cg in x_hi.generator_expression(t):
-                for (s, kappa), c2 in left_split[gt]:
-                    for g, c3 in phi_vals[s]:
-                        scale = field.mul(cg, field.mul(c2, c3))
-                        for kappa2, c4 in act_on_w(g, kappa):
-                            vec = x_lo.embed_generator(kappa2, b_idx)
-                            for t2, c5 in x_lo.express(vec):
-                                term = field.mul(scale, field.mul(c4, c5))
-                                _emit_to_slice(field, out, index, (pos, t2), term)
-            cols[src] = out
-        return cols
+        return self._phi_map(n, left=True)
 
     def phi_right(self, n: int) -> dict:
         """Columns of 1 (x) phi^{n-N+1,n} (x) 1 : slice n -> slice n-N."""
-        field = self.ctx.field
-        x_hi = self.x_space(n)
-        x_lo = self.x_space(n - self.N)
-        self.basis(n - self.N)
-        index = self._slice_index[n - self.N]
-        phi_vals = self._phi_K_values()
-        right_split = self._w_split(n, r_first=False)
-        cols: dict = {}
-        for src, (pos, t) in enumerate(self.basis(n)):
-            out: dict = {}
-            for (gt, b_idx), cg in x_hi.generator_expression(t):
-                for (kappa, s), c2 in right_split[gt]:
-                    for g, c3 in phi_vals[s]:
-                        for b2, c4 in self.tu.left_mult_group(b_idx, g):
-                            vec = x_lo.embed_generator(kappa, b2)
-                            scale = field.mul(cg, field.mul(c2, c3))
-                            for t2, c5 in x_lo.express(vec):
-                                term = field.mul(scale, field.mul(c4, c5))
-                                _emit_to_slice(field, out, index, (pos, t2), term)
-            cols[src] = out
-        return cols
+        return self._phi_map(n, left=False)
 
     # -- assembled maps ---------------------------------------------------
 
     def d_twisted(self, n: int, q: Scalar) -> dict:
         """d = d_l - q^{n-1} d_r at slice n."""
         field = self.ctx.field
-        qn = (q ** (n - 1)).raw
+        qn = to_raw(field, q ** (n - 1))
         return add_maps(field, self.d_left(n), self.d_right(n), field.neg(qn), self.slice_dim(n))
 
     def mu_matrix(self) -> dict:
@@ -628,6 +581,14 @@ def maps_equal(a: dict, b: dict, field, n_cols: int) -> bool:
     return map_is_zero(map_difference(a, b, field, n_cols))
 
 
+def _power(step, n: int, N: int, field) -> dict:
+    """Columns of step(n-N+1) ∘ ... ∘ step(n), the N-fold composition out of n."""
+    comp = step(n)
+    for k in range(1, N):
+        comp = compose_maps(step(n - k), comp, field)
+    return comp
+
+
 def check_dN_zero(slice_family: NComplexSlice, q: Scalar) -> list[tuple[int, bool]]:
     """d^N = 0 on every slice where N successive maps are defined."""
     N = slice_family.N
@@ -644,10 +605,8 @@ def check_dN_zero(slice_family: NComplexSlice, q: Scalar) -> list[tuple[int, boo
     for n in range(N, top + 1):
         if slice_family.slice_dim(n) == 0:
             continue
-        comp = slice_family.d_twisted(n, q)
-        for step in range(1, N):
-            comp = compose_maps(slice_family.d_twisted(n - step, q), comp, field)
-        results.append((n, map_is_zero(comp)))
+        twisted = _power(lambda m: slice_family.d_twisted(m, q), n, N, field)
+        results.append((n, map_is_zero(twisted)))
     return results
 
 
@@ -655,22 +614,14 @@ def factorization_identity_holds(slice_family: NComplexSlice, q: Scalar, n: int)
     """Product of the twisted maps vs d_l^N - d_r^N vs the phi correction."""
     field = slice_family.ctx.field
     N = slice_family.N
-    comp = slice_family.d_twisted(n, q)
-    for step in range(1, N):
-        comp = compose_maps(slice_family.d_twisted(n - step, q), comp, field)
-    dl = slice_family.d_left(n)
-    dr = slice_family.d_right(n)
-    dl_pow = dl
-    dr_pow = dr
-    for step in range(1, N):
-        dl_pow = compose_maps(slice_family.d_left(n - step), dl_pow, field)
-        dr_pow = compose_maps(slice_family.d_right(n - step), dr_pow, field)
+    twisted = _power(lambda m: slice_family.d_twisted(m, q), n, N, field)
     ncols = slice_family.slice_dim(n)
-    lhs_eq = maps_equal(comp, map_difference(dl_pow, dr_pow, field, ncols), field, ncols)
-    phi_diff = map_difference(
-        slice_family.phi_left(n), slice_family.phi_right(n), field, ncols
+    untwisted = map_difference(
+        _power(slice_family.d_left, n, N, field), _power(slice_family.d_right, n, N, field), field, ncols
     )
-    rhs_eq = maps_equal(map_difference(dl_pow, dr_pow, field, ncols), phi_diff, field, ncols)
+    lhs_eq = maps_equal(twisted, untwisted, field, ncols)
+    phi_diff = map_difference(slice_family.phi_left(n), slice_family.phi_right(n), field, ncols)
+    rhs_eq = maps_equal(untwisted, phi_diff, field, ncols)
     return lhs_eq and rhs_eq
 
 
@@ -816,13 +767,19 @@ def alternating_step_sum(left, right, top: int, steps: int, field) -> dict:
     return total
 
 
+def contraction_map(left, right, top: int, odd: bool, N: int, field) -> dict:
+    """Map out of level ``top`` of a contracted complex built on the one-step
+    maps ``left`` and ``right``: left - right when ``odd``, else the
+    (N-1)-step ``alternating_step_sum``."""
+    if odd:
+        step = left(top)
+        return map_difference(step, right(top), field, len(step))
+    return alternating_step_sum(left, right, top, N - 1, field)
+
+
 def _contraction_map(fam: NComplexSlice, i: int, zs: list, field) -> dict:
     """Map out of homological position i: d when i is odd, d^{N-1} when even."""
-    hi = zs[i]
-    ncols = fam.slice_dim(hi)
-    if i % 2 == 1:
-        return map_difference(fam.d_left(hi), fam.d_right(hi), field, ncols)
-    return alternating_step_sum(fam.d_left, fam.d_right, hi, fam.N - 1, field)
+    return contraction_map(fam.d_left, fam.d_right, zs[i], i % 2 == 1, fam.N, field)
 
 
 # -- explicit wedge-basis differentials for antisymmetrizer presentations ----
@@ -895,20 +852,11 @@ class WedgeComplex:
         map out of odd homological positions); parity "even" gives the
         (p-1)-fold sum used out of even positions.
         """
-        if parity == "odd":
-            return self._odd_map(m)
-        if parity == "even":
-            return self._even_map(m)
-        raise ValueError("parity must be 'odd' or 'even'")
-
-    def _odd_map(self, m: int) -> dict:
-        """The left step minus the right step."""
-        field = self.ctx.field
-        return map_difference(self._left_step(m), self._right_step(m), field, len(self.basis(m)))
-
-    def _even_map(self, m: int) -> dict:
-        """Sum over a + b = p - 1 of a left-steps and b right-steps."""
-        return alternating_step_sum(self._left_step, self._right_step, m, self.family.N - 1, self.ctx.field)
+        if parity not in ("odd", "even"):
+            raise ValueError("parity must be 'odd' or 'even'")
+        return contraction_map(
+            self._left_step, self._right_step, m, parity == "odd", self.family.N, self.ctx.field
+        )
 
     def _left_step(self, m: int) -> dict:
         field = self.ctx.field

@@ -1,9 +1,10 @@
 """Tests for the truncated algebra, the N-complex and its contraction.
 
 Each N-complex map is built once; the old constructions replaced by the
-right K-generators of W_n and by the recurrence for d^{N-1} are kept here
-as oracles, and the last tests make sure the memos and skipped products do
-not hide a wrong map from ``wedge_agreement`` or ``contracted_complex``.
+right K-generators of W_n, by the recurrence for d^{N-1} and by the
+one-step product rule are kept here as oracles, and the last tests make
+sure the memos and skipped products do not hide a wrong map from
+``wedge_agreement`` or ``contracted_complex``.
 """
 
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from nkoszul import komplex
 from nkoszul.cyclo import get_field
-from nkoszul.elim import TaggedRows, add_maps, add_scaled
+from nkoszul.elim import TaggedRows, accumulate, add_maps, add_scaled
 from nkoszul.jsonio import load_input
 from nkoszul.scalar import MatrixS, Scalar
 from nkoszul.smashtensor import GroupData, TensorContext
@@ -149,6 +150,43 @@ def test_truncated_multiplication_associative():
         assert left == right
 
 
+def walk_product(tu, a, b):
+    """The letter-by-letter product: basis monomial a times each letter of
+    b's word on the right, then times b's group element."""
+    field = tu.field
+    _, word, g = tu.basis[b]
+    steps = [lambda i, l=letter: tu.right_mult_letter(i, l) for letter in word]
+    if g:
+        steps.append(lambda i: tu._product("right", i, None, g))
+    vec = {a: field.one}
+    for step in steps:
+        out: dict = {}
+        for i, c in vec.items():
+            for i2, c2 in step(i):
+                accumulate(field, out, i2, field.mul(c, c2))
+        vec = out
+    return vec
+
+
+@pytest.mark.parametrize(
+    "build, D",
+    [
+        (lambda: build_lie({(1, 2): {2: 2}, (1, 3): {3: -2}, (2, 3): {1: 1}}), 5),
+        (lambda: load_input(str(FIXTURES / "sr_z6.json"))[0], 4),
+    ],
+    ids=["sl2", "sr_z6"],
+)
+def test_one_step_products_match_the_letter_walk(build, D):
+    tu = TruncatedU(build(), D)
+    pairs = 0
+    for a, (da, _, _) in enumerate(tu.basis):
+        for b, (db, _, _) in enumerate(tu.basis):
+            if da + db <= D:
+                assert tu.multiply_basis(a, b) == walk_product(tu, a, b)
+                pairs += 1
+    assert pairs > len(tu.basis)
+
+
 def test_monomial_right_free_structure():
     pres, _, _ = symplectic_presentation()
     tu = TruncatedU(pres, 4)
@@ -235,6 +273,19 @@ def test_d_cubed_zero_zeta3_both_roots():
     second = check_dN_zero(fam, Scalar.zeta(3, 2))
     assert all(ok for _, ok in first)
     assert first == second
+
+
+def test_twisted_maps_lift_q_into_the_family_field():
+    # q = -1 as a rational and as an element of Q(zeta3) on a family over
+    # Q(zeta3): both spellings give the same twisted differential
+    neg = MatrixS.from_rows([[-1, 0], [0, -1]], 3)
+    g = GroupData.from_generators([neg])
+    psi = build_psi_symplectic_reflection(g, MatrixS.from_rows([[0, 1], [-1, 0]]), None, conductor=3)
+    fam = NComplexSlice(build_H_psi(g, psi), 5)
+    assert fam.ctx.field.conductor == 3 and fam.N == 2
+    assert check_dN_zero(fam, S(-1)) == check_dN_zero(fam, S(-1, 3)) == [(2, True)]
+    assert factorization_identity_holds(fam, S(-1), 2)
+    assert factorization_identity_holds(fam, S(-1, 3), 2)
 
 
 def test_dN_zero_rejects_imprimitive_root():
@@ -399,6 +450,14 @@ def test_wedge_odd_even_identical_for_p2():
     assert maps_equal(odd, uniform(1), field, len(wc.basis(1)))
     even = wc.differential(2, "even")
     assert maps_equal(even, uniform(2), field, len(wc.basis(2)))
+
+
+def test_wedge_differential_rejects_an_unknown_parity():
+    pres, _, _ = weyl_presentation()
+    wc = WedgeComplex(NComplexSlice(pres, 4))
+    for parity in ("both", "", None):
+        with pytest.raises(ValueError, match="parity"):
+            wc.differential(1, parity)
 
 
 def test_wedge_single_letter_formula():

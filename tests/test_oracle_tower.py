@@ -165,6 +165,7 @@ def test_truncated_products_match_full_space_reductions(build, D):
     assert [(d, layout.coord(w, g)) for d, w, g in tu.basis] == [
         (d, c) for d, coords in enumerate(reference_std(ref)) for c in coords
     ]
+    index_of_coord = {layout.coord(w, g): i for i, (_, w, g) in enumerate(tu.basis)}
     for idx, (d, word, g0) in enumerate(tu.basis):
         mono = {layout.coord(word, g0): one}
         steps = [(letter, 0) for letter in range(ctx.dimV)] if d < D else []
@@ -172,7 +173,7 @@ def test_truncated_products_match_full_space_reductions(build, D):
         for side, mul in (("right", layout.right_mul), ("left", layout.left_mul)):
             for letter, g in steps:
                 expected = {
-                    tu.index_of_coord[c]: v
+                    index_of_coord[c]: v
                     for c, v in ref.elim.reduce(mul(mono, letter, g, layout)).items()
                 }
                 assert dict(tu._product(side, idx, letter, g)) == expected
