@@ -16,10 +16,11 @@ R defines the homogenized algebra A.  The module provides:
 * builders for enveloping-algebra and down-up presentations.
 
 A row of the tower without a top-degree entry is precisely a witness that
-the filtration equality fails at that degree; the oracle then eliminates
-all of J^D in the coordinates of ``Filtration(ctx, D, descending=True)``
-instead.  The truncated algebra in ``komplex`` reads its basis, the
-standard monomials, and its normal forms off the same tower.
+the filtration equality fails at that degree n0; the oracle then
+eliminates J^{n0} in the coordinates of ``Filtration(ctx, D,
+descending=True)`` for the witness, and continues above n0 on quotient
+levels K ⊕ V ⊗ F^{m-1}U.  The truncated algebra in ``komplex`` reads its
+basis, the standard monomials, and its normal forms off the same tower.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .elim import (
 from .homogeneous import (
     HomogeneousAlgebra,
     Tor3Report,
+    _Level,
     _Tower,
     check_tor3_concentration,
     is_antisymmetrizer_relations,
@@ -316,9 +318,10 @@ class OracleEngine:
     builds A_n from R: level n is K ⊕ V ⊗ F^{n-1}U modulo P times the
     standard monomials of degree n-N, and its non-pivot positions are the
     standard monomials of degree n, as many as dim A_n while the equalities
-    hold.  At the first failing equality the tower is dropped and the
-    report comes from the elimination of J^D in ``layout`` instead
-    (``_full_space``), which also finds the witnesses.
+    hold.  At the first failing degree n0 the tower is dropped: J^{n0} is
+    eliminated in ``layout`` (``_full_space``), which gives the dimensions
+    up to n0 and the witness, and ``_continue`` gives the dimensions and
+    equalities above n0 from quotient levels that never reach F^D.
     """
 
     def __init__(self, pres: FilteredPresentation, D: int):
@@ -336,19 +339,22 @@ class OracleEngine:
             for row in pres.P.basis_sparse()
         ]
         self.tower: Optional[_Tower] = _Tower(ctx, self.N, relations)
-        self.elim = SparseEliminator(ctx.field)  # J^D, filled by ``_full_space`` only
+        self.elim = SparseEliminator(ctx.field)  # J^top, filled by ``_full_space(top)`` only
         self.j_dims: dict[int, int] = {}
         self.equalities: dict[int, bool] = {}
-        self.witnesses: dict[int, dict] = {}
+        # (degree, row in ``layout``) of the first failing equality
+        self.witness: Optional[tuple[int, dict]] = None
         self._ran = False
 
     def run(self) -> None:
         if self._ran:
             return
         self._ran = True
-        if self.tower.ensure(self.D) is not None:
+        failed = self.tower.ensure(self.D)
+        if failed is not None:
             self.tower = None
-            self._full_space()
+            self._full_space(failed)
+            self._continue(failed)
             return
         ctx = self.ctx
         graded = self.alg.tower()
@@ -365,8 +371,9 @@ class OracleEngine:
                 self.j_dims[n] = f_dim - std_dim
                 self.equalities[n] = True
 
-    def _full_space(self) -> None:
-        """Row-reduce J^D in all of F^D: the equalities, dimensions and witnesses.
+    def _full_space(self, top: int) -> None:
+        """Row-reduce J^top in F^top: the equalities and dimensions up to top,
+        and the witness of the first failing equality.
 
         J^n is spanned by J^{n-1}, V·J^{n-1} and P·V^{⊗(n-N)}; only the rows
         new at the previous degree need the letter in front.  A new pivot
@@ -381,7 +388,7 @@ class OracleEngine:
         ]
         pv_rows = p_rows  # P · V^{⊗m}, advanced each degree
         t_hat = []
-        for n in range(N, self.D + 1):
+        for n in range(N, top + 1):
             if n == N:
                 new_rows = list(p_rows)
             else:
@@ -397,6 +404,7 @@ class OracleEngine:
                 ]
                 new_rows.extend(pv_rows)
             t_hat = []
+            holds = True
             # rows of J^n lie in F^n; block n leads the descending layout
             top_boundary = layout.start[n] + ctx.component_dim(n)
             for row in new_rows:
@@ -405,9 +413,92 @@ class OracleEngine:
                     continue
                 t_hat.append(dict(self.elim.pivot_rows[piv]))
                 if piv >= top_boundary:
-                    self.witnesses.setdefault(n, dict(self.elim.pivot_rows[piv]))
+                    if self.witness is None:
+                        self.witness = (n, dict(self.elim.pivot_rows[piv]))
+                    holds = False
             self.j_dims[n] = self.elim.rank
-            self.equalities[n] = n not in self.witnesses
+            self.equalities[n] = holds
+
+    def _continue(self, top: int) -> None:
+        """The dimensions and equalities above ``top``, from F^mU = F^m/J^m.
+
+        Level m is K ⊕ V ⊗ F^{m-1}U: position g, then order + j·dim F^{m-1}U
+        + b for letter j and basis index b, kept as a ``_Level``.  V·J^{m-1}
+        is zero there, J^N = P, and above N, J^m = J^{m-1} + V·J^{m-1} +
+        J^{m-1}·V, so level m's rows are level m-1's carried by the inclusion
+        ι: F^{m-2}U -> F^{m-1}U and by ρ_v, right multiplication by the letter
+        v.  The images of each basis element under ι and ρ_v are computed
+        once per level, and the equality at m holds iff ι: F^{m-1}U -> F^mU
+        is injective.
+        """
+        ctx = self.ctx
+        field = ctx.field
+        one = field.one
+        order, dimV, N = ctx.order, ctx.dimV, self.N
+        # g·e_v = (ρ(g)e_v) ⊗ g: the pairs (letter i, coefficient)
+        letters = [
+            [[(c // order, x) for c, x in ctx.append_letter({g: one}, v).items()] for v in range(dimV)]
+            for g in range(order)
+        ]
+        widths = []  # dim F^kU for k < m
+        prev = _Level({}, order)
+        iota = rho = None  # the images of F^{m-2}U's basis in F^{m-1}U
+        f_dim = order
+        for m in range(1, self.D + 1):
+            width = prev.adim  # dim F^{m-1}U
+            widths.append(width)
+
+            def shift(j, vec):
+                return {order + j * width + b: x for b, x in vec.items()}
+
+            def carry(pos, v):
+                """Position pos of level m-1 times the letter v (None: ι), over level m."""
+                if pos < order:
+                    if v is None:
+                        return {pos: one}
+                    out: dict = {}
+                    g_vec = prev.reduce(field, {pos: one})
+                    for i, c in letters[pos][v]:
+                        add_scaled(field, out, shift(i, g_vec), c)
+                    return out
+                j, b = divmod(pos - order, widths[m - 2])
+                return shift(j, (iota if v is None else rho[v])[b])
+
+            elim = SparseEliminator(field)
+            if m == N:
+                # no rows below N: a monomial's position is its path of letters
+                for row in self.P.basis_sparse():
+                    vec = {}
+                    for c, raw in row.items():
+                        word, pos = self.P.layout.decode(c)
+                        for i in range(len(word) - 1, -1, -1):
+                            pos += order + word[i] * widths[N - 1 - i]
+                        vec[pos] = raw
+                    elim.add(vec)
+            elif m > N:
+                for row in prev.rows.values():
+                    for v in (None, *range(dimV)):
+                        out = {}
+                        for pos, x in row.items():
+                            add_scaled(field, out, carry(pos, v), x)
+                        elim.add(out)
+            level = _Level(elim.pivot_rows, order + dimV * width)
+            basis = list(prev.free())
+            # the images of F^{m-1}U's basis, read by level m+1's carry
+            iota, rho = (
+                [level.reduce(field, carry(pos, None)) for pos in basis],
+                [[level.reduce(field, carry(pos, v)) for pos in basis] for v in range(dimV)]
+                if m < self.D
+                else None,
+            )
+            f_dim += ctx.component_dim(m)
+            if m == top and f_dim - level.adim != self.j_dims[top]:
+                raise RuntimeError("internal error: the quotient levels disagree with J^n")
+            if m > top:
+                self.j_dims[m] = f_dim - level.adim
+                injective = SparseEliminator(field)
+                self.equalities[m] = injective.add_all(iota) == width
+            prev = level
 
     def j_dim(self, n: int) -> int:
         if n < self.N:
@@ -456,14 +547,11 @@ def oracle_pbw(pres: FilteredPresentation, D: int) -> OracleReport:
     tower = pres.homogenization().tower()
     cands = [engine.candidate_gr_dim(n) for n in range(D + 1)]
     a_dims = [tower.adim(n) for n in range(D + 1)]
-    witness = None
-    witness_degree = None
-    for n in sorted(engine.witnesses):
-        witness_degree = n
-        row = engine.witnesses[n]
+    witness = witness_degree = None
+    if engine.witness is not None:
+        witness_degree, row = engine.witness
         terms = {engine.layout.decode(c): Scalar(pres.ctx.field, v) for c, v in row.items()}
         witness = {"terms": terms_to_json(terms)}
-        break
     return OracleReport(
         degree_bound=D,
         equalities=dict(engine.equalities),

@@ -28,8 +28,11 @@ d^{N-1}, the sum of d_l^a d_r^b over a + b = N - 1, comes from the
 recurrence T_k(l) = T_{k-1}(l-1) ∘ d_r(l) + d_l^k(l) (``alternating_step_sum``),
 and each windowed map of the contracted complex is eliminated once.  The
 generic and wedge-basis complexes share one assembly of their maps out of
-each position (``contraction_map``), d^N and d_l^N, d_r^N share one N-fold
-composition, and phi's left and right lifts share one construction.
+each position (``contraction_map``); the generic ones are built once per
+slice family (``NComplexSlice.contraction``), so the contracted complex
+and the wedge agreement read the same maps.  d^N and d_l^N, d_r^N share
+one N-fold composition, and phi's left and right lifts share one
+construction.
 Products by one are skipped wherever a factor is the ``field.one`` object,
 as every cached one-step product stores its entries equal to one.
 """
@@ -51,7 +54,7 @@ from .elim import (
 )
 from .filtered import FilteredPresentation, build_phi
 from .grouppres import wedge_apply
-from .homogeneous import w_rows, zeta_degrees
+from .homogeneous import w_rows, zeta, zeta_degrees
 from .scalar import DimensionMismatch, Scalar, to_raw
 from .smashtensor import alternating_sum_terms
 
@@ -372,6 +375,7 @@ class NComplexSlice:
         self._slice_index: dict[int, dict] = {}
         self._dl: dict[int, dict] = {}
         self._dr: dict[int, dict] = {}
+        self._contraction: dict[int, dict] = {}
         self._alg = alg
         self._act_cache: dict = {}
         self.max_n = self._max_nonzero_w()
@@ -540,6 +544,16 @@ class NComplexSlice:
         qn = to_raw(field, q ** (n - 1))
         return add_maps(field, self.d_left(n), self.d_right(n), field.neg(qn), self.slice_dim(n))
 
+    def contraction(self, i: int) -> dict:
+        """Map out of homological position i of the contracted complex: d
+        when i is odd, d^{N-1} when even; built once per slice family."""
+        got = self._contraction.get(i)
+        if got is None:
+            odd = i % 2 == 1
+            got = contraction_map(self.d_left, self.d_right, zeta(i, self.N), odd, self.N, self.ctx.field)
+            self._contraction[i] = got
+        return got
+
     def mu_matrix(self) -> dict:
         """Multiplication (U (x)_K U)_{<= D} -> U^{<= D} on slice 0."""
         cols = {}
@@ -577,8 +591,14 @@ def map_is_zero(cols: dict) -> bool:
     return all(not vec for vec in cols.values())
 
 
-def maps_equal(a: dict, b: dict, field, n_cols: int) -> bool:
-    return map_is_zero(map_difference(a, b, field, n_cols))
+def maps_equal(a: dict, b: dict, n_cols: int) -> bool:
+    """Whether columns 0..n_cols-1 agree, a missing column read as empty.
+
+    Compared in place: raw values are canonical and maps store no zero
+    entries, so equal maps have equal column dicts.
+    """
+    empty: dict = {}
+    return all(a.get(src, empty) == b.get(src, empty) for src in range(n_cols))
 
 
 def _power(step, n: int, N: int, field) -> dict:
@@ -619,9 +639,9 @@ def factorization_identity_holds(slice_family: NComplexSlice, q: Scalar, n: int)
     untwisted = map_difference(
         _power(slice_family.d_left, n, N, field), _power(slice_family.d_right, n, N, field), field, ncols
     )
-    lhs_eq = maps_equal(twisted, untwisted, field, ncols)
+    lhs_eq = maps_equal(twisted, untwisted, ncols)
     phi_diff = map_difference(slice_family.phi_left(n), slice_family.phi_right(n), field, ncols)
-    rhs_eq = maps_equal(untwisted, phi_diff, field, ncols)
+    rhs_eq = maps_equal(untwisted, phi_diff, ncols)
     return lhs_eq and rhs_eq
 
 
@@ -665,7 +685,7 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
         if fam.slice_dim(hi) == 0:
             maps[i] = {}
             continue
-        maps[i] = _contraction_map(fam, i, zs, field)
+        maps[i] = fam.contraction(i)
     mu = fam.mu_matrix()
 
     def restricted_rank(cols: dict, src_n: int) -> int:
@@ -775,11 +795,6 @@ def contraction_map(left, right, top: int, odd: bool, N: int, field) -> dict:
         step = left(top)
         return map_difference(step, right(top), field, len(step))
     return alternating_step_sum(left, right, top, N - 1, field)
-
-
-def _contraction_map(fam: NComplexSlice, i: int, zs: list, field) -> dict:
-    """Map out of homological position i: d when i is odd, d^{N-1} when even."""
-    return contraction_map(fam.d_left, fam.d_right, zs[i], i % 2 == 1, fam.N, field)
 
 
 # -- explicit wedge-basis differentials for antisymmetrizer presentations ----
@@ -950,11 +965,11 @@ def wedge_agreement(family: NComplexSlice) -> bool:
             break
         parity = "odd" if i % 2 == 1 else "even"
         wedge_map = wc.differential(hi, parity)
-        generic = _contraction_map(family, i, zs, field)
+        generic = family.contraction(i)
         iso_hi = wc.iso_to_generic(hi)
         iso_lo = wc.iso_to_generic(lo)
         lhs = compose_maps(generic, iso_hi, field)
         rhs = compose_maps(iso_lo, wedge_map, field)
-        if not maps_equal(lhs, rhs, field, len(wc.basis(hi))):
+        if not maps_equal(lhs, rhs, len(wc.basis(hi))):
             ok = False
     return ok

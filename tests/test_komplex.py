@@ -227,7 +227,7 @@ def test_dl_commutes_with_dr():
         for n in range(2, fam.max_n + 1):
             lhs = compose_maps(fam.d_left(n - 1), fam.d_right(n), field)
             rhs = compose_maps(fam.d_right(n - 1), fam.d_left(n), field)
-            assert maps_equal(lhs, rhs, field, fam.slice_dim(n))
+            assert maps_equal(lhs, rhs, fam.slice_dim(n))
 
 
 def test_dl_power_equals_phi_lift():
@@ -237,9 +237,9 @@ def test_dl_power_equals_phi_lift():
     field = fam.ctx.field
     for n in range(2, fam.max_n + 1):
         dl2 = compose_maps(fam.d_left(n - 1), fam.d_left(n), field)
-        assert maps_equal(dl2, fam.phi_left(n), field, fam.slice_dim(n))
+        assert maps_equal(dl2, fam.phi_left(n), fam.slice_dim(n))
         dr2 = compose_maps(fam.d_right(n - 1), fam.d_right(n), field)
-        assert maps_equal(dr2, fam.phi_right(n), field, fam.slice_dim(n))
+        assert maps_equal(dr2, fam.phi_right(n), fam.slice_dim(n))
 
 
 def test_dl_power_vanishes_in_graded_case():
@@ -315,9 +315,9 @@ def test_factorization_detects_corrupted_phi():
     field = fam.ctx.field
     n = 3
     dl_pow = compose_maps(fam.d_left(n - 1), fam.d_left(n), field)
-    assert maps_equal(dl_pow, fam.phi_left(n), field, fam.slice_dim(n))
+    assert maps_equal(dl_pow, fam.phi_left(n), fam.slice_dim(n))
     fam.phi.rows[0] = {c: field.add(v, v) for c, v in fam.phi.rows[0].items()}
-    assert not maps_equal(dl_pow, fam.phi_left(n), field, fam.slice_dim(n))
+    assert not maps_equal(dl_pow, fam.phi_left(n), fam.slice_dim(n))
 
 
 # -- contraction ---------------------------------------------------------------
@@ -447,9 +447,9 @@ def test_wedge_odd_even_identical_for_p2():
         return cols
 
     odd = wc.differential(1, "odd")
-    assert maps_equal(odd, uniform(1), field, len(wc.basis(1)))
+    assert maps_equal(odd, uniform(1), len(wc.basis(1)))
     even = wc.differential(2, "even")
-    assert maps_equal(even, uniform(2), field, len(wc.basis(2)))
+    assert maps_equal(even, uniform(2), len(wc.basis(2)))
 
 
 def test_wedge_differential_rejects_an_unknown_parity():
@@ -616,7 +616,7 @@ def test_step_sum_recurrence_matches_the_sum_of_compositions(steps):
         got = alternating_step_sum(lefts.__getitem__, rights.__getitem__, top, steps, field)
         want = brute_force_step_sum(lefts.__getitem__, rights.__getitem__, top, steps, dims[top], field)
         assert sorted(got) == list(range(dims[top]))
-        assert maps_equal(got, want, field, dims[top])
+        assert maps_equal(got, want, dims[top])
 
 
 def test_step_sum_recurrence_on_the_cubic_family():
@@ -629,7 +629,7 @@ def test_step_sum_recurrence_on_the_cubic_family():
         ncols = fam.slice_dim(top)
         got = alternating_step_sum(fam.d_left, fam.d_right, top, steps, field)
         want = brute_force_step_sum(fam.d_left, fam.d_right, top, steps, ncols, field)
-        assert maps_equal(got, want, field, ncols)
+        assert maps_equal(got, want, ncols)
         nonzero += any(got.values())
     assert nonzero > 0
 
@@ -675,3 +675,37 @@ def test_contraction_eliminates_each_windowed_map_once(monkeypatch, make):
     assert len(made) == len(rep.positions) > 2
     for pos, nxt in zip(rep.positions, rep.positions[1:]):
         assert pos["rank_in"] == nxt["rank_out"]
+
+
+def test_maps_equal_reads_a_missing_column_as_empty():
+    field = get_field(1)
+    one, two = field.one, field.from_fraction(Fraction(2))
+    stored_empty = {0: {}, 1: {3: one}}
+    missing = {1: {3: one}}
+    assert maps_equal(stored_empty, missing, 2)
+    assert maps_equal(missing, stored_empty, 2)
+    assert not maps_equal(stored_empty, {1: {3: two}}, 2)
+    assert not maps_equal({0: {1: one}}, missing, 2)
+    assert not maps_equal(missing, {0: {1: one}, 1: {3: one}}, 2)
+    # only columns 0..n_cols-1 are compared
+    assert maps_equal({5: {0: one}}, {}, 5)
+
+
+@pytest.mark.parametrize("make", [weyl_presentation, cubic_zeta3_presentation])
+def test_wedge_agreement_reuses_the_contraction_maps(monkeypatch, make):
+    pres, _, _ = make()
+    fam = NComplexSlice(pres, 6)
+    built = []
+    original = komplex.contraction_map
+
+    def counting(left, right, top, *args):
+        if getattr(left, "__self__", None) is fam:  # the generic maps, not the wedge ones
+            built.append(top)
+        return original(left, right, top, *args)
+
+    monkeypatch.setattr(komplex, "contraction_map", counting)
+    rep = contracted_complex(fam)
+    assert rep.exact_in_window and len(built) == len(set(built)) > 1
+    made = len(built)
+    assert wedge_agreement(fam)
+    assert len(built) == made

@@ -1,12 +1,15 @@
-"""The oracle's quotient tower against the full-space elimination of J^D.
+"""The oracle's quotient levels against the full-space elimination of J^D.
 
-``OracleEngine._full_space`` row-reduces all of J^D in F^D, the way the
-oracle did before it built F^nU level by level; it stays in the engine as
-the path for inputs whose filtration equalities fail.  Here it is the
-reference: on inputs that satisfy the equalities the tower must give the
-same dimensions, the same standard monomials (the non-pivot coordinates
-of the reference) and the same products in the truncated algebra, and on
-inputs that do not it must stop at the first failing degree.
+``OracleEngine._full_space(top)`` row-reduces J^top in F^top, the way the
+oracle did before it built F^nU level by level.  The engine runs it only
+through the first failing degree, for the dimensions there and the
+witness, and continues above that degree in quotient coordinates
+(``_continue``).  Here ``_full_space(D)`` is the reference: on inputs that
+satisfy the equalities the tower must give the same dimensions, the same
+standard monomials (the non-pivot coordinates of the reference) and the
+same products in the truncated algebra; on inputs that do not, the tower
+must stop at the first failing degree, and the continuation must give the
+same dimensions, equalities and first witness.
 """
 
 import itertools
@@ -50,7 +53,7 @@ def fixture(name):
 
 def reference(pres, D):
     engine = OracleEngine(pres, D)
-    engine._full_space()
+    engine._full_space(D)
     return engine
 
 
@@ -132,22 +135,23 @@ def test_tower_agrees_with_the_full_space_on_random_presentations():
         stopped = engine.tower.ensure(D)
         assert stopped == first_failure(ref)
         outcomes["pbw" if stopped is None else "at N" if stopped == pres.N else "above N"] += 1
-        if stopped is None:
-            std = tower_std(engine)
-            engine.run()
-            assert engine.j_dims == ref.j_dims
-            assert engine.equalities == ref.equalities
-            assert std == reference_std(ref)
-        # the report itself never depends on the path
-        full = OracleEngine(pres, D)
-        full.run()
-        assert (full.j_dims, full.equalities, full.witnesses) == (
+        std = tower_std(engine) if stopped is None else None
+        engine.run()
+        # the report never depends on the path: failing inputs continue
+        # past their first failure in quotient coordinates
+        assert (engine.j_dims, engine.equalities, engine.witness) == (
             ref.j_dims,
             ref.equalities,
-            ref.witnesses,
+            ref.witness,
         )
-    # both paths are exercised, and failures past the first level too
-    assert min(outcomes[k] for k in ("pbw", "at N", "above N")) >= 10
+        if stopped is None:
+            assert std == reference_std(ref)
+        else:
+            assert engine.witness[0] == stopped
+            outcomes["continued"] += stopped < D
+    # both paths are exercised, failures past the first level too, and
+    # failures below D, so the continuation has degrees to fill
+    assert min(outcomes[k] for k in ("pbw", "at N", "above N", "continued")) >= 10
 
 
 @pytest.mark.parametrize(
@@ -190,20 +194,30 @@ def test_sl2_tower_holds_a_row_per_pivot_position():
 
 def test_full_space_runs_only_when_an_equality_fails(monkeypatch):
     runs = []
-    original = OracleEngine._full_space
+    for name in ("_full_space", "_continue"):
+        original = getattr(OracleEngine, name)
 
-    def counting(self):
-        runs.append(self.D)
-        original(self)
+        def counting(self, top, name=name, original=original):
+            runs.append((name, top))
+            original(self, top)
 
-    monkeypatch.setattr(OracleEngine, "_full_space", counting)
+        monkeypatch.setattr(OracleEngine, name, counting)
     assert pbw_verdict(sl2(), 6).certified
     assert oracle_pbw(build_down_up(2, -1, 1), 8).holds
     NComplexSlice(fixture("sr_z6"), 4)
     assert runs == []
+    # J^3 is eliminated in F^3 only; degrees 4 and 5 come from the continuation
     rep = oracle_pbw(non_jacobi(), 5)
-    assert runs == [5]
+    assert runs == [("_full_space", 3), ("_continue", 3)]
     assert rep.witness_degree == 3 and not rep.equalities[3]
+
+
+def test_non_jacobi_reaches_degree_twelve():
+    # F^12 has 797,161 coordinates; the quotient levels never hold them
+    rep = oracle_pbw(non_jacobi(), 12)
+    assert rep.candidate_gr_dims == [1, 3, 6] + [3 * n for n in range(3, 13)]
+    assert rep.equalities == {2: True, **{n: False for n in range(3, 13)}}
+    assert rep.witness_degree == 3
 
 
 def test_without_lower_degree_terms_the_oracle_builds_the_graded_tower():
