@@ -15,12 +15,14 @@ R defines the homogenized algebra A.  The module provides:
   associated graded algebra,
 * builders for enveloping-algebra and down-up presentations.
 
-A row of the tower without a top-degree entry is precisely a witness that
-the filtration equality fails at that degree n0; the oracle then
-eliminates J^{n0} in the coordinates of ``Filtration(ctx, D,
-descending=True)`` for the witness, and continues above n0 on quotient
-levels K ⊕ V ⊗ F^{m-1}U.  The truncated algebra in ``komplex`` reads its
-basis, the standard monomials, and its normal forms off the same tower.
+Subspaces of F^n live in ``Filtration(ctx, n)``, top degree first, so phi
+and the direct form of (J) cut P's canonical rows by pivot.  A row of the
+tower without a top-degree entry is precisely a witness that the
+filtration equality fails at that degree n0; the oracle then eliminates
+J^{n0} in ``Filtration(ctx, D)`` for one such witness, and continues above
+n0 on quotient levels K ⊕ V ⊗ F^{m-1}U.  The truncated algebra in
+``komplex`` reads its basis, the standard monomials, and its normal forms
+off the same tower.
 """
 
 from __future__ import annotations
@@ -112,7 +114,8 @@ class PhiMap:
     """The unique correction map with P = {x - phi(x) : x in R}.
 
     ``rows[t]`` is phi applied to the t-th canonical basis row of R, stored
-    as a sparse vector over the filtration coordinates of F^{N-1}.
+    in P's layout ``Filtration(ctx, N)``, where it has no degree-N block:
+    the canonical row of P leading with ``r_rows[t]`` is r_t - phi(r_t).
     """
 
     pres: FilteredPresentation
@@ -125,7 +128,7 @@ class PhiMap:
 
     def component(self, j: int) -> list[dict]:
         """Degree-j graded piece of each phi value, as component-j vectors."""
-        layout = Filtration(self.pres.ctx, self.N - 1)
+        layout = self.pres.P.layout
         return [layout.block(row, j) for row in self.rows]
 
     def is_zero_component(self, j: int) -> bool:
@@ -138,33 +141,28 @@ class PhiMap:
 
     def rebuild_P(self) -> FilteredSubspace:
         """Span of {x_t - phi(x_t)}; equals P whenever condition (I) holds."""
-        ctx = self.pres.ctx
-        field = ctx.field
-        # F^{N-1} is the leading part of F^N, so phi rows keep their coordinates
-        top = self.pres.P.layout.start[self.N]
-        rows = []
-        for r_row, phi_row in zip(self.r_rows, self.rows):
-            row = {top + c: v for c, v in r_row.items()}
-            add_scaled(field, row, phi_row, field.minus_one)
-            rows.append(row)
-        return FilteredSubspace.from_rows(ctx, self.N, rows, close=False)
+        neg = self.pres.ctx.field.neg
+        # r_t fills the leading degree-N block of P's layout, phi(r_t) the rest
+        rows = [{**r, **{c: neg(v) for c, v in phi.items()}} for r, phi in zip(self.r_rows, self.rows)]
+        return FilteredSubspace.from_rows(self.pres.ctx, self.N, rows, close=False)
 
 
 def build_phi(pres: FilteredPresentation) -> PhiMap:
     """Extract phi from the graph structure of P over its top projection.
 
-    P echelonized with its top block first splits into rows x_t - phi(x_t)
-    and rows inside F^{N-1}; the latter exist exactly when (I) fails.
+    P's canonical rows lead in their top degree: the rows pivoting in block
+    N are x_t - phi(x_t), and rows inside F^{N-1} exist exactly when (I)
+    fails.
     """
     N = pres.N
     layout = pres.P.layout
-    upper, lower = layout.split(pres.P.basis_sparse(), N - 1)
-    if lower:
+    rows = pres.P.basis_sparse()
+    if layout.below(rows, N - 1):
         raise ValueError("phi exists only when P meets F^{N-1} trivially")
     neg = pres.ctx.field.neg
-    cut = layout.start[N]
-    r_rows = [layout.block(row, N) for row in upper]
-    phi_rows = [{c: neg(v) for c, v in row.items() if c < cut} for row in upper]
+    cut = layout.start[N - 1]
+    r_rows = [layout.block(row, N) for row in rows]
+    phi_rows = [{c: neg(v) for c, v in row.items() if c >= cut} for row in rows]
     return PhiMap(pres=pres, r_rows=r_rows, rows=phi_rows)
 
 
@@ -192,23 +190,22 @@ def _phi_lift_difference(
     """(phi^{1,N} - phi^{2,N+1}) applied to a degree N+1 overlap element.
 
     ``right_splits`` is ``_right_split_solver(pres, phi.r_rows)``.  Returned
-    as a sparse vector over the filtration coordinates of F^N.
+    in P's layout, like the phi values it is made of.
     """
     ctx = pres.ctx
     field = ctx.field
     N = pres.N
-    low = Filtration(ctx, N - 1)
-    target = pres.P.layout
+    layout = pres.P.layout
     out: dict = {}
     # phi^{1,N}: w = sum (r_t combination)·(e_l ⊗ g) -> phi(r_t)·(e_l ⊗ g)
     for i, coeff in right_splits.solve(w_row):
         t, rest = divmod(i, ctx.dimV * ctx.order)
         l, g = divmod(rest, ctx.order)
-        add_scaled(field, out, low.right_mul(phi.rows[t], l, g, target), coeff)
+        add_scaled(field, out, layout.right_mul(phi.rows[t], l, g, layout), coeff)
     # phi^{2,N+1}: w = sum e_j ⊗ (r_t combination) -> (e_j ⊗ 1)·phi(r_t)
     lower = ctx.component_dim(N)
     for j, t, coeff in prefix_split(field, w_row, lower, phi.r_rows, pivot_index(phi.r_rows)):
-        add_scaled(field, out, low.left_mul(phi.rows[t], j, 0, target), field.neg(coeff))
+        add_scaled(field, out, layout.left_mul(phi.rows[t], j, 0, layout), field.neg(coeff))
     return out
 
 
@@ -333,7 +330,7 @@ class OracleEngine:
         self.P = pres.P
         self.alg = pres.homogenization()
         self.D = D
-        self.layout = Filtration(ctx, D, descending=True)
+        self.layout = Filtration(ctx, D)
         relations = [
             [(*pres.P.layout.decode(c), raw) for c, raw in row.items()]
             for row in pres.P.basis_sparse()
@@ -376,16 +373,14 @@ class OracleEngine:
         and the witness of the first failing equality.
 
         J^n is spanned by J^{n-1}, V·J^{n-1} and P·V^{⊗(n-N)}; only the rows
-        new at the previous degree need the letter in front.  A new pivot
-        below block n is a witness that the equality at degree n fails.
+        new at the previous degree need the letter in front.  Rows of J^n lie
+        in F^n, and a new pivot inside F^{n-1} is a witness that the equality
+        at degree n fails.
         """
         ctx = self.ctx
         N = self.N
         layout = self.layout
-        p_rows = [
-            self.P.layout.map_blocks(r, lambda block, d: (d, block), layout)
-            for r in self.P.basis_sparse()
-        ]
+        p_rows = self.P.extend_top(self.D).basis_sparse()
         pv_rows = p_rows  # P · V^{⊗m}, advanced each degree
         t_hat = []
         for n in range(N, top + 1):
@@ -405,14 +400,12 @@ class OracleEngine:
                 new_rows.extend(pv_rows)
             t_hat = []
             holds = True
-            # rows of J^n lie in F^n; block n leads the descending layout
-            top_boundary = layout.start[n] + ctx.component_dim(n)
             for row in new_rows:
                 piv = self.elim.add(row)
                 if piv is None:
                     continue
                 t_hat.append(dict(self.elim.pivot_rows[piv]))
-                if piv >= top_boundary:
+                if piv >= layout.start[n - 1]:
                     if self.witness is None:
                         self.witness = (n, dict(self.elim.pivot_rows[piv]))
                     holds = False

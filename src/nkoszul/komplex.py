@@ -209,7 +209,7 @@ class _XSpace:
     """W_n (x)_K U^{<= D-n} embedded in V^{(x)n} (x) U.
 
     Coordinates are pairs (word number, U-basis index) ordered with the
-    U-degree descending first, so a row's pivot block is its filtration
+    highest U-degree first, so a row's pivot block is its filtration
     level; the canonical rows are nested across levels.
     """
 
@@ -221,7 +221,7 @@ class _XSpace:
         self.w_rows = w_row_list
         vn = ctx.dimV**n
         max_u = tu.bound - n
-        # coordinate order: U-degree descending, then word number, then index
+        # coordinate order: highest U-degree first, then word number, then index
         flat = []
         for b_idx, (d, _, _) in enumerate(tu.basis):
             if d <= max_u:
@@ -485,7 +485,8 @@ class NComplexSlice:
 
         Each W_n row is written over the products r_s · w_kappa (``left``) or
         w_kappa · r_s of R rows and W_{n-N} rows.  phi is concentrated in
-        degree zero, so phi(r_s) is a combination of group elements g; on the
+        degree zero, so phi(r_s) is a combination of group elements g, the
+        coordinates of its degree-zero block, read here on every call; on the
         left g acts on w_kappa, on the right it moves into the right U factor.
         """
         field = self.ctx.field
@@ -506,6 +507,7 @@ class NComplexSlice:
             gens = [ctx.row_product(low[k], r_rows[s], N) for s, k in tags]
         solver = TaggedRows(field, gens, ctx.component_dim(n))
         split = [[(tags[i], c) for i, c in solver.solve(w)] for w in w_rows(self._alg, n, self._alg.w_cache)]
+        phi0 = self.phi.component(0)
 
         def moved(g: int, kappa: int, b_idx: int) -> list:
             """g applied to w_kappa (x) b as (W_{n-N} row, U index, coeff)."""
@@ -519,7 +521,7 @@ class NComplexSlice:
             out: dict = {}
             for (gt, b_idx), cg in x_hi.generator_expression(t):
                 for (s, kappa), c2 in split[gt]:
-                    for g, c3 in self.phi.rows[s].items():
+                    for g, c3 in phi0[s].items():
                         scale = field.mul(cg, field.mul(c2, c3))
                         for kappa2, b2, c4 in moved(g, kappa, b_idx):
                             for t2, c5 in x_lo.express(x_lo.embed_generator(kappa2, b2)):

@@ -14,9 +14,11 @@ are reproducible bit for bit.
 
 The filtration F^n = (+)_{i<=n} V^{⊗i}⊗K has one layout owner,
 ``Filtration``: block starts, coordinates, and the letter and group
-multiplications of rows of F^n.  ``FilteredSubspace`` uses its ascending
-order; the filtration oracle and the truncated algebra share one
-descending layout.  The term-dict product ``smash_mul_terms`` is the
+multiplications of rows of F^n.  Its blocks run top degree first, as the
+paper reads a filtered element, so a canonical row leads in its top
+degree: P, PE + EP, the filtration oracle's J^n and the values of phi all
+share it, F^level is cut off by pivot, and a degree-n component is the
+leading block of F^n.  The term-dict product ``smash_mul_terms`` is the
 reference the sparse row operations are tested against.
 """
 
@@ -360,27 +362,26 @@ class Filtration:
     filtration coordinates.
 
     Block d holds the degree-d component in its (word, g) order and starts
-    at ``start[d]``.  Ascending blocks run 0, 1, ..., top, so F^n sits in
-    every F^m, m >= n, as the leading coordinates; descending blocks run
-    top, ..., 0, so a row's leading coordinate lies in its top degree.
+    at ``start[d]``; blocks run top, ..., 0, so a row's leading coordinate
+    lies in its top degree.  A canonical row lies in F^level exactly when
+    its pivot is at least ``start[level]``, and F^n sits in F^m, m >= n, as
+    the trailing coordinates, shifted by ``Filtration(ctx, m).start[n]``.
     """
 
-    def __init__(self, ctx: TensorContext, top: int, descending: bool = False):
+    def __init__(self, ctx: TensorContext, top: int):
         self.ctx = ctx
         self.top = top
-        self._degrees = list(range(top, -1, -1) if descending else range(top + 1))
         self._sizes = [ctx.component_dim(d) for d in range(top + 1)]
         self.start = [0] * (top + 1)
-        self._starts = []
         pos = 0
-        for d in self._degrees:
+        for d in range(top, -1, -1):
             self.start[d] = pos
-            self._starts.append(pos)
             pos += self._sizes[d]
+        self._starts = self.start[::-1]  # the block starts in coordinate order
         self.dim = pos
 
     def block_of(self, coord: int) -> int:
-        return self._degrees[bisect_right(self._starts, coord) - 1]
+        return self.top + 1 - bisect_right(self._starts, coord)
 
     def coord(self, word: tuple[int, ...], g: int) -> int:
         return self.start[len(word)] + self.ctx.coord(word, g)
@@ -395,6 +396,13 @@ class Filtration:
         hi = lo + self._sizes[d]
         return {c - lo: v for c, v in row.items() if lo <= c < hi}
 
+    def below(self, rows: list[dict], level: int) -> list[dict]:
+        """The canonical rows inside F^level, those pivoting at or past
+        ``start[level]``; they are the canonical rows of the span's
+        intersection with F^level."""
+        cut = self.start[level]
+        return [row for row in rows if min(row) >= cut]
+
     def map_blocks(self, row: dict, step, target: "Filtration") -> dict:
         """Apply ``step(block, d) -> (d2, block2)`` to each block of ``row``.
 
@@ -403,7 +411,7 @@ class Filtration:
         """
         blocks: dict[int, dict] = {}
         for coord, raw in row.items():
-            d = self._degrees[bisect_right(self._starts, coord) - 1]
+            d = self.block_of(coord)
             blocks.setdefault(d, {})[coord - self.start[d]] = raw
         out: dict = {}
         for d, block in blocks.items():
@@ -431,33 +439,11 @@ class Filtration:
         if letter is None:
             return row
         # a prefix moves each coordinate on its own, from block d to block d + 1
-        starts, degrees, sizes = self._starts, self._degrees, self._sizes
         out = {}
         for c, v in row.items():
-            i = bisect_right(starts, c) - 1
-            d = degrees[i]
-            out[target.start[d + 1] + letter * sizes[d] + c - starts[i]] = v
+            d = self.block_of(c)
+            out[target.start[d + 1] + letter * self._sizes[d] + c - self.start[d]] = v
         return out
-
-    def split(self, rows: list[dict], level: int) -> tuple[list[dict], list[dict]]:
-        """Canonical rows of span(rows) echelonized with the blocks above
-        ``level`` first (ascending layout).
-
-        Returns (upper, lower) in the layout's coordinates: the rows that
-        lead above F^level, and the rows inside F^level, which span the
-        intersection of span(rows) with F^level.
-        """
-        cut = self.start[level + 1]
-        high = self.dim - cut
-        elim = SparseEliminator(self.ctx.field)
-        for row in rows:
-            elim.add({(c - cut if c >= cut else c + high): v for c, v in row.items()})
-        upper: list[dict] = []
-        lower: list[dict] = []
-        for p in sorted(elim.pivot_rows):
-            row = {(c + cut if c < high else c - high): v for c, v in elim.pivot_rows[p].items()}
-            (upper if p < high else lower).append(row)
-        return upper, lower
 
 
 # -- sub-bimodules -------------------------------------------------------
@@ -504,18 +490,19 @@ class Subbimodule:
 
     @staticmethod
     def from_elements(ctx: TensorContext, degree: int, elements: Iterable[Terms], close: bool = True) -> "Subbimodule":
+        elements = list(elements)
+        field = ctx.field
+        for t in elements:
+            if any(len(w) != degree and not field.is_zero(to_raw(field, c)) for (w, _), c in t.items()):
+                raise DimensionMismatch("element does not live in the stated degree")
         rows = [ctx.terms_to_sparse(t) for t in elements]
-        for t in rows:
-            for coord in t:
-                if coord >= ctx.component_dim(degree):
-                    raise DimensionMismatch("element does not live in the stated degree")
         return Subbimodule.from_rows(ctx, degree, rows, close)
 
     @staticmethod
     def from_rows(ctx: TensorContext, degree: int, rows: list[dict], close: bool = True) -> "Subbimodule":
         """Bimodule closure of sparse degree-n rows, or with ``close=False``
         their span, which must already be closed."""
-        actions = _actions(ctx, degree) if close else ()
+        actions = _actions(Filtration(ctx, degree)) if close else ()
         rows = _span_rows(ctx.field, rows, actions)
         out = Subbimodule(ctx, degree, Subspace(ctx.component_dim(degree), rows, ctx.conductor))
         if not close and not out.is_closed():
@@ -528,7 +515,7 @@ class Subbimodule:
 
     def is_closed(self) -> bool:
         rows = self.space.rows
-        return _span_rows(self.ctx.field, rows, _actions(self.ctx, self.degree)) == rows
+        return _span_rows(self.ctx.field, rows, _actions(Filtration(self.ctx, self.degree))) == rows
 
     def sum(self, other: "Subbimodule") -> "Subbimodule":
         self._check_compatible(other)
@@ -555,12 +542,13 @@ class Subbimodule:
         return f"Subbimodule(degree={self.degree}, dim={self.dim})"
 
 
-def _actions(ctx: TensorContext, degree: int) -> list:
-    """Left and right actions of each group generator on degree-n rows."""
+def _actions(layout: Filtration) -> list:
+    """Left and right actions of each group generator on rows of F^top,
+    block by block; a degree-n component is the leading block of F^n."""
     out = []
-    for g in ctx.group.generators:
-        out.append(lambda row, g=g: ctx.left_action_sparse(g, row, degree))
-        out.append(lambda row, g=g: ctx.right_action_sparse(row, g))
+    for g in layout.ctx.group.generators:
+        out.append(lambda row, g=g: layout.left_mul(row, None, g, layout))
+        out.append(lambda row, g=g: layout.right_mul(row, None, g, layout))
     return out
 
 
@@ -709,11 +697,12 @@ def check_lemma22(E: Subbimodule, Ep: Subbimodule, F: Subbimodule, Fp: Subbimodu
 
 
 class FilteredSubspace:
-    """A subspace of F^n = (+)_{i<=n} V^{⊗i}⊗K in the ascending block
-    coordinates of ``Filtration(ctx, n)``.
+    """A subspace of F^n = (+)_{i<=n} V^{⊗i}⊗K in the block coordinates
+    of ``Filtration(ctx, n)``, top degree first.
 
-    A block's offset does not depend on n, so F^n sits in F^{n+1} as the
-    leading coordinates.
+    Its canonical rows lead in their top degree, so the rows inside F^level
+    are those pivoting at or past ``layout.start[level]``, and re-embedding
+    into F^m shifts every coordinate by the same amount.
     """
 
     def __init__(self, ctx: TensorContext, top_degree: int, space: Subspace):
@@ -746,7 +735,7 @@ class FilteredSubspace:
     def from_rows(ctx: TensorContext, top_degree: int, rows: list[dict], close: bool = True) -> "FilteredSubspace":
         """Bimodule closure of rows of F^top_degree, or with ``close=False``
         their span, which must already be closed."""
-        actions = FilteredSubspace._actions(ctx, Filtration(ctx, top_degree)) if close else ()
+        actions = _actions(Filtration(ctx, top_degree)) if close else ()
         out = FilteredSubspace._of_rows(ctx, top_degree, _span_rows(ctx.field, rows, actions))
         if not close and not out.is_closed():
             raise ValueError("spanning set is not closed under the bimodule actions")
@@ -762,18 +751,9 @@ class FilteredSubspace:
         """The canonical rows themselves; callers must not mutate them."""
         return self.space.rows
 
-    @staticmethod
-    def _actions(ctx: TensorContext, layout: Filtration) -> list:
-        """Left and right actions of each group generator, block by block."""
-        out = []
-        for g in ctx.group.generators:
-            out.append(lambda row, g=g: layout.left_mul(row, None, g, layout))
-            out.append(lambda row, g=g: layout.right_mul(row, None, g, layout))
-        return out
-
     def is_closed(self) -> bool:
         rows = self.space.rows
-        return _span_rows(self.ctx.field, rows, FilteredSubspace._actions(self.ctx, self.layout)) == rows
+        return _span_rows(self.ctx.field, rows, _actions(self.layout)) == rows
 
     def block_projection(self, degree: int) -> Subspace:
         """Image of the subspace in the degree-``degree`` graded block."""
@@ -786,7 +766,9 @@ class FilteredSubspace:
             raise DimensionMismatch("cannot shrink the filtration level")
         if new_top == self.top_degree:
             return self
-        return FilteredSubspace._of_rows(self.ctx, new_top, self.space.rows)
+        shift = Filtration(self.ctx, new_top).start[self.top_degree]
+        rows = [{c + shift: v for c, v in row.items()} for row in self.space.rows]
+        return FilteredSubspace._of_rows(self.ctx, new_top, rows)
 
     def mul_E(self, side: str) -> "FilteredSubspace":
         """P·E (side='right') or E·P (side='left'), one degree up."""
@@ -805,14 +787,15 @@ class FilteredSubspace:
     def truncate_intersection(self, level: int) -> "FilteredSubspace":
         """Intersection with F^level, returned inside F^level.
 
-        With the coordinates beyond F^level eliminated first, the canonical
-        rows pivoting inside F^level vanish beyond it and are the canonical
-        rows of the intersection.
+        A combination of canonical rows leads at its smallest pivot, so it
+        lies in F^level only if every row it uses pivots there: the
+        intersection's canonical rows are those rows, shifted down.
         """
         if level >= self.top_degree:
             return self.extend_top(level)
-        _, inter = self.layout.split(self.space.rows, level)
-        return FilteredSubspace._of_rows(self.ctx, level, inter)
+        cut = self.layout.start[level]
+        rows = [{c - cut: v for c, v in row.items()} for row in self.layout.below(self.space.rows, level)]
+        return FilteredSubspace._of_rows(self.ctx, level, rows)
 
     def contains(self, other: "FilteredSubspace") -> bool:
         o = other.extend_top(self.top_degree)

@@ -1,12 +1,14 @@
 """The benchmark's trace targets still name callables of the package.
 
 ``perfbench/tracing.py`` patches every ``module:qualname`` in ``SPANS`` and
-the field methods in ``FIELD_COUNTERS``; a rename in ``src`` would
-otherwise only break ``perfbench/run.py --trace 1``.
+the field methods in ``FIELD_COUNTERS``, and reads ``w_rows``'s arguments
+by position; a rename in ``src`` would otherwise only break
+``perfbench/run.py --trace 1``, and a reordering would go unnoticed.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -41,3 +43,11 @@ def test_field_classes_keep_counted_methods():
         for methods in tracing.FIELD_COUNTERS.values():
             for meth in methods:
                 assert callable(vars(cls).get(meth)), f"{cls_name}.{meth}"
+
+
+def test_w_rows_keeps_the_parameters_the_tracer_reads():
+    # ``_on_w_rows_call`` reads n and the cache as positional arguments 1
+    # and 2; another order would read every call as a cache miss
+    homogeneous = importlib.import_module("nkoszul.homogeneous")
+    params = list(inspect.signature(homogeneous.w_rows).parameters)
+    assert params == ["alg", "n", "cache"]

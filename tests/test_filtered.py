@@ -123,8 +123,8 @@ def test_phi_split_refuses_a_P_that_meets_the_lower_filtration():
     )
     pres = FilteredPresentation(ctx, 2, P)
     assert not check_condition_I(pres)
-    upper, lower = P.layout.split(P.basis_sparse(), 1)
-    assert len(upper) == 1 and lower == [{0: ctx.field.one}]
+    lower = P.layout.below(P.basis_sparse(), 1)
+    assert P.dim == 2 and lower == [{P.layout.coord((), 0): ctx.field.one}]
     with pytest.raises(ValueError, match="meets F"):
         build_phi(pres)
 

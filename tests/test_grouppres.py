@@ -302,8 +302,8 @@ def test_phi_of_group_presentation_is_psi_in_degree_zero():
                         residual[col] = nv
         assert not residual
         value = phi.apply_to_R_vector(coeffs)
-        # degree-zero coordinates are the group slots
-        got = {gidx: Scalar(field, v) for gidx, v in value.items()}
+        # the coordinates of the degree-zero block are the group slots
+        got = {gidx: Scalar(field, v) for gidx, v in pres.P.layout.block(value, 0).items()}
         expect = {
             gidx: psi.value(gidx, combo)
             for gidx in range(g.order)

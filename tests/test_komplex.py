@@ -305,6 +305,26 @@ def test_factorization_identity_with_content():
     assert factorization_identity_holds(fam3, Scalar.zeta(3), 3)
 
 
+@pytest.mark.parametrize(
+    "make, D",
+    [
+        (lambda: symplectic_presentation(1)[0], 6),
+        (lambda: symplectic_presentation(2)[0], 6),
+        (lambda: load_input(str(FIXTURES / "sr_z6.json"))[0], 5),
+    ],
+    ids=["pm_id_t1", "pm_id_t2", "sr_z6"],
+)
+def test_factorization_identity_over_a_nontrivial_group(make, D):
+    # phi takes values at group elements other than the identity, so the
+    # phi lifts read phi(r_s) group element by group element
+    fam = NComplexSlice(make(), D)
+    assert any(g for value in fam.phi.component(0) for g in value)
+    slices = [n for n in range(fam.N, fam.max_n + 1) if fam.slice_dim(n)]
+    assert slices and not map_is_zero(fam.phi_left(slices[0]))
+    for n in slices:
+        assert factorization_identity_holds(fam, S(-1), n)
+
+
 def test_factorization_detects_corrupted_phi():
     # corrupting the correction map breaks the identity d_l^N = phi-lift,
     # pinpointing the product identity behind the factorization; the twisted

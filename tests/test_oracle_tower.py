@@ -28,6 +28,7 @@ from nkoszul.filtered import (
     oracle_pbw,
     pbw_verdict,
 )
+from nkoszul.elim import SparseEliminator
 from nkoszul.grouppres import PsiMap, build_H_psi
 from nkoszul.homogeneous import _Tower
 from nkoszul.jsonio import load_input
@@ -152,6 +153,74 @@ def test_tower_agrees_with_the_full_space_on_random_presentations():
     # both paths are exercised, failures past the first level too, and
     # failures below D, so the continuation has degrees to fill
     assert min(outcomes[k] for k in ("pbw", "at N", "above N", "continued")) >= 10
+
+
+def placement_span(pres, top):
+    """The span of words·P·words of degree at most ``top``, built term by
+    term with the smash product, and the map from term dicts to its rows."""
+    ctx = pres.ctx
+    field = ctx.field
+    one = Scalar.one(ctx.conductor)
+    P = pres.P
+    p_terms = [
+        {P.layout.decode(c): Scalar(field, v) for c, v in row.items()} for row in P.basis_sparse()
+    ]
+    index: dict = {}
+
+    def vector(terms):
+        return {index.setdefault(key, len(index)): c.raw for key, c in terms.items() if not c.is_zero()}
+
+    span = SparseEliminator(field)
+    for i in range(top - pres.N + 1):
+        for j in range(top - pres.N - i + 1):
+            for left in itertools.product(range(ctx.dimV), repeat=i):
+                for right in itertools.product(range(ctx.dimV), repeat=j):
+                    for p in p_terms:
+                        elem = ctx.smash_mul_terms(ctx.smash_mul_terms({(left, 0): one}, p), {(right, 0): one})
+                        span.add(vector(elem))
+    return span, vector
+
+
+def assert_valid_witness(pres, engine):
+    """The witness lies in J^n0 ∩ F^(n0-1) and outside J^(n0-1)."""
+    n0, row = engine.witness
+    terms = {engine.layout.decode(c): Scalar(pres.ctx.field, v) for c, v in row.items()}
+    assert terms and max(len(word) for word, _ in terms) < n0
+    upper, vector = placement_span(pres, n0)
+    lower, lower_vector = placement_span(pres, n0 - 1)
+    assert not upper.reduce(vector(terms))
+    assert lower.reduce(lower_vector(terms))
+
+
+def non_equivariant_h_psi():
+    """h_psi for Z/3 = <diag(zeta, zeta)> over Q(zeta3): Λ²V carries det = zeta^2,
+    so no psi supported on the group is equivariant."""
+    z = Scalar.zeta(3)
+    group = GroupData.from_generators([MatrixS.from_rows([[z, 0], [0, z]], 3)])
+    for g in range(group.order):
+        yield build_H_psi(group, PsiMap(2, 2, group.order, {g: {(0, 1): z}}, conductor=3))
+
+
+def group_kind(ctx):
+    if ctx.order == 1:
+        return "explicit"
+    return "minus" if ctx.group.matrices[1][0, 0] == Scalar.rational(-1) else "swap"
+
+
+def test_every_witness_is_a_valid_element():
+    # a witness is one representative, not a canonical one: check what it
+    # must be against placements built here, not against ``_full_space``
+    cases = [(non_jacobi(), 5)] + [(pres, 4) for pres in non_equivariant_h_psi()]
+    rng = random.Random(31)
+    kinds = Counter()
+    for _ in range(90):
+        pres, D = random_presentation(rng)
+        if pres.oracle(D).witness is not None:
+            kinds[group_kind(pres.ctx)] += 1
+            cases.append((pres, D))
+    assert min(kinds[k] for k in ("explicit", "minus", "swap")) >= 5
+    for pres, D in cases:
+        assert_valid_witness(pres, pres.oracle(D))
 
 
 @pytest.mark.parametrize(

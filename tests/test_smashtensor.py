@@ -5,6 +5,8 @@ from math import comb
 
 import pytest
 
+from nkoszul.elim import SparseEliminator, intersection
+from nkoszul.filtered import FilteredPresentation, build_phi
 from nkoszul.scalar import DimensionMismatch, MatrixS, Scalar, Subspace
 from nkoszul.smashtensor import (
     FilteredSubspace,
@@ -134,6 +136,20 @@ def test_closure_is_verified_and_assertable():
     assert closed.dim == 4  # left action spreads over both group slices
     with pytest.raises(ValueError):
         Subbimodule.from_elements(ctx, 2, [e], close=False)
+
+
+def test_from_elements_refuses_a_term_of_another_degree():
+    # read by coordinate alone, (1,) would be the word (0, 1) and (0, 0, 0)
+    # the word (0, 0) of degree 2
+    ctx = trivial_ctx(2)
+    for word in ((1,), (0, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            Subbimodule.from_elements(ctx, 2, [{(word, 0): S(1)}])
+        with pytest.raises(DimensionMismatch):
+            Subbimodule.from_elements(ctx, 2, [{((0, 1), 0): S(1)}, {(word, 0): S(2)}])
+    # a zero coefficient carries no term, whatever its word
+    e = Subbimodule.from_elements(ctx, 2, [{((0, 1), 0): S(1), ((1,), 0): S(0)}])
+    assert e.basis_sparse() == [{ctx.coord((0, 1), 0): ctx.field.one}]
 
 
 def test_product_EF_full_times_full():
@@ -384,13 +400,11 @@ def s3_ctx():
     return TensorContext(3, GroupData.from_generators(gens))
 
 
-@pytest.mark.parametrize("descending", [False, True])
-def test_filtration_coordinates_round_trip(descending):
+def test_filtration_coordinates_round_trip():
     ctx = sr_z6_ctx()
-    layout = Filtration(ctx, 3, descending=descending)
+    layout = Filtration(ctx, 3)
     assert layout.dim == sum(ctx.component_dim(d) for d in range(4))
-    first = 3 if descending else 0
-    assert layout.start[first] == 0
+    assert layout.start[3] == 0
     for coord in range(layout.dim):
         word, g = layout.decode(coord)
         assert layout.block_of(coord) == len(word)
@@ -407,12 +421,11 @@ def as_row(terms, layout):
 
 
 @pytest.mark.parametrize("make_ctx", [sr_z6_ctx, s3_ctx], ids=["sr_z6", "s3"])
-@pytest.mark.parametrize("descending", [False, True])
-def test_filtration_products_match_the_term_product(make_ctx, descending):
+def test_filtration_products_match_the_term_product(make_ctx):
     ctx = make_ctx()
     rng = random.Random(7)
-    layout = Filtration(ctx, 2, descending=descending)
-    target = Filtration(ctx, 3, descending=descending)
+    layout = Filtration(ctx, 2)
+    target = Filtration(ctx, 3)
     one = Scalar.one(ctx.conductor)
     for _ in range(4):
         terms = {}
@@ -458,3 +471,76 @@ def test_group_expansions_store_one_as_the_field_one_object(monkeypatch):
     assert out == {ctx.coord(word, gen): field.one}
     # the one product zeta·zeta^5, and none by one
     assert len(calls) == 1 and not any(a is field.one or b is field.one for a, b in calls)
+
+
+def random_filtered(ctx, rng, top):
+    """The closure of 1-2 random elements of F^top, mostly of lower degree."""
+    elements = []
+    for _ in range(rng.randint(1, 2)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.randrange(ctx.dimV) for _ in range(rng.choice([top, *range(top)])))
+            terms[(word, rng.randrange(ctx.order))] = Scalar.rational(rng.randint(-2, 2), ctx.conductor)
+        elements.append(terms)
+    return FilteredSubspace.from_elements(ctx, top, elements)
+
+
+@pytest.mark.parametrize("make_ctx", [sr_z6_ctx, s3_ctx], ids=["sr_z6", "s3"])
+def test_truncate_intersection_matches_the_zassenhaus_intersection(make_ctx):
+    # the pivot cut against the intersection with the unit rows of F^level
+    ctx = make_ctx()
+    field = ctx.field
+    rng = random.Random(5)
+    nontrivial = 0
+    for _ in range(8):
+        top = rng.choice([2, 3]) if ctx.dimV == 2 else 2
+        sub = random_filtered(ctx, rng, top)
+        layout = sub.layout
+        for level in range(top):
+            units = [{c: field.one} for c in range(layout.start[level], layout.dim)]
+            inter = intersection(field, sub.basis_sparse(), units, layout.dim)
+            lo = layout.start[level]
+            expected = [{c - lo: v for c, v in row.items()} for row in inter]
+            cut = sub.truncate_intersection(level)
+            assert cut.top_degree == level and cut.basis_sparse() == expected
+            assert sub.contains(cut)
+            nontrivial += 0 < cut.dim < sub.dim
+    assert nontrivial >= 4
+
+
+@pytest.mark.parametrize("make_ctx", [sr_z6_ctx, s3_ctx], ids=["sr_z6", "s3"])
+def test_extend_top_then_truncate_is_the_identity(make_ctx):
+    ctx = make_ctx()
+    rng = random.Random(9)
+    for _ in range(4):
+        P = random_filtered(ctx, rng, 2)
+        wide = P.extend_top(4)
+        assert wide.dim == P.dim and wide.is_closed()
+        assert wide.truncate_intersection(2) == P
+        for d in range(3):
+            assert wide.block_projection(d) == P.block_projection(d)
+
+
+def test_phi_and_the_cut_eliminate_nothing(monkeypatch):
+    # both read P's canonical rows, top degree first, by pivot
+    ctx = sr_z6_ctx()
+    P = FilteredSubspace.from_elements(
+        ctx, 2, [{((0, 1), 0): S(1), ((1, 0), 0): S(-1), ((), 1): S(1)}]
+    )
+    pres = FilteredPresentation(ctx, 2, P)
+    overlaps = FilteredSubspace(ctx, 3, P.mul_E("right").space.sum(P.mul_E("left").space))
+    wide = P.extend_top(4)
+    made = []
+    original = SparseEliminator.__init__
+
+    def counting(self, field):
+        made.append(self)
+        original(self, field)
+
+    monkeypatch.setattr(SparseEliminator, "__init__", counting)
+    phi = build_phi(pres)
+    cuts = [wide.truncate_intersection(2), overlaps.truncate_intersection(2)]
+    assert made == []
+    assert len(phi.rows) == P.dim and any(phi.component(0))
+    assert cuts[0] == P and P.contains(cuts[1])
+    assert phi.rebuild_P() == P
