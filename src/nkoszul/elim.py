@@ -11,12 +11,12 @@ changes the resulting row space, and the stored basis equals the canonical
 RREF basis of that space.
 
 Every subspace in the package is held as such canonical rows (``Subspace``
-in ``scalar`` builds its dense views from them on demand), and the row
-operations built on the engine live here: adding one value into a sparse
-row (``accumulate``), adding a scaled row (``add_scaled``, the one
-scaled-row loop) or a scaled column map (``add_maps``), expressing a vector
-over fully reduced rows, solving over tagged generators, the kernel of a
-combination matrix, and the Zassenhaus intersection.  Code elsewhere builds
+in ``scalar``), and the row operations built on the engine live here:
+adding one value into a sparse row (``accumulate``), adding a scaled row
+(``add_scaled``, the one scaled-row loop) or a scaled column map
+(``add_maps``), expressing a vector over fully reduced rows, solving over
+tagged generators, the kernel of a combination matrix, and the Zassenhaus
+intersection.  Code elsewhere builds
 its sparse vectors and maps through these helpers rather than repeating the
 drop-on-cancel step.
 """

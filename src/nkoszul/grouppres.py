@@ -10,6 +10,11 @@ criteria that characterize when it has the PBW property, constructs psi
 from a Gamma-invariant form, and provides the exterior-algebra
 differentials whose injectivity underlies the componentwise criterion.
 
+The psi checks compute on raw field values and sparse vectors, like the
+rest of the package.  rho(g) is read as its sparse columns, M_g and L_g
+come from one elimination of the columns of Id - (-1)^p rho(g), and every
+Λ^p coefficient is a coefficient of the one exterior product ``wedge``.
+
 Universal quantifiers over tuples of vectors are discharged on strictly
 increasing basis tuples; multilinearity and alternation reduce the general
 statement to those, since both sides of every identity checked here are
@@ -18,14 +23,16 @@ multilinear and alternating in the vector arguments.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from .cyclo import get_field
+from .elim import TaggedRows, accumulate, add_scaled, negated
 from .filtered import FilteredPresentation
-from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, image, kernel, rref_raw, to_raw
+from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, kernel, to_raw
 from .smashtensor import (
     FilteredSubspace,
     GroupData,
@@ -79,49 +86,47 @@ class PsiMap:
     def is_zero(self) -> bool:
         return not self.components
 
-    def scaled(self, factors: list[Scalar]) -> "PsiMap":
-        comps = {}
-        for g, table in self.components.items():
-            comps[g] = {combo: c * factors[g] for combo, c in table.items()}
-        return PsiMap(self.p, self.dimV, self.order, comps, self.conductor)
 
-    def evaluate_on_vectors(self, g: int, vectors: list[list[Scalar]]) -> Scalar:
-        """Multilinear alternating extension evaluated on column vectors."""
-        total = Scalar.zero(self.conductor)
-        for combo, c in self.components.get(g, {}).items():
-            minor = [[vectors[j][i] for j in range(self.p)] for i in combo]
-            total = total + c * _det(minor, self.conductor)
-        return total
+def wedge(field, vectors) -> dict:
+    """v_1 ∧ ... ∧ v_p of sparse raw vectors, on the ascending wedge basis.
 
-
-def _det(rows: list[list[Scalar]], conductor: int) -> Scalar:
-    n = len(rows)
-    if n == 0:
-        return Scalar.one(conductor)
-    if n == 1:
-        return rows[0][0]
-    total = Scalar.zero(conductor)
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _det(minor, conductor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def wedge_apply(mat: MatrixS, combo: tuple[int, ...]) -> dict:
-    """Expansion of (mat e_{i1}) ∧ ... ∧ (mat e_{ip}) on the wedge basis,
-    over the field of ``mat``."""
-    p = len(combo)
-    n = mat.rows
-    out: dict = {}
-    for target in combinations(range(n), p):
-        minor = [[mat[i, j] for j in combo] for i in target]
-        d = _det(minor, mat.conductor)
-        if not d.is_zero():
-            out[target] = d
+    The factors are wedged on at the right: e_S ∧ e_i is zero when i lies
+    in S, and otherwise (-1)^k e_(S ∪ {i}), k the members of S above i.
+    Keys are ascending tuples of coordinates.  An entry that is the
+    ``field.one`` object, as in ``MatrixS.sparse_columns``, multiplies
+    without a field operation.
+    """
+    one = field.one
+    out = {(): one}
+    for vec in vectors:
+        nxt: dict = {}
+        for S, c in out.items():
+            for i, x in vec.items():
+                pos = bisect_left(S, i)
+                if pos < len(S) and S[pos] == i:
+                    continue
+                term = c if x is one else x if c is one else field.mul(c, x)
+                if (len(S) - pos) % 2:
+                    term = negated(field, term)
+                accumulate(field, nxt, S[:pos] + (i,) + S[pos:], term)
+        out = nxt
     return out
+
+
+def wedge_apply(field, columns: list[dict], combo: tuple[int, ...]) -> dict:
+    """(T e_i1) ∧ ... ∧ (T e_ip) on the wedge basis, for the map T with the
+    sparse raw ``columns``."""
+    return wedge(field, [columns[i] for i in combo])
+
+
+def _paired(field, table: dict, w: dict):
+    """One component of psi (wedge key -> Scalar) on a raw wedge-basis vector."""
+    total = field.zero
+    for combo, c in w.items():
+        v = table.get(combo)
+        if v is not None:
+            total = field.add(total, field.mul(to_raw(field, v), c))
+    return total
 
 
 @dataclass
@@ -132,9 +137,6 @@ class GDecomposition:
     M: list[Subspace]
     L: list[Subspace]
     a: list[int]
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "a": list(self.a)}
 
 
 def _over(group: GroupData, psi: PsiMap) -> tuple[GroupData, PsiMap]:
@@ -149,26 +151,35 @@ def _over(group: GroupData, psi: PsiMap) -> tuple[GroupData, PsiMap]:
     return group, psi
 
 
-def _id_minus_signed(mat: MatrixS, p: int) -> MatrixS:
-    """Id - (-1)^p mat, over the field of ``mat``."""
-    n = mat.rows
-    sign = Scalar.rational(1 if p % 2 == 0 else -1, mat.conductor)
-    ident = MatrixS.identity(n, mat.conductor)
-    return MatrixS(n, n, [i - sign * e for i, e in zip(ident.entries, mat.entries)], mat.conductor)
+def _id_minus_signed(field, mat: MatrixS, p: int) -> list[dict]:
+    """Sparse raw columns of Id - (-1)^p mat over ``field``."""
+    sign = field.one if p % 2 else field.minus_one
+    out = []
+    for j, col in enumerate(mat.sparse_columns(field)):
+        op = {j: field.one}
+        add_scaled(field, op, col, sign)
+        out.append(op)
+    return out
 
 
 def decompose(group: GroupData, p: int) -> GDecomposition:
     """Image and kernel of Id - (-1)^p rho(g) for every group element,
-    over the field of the group's matrices."""
+    over the field of the group's matrices.
+
+    One elimination of the map's columns gives both: the canonical rows of
+    their span are M_g and those of their combination kernel are L_g.
+    """
     dimV = group.dimV
     if not 2 <= p <= dimV:
         raise ValueError("p must lie between 2 and dimV")
     Ms, Ls, dims = [], [], []
     for mat in group.matrices:
-        op = _id_minus_signed(mat, p)
-        m_space = image(op)
-        l_space = kernel(op)
-        if m_space.dim + l_space.dim != dimV or m_space.intersect(l_space).dim != 0:
+        field = get_field(mat.conductor)
+        op = TaggedRows(field, _id_minus_signed(field, mat, p), dimV)
+        m_space = Subspace(dimV, op.span_rows(), mat.conductor)
+        l_space = Subspace(dimV, op.kernel_rows(), mat.conductor)
+        # dim M_g + dim L_g = dimV by rank-nullity
+        if m_space.intersect(l_space).dim != 0:
             raise ValueError("group element is not semisimple on V")
         Ms.append(m_space)
         Ls.append(l_space)
@@ -203,18 +214,17 @@ def check_equivariance(group: GroupData, psi: PsiMap) -> bool:
     """psi(rho(g) w) = g psi(w) g^{-1}, componentwise over the group, for w
     in Λ^p V with p the arity of psi."""
     group, psi = _over(group, psi)
-    for g in range(group.order):
-        mat = group.matrices[g]
+    field = get_field(psi.conductor)
+    for g, mat in enumerate(group.matrices):
+        columns = mat.sparse_columns(field)
         ginv = group.inverses[g]
         for combo in combinations(range(group.dimV), psi.p):
-            expansion = wedge_apply(mat, combo)
+            expansion = wedge_apply(field, columns, combo)
             for h in range(group.order):
                 # coefficient of h in psi(rho(g) w)
-                lhs = Scalar.zero(mat.conductor)
-                for target, c in expansion.items():
-                    lhs = lhs + c * psi.value(h, target)
+                lhs = _paired(field, psi.components.get(h, {}), expansion)
                 conj = group.mult(group.mult(ginv, h), g)
-                if lhs != psi.value(conj, combo):
+                if lhs != to_raw(field, psi.value(conj, combo)):
                     return False
     return True
 
@@ -227,22 +237,19 @@ def check_identity_41(group: GroupData, psi: PsiMap) -> bool:
     the omitted vector must vanish; p is the arity of psi.
     """
     group, psi = _over(group, psi)
-    dimV = group.dimV
+    field = get_field(psi.conductor)
     p = psi.p
-    for g in range(group.order):
-        op = _id_minus_signed(group.matrices[g], p)
-        for tup in combinations(range(dimV), p + 1):
-            acc = [Scalar.zero(op.conductor) for _ in range(dimV)]
+    for g, mat in enumerate(group.matrices):
+        table = psi.components.get(g, {})
+        op = _id_minus_signed(field, mat, p)
+        for tup in combinations(range(group.dimV), p + 1):
+            acc: dict = {}
             for pos in range(p + 1):
-                sub = tup[:pos] + tup[pos + 1 :]
-                c = psi.value(g, sub)
-                if c.is_zero():
-                    continue
-                sign = Scalar.rational(-1 if (pos + 1) % 2 else 1, op.conductor)
-                col = [op[i, tup[pos]] for i in range(dimV)]
-                for i in range(dimV):
-                    acc[i] = acc[i] + sign * c * col[i]
-            if any(not x.is_zero() for x in acc):
+                c = table.get(tup[:pos] + tup[pos + 1 :])
+                if c is not None:
+                    c = to_raw(field, c)
+                    add_scaled(field, acc, op[tup[pos]], c if pos % 2 else negated(field, c))
+            if acc:
                 return False
     return True
 
@@ -257,9 +264,9 @@ class Theorem44Report:
         return {"equivariant": self.equivariant, "per_g": self.per_g, "holds": self.holds}
 
 
-def _adapted_basis(dec: GDecomposition, g: int) -> list[list[Scalar]]:
-    """Concatenated canonical bases of M_g then L_g (column vectors)."""
-    return [list(row) for row in dec.M[g].basis_rows() + dec.L[g].basis_rows()]
+def _adapted_basis(dec: GDecomposition, g: int) -> list[dict]:
+    """The canonical rows of M_g then those of L_g, as sparse raw vectors."""
+    return dec.M[g].rows + dec.L[g].rows
 
 
 def theorem_44_verdict(group: GroupData, psi: PsiMap) -> Theorem44Report:
@@ -270,6 +277,7 @@ def theorem_44_verdict(group: GroupData, psi: PsiMap) -> Theorem44Report:
     p is the arity of psi.
     """
     group, psi = _over(group, psi)
+    field = get_field(psi.conductor)
     dec = decompose(group, psi.p)
     equivariant = check_equivariance(group, psi)
     per_g = []
@@ -277,12 +285,12 @@ def theorem_44_verdict(group: GroupData, psi: PsiMap) -> Theorem44Report:
     for g in range(group.order):
         basis = _adapted_basis(dec, g)
         a = dec.a[g]
+        psi_g = psi.components.get(g, {})
         table: dict[int, bool] = {}
         for combo in combinations(range(group.dimV), psi.p):
-            vectors = [basis[i] for i in combo]
             mtype = sum(1 for i in combo if i < a)
-            val = psi.evaluate_on_vectors(g, vectors)
-            if not val.is_zero() and mtype != a:
+            val = _paired(field, psi_g, wedge_apply(field, basis, combo))
+            if not field.is_zero(val) and mtype != a:
                 table[mtype] = False
             else:
                 table.setdefault(mtype, True)
@@ -309,17 +317,11 @@ def build_psi_corollary45(
     dimV = group.dimV
     group, base = _over(group, PsiMap(p, dimV, group.order, {0: phi}, conductor))
     conductor = base.conductor
-    phi_map = {combo: base.value(0, combo) for combo in combinations(range(dimV), p)}
-    # invariance of phi
-    for g in range(group.order):
-        mat = group.matrices[g]
-        for combo in combinations(range(dimV), p):
-            expansion = wedge_apply(mat, combo)
-            val = Scalar.zero(conductor)
-            for target, c in expansion.items():
-                val = val + c * phi_map[target]
-            if val != phi_map[combo]:
-                raise ValueError("phi is not invariant under the group action")
+    field = get_field(conductor)
+    # phi is invariant exactly when psi = phi placed at the identity is
+    # equivariant
+    if not check_equivariance(group, base):
+        raise ValueError("phi is not invariant under the group action")
     factors = None
     if class_factors is not None:
         factors = [
@@ -333,50 +335,37 @@ def build_psi_corollary45(
             if len(vals) > 1:
                 raise ValueError("class factors must be constant on conjugacy classes")
     dec = decompose(group, p)
+    phi_map = base.components.get(0, {})
     components: dict[int, dict] = {}
     for g in range(group.order):
         a = dec.a[g]
         basis = _adapted_basis(dec, g)
-        # transition matrix from standard coordinates to the adapted basis
-        cols = [[basis[j][i] for j in range(dimV)] for i in range(dimV)]
-        T = MatrixS.from_rows(cols, conductor)
-        Tinv = _matrix_inverse(T, conductor)
+        # T has the adapted basis as its columns; column i of T^-1 holds
+        # the coordinates of e_i over the adapted basis
+        adapted = TaggedRows(field, basis, dimV)
+        t_inv = [dict(adapted.solve({i: field.one})) for i in range(dimV)]
+        # phi on the adapted wedges with exactly a factors from M_g
+        on_component = {
+            target: _paired(field, phi_map, wedge_apply(field, basis, target))
+            for target in combinations(range(dimV), p)
+            if sum(1 for i in target if i < a) == a
+        }
         table: dict[tuple[int, ...], Scalar] = {}
         for combo in combinations(range(dimV), p):
-            # express e_{combo} over the adapted wedge basis, keep only the
-            # summands with exactly a factors from M_g, evaluate phi there
-            expansion = wedge_apply(Tinv, combo)
-            total = Scalar.zero(conductor)
-            for target, c in expansion.items():
-                if sum(1 for i in target if i < a) != a:
-                    continue
-                vectors = [basis[i] for i in target]
-                total = total + c * base.evaluate_on_vectors(0, vectors)
-            if not total.is_zero():
-                table[combo] = total
+            # express e_{combo} over the adapted wedge basis and evaluate
+            # phi on its a(g) component
+            total = field.zero
+            for target, c in wedge_apply(field, t_inv, combo).items():
+                value = on_component.get(target)
+                if value is not None:
+                    total = field.add(total, field.mul(c, value))
+            if not field.is_zero(total):
+                table[combo] = Scalar(field, total)
         if factors is not None:
             table = {k: v * factors[g] for k, v in table.items()}
         if table:
             components[g] = table
     return PsiMap(p, dimV, group.order, components, conductor)
-
-
-def _matrix_inverse(mat: MatrixS, conductor: int) -> MatrixS:
-    n = mat.rows
-    field = get_field(conductor)
-    rows = []
-    for i in range(n):
-        row = [to_raw(field, mat[i, j]) for j in range(n)]
-        row += [field.one if j == i else field.zero for j in range(n)]
-        rows.append(row)
-    red, pivots = rref_raw(field, rows)
-    if list(pivots) != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    out = []
-    for i in range(n):
-        for j in range(n):
-            out.append(Scalar(field, red[i][n + j]))
-    return MatrixS(n, n, out, conductor)
 
 
 def build_psi_symplectic_reflection(
@@ -392,7 +381,8 @@ def build_psi_symplectic_reflection(
         for j in range(n):
             if omega[i, j] != -omega[j, i]:
                 raise ValueError("form must be alternating")
-    _matrix_inverse(omega, conductor)  # nondegeneracy
+    if kernel(omega).dim != 0:
+        raise ValueError("matrix is not invertible")
     phi = {}
     for i in range(n):
         for j in range(i + 1, n):

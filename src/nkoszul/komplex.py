@@ -849,9 +849,8 @@ class WedgeComplex:
                 self._emit(out, m_low, pos2, combo, b_idx, coeff)
             else:
                 # push g through the wedge and the right factor
-                expansion = wedge_apply(self.ctx.group.matrices[g], combo)
+                expansion = wedge_apply(field, self.ctx.columns[g], combo)
                 for combo2, cw in expansion.items():
-                    raw_cw = to_raw(field, cw)
                     for b3, c3 in self.tu.left_mult_group(b_idx, g):
                         self._emit(
                             out,
@@ -859,7 +858,7 @@ class WedgeComplex:
                             pos2,
                             combo2,
                             b3,
-                            _mul(field, coeff, _mul(field, raw_cw, c3)),
+                            _mul(field, coeff, _mul(field, cw, c3)),
                         )
 
     def differential(self, m: int, parity: str) -> dict:

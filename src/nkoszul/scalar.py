@@ -3,11 +3,12 @@
 Everything downstream rests on three types:
 
 * ``Scalar`` -- an element of Q(zeta_m), exact and canonical,
-* ``MatrixS`` -- a dense row-major matrix of scalars, used for the small
-  group and psi matrices,
+* ``MatrixS`` -- a dense row-major matrix of scalars, the input container
+  for the group's matrices and forms; computations read it as sparse raw
+  columns (``MatrixS.sparse_columns``),
 * ``Subspace`` -- a subspace of k^n held by the canonical sparse RREF rows
   of ``elim.SparseEliminator``, so that equal subspaces have identical rows
-  entry for entry; the dense basis matrix is a view built on demand.
+  entry for entry.
 
 The subspace operations (sum, intersection, kernel, image, membership) run
 on the sparse engine, are pure functions of their inputs and always return
@@ -15,7 +16,8 @@ canonical objects.  Operands must share one field: mixing conductors raises
 ``DimensionMismatch``.  Intersections use the Zassenhaus construction
 (``elim.intersection``); the kernel of the combination matrix
 (``Subspace.intersect_via_kernel``) is kept as the independent oracle the
-tests compare it with.  ``rref_raw`` is the dense-row wrapper over the engine.
+tests compare it with.  ``rref_raw`` is a dense-row wrapper over the
+engine; nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -345,6 +347,20 @@ class MatrixS:
         i, j = key
         return self.entries[i * self.cols + j]
 
+    def sparse_columns(self, field) -> list[dict]:
+        """The columns as sparse raw vectors over ``field``, which must hold
+        the entries.  An entry equal to one is ``field.one`` itself, so
+        products with it can be skipped by an identity test."""
+        out = []
+        for j in range(self.cols):
+            col = {}
+            for i in range(self.rows):
+                raw = to_raw(field, self.entries[i * self.cols + j])
+                if not field.is_zero(raw):
+                    col[i] = field.one if field.is_one(raw) else raw
+            out.append(col)
+        return out
+
     def row(self, i: int) -> list[Scalar]:
         return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
@@ -439,8 +455,7 @@ class Subspace:
 
     ``rows`` are the sparse canonical rows of ``SparseEliminator`` (column to
     raw value, sorted by pivot, pivot entry one, each pivot column zero in
-    every other row); callers must not mutate them.  The dense ``basis``
-    matrix and ``basis_rows()`` are views built on demand.
+    every other row); callers must not mutate them.
     """
 
     __slots__ = ("ambient_dim", "rows", "conductor")
@@ -461,12 +476,6 @@ class Subspace:
     @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(min(r) for r in self.rows)
-
-    @property
-    def basis(self) -> MatrixS:
-        field = self.field
-        flat = [Scalar(field, x) for r in self.rows for x in _dense(field, r, self.ambient_dim)]
-        return MatrixS(self.dim, self.ambient_dim, flat, self.conductor)
 
     @staticmethod
     def from_rows(ambient_dim: int, rows, conductor: int = 1) -> "Subspace":
@@ -495,9 +504,6 @@ class Subspace:
     def full(ambient_dim: int, conductor: int = 1) -> "Subspace":
         one = get_field(conductor).one
         return Subspace(ambient_dim, [{i: one} for i in range(ambient_dim)], conductor)
-
-    def basis_rows(self) -> list[list[Scalar]]:
-        return self.basis.row_list()
 
     def _common(self, other: "Subspace", what: str) -> int:
         if self.ambient_dim != other.ambient_dim:
@@ -584,11 +590,7 @@ def kernel(matrix: MatrixS) -> Subspace:
     The kernel of M is the kernel of the combination matrix of its columns.
     """
     field = get_field(matrix.conductor)
-    columns = [
-        {i: matrix[i, j].raw for i in range(matrix.rows) if not matrix[i, j].is_zero()}
-        for j in range(matrix.cols)
-    ]
-    rows = TaggedRows(field, columns, matrix.rows).kernel_rows()
+    rows = TaggedRows(field, matrix.sparse_columns(field), matrix.rows).kernel_rows()
     return Subspace(matrix.cols, rows, matrix.conductor)
 
 

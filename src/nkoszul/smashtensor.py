@@ -173,21 +173,8 @@ class TensorContext:
                 raise DimensionMismatch(
                     "group matrix entries do not lie in the declared field"
                 )
-        # column expansions of each rho(g): _cols[g][l] = [(i, raw), ...];
-        # an entry equal to one is ``field.one`` itself, so products with
-        # it can be skipped by an identity test
-        field = self.field
-        self._cols = []
-        for mat in group.matrices:
-            cols = []
-            for l in range(dimV):
-                col = []
-                for i in range(dimV):
-                    raw = to_raw(field, mat[i, l])
-                    if not field.is_zero(raw):
-                        col.append((i, field.one if field.is_one(raw) else raw))
-                cols.append(col)
-            self._cols.append(cols)
+        # columns[g][l] is rho(g) e_l as a sparse raw vector
+        self.columns = [mat.sparse_columns(self.field) for mat in group.matrices]
 
     @property
     def order(self) -> int:
@@ -233,12 +220,12 @@ class TensorContext:
         """
         field = self.field
         one = field.one
-        cols = self._cols[g]
+        cols = self.columns[g]
         partial = [((), one)]
         for letter in word:
             nxt = []
             for pw, c in partial:
-                for i, raw in cols[letter]:
+                for i, raw in cols[letter].items():
                     if raw is one:
                         prod = c
                     elif c is one:
@@ -276,10 +263,20 @@ class TensorContext:
 
     # -- sparse vector forms ------------------------------------------
 
+    def check_term(self, word: tuple[int, ...], g: int) -> None:
+        """Refuse a term key with a letter outside V's basis or a group
+        index outside Gamma, which a coordinate would read as another word."""
+        if not 0 <= g < self.order or any(not 0 <= letter < self.dimV for letter in word):
+            raise DimensionMismatch(
+                f"term ({list(word)}, {g}) needs letters in 0..{self.dimV - 1}"
+                f" and a group index in 0..{self.order - 1}"
+            )
+
     def terms_to_sparse(self, terms: Terms) -> dict:
         field = self.field
         out = {}
         for (word, g), c in terms.items():
+            self.check_term(word, g)
             accumulate(field, out, self.coord(word, g), to_raw(field, c))
         return out
 
@@ -317,7 +314,7 @@ class TensorContext:
         out: dict = {}
         for coord, raw in row.items():
             wnum, g = divmod(coord, order)
-            for i, c in self._cols[g][letter]:
+            for i, c in self.columns[g][letter].items():
                 term = raw if c is one else field.mul(raw, c)
                 accumulate(field, out, (wnum * dimV + i) * order + g, term)
         return out
@@ -723,6 +720,7 @@ class FilteredSubspace:
         for (word, g), c in terms.items():
             if len(word) > top_degree:
                 raise DimensionMismatch("term exceeds the filtration level")
+            ctx.check_term(word, g)
             accumulate(field, out, layout.coord(word, g), to_raw(field, c))
         return out
 

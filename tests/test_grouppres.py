@@ -1,11 +1,15 @@
 """Tests for group-twisted presentations, psi criteria and differentials."""
 
 import random
+from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
-from nkoszul.scalar import MatrixS, Scalar, kernel
+from nkoszul.cyclo import get_field
+from nkoszul.elim import add_scaled
+from nkoszul.scalar import MatrixS, Scalar, image, kernel
 from nkoszul.smashtensor import GroupData, TensorContext, W, antisymmetrizer_subbimodule
 from nkoszul.filtered import (
     build_lie,
@@ -26,6 +30,7 @@ from nkoszul.grouppres import (
     koszul_differential_injective,
     leibniz_identity_holds,
     theorem_44_verdict,
+    wedge,
 )
 
 S = Scalar.rational
@@ -39,6 +44,109 @@ def perm_matrix(perm):
 def neg_group(dim=2):
     return GroupData.from_generators([MatrixS.from_rows([[-1 if i == j else 0 for j in range(dim)] for i in range(dim)])])
 
+
+def s3_group():
+    """S3 on h ⊕ h*: the reflection representation in simple-root
+    coordinates plus its contragredient."""
+    s1 = [[-1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 1, 1]]
+    s2 = [[1, 0, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]]
+    return GroupData.from_generators([MatrixS.from_rows(s1), MatrixS.from_rows(s2)])
+
+
+def z6_group(extra_trivial=False):
+    """sr_z6's Z/6 = <diag(zeta6, zeta6^5)>, optionally plus a trivial summand."""
+    z = Scalar.zeta(6)
+    rows = [[z, 0], [0, z**5]]
+    if extra_trivial:
+        rows = [r + [0] for r in rows] + [[0, 0, 1]]
+    return GroupData.from_generators([MatrixS.from_rows(rows, 6)])
+
+
+# -- the exterior product ------------------------------------------------
+
+
+def leibniz_det(field, rows):
+    """Determinant by the Leibniz formula, the oracle for ``wedge``."""
+    n = len(rows)
+    total = field.zero
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = field.one
+        for i in range(n):
+            term = field.mul(term, rows[i][perm[i]])
+        total = field.sub(total, term) if inversions % 2 else field.add(total, term)
+    return total
+
+
+def random_sparse_vector(rng, conductor, dimV):
+    vec = {}
+    for i in range(dimV):
+        if rng.random() < 0.7:
+            x = Scalar.rational(rng.randint(-3, 3), conductor)
+            if conductor > 1:
+                x = x + Scalar.zeta(conductor) * rng.randint(-2, 2)
+            if not x.is_zero():
+                vec[i] = x.raw
+    return vec
+
+
+@pytest.mark.parametrize("conductor", [1, 3])
+def test_wedge_coefficients_are_the_leibniz_minors(conductor):
+    rng = random.Random(40 + conductor)
+    field = get_field(conductor)
+    for _ in range(60):
+        dimV = rng.randint(1, 4)
+        p = rng.randint(1, dimV)
+        vectors = [random_sparse_vector(rng, conductor, dimV) for _ in range(p)]
+        got = wedge(field, vectors)
+        targets = list(combinations(range(dimV), p))
+        assert set(got) <= set(targets)
+        assert not any(field.is_zero(v) for v in got.values())
+        for target in targets:
+            minor = [[vec.get(i, field.zero) for vec in vectors] for i in target]
+            assert got.get(target, field.zero) == leibniz_det(field, minor)
+        if p >= 2:
+            # a repeated vector, or a combination of the others, wedges to zero
+            assert wedge(field, vectors[:-1] + [vectors[0]]) == {}
+            dependent: dict = {}
+            for vec in vectors[:-1]:
+                add_scaled(field, dependent, vec, Scalar.rational(rng.randint(-3, 3), conductor).raw)
+            assert wedge(field, vectors[:-1] + [dependent]) == {}
+
+
+# -- decomposition ------------------------------------------------------
+
+
+def dense_image_and_kernel(mat, p):
+    """Image and kernel of the MatrixS Id - (-1)^p mat: the oracle for ``decompose``."""
+    n = mat.rows
+    sign = 1 if p % 2 == 0 else -1
+    entries = [(1 if i == j else 0) - sign * mat[i, j] for i in range(n) for j in range(n)]
+    op = MatrixS(n, n, entries, mat.conductor)
+    return image(op), kernel(op)
+
+
+@pytest.mark.parametrize(
+    "make_group, p",
+    [(s3_group, 2), (s3_group, 3), (z6_group, 2), (lambda: z6_group(extra_trivial=True), 3)],
+    ids=["s3-p2", "s3-p3", "z6-p2", "z6+trivial-p3"],
+)
+def test_decompose_matches_the_dense_image_and_kernel(make_group, p):
+    group = make_group()
+    dec = decompose(group, p)
+    for g, mat in enumerate(group.matrices):
+        m_space, l_space = dense_image_and_kernel(mat, p)
+        assert dec.M[g].rows == m_space.rows and dec.L[g].rows == l_space.rows
+        assert dec.a[g] == m_space.dim
+
+
+def test_decompose_refuses_a_non_semisimple_element():
+    # a hand-built "group" whose second element is a Jordan block: the
+    # image and kernel of Id - rho(g) are both the line of e1
+    jordan = MatrixS.from_rows([[1, 1], [0, 1]])
+    group = GroupData([MatrixS.identity(2), jordan], [[0, 1], [1, 0]], [0, 1], [(0,), (1,)], [1])
+    with pytest.raises(ValueError, match="not semisimple"):
+        decompose(group, 2)
 
 # -- decomposition ------------------------------------------------------
 
@@ -62,8 +170,7 @@ def test_decompose_transposition_on_Q3():
     # Id - swap has image spanned by e1 - e2
     swap_idx = 1
     assert dec.a[swap_idx] == 1
-    row = dec.M[swap_idx].basis_rows()[0]
-    assert row == [S(1), S(-1), S(0)]
+    assert dec.M[swap_idx].rows == [{0: S(1).raw, 1: S(-1).raw}]
 
 
 def test_decompose_p_out_of_range():
@@ -383,3 +490,26 @@ def test_leibniz_identity_matrix_comparison():
     assert leibniz_identity_holds(2, 1, 1, 1)
     assert leibniz_identity_holds(1, 2, 0, 1)
     assert leibniz_identity_holds(2, 2, 2, 0)
+
+
+# -- the paper's own family ------------------------------------------------
+
+
+def test_s3_cherednik_psi_and_its_checks():
+    # Corollary 4.5 on S3 < Sp(h ⊕ h*) with omega = [[0, I], [-I, 0]]; the
+    # transpositions (elements 1, 2 and 5) carry the class factor 1/2
+    group = s3_group()
+    omega = MatrixS.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    psi = build_psi_symplectic_reflection(group, omega, [1, half, half, 1, 1, half])
+    got = {g: {k: v.as_fraction() for k, v in t.items()} for g, t in psi.components.items()}
+    assert got == {
+        0: {(0, 2): 1, (1, 3): 1},
+        1: {(0, 2): half, (1, 2): -quarter},
+        2: {(0, 3): -quarter, (1, 3): half},
+        5: {(0, 2): quarter, (0, 3): quarter, (1, 2): quarter, (1, 3): quarter},
+    }
+    assert check_equivariance(group, psi)
+    assert theorem_44_verdict(group, psi).holds
+    pres = build_H_psi(group, psi)
+    assert check_condition_I(pres) and check_condition_J(pres).holds

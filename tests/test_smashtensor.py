@@ -544,3 +544,19 @@ def test_phi_and_the_cut_eliminate_nothing(monkeypatch):
     assert len(phi.rows) == P.dim and any(phi.component(0))
     assert cuts[0] == P and P.contains(cuts[1])
     assert phi.rebuild_P() == P
+
+
+@pytest.mark.parametrize(
+    "term",
+    [((0, 2), 0), ((0, 1), 3), ((-1, 0), 0), ((0, 1), -1)],
+    ids=["letter-past-V", "g-past-Gamma", "negative-letter", "negative-g"],
+)
+def test_out_of_range_terms_are_refused(term):
+    # over dimV = 2 and the trivial group, ((0, 2), 0) would be read as the
+    # word (1, 0) and ((0, 1), 3) as coordinate 4, outside the component
+    ctx = trivial_ctx(2)
+    element = {term: S(1)}
+    with pytest.raises(DimensionMismatch):
+        Subbimodule.from_elements(ctx, 2, [element])
+    with pytest.raises(DimensionMismatch):
+        FilteredSubspace.from_elements(ctx, 2, [element])

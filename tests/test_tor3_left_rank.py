@@ -30,10 +30,10 @@ def mod_IE_map(tower, n, word, g):
     ctx = tower.ctx
     field = ctx.field
     tower.ensure(n - 1)
-    col = ctx._cols[ctx.group.inverses[g]][word[-1]]
+    col = ctx.columns[ctx.group.inverses[g]][word[-1]]
     out: dict = {}
     for b, v in tower.nf(word[:-1], g).items():
-        for i, raw in col:
+        for i, raw in col.items():
             out[b * ctx.dimV + i] = field.mul(v, raw)
     return out
 
