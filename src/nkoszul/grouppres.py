@@ -113,12 +113,6 @@ def wedge(field, vectors) -> dict:
     return out
 
 
-def wedge_apply(field, columns: list[dict], combo: tuple[int, ...]) -> dict:
-    """(T e_i1) ∧ ... ∧ (T e_ip) on the wedge basis, for the map T with the
-    sparse raw ``columns``."""
-    return wedge(field, [columns[i] for i in combo])
-
-
 def _paired(field, table: dict, w: dict):
     """One component of psi (wedge key -> Scalar) on a raw wedge-basis vector."""
     total = field.zero
@@ -219,7 +213,7 @@ def check_equivariance(group: GroupData, psi: PsiMap) -> bool:
         columns = mat.sparse_columns(field)
         ginv = group.inverses[g]
         for combo in combinations(range(group.dimV), psi.p):
-            expansion = wedge_apply(field, columns, combo)
+            expansion = wedge(field, [columns[i] for i in combo])
             for h in range(group.order):
                 # coefficient of h in psi(rho(g) w)
                 lhs = _paired(field, psi.components.get(h, {}), expansion)
@@ -289,7 +283,7 @@ def theorem_44_verdict(group: GroupData, psi: PsiMap) -> Theorem44Report:
         table: dict[int, bool] = {}
         for combo in combinations(range(group.dimV), psi.p):
             mtype = sum(1 for i in combo if i < a)
-            val = _paired(field, psi_g, wedge_apply(field, basis, combo))
+            val = _paired(field, psi_g, wedge(field, [basis[i] for i in combo]))
             if not field.is_zero(val) and mtype != a:
                 table[mtype] = False
             else:
@@ -346,7 +340,7 @@ def build_psi_corollary45(
         t_inv = [dict(adapted.solve({i: field.one})) for i in range(dimV)]
         # phi on the adapted wedges with exactly a factors from M_g
         on_component = {
-            target: _paired(field, phi_map, wedge_apply(field, basis, target))
+            target: _paired(field, phi_map, wedge(field, [basis[i] for i in target]))
             for target in combinations(range(dimV), p)
             if sum(1 for i in target if i < a) == a
         }
@@ -355,7 +349,7 @@ def build_psi_corollary45(
             # express e_{combo} over the adapted wedge basis and evaluate
             # phi on its a(g) component
             total = field.zero
-            for target, c in wedge_apply(field, t_inv, combo).items():
+            for target, c in wedge(field, [t_inv[i] for i in combo]).items():
                 value = on_component.get(target)
                 if value is not None:
                     total = field.add(total, field.mul(c, value))

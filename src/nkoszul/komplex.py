@@ -53,7 +53,7 @@ from .elim import (
     pivot_index,
 )
 from .filtered import FilteredPresentation, build_phi
-from .grouppres import wedge_apply
+from .grouppres import wedge
 from .homogeneous import w_rows, zeta, zeta_degrees
 from .scalar import DimensionMismatch, Scalar, to_raw
 from .smashtensor import alternating_sum_terms
@@ -849,7 +849,8 @@ class WedgeComplex:
                 self._emit(out, m_low, pos2, combo, b_idx, coeff)
             else:
                 # push g through the wedge and the right factor
-                expansion = wedge_apply(field, self.ctx.columns[g], combo)
+                columns = self.ctx.columns[g]
+                expansion = wedge(field, [columns[i] for i in combo])
                 for combo2, cw in expansion.items():
                     for b3, c3 in self.tu.left_mult_group(b_idx, g):
                         self._emit(

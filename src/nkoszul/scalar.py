@@ -4,8 +4,10 @@ Everything downstream rests on three types:
 
 * ``Scalar`` -- an element of Q(zeta_m), exact and canonical,
 * ``MatrixS`` -- a dense row-major matrix of scalars, the input container
-  for the group's matrices and forms; computations read it as sparse raw
-  columns (``MatrixS.sparse_columns``),
+  for the group's matrices and forms; ``kernel`` and the group-twisted
+  computations read it as sparse raw columns (``MatrixS.sparse_columns``),
+  while ``rref``, ``image`` and ``rank`` read its rows and the group
+  closure multiplies it densely (``MatrixS.mul``),
 * ``Subspace`` -- a subspace of k^n held by the canonical sparse RREF rows
   of ``elim.SparseEliminator``, so that equal subspaces have identical rows
   entry for entry.
