@@ -14,11 +14,13 @@ Every subspace in the package is held as such canonical rows (``Subspace``
 in ``scalar``), and the row operations built on the engine live here:
 adding one value into a sparse row (``accumulate``), adding a scaled row
 (``add_scaled``, the one scaled-row loop) or a scaled column map
-(``add_maps``), expressing a vector over fully reduced rows, solving over
+(``add_maps``), composing and comparing column maps (``compose_maps``,
+``maps_equal``), expressing a vector over fully reduced rows, solving over
 tagged generators, the kernel of a combination matrix, and the Zassenhaus
-intersection.  Code elsewhere builds
-its sparse vectors and maps through these helpers rather than repeating the
-drop-on-cancel step.
+intersection.  A column map is a dict from source column to sparse column:
+the N-complex maps and the group elements' actions on V are held so.  Code
+elsewhere builds its sparse vectors and maps through these helpers rather
+than repeating the drop-on-cancel step.
 """
 
 from __future__ import annotations
@@ -172,6 +174,27 @@ def add_maps(field, a: dict, b: dict, c, n_cols: int) -> dict:
         add_scaled(field, out, b.get(src, {}), c)
         cols[src] = out
     return cols
+
+
+def compose_maps(outer: dict, inner: dict, field) -> dict:
+    """Columns of outer ∘ inner for sparse column maps."""
+    cols = {}
+    for src, vec in inner.items():
+        out: dict = {}
+        for mid, c in vec.items():
+            add_scaled(field, out, outer.get(mid, {}), c)
+        cols[src] = out
+    return cols
+
+
+def maps_equal(a: dict, b: dict, n_cols: int) -> bool:
+    """Whether columns 0..n_cols-1 agree, a missing column read as empty.
+
+    Compared in place: raw values are canonical and maps store no zero
+    entries, so equal maps have equal column dicts.
+    """
+    empty: dict = {}
+    return all(a.get(src, empty) == b.get(src, empty) for src in range(n_cols))
 
 
 def combine(field, rows: list[dict], coeffs) -> dict:

@@ -4,16 +4,19 @@ Given a finite group Gamma < GL(V) and a linear map psi: Λ^p V -> k[Gamma]
 with 2 <= p <= dimV, the algebra presented by the relations
 Alt(v_1, ..., v_p) - psi(v_1, ..., v_p) is filtered with top degree p.  The
 checks take Gamma and psi alone: p is the arity of psi, and the field is
-the larger of the two that Gamma's matrices and psi live in.  This
+the larger of the two that Gamma's maps and psi live in.  This
 module builds that presentation, decides the equivariance/identity
 criteria that characterize when it has the PBW property, constructs psi
 from a Gamma-invariant form, and provides the exterior-algebra
 differentials whose injectivity underlies the componentwise criterion.
 
 The psi checks compute on raw field values and sparse vectors, like the
-rest of the package.  rho(g) is read as its sparse columns, M_g and L_g
+rest of the package.  rho(g) is the sparse column map ``GroupData.maps[g]``,
+read as it is stored (lifted once when psi's field is larger), M_g and L_g
 come from one elimination of the columns of Id - (-1)^p rho(g), and every
 Λ^p coefficient is a coefficient of the one exterior product ``wedge``.
+The exterior differentials are sparse column maps too, and their
+injectivity is a combination kernel.
 
 Universal quantifiers over tuples of vectors are discharged on strictly
 increasing basis tuples; multilinearity and alternation reduce the general
@@ -27,12 +30,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from .cyclo import get_field
 from .elim import TaggedRows, accumulate, add_scaled, negated
 from .filtered import FilteredPresentation
-from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, kernel, to_raw
+from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, to_raw
 from .smashtensor import (
     FilteredSubspace,
     GroupData,
@@ -93,7 +97,7 @@ def wedge(field, vectors) -> dict:
     The factors are wedged on at the right: e_S ∧ e_i is zero when i lies
     in S, and otherwise (-1)^k e_(S ∪ {i}), k the members of S above i.
     Keys are ascending tuples of coordinates.  An entry that is the
-    ``field.one`` object, as in ``MatrixS.sparse_columns``, multiplies
+    ``field.one`` object, as in ``GroupData.maps``, multiplies
     without a field operation.
     """
     one = field.one
@@ -136,29 +140,26 @@ class GDecomposition:
 def _over(group: GroupData, psi: PsiMap) -> tuple[GroupData, PsiMap]:
     """Gamma and psi over Q(zeta_m), m the larger of their conductors: the
     one field that Gamma and psi both live in."""
-    m = max(group.matrices[0].conductor, psi.conductor)
-    if any(mat.conductor != m for mat in group.matrices):
-        mats = [MatrixS(mat.rows, mat.cols, mat.entries, m) for mat in group.matrices]
-        group = GroupData(mats, group.mult_table, group.inverses, group.conj_classes, group.generators)
+    m = max(group.conductor, psi.conductor)
     if psi.conductor != m:
         psi = PsiMap(psi.p, psi.dimV, psi.order, psi.components, m)
-    return group, psi
+    return group.over(get_field(m)), psi
 
 
-def _id_minus_signed(field, mat: MatrixS, p: int) -> list[dict]:
-    """Sparse raw columns of Id - (-1)^p mat over ``field``."""
+def _id_minus_signed(field, columns: dict, p: int) -> list[dict]:
+    """Sparse raw columns of Id - (-1)^p rho(g), for rho(g)'s ``columns``."""
     sign = field.one if p % 2 else field.minus_one
     out = []
-    for j, col in enumerate(mat.sparse_columns(field)):
+    for j in range(len(columns)):
         op = {j: field.one}
-        add_scaled(field, op, col, sign)
+        add_scaled(field, op, columns[j], sign)
         out.append(op)
     return out
 
 
 def decompose(group: GroupData, p: int) -> GDecomposition:
     """Image and kernel of Id - (-1)^p rho(g) for every group element,
-    over the field of the group's matrices.
+    over the group's field.
 
     One elimination of the map's columns gives both: the canonical rows of
     their span are M_g and those of their combination kernel are L_g.
@@ -166,12 +167,12 @@ def decompose(group: GroupData, p: int) -> GDecomposition:
     dimV = group.dimV
     if not 2 <= p <= dimV:
         raise ValueError("p must lie between 2 and dimV")
+    field = group.field
     Ms, Ls, dims = [], [], []
-    for mat in group.matrices:
-        field = get_field(mat.conductor)
-        op = TaggedRows(field, _id_minus_signed(field, mat, p), dimV)
-        m_space = Subspace(dimV, op.span_rows(), mat.conductor)
-        l_space = Subspace(dimV, op.kernel_rows(), mat.conductor)
+    for columns in group.maps:
+        op = TaggedRows(field, _id_minus_signed(field, columns, p), dimV)
+        m_space = Subspace(dimV, op.span_rows(), group.conductor)
+        l_space = Subspace(dimV, op.kernel_rows(), group.conductor)
         # dim M_g + dim L_g = dimV by rank-nullity
         if m_space.intersect(l_space).dim != 0:
             raise ValueError("group element is not semisimple on V")
@@ -185,11 +186,11 @@ def build_H_psi(group: GroupData, psi: PsiMap) -> FilteredPresentation:
     """Presentation with relations Alt(e_{i1},...,e_{ip}) - psi(e_{i1},...,e_{ip}).
 
     p is the arity of psi, and the field is the larger of the fields that
-    the group's matrices and psi live in.  Equivariance of psi is
+    the group's maps and psi live in.  Equivariance of psi is
     deliberately not required here; when it fails, the filtration
     condition on the built presentation detects it.
     """
-    conductor = max(group.matrices[0].conductor, psi.conductor)
+    conductor = max(group.conductor, psi.conductor)
     ctx = TensorContext(group.dimV, group, conductor)
     elements = []
     for combo in combinations(range(group.dimV), psi.p):
@@ -209,8 +210,7 @@ def check_equivariance(group: GroupData, psi: PsiMap) -> bool:
     in Λ^p V with p the arity of psi."""
     group, psi = _over(group, psi)
     field = get_field(psi.conductor)
-    for g, mat in enumerate(group.matrices):
-        columns = mat.sparse_columns(field)
+    for g, columns in enumerate(group.maps):
         ginv = group.inverses[g]
         for combo in combinations(range(group.dimV), psi.p):
             expansion = wedge(field, [columns[i] for i in combo])
@@ -233,9 +233,9 @@ def check_identity_41(group: GroupData, psi: PsiMap) -> bool:
     group, psi = _over(group, psi)
     field = get_field(psi.conductor)
     p = psi.p
-    for g, mat in enumerate(group.matrices):
+    for g, columns in enumerate(group.maps):
         table = psi.components.get(g, {})
-        op = _id_minus_signed(field, mat, p)
+        op = _id_minus_signed(field, columns, p)
         for tup in combinations(range(group.dimV), p + 1):
             acc: dict = {}
             for pos in range(p + 1):
@@ -369,103 +369,78 @@ def build_psi_symplectic_reflection(
     n = omega.rows
     if omega.cols != n or n != group.dimV:
         raise DimensionMismatch("form must be square of size dimV")
-    for i in range(n):
-        if not omega[i, i].is_zero():
-            raise ValueError("form must be alternating")
-        for j in range(n):
-            if omega[i, j] != -omega[j, i]:
+    field = get_field(omega.conductor)
+    # cols[j][i] is the entry omega[i, j]
+    cols = omega.sparse_columns(field)
+    for j, col in enumerate(cols):
+        for i, c in col.items():
+            if i == j or cols[i].get(j) != negated(field, c):
                 raise ValueError("form must be alternating")
-    if kernel(omega).dim != 0:
+    if TaggedRows(field, cols, n).kernel_rows():
         raise ValueError("matrix is not invertible")
-    phi = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = omega[i, j]
-            if not c.is_zero():
-                phi[(i, j)] = c
+    phi = {(i, j): Scalar(field, c) for j, col in enumerate(cols) for i, c in col.items() if i < j}
     return build_psi_corollary45(group, 2, phi, class_factors, conductor)
 
 
 # -- exterior algebra differentials -----------------------------------------
 
 
-def koszul_differential(E_dim: int, p: int, conductor: int = 1) -> MatrixS:
-    """Matrix of the contraction differential Λ^p(E*) -> Λ^{p+1}(E*) ⊗ E.
+def _contraction_rows(E_dim: int, p: int) -> list[tuple]:
+    """The pairs (increasing (p+1)-tuple, vector index) indexing the rows of
+    ``koszul_differential(E_dim, p)``, in row order."""
+    return [(sp, j) for sp in combinations(range(E_dim), p + 1) for j in range(E_dim)]
 
-    Rows are indexed by pairs (increasing (p+1)-tuple, vector index), columns
-    by increasing p-tuples; the entry at ((S', j), S) is (-1)^i when removing
-    the i-th member (1-based) of S' leaves S and that member equals j.
+
+def koszul_differential(E_dim: int, p: int, conductor: int = 1) -> dict:
+    """Columns of the contraction differential Λ^p(E*) -> Λ^{p+1}(E*) ⊗ E.
+
+    A sparse column map: column c is the c-th increasing p-tuple S, and
+    rows are numbered as in ``_contraction_rows``.  The entry at row
+    (S', j) is (-1)^i when removing the i-th member (1-based) of S' leaves
+    S and that member equals j.
     """
     if not 0 <= p <= E_dim:
         raise ValueError("p out of range")
-    domain = list(combinations(range(E_dim), p))
-    codomain = [
-        (sp, j) for sp in combinations(range(E_dim), p + 1) for j in range(E_dim)
-    ]
-    row_index = {key: r for r, key in enumerate(codomain)}
-    zero = Scalar.zero(conductor)
-    entries = [zero] * (len(codomain) * len(domain))
-    for c, S in enumerate(domain):
-        s_set = S
-        for sp in combinations(range(E_dim), p + 1):
-            for pos in range(p + 1):
-                if sp[:pos] + sp[pos + 1 :] == s_set:
-                    r = row_index[(sp, sp[pos])]
-                    sign = -1 if (pos + 1) % 2 else 1
-                    entries[r * len(domain) + c] = Scalar.rational(sign, conductor)
-    return MatrixS(len(codomain), len(domain), entries, conductor)
+    field = get_field(conductor)
+    cols: dict = {c: {} for c in range(comb(E_dim, p))}
+    column = {S: c for c, S in enumerate(combinations(range(E_dim), p))}
+    for r, (sp, j) in enumerate(_contraction_rows(E_dim, p)):
+        if j in sp:
+            pos = sp.index(j)
+            cols[column[sp[:pos] + sp[pos + 1 :]]][r] = field.one if pos % 2 else field.minus_one
+    return cols
 
 
 def koszul_differential_injective(E_dim: int, p: int) -> bool:
-    mat = koszul_differential(E_dim, p)
-    if mat.cols == 0:
-        return True
-    return kernel(mat).dim == 0
+    """Whether the differential's columns have no combination kernel."""
+    return not TaggedRows(get_field(1), koszul_differential(E_dim, p).values()).kernel_rows()
 
 
 def leibniz_identity_holds(dim_m: int, dim_l: int, r: int, s: int, conductor: int = 1) -> bool:
-    """Entry-exact comparison of the (r, s) component of the differential
+    """Column-exact comparison of the (r, s) component of the differential
     on V = M ⊕ L with the graded product rule built from the factors."""
     n = dim_m + dim_l
-    p = r + s
-    full = koszul_differential(n, p, conductor)
-    domain_full = list(combinations(range(n), p))
-    codomain_full = [
-        (sp, j) for sp in combinations(range(n), p + 1) for j in range(n)
-    ]
-    dm = koszul_differential(dim_m, r, conductor)
-    dl = koszul_differential(dim_l, s, conductor)
-    dom_m = list(combinations(range(dim_m), r))
-    dom_l = list(combinations(range(dim_l), s))
-    cod_m = [(sp, j) for sp in combinations(range(dim_m), r + 1) for j in range(dim_m)]
-    cod_l = [(sp, j) for sp in combinations(range(dim_l), s + 1) for j in range(dim_l)]
-    sign_r = Scalar.rational(-1 if r % 2 else 1, conductor)
-    col_of_full = {S: i for i, S in enumerate(domain_full)}
-    for sm in dom_m:
-        for sl0 in dom_l:
+    field = get_field(conductor)
+    full = koszul_differential(n, r + s, conductor)
+    row_full = {key: i for i, key in enumerate(_contraction_rows(n, r + s))}
+    col_full = {S: i for i, S in enumerate(combinations(range(n), r + s))}
+    dm, cod_m = koszul_differential(dim_m, r, conductor), _contraction_rows(dim_m, r)
+    dl, cod_l = koszul_differential(dim_l, s, conductor), _contraction_rows(dim_l, s)
+    sign_r = field.minus_one if r % 2 else field.one
+    for a, sm in enumerate(combinations(range(dim_m), r)):
+        for b, sl0 in enumerate(combinations(range(dim_l), s)):
             sl = tuple(dim_m + i for i in sl0)
-            col = col_of_full[sm + sl]
-            # expected image: dM sm ⊗ sl + (-1)^r sm ⊗ dL sl
-            expected: dict[tuple, Scalar] = {}
-            for ri, (spm, j) in enumerate(cod_m):
-                c = dm[ri, dom_m.index(sm)]
-                if c.is_zero():
-                    continue
-                key = (tuple(sorted(spm + sl)), j)
-                expected[key] = expected.get(key, Scalar.zero(conductor)) + c
-            for ri, (spl, j) in enumerate(cod_l):
-                c = dl[ri, dom_l.index(sl0)]
-                if c.is_zero():
-                    continue
-                spl_shift = tuple(dim_m + i for i in spl)
-                key = (tuple(sorted(sm + spl_shift)), dim_m + j)
-                expected[key] = expected.get(key, Scalar.zero(conductor)) + sign_r * c
-            # compare against the full differential column
-            for rowi, key in enumerate(codomain_full):
-                got = full[rowi, col]
-                want = expected.get(key, Scalar.zero(conductor))
-                # off-component rows must vanish; the two target components
-                # compared above are (r+1, s) ⊗ M and (r, s+1) ⊗ L
-                if got != want:
-                    return False
+            # expected image: dM sm ⊗ sl + (-1)^r sm ⊗ dL sl, whose two
+            # target components are (r+1, s) ⊗ M and (r, s+1) ⊗ L; every
+            # other row of the full column must vanish
+            expected: dict = {}
+            for ri, c in dm[a].items():
+                spm, j = cod_m[ri]
+                accumulate(field, expected, row_full[spm + sl, j], c)
+            for ri, c in dl[b].items():
+                spl, j = cod_l[ri]
+                key = (sm + tuple(dim_m + i for i in spl), dim_m + j)
+                accumulate(field, expected, row_full[key], field.mul(sign_r, c))
+            if full[col_full[sm + sl]] != expected:
+                return False
     return True

@@ -58,6 +58,16 @@ def _integer(value) -> int:
         raise InputError(f"expected an integer, not {value!r}") from exc
 
 
+def _word(value) -> tuple[int, ...]:
+    """0-based letters of a JSON list of 1-based letter indices.
+
+    A string such as "12" is refused rather than read letter by letter.
+    """
+    if not isinstance(value, list):
+        raise InputError(f"a word must be a list of letter indices, not {value!r}")
+    return tuple(_integer(i) - 1 for i in value)
+
+
 def parse_context(block: dict) -> TensorContext:
     try:
         conductor = _integer(block.get("conductor", 1))
@@ -92,7 +102,7 @@ def parse_terms(ctx: TensorContext, items: list) -> dict:
     for item in items:
         try:
             coeff = parse_scalar(str(item["coeff"]), ctx.conductor)
-            word = tuple(_integer(i) - 1 for i in item.get("word", []))
+            word = _word(item.get("word", []))
             g = _integer(item.get("g", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad term {item!r}: {exc}") from exc
@@ -118,21 +128,21 @@ def parse_psi(block: dict, group: GroupData, conductor: int) -> PsiMap:
         if name == "symplectic_reflection":
             try:
                 omega_rows = block["omega"]
-                n = len(omega_rows)
-                entries = [
-                    parse_scalar(str(x), conductor) for row in omega_rows for x in row
-                ]
-            except (KeyError, TypeError) as exc:
+            except KeyError as exc:
                 raise InputError(f"bad symplectic_reflection block: {exc}") from exc
-            omega = MatrixS(n, n, entries, conductor)
+            if not isinstance(omega_rows, list) or not all(isinstance(r, list) for r in omega_rows):
+                raise InputError("omega must be a list of rows, each a list of entries")
+            # ragged rows are refused by from_rows, a non-square form by the builder
+            omega = MatrixS.from_rows(
+                [[parse_scalar(str(x), conductor) for x in row] for row in omega_rows], conductor
+            )
             return build_psi_symplectic_reflection(group, omega, factors, conductor)
         if name == "corollary45":
             try:
                 p = _integer(block["p"])
                 phi = {}
                 for key, val in block["phi"].items():
-                    combo = tuple(_integer(i) - 1 for i in json.loads(key))
-                    phi[combo] = parse_scalar(str(val), conductor)
+                    phi[_word(json.loads(key))] = parse_scalar(str(val), conductor)
             except (KeyError, TypeError, AttributeError) as exc:
                 raise InputError(f"bad corollary45 block: {exc}") from exc
             return build_psi_corollary45(group, p, phi, factors, conductor)
@@ -147,8 +157,7 @@ def parse_psi(block: dict, group: GroupData, conductor: int) -> PsiMap:
                 raise InputError("psi values must be a JSON object")
             table = {}
             for key, val in values.items():
-                combo = tuple(_integer(i) - 1 for i in json.loads(key))
-                table[combo] = parse_scalar(str(val), conductor)
+                table[_word(json.loads(key))] = parse_scalar(str(val), conductor)
             comps[g] = table
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad psi block: {exc}") from exc

@@ -49,7 +49,9 @@ from .elim import (
     accumulate,
     add_maps,
     add_scaled,
+    compose_maps,
     express,
+    maps_equal,
     pivot_index,
 )
 from .filtered import FilteredPresentation, build_phi
@@ -574,33 +576,12 @@ class NComplexSlice:
 # -- map algebra --------------------------------------------------------
 
 
-def compose_maps(outer: dict, inner: dict, field) -> dict:
-    """Columns of outer ∘ inner for sparse column maps."""
-    cols = {}
-    for src, vec in inner.items():
-        out: dict = {}
-        for mid, c in vec.items():
-            add_scaled(field, out, outer.get(mid, {}), c)
-        cols[src] = out
-    return cols
-
-
 def map_difference(a: dict, b: dict, field, n_cols: int) -> dict:
     return add_maps(field, a, b, field.minus_one, n_cols)
 
 
 def map_is_zero(cols: dict) -> bool:
     return all(not vec for vec in cols.values())
-
-
-def maps_equal(a: dict, b: dict, n_cols: int) -> bool:
-    """Whether columns 0..n_cols-1 agree, a missing column read as empty.
-
-    Compared in place: raw values are canonical and maps store no zero
-    entries, so equal maps have equal column dicts.
-    """
-    empty: dict = {}
-    return all(a.get(src, empty) == b.get(src, empty) for src in range(n_cols))
 
 
 def _power(step, n: int, N: int, field) -> dict:

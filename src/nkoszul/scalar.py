@@ -3,11 +3,11 @@
 Everything downstream rests on three types:
 
 * ``Scalar`` -- an element of Q(zeta_m), exact and canonical,
-* ``MatrixS`` -- a dense row-major matrix of scalars, the input container
-  for the group's matrices and forms; ``kernel`` and the group-twisted
-  computations read it as sparse raw columns (``MatrixS.sparse_columns``),
-  while ``rref``, ``image`` and ``rank`` read its rows and the group
-  closure multiplies it densely (``MatrixS.mul``),
+* ``MatrixS`` -- a dense row-major matrix of scalars, holding the group's
+  generators and forms as the input gives them; nothing multiplies or
+  transposes it: ``kernel``, ``image`` and the group closure read its
+  sparse raw columns (``MatrixS.sparse_columns``), and ``rref`` and
+  ``rank`` its sparse rows,
 * ``Subspace`` -- a subspace of k^n held by the canonical sparse RREF rows
   of ``elim.SparseEliminator``, so that equal subspaces have identical rows
   entry for entry.
@@ -339,16 +339,6 @@ class MatrixS:
                 flat.append(x if isinstance(x, Scalar) else Scalar.rational(x, conductor))
         return MatrixS(nrows, ncols, flat, conductor)
 
-    @staticmethod
-    def identity(n: int, conductor: int = 1) -> "MatrixS":
-        one = Scalar.one(conductor)
-        zero = Scalar.zero(conductor)
-        return MatrixS(n, n, [one if i == j else zero for i in range(n) for j in range(n)], conductor)
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i * self.cols + j]
-
     def sparse_columns(self, field) -> list[dict]:
         """The columns as sparse raw vectors over ``field``, which must hold
         the entries.  An entry equal to one is ``field.one`` itself, so
@@ -361,50 +351,6 @@ class MatrixS:
                 if not field.is_zero(raw):
                     col[i] = field.one if field.is_one(raw) else raw
             out.append(col)
-        return out
-
-    def row(self, i: int) -> list[Scalar]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
-    def row_list(self) -> list[list[Scalar]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "MatrixS":
-        return MatrixS(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-            self.conductor,
-        )
-
-    def mul(self, other: "MatrixS") -> "MatrixS":
-        if self.cols != other.rows:
-            raise DimensionMismatch("matrix product shape mismatch")
-        m = max(self.conductor, other.conductor)
-        zero = Scalar.zero(m)
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i * self.cols + k]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other.entries[k * other.cols + j]
-                out.append(acc)
-        return MatrixS(self.rows, other.cols, out, m)
-
-    def apply(self, vec: Sequence[Scalar]) -> list[Scalar]:
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = Scalar.zero(self.conductor)
-            for j, v in enumerate(vec):
-                a = self.entries[i * self.cols + j]
-                if not a.is_zero():
-                    acc = acc + a * v
-            out.append(acc)
         return out
 
     def __eq__(self, other):
@@ -420,8 +366,9 @@ class MatrixS:
         return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
+        c = self.cols
         body = "; ".join(
-            " ".join(str(self[i, j]) for j in range(self.cols)) for i in range(self.rows)
+            " ".join(str(x) for x in self.entries[i * c : (i + 1) * c]) for i in range(self.rows)
         )
         return f"MatrixS[{self.rows}x{self.cols}: {body}]"
 
@@ -583,7 +530,13 @@ def to_raw(field, x):
 
 def rref(matrix: MatrixS) -> Subspace:
     """Row space of a matrix in canonical reduced row echelon form."""
-    return Subspace.from_vectors(matrix.row_list(), matrix.cols, matrix.conductor)
+    field = get_field(matrix.conductor)
+    c = matrix.cols
+    rows = [
+        _sparse(field, [to_raw(field, x) for x in matrix.entries[i * c : (i + 1) * c]])
+        for i in range(matrix.rows)
+    ]
+    return Subspace.from_rows(c, rows, matrix.conductor)
 
 
 def kernel(matrix: MatrixS) -> Subspace:
@@ -598,7 +551,8 @@ def kernel(matrix: MatrixS) -> Subspace:
 
 def image(matrix: MatrixS) -> Subspace:
     """Column space of a matrix as a canonical subspace of k^rows."""
-    return rref(matrix.transpose())
+    field = get_field(matrix.conductor)
+    return Subspace.from_rows(matrix.rows, matrix.sparse_columns(field), matrix.conductor)
 
 
 def rank(matrix: MatrixS) -> int:

@@ -28,8 +28,8 @@ from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .cyclo import get_field
-from .elim import SparseEliminator, accumulate, add_scaled
-from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, kernel, to_raw
+from .elim import SparseEliminator, TaggedRows, accumulate, add_scaled, compose_maps, maps_equal
+from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, to_raw
 
 Terms = dict  # {(word tuple, g index): Scalar}
 
@@ -45,13 +45,17 @@ def terms_to_json(terms: Terms) -> list:
 class GroupData:
     """A finite matrix group: elements, Cayley table, inverses, classes.
 
-    Element 0 is the identity.  ``matrices[i]`` is the action of element i
-    on V.  ``generators`` records the indices used to build the group; the
-    identity-only group has no generators.
+    Element 0 is the identity.  ``maps[i]`` is the action of element i on V
+    as a sparse column map over ``field``: ``maps[i][l]`` is rho(i) e_l as a
+    sparse raw vector, and an entry equal to one is ``field.one`` itself, so
+    products with it can be skipped by an identity test.  ``generators``
+    records the indices used to build the group; the identity-only group
+    has no generators.
     """
 
-    def __init__(self, matrices, mult_table, inverses, conj_classes, generators):
-        self.matrices: tuple[MatrixS, ...] = tuple(matrices)
+    def __init__(self, maps, mult_table, inverses, conj_classes, generators, field):
+        self.maps: tuple[dict, ...] = tuple(maps)
+        self.field = field
         self.mult_table: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in mult_table)
         self.inverses: tuple[int, ...] = tuple(inverses)
         self.conj_classes: tuple[tuple[int, ...], ...] = tuple(tuple(c) for c in conj_classes)
@@ -59,11 +63,15 @@ class GroupData:
 
     @property
     def order(self) -> int:
-        return len(self.matrices)
+        return len(self.maps)
 
     @property
     def dimV(self) -> int:
-        return self.matrices[0].rows
+        return len(self.maps[0])
+
+    @property
+    def conductor(self) -> int:
+        return self.field.conductor
 
     def mult(self, i: int, j: int) -> int:
         return self.mult_table[i][j]
@@ -73,61 +81,63 @@ class GroupData:
 
     @staticmethod
     def trivial(dimV: int, conductor: int = 1) -> "GroupData":
-        return GroupData([MatrixS.identity(dimV, conductor)], [[0]], [0], [(0,)], [])
+        field = get_field(conductor)
+        ident = {l: {l: field.one} for l in range(dimV)}
+        return GroupData([ident], [[0]], [0], [(0,)], [], field)
 
     @staticmethod
     def from_generators(mats: Sequence[MatrixS], order_cap: int = 1024) -> "GroupData":
         """Enumerate the group generated by invertible matrices.
 
-        Raises ``ValueError`` on a non-invertible generator or when the
-        closure exceeds ``order_cap`` (which also catches infinite-order
-        generators).
+        Elements are numbered in breadth-first order of right products by
+        the generators.  Raises ``ValueError`` on a non-invertible generator
+        or when the closure exceeds ``order_cap`` (which also catches
+        infinite-order generators).
         """
         if not mats:
             raise ValueError("at least one generator (or use GroupData.trivial)")
         n = mats[0].rows
         conductor = max(m.conductor for m in mats)
+        field = get_field(conductor)
+        one = field.one
 
         gens = []
         for m in mats:
             if m.rows != n or m.cols != n:
                 raise DimensionMismatch("generators must be square of equal size")
-            if m.conductor != conductor:
-                m = MatrixS(n, n, m.entries, conductor)
-            if kernel(m).dim != 0:
+            if m.conductor not in (1, conductor):
+                raise DimensionMismatch("mixed conductors in matrix")
+            cols = m.sparse_columns(field)
+            if TaggedRows(field, cols, n).kernel_rows():
                 raise ValueError("non-invertible generator")
-            gens.append(m)
+            gens.append(dict(enumerate(cols)))
 
-        ident = MatrixS.identity(n, conductor)
+        def key(g: dict):
+            return tuple(frozenset(col.items()) for col in g.values())
 
-        def key(mat: MatrixS):
-            return mat.entries
+        def product(a: dict, b: dict) -> dict:
+            out = compose_maps(a, b, field)
+            for col in out.values():
+                for i, x in col.items():
+                    if x is not one and field.is_one(x):
+                        col[i] = one
+            return out
 
-        elements = [ident]
-        index = {key(ident): 0}
-        queue = [ident]
-        while queue:
-            cur = queue.pop(0)
+        elements = [{l: {l: one} for l in range(n)}]
+        index = {key(elements[0]): 0}
+        # elements doubles as the breadth-first queue
+        for cur in elements:
             for g in gens:
-                prod = cur.mul(g)
+                prod = product(cur, g)
                 k = key(prod)
                 if k not in index:
                     if len(elements) >= order_cap:
                         raise ValueError(f"group closure exceeds order cap {order_cap}")
                     index[k] = len(elements)
                     elements.append(prod)
-                    queue.append(prod)
         order = len(elements)
-        table = [[0] * order for _ in range(order)]
-        for i in range(order):
-            for j in range(order):
-                table[i][j] = index[key(elements[i].mul(elements[j]))]
-        inverses = [0] * order
-        for i in range(order):
-            for j in range(order):
-                if table[i][j] == 0:
-                    inverses[i] = j
-                    break
+        table = [[index[key(compose_maps(a, b, field))] for b in elements] for a in elements]
+        inverses = [row.index(0) for row in table]
         # conjugacy classes: orbit of each element under g . x . g^-1
         seen = set()
         classes = []
@@ -143,15 +153,31 @@ class GroupData:
             gi = index[key(g)]
             if gi not in gen_indices:
                 gen_indices.append(gi)
-        return GroupData(elements, table, inverses, classes, gen_indices)
+        return GroupData(elements, table, inverses, classes, gen_indices, field)
+
+    def over(self, field) -> "GroupData":
+        """The group with its maps over ``field``: itself when that is its
+        own field; a group over Q has its maps lifted once."""
+        if field is self.field:
+            return self
+        if self.conductor != 1:
+            raise DimensionMismatch("group matrix entries do not lie in the declared field")
+        q = self.field
+
+        def lift(x):
+            return field.one if x == q.one else field.from_fraction(q.to_coeffs(x)[0])
+
+        maps = [{l: {i: lift(x) for i, x in col.items()} for l, col in g.items()} for g in self.maps]
+        return GroupData(maps, self.mult_table, self.inverses, self.conj_classes, self.generators, field)
 
     def is_homomorphic_action(self) -> bool:
         """Entry-exact check that rho(g) rho(h) = rho(gh)."""
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.matrices[i].mul(self.matrices[j]) != self.matrices[self.mult_table[i][j]]:
-                    return False
-        return True
+        maps, field, n = self.maps, self.field, self.dimV
+        return all(
+            maps_equal(compose_maps(maps[i], maps[j], field), maps[self.mult_table[i][j]], n)
+            for i in range(self.order)
+            for j in range(self.order)
+        )
 
 
 class TensorContext:
@@ -168,13 +194,8 @@ class TensorContext:
         self.group = group
         self.conductor = conductor
         self.field = get_field(conductor)
-        for m in group.matrices:
-            if m.conductor not in (1, conductor):
-                raise DimensionMismatch(
-                    "group matrix entries do not lie in the declared field"
-                )
-        # columns[g][l] is rho(g) e_l as a sparse raw vector
-        self.columns = [mat.sparse_columns(self.field) for mat in group.matrices]
+        # columns[g][l] is rho(g) e_l as a sparse raw vector over the field
+        self.columns = group.over(self.field).maps
 
     @property
     def order(self) -> int:

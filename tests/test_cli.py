@@ -210,6 +210,50 @@ def test_malformed_psi_and_group_blocks_exit_two(tmp_path, data):
     assert report["error"] and "\n" not in report["error"]
 
 
+SR_Z6 = {
+    "context": {"conductor": 6, "dimV": 2, "group_generators": [["zeta", "0", "0", "zeta^5"]]},
+    "presentation": {
+        "builder": "h_psi",
+        "p": 2,
+        "psi_builder": {
+            "builder": "symplectic_reflection",
+            "omega": [["0", "1"], ["-1", "0"]],
+            "m": ["1", "1", "1", "1", "1", "1"],
+        },
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "data, checks",
+    [
+        # four entries in ragged rows were once read as [[0, 1], [-1, 0]]
+        (with_field(SR_Z6, ("presentation", "psi_builder", "omega"), [["0"], ["1", "-1", "0"]]), "equivariance,theorem44"),
+        (with_field(SR_Z6, ("presentation", "psi_builder", "omega"), ["01", "-10"]), "equivariance,theorem44"),
+        (with_field(SR_Z6, ("presentation", "psi_builder", "omega"), [["0", "1"], ["-1", "0"], []]), "equivariance"),
+        # a string word was once read letter by letter as [1, 2]
+        (with_field(EXPLICIT, ("presentation", "P", 0, 0, "word"), "12"), "condition_I,ec"),
+        (with_field(PSI_TABLE, ("presentation", "psi", "psi", 0, "values"), {'"12"': "1"}), "condition_I"),
+        (
+            with_field(
+                SYMPLECTIC,
+                ("presentation", "psi_builder"),
+                {"builder": "corollary45", "p": 2, "phi": {'"12"': "1"}},
+            ),
+            "condition_I",
+        ),
+    ],
+    ids=["omega_ragged", "omega_strings", "omega_extra_row", "word_string", "psi_key_string", "phi_key_string"],
+)
+def test_omega_and_words_must_be_json_lists(tmp_path, data, checks):
+    path = write(tmp_path, "bad.json", data)
+    report, code = run(RunConfig(input_path=path, degree_bound=4, checks=checks.split(",")))
+    assert code == 2
+    assert report["error"] and "\n" not in report["error"]
+    with pytest.raises(InputError):
+        load_input(path)
+
+
 def test_unknown_check_exit_two(tmp_path):
     path = write(tmp_path, "du.json", DOWN_UP)
     report, code = run(RunConfig(input_path=path, checks=["definitely_not_a_check"]))

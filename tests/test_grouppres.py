@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from nkoszul.cyclo import get_field
-from nkoszul.elim import add_scaled
+from nkoszul.elim import TaggedRows, add_scaled
 from nkoszul.scalar import MatrixS, Scalar, image, kernel
 from nkoszul.smashtensor import GroupData, TensorContext, W, antisymmetrizer_subbimodule
 from nkoszul.filtered import (
@@ -34,6 +34,7 @@ from nkoszul.grouppres import (
 )
 
 S = Scalar.rational
+Z3 = Scalar.zeta(3)
 
 
 def perm_matrix(perm):
@@ -45,21 +46,109 @@ def neg_group(dim=2):
     return GroupData.from_generators([MatrixS.from_rows([[-1 if i == j else 0 for j in range(dim)] for i in range(dim)])])
 
 
-def s3_group():
+def s3_generators():
     """S3 on h ⊕ h*: the reflection representation in simple-root
     coordinates plus its contragredient."""
     s1 = [[-1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 1, 1]]
     s2 = [[1, 0, 0, 0], [1, -1, 0, 0], [0, 0, 1, 1], [0, 0, 0, -1]]
-    return GroupData.from_generators([MatrixS.from_rows(s1), MatrixS.from_rows(s2)])
+    return [MatrixS.from_rows(s1), MatrixS.from_rows(s2)]
 
 
-def z6_group(extra_trivial=False):
+def s3_group():
+    return GroupData.from_generators(s3_generators())
+
+
+def z6_generators(extra_trivial=False):
     """sr_z6's Z/6 = <diag(zeta6, zeta6^5)>, optionally plus a trivial summand."""
     z = Scalar.zeta(6)
     rows = [[z, 0], [0, z**5]]
     if extra_trivial:
         rows = [r + [0] for r in rows] + [[0, 0, 1]]
-    return GroupData.from_generators([MatrixS.from_rows(rows, 6)])
+    return [MatrixS.from_rows(rows, 6)]
+
+
+def z6_group(extra_trivial=False):
+    return GroupData.from_generators(z6_generators(extra_trivial))
+
+
+# -- the group closure -----------------------------------------------------
+
+
+def dense_mul(a, b):
+    """The triple loop of the former ``MatrixS.mul``: the reference product."""
+    m = max(a.conductor, b.conductor)
+    zero = Scalar.zero(m)
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = zero
+            for k in range(a.cols):
+                x = a.entries[i * a.cols + k]
+                if x.is_zero():
+                    continue
+                acc = acc + x * b.entries[k * b.cols + j]
+            out.append(acc)
+    return MatrixS(a.rows, b.cols, out, m)
+
+
+def dense_closure(mats):
+    """The closure on dense products, breadth first over right products by
+    the generators: (elements, table, inverses, classes, generators)."""
+    n = mats[0].rows
+    ident = MatrixS.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)], mats[0].conductor)
+    elements = [ident]
+    index = {ident.entries: 0}
+    queue = [ident]
+    while queue:
+        cur = queue.pop(0)
+        for g in mats:
+            prod = dense_mul(cur, g)
+            if prod.entries not in index:
+                index[prod.entries] = len(elements)
+                elements.append(prod)
+                queue.append(prod)
+    order = len(elements)
+    table = tuple(tuple(index[dense_mul(a, b).entries] for b in elements) for a in elements)
+    inverses = tuple(row.index(0) for row in table)
+    orbits = {tuple(sorted({table[table[g][i]][inverses[g]] for g in range(order)})) for i in range(order)}
+    generators = tuple(dict.fromkeys(index[g.entries] for g in mats))
+    return elements, table, inverses, tuple(sorted(orbits, key=min)), generators
+
+
+@pytest.mark.parametrize(
+    "gens, conductor",
+    [
+        (s3_generators(), 1),
+        (z6_generators(), 6),
+        ([perm_matrix([1, 0, 2]), perm_matrix([0, 2, 1])], 3),
+        ([MatrixS.from_rows([[0, 0, Z3], [Z3 * Z3, 0, 0], [0, 1, 0]], 3)], 3),
+    ],
+    ids=["s3", "z6", "s3-over-Q-into-zeta3", "twisted-3-cycle"],
+)
+def test_closure_matches_the_dense_product(gens, conductor):
+    # the third group is over Q, so the context lifts its maps into
+    # Q(zeta3); the square of the twisted 3-cycle has the entry zeta·zeta^2
+    group = GroupData.from_generators(gens)
+    field = get_field(conductor)
+    columns = TensorContext(group.dimV, group, conductor).columns
+    elements, table, inverses, classes, generators = dense_closure(
+        [MatrixS(m.rows, m.cols, m.entries, conductor) for m in gens]
+    )
+    assert list(columns) == [dict(enumerate(e.sparse_columns(field))) for e in elements]
+    assert group.mult_table == table and group.inverses == inverses
+    assert group.conj_classes == classes and group.generators == generators
+    # an entry equal to one is field.one itself, as the identity skips need
+    ones = [x for g in columns for col in g.values() for x in col.values() if field.is_one(x)]
+    assert ones and all(x is field.one for x in ones)
+
+
+def test_is_homomorphic_action_sees_a_wrong_table():
+    group = s3_group()
+    assert group.is_homomorphic_action()
+    table = [list(row) for row in group.mult_table]
+    table[1][1], table[1][2] = table[1][2], table[1][1]
+    swapped = GroupData(group.maps, table, group.inverses, group.conj_classes, group.generators, group.field)
+    assert not swapped.is_homomorphic_action()
 
 
 # -- the exterior product ------------------------------------------------
@@ -117,12 +206,16 @@ def test_wedge_coefficients_are_the_leibniz_minors(conductor):
 # -- decomposition ------------------------------------------------------
 
 
-def dense_image_and_kernel(mat, p):
-    """Image and kernel of the MatrixS Id - (-1)^p mat: the oracle for ``decompose``."""
-    n = mat.rows
+def dense_image_and_kernel(group, g, p):
+    """Image and kernel of the MatrixS Id - (-1)^p rho(g): the oracle for ``decompose``."""
+    n, field = group.dimV, group.field
     sign = 1 if p % 2 == 0 else -1
-    entries = [(1 if i == j else 0) - sign * mat[i, j] for i in range(n) for j in range(n)]
-    op = MatrixS(n, n, entries, mat.conductor)
+    entries = [
+        (1 if i == j else 0) - sign * Scalar(field, group.maps[g][j].get(i, field.zero))
+        for i in range(n)
+        for j in range(n)
+    ]
+    op = MatrixS(n, n, entries, group.conductor)
     return image(op), kernel(op)
 
 
@@ -134,8 +227,8 @@ def dense_image_and_kernel(mat, p):
 def test_decompose_matches_the_dense_image_and_kernel(make_group, p):
     group = make_group()
     dec = decompose(group, p)
-    for g, mat in enumerate(group.matrices):
-        m_space, l_space = dense_image_and_kernel(mat, p)
+    for g in range(group.order):
+        m_space, l_space = dense_image_and_kernel(group, g, p)
         assert dec.M[g].rows == m_space.rows and dec.L[g].rows == l_space.rows
         assert dec.a[g] == m_space.dim
 
@@ -143,8 +236,10 @@ def test_decompose_matches_the_dense_image_and_kernel(make_group, p):
 def test_decompose_refuses_a_non_semisimple_element():
     # a hand-built "group" whose second element is a Jordan block: the
     # image and kernel of Id - rho(g) are both the line of e1
-    jordan = MatrixS.from_rows([[1, 1], [0, 1]])
-    group = GroupData([MatrixS.identity(2), jordan], [[0, 1], [1, 0]], [0, 1], [(0,), (1,)], [1])
+    K = get_field(1)
+    ident = {0: {0: K.one}, 1: {1: K.one}}
+    jordan = {0: {0: K.one}, 1: {0: K.one, 1: K.one}}
+    group = GroupData([ident, jordan], [[0, 1], [1, 0]], [0, 1], [(0,), (1,)], [1], K)
     with pytest.raises(ValueError, match="not semisimple"):
         decompose(group, 2)
 
@@ -277,9 +372,10 @@ def test_equivariance_of_corollary_construction():
 def test_equivariance_fails_on_single_noncentral_support():
     g = GroupData.from_generators([perm_matrix([1, 0, 2]), perm_matrix([0, 2, 1])])
     # support on a single transposition with generic values
+    swap = dict(enumerate(perm_matrix([1, 0, 2]).sparse_columns(g.field)))
     swap_idx = None
     for i in range(g.order):
-        if g.matrices[i] == perm_matrix([1, 0, 2]):
+        if g.maps[i] == swap:
             swap_idx = i
     psi = PsiMap(2, 3, g.order, {swap_idx: {(0, 1): 1, (0, 2): 2}})
     assert not check_equivariance(g, psi)
@@ -473,16 +569,16 @@ def test_koszul_differential_injectivity_sweep():
 
 
 def test_koszul_differential_top_degree_kernel():
-    mat = koszul_differential(3, 3)
-    assert mat.cols == 1 and mat.rows == 0
-    assert kernel(mat).dim == 1
+    # one column, Λ^3 of a 3-space, and no rows: the column spans the kernel
+    cols = koszul_differential(3, 3)
+    assert cols == {0: {}}
+    assert len(TaggedRows(get_field(1), cols.values()).kernel_rows()) == 1
 
 
 def test_koszul_differential_single_term():
     # p = 0 on a 1-dimensional space: (d c)(v) = -c v
-    mat = koszul_differential(1, 0)
-    assert mat.rows == 1 and mat.cols == 1
-    assert mat[0, 0] == S(-1)
+    K = get_field(1)
+    assert koszul_differential(1, 0) == {0: {0: K.minus_one}}
 
 
 def test_leibniz_identity_matrix_comparison():

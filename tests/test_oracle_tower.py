@@ -204,7 +204,7 @@ def non_equivariant_h_psi():
 def group_kind(ctx):
     if ctx.order == 1:
         return "explicit"
-    return "minus" if ctx.group.matrices[1][0, 0] == Scalar.rational(-1) else "swap"
+    return "minus" if ctx.group.maps[1][0].get(0) == ctx.group.field.minus_one else "swap"
 
 
 def test_every_witness_is_a_valid_element():

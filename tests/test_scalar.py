@@ -232,13 +232,6 @@ def test_image_is_column_space():
     assert image(m) == expect
 
 
-def test_matrix_product_and_apply():
-    a = MatrixS.from_rows([[1, 2], [0, 1]])
-    b = MatrixS.from_rows([[1, 0], [3, 1]])
-    assert a.mul(b) == MatrixS.from_rows([[7, 2], [3, 1]])
-    assert a.apply([S(1), S(1)]) == [S(3), S(1)]
-
-
 def test_subspace_equality_is_canonical():
     # Same plane presented by different spanning sets.
     a = Subspace.from_vectors([[1, 1, 0], [0, 2, 0]], 3)
