@@ -46,7 +46,6 @@ from .homogeneous import (
     _Tower,
     check_tor3_concentration,
     is_antisymmetrizer_relations,
-    prefix_split,
     w_rows,
 )
 from .scalar import DimensionMismatch, Scalar
@@ -182,6 +181,25 @@ def _right_split_solver(pres: FilteredPresentation, r_rows: list) -> TaggedRows:
         for g in range(ctx.order)
     ]
     return TaggedRows(ctx.field, generators, ctx.component_dim(pres.N + 1))
+
+
+def prefix_split(field, row: dict, lower: int, rows: list[dict], index: dict) -> list[tuple[int, int, object]]:
+    """Write a row as sum_j (prefix j) ⊗ (combination of ``rows``).
+
+    Coordinates split as j * lower + rest, with ``lower`` the dimension of
+    the component that ``rows`` (fully reduced, ``index`` their pivot
+    index) live in.  Returns triples (j, t, coeff); raises ValueError when
+    a block lies outside the span of ``rows``.
+    """
+    blocks: dict[int, dict] = {}
+    for coord, raw in row.items():
+        j, rest = divmod(coord, lower)
+        blocks.setdefault(j, {})[rest] = raw
+    return [
+        (j, t, c)
+        for j, block in sorted(blocks.items())
+        for t, c in express(field, rows, index, block)
+    ]
 
 
 def _phi_lift_difference(

@@ -24,11 +24,17 @@ materializing the ideal in the ambient tensor component.  On top of the tower si
                              pins the third Tor module to degree N+1.
 
 Exactness is certified by rank counting, never by exhibiting homology
-bases.  When the relation module is a scalar extension R0 (x) K of a
-field-level relation space (always the case for the group presentations
-built in this package), every space in sight is block diagonal over the
-group coordinate and the computation runs at field level with all
-dimensions and ranks scaled by |Gamma|.
+bases.  The tower gives the dimensions at positions 0-1 and the ranks at
+positions 0-2.  Every other dimension and rank is a rank of images in
+A_a ⊗ V^{⊗m}, where A_a ⊗_K W_m embeds since K is semisimple.  The
+elements w ⊗ r, with w the word of a standard monomial of A_a and r a row
+of W_m, span A_a ⊗_K W_m (W_m is a left K-module), and the differential
+is left A-linear, so their images span its image.  Over the trivial group
+dim A_a ⊗ W_m = dim A_a · dim W_m.  When the relation module is a scalar
+extension R0 (x) K of a field-level relation space (always the case for
+the group presentations built in this package), every space in sight is
+block diagonal over the group coordinate and the computation runs at
+field level with all dimensions and ranks scaled by |Gamma|.
 """
 
 from __future__ import annotations
@@ -37,19 +43,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .elim import (
-    SparseEliminator,
-    TaggedRows,
-    accumulate,
-    add_scaled,
-    canonical_rows,
-    combine,
-    express,
-    intersection,
-    normal_form,
-    pivot_index,
-)
-from .scalar import DimensionMismatch
+from .elim import SparseEliminator, accumulate, add_scaled, intersection, normal_form
+from .scalar import DimensionMismatch, Subspace
 from .smashtensor import (
     GroupData,
     Subbimodule,
@@ -129,34 +124,24 @@ def dim_ideal(alg: HomogeneousAlgebra, n: int) -> int:
 def scalar_extension_slice(alg: HomogeneousAlgebra) -> Optional[Subbimodule]:
     """Field-level relation slice R0 with R = R0 (x) K, or None.
 
-    R decomposes over the group coordinate with identical slices exactly
-    when dim R = |Gamma| * dim R0 and every translate R0 ⊗ g stays inside R,
-    where R0 is the identity-component slice of R.
+    R0 (x) K is the direct sum of the slices R0 (x) g, which live on the
+    disjoint coordinates c with c % |Gamma| = g, so its canonical rows are
+    those of the slices side by side.  Conversely, if every canonical row
+    of R lies in one slice, R is the sum of its slices, and right
+    multiplication by g, which keeps the word, carries slice h onto slice
+    hg; mapped by c // |Gamma| the slices are then one list, the canonical
+    rows of R0.
     """
     ctx = alg.ctx
     order = ctx.order
     if order == 1:
         return alg.R
-    field = ctx.field
     rows = alg.R.basis_sparse()
-    # kernel of the projection killing the identity-slice coordinates
-    offgrid = TaggedRows(field, [{c: v for c, v in r.items() if c % order} for r in rows])
-    trivial_ctx = TensorContext(ctx.dimV, GroupData.trivial(ctx.dimV, ctx.conductor), ctx.conductor)
-    slice_rows = []
-    for k in offgrid.kernel_rows():
-        vec = combine(field, rows, k.items())
-        slice_rows.append({c // order: v for c, v in vec.items()})
-    if len(slice_rows) * order != alg.R.dim:
+    if any(len({c % order for c in row}) > 1 for row in rows):
         return None
-    # containment of every translate
-    elim = SparseEliminator(field)
-    for r in rows:
-        elim.add(r)
-    for s in slice_rows:
-        for g in range(order):
-            if not elim.contains({c * order + g: v for c, v in s.items()}):
-                return None
-    return Subbimodule.from_rows(trivial_ctx, alg.N, slice_rows, close=False)
+    slice0 = [{c // order: v for c, v in row.items()} for row in rows if next(iter(row)) % order == 0]
+    trivial_ctx = TensorContext(ctx.dimV, GroupData.trivial(ctx.dimV, ctx.conductor), ctx.conductor)
+    return Subbimodule(trivial_ctx, alg.N, Subspace(trivial_ctx.component_dim(alg.N), slice0, ctx.conductor))
 
 
 def field_level(alg: HomogeneousAlgebra) -> Optional[HomogeneousAlgebra]:
@@ -217,7 +202,6 @@ class _Level:
     index b) and lower keys; ``pivots`` are the rows' pivots, sorted.  The
     quotient basis is the complement of ``pivots`` in range(positions), in
     order, so position pos has index pos − bisect_left(pivots, pos).
-    ``BalancedTensor`` keeps its balance quotient the same way.
     """
 
     __slots__ = ("rows", "pivots", "positions", "adim")
@@ -385,54 +369,6 @@ class _Tower:
         return out
 
 
-# -- balanced tensor A_a (x)_K S -------------------------------------------
-
-
-class BalancedTensor:
-    """A_a (x)_K S as an explicit quotient of A_a (x)_k S.
-
-    S is given by its canonical rows in degree ``degree``.  Coordinates are
-    pairs (A-basis index, S-row index) at position b·|S| + t; the balance
-    rows b·g (x) s - b (x) g·s over the group generators are eliminated
-    once and kept as a ``_Level``, canonical rows and sorted pivots only,
-    so a reduction lands on the non-pivot positions as the tower's normal
-    forms do.  Without balance rows (always over the trivial group) the
-    quotient is A_a (x)_k S itself and vectors pass through unchanged.
-    """
-
-    def __init__(self, tower: _Tower, a: int, rows: list[dict], degree: int):
-        ctx = tower.ctx
-        field = ctx.field
-        na = tower.adim(a)
-        ns = len(rows)
-        elim = SparseEliminator(field)
-        index = pivot_index(rows)
-        reps = tower.reps(a) if ctx.group.generators else []
-        for g in ctx.group.generators:
-            # g acting on S rows, expressed back over the S basis
-            action = [
-                express(field, rows, index, ctx.left_action_sparse(g, srow, degree))
-                for srow in rows
-            ]
-            for b, (wb, gb) in enumerate(reps):
-                u = tower.nf(wb, ctx.group.mult_table[gb][g])
-                for t in range(ns):
-                    row: dict = {}
-                    for b2, v in u.items():
-                        row[b2 * ns + t] = v
-                    for t2, c in action[t]:
-                        accumulate(field, row, b * ns + t2, field.neg(c))
-                    elim.add(row)
-        self.field = field
-        # only the rows: the column index serves inserts, and they are done
-        self.quotient = _Level(elim.pivot_rows, na * ns)
-        self.dim = self.quotient.adim
-
-    def reduce(self, vec: dict) -> dict:
-        """Quotient coordinates of a sparse (b, t)-vector."""
-        return self.quotient.reduce(self.field, vec)
-
-
 # -- reports ---------------------------------------------------------------
 
 
@@ -577,30 +513,12 @@ def _ec_report(alg: HomogeneousAlgebra) -> EcReport:
         for i in range(a):
             rhs_sum.extend(placement_rows(alg.R, i, n - N - i))
         lhs = intersection(ctx.field, lhs_left, rhs_sum, ctx.component_dim(n))
+        # word-major, the prefixed canonical rows are already canonical
         expected = [ctx.prefix(r, wnum, N + 1) for wnum in range(ctx.dimV ** (a - 1)) for r in wn1]
-        ok = lhs == canonical_rows(ctx.field, expected)
+        ok = lhs == expected
         report.degrees[n] = ok
         report.holds = report.holds and ok
     return report
-
-
-def prefix_split(field, row: dict, lower: int, rows: list[dict], index: dict) -> list[tuple[int, int, object]]:
-    """Write a row as sum_j (prefix j) ⊗ (combination of ``rows``).
-
-    Coordinates split as j * lower + rest, with ``lower`` the dimension of
-    the component that ``rows`` (fully reduced, ``index`` their pivot
-    index) live in.  Returns triples (j, t, coeff); raises ValueError when
-    a block lies outside the span of ``rows``.
-    """
-    blocks: dict[int, dict] = {}
-    for coord, raw in row.items():
-        j, rest = divmod(coord, lower)
-        blocks.setdefault(j, {})[rest] = raw
-    return [
-        (j, t, c)
-        for j, block in sorted(blocks.items())
-        for t, c in express(field, rows, index, block)
-    ]
 
 
 def check_tor3_concentration(alg: HomogeneousAlgebra, D: int) -> Tor3Report:
@@ -698,23 +616,37 @@ def _koszul_certificate(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
             if not elim.contains(r):
                 comp_zero = False
 
-    # balanced tensors A_a ⊗_K W_{zeta(i)} needed as rank targets and dims
-    bt_cache: dict = {}
+    # the one image rule: for w the word of a standard monomial of A_a, a
+    # term (u, g) of a W_m row with its first delta letters moved into A
+    # goes to nf(w·u[:delta], g) ⊗ rho(g)^-1 u[delta:] in
+    # A_{a+delta} ⊗ V^{⊗(m-delta)}.  delta = 0 gives dim A_a ⊗_K W_m, and
+    # delta = zeta(i) - zeta(i-1) the rank of the map out of position i.
+    # Each row is split once per (m, delta) into {(head, g): tail}.
+    splits: dict = {}
+    inverses = ctx.group.inverses
 
-    def bt_for(a: int, m: int) -> BalancedTensor:
-        key = (a, m)
-        if key not in bt_cache:
-            bt_cache[key] = BalancedTensor(tower, a, w_sparse[m], m)
-        return bt_cache[key]
-
-    # expansions of W_{zeta(i)} over V^{delta} ⊗ W_{zeta(i-1)} for i >= 3
-    def expansion(i: int):
-        prev_rows = w_sparse[zetas[i - 1]]
-        index = pivot_index(prev_rows)
-        lower = ctx.component_dim(zetas[i - 1])
-        return [prefix_split(field, row, lower, prev_rows, index) for row in w_sparse[zetas[i]]]
-
-    expansions = {i: expansion(i) for i in range(3, len(zetas))}
+    def image_rank(a: int, m: int, delta: int) -> int:
+        """Rank of the images of A_a ⊗_K W_m in A_{a+delta} ⊗ V^{⊗(m-delta)}."""
+        if (m, delta) not in splits:
+            splits[m, delta] = []
+            for row in w_sparse[m]:
+                split: dict = {}
+                for coord, raw in row.items():
+                    word, g = ctx.word_of(coord, m)
+                    tail = split.setdefault((word[:delta], g), {})
+                    for tw, c in ctx.apply_group_to_word(inverses[g], word[delta:]):
+                        accumulate(field, tail, ctx.word_num(tw), field.mul(raw, c))
+                splits[m, delta].append(split)
+        width = ctx.dimV ** (m - delta)
+        elim = SparseEliminator(field)
+        for w in dict.fromkeys(w for w, _ in tower.reps(a)):
+            for split in splits[m, delta]:
+                vec: dict = {}
+                for (head, g), tail in split.items():
+                    for b, v in tower.nf(w + head, g).items():
+                        add_scaled(field, vec, {b * width + t: c for t, c in tail.items()}, v)
+                elim.add(vec)
+        return elim.rank
 
     def degree_data(d: int) -> DegreeCertificate:
         imax = 0
@@ -728,38 +660,21 @@ def _koszul_certificate(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
                 dims.append(tower.adim(d))
             elif i == 1:
                 dims.append(tower.adim(a) * ctx.dimV)
+            elif ctx.order == 1:
+                dims.append(tower.adim(a) * len(w_sparse[zetas[i]]))
             else:
-                dims.append(bt_for(a, zetas[i]).dim if w_sparse[zetas[i]] else 0)
+                dims.append(image_rank(a, zetas[i], 0))
         for i in range(imax + 2):
             if i == 0:
                 ranks.append(0)
             elif i == 1:
                 ranks.append(tower.adim(d) if d >= 1 else 0)
+            elif i > imax:
+                ranks.append(0)
             elif i == 2:
-                if i > imax:
-                    ranks.append(0)
-                else:
-                    ranks.append(ctx.dimV * tower.adim(d - 1) - tower.adim(d))
+                ranks.append(ctx.dimV * tower.adim(d - 1) - tower.adim(d))
             else:
-                if i > imax or not w_sparse[zetas[i]]:
-                    ranks.append(0)
-                    continue
-                a_i = d - zetas[i]
-                a_prev = d - zetas[i - 1]
-                m_prev = zetas[i - 1]
-                bt = bt_for(a_prev, m_prev)
-                elim = SparseEliminator(field)
-                exp = expansions[i]
-                for word in ctx.words(a_i):
-                    for triple in exp:
-                        vec: dict = {}
-                        for dnum, t2, raw in triple:
-                            dword = ctx.num_word(dnum, zetas[i] - m_prev)
-                            for b, v in tower.nf(word + dword, 0).items():
-                                pos = b * len(w_sparse[m_prev]) + t2
-                                accumulate(field, vec, pos, field.mul(raw, v))
-                        elim.add(bt.reduce(vec))
-                ranks.append(elim.rank)
+                ranks.append(image_rank(d - zetas[i], zetas[i], zetas[i] - zetas[i - 1]))
         exact = []
         for i in range(1, imax + 1):
             exact.append(ranks[i] + ranks[i + 1] == dims[i])

@@ -219,10 +219,6 @@ class TensorContext:
             word.append(letter)
         return tuple(reversed(word))
 
-    def words(self, length: int) -> list[tuple[int, ...]]:
-        """All words of the given length, in number order."""
-        return [self.num_word(num, length) for num in range(self.dimV**length)]
-
     def coord(self, word: tuple[int, ...], g: int) -> int:
         return self.word_num(word) * self.order + g
 

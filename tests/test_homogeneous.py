@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from nkoszul.elim import canonical_rows
 from nkoszul.scalar import MatrixS, Scalar, Subspace
 from nkoszul.smashtensor import (
     GroupData,
@@ -208,6 +209,33 @@ def test_check_ec_antisymmetrizer_three_variables():
     R = antisymmetrizer_subbimodule(ctx, 3)
     rep = check_ec(HomogeneousAlgebra(ctx, 3, R))
     assert rep.holds
+
+
+def antisymmetrizer_4_of_5():
+    ctx = trivial_ctx(5)
+    return HomogeneousAlgebra(ctx, 4, antisymmetrizer_subbimodule(ctx, 4))
+
+
+def z2_cubic():
+    from test_koszul_reference import random_algebra
+
+    # over Z/2 at group level, N = 3 with W_4 != 0
+    return random_algebra(7)
+
+
+@pytest.mark.parametrize("make", [down_up_homogeneous, z2_cubic, antisymmetrizer_4_of_5])
+def test_ec_prefixed_w_rows_are_canonical_word_major(make):
+    # check_ec compares the intersection with V^{⊗(a-1)} ⊗ W_{N+1} without
+    # re-canonicalizing: taken word-major, the prefixed rows are canonical
+    # (N = 4 has prefixes of one and two letters)
+    alg = make()
+    ctx = alg.ctx
+    wn1 = w_rows(alg, alg.N + 1, {})
+    assert wn1
+    for a in range(2, alg.N):
+        prefixed = [ctx.prefix(r, wnum, alg.N + 1) for wnum in range(ctx.dimV ** (a - 1)) for r in wn1]
+        assert prefixed == canonical_rows(ctx.field, prefixed), a
+    assert check_ec(alg).degrees
 
 
 def test_tor3_commutative_and_down_up():

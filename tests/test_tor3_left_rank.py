@@ -10,6 +10,7 @@ of V^{n-N} ⊗ R in A_{n-1} ⊗_K E, on the trivial group and on a group
 algebra K = k[Z/6] without passing to field level.
 """
 
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ def eliminated_rank(alg, n):
     field = ctx.field
     tower = alg.tower()
     elim = SparseEliminator(field)
-    for word in ctx.words(n - alg.N):
+    for word in product(range(ctx.dimV), repeat=n - alg.N):
         for rrow in alg.R.basis_sparse():
             vec: dict = {}
             for coord, raw in rrow.items():

@@ -15,17 +15,12 @@ from pathlib import Path
 import pytest
 
 from nkoszul.elim import SparseEliminator, accumulate, pivot_index
-from nkoszul.filtered import build_lie
-from nkoszul.homogeneous import (
-    BalancedTensor,
-    HomogeneousAlgebra,
-    check_tor3_concentration,
-    prefix_split,
-    w_rows,
-)
+from nkoszul.filtered import build_lie, prefix_split
+from nkoszul.homogeneous import HomogeneousAlgebra, check_tor3_concentration, w_rows
 from nkoszul.jsonio import load_input
 from nkoszul.scalar import Scalar
 from nkoszul.smashtensor import GroupData, Subbimodule, TensorContext
+from test_koszul_reference import BalancedTensor, all_words
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -59,7 +54,7 @@ def tor3_relation_holds(alg, n, w_cache):
     splits = [prefix_split(field, w, lower, r_rows, index) for w in wn1]
     elim = SparseEliminator(field)
     ns = len(r_rows)
-    for word in ctx.words(a - 1):
+    for word in all_words(ctx, a - 1):
         for split in splits:
             vec: dict = {}
             for j, t, c in split:

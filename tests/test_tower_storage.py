@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 from nkoszul.elim import SparseEliminator, accumulate, add_scaled, express, pivot_index
-from nkoszul.homogeneous import BalancedTensor, _Level, w_rows
+from nkoszul.homogeneous import _Level, w_rows
 from nkoszul.jsonio import load_input
+from test_koszul_reference import BalancedTensor
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -156,7 +157,11 @@ def test_the_tower_retains_under_six_tenths_of_the_stored_construction():
 
 @pytest.mark.parametrize("a", [0, 1, 2, 3])
 def test_balanced_tensor_matches_the_free_position_index(a):
-    """Bisect over the pivots gives the coordinates the index dict gave."""
+    """Bisect over the pivots gives the coordinates the index dict gave.
+
+    ``BalancedTensor`` is the Koszul certificate's reference construction
+    (tests/test_koszul_reference.py); it keeps its quotient as a ``_Level``.
+    """
     alg = group_level("sr_z6")
     ctx = alg.ctx
     field = ctx.field
