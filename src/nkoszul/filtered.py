@@ -18,9 +18,9 @@ R defines the homogenized algebra A.  The module provides:
 Subspaces of F^n live in ``Filtration(ctx, n)``, top degree first, so phi
 and the direct form of (J) cut P's canonical rows by pivot.  A row of the
 tower without a top-degree entry is precisely a witness that the
-filtration equality fails at that degree n0; the oracle then eliminates
-J^{n0} in ``Filtration(ctx, D)`` for one such witness, and continues above
-n0 on quotient levels K ⊕ V ⊗ F^{m-1}U.  The truncated algebra in
+filtration equality fails at that degree n0; the oracle reports it over
+the standard monomials of lower degree, and continues from n0 on quotient
+levels K ⊕ V ⊗ F^{m-1}U.  It never lays out F^D.  The truncated algebra in
 ``komplex`` reads its basis, the standard monomials, and its normal forms
 off the same tower.
 """
@@ -50,7 +50,6 @@ from .homogeneous import (
 )
 from .scalar import DimensionMismatch, Scalar
 from .smashtensor import (
-    Filtration,
     FilteredSubspace,
     GroupData,
     Subbimodule,
@@ -333,10 +332,11 @@ class OracleEngine:
     builds A_n from R: level n is K ⊕ V ⊗ F^{n-1}U modulo P times the
     standard monomials of degree n-N, and its non-pivot positions are the
     standard monomials of degree n, as many as dim A_n while the equalities
-    hold.  At the first failing degree n0 the tower is dropped: J^{n0} is
-    eliminated in ``layout`` (``_full_space``), which gives the dimensions
-    up to n0 and the witness, and ``_continue`` gives the dimensions and
-    equalities above n0 from quotient levels that never reach F^D.
+    hold.  The tower gives every dimension below the first failing degree
+    n0, and its row without a degree-n0 entry is the witness, an element of
+    J^{n0} ∩ F^{n0-1} written over the standard monomials of lower degree,
+    which are a basis of F^{n0-1}U.  ``_continue`` gives the dimensions and
+    equalities from n0 on, from quotient levels that never reach F^D.
     """
 
     def __init__(self, pres: FilteredPresentation, D: int):
@@ -348,16 +348,14 @@ class OracleEngine:
         self.P = pres.P
         self.alg = pres.homogenization()
         self.D = D
-        self.layout = Filtration(ctx, D)
         relations = [
             [(*pres.P.layout.decode(c), raw) for c, raw in row.items()]
             for row in pres.P.basis_sparse()
         ]
-        self.tower: Optional[_Tower] = _Tower(ctx, self.N, relations)
-        self.elim = SparseEliminator(ctx.field)  # J^top, filled by ``_full_space(top)`` only
+        self.tower = _Tower(ctx, self.N, relations)
         self.j_dims: dict[int, int] = {}
         self.equalities: dict[int, bool] = {}
-        # (degree, row in ``layout``) of the first failing equality
+        # (degree, {(word, g): raw}) of the first failing equality
         self.witness: Optional[tuple[int, dict]] = None
         self._ran = False
 
@@ -365,17 +363,13 @@ class OracleEngine:
         if self._ran:
             return
         self._ran = True
-        failed = self.tower.ensure(self.D)
-        if failed is not None:
-            self.tower = None
-            self._full_space(failed)
-            self._continue(failed)
-            return
+        tower = self.tower
+        failed = tower.ensure(self.D)
         ctx = self.ctx
         graded = self.alg.tower()
         f_dim = std_dim = 0
-        for n in range(self.D + 1):
-            level = self.tower.levels[n]
+        for n in range(self.D + 1 if failed is None else failed):
+            level = tower.levels[n]
             if level.adim != graded.adim(n):
                 raise RuntimeError(
                     "internal error: the standard monomials disagree with the graded algebra"
@@ -385,53 +379,12 @@ class OracleEngine:
             if n >= self.N:
                 self.j_dims[n] = f_dim - std_dim
                 self.equalities[n] = True
-
-    def _full_space(self, top: int) -> None:
-        """Row-reduce J^top in F^top: the equalities and dimensions up to top,
-        and the witness of the first failing equality.
-
-        J^n is spanned by J^{n-1}, V·J^{n-1} and P·V^{⊗(n-N)}; only the rows
-        new at the previous degree need the letter in front.  Rows of J^n lie
-        in F^n, and a new pivot inside F^{n-1} is a witness that the equality
-        at degree n fails.
-        """
-        ctx = self.ctx
-        N = self.N
-        layout = self.layout
-        p_rows = self.P.extend_top(self.D).basis_sparse()
-        pv_rows = p_rows  # P · V^{⊗m}, advanced each degree
-        t_hat = []
-        for n in range(N, top + 1):
-            if n == N:
-                new_rows = list(p_rows)
-            else:
-                new_rows = [
-                    layout.left_mul(r, letter, 0, layout)
-                    for r in t_hat
-                    for letter in range(ctx.dimV)
-                ]
-                pv_rows = [
-                    layout.right_mul(r, letter, 0, layout)
-                    for r in pv_rows
-                    for letter in range(ctx.dimV)
-                ]
-                new_rows.extend(pv_rows)
-            t_hat = []
-            holds = True
-            for row in new_rows:
-                piv = self.elim.add(row)
-                if piv is None:
-                    continue
-                t_hat.append(dict(self.elim.pivot_rows[piv]))
-                if piv >= layout.start[n - 1]:
-                    if self.witness is None:
-                        self.witness = (n, dict(self.elim.pivot_rows[piv]))
-                    holds = False
-            self.j_dims[n] = self.elim.rank
-            self.equalities[n] = holds
+        if failed is not None:
+            self.witness = (failed, {tower.monomial(i): v for i, v in tower.witness.items()})
+            self._continue(failed)
 
     def _continue(self, top: int) -> None:
-        """The dimensions and equalities above ``top``, from F^mU = F^m/J^m.
+        """The dimensions and equalities from ``top`` on, from F^mU = F^m/J^m.
 
         Level m is K ⊕ V ⊗ F^{m-1}U: position g, then order + j·dim F^{m-1}U
         + b for letter j and basis index b, kept as a ``_Level``.  V·J^{m-1}
@@ -440,7 +393,8 @@ class OracleEngine:
         ι: F^{m-2}U -> F^{m-1}U and by ρ_v, right multiplication by the letter
         v.  The images of each basis element under ι and ρ_v are computed
         once per level, and the equality at m holds iff ι: F^{m-1}U -> F^mU
-        is injective.
+        is injective.  Below ``top`` the levels are checked against the
+        dimensions the tower gave.
         """
         ctx = self.ctx
         field = ctx.field
@@ -503,9 +457,9 @@ class OracleEngine:
                 else None,
             )
             f_dim += ctx.component_dim(m)
-            if m == top and f_dim - level.adim != self.j_dims[top]:
-                raise RuntimeError("internal error: the quotient levels disagree with J^n")
-            if m > top:
+            if m < top and f_dim - level.adim != self.j_dim(m):
+                raise RuntimeError("internal error: the quotient levels disagree with the tower")
+            if m >= top:
                 self.j_dims[m] = f_dim - level.adim
                 injective = SparseEliminator(field)
                 self.equalities[m] = injective.add_all(iota) == width
@@ -560,9 +514,8 @@ def oracle_pbw(pres: FilteredPresentation, D: int) -> OracleReport:
     a_dims = [tower.adim(n) for n in range(D + 1)]
     witness = witness_degree = None
     if engine.witness is not None:
-        witness_degree, row = engine.witness
-        terms = {engine.layout.decode(c): Scalar(pres.ctx.field, v) for c, v in row.items()}
-        witness = {"terms": terms_to_json(terms)}
+        witness_degree, terms = engine.witness
+        witness = {"terms": terms_to_json({key: Scalar(pres.ctx.field, v) for key, v in terms.items()})}
     return OracleReport(
         degree_bound=D,
         equalities=dict(engine.equalities),

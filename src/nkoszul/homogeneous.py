@@ -240,7 +240,8 @@ class _Tower:
     degree N and level n is E ⊗_K A_{n-1} ->> A_n.  With P the lower-degree
     terms give the normal forms tails of lower degree, and a row without a
     degree-n entry is a failing equality J^n ∩ F^{n-1} = J^{n-1}: ``ensure``
-    stops at the first one.  A level is a ``_Level`` (no eliminator, no
+    stops at the first one and keeps it as ``witness``, keyed by global
+    index (``monomial``).  A level is a ``_Level`` (no eliminator, no
     words), ``reps`` decodes monomials on demand, and ``_nf_memo`` holds
     the normal forms.
     """
@@ -254,6 +255,7 @@ class _Tower:
         self.levels = [_Level({}, order)]
         self.starts = [0, order]
         self.failed: Optional[int] = None
+        self.witness: Optional[dict] = None
         self._nf_memo: dict = {((), g): {g: field.one} for g in range(order)}
         self._fronts: dict = {}
 
@@ -279,6 +281,11 @@ class _Tower:
                 wb, gb = prev[b]
                 out.append(((j,) + wb, gb))
         return out
+
+    def monomial(self, i: int) -> tuple:
+        """The standard monomial (word, g) with global index i = starts[d] + b."""
+        d = bisect_right(self.starts, i) - 1
+        return self.reps(d)[i - self.starts[d]]
 
     def ensure(self, n: int) -> Optional[int]:
         """Build the levels up to n; the first failing degree, or None."""
@@ -308,7 +315,9 @@ class _Tower:
                                 add_scaled(field, row, self._vector(word + tw, ggb, lv), coeff)
                         piv = elim.add(row)
                         if piv is not None and piv >= positions:
+                            # every key is lower: an element of F^{lv-1}U
                             self.failed = lv
+                            self.witness = {k - _LOWER: v for k, v in elim.pivot_rows[piv].items()}
                             return lv
             # only the rows: the column index serves inserts, and this level is done
             self.levels.append(_Level(elim.pivot_rows, positions))

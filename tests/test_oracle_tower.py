@@ -1,15 +1,17 @@
 """The oracle's quotient levels against the full-space elimination of J^D.
 
-``OracleEngine._full_space(top)`` row-reduces J^top in F^top, the way the
-oracle did before it built F^nU level by level.  The engine runs it only
-through the first failing degree, for the dimensions there and the
-witness, and continues above that degree in quotient coordinates
-(``_continue``).  Here ``_full_space(D)`` is the reference: on inputs that
-satisfy the equalities the tower must give the same dimensions, the same
-standard monomials (the non-pivot coordinates of the reference) and the
-same products in the truncated algebra; on inputs that do not, the tower
-must stop at the first failing degree, and the continuation must give the
-same dimensions, equalities and first witness.
+``reference(pres, D)`` row-reduces J^D in F^D = ``Filtration(ctx, D)``, the
+way the oracle did before it built F^nU level by level.  The oracle itself
+never lays out F^D: its tower gives every dimension below the first
+failing degree n0 and the witness, and ``_continue`` the degrees from n0
+on in quotient coordinates.  On inputs that satisfy the equalities the
+tower must give the reference's dimensions, its standard monomials (the
+non-pivot coordinates of the reference) and its products in the truncated
+algebra; on inputs that do not, the tower must stop at the reference's
+first failing degree, the continuation must give the same dimensions and
+equalities, and the witness must be a valid element written over the
+standard monomials.  A witness is one representative, not a canonical one,
+so it is checked against what it must be, not against the reference's.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,7 +37,7 @@ from nkoszul.homogeneous import _Tower
 from nkoszul.jsonio import load_input
 from nkoszul.komplex import NComplexSlice, TruncatedU
 from nkoszul.scalar import MatrixS, Scalar
-from nkoszul.smashtensor import FilteredSubspace, GroupData, TensorContext
+from nkoszul.smashtensor import Filtration, FilteredSubspace, GroupData, TensorContext
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -53,24 +56,57 @@ def fixture(name):
 
 
 def reference(pres, D):
-    engine = OracleEngine(pres, D)
-    engine._full_space(D)
-    return engine
+    """Row-reduce J^D in F^D: the equalities and dimensions up to D, and the
+    first failing equality's witness as a row of ``layout``.
+
+    J^n is spanned by J^{n-1}, V·J^{n-1} and P·V^{⊗(n-N)}; only the rows
+    new at the previous degree need the letter in front.  Rows of J^n lie
+    in F^n, and a new pivot inside F^{n-1} is a witness that the equality
+    at degree n fails.
+    """
+    ctx = pres.ctx
+    layout = Filtration(ctx, D)
+    elim = SparseEliminator(ctx.field)
+    ref = SimpleNamespace(ctx=ctx, D=D, layout=layout, elim=elim, j_dims={}, equalities={}, witness=None)
+    p_rows = pres.P.extend_top(D).basis_sparse()
+    pv_rows = p_rows  # P · V^{⊗m}, advanced each degree
+    t_hat = []
+    for n in range(pres.N, D + 1):
+        if n == pres.N:
+            new_rows = list(p_rows)
+        else:
+            new_rows = [layout.left_mul(r, letter, 0, layout) for r in t_hat for letter in range(ctx.dimV)]
+            pv_rows = [layout.right_mul(r, letter, 0, layout) for r in pv_rows for letter in range(ctx.dimV)]
+            new_rows.extend(pv_rows)
+        t_hat = []
+        holds = True
+        for row in new_rows:
+            piv = elim.add(row)
+            if piv is None:
+                continue
+            t_hat.append(dict(elim.pivot_rows[piv]))
+            if piv >= layout.start[n - 1]:
+                if ref.witness is None:
+                    ref.witness = (n, dict(elim.pivot_rows[piv]))
+                holds = False
+        ref.j_dims[n] = elim.rank
+        ref.equalities[n] = holds
+    return ref
 
 
-def reference_std(engine):
+def reference_std(ref):
     """The non-pivot coordinates of each block of the full-space rows."""
-    layout = engine.layout
-    pivots = engine.elim.pivot_rows
+    layout = ref.layout
+    pivots = ref.elim.pivot_rows
     return [
-        [c for c in range(layout.start[d], layout.start[d] + engine.ctx.component_dim(d)) if c not in pivots]
-        for d in range(engine.D + 1)
+        [c for c in range(layout.start[d], layout.start[d] + ref.ctx.component_dim(d)) if c not in pivots]
+        for d in range(ref.D + 1)
     ]
 
 
-def tower_std(engine):
+def tower_std(engine, layout):
     """The tower's standard monomials of each degree, as layout coordinates."""
-    return [[engine.layout.coord(w, g) for w, g in engine.tower.reps(d)] for d in range(engine.D + 1)]
+    return [[layout.coord(w, g) for w, g in engine.tower.reps(d)] for d in range(engine.D + 1)]
 
 
 def first_failure(engine):
@@ -96,7 +132,7 @@ def test_tower_matches_the_full_space_elimination(build, D):
     assert engine.j_dims == ref.j_dims
     assert engine.equalities == ref.equalities
     assert all(ref.equalities.values())
-    assert tower_std(engine) == reference_std(ref)
+    assert tower_std(engine, ref.layout) == reference_std(ref)
 
 
 def random_presentation(rng):
@@ -136,19 +172,17 @@ def test_tower_agrees_with_the_full_space_on_random_presentations():
         stopped = engine.tower.ensure(D)
         assert stopped == first_failure(ref)
         outcomes["pbw" if stopped is None else "at N" if stopped == pres.N else "above N"] += 1
-        std = tower_std(engine) if stopped is None else None
+        std = tower_std(engine, ref.layout) if stopped is None else None
         engine.run()
         # the report never depends on the path: failing inputs continue
         # past their first failure in quotient coordinates
-        assert (engine.j_dims, engine.equalities, engine.witness) == (
-            ref.j_dims,
-            ref.equalities,
-            ref.witness,
-        )
+        assert (engine.j_dims, engine.equalities) == (ref.j_dims, ref.equalities)
         if stopped is None:
+            assert engine.witness is None
             assert std == reference_std(ref)
         else:
-            assert engine.witness[0] == stopped
+            assert engine.witness[0] == ref.witness[0] == stopped
+            assert_valid_witness(pres, engine)
             outcomes["continued"] += stopped < D
     # both paths are exercised, failures past the first level too, and
     # failures below D, so the continuation has degrees to fill
@@ -184,7 +218,7 @@ def placement_span(pres, top):
 def assert_valid_witness(pres, engine):
     """The witness lies in J^n0 ∩ F^(n0-1) and outside J^(n0-1)."""
     n0, row = engine.witness
-    terms = {engine.layout.decode(c): Scalar(pres.ctx.field, v) for c, v in row.items()}
+    terms = {key: Scalar(pres.ctx.field, v) for key, v in row.items()}
     assert terms and max(len(word) for word, _ in terms) < n0
     upper, vector = placement_span(pres, n0)
     lower, lower_vector = placement_span(pres, n0 - 1)
@@ -209,7 +243,7 @@ def group_kind(ctx):
 
 def test_every_witness_is_a_valid_element():
     # a witness is one representative, not a canonical one: check what it
-    # must be against placements built here, not against ``_full_space``
+    # must be against placements built here, not against ``reference``
     cases = [(non_jacobi(), 5)] + [(pres, 4) for pres in non_equivariant_h_psi()]
     rng = random.Random(31)
     kinds = Counter()
@@ -261,24 +295,69 @@ def test_sl2_tower_holds_a_row_per_pivot_position():
     assert sum(level.adim for level in engine.tower.levels) == 165
 
 
-def test_full_space_runs_only_when_an_equality_fails(monkeypatch):
+def test_the_continuation_runs_only_when_an_equality_fails(monkeypatch):
     runs = []
-    for name in ("_full_space", "_continue"):
-        original = getattr(OracleEngine, name)
+    original = OracleEngine._continue
 
-        def counting(self, top, name=name, original=original):
-            runs.append((name, top))
-            original(self, top)
+    def counting(self, top):
+        runs.append(top)
+        original(self, top)
 
-        monkeypatch.setattr(OracleEngine, name, counting)
+    monkeypatch.setattr(OracleEngine, "_continue", counting)
     assert pbw_verdict(sl2(), 6).certified
     assert oracle_pbw(build_down_up(2, -1, 1), 8).holds
     NComplexSlice(fixture("sr_z6"), 4)
     assert runs == []
-    # J^3 is eliminated in F^3 only; degrees 4 and 5 come from the continuation
+    # the tower gives degree 2 and the witness; degrees 3 to 5 come from the continuation
     rep = oracle_pbw(non_jacobi(), 5)
-    assert runs == [("_full_space", 3), ("_continue", 3)]
+    assert runs == [3]
     assert rep.witness_degree == 3 and not rep.equalities[3]
+
+
+def test_the_witness_is_written_over_the_standard_monomials():
+    rng = random.Random(12)
+    cases = [random_presentation(rng) for _ in range(150)] + [(pres, 4) for pres in non_equivariant_h_psi()]
+    witnesses = 0
+    for pres, D in cases:
+        engine = pres.oracle(D)
+        if engine.witness is None:
+            continue
+        witnesses += 1
+        n0, terms = engine.witness
+        fresh = _Tower(pres.ctx, pres.N, engine.tower.relations)
+        assert terms
+        for word, g in terms:
+            assert len(word) < n0
+            assert (word, g) in fresh.reps(len(word))
+    assert witnesses >= 90
+    # the Jacobiator value e_1, with coefficient 1 at its lowest monomial
+    pres = non_jacobi()
+    rep = oracle_pbw(pres, 12)
+    assert pres.oracle(12).witness == (3, {((0,), 0): pres.ctx.field.one})
+    assert rep.witness == {"terms": [{"coeff": "1", "word": [1], "g": 0}]}
+
+
+def test_the_oracle_never_lays_out_the_top_degree(monkeypatch):
+    tops = []
+    original = Filtration.__init__
+
+    def recording(self, ctx, top):
+        tops.append(top)
+        original(self, ctx, top)
+
+    monkeypatch.setattr(Filtration, "__init__", recording)
+    assert not oracle_pbw(non_jacobi(), 12).holds
+    assert pbw_verdict(sl2(), 6).certified
+    assert tops and max(tops) <= 3  # N + 1 for N = 2
+
+
+def test_the_continuation_checks_its_levels_against_the_tower():
+    engine = OracleEngine(non_jacobi(), 5)
+    engine.run()
+    engine._continue(3)
+    engine.j_dims[2] += 1
+    with pytest.raises(RuntimeError, match="disagree with the tower"):
+        engine._continue(3)
 
 
 def test_non_jacobi_reaches_degree_twelve():
