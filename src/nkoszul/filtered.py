@@ -16,11 +16,13 @@ R defines the homogenized algebra A.  The module provides:
 * builders for enveloping-algebra and down-up presentations.
 
 Subspaces of F^n live in ``Filtration(ctx, n)``, top degree first, so phi
-and the direct form of (J) cut P's canonical rows by pivot.  A row of the
-tower without a top-degree entry is precisely a witness that the
-filtration equality fails at that degree n0; the oracle reports it over
-the standard monomials of lower degree, and continues from n0 on quotient
-levels K ⊕ V ⊗ F^{m-1}U.  It never lays out F^D.  The truncated algebra in
+and the direct form of (J) cut P's canonical rows by pivot, and the lifted
+form reduces against them.  A row of the tower without a top-degree entry
+is precisely a witness that the filtration equality fails at that degree
+n0; the oracle reports it over the standard monomials of lower degree.
+From n0 on it builds each degree once, as the quotient level
+K ⊕ V ⊗ F^{m-1}U of P times basis monomials, on the tower's basis and
+normal forms below n0.  It never lays out F^D.  The truncated algebra in
 ``komplex`` reads its basis, the standard monomials, and its normal forms
 off the same tower.
 """
@@ -37,6 +39,7 @@ from .elim import (
     add_scaled,
     combine,
     express,
+    normal_form,
     pivot_index,
 )
 from .homogeneous import (
@@ -274,16 +277,14 @@ def check_condition_J(pres: FilteredPresentation) -> JReport:
     # strategy 2: the lifted difference maps W_{N+1} into P
     alg = pres.homogenization()
     wn1 = w_rows(alg, N + 1, alg.w_cache)
-    p_elim = SparseEliminator(field)
-    for r in pres.P.basis_sparse():
-        p_elim.add(r)
+    p_rows = {min(r): r for r in pres.P.basis_sparse()}  # canonical: reduce, never insert
     right_splits = _right_split_solver(pres, phi.r_rows) if wn1 else None
     lifted = True
     diffs = []
     for w in wn1:
         diff = _phi_lift_difference(pres, phi, w, right_splits)
         diffs.append(diff)
-        if p_elim.reduce(diff):
+        if normal_form(field, p_rows, diff):
             lifted = False
 
     # strategy 3: componentwise equations
@@ -335,8 +336,9 @@ class OracleEngine:
     hold.  The tower gives every dimension below the first failing degree
     n0, and its row without a degree-n0 entry is the witness, an element of
     J^{n0} ∩ F^{n0-1} written over the standard monomials of lower degree,
-    which are a basis of F^{n0-1}U.  ``_continue`` gives the dimensions and
-    equalities from n0 on, from quotient levels that never reach F^D.
+    which are a basis of F^{n0-1}U.  ``_continue`` builds the levels n0..D,
+    each once and by the same rule without the grading, and gives their
+    dimensions and equalities; no level reaches F^D.
     """
 
     def __init__(self, pres: FilteredPresentation, D: int):
@@ -345,14 +347,14 @@ class OracleEngine:
         # the inputs, not the presentation: the presentation holds this engine
         self.ctx = ctx = pres.ctx
         self.N = pres.N
-        self.P = pres.P
         self.alg = pres.homogenization()
         self.D = D
-        relations = [
+        # P's canonical rows as terms (word, g, raw), read by the tower and ``_continue``
+        self.relations = [
             [(*pres.P.layout.decode(c), raw) for c, raw in row.items()]
             for row in pres.P.basis_sparse()
         ]
-        self.tower = _Tower(ctx, self.N, relations)
+        self.tower = _Tower(ctx, self.N, self.relations)
         self.j_dims: dict[int, int] = {}
         self.equalities: dict[int, bool] = {}
         # (degree, {(word, g): raw}) of the first failing equality
@@ -386,84 +388,81 @@ class OracleEngine:
     def _continue(self, top: int) -> None:
         """The dimensions and equalities from ``top`` on, from F^mU = F^m/J^m.
 
-        Level m is K ⊕ V ⊗ F^{m-1}U: position g, then order + j·dim F^{m-1}U
-        + b for letter j and basis index b, kept as a ``_Level``.  V·J^{m-1}
-        is zero there, J^N = P, and above N, J^m = J^{m-1} + V·J^{m-1} +
-        J^{m-1}·V, so level m's rows are level m-1's carried by the inclusion
-        ι: F^{m-2}U -> F^{m-1}U and by ρ_v, right multiplication by the letter
-        v.  The images of each basis element under ι and ρ_v are computed
-        once per level, and the equality at m holds iff ι: F^{m-1}U -> F^mU
-        is injective.  Below ``top`` the levels are checked against the
-        dimensions the tower gave.
+        Level m is K ⊕ V ⊗ F^{m-1}U = F^m / V·J^{m-1}: position g is the
+        monomial ((), g), position order + j·dim F^{m-1}U + b the letter j in
+        front of basis monomial b of F^{m-1}U, and the level is a ``_Level``.
+        Its rows follow the tower's rule without the grading: the relations
+        times the basis monomials of F^kU for k = m-N, m-2N, ...  They span
+        the image of J^m = P·F^{m-N} + V·J^{m-1}: a monomial of degree at most
+        m-N is a combination of F^{m-N}U's basis plus an element of J^{m-N},
+        which P's terms with a letter send into V·J^{m-1} and its degree-0
+        part into J^{m-N} = P·F^{m-2N} + V·J^{m-N-1}, and so on down.  A
+        monomial reads as its first letter in front of its normal form one
+        level down; below ``top`` the bases (the standard monomials, nested)
+        and the normal forms are the tower's.  The equality at m holds iff
+        F^{m-1}U's basis stays independent in F^mU; at ``top``, where the
+        tower failed, it must not.
         """
         ctx = self.ctx
         field = ctx.field
         one = field.one
-        order, dimV, N = ctx.order, ctx.dimV, self.N
-        # g·e_v = (ρ(g)e_v) ⊗ g: the pairs (letter i, coefficient)
-        letters = [
-            [[(c // order, x) for c, x in ctx.append_letter({g: one}, v).items()] for v in range(dimV)]
-            for g in range(order)
-        ]
-        widths = []  # dim F^kU for k < m
-        prev = _Level({}, order)
-        iota = rho = None  # the images of F^{m-2}U's basis in F^{m-1}U
-        f_dim = order
-        for m in range(1, self.D + 1):
-            width = prev.adim  # dim F^{m-1}U
-            widths.append(width)
+        order, N, tower = ctx.order, self.N, self.tower
+        mult = ctx.group.mult_table
+        std = [mono for d in range(top) for mono in tower.reps(d)]
+        basis = {k: std[: tower.starts[k + 1]] for k in range(top)}  # F^kU's monomials
+        levels: dict = {}
+        memo: dict = {}
+        images: dict = {}  # g(s) for each (g, word of s)
 
-            def shift(j, vec):
-                return {order + j * width + b: x for b, x in vec.items()}
+        def nf(word, g, m):
+            """The monomial (word, g), of degree at most m, over F^mU's basis."""
+            if m < top:
+                return tower.global_nf(word, g)
+            got = memo.get((word, g, m))
+            if got is None:
+                got = memo[word, g, m] = levels[m].reduce(field, vector(word, g, m))
+            return got
 
-            def carry(pos, v):
-                """Position pos of level m-1 times the letter v (None: ι), over level m."""
-                if pos < order:
-                    if v is None:
-                        return {pos: one}
-                    out: dict = {}
-                    g_vec = prev.reduce(field, {pos: one})
-                    for i, c in letters[pos][v]:
-                        add_scaled(field, out, shift(i, g_vec), c)
-                    return out
-                j, b = divmod(pos - order, widths[m - 2])
-                return shift(j, (iota if v is None else rho[v])[b])
+        def vector(word, g, m):
+            """The monomial (word, g) over level m's positions."""
+            if not word:
+                return {g: one}
+            base = order + word[0] * len(basis[m - 1])
+            return {base + b: x for b, x in nf(word[1:], g, m - 1).items()}
 
+        f_dim = sum(ctx.component_dim(d) for d in range(top))
+        for m in range(top, self.D + 1):
+            width = len(basis[m - 1])
+            # F^kU's basis for k = m-N, m-2N, ...; the bases below top are
+            # nested, so the first k there covers the rest
+            factors = [mono for k in range(m - N, -1, -N) if k >= top - N for mono in basis[k]]
             elim = SparseEliminator(field)
-            if m == N:
-                # no rows below N: a monomial's position is its path of letters
-                for row in self.P.basis_sparse():
-                    vec = {}
-                    for c, raw in row.items():
-                        word, pos = self.P.layout.decode(c)
-                        for i in range(len(word) - 1, -1, -1):
-                            pos += order + word[i] * widths[N - 1 - i]
-                        vec[pos] = raw
-                    elim.add(vec)
-            elif m > N:
-                for row in prev.rows.values():
-                    for v in (None, *range(dimV)):
-                        out = {}
-                        for pos, x in row.items():
-                            add_scaled(field, out, carry(pos, v), x)
-                        elim.add(out)
-            level = _Level(elim.pivot_rows, order + dimV * width)
-            basis = list(prev.free())
-            # the images of F^{m-1}U's basis, read by level m+1's carry
-            iota, rho = (
-                [level.reduce(field, carry(pos, None)) for pos in basis],
-                [[level.reduce(field, carry(pos, v)) for pos in basis] for v in range(dimV)]
-                if m < self.D
-                else None,
-            )
+            for terms in self.relations:
+                for s, h in factors:
+                    row: dict = {}
+                    for word, g, raw in terms:
+                        image = images.get((g, s))
+                        if image is None:
+                            image = images[g, s] = ctx.apply_group_to_word(g, s)
+                        gh = mult[g][h]
+                        for tw, c in image:
+                            coeff = raw if c is one else field.mul(raw, c)
+                            add_scaled(field, row, vector(word + tw, gh, m), coeff)
+                    elim.add(row)
+            levels[m] = level = _Level(elim.pivot_rows, order + ctx.dimV * width)
             f_dim += ctx.component_dim(m)
-            if m < top and f_dim - level.adim != self.j_dim(m):
-                raise RuntimeError("internal error: the quotient levels disagree with the tower")
-            if m >= top:
-                self.j_dims[m] = f_dim - level.adim
-                injective = SparseEliminator(field)
-                self.equalities[m] = injective.add_all(iota) == width
-            prev = level
+            self.j_dims[m] = f_dim - level.adim
+            injective = SparseEliminator(field)
+            self.equalities[m] = injective.add_all(nf(w, g, m) for w, g in basis[m - 1]) == width
+            if m == top and self.equalities[m]:
+                raise RuntimeError("internal error: the continuation holds where the tower failed")
+            if m < self.D:
+                # the monomial at each position of level m, then F^mU's basis among them
+                at = [((), g) for g in range(order)]
+                at += [((j, *w), g) for j in range(ctx.dimV) for w, g in basis[m - 1]]
+                basis[m] = [at[pos] for pos in level.free()]
+        # nf and vector refer to each other: free the memo now, not at the next full collection
+        del nf, vector
 
     def j_dim(self, n: int) -> int:
         if n < self.N:

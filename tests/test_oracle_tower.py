@@ -3,17 +3,20 @@
 ``reference(pres, D)`` row-reduces J^D in F^D = ``Filtration(ctx, D)``, the
 way the oracle did before it built F^nU level by level.  The oracle itself
 never lays out F^D: its tower gives every dimension below the first
-failing degree n0 and the witness, and ``_continue`` the degrees from n0
-on in quotient coordinates.  On inputs that satisfy the equalities the
-tower must give the reference's dimensions, its standard monomials (the
-non-pivot coordinates of the reference) and its products in the truncated
-algebra; on inputs that do not, the tower must stop at the reference's
-first failing degree, the continuation must give the same dimensions and
-equalities, and the witness must be a valid element written over the
-standard monomials.  A witness is one representative, not a canonical one,
-so it is checked against what it must be, not against the reference's.
+failing degree n0 and the witness, and ``_continue`` builds the levels n0
+to D, each once, by the tower's rule (P times basis monomials) on the
+tower's basis and normal forms below n0.  On inputs that satisfy the
+equalities the tower must give the reference's dimensions, its standard
+monomials (the non-pivot coordinates of the reference) and its products in
+the truncated algebra; on inputs that do not, the tower must stop at the
+reference's first failing degree, the continuation must give the same
+dimensions and equalities, and the witness must be a valid element written
+over the standard monomials.  A witness is one representative, not a
+canonical one, so it is checked against what it must be, not against the
+reference's.
 """
 
+import gc
 import itertools
 import random
 from collections import Counter
@@ -23,6 +26,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from nkoszul import filtered
 from nkoszul.filtered import (
     FilteredPresentation,
     OracleEngine,
@@ -351,13 +355,52 @@ def test_the_oracle_never_lays_out_the_top_degree(monkeypatch):
     assert tops and max(tops) <= 3  # N + 1 for N = 2
 
 
-def test_the_continuation_checks_its_levels_against_the_tower():
-    engine = OracleEngine(non_jacobi(), 5)
+def test_the_continuation_must_fail_where_the_tower_failed():
+    # the equality holds at degree 2, so a continuation started there
+    # contradicts the tower, which only stops at a failing degree
+    with pytest.raises(RuntimeError, match="holds where the tower failed"):
+        OracleEngine(non_jacobi(), 5)._continue(2)
+
+
+def test_the_continuation_builds_only_the_levels_from_the_failure_on(monkeypatch):
+    built = []  # each level's number of positions
+    original = filtered._Level
+
+    class Recording(original):
+        __slots__ = ()
+
+        def __init__(self, rows, positions):
+            built.append(positions)
+            super().__init__(rows, positions)
+
+    monkeypatch.setattr(filtered, "_Level", Recording)
+    engine = OracleEngine(non_jacobi(), 8)
     engine.run()
-    engine._continue(3)
-    engine.j_dims[2] += 1
-    with pytest.raises(RuntimeError, match="disagree with the tower"):
-        engine._continue(3)
+    # levels 3..8; level 3 is K ⊕ V ⊗ F^2U, with dim F^2U = 1 + 3 + 6
+    assert len(built) == 6
+    assert built[0] == 1 + 3 * 10
+    assert sorted(engine.equalities) == list(range(2, 9))
+
+
+def test_the_continuation_leaves_no_reference_cycle():
+    # its normal forms go by reference counting on return, not by the cyclic collector
+    engine = OracleEngine(non_jacobi(), 8)
+    gc.collect()
+    gc.disable()
+    try:
+        engine.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_continuation_over_a_group_matches_the_reference():
+    # Z/3 over Q(zeta3): the tower fails at N = 2, so every level is the continuation's
+    for pres in non_equivariant_h_psi():
+        engine = pres.oracle(5)
+        ref = reference(pres, 5)
+        assert engine.witness[0] == pres.N == 2
+        assert (engine.j_dims, engine.equalities) == (ref.j_dims, ref.equalities)
 
 
 def test_non_jacobi_reaches_degree_twelve():
