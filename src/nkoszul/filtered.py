@@ -411,16 +411,20 @@ class OracleEngine:
         std = [mono for d in range(top) for mono in tower.reps(d)]
         basis = {k: std[: tower.starts[k + 1]] for k in range(top)}  # F^kU's monomials
         levels: dict = {}
-        memo: dict = {}
+        # level -> {(word, g): normal form}.  Level m's rows read m-1 and, on
+        # a miss, m-2, which level m-1's rows filled; the memos below m-2 are
+        # dropped, and a deeper miss refills them for this level only.
+        memos: dict = {}
         images: dict = {}  # g(s) for each (g, word of s)
 
         def nf(word, g, m):
             """The monomial (word, g), of degree at most m, over F^mU's basis."""
             if m < top:
                 return tower.global_nf(word, g)
-            got = memo.get((word, g, m))
+            memo = memos.setdefault(m, {})
+            got = memo.get((word, g))
             if got is None:
-                got = memo[word, g, m] = levels[m].reduce(field, vector(word, g, m))
+                got = memo[word, g] = levels[m].reduce(field, vector(word, g, m))
             return got
 
         def vector(word, g, m):
@@ -432,6 +436,8 @@ class OracleEngine:
 
         f_dim = sum(ctx.component_dim(d) for d in range(top))
         for m in range(top, self.D + 1):
+            for k in [k for k in memos if k < m - 2]:
+                del memos[k]
             width = len(basis[m - 1])
             # F^kU's basis for k = m-N, m-2N, ...; the bases below top are
             # nested, so the first k there covers the rest

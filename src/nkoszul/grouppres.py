@@ -52,7 +52,9 @@ class PsiMap:
     coefficient of the group element g; absent entries are zero.
     Alternation is structural, so no skew-symmetry needs verifying.
     Rational coefficients, and scalars of Q, are taken into the field of
-    ``conductor``.
+    ``conductor``.  ``known`` keeps what the checks computed for psi and a
+    group, keyed (name, group): the equivariance verdict and the
+    decomposition, so that ``theorem_44_verdict`` repeats neither.
     """
 
     def __init__(self, p: int, dimV: int, order: int, components: dict, conductor: int = 1):
@@ -83,6 +85,7 @@ class PsiMap:
             if clean:
                 comps[g] = clean
         self.components = comps
+        self.known: dict = {}
 
     def value(self, g: int, combo: tuple[int, ...]) -> Scalar:
         return self.components.get(g, {}).get(tuple(combo), Scalar.zero(self.conductor))
@@ -207,8 +210,12 @@ def build_H_psi(group: GroupData, psi: PsiMap) -> FilteredPresentation:
 
 def check_equivariance(group: GroupData, psi: PsiMap) -> bool:
     """psi(rho(g) w) = g psi(w) g^{-1}, componentwise over the group, for w
-    in Λ^p V with p the arity of psi."""
-    group, psi = _over(group, psi)
+    in Λ^p V with p the arity of psi; the verdict is kept in ``psi.known``."""
+    verdict = psi.known["equivariant", group] = _equivariant(*_over(group, psi))
+    return verdict
+
+
+def _equivariant(group: GroupData, psi: PsiMap) -> bool:
     field = get_field(psi.conductor)
     for g, columns in enumerate(group.maps):
         ginv = group.inverses[g]
@@ -268,12 +275,19 @@ def theorem_44_verdict(group: GroupData, psi: PsiMap) -> Theorem44Report:
 
     The wedge power of V splits along V = M_g ⊕ L_g; psi_g restricted to
     the summand with i factors from M_g must vanish unless i = a(g), where
-    p is the arity of psi.
+    p is the arity of psi.  The equivariance verdict and the decomposition
+    are read from ``psi.known`` when an earlier call left them there.
     """
+    known = psi.known
+    if ("equivariant", group) not in known:
+        check_equivariance(group, psi)
+    equivariant = known["equivariant", group]
+    key = ("decomposition", group)
     group, psi = _over(group, psi)
+    if key not in known:
+        known[key] = decompose(group, psi.p)
+    dec = known[key]
     field = get_field(psi.conductor)
-    dec = decompose(group, psi.p)
-    equivariant = check_equivariance(group, psi)
     per_g = []
     holds = equivariant
     for g in range(group.order):
@@ -309,6 +323,7 @@ def build_psi_corollary45(
     scalars, required constant on conjugacy classes, multiplying psi_g.
     """
     dimV = group.dimV
+    given = group
     group, base = _over(group, PsiMap(p, dimV, group.order, {0: phi}, conductor))
     conductor = base.conductor
     field = get_field(conductor)
@@ -359,7 +374,10 @@ def build_psi_corollary45(
             table = {k: v * factors[g] for k, v in table.items()}
         if table:
             components[g] = table
-    return PsiMap(p, dimV, group.order, components, conductor)
+    psi = PsiMap(p, dimV, group.order, components, conductor)
+    # over psi's field, as theorem_44_verdict would compute it
+    psi.known["decomposition", given] = dec
+    return psi
 
 
 def build_psi_symplectic_reflection(

@@ -7,10 +7,14 @@ E (x)_K A_{n-1} (letter j, A_{n-1} basis index b) and stores only the
 canonical rows of the relations there, keyed by pivot, with the pivots
 sorted.  The A_n basis is the non-pivot positions in order: position pos
 has basis index pos − bisect_left(pivots, pos), and its monomial is
-decoded on demand through divmod(pos, adim(n-1)) down the levels.  So
-graded dimensions, normal forms of monomials (one pivot-rule reduction per
-letter, ``elim.normal_form``) and canonical monomial bases come without
-materializing the ideal in the ambient tensor component.  On top of the tower sit:
+decoded on demand through divmod(pos, adim(n-1)) down the levels.  Level n
+is built on the basis indices b of A_{n-N}, not on their words: a
+relation's row for b puts each term's letters in front of b one at a
+time, with one pivot-rule reduction (``elim.normal_form``) per level, so
+over the trivial group the build decodes no monomial and stores no normal
+form of a word.  Graded dimensions, normal forms of monomials and
+canonical monomial bases come without materializing the ideal in the
+ambient tensor component.  On top of the tower sit:
 
 * ``w_rows``                   -- W_n: V^{⊗n}⊗K below N, R in degree N, and
                              the intersection of all placements of R above,
@@ -242,8 +246,10 @@ class _Tower:
     degree-n entry is a failing equality J^n ∩ F^{n-1} = J^{n-1}: ``ensure``
     stops at the first one and keeps it as ``witness``, keyed by global
     index (``monomial``).  A level is a ``_Level`` (no eliminator, no
-    words), ``reps`` decodes monomials on demand, and ``_nf_memo`` holds
-    the normal forms.
+    words) and ``reps`` decodes monomials on demand.  ``ensure`` builds
+    level n on the basis indices of degree n-N (``_relation_rows``).
+    ``_nf_memo`` holds the normal forms ``nf`` gives to outside callers;
+    the build adds to it only the starts g(s) ⊗ gh of group elements g ≠ 1.
     """
 
     def __init__(self, ctx: TensorContext, N: int, relations: list):
@@ -289,46 +295,86 @@ class _Tower:
 
     def ensure(self, n: int) -> Optional[int]:
         """Build the levels up to n; the first failing degree, or None."""
-        ctx = self.ctx
-        field = ctx.field
-        one = field.one
-        mult = ctx.group.mult_table
+        field = self.ctx.field
         while len(self.levels) <= n:
             if self.failed is not None:
                 return self.failed
             lv = len(self.levels)
-            positions = ctx.dimV * self.levels[-1].adim
+            positions = self.ctx.dimV * self.levels[-1].adim
             elim = SparseEliminator(field)
             if lv >= self.N:
-                images: dict = {}  # g(s) for each (g, word of s), this level only
-                lower_reps = self.reps(lv - self.N)
-                for terms in self.relations:
-                    for wb, gb in lower_reps:
-                        row: dict = {}
-                        for word, g, raw in terms:
-                            image = images.get((g, wb))
-                            if image is None:
-                                image = images[g, wb] = ctx.apply_group_to_word(g, wb)
-                            ggb = mult[g][gb]
-                            for tw, c in image:
-                                coeff = raw if c is one else field.mul(raw, c)
-                                add_scaled(field, row, self._vector(word + tw, ggb, lv), coeff)
-                        piv = elim.add(row)
-                        if piv is not None and piv >= positions:
-                            # every key is lower: an element of F^{lv-1}U
-                            self.failed = lv
-                            self.witness = {k - _LOWER: v for k, v in elim.pivot_rows[piv].items()}
-                            return lv
+                # each row is dropped once inserted; the eliminator keeps its own
+                rows = self._relation_rows(lv)
+                rows.reverse()
+                while rows:
+                    piv = elim.add(rows.pop())
+                    if piv is not None and piv >= positions:
+                        # every key is lower: an element of F^{lv-1}U
+                        self.failed = lv
+                        self.witness = {k - _LOWER: v for k, v in elim.pivot_rows[piv].items()}
+                        return lv
             # only the rows: the column index serves inserts, and this level is done
             self.levels.append(_Level(elim.pivot_rows, positions))
             self.starts.append(self.starts[-1] + self.levels[-1].adim)
         return None
 
-    def _vector(self, word: tuple[int, ...], g: int, n: int) -> dict:
-        """The monomial (word, g), of degree at most n, over level n's keys."""
-        if len(word) < n:
-            return self._lifted(len(word), self.nf(word, g))
-        return self._front(word[0], self.nf(word[1:], g), n)
+    def _relation_rows(self, lv: int) -> list:
+        """Each relation times each basis monomial s_b of degree lv-N, over level lv's keys.
+
+        A term (word, g, raw) gives raw·word·g(s_b): its letters go in front
+        of the start, last one first, with one reduction per level below lv
+        (``_chain``).  The start is {b: one} for the identity, otherwise
+        ``nf`` of g(s_b) ⊗ g·g_b.  The chains of one b are shared by all
+        relations, then dropped.  Rows are built b-major and returned
+        relation-major, the order that picks the witness.
+        """
+        ctx = self.ctx
+        field = ctx.field
+        one = field.one
+        mult = ctx.group.mult_table
+        base = lv - self.N
+        moved = {g for terms in self.relations for _, g, _ in terms} - {0}
+        reps = self.reps(base) if moved else None
+        images: dict = {}  # g(s) for each (g, word of s), this level only
+        out: list = [[] for _ in self.relations]
+        for b in range(self.levels[base].adim):
+            chains: dict = {((), 0): {b: one}}  # (suffix, g) -> nf of suffix·g(s_b)
+            if moved:
+                wb, gb = reps[b]
+                for g in moved:
+                    image = images.get((g, wb))
+                    if image is None:
+                        image = images[g, wb] = ctx.apply_group_to_word(g, wb)
+                    start: dict = {}
+                    for tw, c in image:
+                        add_scaled(field, start, self.nf(tw, mult[g][gb]), c)
+                    chains[(), g] = start
+            for terms, rows in zip(self.relations, out):
+                row: dict = {}
+                for word, g, raw in terms:
+                    if len(word) == self.N:
+                        vec = self._front(word[0], self._chain(chains, word[1:], g, base), lv)
+                    else:
+                        vec = self._lifted(base + len(word), self._chain(chains, word, g, base))
+                    add_scaled(field, row, vec, raw)
+                rows.append(row)
+        return [row for rows in out for row in rows]
+
+    def _chain(self, chains: dict, word: tuple[int, ...], g: int, base: int) -> dict:
+        """The normal form of word times the start ``chains[(), g]`` of degree base.
+
+        The longest suffix already in ``chains`` is extended one letter at
+        a time, each step stored: letter in front, then one reduction.
+        """
+        i = 0
+        while (word[i:], g) not in chains:
+            i += 1
+        vec = chains[word[i:], g]
+        field = self.ctx.field
+        for k in range(i - 1, -1, -1):
+            d = base + len(word) - k
+            vec = chains[word[k:], g] = self.levels[d].reduce(field, self._front(word[k], vec, d))
+        return vec
 
     def _front(self, j: int, vec: dict, n: int) -> dict:
         """Letter j in front of a degree-(n-1) normal form, over level n's keys."""
@@ -366,16 +412,15 @@ class _Tower:
         return {(start + k if k < lower else k - lower): v for k, v in self.nf(word, g).items()}
 
     def nf(self, word: tuple[int, ...], g: int) -> dict:
-        """Normal form of a monomial: A_n basis indices, then lower keys."""
-        key = (word, g)
-        memo = self._nf_memo
-        got = memo.get(key)
-        if got is not None:
-            return got
-        n = len(word)
-        self.ensure(n)
-        out = memo[key] = self.levels[n].reduce(self.ctx.field, self._vector(word, g, n))
-        return out
+        """Normal form of a monomial: A_n basis indices, then lower keys.
+
+        The chain of ((), g) = {g: one}, kept with every suffix in ``_nf_memo``.
+        """
+        got = self._nf_memo.get((word, g))
+        if got is None:
+            self.ensure(len(word))
+            got = self._chain(self._nf_memo, word, g, 0)
+        return got
 
 
 # -- reports ---------------------------------------------------------------

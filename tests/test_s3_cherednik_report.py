@@ -13,7 +13,10 @@ import json
 import sys
 from pathlib import Path
 
+from nkoszul import cli, grouppres
 from nkoszul.cli import RunConfig, run
+from nkoszul.grouppres import PsiMap, theorem_44_verdict
+from nkoszul.jsonio import parse_input
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,3 +63,34 @@ def test_s3_cherednik_all_report_matches_the_recorded_digest(tmp_path):
     assert code == 0
     assert all(entry["ok"] is not False for entry in report["checks"].values())
     assert body_digest(report) == S3_ALL_D4_SHA256
+
+
+def test_psi_equivariance_and_decomposition_are_computed_once(tmp_path, monkeypatch):
+    # once for phi's invariance while psi is built, once for psi; the
+    # decomposition Corollary 4.5 built psi with is the one theorem44 reads
+    calls = {"check_equivariance": 0, "decompose": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    check = counted("check_equivariance", grouppres.check_equivariance)
+    monkeypatch.setattr(grouppres, "check_equivariance", check)
+    monkeypatch.setattr(cli, "check_equivariance", check)
+    monkeypatch.setattr(grouppres, "decompose", counted("decompose", grouppres.decompose))
+    path = tmp_path / "s3_cherednik.json"
+    path.write_text(json.dumps(S3_CHEREDNIK))
+    config = RunConfig(input_path=str(path), degree_bound=4, checks=["equivariance", "theorem44"], format="json")
+    report, code = run(config)
+    assert code == 0
+    assert calls == {"check_equivariance": 2, "decompose": 1}
+    # the reused results give the verdict a fresh psi gets
+    pres, psi = parse_input(S3_CHEREDNIK)
+    fresh = PsiMap(psi.p, psi.dimV, psi.order, psi.components, psi.conductor)
+    assert not fresh.known
+    expected = theorem_44_verdict(pres.ctx.group, fresh).to_json()
+    assert {k: v for k, v in report["checks"]["theorem44"].items() if k != "ok"} == expected
+    assert report["checks"]["equivariance"]["ok"] is expected["equivariant"] is True
