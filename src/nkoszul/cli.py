@@ -152,6 +152,8 @@ def run(config: RunConfig):
 
     D = config.degree_bound
     selected = list(config.checks)
+    if not selected:
+        return {"error": "no checks selected"}, 2
     from_all = "all" in selected
     if from_all:
         selected = [

@@ -20,11 +20,10 @@ and the direct form of (J) cut P's canonical rows by pivot, and the lifted
 form reduces against them.  A row of the tower without a top-degree entry
 is precisely a witness that the filtration equality fails at that degree
 n0; the oracle reports it over the standard monomials of lower degree.
-From n0 on it builds each degree once, as the quotient level
-K ⊕ V ⊗ F^{m-1}U of P times basis monomials, on the tower's basis and
-normal forms below n0.  It never lays out F^D.  The truncated algebra in
-``komplex`` reads its basis, the standard monomials, and its normal forms
-off the same tower.
+The tower goes on past n0, every degree built once by the same rule, and
+the oracle reads every dimension and equality off its levels.  It never
+lays out F^D.  The truncated algebra in ``komplex`` reads its basis, the
+standard monomials, and its normal forms off the same tower.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .elim import (
-    SparseEliminator,
     TaggedRows,
     add_scaled,
     combine,
@@ -45,7 +43,6 @@ from .elim import (
 from .homogeneous import (
     HomogeneousAlgebra,
     Tor3Report,
-    _Level,
     _Tower,
     check_tor3_concentration,
     is_antisymmetrizer_relations,
@@ -330,15 +327,16 @@ class OracleEngine:
     """The filtered pieces F^nU = F^n/J^n, built level by level up to D.
 
     ``tower`` is ``homogeneous._Tower`` on the relations P, the class that
-    builds A_n from R: level n is K ⊕ V ⊗ F^{n-1}U modulo P times the
-    standard monomials of degree n-N, and its non-pivot positions are the
-    standard monomials of degree n, as many as dim A_n while the equalities
-    hold.  The tower gives every dimension below the first failing degree
-    n0, and its row without a degree-n0 entry is the witness, an element of
-    J^{n0} ∩ F^{n0-1} written over the standard monomials of lower degree,
-    which are a basis of F^{n0-1}U.  ``_continue`` builds the levels n0..D,
-    each once and by the same rule without the grading, and gives their
-    dimensions and equalities; no level reaches F^D.
+    builds A_n from R.  Its level n is V ⊗ T_{n-1} ⊕ F^{n-1}U modulo P
+    times the standard monomials of degree n-N, with T_{n-1} the level's
+    top basis: the standard monomials of degree n-1, as many as dim A_{n-1}
+    while the equalities hold.  So dim F^nU = Σ_{d≤n} adim(d) −
+    collapsed(n), where the collapsed rows span the kernel of the lower
+    keys.  The equality J^n ∩ F^{n-1} = J^{n-1} holds iff F^{n-1}U embeds in
+    F^nU, that is iff collapsed(n) = collapsed(n-1).  The first collapsed
+    row is the witness, an element of J^{n0} ∩ F^{n0-1} written over the
+    standard monomials of lower degree.  Every level is built once, and
+    none reaches F^D.
     """
 
     def __init__(self, pres: FilteredPresentation, D: int):
@@ -349,12 +347,12 @@ class OracleEngine:
         self.N = pres.N
         self.alg = pres.homogenization()
         self.D = D
-        # P's canonical rows as terms (word, g, raw), read by the tower and ``_continue``
-        self.relations = [
+        # P's canonical rows as terms (word, g, raw)
+        relations = [
             [(*pres.P.layout.decode(c), raw) for c, raw in row.items()]
             for row in pres.P.basis_sparse()
         ]
-        self.tower = _Tower(ctx, self.N, self.relations)
+        self.tower = _Tower(ctx, self.N, relations)
         self.j_dims: dict[int, int] = {}
         self.equalities: dict[int, bool] = {}
         # (degree, {(word, g): raw}) of the first failing equality
@@ -369,106 +367,20 @@ class OracleEngine:
         failed = tower.ensure(self.D)
         ctx = self.ctx
         graded = self.alg.tower()
-        f_dim = std_dim = 0
-        for n in range(self.D + 1 if failed is None else failed):
-            level = tower.levels[n]
-            if level.adim != graded.adim(n):
+        f_dim = top_dim = 0
+        levels = tower.levels[: self.D + 1]
+        for n, level in enumerate(levels):
+            if (failed is None or n < failed) and level.adim != graded.adim(n):
                 raise RuntimeError(
                     "internal error: the standard monomials disagree with the graded algebra"
                 )
             f_dim += ctx.component_dim(n)
-            std_dim += level.adim
+            top_dim += level.adim
             if n >= self.N:
-                self.j_dims[n] = f_dim - std_dim
-                self.equalities[n] = True
+                self.j_dims[n] = f_dim - (top_dim - level.collapsed)
+                self.equalities[n] = level.collapsed == levels[n - 1].collapsed
         if failed is not None:
             self.witness = (failed, {tower.monomial(i): v for i, v in tower.witness.items()})
-            self._continue(failed)
-
-    def _continue(self, top: int) -> None:
-        """The dimensions and equalities from ``top`` on, from F^mU = F^m/J^m.
-
-        Level m is K ⊕ V ⊗ F^{m-1}U = F^m / V·J^{m-1}: position g is the
-        monomial ((), g), position order + j·dim F^{m-1}U + b the letter j in
-        front of basis monomial b of F^{m-1}U, and the level is a ``_Level``.
-        Its rows follow the tower's rule without the grading: the relations
-        times the basis monomials of F^kU for k = m-N, m-2N, ...  They span
-        the image of J^m = P·F^{m-N} + V·J^{m-1}: a monomial of degree at most
-        m-N is a combination of F^{m-N}U's basis plus an element of J^{m-N},
-        which P's terms with a letter send into V·J^{m-1} and its degree-0
-        part into J^{m-N} = P·F^{m-2N} + V·J^{m-N-1}, and so on down.  A
-        monomial reads as its first letter in front of its normal form one
-        level down; below ``top`` the bases (the standard monomials, nested)
-        and the normal forms are the tower's.  The equality at m holds iff
-        F^{m-1}U's basis stays independent in F^mU; at ``top``, where the
-        tower failed, it must not.
-        """
-        ctx = self.ctx
-        field = ctx.field
-        one = field.one
-        order, N, tower = ctx.order, self.N, self.tower
-        mult = ctx.group.mult_table
-        std = [mono for d in range(top) for mono in tower.reps(d)]
-        basis = {k: std[: tower.starts[k + 1]] for k in range(top)}  # F^kU's monomials
-        levels: dict = {}
-        # level -> {(word, g): normal form}.  Level m's rows read m-1 and, on
-        # a miss, m-2, which level m-1's rows filled; the memos below m-2 are
-        # dropped, and a deeper miss refills them for this level only.
-        memos: dict = {}
-        images: dict = {}  # g(s) for each (g, word of s)
-
-        def nf(word, g, m):
-            """The monomial (word, g), of degree at most m, over F^mU's basis."""
-            if m < top:
-                return tower.global_nf(word, g)
-            memo = memos.setdefault(m, {})
-            got = memo.get((word, g))
-            if got is None:
-                got = memo[word, g] = levels[m].reduce(field, vector(word, g, m))
-            return got
-
-        def vector(word, g, m):
-            """The monomial (word, g) over level m's positions."""
-            if not word:
-                return {g: one}
-            base = order + word[0] * len(basis[m - 1])
-            return {base + b: x for b, x in nf(word[1:], g, m - 1).items()}
-
-        f_dim = sum(ctx.component_dim(d) for d in range(top))
-        for m in range(top, self.D + 1):
-            for k in [k for k in memos if k < m - 2]:
-                del memos[k]
-            width = len(basis[m - 1])
-            # F^kU's basis for k = m-N, m-2N, ...; the bases below top are
-            # nested, so the first k there covers the rest
-            factors = [mono for k in range(m - N, -1, -N) if k >= top - N for mono in basis[k]]
-            elim = SparseEliminator(field)
-            for terms in self.relations:
-                for s, h in factors:
-                    row: dict = {}
-                    for word, g, raw in terms:
-                        image = images.get((g, s))
-                        if image is None:
-                            image = images[g, s] = ctx.apply_group_to_word(g, s)
-                        gh = mult[g][h]
-                        for tw, c in image:
-                            coeff = raw if c is one else field.mul(raw, c)
-                            add_scaled(field, row, vector(word + tw, gh, m), coeff)
-                    elim.add(row)
-            levels[m] = level = _Level(elim.pivot_rows, order + ctx.dimV * width)
-            f_dim += ctx.component_dim(m)
-            self.j_dims[m] = f_dim - level.adim
-            injective = SparseEliminator(field)
-            self.equalities[m] = injective.add_all(nf(w, g, m) for w, g in basis[m - 1]) == width
-            if m == top and self.equalities[m]:
-                raise RuntimeError("internal error: the continuation holds where the tower failed")
-            if m < self.D:
-                # the monomial at each position of level m, then F^mU's basis among them
-                at = [((), g) for g in range(order)]
-                at += [((j, *w), g) for j in range(ctx.dimV) for w, g in basis[m - 1]]
-                basis[m] = [at[pos] for pos in level.free()]
-        # nf and vector refer to each other: free the memo now, not at the next full collection
-        del nf, vector
 
     def j_dim(self, n: int) -> int:
         if n < self.N:

@@ -12,9 +12,12 @@ is built on the basis indices b of A_{n-N}, not on their words: a
 relation's row for b puts each term's letters in front of b one at a
 time, with one pivot-rule reduction (``elim.normal_form``) per level, so
 over the trivial group the build decodes no monomial and stores no normal
-form of a word.  Graded dimensions, normal forms of monomials and
-canonical monomial bases come without materializing the ideal in the
-ambient tensor component.  On top of the tower sit:
+form of a word.  With lower-degree relation terms (the filtered pieces of
+U) a level can collapse: some rows have no top entry.  The build goes on
+past that degree, and the next level starts from those collapse rows and
+from V times them, the carried rows.  Graded dimensions, normal forms of
+monomials and canonical monomial bases come without materializing the
+ideal in the ambient tensor component.  On top of the tower sit:
 
 * ``w_rows``                   -- W_n: V^{⊗n}⊗K below N, R in degree N, and
                              the intersection of all placements of R above,
@@ -203,18 +206,25 @@ class _Level:
     One degree n of the quotient tower: ``rows`` maps each pivot to its
     canonical row of the relations in degree n, on the ``positions`` =
     dimV·adim(n-1) coordinates j·adim(n-1) + b (letter j, A_{n-1} basis
-    index b) and lower keys; ``pivots`` are the rows' pivots, sorted.  The
-    quotient basis is the complement of ``pivots`` in range(positions), in
-    order, so position pos has index pos − bisect_left(pivots, pos).
+    index b) and lower keys.  ``pivots`` are the top pivots, those below
+    ``positions``, sorted.  The quotient basis is the complement of
+    ``pivots`` in range(positions), in order, so position pos has index
+    pos − bisect_left(pivots, pos).  The ``collapsed`` rows with a lower
+    pivot have no top entry: they span the lower-degree elements that
+    vanish in degree n.  A graded tower has none.
     """
 
-    __slots__ = ("rows", "pivots", "positions", "adim")
+    __slots__ = ("rows", "pivots", "positions", "adim", "collapsed")
 
     def __init__(self, rows: dict, positions: int):
         self.rows = rows
-        self.pivots = sorted(rows)
+        pivots = sorted(rows)
+        top = bisect_left(pivots, positions)
+        self.collapsed = len(pivots) - top
+        del pivots[top:]
+        self.pivots = pivots
         self.positions = positions
-        self.adim = positions - len(rows)
+        self.adim = positions - top
 
     def free(self):
         """The non-pivot positions, ascending: basis index b is the b-th."""
@@ -243,11 +253,18 @@ class _Tower:
     degree n-N; a term w ⊗ g enters as w·g(s) ⊗ gh.  With R every term has
     degree N and level n is E ⊗_K A_{n-1} ->> A_n.  With P the lower-degree
     terms give the normal forms tails of lower degree, and a row without a
-    degree-n entry is a failing equality J^n ∩ F^{n-1} = J^{n-1}: ``ensure``
-    stops at the first one and keeps it as ``witness``, keyed by global
-    index (``monomial``).  A level is a ``_Level`` (no eliminator, no
-    words) and ``reps`` decodes monomials on demand.  ``ensure`` builds
-    level n on the basis indices of degree n-N (``_relation_rows``).
+    degree-n entry, a collapse row, is a failing equality
+    J^n ∩ F^{n-1} = J^{n-1}: ``ensure`` keeps the first one as ``witness``,
+    keyed by global index (``monomial``), and does not stop there.  The
+    lower keys of level n are the top bases of all degrees below n, so
+    level n-1's collapse rows, which span the kernel of the lower keys in
+    F^{n-1}U, start level n, and so do their carried rows, each letter in
+    front of one of them: modulo both the keys are V ⊗ T_{n-1} ⊕ F^{n-1}U,
+    with T_{n-1} level n-1's top basis.  P times the top basis of degree
+    n-N then spans the rest of J^n, before a failure and after it.  A
+    level is a ``_Level`` (no eliminator, no words) and ``reps`` decodes
+    monomials on demand.  ``ensure`` builds level n on the basis indices
+    of degree n-N (``_relation_rows``).
     ``_nf_memo`` holds the normal forms ``nf`` gives to outside callers;
     the build adds to it only the starts g(s) ⊗ gh of group elements g ≠ 1.
     """
@@ -294,29 +311,36 @@ class _Tower:
         return self.reps(d)[i - self.starts[d]]
 
     def ensure(self, n: int) -> Optional[int]:
-        """Build the levels up to n; the first failing degree, or None."""
+        """Build the levels up to n, past a failure too; the first failing degree, or None."""
         field = self.ctx.field
         while len(self.levels) <= n:
-            if self.failed is not None:
-                return self.failed
             lv = len(self.levels)
-            positions = self.ctx.dimV * self.levels[-1].adim
+            below = self.levels[-1]
+            positions = self.ctx.dimV * below.adim
             elim = SparseEliminator(field)
+            if below.collapsed:
+                # the collapse rows one level down and their carried rows;
+                # ``add`` inserts a copy, so the level below stays as it is
+                kernel = [row for p, row in below.rows.items() if p >= below.positions]
+                for row in kernel:
+                    elim.add(row)
+                for row in kernel:
+                    for j in range(self.ctx.dimV):
+                        elim.add(self._front(j, row, lv))
             if lv >= self.N:
                 # each row is dropped once inserted; the eliminator keeps its own
                 rows = self._relation_rows(lv)
                 rows.reverse()
                 while rows:
                     piv = elim.add(rows.pop())
-                    if piv is not None and piv >= positions:
+                    if piv is not None and piv >= positions and self.failed is None:
                         # every key is lower: an element of F^{lv-1}U
                         self.failed = lv
                         self.witness = {k - _LOWER: v for k, v in elim.pivot_rows[piv].items()}
-                        return lv
             # only the rows: the column index serves inserts, and this level is done
             self.levels.append(_Level(elim.pivot_rows, positions))
             self.starts.append(self.starts[-1] + self.levels[-1].adim)
-        return None
+        return self.failed
 
     def _relation_rows(self, lv: int) -> list:
         """Each relation times each basis monomial s_b of degree lv-N, over level lv's keys.

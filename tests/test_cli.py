@@ -260,6 +260,14 @@ def test_unknown_check_exit_two(tmp_path):
     assert code == 2
 
 
+def test_empty_check_selection_exit_two(tmp_path, capsys):
+    path = write(tmp_path, "du.json", DOWN_UP)
+    assert run(RunConfig(input_path=path, checks=[])) == ({"error": "no checks selected"}, 2)
+    # "," splits into no check names: nothing runs, so nothing can pass
+    assert main(["--input", path, "--checks", ",", "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "no checks selected"}
+
+
 def test_bound_below_2N_for_pbw_exit_two(tmp_path):
     path = write(tmp_path, "du.json", DOWN_UP)
     report, code = run(RunConfig(input_path=path, degree_bound=5, checks=["pbw"]))

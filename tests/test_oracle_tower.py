@@ -2,18 +2,18 @@
 
 ``reference(pres, D)`` row-reduces J^D in F^D = ``Filtration(ctx, D)``, the
 way the oracle did before it built F^nU level by level.  The oracle itself
-never lays out F^D: its tower gives every dimension below the first
-failing degree n0 and the witness, and ``_continue`` builds the levels n0
-to D, each once, by the tower's rule (P times basis monomials) on the
-tower's basis and normal forms below n0.  On inputs that satisfy the
-equalities the tower must give the reference's dimensions, its standard
-monomials (the non-pivot coordinates of the reference) and its products in
-the truncated algebra; on inputs that do not, the tower must stop at the
-reference's first failing degree, the continuation must give the same
-dimensions and equalities, and the witness must be a valid element written
-over the standard monomials.  A witness is one representative, not a
-canonical one, so it is checked against what it must be, not against the
-reference's.
+never lays out F^D: its tower builds every level up to D, each once, by
+one rule (P times basis monomials).  Past the first failing degree n0 a
+level also starts from the rows that collapsed one level down, the
+lower-degree elements that vanished there, and from V times them.  On
+inputs that satisfy the equalities the tower must give the reference's
+dimensions, its standard monomials (the non-pivot coordinates of the
+reference) and its products in the truncated algebra; on inputs that do
+not, the tower must fail at the reference's first failing degree, give the
+same dimensions and equalities at every degree, and its witness must be a
+valid element written over the standard monomials.  A witness is one
+representative, not a canonical one, so it is checked against what it
+must be, not against the reference's.
 """
 
 import gc
@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from nkoszul import filtered
+from nkoszul import homogeneous
 from nkoszul.filtered import (
     FilteredPresentation,
     OracleEngine,
@@ -39,7 +39,7 @@ from nkoszul.elim import SparseEliminator
 from nkoszul.grouppres import PsiMap, build_H_psi
 from nkoszul.homogeneous import _Tower
 from nkoszul.jsonio import load_input
-from nkoszul.komplex import NComplexSlice, TruncatedU
+from nkoszul.komplex import TruncatedU
 from nkoszul.scalar import MatrixS, Scalar
 from nkoszul.smashtensor import Filtration, FilteredSubspace, GroupData, TensorContext
 
@@ -173,23 +173,22 @@ def test_tower_agrees_with_the_full_space_on_random_presentations():
         pres, D = random_presentation(rng)
         ref = reference(pres, D)
         engine = OracleEngine(pres, D)
-        stopped = engine.tower.ensure(D)
-        assert stopped == first_failure(ref)
-        outcomes["pbw" if stopped is None else "at N" if stopped == pres.N else "above N"] += 1
-        std = tower_std(engine, ref.layout) if stopped is None else None
+        failed = engine.tower.ensure(D)
+        assert failed == first_failure(ref)
+        outcomes["pbw" if failed is None else "at N" if failed == pres.N else "above N"] += 1
+        std = tower_std(engine, ref.layout) if failed is None else None
         engine.run()
-        # the report never depends on the path: failing inputs continue
-        # past their first failure in quotient coordinates
+        # failing inputs have their levels past the first failure too
         assert (engine.j_dims, engine.equalities) == (ref.j_dims, ref.equalities)
-        if stopped is None:
+        if failed is None:
             assert engine.witness is None
             assert std == reference_std(ref)
         else:
-            assert engine.witness[0] == ref.witness[0] == stopped
+            assert engine.witness[0] == ref.witness[0] == failed
             assert_valid_witness(pres, engine)
-            outcomes["continued"] += stopped < D
-    # both paths are exercised, failures past the first level too, and
-    # failures below D, so the continuation has degrees to fill
+            outcomes["continued"] += failed < D
+    # passing and failing inputs, failures past the first level too, and
+    # failures below D, so the tower has levels past the failure to build
     assert min(outcomes[k] for k in ("pbw", "at N", "above N", "continued")) >= 10
 
 
@@ -299,25 +298,6 @@ def test_sl2_tower_holds_a_row_per_pivot_position():
     assert sum(level.adim for level in engine.tower.levels) == 165
 
 
-def test_the_continuation_runs_only_when_an_equality_fails(monkeypatch):
-    runs = []
-    original = OracleEngine._continue
-
-    def counting(self, top):
-        runs.append(top)
-        original(self, top)
-
-    monkeypatch.setattr(OracleEngine, "_continue", counting)
-    assert pbw_verdict(sl2(), 6).certified
-    assert oracle_pbw(build_down_up(2, -1, 1), 8).holds
-    NComplexSlice(fixture("sr_z6"), 4)
-    assert runs == []
-    # the tower gives degree 2 and the witness; degrees 3 to 5 come from the continuation
-    rep = oracle_pbw(non_jacobi(), 5)
-    assert runs == [3]
-    assert rep.witness_degree == 3 and not rep.equalities[3]
-
-
 def test_the_witness_is_written_over_the_standard_monomials():
     rng = random.Random(12)
     cases = [random_presentation(rng) for _ in range(150)] + [(pres, 4) for pres in non_equivariant_h_psi()]
@@ -355,16 +335,9 @@ def test_the_oracle_never_lays_out_the_top_degree(monkeypatch):
     assert tops and max(tops) <= 3  # N + 1 for N = 2
 
 
-def test_the_continuation_must_fail_where_the_tower_failed():
-    # the equality holds at degree 2, so a continuation started there
-    # contradicts the tower, which only stops at a failing degree
-    with pytest.raises(RuntimeError, match="holds where the tower failed"):
-        OracleEngine(non_jacobi(), 5)._continue(2)
-
-
-def test_the_continuation_builds_only_the_levels_from_the_failure_on(monkeypatch):
+def test_the_tower_builds_every_level_once_past_the_failure(monkeypatch):
     built = []  # each level's number of positions
-    original = filtered._Level
+    original = homogeneous._Level
 
     class Recording(original):
         __slots__ = ()
@@ -373,17 +346,54 @@ def test_the_continuation_builds_only_the_levels_from_the_failure_on(monkeypatch
             built.append(positions)
             super().__init__(rows, positions)
 
-    monkeypatch.setattr(filtered, "_Level", Recording)
-    engine = OracleEngine(non_jacobi(), 8)
+    pres = non_jacobi()
+    pres.homogenization().tower().ensure(8)  # the graded levels, recorded by no one
+    monkeypatch.setattr(homogeneous, "_Level", Recording)
+    engine = OracleEngine(pres, 8)
     engine.run()
-    # levels 3..8; level 3 is K ⊕ V ⊗ F^2U, with dim F^2U = 1 + 3 + 6
-    assert len(built) == 6
-    assert built[0] == 1 + 3 * 10
+    tower = engine.tower
+    # levels 0..8, each once; the first failure stays the one reported
+    assert len(built) == len(tower.levels) == 9
+    assert tower.ensure(8) == 3 and len(built) == 9
+    assert engine.witness == (3, {((0,), 0): engine.ctx.field.one})
     assert sorted(engine.equalities) == list(range(2, 9))
 
 
+def test_the_tower_gives_the_levels_past_its_failure():
+    # non-Jacobi fails at degree 3; its degree-4 level has 15 top positions
+    tower = non_jacobi().oracle(5).tower
+    assert tower.failed == 3
+    assert tower.adim(4) == 15
+    reps = tower.reps(4)
+    assert len(reps) == 15 and all(len(word) == 4 for word, _ in reps)
+    # a lower-degree element vanished at degree 3 and stays collapsed, with V times it
+    assert [level.collapsed for level in tower.levels] == [0, 0, 0, 1, 4, 10]
+    # the levels past 3 start from level 3's rows and leave them as they were
+    fresh = _Tower(tower.ctx, tower.N, tower.relations)
+    fresh.ensure(3)
+    assert fresh.levels[3].rows == tower.levels[3].rows
+
+
+def test_the_levels_past_the_failure_match_the_reference_at_larger_bounds():
+    # two degrees more for dimV 2 and one for dimV 3: most failing inputs
+    # continue for several degrees past their first failure
+    rng = random.Random(7)
+    continued = 0
+    for _ in range(120):
+        pres, D = random_presentation(rng)
+        D += 2 if pres.ctx.dimV == 2 else 1
+        engine = pres.oracle(D)
+        ref = reference(pres, D)
+        assert (engine.j_dims, engine.equalities) == (ref.j_dims, ref.equalities)
+        assert (engine.witness is None) == (ref.witness is None)
+        if engine.witness is not None:
+            assert engine.witness[0] == ref.witness[0]
+            continued += engine.witness[0] < D
+    assert continued >= 40
+
+
 def test_the_continuation_leaves_no_reference_cycle():
-    # its normal forms go by reference counting on return, not by the cyclic collector
+    # the levels past the failure go by reference counting, not by the cyclic collector
     engine = OracleEngine(non_jacobi(), 8)
     gc.collect()
     gc.disable()
@@ -395,7 +405,7 @@ def test_the_continuation_leaves_no_reference_cycle():
 
 
 def test_the_continuation_over_a_group_matches_the_reference():
-    # Z/3 over Q(zeta3): the tower fails at N = 2, so every level is the continuation's
+    # Z/3 over Q(zeta3): the tower fails at N = 2, so every level from N on is past the failure
     for pres in non_equivariant_h_psi():
         engine = pres.oracle(5)
         ref = reference(pres, 5)

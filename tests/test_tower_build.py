@@ -7,9 +7,10 @@ suffix chains of one b are shared by all relations, then dropped.  The
 start is {b: one} for the identity, so over the trivial group the build
 never touches the word memo ``_nf_memo``.  ``ReferenceTower`` below is the
 earlier build, which decoded every basis monomial and took the normal form
-of every term's word through ``nf``, filling that memo.  It is the oracle
-the rows, the first failure, the witness and the normal forms are
-compared with.
+of every term's word through ``nf``, filling that memo, and stopped at the
+first failing degree.  It is the oracle the rows and normal forms below
+that degree, the first failure and the witness are compared with; the
+levels past the failure are compared with the full-space ``reference``.
 """
 
 import gc
@@ -23,7 +24,7 @@ from nkoszul.elim import SparseEliminator, add_scaled
 from nkoszul.filtered import OracleEngine
 from nkoszul.homogeneous import _LOWER, _Level, _Tower
 from nkoszul.jsonio import load_input, parse_input
-from test_oracle_tower import random_presentation
+from test_oracle_tower import random_presentation, reference
 from test_s3_cherednik_report import S3_CHEREDNIK
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
@@ -87,15 +88,17 @@ def reference_tower(tower):
 
 
 def assert_same_build(tower, bound, nf_degree=4):
+    """The same levels as the reference below the first failure, where it stops."""
     ref = reference_tower(tower)
     assert tower.ensure(bound) == ref.ensure(bound)
     assert (tower.failed, tower.witness) == (ref.failed, ref.witness)
-    assert tower.starts == ref.starts
-    assert len(tower.levels) == len(ref.levels)
+    assert len(tower.levels) == bound + 1
+    assert len(ref.levels) == (bound + 1 if ref.failed is None else ref.failed)
+    assert tower.starts[: len(ref.starts)] == ref.starts
     for new, old in zip(tower.levels, ref.levels):
         assert (new.rows, new.positions) == (old.rows, old.positions)
     ctx = tower.ctx
-    for n in range(min(nf_degree, len(tower.levels) - 1) + 1):
+    for n in range(min(nf_degree, len(ref.levels) - 1) + 1):
         for word in itertools.product(range(ctx.dimV), repeat=n):
             for g in range(ctx.order):
                 assert tower.nf(word, g) == ref.nf(word, g), (word, g)
@@ -139,9 +142,13 @@ def test_the_build_matches_on_random_presentations():
     failing = 0
     for _ in range(100):
         pres, D = random_presentation(rng)
-        tower = OracleEngine(pres, D).tower
-        assert_same_build(tower, D, nf_degree=3)
-        failing += tower.failed is not None
+        engine = OracleEngine(pres, D)
+        assert_same_build(engine.tower, D, nf_degree=3)
+        failing += engine.tower.failed is not None
+        # every level, past the failure too, against the full space
+        engine.run()
+        ref = reference(pres, D)
+        assert (engine.j_dims, engine.equalities) == (ref.j_dims, ref.equalities)
     # failing inputs, with their witnesses, are among them
     assert 20 <= failing <= 80
 

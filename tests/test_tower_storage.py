@@ -117,7 +117,7 @@ def test_no_level_holds_an_eliminator_a_column_index_or_words():
     alg = group_level("sr_z6")
     tower = alg.tower()
     tower.ensure(6)
-    assert _Level.__slots__ == ("rows", "pivots", "positions", "adim")
+    assert _Level.__slots__ == ("rows", "pivots", "positions", "adim", "collapsed")
     for level in tower.levels:
         assert not hasattr(level, "__dict__")
         assert type(level.rows) is dict
@@ -127,6 +127,7 @@ def test_no_level_holds_an_eliminator_a_column_index_or_words():
         assert all(type(p) is int for p in level.pivots)
         assert type(level.positions) is int and type(level.adim) is int
         assert level.adim == level.positions - len(level.rows)
+        assert level.collapsed == 0  # a graded level has no lower keys
         for slot in _Level.__slots__:
             assert not isinstance(getattr(level, slot), SparseEliminator)
     # the kernel is not empty from degree N on, so the rows are exercised
