@@ -39,7 +39,7 @@ from nkoszul.elim import SparseEliminator
 from nkoszul.grouppres import PsiMap, build_H_psi
 from nkoszul.homogeneous import _Tower
 from nkoszul.jsonio import load_input
-from nkoszul.komplex import TruncatedU
+from nkoszul.komplex import NComplexSlice, TruncatedU
 from nkoszul.scalar import MatrixS, Scalar
 from nkoszul.smashtensor import Filtration, FilteredSubspace, GroupData, TensorContext
 
@@ -333,6 +333,70 @@ def test_the_oracle_never_lays_out_the_top_degree(monkeypatch):
     assert not oracle_pbw(non_jacobi(), 12).holds
     assert pbw_verdict(sl2(), 6).certified
     assert tops and max(tops) <= 3  # N + 1 for N = 2
+
+
+def recording_levels(monkeypatch):
+    """Record each ``_Level`` the tower builds from now on, as built."""
+    built = []
+    original = homogeneous._Level
+
+    class Recording(original):
+        __slots__ = ()
+
+        def __init__(self, rows, positions):
+            super().__init__(rows, positions)
+            built.append(self)
+
+    monkeypatch.setattr(homogeneous, "_Level", Recording)
+    return built
+
+
+def test_the_continuation_runs_only_when_an_equality_fails(monkeypatch):
+    # the continuation is the collapse rows and their carried rows: levels
+    # that hold a collapse row exist only past a failing equality
+    built = recording_levels(monkeypatch)
+    assert pbw_verdict(sl2(), 6).certified
+    assert oracle_pbw(build_down_up(2, -1, 1), 8).holds
+    NComplexSlice(fixture("sr_z6"), 4)
+    assert built and all(level.collapsed == 0 for level in built)
+    pres = non_jacobi()
+    pres.homogenization().tower().ensure(5)  # the graded levels
+    del built[:]
+    # degrees 0 to 2 hold; degree 3 fails and degrees 4 and 5 carry it on
+    rep = oracle_pbw(pres, 5)
+    assert rep.witness_degree == 3 and not rep.equalities[3]
+    assert [level.collapsed for level in built] == [0, 0, 0, 1, 4, 10]
+
+
+def test_the_continuation_must_fail_where_the_tower_failed():
+    # the first level with a collapse row is the tower's first failing
+    # degree, and each equality is read off the collapsed counts
+    for pres, D in [(non_jacobi(), 6)] + [(pres, 5) for pres in non_equivariant_h_psi()]:
+        engine = pres.oracle(D)
+        levels = engine.tower.levels
+        failed = engine.tower.failed
+        assert failed is not None and engine.witness[0] == failed
+        assert next(n for n, level in enumerate(levels) if level.collapsed) == failed
+        assert not engine.equalities[failed]
+        for n in range(pres.N, D + 1):
+            assert engine.equalities[n] == (levels[n].collapsed == levels[n - 1].collapsed)
+
+
+def test_the_continuation_builds_only_the_levels_from_the_failure_on(monkeypatch):
+    # a tower that stopped at its failure goes on from there: levels 4..8,
+    # each once, and level 3 and the levels below stay as they were
+    pres = non_jacobi()
+    pres.homogenization().tower().ensure(8)  # the graded levels, recorded by no one
+    engine = OracleEngine(pres, 8)
+    assert engine.tower.ensure(3) == 3
+    kept = list(engine.tower.levels)
+    built = recording_levels(monkeypatch)
+    engine.run()
+    assert engine.tower.levels[:4] == kept
+    assert built == engine.tower.levels[4:]
+    # level 4 is V ⊗ T_3 with adim(3) = 10, and starts from level 3's collapse row
+    assert built[0].positions == 3 * 10 and kept[3].collapsed == 1
+    assert sorted(engine.equalities) == list(range(2, 9))
 
 
 def test_the_tower_builds_every_level_once_past_the_failure(monkeypatch):
