@@ -151,7 +151,7 @@ def run(config: RunConfig):
         return {"error": str(exc)}, 2
 
     D = config.degree_bound
-    selected = list(config.checks)
+    selected = list(dict.fromkeys(config.checks))  # each check once, first mention first
     if not selected:
         return {"error": "no checks selected"}, 2
     from_all = "all" in selected

@@ -71,6 +71,7 @@ class FilteredPresentation:
         self.P = P
         self._R: Optional[Subbimodule] = None
         self._A: Optional[HomogeneousAlgebra] = None
+        self._J: Optional[JReport] = None
         self._oracles: dict[int, OracleEngine] = {}
 
     def homogenization(self) -> HomogeneousAlgebra:
@@ -256,7 +257,13 @@ class JReport:
 
 
 def check_condition_J(pres: FilteredPresentation) -> JReport:
-    """(PE + EP) ∩ F^N ⊆ P, computed three ways that must agree."""
+    """(PE + EP) ∩ F^N ⊆ P, computed three ways that must agree.
+
+    The report is computed once per presentation, so ``condition_J`` and
+    ``pbw`` share it.
+    """
+    if pres._J is not None:
+        return pres._J
     if not check_condition_I(pres):
         raise ValueError("the overlap condition presupposes condition (I)")
     ctx = pres.ctx
@@ -311,6 +318,7 @@ def check_condition_J(pres: FilteredPresentation) -> JReport:
         raise RuntimeError(
             "internal error: the three overlap-condition strategies disagree"
         )
+    pres._J = report
     return report
 
 

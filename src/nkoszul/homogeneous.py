@@ -51,7 +51,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 from .elim import SparseEliminator, accumulate, add_scaled, intersection, normal_form
-from .scalar import DimensionMismatch, Subspace
+from .scalar import DimensionMismatch
 from .smashtensor import (
     GroupData,
     Subbimodule,
@@ -148,7 +148,7 @@ def scalar_extension_slice(alg: HomogeneousAlgebra) -> Optional[Subbimodule]:
         return None
     slice0 = [{c // order: v for c, v in row.items()} for row in rows if next(iter(row)) % order == 0]
     trivial_ctx = TensorContext(ctx.dimV, GroupData.trivial(ctx.dimV, ctx.conductor), ctx.conductor)
-    return Subbimodule(trivial_ctx, alg.N, Subspace(trivial_ctx.component_dim(alg.N), slice0, ctx.conductor))
+    return Subbimodule._of_rows(trivial_ctx, alg.N, slice0)
 
 
 def field_level(alg: HomogeneousAlgebra) -> Optional[HomogeneousAlgebra]:
@@ -520,8 +520,7 @@ def is_antisymmetrizer_relations(alg: HomogeneousAlgebra) -> bool:
     """Does R equal the closed span of the antisymmetrized N-tensors?"""
     if alg.N > alg.ctx.dimV:
         return False
-    expected = antisymmetrizer_subbimodule(alg.ctx, alg.N)
-    return alg.R.space == expected.space
+    return alg.R == antisymmetrizer_subbimodule(alg.ctx, alg.N)
 
 
 # -- W_n on sparse rows -------------------------------------------------------

@@ -676,7 +676,7 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
         basis = fam.basis(src_n)
         for src, vec in cols.items():
             if fam.total_degree(src_n, basis[src]) <= window:
-                elim.add(dict(vec))
+                elim.add(vec)
         return elim.rank
 
     ranks: dict[int, int] = {}

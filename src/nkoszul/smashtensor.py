@@ -18,7 +18,11 @@ multiplications of rows of F^n.  Its blocks run top degree first, as the
 paper reads a filtered element, so a canonical row leads in its top
 degree: P, PE + EP, the filtration oracle's J^n and the values of phi all
 share it, F^level is cut off by pivot, and a degree-n component is the
-leading block of F^n.  The term-dict product ``smash_mul_terms`` is the
+leading block of F^n.  One class holds every sub-bimodule:
+``FilteredSubspace`` is a sub-bimodule of F^n in that layout, with one
+closure, one closedness check and one equality, and ``Subbimodule`` is its
+one-degree case, whose rows lie in the leading block; R, the placements
+and W_n are such rows.  The term-dict product ``smash_mul_terms`` is the
 reference the sparse row operations are tested against.
 """
 
@@ -478,29 +482,141 @@ def _span_rows(field, rows, actions=()) -> list[dict]:
     return elim.rows_canonical()
 
 
-class Subbimodule:
-    """A subspace of the degree-n smash component closed under both actions."""
+class FilteredSubspace:
+    """A sub-bimodule of F^n = (+)_{i<=n} V^{⊗i}⊗K in the block coordinates
+    of ``layout = Filtration(ctx, n)``, top degree first.
 
-    def __init__(self, ctx: TensorContext, degree: int, space: Subspace):
+    Its canonical rows lead in their top degree, so the rows inside F^level
+    are those pivoting at or past ``layout.start[level]``, and re-embedding
+    into F^m shifts every coordinate by the same amount.  ``from_rows`` and
+    ``_of_rows`` build an instance of the class they are called on.
+    """
+
+    def __init__(self, ctx: TensorContext, top_degree: int, space: Subspace):
         self.ctx = ctx
-        self.degree = degree
+        self.top_degree = top_degree
         self.space = space
+        self.layout = Filtration(ctx, top_degree)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
+    @staticmethod
+    def terms_to_sparse(ctx: TensorContext, top_degree: int, terms: Terms) -> dict:
+        layout = Filtration(ctx, top_degree)
+        field = ctx.field
+        out: dict = {}
+        for (word, g), c in terms.items():
+            if len(word) > top_degree:
+                raise DimensionMismatch("term exceeds the filtration level")
+            ctx.check_term(word, g)
+            accumulate(field, out, layout.coord(word, g), to_raw(field, c))
+        return out
+
+    @staticmethod
+    def from_elements(ctx: TensorContext, top_degree: int, elements: Iterable[Terms], close: bool = True) -> "FilteredSubspace":
+        rows = [FilteredSubspace.terms_to_sparse(ctx, top_degree, t) for t in elements]
+        return FilteredSubspace.from_rows(ctx, top_degree, rows, close)
+
+    @classmethod
+    def from_rows(cls, ctx: TensorContext, top_degree: int, rows: list[dict], close: bool = True) -> "FilteredSubspace":
+        """Bimodule closure of rows of F^top_degree, or with ``close=False``
+        their span, which must already be closed."""
+        actions = _actions(Filtration(ctx, top_degree)) if close else ()
+        out = cls._of_rows(ctx, top_degree, _span_rows(ctx.field, rows, actions))
+        if not close and not out.is_closed():
+            raise ValueError("spanning set is not closed under the bimodule actions")
+        return out
+
+    @classmethod
+    def _of_rows(cls, ctx: TensorContext, top_degree: int, rows: list[dict]) -> "FilteredSubspace":
+        """Wrap canonical rows of F^top_degree."""
+        return cls(ctx, top_degree, Subspace(Filtration(ctx, top_degree).dim, rows, ctx.conductor))
+
+    def basis_sparse(self) -> list[dict]:
+        """The canonical rows themselves; callers must not mutate them."""
+        return self.space.rows
+
+    def is_closed(self) -> bool:
+        rows = self.space.rows
+        return _span_rows(self.ctx.field, rows, _actions(self.layout)) == rows
+
+    def block_projection(self, degree: int) -> Subspace:
+        """Image of the subspace in the degree-``degree`` graded block."""
+        rows = [self.layout.block(row, degree) for row in self.space.rows]
+        return Subspace.from_rows(self.ctx.component_dim(degree), rows, self.ctx.conductor)
+
+    def extend_top(self, new_top: int) -> "FilteredSubspace":
+        """Re-embed into the larger filtration level F^new_top."""
+        if new_top < self.top_degree:
+            raise DimensionMismatch("cannot shrink the filtration level")
+        if new_top == self.top_degree:
+            return self
+        shift = Filtration(self.ctx, new_top).start[self.top_degree]
+        rows = [{c + shift: v for c, v in row.items()} for row in self.space.rows]
+        return FilteredSubspace._of_rows(self.ctx, new_top, rows)
+
+    def mul_E(self, side: str) -> "FilteredSubspace":
+        """P·E (side='right') or E·P (side='left'), one degree up."""
+        ctx = self.ctx
+        layout = self.layout
+        target = Filtration(ctx, self.top_degree + 1)
+        mul = layout.right_mul if side == "right" else layout.left_mul
+        rows = [
+            mul(row, letter, g, target)
+            for row in self.space.rows
+            for letter in range(ctx.dimV)
+            for g in range(ctx.order)
+        ]
+        return FilteredSubspace.from_rows(ctx, target.top, rows, close=False)
+
+    def truncate_intersection(self, level: int) -> "FilteredSubspace":
+        """Intersection with F^level, returned inside F^level.
+
+        A combination of canonical rows leads at its smallest pivot, so it
+        lies in F^level only if every row it uses pivots there: the
+        intersection's canonical rows are those rows, shifted down.
+        """
+        if level >= self.top_degree:
+            return self.extend_top(level)
+        cut = self.layout.start[level]
+        rows = [{c - cut: v for c, v in row.items()} for row in self.layout.below(self.space.rows, level)]
+        return FilteredSubspace._of_rows(self.ctx, level, rows)
+
+    def contains(self, other: "FilteredSubspace") -> bool:
+        o = other.extend_top(self.top_degree)
+        return self.space.contains_subspace(o.space)
+
+    def __eq__(self, other):
+        if not isinstance(other, FilteredSubspace):
+            return NotImplemented
+        return self.top_degree == other.top_degree and self.space == other.space
+
+    def __hash__(self):
+        return hash((self.top_degree, self.space))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(top={self.top_degree}, dim={self.dim})"
+
+
+class Subbimodule(FilteredSubspace):
+    """A sub-bimodule of the degree-n component V^{⊗n}⊗K: a filtered
+    subspace of F^n whose rows lie in the leading block, where a coordinate
+    of F^n is the component's own (word, g) coordinate."""
+
     @property
-    def ambient_dim(self) -> int:
-        return self.space.ambient_dim
+    def degree(self) -> int:
+        return self.top_degree
 
     @staticmethod
     def zero(ctx: TensorContext, degree: int) -> "Subbimodule":
-        return Subbimodule(ctx, degree, Subspace.zero(ctx.component_dim(degree), ctx.conductor))
+        return Subbimodule._of_rows(ctx, degree, [])
 
     @staticmethod
     def full(ctx: TensorContext, degree: int) -> "Subbimodule":
-        return Subbimodule(ctx, degree, Subspace.full(ctx.component_dim(degree), ctx.conductor))
+        one = ctx.field.one
+        return Subbimodule._of_rows(ctx, degree, [{i: one} for i in range(ctx.component_dim(degree))])
 
     @staticmethod
     def from_elements(ctx: TensorContext, degree: int, elements: Iterable[Terms], close: bool = True) -> "Subbimodule":
@@ -511,25 +627,6 @@ class Subbimodule:
                 raise DimensionMismatch("element does not live in the stated degree")
         rows = [ctx.terms_to_sparse(t) for t in elements]
         return Subbimodule.from_rows(ctx, degree, rows, close)
-
-    @staticmethod
-    def from_rows(ctx: TensorContext, degree: int, rows: list[dict], close: bool = True) -> "Subbimodule":
-        """Bimodule closure of sparse degree-n rows, or with ``close=False``
-        their span, which must already be closed."""
-        actions = _actions(Filtration(ctx, degree)) if close else ()
-        rows = _span_rows(ctx.field, rows, actions)
-        out = Subbimodule(ctx, degree, Subspace(ctx.component_dim(degree), rows, ctx.conductor))
-        if not close and not out.is_closed():
-            raise ValueError("spanning set is not closed under the bimodule actions")
-        return out
-
-    def basis_sparse(self) -> list[dict]:
-        """The canonical rows themselves; callers must not mutate them."""
-        return self.space.rows
-
-    def is_closed(self) -> bool:
-        rows = self.space.rows
-        return _span_rows(self.ctx.field, rows, _actions(Filtration(self.ctx, self.degree))) == rows
 
     def sum(self, other: "Subbimodule") -> "Subbimodule":
         self._check_compatible(other)
@@ -543,17 +640,6 @@ class Subbimodule:
         _check_same_ctx(self.ctx, other.ctx)
         if other.degree != self.degree:
             raise DimensionMismatch("degree mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, Subbimodule):
-            return NotImplemented
-        return self.degree == other.degree and self.space == other.space
-
-    def __hash__(self):
-        return hash((self.degree, self.space))
-
-    def __repr__(self):
-        return f"Subbimodule(degree={self.degree}, dim={self.dim})"
 
 
 def _actions(layout: Filtration) -> list:
@@ -575,7 +661,7 @@ def _check_same_ctx(a: TensorContext, b: TensorContext) -> None:
 
 def _span(ctx: TensorContext, degree: int, rows) -> Subbimodule:
     """Span of rows known to form a sub-bimodule."""
-    return Subbimodule(ctx, degree, Subspace.from_rows(ctx.component_dim(degree), rows, ctx.conductor))
+    return Subbimodule._of_rows(ctx, degree, _span_rows(ctx.field, rows))
 
 
 def smash_product(ctx: TensorContext, a: Terms, b: Terms) -> Terms:
@@ -602,16 +688,6 @@ def placement_rows(R: Subbimodule, i: int, j: int) -> list[dict]:
     for _ in range(j):
         rows = [ctx.append_letter(r, letter) for r in rows for letter in range(ctx.dimV)]
     return [ctx.prefix(r, wnum, R.degree + j) for wnum in range(ctx.dimV**i) for r in rows]
-
-
-def left_full_product(X: Subbimodule, power: int = 1) -> Subbimodule:
-    """V^{⊗power} X for the full space on the left."""
-    return _span(X.ctx, X.degree + power, placement_rows(X, power, 0))
-
-
-def right_full_product(X: Subbimodule, power: int = 1) -> Subbimodule:
-    """X V^{⊗power} for the full space on the right."""
-    return _span(X.ctx, X.degree + power, placement_rows(X, 0, power))
 
 
 def placement(R: Subbimodule, i: int, j: int) -> Subbimodule:
@@ -705,121 +781,3 @@ def check_lemma22(E: Subbimodule, Ep: Subbimodule, F: Subbimodule, Fp: Subbimodu
     else:
         raise ValueError("which must be one of 'i', 'ii', 'iii'")
     return lhs == rhs
-
-
-# -- filtered subspaces ---------------------------------------------------
-
-
-class FilteredSubspace:
-    """A subspace of F^n = (+)_{i<=n} V^{⊗i}⊗K in the block coordinates
-    of ``Filtration(ctx, n)``, top degree first.
-
-    Its canonical rows lead in their top degree, so the rows inside F^level
-    are those pivoting at or past ``layout.start[level]``, and re-embedding
-    into F^m shifts every coordinate by the same amount.
-    """
-
-    def __init__(self, ctx: TensorContext, top_degree: int, space: Subspace):
-        self.ctx = ctx
-        self.top_degree = top_degree
-        self.space = space
-        self.layout = Filtration(ctx, top_degree)
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    @staticmethod
-    def terms_to_sparse(ctx: TensorContext, top_degree: int, terms: Terms) -> dict:
-        layout = Filtration(ctx, top_degree)
-        field = ctx.field
-        out: dict = {}
-        for (word, g), c in terms.items():
-            if len(word) > top_degree:
-                raise DimensionMismatch("term exceeds the filtration level")
-            ctx.check_term(word, g)
-            accumulate(field, out, layout.coord(word, g), to_raw(field, c))
-        return out
-
-    @staticmethod
-    def from_elements(ctx: TensorContext, top_degree: int, elements: Iterable[Terms], close: bool = True) -> "FilteredSubspace":
-        rows = [FilteredSubspace.terms_to_sparse(ctx, top_degree, t) for t in elements]
-        return FilteredSubspace.from_rows(ctx, top_degree, rows, close)
-
-    @staticmethod
-    def from_rows(ctx: TensorContext, top_degree: int, rows: list[dict], close: bool = True) -> "FilteredSubspace":
-        """Bimodule closure of rows of F^top_degree, or with ``close=False``
-        their span, which must already be closed."""
-        actions = _actions(Filtration(ctx, top_degree)) if close else ()
-        out = FilteredSubspace._of_rows(ctx, top_degree, _span_rows(ctx.field, rows, actions))
-        if not close and not out.is_closed():
-            raise ValueError("spanning set is not closed under the bimodule actions")
-        return out
-
-    @staticmethod
-    def _of_rows(ctx: TensorContext, top_degree: int, rows: list[dict]) -> "FilteredSubspace":
-        """Wrap canonical rows of F^top_degree."""
-        ambient = Filtration(ctx, top_degree).dim
-        return FilteredSubspace(ctx, top_degree, Subspace(ambient, rows, ctx.conductor))
-
-    def basis_sparse(self) -> list[dict]:
-        """The canonical rows themselves; callers must not mutate them."""
-        return self.space.rows
-
-    def is_closed(self) -> bool:
-        rows = self.space.rows
-        return _span_rows(self.ctx.field, rows, _actions(self.layout)) == rows
-
-    def block_projection(self, degree: int) -> Subspace:
-        """Image of the subspace in the degree-``degree`` graded block."""
-        rows = [self.layout.block(row, degree) for row in self.space.rows]
-        return Subspace.from_rows(self.ctx.component_dim(degree), rows, self.ctx.conductor)
-
-    def extend_top(self, new_top: int) -> "FilteredSubspace":
-        """Re-embed into the larger filtration level F^new_top."""
-        if new_top < self.top_degree:
-            raise DimensionMismatch("cannot shrink the filtration level")
-        if new_top == self.top_degree:
-            return self
-        shift = Filtration(self.ctx, new_top).start[self.top_degree]
-        rows = [{c + shift: v for c, v in row.items()} for row in self.space.rows]
-        return FilteredSubspace._of_rows(self.ctx, new_top, rows)
-
-    def mul_E(self, side: str) -> "FilteredSubspace":
-        """P·E (side='right') or E·P (side='left'), one degree up."""
-        ctx = self.ctx
-        layout = self.layout
-        target = Filtration(ctx, self.top_degree + 1)
-        mul = layout.right_mul if side == "right" else layout.left_mul
-        rows = [
-            mul(row, letter, g, target)
-            for row in self.space.rows
-            for letter in range(ctx.dimV)
-            for g in range(ctx.order)
-        ]
-        return FilteredSubspace.from_rows(ctx, target.top, rows, close=False)
-
-    def truncate_intersection(self, level: int) -> "FilteredSubspace":
-        """Intersection with F^level, returned inside F^level.
-
-        A combination of canonical rows leads at its smallest pivot, so it
-        lies in F^level only if every row it uses pivots there: the
-        intersection's canonical rows are those rows, shifted down.
-        """
-        if level >= self.top_degree:
-            return self.extend_top(level)
-        cut = self.layout.start[level]
-        rows = [{c - cut: v for c, v in row.items()} for row in self.layout.below(self.space.rows, level)]
-        return FilteredSubspace._of_rows(self.ctx, level, rows)
-
-    def contains(self, other: "FilteredSubspace") -> bool:
-        o = other.extend_top(self.top_degree)
-        return self.space.contains_subspace(o.space)
-
-    def __eq__(self, other):
-        if not isinstance(other, FilteredSubspace):
-            return NotImplemented
-        return self.top_degree == other.top_degree and self.space == other.space
-
-    def __repr__(self):
-        return f"FilteredSubspace(top={self.top_degree}, dim={self.dim})"

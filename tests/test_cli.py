@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nkoszul import cli
 from nkoszul.cli import CHECK_NAMES, RunConfig, emit, explain, main, run
 from nkoszul.jsonio import InputError, load_input, parse_input, psi_to_json
 
@@ -82,6 +83,29 @@ def test_non_jacobi_exit_one_with_witness(tmp_path):
     jrep = report["checks"]["condition_J"]
     assert jrep["ok"] is False and jrep["J'2"] == {"1": False}
     assert report["checks"]["oracle"]["witness_degree"] == 3
+
+
+def test_repeated_check_names_run_once(tmp_path, monkeypatch):
+    calls = []
+    original = cli.oracle_pbw
+
+    def counting_oracle_pbw(pres, D):
+        calls.append(D)
+        return original(pres, D)
+
+    monkeypatch.setattr(cli, "oracle_pbw", counting_oracle_pbw)
+    path = write(tmp_path, "bad.json", NON_JACOBI)
+    report, code = run(RunConfig(input_path=path, degree_bound=4, checks=["oracle", "oracle"]))
+    assert code == 1
+    assert report["config"]["checks"] == ["oracle"]
+    assert report["failures"] == ["oracle"]
+    assert list(report["checks"]) == ["oracle"]
+    assert calls == [4]
+    # the first mention fixes the order
+    report, _ = run(
+        RunConfig(input_path=path, degree_bound=4, checks=["condition_I", "oracle", "condition_I"])
+    )
+    assert report["config"]["checks"] == ["condition_I", "oracle"]
 
 
 def test_truncated_json_exit_two(tmp_path):

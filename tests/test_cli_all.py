@@ -4,6 +4,7 @@ import json
 
 from nkoszul import cli
 from nkoszul.cli import RunConfig, run
+from nkoszul.smashtensor import FilteredSubspace
 
 DOWN_UP = {
     "presentation": {"builder": "down_up", "alpha": "2", "beta": "-1", "gamma": "1"}
@@ -70,3 +71,21 @@ def test_all_skips_dN_zero_when_the_bound_admits_no_N_maps(tmp_path):
     assert entry["ok"] is None and "bound too small" in entry["skipped"]
     report, code = run(RunConfig(input_path=path, degree_bound=4, checks=["dN_zero"]))
     assert code == 2 and "bound too small" in report["error"]
+
+
+def test_all_computes_condition_J_once(tmp_path, monkeypatch):
+    # the condition_J check and pbw read one report; each computation forms
+    # P·E and E·P once
+    sides = []
+    original = FilteredSubspace.mul_E
+
+    def counting_mul_E(self, side):
+        sides.append(side)
+        return original(self, side)
+
+    monkeypatch.setattr(FilteredSubspace, "mul_E", counting_mul_E)
+    report, code = run(RunConfig(input_path=write(tmp_path, "sl2.json", SL2), degree_bound=6))
+    assert code == 0
+    assert report["checks"]["condition_J"]["ok"] is True
+    assert report["checks"]["pbw"]["condition_J"]["holds"] is True
+    assert sorted(sides) == ["left", "right"]

@@ -306,7 +306,7 @@ def test_certificate_down_up_verified():
 def test_tor3_obstruction_at_N_plus_1_equals_W():
     # In internal degree N+1 the kernel of the second differential is the
     # degree-(N+1) intersection W_{N+1}, embedded in the degree-0 slice.
-    from nkoszul.smashtensor import left_full_product, product_EF, placement
+    from nkoszul.smashtensor import placement
 
     alg = down_up_homogeneous()
     N = alg.N

@@ -17,6 +17,7 @@ from nkoszul.smashtensor import (
     W,
     check_lemma22,
     ideal_component,
+    placement,
     product_EF,
     smash_product,
 )
@@ -329,13 +330,11 @@ def test_lemma22_randomized_suite(order_two):
 def test_W_nested_in_shifted_products():
     ctx = trivial_ctx(2)
     r = commutator_R(ctx)
-    from nkoszul.smashtensor import left_full_product, right_full_product
-
     for n in range(2, 5):
         wn = W(r, n)
         wn1 = W(r, n + 1)
-        vw = left_full_product(wn, 1)
-        wv = right_full_product(wn, 1)
+        vw = placement(wn, 1, 0)
+        wv = placement(wn, 0, 1)
         assert vw.intersect(wv).space.contains_subspace(wn1.space)
 
 
@@ -383,6 +382,42 @@ def test_filtered_closure_under_group():
     assert p.is_closed()
     # the right action by -Id sends the constant slice e -> g
     assert p.dim == 2
+
+
+@pytest.mark.parametrize("order_two", [False, True])
+def test_subbimodule_is_the_one_degree_filtered_subspace(order_two):
+    # a degree-n sub-bimodule is the filtered subspace of F^n on the same
+    # rows: one layout, one ambient, one closure and one equality
+    rng = random.Random(5 if order_two else 3)
+    if order_two:
+        neg = MatrixS.from_rows([[-1, 0], [0, -1]])
+        ctx = TensorContext(2, GroupData.from_generators([neg]))
+    else:
+        ctx = trivial_ctx(2)
+    for _ in range(10):
+        n = rng.randint(1, 3)
+        elems = [
+            {
+                (tuple(rng.randrange(ctx.dimV) for _ in range(n)), rng.randrange(ctx.order)): S(
+                    rng.choice([-2, -1, 1, 3])
+                )
+                for _ in range(rng.randint(1, 3))
+            }
+            for _ in range(rng.randint(1, 2))
+        ]
+        sub = Subbimodule.from_elements(ctx, n, elems)
+        filt = FilteredSubspace.from_elements(ctx, n, elems)
+        assert sub == filt and hash(sub) == hash(filt)
+        for t in elems:
+            assert ctx.terms_to_sparse(t) == FilteredSubspace.terms_to_sparse(ctx, n, t)
+        assert sub.layout.start == filt.layout.start and sub.layout.dim == filt.layout.dim
+        assert sub.space.ambient_dim == filt.space.ambient_dim == sub.layout.dim
+        assert sub.is_closed()
+        # the rows lead in degree n, so nothing of them lies lower down
+        assert sub.truncate_intersection(n) is sub
+        low = sub.truncate_intersection(n - 1)
+        assert type(low) is FilteredSubspace and low.top_degree == n - 1 and low.dim == 0
+        assert type(placement(sub, 1, 0)) is Subbimodule
 
 
 # -- the filtration layout --------------------------------------------------
