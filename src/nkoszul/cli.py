@@ -1,5 +1,12 @@
 """Batch front end: parse a presentation file, run checks, emit a report.
 
+Each check is one of the paper's statements, named and explained in
+``EXPLANATIONS``: conditions (I) and (J), Tor-3 concentration, Koszulity
+and the PBW theorem for the filtered algebra, and the psi-family and
+N-complex statements for symplectic reflection algebras.  ``run``
+validates the named checks once, before ``all`` expands, and records every
+check it runs or skips as one entry, ``{**data, "ok": ok}``.
+
 Exit codes distinguish the outcomes a caller can meet: 0 when every
 selected check passes, 1 when some mathematical verdict is negative, 2 for
 input or usage errors, so CI suites can assert negative fixtures, and 3
@@ -27,27 +34,11 @@ from .homogeneous import check_ec, check_tor3_concentration, koszul_complex_chec
 from .jsonio import InputError, load_input, psi_to_json
 from .komplex import (
     NComplexSlice,
-    UnsupportedStructure,
     check_dN_zero,
     contracted_complex,
     wedge_agreement,
 )
 from .scalar import Scalar
-
-CHECK_NAMES = [
-    "condition_I",
-    "condition_J",
-    "ec",
-    "tor3",
-    "koszul_complex",
-    "pbw",
-    "oracle",
-    "equivariance",
-    "theorem44",
-    "dN_zero",
-    "contraction",
-    "wedge_agreement",
-]
 
 EXPLANATIONS = {
     "condition_I": (
@@ -119,6 +110,11 @@ EXPLANATIONS = {
     ),
 }
 
+CHECK_NAMES = list(EXPLANATIONS)
+# the checks that read psi, and those run on the N-complex slice family
+PSI_CHECKS = ("equivariance", "theorem44", "wedge_agreement")
+SLICE_CHECKS = ("dN_zero", "contraction", "wedge_agreement")
+
 
 @dataclass
 class RunConfig:
@@ -135,48 +131,41 @@ def explain(check_name: str) -> str:
     return EXPLANATIONS[check_name]
 
 
-def _needs_psi(name: str) -> bool:
-    return name in ("equivariance", "theorem44", "wedge_agreement")
-
-
 def run(config: RunConfig):
     """Execute the selected checks; returns (report dict, exit code).
 
-    The psi checks read Gamma off ``pres.ctx.group`` and p off ``psi.p``;
-    they need an h_psi input, the only kind that carries psi.
+    The named checks are validated once, before ``all`` expands: an empty
+    selection, unknown names, psi checks on an input without psi, a bound
+    below N, and ``tor3`` or ``pbw`` below 2N exit 2.  ``all`` then stands
+    for every check in ``CHECK_NAMES`` order, less the psi checks on an
+    input without psi.  A slice check whose precondition fails exits 2 when
+    named and is reported as skipped when only ``all`` selects it; so a
+    name beside ``all`` is treated as it is alone.  The psi checks read
+    Gamma off ``pres.ctx.group`` and p off ``psi.p``; they need an h_psi
+    input, the only kind that carries psi.
     """
     try:
         pres, psi = load_input(config.input_path)
     except InputError as exc:
         return {"error": str(exc)}, 2
 
-    D = config.degree_bound
-    selected = list(dict.fromkeys(config.checks))  # each check once, first mention first
-    if not selected:
+    D, N = config.degree_bound, pres.N
+    names = list(dict.fromkeys(config.checks))  # each check once, first mention first
+    if not names:
         return {"error": "no checks selected"}, 2
-    from_all = "all" in selected
-    if from_all:
-        selected = [
-            c
-            for c in CHECK_NAMES
-            if not (_needs_psi(c) and psi is None)
-        ]
-    unknown = [c for c in selected if c not in CHECK_NAMES]
+    unknown = [c for c in names if c != "all" and c not in EXPLANATIONS]
     if unknown:
         return {"error": f"unknown checks: {', '.join(unknown)}"}, 2
-    for c in selected:
-        if _needs_psi(c) and psi is None:
-            return {
-                "error": f"check {c} requires an h_psi presentation (group, p, psi)"
-            }, 2
-    if D < pres.N:
-        return {
-            "error": f"degree bound {D} is below the relation degree {pres.N}"
-        }, 2
-    if not from_all and any(c in selected for c in ("tor3", "pbw")) and D < 2 * pres.N:
-        return {
-            "error": f"tor3 and pbw need a bound of at least 2N = {2 * pres.N}"
-        }, 2
+    for c in names:
+        if c in PSI_CHECKS and psi is None:
+            return {"error": f"check {c} requires an h_psi presentation (group, p, psi)"}, 2
+    if D < N:
+        return {"error": f"degree bound {D} is below the relation degree {N}"}, 2
+    if ("tor3" in names or "pbw" in names) and D < 2 * N:
+        return {"error": f"tor3 and pbw need a bound of at least 2N = {2 * N}"}, 2
+    selected = names
+    if "all" in names:
+        selected = [c for c in CHECK_NAMES if psi is not None or c not in PSI_CHECKS]
 
     report: dict = {
         "config": {
@@ -189,7 +178,7 @@ def run(config: RunConfig):
             "dimV": pres.ctx.dimV,
             "conductor": pres.ctx.conductor,
             "group_order": pres.ctx.order,
-            "N": pres.N,
+            "N": N,
             "dimP": pres.P.dim,
             "h_psi": psi is not None,
         },
@@ -199,103 +188,73 @@ def run(config: RunConfig):
         report["input"]["psi"] = psi_to_json(psi)
 
     failures = []
-    cond_i: Optional[bool] = None
-    family_box: dict = {}
-
-    def family() -> NComplexSlice:
-        """The slice family, built once; a failed build raises an error of the
-        same type and message again."""
-        if "f" not in family_box:
-            try:
-                family_box["f"] = NComplexSlice(pres, D)
-            except (ValueError, UnsupportedStructure) as exc:
-                # type and arguments, not the exception: its traceback holds this box
-                family_box["f"] = (type(exc), exc.args)
-        if isinstance(family_box["f"], tuple):
-            kind, args = family_box["f"]
-            raise kind(*args)
-        return family_box["f"]
-
-    def record(name: str, ok: Optional[bool], data: dict) -> None:
-        entry = dict(data)
-        entry["ok"] = ok
-        report["checks"][name] = entry
-        if ok is False:
-            failures.append(name)
-
+    family = None  # the slice family, built once, or the message its build raised
     for name in selected:
-        if name in ("tor3", "pbw") and D < 2 * pres.N:
-            # reached only under "all"; an explicit request exits 2 above
-            record(name, None, {"skipped": f"{name} needs a bound of at least 2N = {2 * pres.N}"})
-            continue
-        if name == "condition_I":
-            cond_i = check_condition_I(pres)
-            record(name, cond_i, {})
+        if name in ("tor3", "pbw") and D < 2 * N:
+            # reached only under "all"; a named one exits 2 above
+            ok, data = None, {"skipped": f"{name} needs a bound of at least 2N = {2 * N}"}
+        elif name == "condition_I":
+            ok, data = check_condition_I(pres), {}
+        elif name in ("condition_J",) + SLICE_CHECKS and not check_condition_I(pres):
+            ok, data = False, {"skipped": "condition_I failed"}
         elif name == "condition_J":
-            if cond_i is None:
-                cond_i = check_condition_I(pres)
-            if not cond_i:
-                record(name, False, {"skipped": "condition_I failed"})
-                continue
             rep = check_condition_J(pres)
-            record(name, rep.holds, rep.to_json())
+            ok, data = rep.holds, rep.to_json()
         elif name == "ec":
             rep = check_ec(pres.homogenization())
-            record(name, rep.holds, rep.to_json())
+            ok, data = rep.holds, rep.to_json()
         elif name == "tor3":
             rep = check_tor3_concentration(pres.homogenization(), D)
-            record(name, rep.holds, rep.to_json())
+            ok, data = rep.holds, rep.to_json()
         elif name == "koszul_complex":
             cert = koszul_complex_check(pres.homogenization(), D)
-            record(name, cert.exact_everywhere, cert.to_json())
+            ok, data = cert.exact_everywhere, cert.to_json()
         elif name == "pbw":
             rep = pbw_verdict(pres, D)
-            record(name, rep.certified, rep.to_json())
+            ok, data = rep.certified, rep.to_json()
         elif name == "oracle":
             rep = oracle_pbw(pres, D)
-            record(name, rep.holds, rep.to_json())
+            ok, data = rep.holds, rep.to_json()
         elif name == "equivariance":
-            ok = check_equivariance(pres.ctx.group, psi)
-            record(name, ok, {})
+            ok, data = check_equivariance(pres.ctx.group, psi), {}
         elif name == "theorem44":
             rep = theorem_44_verdict(pres.ctx.group, psi)
-            record(name, rep.holds, rep.to_json())
-        elif name in ("dN_zero", "contraction", "wedge_agreement"):
-            if cond_i is None:
-                cond_i = check_condition_I(pres)
-            if not cond_i:
-                record(name, False, {"skipped": "condition_I failed"})
-                continue
-            N = pres.N
+            ok, data = rep.holds, rep.to_json()
+        else:  # a slice check, condition (I) holding
             try:
-                if name == "dN_zero" and pres.ctx.conductor % N != 0 and N != 2:
+                cond = pres.ctx.conductor
+                if name == "dN_zero" and cond % N != 0 and N != 2:
                     raise ValueError(
                         "dN_zero needs a primitive N-th root of unity: declare a"
                         f" conductor divisible by N = {N}"
                     )
-                fam = family()
+                if family is None:
+                    try:
+                        family = NComplexSlice(pres, D)
+                    except ValueError as exc:
+                        family = str(exc)
+                if isinstance(family, str):
+                    raise ValueError(family)
                 if name == "dN_zero":
-                    q = Scalar.rational(-1, pres.ctx.conductor) if N == 2 else Scalar.zeta(
-                        pres.ctx.conductor
-                    ) ** (pres.ctx.conductor // N)
-                    results = check_dN_zero(fam, q)
-            except (ValueError, UnsupportedStructure) as exc:
-                if from_all:
-                    # "all" runs the applicable checks only
-                    record(name, None, {"skipped": str(exc)})
-                    continue
-                return {"error": str(exc)}, 2
-            if name == "dN_zero":
-                ok = all(flag for _, flag in results)
-                record(name, ok, {"per_slice": {str(n): flag for n, flag in results}, "q": str(q)})
-            elif name == "contraction":
-                rep = contracted_complex(fam)
-                record(name, rep.exact_in_window and rep.composition_zero, rep.to_json())
+                    q = Scalar.rational(-1, cond) if N == 2 else Scalar.zeta(cond) ** (cond // N)
+                    results = check_dN_zero(family, q)
+            except ValueError as exc:
+                if name in names:
+                    return {"error": str(exc)}, 2
+                ok, data = None, {"skipped": str(exc)}
             else:
-                ok = wedge_agreement(fam)
-                record(name, ok, {})
-        else:  # pragma: no cover - exhaustive above
-            return {"error": f"unhandled check {name}"}, 2
+                # outside the try: an error in these maps is internal, not a skip
+                if name == "dN_zero":
+                    ok = all(flag for _, flag in results)
+                    data = {"per_slice": {str(n): flag for n, flag in results}, "q": str(q)}
+                elif name == "contraction":
+                    rep = contracted_complex(family)
+                    ok, data = rep.exact_in_window and rep.composition_zero, rep.to_json()
+                else:
+                    ok, data = wedge_agreement(family), {}
+        report["checks"][name] = {**data, "ok": ok}
+        if ok is False:
+            failures.append(name)
 
     report["failures"] = failures
     report["verdict"] = "pass" if not failures else "fail"
@@ -419,5 +378,5 @@ def main(argv: Optional[list] = None) -> int:
     return code
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

@@ -362,6 +362,8 @@ class OracleEngine:
         ]
         self.tower = _Tower(ctx, self.N, relations)
         self.j_dims: dict[int, int] = {}
+        # dim F^nU - dim F^{n-1}U = adim(n) - collapsed(n) + collapsed(n-1)
+        self.candidate_gr_dims: list[int] = []
         self.equalities: dict[int, bool] = {}
         # (degree, {(word, g): raw}) of the first failing equality
         self.witness: Optional[tuple[int, dict]] = None
@@ -375,7 +377,7 @@ class OracleEngine:
         failed = tower.ensure(self.D)
         ctx = self.ctx
         graded = self.alg.tower()
-        f_dim = top_dim = 0
+        f_dim = top_dim = collapsed_below = 0
         levels = tower.levels[: self.D + 1]
         for n, level in enumerate(levels):
             if (failed is None or n < failed) and level.adim != graded.adim(n):
@@ -384,24 +386,13 @@ class OracleEngine:
                 )
             f_dim += ctx.component_dim(n)
             top_dim += level.adim
+            self.candidate_gr_dims.append(level.adim - level.collapsed + collapsed_below)
             if n >= self.N:
                 self.j_dims[n] = f_dim - (top_dim - level.collapsed)
-                self.equalities[n] = level.collapsed == levels[n - 1].collapsed
+                self.equalities[n] = level.collapsed == collapsed_below
+            collapsed_below = level.collapsed
         if failed is not None:
             self.witness = (failed, {tower.monomial(i): v for i, v in tower.witness.items()})
-
-    def j_dim(self, n: int) -> int:
-        if n < self.N:
-            return 0
-        return self.j_dims[n]
-
-    def candidate_gr_dim(self, n: int) -> int:
-        ctx = self.ctx
-        f_n = sum(ctx.component_dim(i) for i in range(n + 1))
-        f_prev = f_n - ctx.component_dim(n)
-        if n == 0:
-            return 1 * ctx.order - self.j_dim(0)
-        return (f_n - self.j_dim(n)) - (f_prev - self.j_dim(n - 1))
 
 
 @dataclass
@@ -435,7 +426,6 @@ def oracle_pbw(pres: FilteredPresentation, D: int) -> OracleReport:
     """Direct check of the filtration equalities J^n ∩ F^{n-1} = J^{n-1}."""
     engine = pres.oracle(D)
     tower = pres.homogenization().tower()
-    cands = [engine.candidate_gr_dim(n) for n in range(D + 1)]
     a_dims = [tower.adim(n) for n in range(D + 1)]
     witness = witness_degree = None
     if engine.witness is not None:
@@ -444,7 +434,7 @@ def oracle_pbw(pres: FilteredPresentation, D: int) -> OracleReport:
     return OracleReport(
         degree_bound=D,
         equalities=dict(engine.equalities),
-        candidate_gr_dims=cands,
+        candidate_gr_dims=list(engine.candidate_gr_dims),
         a_dims=a_dims,
         witness=witness,
         witness_degree=witness_degree,
@@ -495,27 +485,18 @@ def pbw_verdict(pres: FilteredPresentation, D: int) -> PBWReport:
     if D < 2 * pres.N:
         raise ValueError("the bound must reach 2N")
     cond_i = check_condition_I(pres)
-    j_report = None
-    phi0_zero = None
-    alg = pres.homogenization()
+    j_report = phi0_zero = tor3 = None
+    unconditional = False
     oracle = oracle_pbw(pres, D)
+    if cond_i:
+        alg = pres.homogenization()
+        j_report = check_condition_J(pres)
+        phi0_zero = check_remark_310(pres)
+        tor3 = check_tor3_concentration(alg, D)
+        unconditional = is_antisymmetrizer_relations(alg)
     if not cond_i:
-        return PBWReport(
-            condition_I=False,
-            condition_J=None,
-            phi0_zero=None,
-            tor3=None,
-            oracle=oracle,
-            theorem34_verdict="failed(condition_I)",
-            gr_table=[
-                (n, oracle.candidate_gr_dims[n], oracle.a_dims[n]) for n in range(D + 1)
-            ],
-        )
-    j_report = check_condition_J(pres)
-    phi0_zero = check_remark_310(pres)
-    tor3 = check_tor3_concentration(alg, D)
-    unconditional = is_antisymmetrizer_relations(alg)
-    if not j_report.holds:
+        verdict = "failed(condition_I)"
+    elif not j_report.holds:
         failed = []
         if not j_report.j1:
             failed.append("J'1")

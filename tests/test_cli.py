@@ -1,6 +1,7 @@
 """Tests for the batch front end: exit codes, reports, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +58,9 @@ EXPLICIT = {
         ],
     },
 }
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 
 def write(tmp_path, name, data):
@@ -302,6 +306,41 @@ def test_hpsi_checks_require_hpsi_input(tmp_path):
     path = write(tmp_path, "du.json", DOWN_UP)
     report, code = run(RunConfig(input_path=path, checks=["theorem44"]))
     assert code == 2
+
+
+def test_names_beside_all_are_validated_as_alone():
+    sl2 = str(FIXTURES / "sl2.json")
+    for checks, error in (
+        (["all", "definitely_not_a_check"], "unknown checks: definitely_not_a_check"),
+        (["all", "theorem44"], "check theorem44 requires an h_psi presentation (group, p, psi)"),
+    ):
+        assert run(RunConfig(input_path=sl2, degree_bound=4, checks=checks)) == ({"error": error}, 2)
+    # a named check whose precondition fails exits 2 beside "all" as alone
+    down_up = str(FIXTURES / "down_up.json")
+    for path, D, name in ((sl2, 3, "tor3"), (down_up, 6, "dN_zero")):
+        alone = run(RunConfig(input_path=path, degree_bound=D, checks=[name]))
+        assert alone[1] == 2
+        assert run(RunConfig(input_path=path, degree_bound=D, checks=["all", name])) == alone
+    # an applicable name beside "all" adds nothing: each check once, in CHECK_NAMES order
+    sr_z6 = str(FIXTURES / "sr_z6.json")
+    report, code = run(RunConfig(input_path=sr_z6, degree_bound=4, checks=["all", "equivariance"]))
+    assert code == 0
+    assert report["config"]["checks"] == CHECK_NAMES
+    assert list(report["checks"]) == CHECK_NAMES
+
+
+@pytest.mark.parametrize("name", ["contracted_complex", "wedge_agreement"])
+def test_a_value_error_inside_the_slice_maps_is_internal(name, monkeypatch, capsys):
+    # every check applies to sr_z6, so "all" skips none: the error is a crash, not a skip
+    def crash(family):
+        raise ValueError("rank mismatch")
+
+    monkeypatch.setattr(cli, name, crash)
+    code = main(["--input", str(FIXTURES / "sr_z6.json"), "--degree-bound", "4", "--checks", "all"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: ValueError: rank mismatch\n"
 
 
 def test_symplectic_all_checks_pass(tmp_path):

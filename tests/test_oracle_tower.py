@@ -108,6 +108,16 @@ def reference_std(ref):
     ]
 
 
+def reference_gr_dims(ref):
+    """dim F^nU − dim F^{n−1}U for n ≤ D, where dim F^nU = dim F^n − dim J^n
+    and J^n = 0 below N."""
+    fu = [
+        sum(ref.ctx.component_dim(d) for d in range(n + 1)) - ref.j_dims.get(n, 0)
+        for n in range(ref.D + 1)
+    ]
+    return [top - below for below, top in zip([0] + fu, fu)]
+
+
 def tower_std(engine, layout):
     """The tower's standard monomials of each degree, as layout coordinates."""
     return [[layout.coord(w, g) for w, g in engine.tower.reps(d)] for d in range(engine.D + 1)]
@@ -180,6 +190,7 @@ def test_tower_agrees_with_the_full_space_on_random_presentations():
         engine.run()
         # failing inputs have their levels past the first failure too
         assert (engine.j_dims, engine.equalities) == (ref.j_dims, ref.equalities)
+        assert engine.candidate_gr_dims == reference_gr_dims(ref)
         if failed is None:
             assert engine.witness is None
             assert std == reference_std(ref)
@@ -449,6 +460,7 @@ def test_the_levels_past_the_failure_match_the_reference_at_larger_bounds():
         engine = pres.oracle(D)
         ref = reference(pres, D)
         assert (engine.j_dims, engine.equalities) == (ref.j_dims, ref.equalities)
+        assert engine.candidate_gr_dims == reference_gr_dims(ref)
         assert (engine.witness is None) == (ref.witness is None)
         if engine.witness is not None:
             assert engine.witness[0] == ref.witness[0]
