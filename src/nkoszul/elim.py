@@ -13,7 +13,8 @@ RREF basis of that space.
 Every subspace in the package is held as such canonical rows (``Subspace``
 in ``scalar``), and the row operations built on the engine live here:
 adding one value into a sparse row (``accumulate``), adding a scaled row
-(``add_scaled``, the one scaled-row loop) or a scaled column map
+(``add_scaled``, the one scaled-row loop, and ``add_shifted``, the same
+loop onto columns moved by a constant) or a scaled column map
 (``add_maps``), composing and comparing column maps (``compose_maps``,
 ``maps_equal``), expressing a vector over fully reduced rows, solving over
 tagged generators, the kernel of a combination matrix, and the Zassenhaus
@@ -164,6 +165,35 @@ def add_scaled(field, out: dict, row: dict, c, skip=None) -> None:
             out.pop(col, None)
         else:
             out[col] = nv
+
+
+def add_shifted(field, out: dict, row: dict, c, shift: int, stop: int) -> bool:
+    """``add_scaled`` of the entries of ``row`` below column ``stop``, each
+    moved to column + ``shift``; whether ``row`` had no other entries.
+
+    The loop is ``add_scaled``'s, with its sign and ``field.one`` paths, so
+    the shifted copy of ``row`` that ``add_scaled`` would read is never built.
+    """
+    one = field.one
+    unit = c == one
+    minus = not unit and c == field.minus_one
+    skipped = False
+    for col, v in row.items():
+        if col >= stop:
+            skipped = True
+            continue
+        col += shift
+        cur = out.get(col)
+        if minus:
+            nv = field.neg(v) if cur is None else field.sub(cur, v)
+        else:
+            term = v if unit else c if v is one else field.mul(c, v)
+            nv = term if cur is None else field.add(cur, term)
+        if field.is_zero(nv):
+            out.pop(col, None)
+        else:
+            out[col] = nv
+    return not skipped
 
 
 def add_maps(field, a: dict, b: dict, c, n_cols: int) -> dict:

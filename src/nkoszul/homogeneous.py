@@ -10,12 +10,13 @@ has basis index pos − bisect_left(pivots, pos), and its monomial is
 decoded on demand through divmod(pos, adim(n-1)) down the levels.  Level n
 is built on the basis indices b of A_{n-N}, not on their words: a
 relation's row for b puts each term's letters in front of b one at a
-time, with one pivot-rule reduction (``elim.normal_form``) per level, so
-over the trivial group the build decodes no monomial and stores no normal
-form of a word.  With lower-degree relation terms (the filtered pieces of
-U) a level can collapse: some rows have no top entry.  The build goes on
-past that degree, and the next level starts from those collapse rows and
-from V times them, the carried rows.  Graded dimensions, normal forms of
+time, each step the letter in front and the pivot-rule reduction in one
+pass straight into basis indices (``_Level.front``), so over the trivial
+group the build decodes no monomial and stores no normal form of a word.
+With lower-degree relation terms (the filtered pieces of U) a level can
+collapse: some rows have no top entry.  The build goes on past that
+degree, and the next level starts from those collapse rows and from V
+times them, the carried rows.  Graded dimensions, normal forms of
 monomials and canonical monomial bases come without materializing the
 ideal in the ambient tensor component.  On top of the tower sit:
 
@@ -50,7 +51,15 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
-from .elim import SparseEliminator, accumulate, add_scaled, intersection, normal_form
+from .elim import (
+    SparseEliminator,
+    accumulate,
+    add_scaled,
+    add_shifted,
+    intersection,
+    negated,
+    normal_form,
+)
 from .scalar import DimensionMismatch
 from .smashtensor import (
     GroupData,
@@ -211,7 +220,10 @@ class _Level:
     ``pivots`` in range(positions), in order, so position pos has index
     pos − bisect_left(pivots, pos).  The ``collapsed`` rows with a lower
     pivot have no top entry: they span the lower-degree elements that
-    vanish in degree n.  A graded tower has none.
+    vanish in degree n.  A graded tower has none.  ``front`` puts a
+    letter in front of a normal form one level down and reduces it here
+    in one pass; a row it meets is re-keyed to indices then and not kept,
+    so a level stores its rows and nothing else.
     """
 
     __slots__ = ("rows", "pivots", "positions", "adim", "collapsed")
@@ -235,13 +247,53 @@ class _Level:
         yield from range(start, self.positions)
 
     def reduce(self, field, vec: dict) -> dict:
-        """Quotient coordinates of a sparse vector; lower keys pass through."""
+        """Quotient coordinates of a sparse vector; lower keys pass through.
+
+        ``normal_form`` against the rows, then positions to indices: the
+        reference that ``front`` equals on ``_Tower._front``'s vectors.
+        """
         if not self.rows:
             return vec
         pivots = self.pivots
         lower = _LOWER
         red = normal_form(field, self.rows, vec)
         return {(pos - bisect_left(pivots, pos) if pos < lower else pos): v for pos, v in red.items()}
+
+    def front(self, field, j: int, width: int, vec: dict, lowered) -> dict:
+        """Letter j in front of a normal form one level down, reduced here.
+
+        ``reduce`` of the vector that puts key b < _LOWER of ``vec`` at
+        position j·width + b and, after those, adds ``lowered(j, k)``
+        times the entry of each lower key k, in one pass and with the same
+        field operations: a free position goes to its index directly, and
+        a pivot's entry c adds -c times its row's tail, the row minus its
+        pivot entry in quotient coordinates.  The collapse pivots among
+        the lower keys come last, in the order ``normal_form`` meets them,
+        so the keys come out in ``reduce``'s order too.
+        """
+        rows = self.rows
+        pivots = self.pivots
+        lower = _LOWER
+        base = j * width
+        out: dict = {}
+        hits = []
+        for b, v in vec.items():
+            if b < lower:
+                pos = base + b
+                if pos in rows:
+                    hits.append((pos, v))
+                else:
+                    out[pos - bisect_left(pivots, pos)] = v
+        if len(out) + len(hits) < len(vec):
+            for k, v in vec.items():
+                if k >= lower:
+                    add_scaled(field, out, lowered(j, k), v)
+            if self.collapsed:
+                hits += [(k, out.pop(k)) for k in [k for k in out if k >= lower and k in rows]]
+        for p, c in hits:
+            tail = {(k - bisect_left(pivots, k) if k < lower else k): v for k, v in rows[p].items() if k != p}
+            add_scaled(field, out, tail, negated(field, c))
+        return out
 
 
 class _Tower:
@@ -264,7 +316,12 @@ class _Tower:
     n-N then spans the rest of J^n, before a failure and after it.  A
     level is a ``_Level`` (no eliminator, no words) and ``reps`` decodes
     monomials on demand.  ``ensure`` builds level n on the basis indices
-    of degree n-N (``_relation_rows``).
+    of degree n-N (``_relation_rows``).  Each step of a normal form, in
+    the build and in ``nf``, is one ``_Level.front``: a letter in front
+    and the reduction in one pass over level n's rows, with no vector
+    over its positions in between.  ``_front`` (the letter in front, on
+    level n's positions) followed by ``_Level.reduce`` is the two-pass
+    reference it equals; ``_front`` also carries the collapse rows.
     ``_nf_memo`` holds the normal forms ``nf`` gives to outside callers;
     the build adds to it only the starts g(s) ⊗ gh of group elements g ≠ 1.
     """
@@ -346,23 +403,46 @@ class _Tower:
         """Each relation times each basis monomial s_b of degree lv-N, over level lv's keys.
 
         A term (word, g, raw) gives raw·word·g(s_b): its letters go in front
-        of the start, last one first, with one reduction per level below lv
-        (``_chain``).  The start is {b: one} for the identity, otherwise
-        ``nf`` of g(s_b) ⊗ g·g_b.  The chains of one b are shared by all
-        relations, then dropped.  Rows are built b-major and returned
-        relation-major, the order that picks the witness.
+        of the start, last one first, one ``_Level.front`` per level below
+        lv, and the top letter is added into the row with a key shift
+        (``add_shifted``).  The start is {b: one} for the identity,
+        otherwise ``nf`` of g(s_b) ⊗ g·g_b.  The chains, each suffix (of a
+        term's word or of its word less the top letter) times the start,
+        are laid out once per level (``steps``), each after its own suffix
+        one letter shorter; those of one b are shared by all relations,
+        then dropped.  Rows are built b-major and returned relation-major,
+        the order that picks the witness.
         """
         ctx = self.ctx
         field = ctx.field
         one = field.one
         mult = ctx.group.mult_table
+        levels = self.levels
         base = lv - self.N
+        width = levels[lv - 1].adim
         moved = {g for terms in self.relations for _, g, _ in terms} - {0}
+        # the chains of one b, by index: the starts, then the steps
+        index = {((), g): i for i, g in enumerate([0, *moved])}
+        steps: list = []  # (level, letter, width below, index of the suffix one letter shorter)
+        plan: list = []  # per relation: a top term (chain, letter, raw, None), a lower one (chain, None, raw, degree)
+        for terms in self.relations:
+            plan.append([])
+            for word, g, raw in terms:
+                top = len(word) == self.N
+                suffix = word[1:] if top else word
+                for k in range(len(suffix) - 1, -1, -1):
+                    if (suffix[k:], g) not in index:
+                        d = base + len(suffix) - k
+                        steps.append((levels[d], suffix[k], levels[d - 1].adim, index[suffix[k + 1 :], g]))
+                        index[suffix[k:], g] = len(index)
+                i = index[suffix, g]
+                plan[-1].append((i, word[0], raw, None) if top else (i, None, raw, base + len(word)))
+        front_lower = self._front_lower
         reps = self.reps(base) if moved else None
         images: dict = {}  # g(s) for each (g, word of s), this level only
         out: list = [[] for _ in self.relations]
-        for b in range(self.levels[base].adim):
-            chains: dict = {((), 0): {b: one}}  # (suffix, g) -> nf of suffix·g(s_b)
+        for b in range(levels[base].adim):
+            chains = [{b: one}]
             if moved:
                 wb, gb = reps[b]
                 for g in moved:
@@ -372,36 +452,27 @@ class _Tower:
                     start: dict = {}
                     for tw, c in image:
                         add_scaled(field, start, self.nf(tw, mult[g][gb]), c)
-                    chains[(), g] = start
-            for terms, rows in zip(self.relations, out):
+                    chains.append(start)
+            for level, j, w, shorter in steps:
+                chains.append(level.front(field, j, w, chains[shorter], front_lower))
+            for terms, rows in zip(plan, out):
                 row: dict = {}
-                for word, g, raw in terms:
-                    if len(word) == self.N:
-                        vec = self._front(word[0], self._chain(chains, word[1:], g, base), lv)
-                    else:
-                        vec = self._lifted(base + len(word), self._chain(chains, word, g, base))
-                    add_scaled(field, row, vec, raw)
+                for i, j, raw, d in terms:
+                    vec = chains[i]
+                    if j is None:
+                        add_scaled(field, row, self._lifted(d, vec), raw)
+                    elif not add_shifted(field, row, vec, raw, j * width, _LOWER):
+                        lower = {k: v for k, v in vec.items() if k >= _LOWER}
+                        add_scaled(field, row, self._front(j, lower, lv), raw)
                 rows.append(row)
         return [row for rows in out for row in rows]
 
-    def _chain(self, chains: dict, word: tuple[int, ...], g: int, base: int) -> dict:
-        """The normal form of word times the start ``chains[(), g]`` of degree base.
-
-        The longest suffix already in ``chains`` is extended one letter at
-        a time, each step stored: letter in front, then one reduction.
-        """
-        i = 0
-        while (word[i:], g) not in chains:
-            i += 1
-        vec = chains[word[i:], g]
-        field = self.ctx.field
-        for k in range(i - 1, -1, -1):
-            d = base + len(word) - k
-            vec = chains[word[k:], g] = self.levels[d].reduce(field, self._front(word[k], vec, d))
-        return vec
-
     def _front(self, j: int, vec: dict, n: int) -> dict:
-        """Letter j in front of a degree-(n-1) normal form, over level n's keys."""
+        """Letter j in front of a degree-(n-1) normal form, over level n's keys.
+
+        Unreduced: the carried rows of ``ensure`` and the lower-key part of
+        a relation row; with ``_Level.reduce`` the reference for ``_Level.front``.
+        """
         base = j * self.levels[n - 1].adim
         lower = _LOWER
         out = {base + b: v for b, v in vec.items() if b < lower}
@@ -418,8 +489,8 @@ class _Tower:
         if got is None:
             i = k - _LOWER
             d = bisect_right(self.starts, i) - 1
-            pos = j * self.levels[d].adim + i - self.starts[d]
-            red = self.levels[d + 1].reduce(self.ctx.field, {pos: self.ctx.field.one})
+            unit = {i - self.starts[d]: self.ctx.field.one}
+            red = self.levels[d + 1].front(self.ctx.field, j, self.levels[d].adim, unit, self._front_lower)
             got = self._fronts[j, k] = self._lifted(d + 1, red)
         return got
 
@@ -438,12 +509,24 @@ class _Tower:
     def nf(self, word: tuple[int, ...], g: int) -> dict:
         """Normal form of a monomial: A_n basis indices, then lower keys.
 
-        The chain of ((), g) = {g: one}, kept with every suffix in ``_nf_memo``.
+        The longest suffix already in ``_nf_memo`` (at least ((), g) =
+        {g: one}) is extended one letter at a time, one ``_Level.front``
+        per level, and each step is kept there.
         """
-        got = self._nf_memo.get((word, g))
+        memo = self._nf_memo
+        got = memo.get((word, g))
         if got is None:
-            self.ensure(len(word))
-            got = self._chain(self._nf_memo, word, g, 0)
+            n = len(word)
+            self.ensure(n)
+            i = 1
+            while (word[i:], g) not in memo:
+                i += 1
+            got = memo[word[i:], g]
+            field = self.ctx.field
+            levels = self.levels
+            for k in range(i - 1, -1, -1):
+                d = n - k
+                got = memo[word[k:], g] = levels[d].front(field, word[k], levels[d - 1].adim, got, self._front_lower)
         return got
 
 

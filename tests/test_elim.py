@@ -13,6 +13,7 @@ from nkoszul.elim import (
     accumulate,
     add_maps,
     add_scaled,
+    add_shifted,
     canonical_rows,
     combine,
     express,
@@ -120,6 +121,25 @@ def test_add_scaled_leaves_out_the_skipped_column():
     out = {0: F(1)}
     add_scaled(Q, out, {0: F(1), 1: F(2)}, F(3), skip=0)
     assert out == {0: F(1), 1: F(6)}
+
+
+def test_add_shifted_is_add_scaled_of_the_moved_columns():
+    """Same keys in the same order, same values and the same arithmetic;
+    columns at or past ``stop`` are left out and reported."""
+    for field in (Q, get_field(3)):
+        z = field.add(field.one, field.one)
+        row = {4: field.one, 0: z, 9: field.minus_one, 2: field.neg(z)}
+        for c in (field.one, field.minus_one, z):
+            shifted, scaled = CountingField(field), CountingField(field)
+            got = {10: field.one, 12: z}
+            assert add_shifted(shifted, got, row, c, 10, 9) is False
+            expected = {10: field.one, 12: z}
+            add_scaled(scaled, expected, {k + 10: v for k, v in row.items() if k < 9}, c)
+            assert list(got.items()) == list(expected.items())
+            assert shifted.calls == scaled.calls
+        out: dict = {}
+        assert add_shifted(field, out, {0: z, 1: z}, field.one, 3, 9) is True
+        assert out == {3: z, 4: z}
 
 
 def test_accumulate_drops_a_cancelled_key_and_keeps_the_rest():
