@@ -31,24 +31,6 @@ from math import gcd, lcm
 from operator import add as _add, neg as _neg, sub as _sub
 
 
-def euler_phi(m: int) -> int:
-    """Euler totient of a positive integer."""
-    if m < 1:
-        raise ValueError("conductor must be a positive integer")
-    result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
-
-
 def _poly_divmod_int(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # Exact division of integer polynomials with monic-up-to-sign divisor.
     num_l = list(num)

@@ -17,11 +17,12 @@ adding one value into a sparse row (``accumulate``), adding a scaled row
 loop onto columns moved by a constant) or a scaled column map
 (``add_maps``), composing and comparing column maps (``compose_maps``,
 ``maps_equal``), expressing a vector over fully reduced rows, solving over
-tagged generators, the kernel of a combination matrix, and the Zassenhaus
-intersection.  A column map is a dict from source column to sparse column:
-the N-complex maps and the group elements' actions on V are held so.  Code
-elsewhere builds its sparse vectors and maps through these helpers rather
-than repeating the drop-on-cancel step.
+tagged generators, the kernel of a combination matrix, the rank of a span
+(``rank``, the one rank entry point), and the Zassenhaus intersection.  A
+column map is a dict from source column to sparse column: the N-complex
+maps and the group elements' actions on V are held so.  Code elsewhere
+builds its sparse vectors and maps through these helpers rather than
+repeating the drop-on-cancel step.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ class SparseEliminator:
         self.pivot_rows: dict[int, dict] = {}
         # column -> pivots of the other rows with an entry in that column
         self._col_index: dict[int, set[int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
 
     def reduce(self, row: dict) -> dict:
         """Normal form of a row against the current basis (input unchanged)."""
@@ -131,6 +128,11 @@ def canonical_rows(field, rows) -> list[dict]:
     return elim.rows_canonical()
 
 
+def rank(field, rows) -> int:
+    """Rank of the span of sparse raw-valued ``rows``."""
+    return SparseEliminator(field).add_all(rows)
+
+
 def accumulate(field, out: dict, key, value) -> None:
     """In place ``out[key] += value``, dropping the key when the sum is zero."""
     cur = out.get(key)
@@ -146,18 +148,23 @@ def add_scaled(field, out: dict, row: dict, c, skip=None) -> None:
 
     Most coefficients in the complexes are signs, so c = 1 and c = -1 add
     or subtract the entries without a field multiplication; so does an
-    entry that is ``field.one`` itself, as every pivot entry is.  Column
-    ``skip`` of ``row`` is left out: a pivot entry the caller cancels.
+    entry that is ``field.one`` itself, as every pivot entry is.  A sign
+    entry negated is the other sign object, so later ``is`` tests still see
+    it.  Column ``skip`` of ``row`` is left out: a pivot entry the caller
+    cancels.
     """
-    one = field.one
+    one, minus_one = field.one, field.minus_one
     unit = c == one
-    minus = not unit and c == field.minus_one
+    minus = not unit and c == minus_one
     for col, v in row.items():
         if col == skip:
             continue
         cur = out.get(col)
         if minus:
-            nv = field.neg(v) if cur is None else field.sub(cur, v)
+            if cur is not None:
+                nv = field.sub(cur, v)
+            else:
+                nv = minus_one if v is one else one if v is minus_one else field.neg(v)
         else:
             term = v if unit else c if v is one else field.mul(c, v)
             nv = term if cur is None else field.add(cur, term)
@@ -174,9 +181,9 @@ def add_shifted(field, out: dict, row: dict, c, shift: int, stop: int) -> bool:
     The loop is ``add_scaled``'s, with its sign and ``field.one`` paths, so
     the shifted copy of ``row`` that ``add_scaled`` would read is never built.
     """
-    one = field.one
+    one, minus_one = field.one, field.minus_one
     unit = c == one
-    minus = not unit and c == field.minus_one
+    minus = not unit and c == minus_one
     skipped = False
     for col, v in row.items():
         if col >= stop:
@@ -185,7 +192,10 @@ def add_shifted(field, out: dict, row: dict, c, shift: int, stop: int) -> bool:
         col += shift
         cur = out.get(col)
         if minus:
-            nv = field.neg(v) if cur is None else field.sub(cur, v)
+            if cur is not None:
+                nv = field.sub(cur, v)
+            else:
+                nv = minus_one if v is one else one if v is minus_one else field.neg(v)
         else:
             term = v if unit else c if v is one else field.mul(c, v)
             nv = term if cur is None else field.add(cur, term)

@@ -133,18 +133,6 @@ class PhiMap:
     def is_zero_component(self, j: int) -> bool:
         return all(not comp for comp in self.component(j))
 
-    def apply_to_R_vector(self, coeffs: list) -> dict:
-        """phi of the element with the given R-basis coefficients."""
-        field = self.pres.ctx.field
-        return combine(field, self.rows, [(t, c) for t, c in enumerate(coeffs) if not field.is_zero(c)])
-
-    def rebuild_P(self) -> FilteredSubspace:
-        """Span of {x_t - phi(x_t)}; equals P whenever condition (I) holds."""
-        neg = self.pres.ctx.field.neg
-        # r_t fills the leading degree-N block of P's layout, phi(r_t) the rest
-        rows = [{**r, **{c: neg(v) for c, v in phi.items()}} for r, phi in zip(self.r_rows, self.rows)]
-        return FilteredSubspace.from_rows(self.pres.ctx, self.N, rows, close=False)
-
 
 def build_phi(pres: FilteredPresentation) -> PhiMap:
     """Extract phi from the graph structure of P over its top projection.

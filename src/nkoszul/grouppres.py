@@ -5,18 +5,18 @@ with 2 <= p <= dimV, the algebra presented by the relations
 Alt(v_1, ..., v_p) - psi(v_1, ..., v_p) is filtered with top degree p.  The
 checks take Gamma and psi alone: p is the arity of psi, and the field is
 the larger of the two that Gamma's maps and psi live in.  This
-module builds that presentation, decides the equivariance/identity
-criteria that characterize when it has the PBW property, constructs psi
-from a Gamma-invariant form, and provides the exterior-algebra
-differentials whose injectivity underlies the componentwise criterion.
+module builds that presentation, decides the equivariance and
+componentwise criteria (Theorem 4.4) that characterize when it has the
+PBW property, and constructs psi from a Gamma-invariant form.  The
+exterior-algebra differentials whose injectivity underlies the
+componentwise criterion, and identity (4.1), are checked by the test
+oracles in ``tests/paper_checks.py``; the CLI runs neither.
 
 The psi checks compute on raw field values and sparse vectors, like the
 rest of the package.  rho(g) is the sparse column map ``GroupData.maps[g]``,
 read as it is stored (lifted once when psi's field is larger), M_g and L_g
 come from one elimination of the columns of Id - (-1)^p rho(g), and every
 Λ^p coefficient is a coefficient of the one exterior product ``wedge``.
-The exterior differentials are sparse column maps too, and their
-injectivity is a combination kernel.
 
 Universal quantifiers over tuples of vectors are discharged on strictly
 increasing basis tuples; multilinearity and alternation reduce the general
@@ -30,7 +30,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 from typing import Optional
 
 from .cyclo import get_field
@@ -230,31 +229,6 @@ def _equivariant(group: GroupData, psi: PsiMap) -> bool:
     return True
 
 
-def check_identity_41(group: GroupData, psi: PsiMap) -> bool:
-    """The alternating contraction identity for each group component.
-
-    For every g and increasing (p+1)-tuple of basis vectors, the signed sum
-    of psi_g on the p-subtuples weighted by (Id - (-1)^p rho(g)) applied to
-    the omitted vector must vanish; p is the arity of psi.
-    """
-    group, psi = _over(group, psi)
-    field = get_field(psi.conductor)
-    p = psi.p
-    for g, columns in enumerate(group.maps):
-        table = psi.components.get(g, {})
-        op = _id_minus_signed(field, columns, p)
-        for tup in combinations(range(group.dimV), p + 1):
-            acc: dict = {}
-            for pos in range(p + 1):
-                c = table.get(tup[:pos] + tup[pos + 1 :])
-                if c is not None:
-                    c = to_raw(field, c)
-                    add_scaled(field, acc, op[tup[pos]], c if pos % 2 else negated(field, c))
-            if acc:
-                return False
-    return True
-
-
 @dataclass
 class Theorem44Report:
     equivariant: bool
@@ -398,67 +372,3 @@ def build_psi_symplectic_reflection(
         raise ValueError("matrix is not invertible")
     phi = {(i, j): Scalar(field, c) for j, col in enumerate(cols) for i, c in col.items() if i < j}
     return build_psi_corollary45(group, 2, phi, class_factors, conductor)
-
-
-# -- exterior algebra differentials -----------------------------------------
-
-
-def _contraction_rows(E_dim: int, p: int) -> list[tuple]:
-    """The pairs (increasing (p+1)-tuple, vector index) indexing the rows of
-    ``koszul_differential(E_dim, p)``, in row order."""
-    return [(sp, j) for sp in combinations(range(E_dim), p + 1) for j in range(E_dim)]
-
-
-def koszul_differential(E_dim: int, p: int, conductor: int = 1) -> dict:
-    """Columns of the contraction differential Λ^p(E*) -> Λ^{p+1}(E*) ⊗ E.
-
-    A sparse column map: column c is the c-th increasing p-tuple S, and
-    rows are numbered as in ``_contraction_rows``.  The entry at row
-    (S', j) is (-1)^i when removing the i-th member (1-based) of S' leaves
-    S and that member equals j.
-    """
-    if not 0 <= p <= E_dim:
-        raise ValueError("p out of range")
-    field = get_field(conductor)
-    cols: dict = {c: {} for c in range(comb(E_dim, p))}
-    column = {S: c for c, S in enumerate(combinations(range(E_dim), p))}
-    for r, (sp, j) in enumerate(_contraction_rows(E_dim, p)):
-        if j in sp:
-            pos = sp.index(j)
-            cols[column[sp[:pos] + sp[pos + 1 :]]][r] = field.one if pos % 2 else field.minus_one
-    return cols
-
-
-def koszul_differential_injective(E_dim: int, p: int) -> bool:
-    """Whether the differential's columns have no combination kernel."""
-    return not TaggedRows(get_field(1), koszul_differential(E_dim, p).values()).kernel_rows()
-
-
-def leibniz_identity_holds(dim_m: int, dim_l: int, r: int, s: int, conductor: int = 1) -> bool:
-    """Column-exact comparison of the (r, s) component of the differential
-    on V = M ⊕ L with the graded product rule built from the factors."""
-    n = dim_m + dim_l
-    field = get_field(conductor)
-    full = koszul_differential(n, r + s, conductor)
-    row_full = {key: i for i, key in enumerate(_contraction_rows(n, r + s))}
-    col_full = {S: i for i, S in enumerate(combinations(range(n), r + s))}
-    dm, cod_m = koszul_differential(dim_m, r, conductor), _contraction_rows(dim_m, r)
-    dl, cod_l = koszul_differential(dim_l, s, conductor), _contraction_rows(dim_l, s)
-    sign_r = field.minus_one if r % 2 else field.one
-    for a, sm in enumerate(combinations(range(dim_m), r)):
-        for b, sl0 in enumerate(combinations(range(dim_l), s)):
-            sl = tuple(dim_m + i for i in sl0)
-            # expected image: dM sm ⊗ sl + (-1)^r sm ⊗ dL sl, whose two
-            # target components are (r+1, s) ⊗ M and (r, s+1) ⊗ L; every
-            # other row of the full column must vanish
-            expected: dict = {}
-            for ri, c in dm[a].items():
-                spm, j = cod_m[ri]
-                accumulate(field, expected, row_full[spm + sl, j], c)
-            for ri, c in dl[b].items():
-                spl, j = cod_l[ri]
-                key = (sm + tuple(dim_m + i for i in spl), dim_m + j)
-                accumulate(field, expected, row_full[key], field.mul(sign_r, c))
-            if full[col_full[sm + sl]] != expected:
-                return False
-    return True

@@ -59,6 +59,7 @@ from .elim import (
     intersection,
     negated,
     normal_form,
+    rank,
 )
 from .scalar import DimensionMismatch
 from .smashtensor import (
@@ -121,19 +122,6 @@ class HomogeneousAlgebra:
         return f"HomogeneousAlgebra(dimV={self.ctx.dimV}, |G|={self.ctx.order}, N={self.N}, dimR={self.R.dim})"
 
 
-def dim_A(alg: HomogeneousAlgebra, n: int) -> int:
-    """dim A_n = dimV^n |Gamma| - dim I(R)_n."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return alg.tower().adim(n)
-
-
-def dim_ideal(alg: HomogeneousAlgebra, n: int) -> int:
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return alg.ctx.component_dim(n) - alg.tower().adim(n)
-
-
 # -- scalar extension detection -------------------------------------------
 
 
@@ -172,32 +160,6 @@ def field_level(alg: HomogeneousAlgebra) -> Optional[HomogeneousAlgebra]:
             alg._scalar_ext = (True, HomogeneousAlgebra(slice_sub.ctx, alg.N, slice_sub))
     ok, sub = alg._scalar_ext
     return sub if ok else None
-
-
-def change_of_rings(alg: HomogeneousAlgebra, group: GroupData) -> HomogeneousAlgebra:
-    """Extend a field-level algebra to K = k[Gamma] inside the smash context.
-
-    Requires the field-level relations to be stable under the group action;
-    the extended relation module is the bimodule closure of R ⊗ 1 and has
-    dimension dim R * |Gamma|.
-    """
-    if alg.ctx.order != 1:
-        raise ValueError("change of rings starts from a field-level algebra")
-    ctx2 = TensorContext(group.dimV, group, max(alg.ctx.conductor, 1))
-    if group.dimV != alg.ctx.dimV:
-        raise DimensionMismatch("group must act on the same V")
-    # stability check: rho(g) applied slotwise preserves the relation space
-    order = group.order
-    lifted = [{c * order: v for c, v in r.items()} for r in alg.R.basis_sparse()]
-    elim = SparseEliminator(alg.ctx.field)
-    elim.add_all(alg.R.basis_sparse())
-    for g in group.generators:
-        for r in lifted:
-            img = ctx2.left_action_sparse(g, r, alg.N)
-            if not elim.contains({c // order: v for c, v in img.items()}):
-                raise ValueError("relations are not stable under the group action")
-    R2 = Subbimodule.from_rows(ctx2, alg.N, lifted)
-    return HomogeneousAlgebra(ctx2, alg.N, R2)
 
 
 # -- the quotient tower ----------------------------------------------------
@@ -798,15 +760,16 @@ def _koszul_certificate(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
                         accumulate(field, tail, ctx.word_num(tw), field.mul(raw, c))
                 splits[m, delta].append(split)
         width = ctx.dimV ** (m - delta)
-        elim = SparseEliminator(field)
-        for w in dict.fromkeys(w for w, _ in tower.reps(a)):
-            for split in splits[m, delta]:
-                vec: dict = {}
-                for (head, g), tail in split.items():
-                    for b, v in tower.nf(w + head, g).items():
-                        add_scaled(field, vec, {b * width + t: c for t, c in tail.items()}, v)
-                elim.add(vec)
-        return elim.rank
+
+        def image(w, split) -> dict:
+            vec: dict = {}
+            for (head, g), tail in split.items():
+                for b, v in tower.nf(w + head, g).items():
+                    add_scaled(field, vec, {b * width + t: c for t, c in tail.items()}, v)
+            return vec
+
+        words = dict.fromkeys(w for w, _ in tower.reps(a))
+        return rank(field, (image(w, split) for w in words for split in splits[m, delta]))
 
     def degree_data(d: int) -> DegreeCertificate:
         imax = 0

@@ -53,6 +53,7 @@ from .elim import (
     express,
     maps_equal,
     pivot_index,
+    rank,
 )
 from .filtered import FilteredPresentation, build_phi
 from .grouppres import wedge
@@ -122,11 +123,6 @@ class TruncatedU:
                 raise DimensionMismatch("term exceeds the truncation bound")
             add_scaled(field, out, self.tower.global_nf(word, g), c)
         return out
-
-    def reduce_terms(self, terms: dict) -> dict:
-        """Normal form of a term dict as a sparse vector over the basis."""
-        field = self.field
-        return self._reduce((word, g, to_raw(field, c)) for (word, g), c in terms.items())
 
     def _times(self, word1, g1, word2, g2) -> dict:
         """(word1 ⊗ g1)(word2 ⊗ g2) = word1·ρ(g1)word2 ⊗ g1·g2 over the basis.
@@ -613,21 +609,6 @@ def check_dN_zero(slice_family: NComplexSlice, q: Scalar) -> list[tuple[int, boo
     return results
 
 
-def factorization_identity_holds(slice_family: NComplexSlice, q: Scalar, n: int) -> bool:
-    """Product of the twisted maps vs d_l^N - d_r^N vs the phi correction."""
-    field = slice_family.ctx.field
-    N = slice_family.N
-    twisted = _power(lambda m: slice_family.d_twisted(m, q), n, N, field)
-    ncols = slice_family.slice_dim(n)
-    untwisted = map_difference(
-        _power(slice_family.d_left, n, N, field), _power(slice_family.d_right, n, N, field), field, ncols
-    )
-    lhs_eq = maps_equal(twisted, untwisted, ncols)
-    phi_diff = map_difference(slice_family.phi_left(n), slice_family.phi_right(n), field, ncols)
-    rhs_eq = maps_equal(untwisted, phi_diff, ncols)
-    return lhs_eq and rhs_eq
-
-
 @dataclass
 class ContractionReport:
     bound: int
@@ -672,12 +653,9 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     mu = fam.mu_matrix()
 
     def restricted_rank(cols: dict, src_n: int) -> int:
-        elim = SparseEliminator(field)
         basis = fam.basis(src_n)
-        for src, vec in cols.items():
-            if fam.total_degree(src_n, basis[src]) <= window:
-                elim.add(vec)
-        return elim.rank
+        inside = (vec for src, vec in cols.items() if fam.total_degree(src_n, basis[src]) <= window)
+        return rank(field, inside)
 
     ranks: dict[int, int] = {}
 
@@ -925,13 +903,6 @@ class WedgeComplex:
             cols[src] = out
         self._iso[m] = cols
         return cols
-
-
-def wedge_differentials(family: NComplexSlice, parity: str, m: int) -> dict:
-    """Explicit wedge-formula matrix at wedge size m for the given parity,
-    over the family's group with p = N."""
-    wc = WedgeComplex(family)
-    return wc.differential(m, parity)
 
 
 def wedge_agreement(family: NComplexSlice) -> bool:

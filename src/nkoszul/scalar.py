@@ -432,20 +432,6 @@ class Subspace:
         return Subspace(ambient_dim, canonical_rows(get_field(conductor), rows), conductor)
 
     @staticmethod
-    def from_vectors(vectors: Sequence[Sequence[Scalar]], ambient_dim: int, conductor: int = 1) -> "Subspace":
-        vecs = list(vectors)
-        if any(len(v) != ambient_dim for v in vecs):
-            raise DimensionMismatch("vector length differs from ambient dimension")
-        m = conductor
-        for v in vecs:
-            for x in v:
-                if isinstance(x, Scalar):
-                    m = max(m, x.conductor)
-        field = get_field(m)
-        rows = [_sparse(field, [to_raw(field, x) for x in v]) for v in vecs]
-        return Subspace.from_rows(ambient_dim, rows, m)
-
-    @staticmethod
     def zero(ambient_dim: int, conductor: int = 1) -> "Subspace":
         return Subspace(ambient_dim, [], conductor)
 

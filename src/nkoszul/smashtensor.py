@@ -5,7 +5,7 @@ tensor algebra over K into the smash product T(V)#Gamma, whose degree-n
 component has canonical k-basis (word, g) with word in {1..dimV}^n and g a
 group element; the product rule is (v (x) g)(w (x) h) = v (x) g(w) (x) gh.
 This module provides that algebra's graded components, sub-bimodules in
-canonical subspace form, products EF, ideal components, and the
+canonical subspace form, products EF, and the placements of R and
 intersections W_n that drive every homological check downstream.
 
 Basis order is fixed once and for all: words lexicographic with slot 1 most
@@ -32,7 +32,7 @@ from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .cyclo import get_field
-from .elim import SparseEliminator, TaggedRows, accumulate, add_scaled, compose_maps, maps_equal
+from .elim import SparseEliminator, TaggedRows, accumulate, add_scaled, compose_maps
 from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, to_raw
 
 Terms = dict  # {(word tuple, g index): Scalar}
@@ -79,9 +79,6 @@ class GroupData:
 
     def mult(self, i: int, j: int) -> int:
         return self.mult_table[i][j]
-
-    def inverse(self, i: int) -> int:
-        return self.inverses[i]
 
     @staticmethod
     def trivial(dimV: int, conductor: int = 1) -> "GroupData":
@@ -173,15 +170,6 @@ class GroupData:
 
         maps = [{l: {i: lift(x) for i, x in col.items()} for l, col in g.items()} for g in self.maps]
         return GroupData(maps, self.mult_table, self.inverses, self.conj_classes, self.generators, field)
-
-    def is_homomorphic_action(self) -> bool:
-        """Entry-exact check that rho(g) rho(h) = rho(gh)."""
-        maps, field, n = self.maps, self.field, self.dimV
-        return all(
-            maps_equal(compose_maps(maps[i], maps[j], field), maps[self.mult_table[i][j]], n)
-            for i in range(self.order)
-            for j in range(self.order)
-        )
 
 
 class TensorContext:
@@ -299,14 +287,6 @@ class TensorContext:
         for (word, g), c in terms.items():
             self.check_term(word, g)
             accumulate(field, out, self.coord(word, g), to_raw(field, c))
-        return out
-
-    def sparse_to_terms(self, row: dict, degree: int) -> Terms:
-        field = self.field
-        out = {}
-        for coord, raw in row.items():
-            word, g = self.word_of(coord, degree)
-            out[(word, g)] = Scalar(field, raw)
         return out
 
     def left_action_sparse(self, g: int, row: dict, degree: int) -> dict:
@@ -664,11 +644,6 @@ def _span(ctx: TensorContext, degree: int, rows) -> Subbimodule:
     return Subbimodule._of_rows(ctx, degree, _span_rows(ctx.field, rows))
 
 
-def smash_product(ctx: TensorContext, a: Terms, b: Terms) -> Terms:
-    """Product of two elements given as term dicts."""
-    return ctx.smash_mul_terms(a, b)
-
-
 def product_EF(E: Subbimodule, F: Subbimodule) -> Subbimodule:
     """Span of the smash products of basis elements; again a sub-bimodule."""
     _check_same_ctx(E.ctx, F.ctx)
@@ -693,24 +668,6 @@ def placement_rows(R: Subbimodule, i: int, j: int) -> list[dict]:
 def placement(R: Subbimodule, i: int, j: int) -> Subbimodule:
     """V^{⊗i} R V^{⊗j} as a sub-bimodule of degree i + N + j."""
     return _span(R.ctx, R.degree + i + j, placement_rows(R, i, j))
-
-
-def ideal_component(R: Subbimodule, n: int) -> Subbimodule:
-    """Degree-n component of the two-sided ideal generated by R.
-
-    The component is the sum of all placements V^{⊗i} R V^{⊗j} with
-    i + N + j = n; it vanishes for n < N.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    ctx = R.ctx
-    N = R.degree
-    if n < N:
-        return Subbimodule.zero(ctx, n)
-    out = placement(R, 0, n - N)
-    for i in range(1, n - N + 1):
-        out = out.sum(placement(R, i, n - N - i))
-    return out
 
 
 def W(R: Subbimodule, n: int) -> Subbimodule:
@@ -754,30 +711,3 @@ def antisymmetrizer_subbimodule(ctx: TensorContext, p: int) -> Subbimodule:
         raise ValueError("p must lie between 2 and dimV")
     elems = [alternating_sum_terms(ctx, combo) for combo in combinations(range(ctx.dimV), p)]
     return Subbimodule.from_elements(ctx, p, elems, close=True)
-
-
-def check_lemma22(E: Subbimodule, Ep: Subbimodule, F: Subbimodule, Fp: Subbimodule, which: str) -> bool:
-    """Exact validity of the product/intersection exchange identities.
-
-    which = "i":   (EF) ∩ (EF') = E(F ∩ F')
-    which = "ii":  (EF) ∩ (E'F) = (E ∩ E')F
-    which = "iii": (E'F) ∩ (EF') = E'F'   requiring E' ⊆ E and F' ⊆ F
-    """
-    if E.degree != Ep.degree or F.degree != Fp.degree:
-        raise DimensionMismatch("E,E' and F,F' must come in equal degrees")
-    if which == "i":
-        lhs = product_EF(E, F).intersect(product_EF(E, Fp))
-        rhs = product_EF(E, F.intersect(Fp))
-    elif which == "ii":
-        lhs = product_EF(E, F).intersect(product_EF(Ep, F))
-        rhs = product_EF(E.intersect(Ep), F)
-    elif which == "iii":
-        if not E.space.contains_subspace(Ep.space):
-            raise ValueError("(iii) requires E' contained in E")
-        if not F.space.contains_subspace(Fp.space):
-            raise ValueError("(iii) requires F' contained in F")
-        lhs = product_EF(Ep, F).intersect(product_EF(E, Fp))
-        rhs = product_EF(Ep, Fp)
-    else:
-        raise ValueError("which must be one of 'i', 'ii', 'iii'")
-    return lhs == rhs

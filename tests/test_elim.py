@@ -22,7 +22,7 @@ from nkoszul.elim import (
     normal_form,
     pivot_index,
 )
-from nkoszul.scalar import MatrixS, Scalar, Subspace, rref_raw
+from nkoszul.scalar import MatrixS, Scalar, Subspace, rref, rref_raw
 from nkoszul.smashtensor import GroupData, TensorContext
 
 Q = get_field(1)
@@ -140,6 +140,23 @@ def test_add_shifted_is_add_scaled_of_the_moved_columns():
         out: dict = {}
         assert add_shifted(field, out, {0: z, 1: z}, field.one, 3, 9) is True
         assert out == {3: z, 4: z}
+
+
+def test_subtracting_a_sign_entry_gives_the_other_sign_object():
+    """c = -1 onto a missing key turns ``field.one`` into ``field.minus_one``
+    and back, the objects themselves and with no ``neg``, so later
+    ``v is one`` tests still see them."""
+    for field in (Q, get_field(3)):
+        z = field.add(field.one, field.one)
+        row = {0: field.one, 1: field.minus_one, 2: z}
+        scaled, shifted = CountingField(field), CountingField(field)
+        out: dict = {}
+        add_scaled(scaled, out, row, field.minus_one)
+        assert out[0] is field.minus_one and out[1] is field.one and out[2] == field.neg(z)
+        moved: dict = {}
+        assert add_shifted(shifted, moved, row, field.minus_one, 5, 9) is True
+        assert moved[5] is field.minus_one and moved[6] is field.one and moved[7] == field.neg(z)
+        assert scaled.calls == shifted.calls == {"neg": 1, "is_zero": 3}
 
 
 def test_accumulate_drops_a_cancelled_key_and_keeps_the_rest():
@@ -285,7 +302,7 @@ def test_rref_raw_is_the_dense_view_of_the_canonical_rows():
 
 
 def test_subspace_keeps_sparse_rows():
-    s = Subspace.from_vectors([[2, 0, 4], [0, 0, 0]], 3)
+    s = rref(MatrixS.from_rows([[2, 0, 4], [0, 0, 0]]))
     assert s.rows == [{0: F(1), 2: F(2)}]
     assert s.pivots == (0,)
 
@@ -305,6 +322,11 @@ def test_words_and_numbers_round_trip():
                 assert ctx.word_of(ctx.coord(word, g), length) == (word, g)
 
 
+def as_terms(ctx, row: dict, degree: int) -> dict:
+    """A sparse degree-``degree`` row as a term dict."""
+    return {ctx.word_of(coord, degree): Scalar(ctx.field, raw) for coord, raw in row.items()}
+
+
 def test_append_letter_and_row_product_match_the_term_product():
     ctx = symplectic_ctx()
     one = Scalar.one()
@@ -312,9 +334,9 @@ def test_append_letter_and_row_product_match_the_term_product():
     for _ in range(10):
         row = {ctx.coord(ctx.num_word(rng.randrange(4), 2), rng.randrange(2)): F(rng.randint(1, 3))}
         row2 = {rng.randrange(4): F(rng.randint(-2, 2) or 1), rng.randrange(4): F(1)}
-        terms = ctx.sparse_to_terms(row, 2)
+        terms = as_terms(ctx, row, 2)
         for letter in range(2):
             expect = ctx.smash_mul_terms(terms, {((letter,), 0): one})
             assert ctx.append_letter(row, letter) == ctx.terms_to_sparse(expect)
-        expect = ctx.smash_mul_terms(terms, ctx.sparse_to_terms(row2, 1))
+        expect = ctx.smash_mul_terms(terms, as_terms(ctx, row2, 1))
         assert ctx.row_product(row, row2, 1) == ctx.terms_to_sparse(expect)

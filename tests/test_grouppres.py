@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from nkoszul.cyclo import get_field
-from nkoszul.elim import TaggedRows, add_scaled
+from nkoszul.elim import TaggedRows, add_scaled, combine
 from nkoszul.scalar import MatrixS, Scalar, image, kernel
 from nkoszul.smashtensor import GroupData, TensorContext, W, antisymmetrizer_subbimodule
 from nkoszul.filtered import (
@@ -24,14 +24,11 @@ from nkoszul.grouppres import (
     build_psi_corollary45,
     build_psi_symplectic_reflection,
     check_equivariance,
-    check_identity_41,
     decompose,
-    koszul_differential,
-    koszul_differential_injective,
-    leibniz_identity_holds,
     theorem_44_verdict,
     wedge,
 )
+from paper_checks import check_identity_41, is_homomorphic_action, koszul_differential, leibniz_identity_holds
 
 S = Scalar.rational
 Z3 = Scalar.zeta(3)
@@ -144,11 +141,11 @@ def test_closure_matches_the_dense_product(gens, conductor):
 
 def test_is_homomorphic_action_sees_a_wrong_table():
     group = s3_group()
-    assert group.is_homomorphic_action()
+    assert is_homomorphic_action(group)
     table = [list(row) for row in group.mult_table]
     table[1][1], table[1][2] = table[1][2], table[1][1]
     swapped = GroupData(group.maps, table, group.inverses, group.conj_classes, group.generators, group.field)
-    assert not swapped.is_homomorphic_action()
+    assert not is_homomorphic_action(swapped)
 
 
 # -- the exterior product ------------------------------------------------
@@ -403,6 +400,23 @@ def test_identity_41_on_and_off_component():
     assert not check_identity_41(g, off_component)
 
 
+def test_identity_41_signs_decide_when_contractions_share_a_direction():
+    # the transposition of e1, e2 on Q^3, p = 2: Id - rho(g) sends e1 and e2
+    # to opposite vectors, so on (e1, e2, e3) the terms of positions 0 and 1
+    # cancel only with the alternating signs.  M_g = span{e1 - e2},
+    # L_g = span{e1 + e2, e3}, a(g) = 1
+    g = GroupData.from_generators([perm_matrix([1, 0, 2])])
+    dec = decompose(g, 2)
+    assert sorted(dec.a) == [0, 1]
+    swap = dec.a.index(1)
+    mixed = PsiMap(2, 3, 2, {swap: {(0, 2): 1, (1, 2): -1}})  # (e1* - e2*) ∧ e3* on M ∧ L
+    assert check_identity_41(g, mixed)
+    assert theorem_44_verdict(g, mixed).per_g[swap]["off_component_zero"]
+    inside_l = PsiMap(2, 3, 2, {swap: {(0, 2): 1, (1, 2): 1}})  # (e1* + e2*) ∧ e3* on Λ²(L)
+    assert not check_identity_41(g, inside_l)
+    assert not theorem_44_verdict(g, inside_l).per_g[swap]["off_component_zero"]
+
+
 def test_theorem44_detects_global_phi_assignment():
     # psi_g = phi globally is wrong when M_g is neither V nor 0
     gmat = MatrixS.from_rows(
@@ -504,7 +518,7 @@ def test_phi_of_group_presentation_is_psi_in_degree_zero():
                     else:
                         residual[col] = nv
         assert not residual
-        value = phi.apply_to_R_vector(coeffs)
+        value = combine(field, phi.rows, [(t, c) for t, c in enumerate(coeffs) if not field.is_zero(c)])
         # the coordinates of the degree-zero block are the group slots
         got = {gidx: Scalar(field, v) for gidx, v in pres.P.layout.block(value, 0).items()}
         expect = {
@@ -565,7 +579,8 @@ def test_symplectic_builder_validates_form():
 def test_koszul_differential_injectivity_sweep():
     for e_dim in range(1, 6):
         for p in range(0, e_dim + 1):
-            assert koszul_differential_injective(e_dim, p) == (p < e_dim)
+            injective = not TaggedRows(get_field(1), koszul_differential(e_dim, p).values()).kernel_rows()
+            assert injective == (p < e_dim)
 
 
 def test_koszul_differential_top_degree_kernel():

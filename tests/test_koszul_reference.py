@@ -27,7 +27,6 @@ from nkoszul.homogeneous import (
     _koszul_certificate,
     _Level,
     _Tower,
-    change_of_rings,
     is_antisymmetrizer_relations,
     scalar_extension_slice,
     w_rows,
@@ -36,6 +35,7 @@ from nkoszul.homogeneous import (
 from nkoszul.jsonio import load_input
 from nkoszul.scalar import MatrixS, Scalar
 from nkoszul.smashtensor import GroupData, Subbimodule, TensorContext
+from paper_checks import change_of_rings
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -163,7 +163,7 @@ def reference_certificate(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
                         for b, v in tower.nf(word + dword, 0).items():
                             accumulate(field, vec, b * ns + t2, field.mul(raw, v))
                     elim.add(bt.reduce(vec))
-            ranks.append(elim.rank)
+            ranks.append(len(elim.pivot_rows))
         exact = [ranks[i - 1] + ranks[i] == dims[i] for i in range(1, imax + 1)]
         degrees.append(DegreeCertificate(d=d, dims=dims, ranks=ranks, exact=exact))
 

@@ -93,7 +93,7 @@ def reference(pres, D):
                 if ref.witness is None:
                     ref.witness = (n, dict(elim.pivot_rows[piv]))
                 holds = False
-        ref.j_dims[n] = elim.rank
+        ref.j_dims[n] = len(elim.pivot_rows)
         ref.equalities[n] = holds
     return ref
 

@@ -61,7 +61,7 @@ def tor3_relation_holds(alg, n, w_cache):
                 for b, v in tower.nf(word + (j,), 0).items():
                     accumulate(field, vec, b * ns + t, field.mul(c, v))
             elim.add(bt.reduce(vec))
-    return lhs_dim == dim_IaR + elim.rank
+    return lhs_dim == dim_IaR + len(elim.pivot_rows)
 
 
 def sl2():

@@ -138,3 +138,22 @@ def test_the_fused_build_makes_no_more_multiplications(monkeypatch):
         calls.clear()
         tower.ensure(bound)
         assert len(calls) <= two_pass, name
+
+
+def test_the_build_negates_no_sign_object(monkeypatch):
+    """Subtracting a sign entry gives the other sign object, not a fresh
+    copy, so the cubic's graded build to degree 9 calls ``neg`` on neither
+    ``field.one`` nor ``field.minus_one``."""
+    tower = graded("cubic_z3")
+    signs = []
+    for cls in (cyclo.RationalField, cyclo.CyclotomicField):
+        neg = cls.neg
+
+        def counted(self, a, neg=neg):
+            if a is self.one or a is self.minus_one:
+                signs.append(a)
+            return neg(self, a)
+
+        monkeypatch.setattr(cls, "neg", counted)
+    tower.ensure(9)
+    assert signs == []

@@ -185,8 +185,8 @@ def test_balanced_tensor_matches_the_free_position_index(a):
                 for t2, c in action[t]:
                     accumulate(field, row, b * ns + t2, field.neg(c))
                 elim.add(row)
-    assert elim.rank > 0
-    assert bt.dim == na * ns - elim.rank
+    assert len(elim.pivot_rows) > 0
+    assert bt.dim == na * ns - len(elim.pivot_rows)
     free = [pos for pos in range(na * ns) if pos not in elim.pivot_rows]
     free_index = {pos: i for i, pos in enumerate(free)}
     two = field.add(field.one, field.one)
