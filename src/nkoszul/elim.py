@@ -18,11 +18,13 @@ loop onto columns moved by a constant) or a scaled column map
 (``add_maps``), composing and comparing column maps (``compose_maps``,
 ``maps_equal``), expressing a vector over fully reduced rows, solving over
 tagged generators, the kernel of a combination matrix, the rank of a span
-(``rank``, the one rank entry point), and the Zassenhaus intersection.  A
+(``rank``, the one rank entry point) and the Zassenhaus intersection.  A
 column map is a dict from source column to sparse column: the N-complex
 maps and the group elements' actions on V are held so.  Code elsewhere
 builds its sparse vectors and maps through these helpers rather than
 repeating the drop-on-cancel step.
+
+Ranks need no fully reduced basis: ``rank`` keeps echelon rows only.
 """
 
 from __future__ import annotations
@@ -129,8 +131,39 @@ def canonical_rows(field, rows) -> list[dict]:
 
 
 def rank(field, rows) -> int:
-    """Rank of the span of sparse raw-valued ``rows``."""
-    return SparseEliminator(field).add_all(rows)
+    """Rank of the span of sparse raw-valued ``rows``, by echelon inserts only.
+
+    Each row is reduced until its leading entry, the one in its last
+    column, is a new pivot; then the rest of it is kept.  A kept row changes
+    at most once, when a later row first meets its pivot: it is scaled then
+    so that its pivot entry is one, and a row no later row meets costs no
+    inversion.  The rank needs no fully reduced basis, so there is no
+    back-substitution and no column index.  Pivots are taken from the last
+    column because the bases of the N-complex slices list low filtration
+    degree first, and the maps are nearly triangular in their top degree:
+    on the S3 Cherednik contraction at D=6 the first column made seven
+    times the row operations.
+    """
+    tails: dict = {}
+    leads: dict = {}  # pivot -> its entry, while that entry is not one
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = max(row)
+            c = row.pop(col)
+            tail = tails.get(col)
+            if tail is None:
+                tails[col] = row
+                if not field.is_one(c):
+                    leads[col] = c
+                break
+            lead = leads.pop(col, None)
+            if lead is not None:
+                scaled: dict = {}
+                add_scaled(field, scaled, tail, field.inv(lead))
+                tails[col] = tail = scaled
+            add_scaled(field, row, tail, negated(field, c))
+    return len(tails)
 
 
 def accumulate(field, out: dict, key, value) -> None:
@@ -148,10 +181,11 @@ def add_scaled(field, out: dict, row: dict, c, skip=None) -> None:
 
     Most coefficients in the complexes are signs, so c = 1 and c = -1 add
     or subtract the entries without a field multiplication; so does an
-    entry that is ``field.one`` itself, as every pivot entry is.  A sign
-    entry negated is the other sign object, so later ``is`` tests still see
-    it.  Column ``skip`` of ``row`` is left out: a pivot entry the caller
-    cancels.
+    entry that is a sign object itself, ``field.one`` as every pivot entry
+    is, or ``field.minus_one``, which gives -c (c is no sign on that path).
+    A sign entry negated is the other sign object, so later ``is`` tests
+    still see it.  Column ``skip`` of ``row`` is left out: a pivot entry
+    the caller cancels.
     """
     one, minus_one = field.one, field.minus_one
     unit = c == one
@@ -166,7 +200,7 @@ def add_scaled(field, out: dict, row: dict, c, skip=None) -> None:
             else:
                 nv = minus_one if v is one else one if v is minus_one else field.neg(v)
         else:
-            term = v if unit else c if v is one else field.mul(c, v)
+            term = v if unit else c if v is one else field.neg(c) if v is minus_one else field.mul(c, v)
             nv = term if cur is None else field.add(cur, term)
         if field.is_zero(nv):
             out.pop(col, None)
@@ -197,7 +231,7 @@ def add_shifted(field, out: dict, row: dict, c, shift: int, stop: int) -> bool:
             else:
                 nv = minus_one if v is one else one if v is minus_one else field.neg(v)
         else:
-            term = v if unit else c if v is one else field.mul(c, v)
+            term = v if unit else c if v is one else field.neg(c) if v is minus_one else field.mul(c, v)
             nv = term if cur is None else field.add(cur, term)
         if field.is_zero(nv):
             out.pop(col, None)

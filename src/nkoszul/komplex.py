@@ -26,15 +26,17 @@ rank checks restricted to the safe filtration window <= D - N where
 truncation cannot create spurious homology.  Each map is built once:
 d^{N-1}, the sum of d_l^a d_r^b over a + b = N - 1, comes from the
 recurrence T_k(l) = T_{k-1}(l-1) ∘ d_r(l) + d_l^k(l) (``alternating_step_sum``),
-and each windowed map of the contracted complex is eliminated once.  The
-generic and wedge-basis complexes share one assembly of their maps out of
-each position (``contraction_map``); the generic ones are built once per
-slice family (``NComplexSlice.contraction``), so the contracted complex
-and the wedge agreement read the same maps.  d^N and d_l^N, d_r^N share
+and each windowed map of the contracted complex is ranked once, by
+echelon inserts (``elim.rank``).  The generic and wedge-basis complexes
+share one assembly of their maps out of each position
+(``contraction_map``); the generic ones are built once per slice family
+(``NComplexSlice.contraction``), so the contracted complex and the wedge
+agreement read the same maps.  d^N and d_l^N, d_r^N share
 one N-fold composition, and phi's left and right lifts share one
 construction.
-Products by one are skipped wherever a factor is the ``field.one`` object,
-as every cached one-step product stores its entries equal to one.
+Products by a sign are skipped wherever a factor is the ``field.one`` or
+``field.minus_one`` object, as every cached one-step product stores its
+entries equal to a sign as those objects.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .elim import (
     compose_maps,
     express,
     maps_equal,
+    negated,
     pivot_index,
     rank,
 )
@@ -67,12 +70,16 @@ class UnsupportedStructure(ValueError):
 
 
 def _mul(field, a, b):
-    """a * b, without a field product when a factor is the ``field.one`` object."""
-    one = field.one
+    """a * b, without a field product when a factor is a sign object."""
+    one, minus_one = field.one, field.minus_one
     if a is one:
         return b
     if b is one:
         return a
+    if a is minus_one:
+        return negated(field, b)
+    if b is minus_one:
+        return negated(field, a)
     return field.mul(a, b)
 
 
@@ -154,11 +161,12 @@ class TruncatedU:
             else:
                 vec = self._times(head, g, word, g0)
             field = self.field
-            one = field.one
-            # entries equal to one are stored as ``field.one`` itself, so
-            # products with them can be skipped by identity
+            one, minus_one = field.one, field.minus_one
+            # entries equal to a sign are stored as the sign objects
+            # themselves, so products with them can be skipped by identity
             got = self._products[key] = [
-                (i, one if field.is_one(v) else v) for i, v in sorted(vec.items())
+                (i, one if v == one else minus_one if v == minus_one else v)
+                for i, v in sorted(vec.items())
             ]
         return got
 
@@ -641,90 +649,46 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     window = fam.bound - N
     if window < 0:
         raise ValueError("bound too small for a meaningful window")
-    # homological positions i with zeta(i) <= bound and nonzero slices
+    # homological positions 0..top, with zeta(i) <= bound and nonzero slices
     zs = zeta_degrees(N, fam.bound)
-    maps = {}
-    for i in range(1, len(zs)):
-        hi = zs[i]
-        if fam.slice_dim(hi) == 0:
-            maps[i] = {}
-            continue
-        maps[i] = fam.contraction(i)
-    mu = fam.mu_matrix()
+    top = 0
+    while top + 1 < len(zs) and fam.slice_dim(zs[top + 1]) > 0:
+        top += 1
+    maps = [fam.mu_matrix()] + [fam.contraction(i) for i in range(1, top + 1)]
+    # composition zero of consecutive maps on the full slices
+    comp_zero = all(map_is_zero(compose_maps(maps[i], maps[i + 1], field)) for i in range(top))
 
-    def restricted_rank(cols: dict, src_n: int) -> int:
-        basis = fam.basis(src_n)
-        inside = (vec for src, vec in cols.items() if fam.total_degree(src_n, basis[src]) <= window)
-        return rank(field, inside)
+    inside = [[fam.total_degree(n, key) <= window for key in fam.basis(n)] for n in zs[: top + 1]]
+    dims = [sum(flags) for flags in inside]
+    u_window = fam.tu.dim_filtration(window)
+    columns = [[vec for src, vec in cols.items() if flags[src]] for cols, flags in zip(maps, inside)]
 
-    ranks: dict[int, int] = {}
-
-    def rank_out_of(i: int) -> int:
-        """Windowed rank of the map out of position i, eliminated once."""
-        if i >= len(zs) or fam.slice_dim(zs[i]) == 0:
-            return 0
-        if i not in ranks:
-            ranks[i] = restricted_rank(maps[i], zs[i])
-        return ranks[i]
-
-    def windowed_dim(n: int) -> int:
-        basis = fam.basis(n)
-        return sum(1 for key in basis if fam.total_degree(n, key) <= window)
+    # the map out of position top + 1 is zero
+    ranks = [rank(field, cols) for cols in columns] + [0]
 
     positions = []
-    comp_zero = True
-    exact_all = True
-    # position 0: exactness of (U (x) U) -> U at the window
-    rank_mu = restricted_rank(mu, 0)
-    rank1 = rank_out_of(1)
-    dim0 = windowed_dim(0)
-    exact0 = rank_mu + rank1 == dim0
-    onto = rank_mu == fam.tu.dim_filtration(window)
-    positions.append(
-        {
-            "i": 0,
-            "zeta": 0,
-            "dim_total": fam.slice_dim(0),
-            "dim_window": dim0,
-            "rank_in": rank1,
-            "rank_out": rank_mu,
-            "exact": exact0 and onto,
-        }
-    )
-    exact_all = exact_all and exact0 and onto
-    for i in range(1, len(zs)):
-        if fam.slice_dim(zs[i]) == 0:
-            break
-        rank_out = rank_out_of(i)
-        rank_in = rank_out_of(i + 1)
-        dim_i = windowed_dim(zs[i])
-        ok = rank_out + rank_in == dim_i
+    for i in range(top + 1):
+        ok = ranks[i] + ranks[i + 1] == dims[i]
+        if i == 0:
+            # onto U^{<= window} as well
+            ok = ok and ranks[0] == u_window
         positions.append(
             {
                 "i": i,
                 "zeta": zs[i],
                 "dim_total": fam.slice_dim(zs[i]),
-                "dim_window": dim_i,
-                "rank_in": rank_in,
-                "rank_out": rank_out,
+                "dim_window": dims[i],
+                "rank_in": ranks[i + 1],
+                "rank_out": ranks[i],
                 "exact": ok,
             }
         )
-        exact_all = exact_all and ok
-        # composition zero of consecutive maps on the full slices
-        if i + 1 < len(zs) and fam.slice_dim(zs[i + 1]) > 0:
-            comp = compose_maps(maps[i], maps[i + 1], field)
-            if not map_is_zero(comp):
-                comp_zero = False
-    comp_mu = compose_maps(mu, maps[1], field) if len(zs) > 1 else {}
-    if not map_is_zero(comp_mu):
-        comp_zero = False
     return ContractionReport(
         bound=fam.bound,
         window=window,
         positions=positions,
         composition_zero=comp_zero,
-        exact_in_window=exact_all,
+        exact_in_window=all(pos["exact"] for pos in positions),
     )
 
 

@@ -7,11 +7,8 @@ throughout, as everything is computed in exact arithmetic.
 """
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import comb
-
-import pytest
 
 from nkoszul.cyclo import get_field
 from nkoszul.elim import TaggedRows
@@ -38,7 +35,6 @@ from nkoszul.filtered import (
     build_phi,
     check_condition_I,
     check_condition_J,
-    oracle_pbw,
     pbw_verdict,
     _phi_lift_difference,
     _right_split_solver,

@@ -21,6 +21,7 @@ from nkoszul.elim import (
     negated,
     normal_form,
     pivot_index,
+    rank,
 )
 from nkoszul.scalar import MatrixS, Scalar, Subspace, rref, rref_raw
 from nkoszul.smashtensor import GroupData, TensorContext
@@ -159,6 +160,23 @@ def test_subtracting_a_sign_entry_gives_the_other_sign_object():
         assert scaled.calls == shifted.calls == {"neg": 1, "is_zero": 3}
 
 
+def test_a_minus_one_entry_scales_to_minus_c_without_a_product():
+    """c times a ``field.minus_one`` entry is -c, one ``neg`` and no ``mul``,
+    in ``add_scaled`` and in ``add_shifted`` alike."""
+    for field in (Q, get_field(3)):
+        z = field.add(field.one, field.one)
+        row = {0: field.one, 1: field.minus_one, 2: z}
+        scaled, shifted = CountingField(field), CountingField(field)
+        out: dict = {}
+        add_scaled(scaled, out, row, z)
+        assert out == {0: z, 1: field.neg(z), 2: field.mul(z, z)}
+        moved: dict = {}
+        assert add_shifted(shifted, moved, row, z, 5, 9) is True
+        assert moved == {5: z, 6: field.neg(z), 7: field.mul(z, z)}
+        # one product, for the entry z; the sign entries cost none
+        assert scaled.calls == shifted.calls == {"neg": 1, "mul": 1, "is_zero": 3}
+
+
 def test_accumulate_drops_a_cancelled_key_and_keeps_the_rest():
     out = {0: F(1), 1: F(2)}
     accumulate(Q, out, 1, F(-2))
@@ -291,6 +309,45 @@ def test_eliminator_invariants_under_shuffled_insertion(conductor):
             diff = dict(v)
             add_scaled(field, diff, red, field.neg(field.one))
             assert combine(field, canonical, express(field, canonical, index, diff)) == diff
+
+
+def random_field_rows(rng, field, count, width):
+    """Sparse rows over ``field`` with small coefficients, some denominators,
+    and about a third of them combinations of earlier rows, so ranks drop."""
+
+    def small():
+        return field.from_coeffs(
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 3))) for _ in range(field.degree)]
+        )
+
+    rows = []
+    for _ in range(count):
+        if len(rows) >= 2 and rng.random() < 0.35:
+            rows.append(combine(field, rows, [(i, small()) for i in rng.sample(range(len(rows)), 2)]))
+            continue
+        cols = rng.sample(range(width), rng.randint(1, min(4, width)))
+        rows.append({c: v for c in cols if not field.is_zero(v := small())})
+    return rows
+
+
+def eliminated_rank(field, rows) -> int:
+    """The rank by the fully reduced engine, the oracle for ``rank``."""
+    eliminator = SparseEliminator(field)
+    eliminator.add_all(rows)
+    return len(eliminator.pivot_rows)
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 4, 6])
+def test_echelon_rank_matches_the_eliminator(conductor):
+    field = get_field(conductor)
+    rng = random.Random(conductor)
+    for _ in range(40):
+        rows = random_field_rows(rng, field, rng.randint(0, 9), rng.randint(1, 8))
+        copies = [dict(r) for r in rows]
+        expected = eliminated_rank(field, rows)
+        assert rank(field, rows) == expected
+        assert rank(field, iter(rows)) == expected
+        assert rows == copies
 
 
 def test_rref_raw_is_the_dense_view_of_the_canonical_rows():

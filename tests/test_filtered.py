@@ -9,7 +9,6 @@ from nkoszul.scalar import MatrixS, Scalar
 from nkoszul.smashtensor import (
     FilteredSubspace,
     GroupData,
-    Subbimodule,
     TensorContext,
 )
 from nkoszul.filtered import (

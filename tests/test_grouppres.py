@@ -12,13 +12,11 @@ from nkoszul.elim import TaggedRows, add_scaled, combine
 from nkoszul.scalar import MatrixS, Scalar, image, kernel
 from nkoszul.smashtensor import GroupData, TensorContext, W, antisymmetrizer_subbimodule
 from nkoszul.filtered import (
-    build_lie,
     check_condition_I,
     check_condition_J,
     project_R,
 )
 from nkoszul.grouppres import (
-    GDecomposition,
     PsiMap,
     build_H_psi,
     build_psi_corollary45,

@@ -1,7 +1,6 @@
 """Tests for graded dimensions, Tor-3 concentration and Koszul certificates."""
 
 import random
-from math import comb
 
 import pytest
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nkoszul import elim, komplex
+from nkoszul import komplex
 from nkoszul.cyclo import get_field
 from nkoszul.elim import TaggedRows, accumulate, add_maps, add_scaled
 from nkoszul.jsonio import load_input
@@ -36,6 +36,7 @@ from nkoszul.komplex import (
     wedge_agreement,
 )
 from paper_checks import factorization_identity_holds
+from test_elim import CountingField
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -601,6 +602,33 @@ def test_products_store_one_as_the_field_one_object(sr_z6):
     assert ones > 0
 
 
+def test_products_store_minus_one_as_the_sign_object(sr_z6):
+    sr_z6.d_left(1)
+    sr_z6.d_right(1)
+    tu = sr_z6.tu
+    field = tu.field
+    signs = 0
+    for entries in tu._products.values():
+        for _, v in entries:
+            if v == field.minus_one:
+                assert v is field.minus_one
+                signs += 1
+    assert signs > 0
+
+
+def test_mul_by_a_sign_object_takes_no_product():
+    for field in (get_field(1), get_field(6)):
+        z = field.add(field.one, field.one)
+        counting = CountingField(field)
+        assert komplex._mul(counting, field.minus_one, z) == field.neg(z)
+        assert komplex._mul(counting, z, field.minus_one) == field.neg(z)
+        assert komplex._mul(counting, field.minus_one, field.minus_one) is field.one
+        assert komplex._mul(counting, field.one, field.minus_one) is field.minus_one
+        assert counting.calls == {"neg": 2}
+        assert komplex._mul(counting, z, z) == field.mul(z, z)
+        assert counting.calls == {"neg": 2, "mul": 1}
+
+
 # -- d^{N-1} by recurrence ----------------------------------------------------
 
 
@@ -683,20 +711,20 @@ def test_wedge_agreement_sees_one_flipped_entry(monkeypatch):
 def test_contraction_eliminates_each_windowed_map_once(monkeypatch, make):
     pres, _, _ = make()
     fam = NComplexSlice(pres, 6)
-    # build the slices first, so only the rank eliminations are counted
+    # build the slices first, so only the ranks are counted
     first = contracted_complex(fam)
-    made = []
+    calls = []
+    original = komplex.rank
 
-    class Counting(elim.SparseEliminator):
-        def __init__(self, field):
-            made.append(self)
-            super().__init__(field)
+    def counted(field, rows):
+        calls.append(rows)
+        return original(field, rows)
 
-    monkeypatch.setattr(elim, "SparseEliminator", Counting)
+    monkeypatch.setattr(komplex, "rank", counted)
     rep = contracted_complex(fam)
     assert rep.positions == first.positions
     # mu out of position 0, then one map out of every other position
-    assert len(made) == len(rep.positions) > 2
+    assert len(calls) == len(rep.positions) > 2
     for pos, nxt in zip(rep.positions, rep.positions[1:]):
         assert pos["rank_in"] == nxt["rank_out"]
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nkoszul.cyclo import cyclotomic_polynomial, get_field
+from nkoszul.cyclo import cyclotomic_polynomial
 from nkoszul.scalar import (
     DimensionMismatch,
     MatrixS,

@@ -7,7 +7,7 @@ import pytest
 
 from nkoszul.elim import SparseEliminator, intersection
 from nkoszul.filtered import FilteredPresentation, build_phi
-from nkoszul.scalar import DimensionMismatch, MatrixS, Scalar, Subspace
+from nkoszul.scalar import DimensionMismatch, MatrixS, Scalar
 from nkoszul.smashtensor import (
     FilteredSubspace,
     Filtration,
