@@ -16,11 +16,13 @@ adding one value into a sparse row (``accumulate``), adding a scaled row
 (``add_scaled``, the one scaled-row loop, and ``add_shifted``, the same
 loop onto columns moved by a constant) or a scaled column map
 (``add_maps``), composing and comparing column maps (``compose_maps``,
-``maps_equal``), expressing a vector over fully reduced rows, solving over
-tagged generators, the kernel of a combination matrix, the rank of a span
-(``rank``, the one rank entry point) and the Zassenhaus intersection.  A
-column map is a dict from source column to sparse column: the N-complex
-maps and the group elements' actions on V are held so.  Code elsewhere
+``maps_equal``; ``add_maps`` and ``compose_maps`` share one kernel with
+``add_scaled``'s loop inlined), expressing a vector over fully reduced
+rows, solving over tagged generators, the kernel of a combination
+matrix, the rank of a span (``rank``, the one rank entry point) and the
+Zassenhaus intersection.  A column map is a dict from source column to
+sparse column: the N-complex maps and the group elements' actions on V
+are held so.  Code elsewhere
 builds its sparse vectors and maps through these helpers rather than
 repeating the drop-on-cancel step.
 
@@ -242,22 +244,76 @@ def add_shifted(field, out: dict, row: dict, c, shift: int, stop: int) -> bool:
 
 def add_maps(field, a: dict, b: dict, c, n_cols: int) -> dict:
     """Columns of ``a + c * b`` for sparse column maps on columns 0..n_cols-1."""
-    cols = {}
-    for src in range(n_cols):
-        out = dict(a.get(src, {}))
-        add_scaled(field, out, b.get(src, {}), c)
-        cols[src] = out
-    return cols
+    empty: dict = {}
+    return _combine_columns(
+        field, ((src, ((a.get(src, empty), field.one), (b.get(src, empty), c))) for src in range(n_cols))
+    )
 
 
 def compose_maps(outer: dict, inner: dict, field) -> dict:
     """Columns of outer ∘ inner for sparse column maps."""
+    empty: dict = {}
+    return _combine_columns(
+        field, ((src, ((outer.get(mid, empty), c) for mid, c in vec.items())) for src, vec in inner.items())
+    )
+
+
+def _combine_columns(field, columns) -> dict:
+    """The column sum of c * col over the terms (col, c), for each pair
+    (src, terms) of ``columns``; the one loop of ``add_maps`` and
+    ``compose_maps``.
+
+    Each column starts as a copy of its first term's column, a plain one
+    when c = 1, so composing with a map of one entry per column (the wedge
+    isomorphisms) copies dicts.  Map entries and coefficients are nonzero,
+    as every map stores them, so a copied entry needs no zero test.  The other
+    terms are added in place with ``add_scaled``'s field operations, sign
+    paths and drop-on-cancel, inlined so that no call is made per term;
+    the result equals repeated ``add_scaled`` calls, key order and sign
+    objects included.
+    """
+    one, minus_one = field.one, field.minus_one
+    add, sub, neg, mul, is_zero = field.add, field.sub, field.neg, field.mul, field.is_zero
     cols = {}
-    for src, vec in inner.items():
-        out: dict = {}
-        for mid, c in vec.items():
-            add_scaled(field, out, outer.get(mid, {}), c)
-        cols[src] = out
+    for src, terms in columns:
+        out = None
+        for col, c in terms:
+            if out is None:
+                if c == one:
+                    out = dict(col)
+                elif c == minus_one:
+                    out = {k: minus_one if v is one else one if v is minus_one else neg(v) for k, v in col.items()}
+                else:
+                    out = {k: c if v is one else neg(c) if v is minus_one else mul(c, v) for k, v in col.items()}
+            elif c == one:
+                for k, v in col.items():
+                    cur = out.get(k)
+                    if cur is None:
+                        out[k] = v
+                    elif is_zero(nv := add(cur, v)):
+                        del out[k]
+                    else:
+                        out[k] = nv
+            elif c == minus_one:
+                for k, v in col.items():
+                    cur = out.get(k)
+                    if cur is None:
+                        out[k] = minus_one if v is one else one if v is minus_one else neg(v)
+                    elif is_zero(nv := sub(cur, v)):
+                        del out[k]
+                    else:
+                        out[k] = nv
+            else:
+                for k, v in col.items():
+                    term = c if v is one else neg(c) if v is minus_one else mul(c, v)
+                    cur = out.get(k)
+                    if cur is None:
+                        out[k] = term
+                    elif is_zero(nv := add(cur, term)):
+                        del out[k]
+                    else:
+                        out[k] = nv
+        cols[src] = {} if out is None else out
     return cols
 
 

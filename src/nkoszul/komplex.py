@@ -31,12 +31,14 @@ echelon inserts (``elim.rank``).  The generic and wedge-basis complexes
 share one assembly of their maps out of each position
 (``contraction_map``); the generic ones are built once per slice family
 (``NComplexSlice.contraction``), so the contracted complex and the wedge
-agreement read the same maps.  d^N and d_l^N, d_r^N share
-one N-fold composition, and phi's left and right lifts share one
-construction.
+agreement read the same maps.  For N = 2 the twisted maps are the
+contraction maps, and each composite of two of them is formed once per
+family (``NComplexSlice.composite_zero``), for d^2 = 0 and the contracted
+complex alike.  phi's left and right lifts share one construction.
 Products by a sign are skipped wherever a factor is the ``field.one`` or
-``field.minus_one`` object, as every cached one-step product stores its
-entries equal to a sign as those objects.
+``field.minus_one`` object, as every cached one-step product, the rows of
+W_n (x)_K U and the coefficients expressed over them store their entries
+equal to a sign as those objects.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ def _mul(field, a, b):
     if b is minus_one:
         return negated(field, a)
     return field.mul(a, b)
+
+
+def _with_sign_objects(field, pairs) -> list:
+    """The pairs (i, c) with every c equal to a sign stored as the sign
+    object itself, so products with it can be skipped by identity."""
+    one, minus_one = field.one, field.minus_one
+    return [(i, one if c == one else minus_one if c == minus_one else c) for i, c in pairs]
 
 
 class TruncatedU:
@@ -160,14 +169,7 @@ class TruncatedU:
                 vec = self._times(word, g0, head, g)
             else:
                 vec = self._times(head, g, word, g0)
-            field = self.field
-            one, minus_one = field.one, field.minus_one
-            # entries equal to a sign are stored as the sign objects
-            # themselves, so products with them can be skipped by identity
-            got = self._products[key] = [
-                (i, one if v == one else minus_one if v == minus_one else v)
-                for i, v in sorted(vec.items())
-            ]
+            got = self._products[key] = _with_sign_objects(self.field, sorted(vec.items()))
         return got
 
     def right_mult_letter(self, idx: int, letter: int) -> list:
@@ -255,6 +257,15 @@ class _XSpace:
             field, [self._embed(t, b) for t, b in self.tags], len(self.coord_list)
         )
         self.rows = self._solver.span_rows()
+        # row entries equal to a sign become the sign objects, as in the
+        # expressions; set in place, as a copy of the rows raises peak memory
+        one, minus_one = field.one, field.minus_one
+        for row in self.rows:
+            for k, v in row.items():
+                if v == one:
+                    row[k] = one
+                elif v == minus_one:
+                    row[k] = minus_one
         self.pivots = [min(r) for r in self.rows]
         self._index = pivot_index(self.rows)
         self.level = [self.tu.basis[self.coord_list[p][1]][0] for p in self.pivots]
@@ -264,8 +275,10 @@ class _XSpace:
         return len(self.rows)
 
     def express(self, vec: dict) -> list:
-        """Coefficients of a vector over the canonical rows."""
-        return express(self.tu.field, self.rows, self._index, vec)
+        """Coefficients of a vector over the canonical rows, signs as the
+        sign objects."""
+        field = self.tu.field
+        return _with_sign_objects(field, express(field, self.rows, self._index, vec))
 
     def generator_expression(self, row_idx: int) -> list:
         """The canonical row as a combination of generators w_t (x) b."""
@@ -382,6 +395,7 @@ class NComplexSlice:
         self._dl: dict[int, dict] = {}
         self._dr: dict[int, dict] = {}
         self._contraction: dict[int, dict] = {}
+        self._composite_zero: dict[int, bool] = {}
         self._alg = alg
         self._act_cache: dict = {}
         self.max_n = self._max_nonzero_w()
@@ -418,46 +432,54 @@ class NComplexSlice:
         pos, t = key
         return self.tu.basis[self.b0[pos]][0] + n + self.x_space(n).level[t]
 
-    def _push_left(self, u_vec: dict, x_combo: list, n_low: int, out: dict, scale) -> None:
-        """Accumulate sum u (x) x with u expanded over b0 · Gamma."""
-        field = self.ctx.field
-        x_low = self.x_space(n_low)
-        self.basis(n_low)
-        index = self._slice_index[n_low]
-        act_cache: dict[tuple[int, int], list] = self._act_cache.setdefault(n_low, {})
-        for b_idx, cu in u_vec.items():
-            pos, g = self.b_decomp[b_idx]
-            for t, cx in x_combo:
-                if g == 0:
-                    targets = [(t, field.one)]
-                else:
-                    key = (g, t)
-                    targets = act_cache.get(key)
-                    if targets is None:
-                        targets = x_low.group_action(g, t)
-                        act_cache[key] = targets
-                for t2, c2 in targets:
-                    term = _mul(field, scale, _mul(field, cu, _mul(field, cx, c2)))
-                    _emit_to_slice(field, out, index, (pos, t2), term)
-
     def d_left(self, n: int) -> dict:
-        """Columns of d_l : slice n -> slice n-1."""
+        """Columns of d_l : slice n -> slice n-1.
+
+        The first letter j of a row of W_n moves into the left factor: each
+        b0 · v_j is expanded over b0 · Gamma, and u = b0' · g with g != 1
+        pushes g through the lower rows (``group_action``, cached per slice).
+        """
         if n in self._dl:
             return self._dl[n]
         if n < 1:
             raise ValueError("d_l needs a positive tensor degree")
         field = self.ctx.field
+        one = field.one
+        add, is_zero = field.add, field.is_zero
         x_hi = self.x_space(n)
         x_lo = self.x_space(n - 1)
         self.basis(n - 1)
+        index = self._slice_index[n - 1]
+        act_cache: dict[tuple[int, int], list] = self._act_cache.setdefault(n - 1, {})
         splits = [x_hi.first_letter_split(t, x_lo) for t in range(x_hi.dim)]
+        right_mult_letter = self.tu.right_mult_letter
+        b_decomp = self.b_decomp
         cols: dict = {}
         for src, (pos, t) in enumerate(self.basis(n)):
             b0_idx = self.b0[pos]
             out: dict = {}
             for j, combo in splits[t].items():
-                u_vec = dict(self.tu.right_mult_letter(b0_idx, j))
-                self._push_left(u_vec, combo, n - 1, out, field.one)
+                for b_idx, cu in right_mult_letter(b0_idx, j):
+                    pos2, g = b_decomp[b_idx]
+                    for t1, cx in combo:
+                        if g == 0:
+                            targets = ((t1, one),)
+                        else:
+                            targets = act_cache.get((g, t1))
+                            if targets is None:
+                                targets = act_cache[(g, t1)] = x_lo.group_action(g, t1)
+                        for t2, c2 in targets:
+                            value = _mul(field, cu, _mul(field, cx, c2))
+                            key = index.get((pos2, t2))
+                            if key is None:
+                                raise RuntimeError("image left the truncated slice")
+                            cur = out.get(key)
+                            if cur is None:
+                                out[key] = value
+                            elif is_zero(nv := add(cur, value)):
+                                del out[key]
+                            else:
+                                out[key] = nv
             cols[src] = out
         self._dl[n] = cols
         return cols
@@ -547,8 +569,15 @@ class NComplexSlice:
     # -- assembled maps ---------------------------------------------------
 
     def d_twisted(self, n: int, q: Scalar) -> dict:
-        """d = d_l - q^{n-1} d_r at slice n."""
+        """d = d_l - q^{n-1} d_r at slice n.
+
+        For N = 2 and q = -1, the one primitive square root, this is the
+        contraction map out of position n: zeta(n) = n, and d_l - d_r for
+        odd n, d_l + d_r for even n.
+        """
         field = self.ctx.field
+        if self.N == 2 and to_raw(field, q) == field.minus_one:
+            return self.contraction(n)
         qn = to_raw(field, q ** (n - 1))
         return add_maps(field, self.d_left(n), self.d_right(n), field.neg(qn), self.slice_dim(n))
 
@@ -560,6 +589,16 @@ class NComplexSlice:
             odd = i % 2 == 1
             got = contraction_map(self.d_left, self.d_right, zeta(i, self.N), odd, self.N, self.ctx.field)
             self._contraction[i] = got
+        return got
+
+    def composite_zero(self, i: int) -> bool:
+        """Whether contraction(i) ∘ contraction(i+1) vanishes, for i >= 1;
+        the composite is formed once per slice family and only its verdict
+        is kept."""
+        got = self._composite_zero.get(i)
+        if got is None:
+            got = map_is_zero(compose_maps(self.contraction(i), self.contraction(i + 1), self.ctx.field))
+            self._composite_zero[i] = got
         return got
 
     def mu_matrix(self) -> dict:
@@ -597,7 +636,12 @@ def _power(step, n: int, N: int, field) -> dict:
 
 
 def check_dN_zero(slice_family: NComplexSlice, q: Scalar) -> list[tuple[int, bool]]:
-    """d^N = 0 on every slice where N successive maps are defined."""
+    """d^N = 0 on every slice where N successive maps are defined.
+
+    For N = 2 the twisted maps are the contraction maps, so d^2 out of n
+    is the family's composite out of contraction position n - 1, the one
+    the contracted complex reads too.
+    """
     N = slice_family.N
     field = slice_family.ctx.field
     if (q**N) != Scalar.one(q.conductor):
@@ -612,8 +656,11 @@ def check_dN_zero(slice_family: NComplexSlice, q: Scalar) -> list[tuple[int, boo
     for n in range(N, top + 1):
         if slice_family.slice_dim(n) == 0:
             continue
-        twisted = _power(lambda m: slice_family.d_twisted(m, q), n, N, field)
-        results.append((n, map_is_zero(twisted)))
+        if N == 2:
+            results.append((n, slice_family.composite_zero(n - 1)))
+        else:
+            twisted = _power(lambda m: slice_family.d_twisted(m, q), n, N, field)
+            results.append((n, map_is_zero(twisted)))
     return results
 
 
@@ -655,8 +702,12 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     while top + 1 < len(zs) and fam.slice_dim(zs[top + 1]) > 0:
         top += 1
     maps = [fam.mu_matrix()] + [fam.contraction(i) for i in range(1, top + 1)]
-    # composition zero of consecutive maps on the full slices
-    comp_zero = all(map_is_zero(compose_maps(maps[i], maps[i + 1], field)) for i in range(top))
+    # composition zero of consecutive maps on the full slices; the
+    # composites of the contraction maps are the family's, shared with d^2
+    comp_zero = top == 0 or (
+        map_is_zero(compose_maps(maps[0], maps[1], field))
+        and all(fam.composite_zero(i) for i in range(1, top))
+    )
 
     inside = [[fam.total_degree(n, key) <= window for key in fam.basis(n)] for n in zs[: top + 1]]
     dims = [sum(flags) for flags in inside]

@@ -16,6 +16,7 @@ from nkoszul.elim import (
     add_shifted,
     canonical_rows,
     combine,
+    compose_maps,
     express,
     intersection,
     negated,
@@ -194,6 +195,121 @@ def test_add_maps_cancels_columns_and_keeps_one_sided_ones():
     # column 0 cancels to empty, column 1 is only in a, column 2 only in b
     assert add_maps(Q, a, b, F(-2), 3) == {0: {}, 1: {2: F(1)}, 2: {0: F(-6)}}
     assert a == {0: {0: F(1), 1: F(2)}, 1: {2: F(1)}}
+
+
+# -- the map kernels against the add_scaled loops they inline ------------------
+
+
+def compose_maps_by_add_scaled(outer, inner, field):
+    """The old composition: one ``add_scaled`` call per inner entry."""
+    cols = {}
+    for src, vec in inner.items():
+        out: dict = {}
+        for mid, c in vec.items():
+            add_scaled(field, out, outer.get(mid, {}), c)
+        cols[src] = out
+    return cols
+
+
+def add_maps_by_add_scaled(field, a, b, c, n_cols):
+    """The old sum: a copy of each column of ``a`` and one ``add_scaled`` call."""
+    cols = {}
+    for src in range(n_cols):
+        out = dict(a.get(src, {}))
+        add_scaled(field, out, b.get(src, {}), c)
+        cols[src] = out
+    return cols
+
+
+def kernel_values(field, rng):
+    """Sign objects, signs as fresh tuples, zeta powers and small fractions."""
+    values = [field.one, field.minus_one, tuple(list(field.one)), tuple(list(field.minus_one))]
+    values += [field.zeta_power(k) for k in range(1, field.conductor)]
+    values += [field.from_fraction(Fraction(rng.choice((-3, -2, 2, 5)), rng.choice((1, 1, 2, 3)))) for _ in range(4)]
+    return values
+
+
+def random_kernel_map(rng, field, ncols, nrows, values):
+    """A column map with empty and missing columns and no stored zeros."""
+    cols = {}
+    for src in range(ncols):
+        kind = rng.random()
+        if kind < 0.15:
+            continue  # a missing column
+        if kind < 0.25:
+            cols[src] = {}
+            continue
+        rows = rng.sample(range(nrows), rng.randint(1, min(4, nrows)))
+        cols[src] = {r: rng.choice(values) for r in rows}
+    return cols
+
+
+def assert_same_map(got, want, field):
+    """Equal dicts, the same key order, and sign objects where the oracle has them."""
+    assert got == want
+    assert list(got) == list(want)
+    for src in want:
+        assert list(got[src]) == list(want[src])
+        for key, w in want[src].items():
+            g = got[src][key]
+            assert (g is field.one) == (w is field.one)
+            assert (g is field.minus_one) == (w is field.minus_one)
+
+
+def assert_same_arithmetic(counting, oracle):
+    """The same field operations as the oracle; only zero tests of entries
+    that cannot vanish, a copied one or a first one, are left out."""
+    ops = {k: v for k, v in counting.calls.items() if k != "is_zero"}
+    assert ops == {k: v for k, v in oracle.calls.items() if k != "is_zero"}
+    assert counting.calls.get("is_zero", 0) <= oracle.calls.get("is_zero", 0)
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 6])
+def test_compose_maps_matches_the_add_scaled_composition(conductor):
+    field = get_field(conductor)
+    rng = random.Random(f"compose:{conductor}")
+    values = kernel_values(field, rng)
+    for _ in range(40):
+        n_in, n_mid, n_out = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        outer = random_kernel_map(rng, field, n_mid, n_out, values)
+        inner = random_kernel_map(rng, field, n_in, n_mid, values)
+        # a column whose terms cancel: outer columns a and -a with equal coefficients
+        if n_mid >= 2:
+            a = {r: rng.choice(values) for r in rng.sample(range(n_out), min(2, n_out))}
+            outer[0] = a
+            outer[1] = {r: field.neg(v) for r, v in a.items()}
+            c = rng.choice(values)
+            inner[n_in] = {0: c, 1: c}
+        # one entry per column, as in the wedge isomorphisms
+        inner[n_in + 1] = {rng.randrange(n_mid): rng.choice(values)}
+        counting, oracle = CountingField(field), CountingField(field)
+        got = compose_maps(outer, inner, counting)
+        want = compose_maps_by_add_scaled(outer, inner, oracle)
+        assert_same_map(got, want, field)
+        assert_same_arithmetic(counting, oracle)
+        if n_mid >= 2:
+            assert got[n_in] == {}
+
+
+@pytest.mark.parametrize("conductor", [1, 3, 6])
+def test_add_maps_matches_the_add_scaled_sum(conductor):
+    field = get_field(conductor)
+    rng = random.Random(f"add-maps:{conductor}")
+    values = kernel_values(field, rng)
+    for _ in range(40):
+        ncols, nrows = rng.randint(1, 6), rng.randint(1, 6)
+        a = random_kernel_map(rng, field, ncols, nrows, values)
+        b = random_kernel_map(rng, field, ncols, nrows, values)
+        c = rng.choice(values)
+        # column 0 cancels: b's column 0 is -a's column 0 over c
+        a[0] = {r: rng.choice(values) for r in rng.sample(range(nrows), min(2, nrows))}
+        b[0] = {r: field.neg(field.div(v, c)) for r, v in a[0].items()}
+        counting, oracle = CountingField(field), CountingField(field)
+        got = add_maps(counting, a, b, c, ncols + 1)
+        want = add_maps_by_add_scaled(oracle, a, b, c, ncols + 1)
+        assert_same_map(got, want, field)
+        assert_same_arithmetic(counting, oracle)
+        assert got[0] == {} and got[ncols] == {}
 
 
 def test_express_reads_coefficients_off_the_pivots():

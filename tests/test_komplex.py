@@ -761,3 +761,91 @@ def test_wedge_agreement_reuses_the_contraction_maps(monkeypatch, make):
     made = len(built)
     assert wedge_agreement(fam)
     assert len(built) == made
+
+
+# -- N = 2: the twisted maps are the contraction maps --------------------------
+
+
+def fresh_sr_z6(D=6):
+    pres, _ = load_input(str(FIXTURES / "sr_z6.json"))
+    return NComplexSlice(pres, D)
+
+
+def test_dN_zero_and_the_contraction_form_the_N2_product_once(monkeypatch):
+    fam = fresh_sr_z6()
+    assert fam.N == 2
+    products = []
+    original = komplex.compose_maps
+
+    def counted(outer, inner, field):
+        products.append((outer, inner))
+        return original(outer, inner, field)
+
+    monkeypatch.setattr(komplex, "compose_maps", counted)
+    results = check_dN_zero(fam, S(-1, 6))
+    rep = contracted_complex(fam)
+    assert results and all(flag for _, flag in results)
+    assert rep.composition_zero and rep.exact_in_window
+    d1, d2 = fam.contraction(1), fam.contraction(2)
+    assert sum(outer is d1 and inner is d2 for outer, inner in products) == 1
+    # d(1)∘d(2) in dN_zero, then only mu∘d(1) in the contraction
+    assert len(products) == 2 and products[1][1] is d1
+
+
+def test_twisted_maps_at_minus_one_are_the_contraction_maps(sr_z6):
+    field = sr_z6.ctx.field
+    q = S(-1, 6)
+    for n in range(1, sr_z6.max_n + 1):
+        got = sr_z6.d_twisted(n, q)
+        assert got is sr_z6.contraction(n)
+        # the formula d_l - q^{n-1} d_r
+        want = add_maps(
+            field, sr_z6.d_left(n), sr_z6.d_right(n), field.neg(to_raw(field, q ** (n - 1))), sr_z6.slice_dim(n)
+        )
+        assert maps_equal(got, want, sr_z6.slice_dim(n))
+        assert got == want
+
+
+def test_cubic_dN_zero_still_composes_the_twisted_formula():
+    pres, _, _ = cubic_zeta3_presentation()
+    fam = NComplexSlice(pres, 6)
+    field = fam.ctx.field
+    for q in (Scalar.zeta(3), Scalar.zeta(3) ** 2):
+
+        def twisted(m):
+            qm = to_raw(field, q ** (m - 1))
+            return add_maps(field, fam.d_left(m), fam.d_right(m), field.neg(qm), fam.slice_dim(m))
+
+        want = [
+            (n, map_is_zero(komplex._power(twisted, n, 3, field)))
+            for n in range(3, fam.max_n + 1)
+            if fam.slice_dim(n) > 0
+        ]
+        assert want and check_dN_zero(fam, q) == want
+        assert all(flag for _, flag in want)
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_the_shared_composite_does_not_hide_a_doubled_d_right(monkeypatch, first):
+    """d_r scaled by 2 out of every slice >= ``first``: d^2 and the
+    contraction's composition test must both fail.  With ``first`` = 2,
+    mu ∘ d(1) still vanishes, so only the shared composite can see it."""
+    fam = fresh_sr_z6()
+    field = fam.ctx.field
+    two = field.from_fraction(Fraction(2))
+    original = fam.d_right
+
+    def doubled(n):
+        cols = original(n)
+        if n < first:
+            return cols
+        return {src: {k: field.mul(two, v) for k, v in col.items()} for src, col in cols.items()}
+
+    monkeypatch.setattr(fam, "d_right", doubled)
+    results = check_dN_zero(fam, S(-1, 6))
+    assert not all(flag for _, flag in results)
+    assert fam.composite_zero(1) is False
+    rep = contracted_complex(fam)
+    assert rep.composition_zero is False
+    mu_zero = map_is_zero(compose_maps(fam.mu_matrix(), fam.contraction(1), field))
+    assert mu_zero is (first == 2)
