@@ -11,8 +11,12 @@ Computational Algebraic Number Theory*, 4.2):
 * for m > 1 the raw value is ``(n_0, ..., n_{d-1}, den)``.
 
 Raw values are canonical: den > 0 and the gcd of all entries is one, so
-equal elements have equal raw values, and ``==``, hashing and the
-``field.one`` identity tests work on them directly.  Phi_m is monic, so
+equal elements have equal raw values, and ``==`` and hashing work on them
+directly.  Signs are the field's own objects: every constructor and
+operation returns ``field.one`` or ``field.minus_one`` itself for a result
+equal to 1 or -1 (``_sign(t, t)`` on every result), so code elsewhere
+skips a product by a sign with an ``is`` test and never restores the
+objects.  Phi_m is monic, so
 the reduction modulo Phi_m stays integral and a product is normalized
 once; sums and products of integral elements (den = 1, nearly all of
 them) need no gcd at all.
@@ -88,51 +92,52 @@ class RationalField:
         self.zero = (0, 1)
         self.one = (1, 1)
         self.minus_one = (-1, 1)
+        self._sign = {self.one: self.one, self.minus_one: self.minus_one}.get
 
     def from_fraction(self, q: Fraction):
         q = Fraction(q)
-        return (q.numerator, q.denominator)
+        t = (q.numerator, q.denominator)
+        return self._sign(t, t)
 
     def add(self, a, b):
         an, ad = a
         bn, bd = b
-        if ad == 1 and bd == 1:
-            return (an + bn, 1)
-        return _normalized([an * bd + bn * ad, ad * bd])
+        t = (an + bn, 1) if ad == 1 and bd == 1 else _normalized([an * bd + bn * ad, ad * bd])
+        return self._sign(t, t)
 
     def sub(self, a, b):
         an, ad = a
         bn, bd = b
-        if ad == 1 and bd == 1:
-            return (an - bn, 1)
-        return _normalized([an * bd - bn * ad, ad * bd])
+        t = (an - bn, 1) if ad == 1 and bd == 1 else _normalized([an * bd - bn * ad, ad * bd])
+        return self._sign(t, t)
 
     def neg(self, a):
-        return (-a[0], a[1])
+        t = (-a[0], a[1])
+        return self._sign(t, t)
 
     def mul(self, a, b):
         an, ad = a
         bn, bd = b
         if ad == 1 and bd == 1:
-            return (an * bn, 1)
-        g1 = gcd(an, bd)
-        g2 = gcd(bn, ad)
-        return ((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
+            t = (an * bn, 1)
+        else:
+            g1 = gcd(an, bd)
+            g2 = gcd(bn, ad)
+            t = ((an // g1) * (bn // g2), (ad // g2) * (bd // g1))
+        return self._sign(t, t)
 
     def inv(self, a):
         n, d = a
         if n == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return (d, n) if n > 0 else (-d, -n)
+        t = (d, n) if n > 0 else (-d, -n)
+        return self._sign(t, t)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a[0] == 0
-
-    def is_one(self, a) -> bool:
-        return a == self.one
 
     def to_coeffs(self, a) -> tuple[Fraction, ...]:
         return (Fraction(a[0], a[1]),)
@@ -162,6 +167,7 @@ class CyclotomicField:
         self.zero = (0,) * d + (1,)
         self.one = (1,) + (0,) * (d - 1) + (1,)
         self.minus_one = (-1,) + (0,) * (d - 1) + (1,)
+        self._sign = {self.one: self.one, self.minus_one: self.minus_one}.get
         self._phi = phi
         # Reduction table: zeta^(d+k) on 1, zeta, ..., zeta^(d-1).  Phi_m is
         # monic, so every entry is an integer.
@@ -177,28 +183,34 @@ class CyclotomicField:
 
     def from_fraction(self, q: Fraction):
         q = Fraction(q)
-        return (q.numerator,) + self.zero[1:-1] + (q.denominator,)
+        t = (q.numerator,) + self.zero[1:-1] + (q.denominator,)
+        return self._sign(t, t)
 
     def add(self, a, b):
         da = a[-1]
         db = b[-1]
         if da == 1 and db == 1:
-            return (*map(_add, a[:-1], b), 1)
-        out = [x * db + y * da for x, y in zip(a, b)]
-        out[-1] = da * db
-        return _normalized(out)
+            t = (*map(_add, a[:-1], b), 1)
+        else:
+            out = [x * db + y * da for x, y in zip(a, b)]
+            out[-1] = da * db
+            t = _normalized(out)
+        return self._sign(t, t)
 
     def sub(self, a, b):
         da = a[-1]
         db = b[-1]
         if da == 1 and db == 1:
-            return (*map(_sub, a[:-1], b), 1)
-        out = [x * db - y * da for x, y in zip(a, b)]
-        out[-1] = da * db
-        return _normalized(out)
+            t = (*map(_sub, a[:-1], b), 1)
+        else:
+            out = [x * db - y * da for x, y in zip(a, b)]
+            out[-1] = da * db
+            t = _normalized(out)
+        return self._sign(t, t)
 
     def neg(self, a):
-        return (*map(_neg, a[:-1]), a[-1])
+        t = (*map(_neg, a[:-1]), a[-1])
+        return self._sign(t, t)
 
     def mul(self, a, b):
         d = self.degree
@@ -226,9 +238,8 @@ class CyclotomicField:
                         out[i] += c * r
             del out[d + 1 :]
             out[d] = a[d] * b[d]
-        if out[d] == 1:
-            return tuple(out)
-        return _normalized(out)
+        t = tuple(out) if out[d] == 1 else _normalized(out)
+        return self._sign(t, t)
 
     def inv(self, a):
         d = self.degree
@@ -275,16 +286,14 @@ class CyclotomicField:
         den = a[d]
         if c < 0:
             c, den = -c, -den
-        return _normalized([den * x for x in s1] + [0] * (d - len(s1)) + [c])
+        t = _normalized([den * x for x in s1] + [0] * (d - len(s1)) + [c])
+        return self._sign(t, t)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a == self.zero
-
-    def is_one(self, a) -> bool:
-        return a == self.one
 
     def to_coeffs(self, a) -> tuple[Fraction, ...]:
         den = a[-1]
@@ -299,18 +308,20 @@ class CyclotomicField:
         # Over the lcm of reduced denominators the numerators and the lcm
         # are already coprime.
         den = lcm(*(c.denominator for c in coeffs))
-        return tuple(c.numerator * (den // c.denominator) for c in coeffs) + (den,)
+        t = tuple(c.numerator * (den // c.denominator) for c in coeffs) + (den,)
+        return self._sign(t, t)
 
     def zeta_power(self, k: int):
         d = self.degree
         k %= self.conductor
         if k < d:
-            return self.zero[:k] + (1,) + self.zero[k + 1 :]
+            t = self.zero[:k] + (1,) + self.zero[k + 1 :]
+            return self._sign(t, t)
         out = self._top + (1,)
         zeta = self.zeta_power(1) if d >= 2 else out
         for _ in range(k - d):
             out = self.mul(out, zeta)
-        return out
+        return self._sign(out, out)
 
 
 @lru_cache(maxsize=None)

@@ -53,7 +53,7 @@ class SparseEliminator:
             return None
         piv = min(red)
         lead = red[piv]
-        if not field.is_one(lead):
+        if lead is not field.one:
             scaled: dict = {}
             add_scaled(field, scaled, red, field.inv(lead))
             red = scaled
@@ -118,9 +118,9 @@ def normal_form(field, rows: dict, vec: dict) -> dict:
 
 def negated(field, c):
     """-c, without a field operation when c is a sign."""
-    if c == field.one:
+    if c is field.one:
         return field.minus_one
-    if c == field.minus_one:
+    if c is field.minus_one:
         return field.one
     return field.neg(c)
 
@@ -156,7 +156,7 @@ def rank(field, rows) -> int:
             tail = tails.get(col)
             if tail is None:
                 tails[col] = row
-                if not field.is_one(c):
+                if c is not field.one:
                     leads[col] = c
                 break
             lead = leads.pop(col, None)
@@ -183,15 +183,13 @@ def add_scaled(field, out: dict, row: dict, c, skip=None) -> None:
 
     Most coefficients in the complexes are signs, so c = 1 and c = -1 add
     or subtract the entries without a field multiplication; so does an
-    entry that is a sign object itself, ``field.one`` as every pivot entry
-    is, or ``field.minus_one``, which gives -c (c is no sign on that path).
-    A sign entry negated is the other sign object, so later ``is`` tests
-    still see it.  Column ``skip`` of ``row`` is left out: a pivot entry
-    the caller cancels.
+    entry that is a sign, as every pivot entry is, which gives c or -c.
+    Column ``skip`` of ``row`` is left out: a pivot entry the caller
+    cancels.
     """
     one, minus_one = field.one, field.minus_one
-    unit = c == one
-    minus = not unit and c == minus_one
+    unit = c is one
+    minus = not unit and c is minus_one
     for col, v in row.items():
         if col == skip:
             continue
@@ -218,8 +216,8 @@ def add_shifted(field, out: dict, row: dict, c, shift: int, stop: int) -> bool:
     the shifted copy of ``row`` that ``add_scaled`` would read is never built.
     """
     one, minus_one = field.one, field.minus_one
-    unit = c == one
-    minus = not unit and c == minus_one
+    unit = c is one
+    minus = not unit and c is minus_one
     skipped = False
     for col, v in row.items():
         if col >= stop:
@@ -279,13 +277,13 @@ def _combine_columns(field, columns) -> dict:
         out = None
         for col, c in terms:
             if out is None:
-                if c == one:
+                if c is one:
                     out = dict(col)
-                elif c == minus_one:
+                elif c is minus_one:
                     out = {k: minus_one if v is one else one if v is minus_one else neg(v) for k, v in col.items()}
                 else:
                     out = {k: c if v is one else neg(c) if v is minus_one else mul(c, v) for k, v in col.items()}
-            elif c == one:
+            elif c is one:
                 for k, v in col.items():
                     cur = out.get(k)
                     if cur is None:
@@ -294,7 +292,7 @@ def _combine_columns(field, columns) -> dict:
                         del out[k]
                     else:
                         out[k] = nv
-            elif c == minus_one:
+            elif c is minus_one:
                 for k, v in col.items():
                     cur = out.get(k)
                     if cur is None:

@@ -98,9 +98,7 @@ def wedge(field, vectors) -> dict:
 
     The factors are wedged on at the right: e_S ∧ e_i is zero when i lies
     in S, and otherwise (-1)^k e_(S ∪ {i}), k the members of S above i.
-    Keys are ascending tuples of coordinates.  An entry that is the
-    ``field.one`` object, as in ``GroupData.maps``, multiplies
-    without a field operation.
+    Keys are ascending tuples of coordinates.
     """
     one = field.one
     out = {(): one}

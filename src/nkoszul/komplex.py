@@ -35,10 +35,6 @@ agreement read the same maps.  For N = 2 the twisted maps are the
 contraction maps, and each composite of two of them is formed once per
 family (``NComplexSlice.composite_zero``), for d^2 = 0 and the contracted
 complex alike.  phi's left and right lifts share one construction.
-Products by a sign are skipped wherever a factor is the ``field.one`` or
-``field.minus_one`` object, as every cached one-step product, the rows of
-W_n (x)_K U and the coefficients expressed over them store their entries
-equal to a sign as those objects.
 """
 
 from __future__ import annotations
@@ -83,13 +79,6 @@ def _mul(field, a, b):
     if b is minus_one:
         return negated(field, a)
     return field.mul(a, b)
-
-
-def _with_sign_objects(field, pairs) -> list:
-    """The pairs (i, c) with every c equal to a sign stored as the sign
-    object itself, so products with it can be skipped by identity."""
-    one, minus_one = field.one, field.minus_one
-    return [(i, one if c == one else minus_one if c == minus_one else c) for i, c in pairs]
 
 
 class TruncatedU:
@@ -169,7 +158,7 @@ class TruncatedU:
                 vec = self._times(word, g0, head, g)
             else:
                 vec = self._times(head, g, word, g0)
-            got = self._products[key] = _with_sign_objects(self.field, sorted(vec.items()))
+            got = self._products[key] = sorted(vec.items())
         return got
 
     def right_mult_letter(self, idx: int, letter: int) -> list:
@@ -257,15 +246,6 @@ class _XSpace:
             field, [self._embed(t, b) for t, b in self.tags], len(self.coord_list)
         )
         self.rows = self._solver.span_rows()
-        # row entries equal to a sign become the sign objects, as in the
-        # expressions; set in place, as a copy of the rows raises peak memory
-        one, minus_one = field.one, field.minus_one
-        for row in self.rows:
-            for k, v in row.items():
-                if v == one:
-                    row[k] = one
-                elif v == minus_one:
-                    row[k] = minus_one
         self.pivots = [min(r) for r in self.rows]
         self._index = pivot_index(self.rows)
         self.level = [self.tu.basis[self.coord_list[p][1]][0] for p in self.pivots]
@@ -275,10 +255,8 @@ class _XSpace:
         return len(self.rows)
 
     def express(self, vec: dict) -> list:
-        """Coefficients of a vector over the canonical rows, signs as the
-        sign objects."""
-        field = self.tu.field
-        return _with_sign_objects(field, express(field, self.rows, self._index, vec))
+        """Coefficients of a vector over the canonical rows."""
+        return express(self.tu.field, self.rows, self._index, vec)
 
     def generator_expression(self, row_idx: int) -> list:
         """The canonical row as a combination of generators w_t (x) b."""

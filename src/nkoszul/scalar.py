@@ -341,15 +341,14 @@ class MatrixS:
 
     def sparse_columns(self, field) -> list[dict]:
         """The columns as sparse raw vectors over ``field``, which must hold
-        the entries.  An entry equal to one is ``field.one`` itself, so
-        products with it can be skipped by an identity test."""
+        the entries."""
         out = []
         for j in range(self.cols):
             col = {}
             for i in range(self.rows):
                 raw = to_raw(field, self.entries[i * self.cols + j])
                 if not field.is_zero(raw):
-                    col[i] = field.one if field.is_one(raw) else raw
+                    col[i] = raw
             out.append(col)
         return out
 

@@ -51,8 +51,7 @@ class GroupData:
 
     Element 0 is the identity.  ``maps[i]`` is the action of element i on V
     as a sparse column map over ``field``: ``maps[i][l]`` is rho(i) e_l as a
-    sparse raw vector, and an entry equal to one is ``field.one`` itself, so
-    products with it can be skipped by an identity test.  ``generators``
+    sparse raw vector.  ``generators``
     records the indices used to build the group; the identity-only group
     has no generators.
     """
@@ -116,20 +115,12 @@ class GroupData:
         def key(g: dict):
             return tuple(frozenset(col.items()) for col in g.values())
 
-        def product(a: dict, b: dict) -> dict:
-            out = compose_maps(a, b, field)
-            for col in out.values():
-                for i, x in col.items():
-                    if x is not one and field.is_one(x):
-                        col[i] = one
-            return out
-
         elements = [{l: {l: one} for l in range(n)}]
         index = {key(elements[0]): 0}
         # elements doubles as the breadth-first queue
         for cur in elements:
             for g in gens:
-                prod = product(cur, g)
+                prod = compose_maps(cur, g, field)
                 k = key(prod)
                 if k not in index:
                     if len(elements) >= order_cap:
@@ -164,11 +155,10 @@ class GroupData:
         if self.conductor != 1:
             raise DimensionMismatch("group matrix entries do not lie in the declared field")
         q = self.field
-
-        def lift(x):
-            return field.one if x == q.one else field.from_fraction(q.to_coeffs(x)[0])
-
-        maps = [{l: {i: lift(x) for i, x in col.items()} for l, col in g.items()} for g in self.maps]
+        maps = [
+            {l: {i: field.from_fraction(q.to_coeffs(x)[0]) for i, x in col.items()} for l, col in g.items()}
+            for g in self.maps
+        ]
         return GroupData(maps, self.mult_table, self.inverses, self.conj_classes, self.generators, field)
 
 
@@ -223,9 +213,7 @@ class TensorContext:
     def apply_group_to_word(self, g: int, word: tuple[int, ...]):
         """Expansion of rho(g) applied to each slot of a pure word.
 
-        Yields (word, raw coefficient) pairs.  A coefficient equal to one
-        is ``field.one`` itself (ζ·ζ⁵ too), so products with it are skipped
-        by an identity test here and by the callers.
+        Yields (word, raw coefficient) pairs.
         """
         field = self.field
         one = field.one
@@ -241,8 +229,6 @@ class TensorContext:
                         prod = raw
                     else:
                         prod = field.mul(c, raw)
-                        if field.is_one(prod):
-                            prod = one
                     nxt.append((pw + (i,), prod))
             partial = nxt
         return partial

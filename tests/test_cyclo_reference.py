@@ -278,7 +278,7 @@ def test_every_operation_matches_the_fraction_field(m):
         assert field.from_coeffs(field.to_coeffs(a)) == a
         same(field.neg(a), ref.neg(ra))
         assert field.is_zero(a) == ref.is_zero(ra)
-        assert field.is_one(a) == ref.is_one(ra)
+        assert (a is field.one) == ref.is_one(ra)
         if not field.is_zero(a):
             same(field.inv(a), ref.inv(ra))
         else:
@@ -320,6 +320,60 @@ def test_minus_one_is_the_negated_one(m):
     assert_canonical(field, field.minus_one)
     assert field.is_zero(field.add(field.minus_one, field.one))
     assert field.mul(field.minus_one, field.minus_one) == field.one
+
+
+def assert_sign_objects(field, results) -> list:
+    """Every (name, value) result equal to 1 or -1 is ``field.one`` or
+    ``field.minus_one`` itself; returns the names of those results."""
+    names = []
+    for name, r in results:
+        for sign in (field.one, field.minus_one):
+            if r == sign:
+                assert r is sign, f"{name} returned a fresh tuple equal to {sign}"
+                names.append(name)
+    return names
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_every_result_equal_to_a_sign_is_the_sign_object(m):
+    field = get_field(m)
+    rng = random.Random(f"signs:{m}")
+    elems = operands(field, rng, 30)
+    zeros = [Fraction(0)] * (field.degree - 1)
+    # equal to a sign but not the object: operands must not need the objects
+    fresh = [tuple(list(field.one)), tuple(list(field.minus_one))]
+    results = [
+        ("from_fraction", field.from_fraction(Fraction(3, 3))),
+        ("from_fraction", field.from_fraction(Fraction(-1))),
+        ("from_coeffs", field.from_coeffs([Fraction(2, 2)] + zeros)),
+        ("from_coeffs", field.from_coeffs([Fraction(-1)] + zeros)),
+    ]
+    results += [("zeta_power", field.zeta_power(k)) for k in range(-m, 2 * m + 1)]
+    for s in fresh:
+        results += [("neg", field.neg(s)), ("inv", field.inv(s))]
+        results += [("mul", field.mul(s, s)), ("div", field.div(s, s))]
+    for a in elems:
+        for s in fresh:
+            rest = field.sub(s, a)
+            results += [
+                ("add", field.add(a, rest)),
+                ("add", field.add(rest, a)),
+                ("sub", field.sub(field.add(a, s), a)),
+                ("neg", field.neg(field.sub(a, field.add(a, s)))),
+            ]
+            if not field.is_zero(a):
+                scaled = field.mul(s, field.inv(a))
+                results += [("mul", field.mul(a, scaled)), ("div", field.div(a, field.mul(s, a)))]
+                results += [("inv", field.inv(field.mul(a, field.inv(field.mul(s, a)))))]
+    for _ in range(300):
+        a, b = rng.choice(elems + fresh), rng.choice(elems + fresh)
+        results += [("add", field.add(a, b)), ("sub", field.sub(a, b)), ("mul", field.mul(a, b))]
+        if not field.is_zero(b):
+            results.append(("div", field.div(a, b)))
+    names = assert_sign_objects(field, results)
+    assert len(names) > 8 * len(elems)
+    operations = {"from_fraction", "from_coeffs", "zeta_power", "add", "sub", "neg", "mul", "inv", "div"}
+    assert set(names) == operations
 
 
 def test_the_reference_reduces_by_the_same_polynomials():

@@ -86,11 +86,11 @@ class CountingField:
 
 
 def test_normal_form_cancels_the_pivot_entry_without_arithmetic():
-    rows = {0: {0: Q.one, 2: F(3)}, 1: {1: Q.one, 2: F(-1)}}
+    rows = {0: {0: Q.one, 2: F(3)}, 1: {1: Q.one, 2: F(2)}}
     vec = {0: F(1), 1: F(2), 3: F(5)}
     field = CountingField(Q)
     out = normal_form(field, rows, vec)
-    assert out == {2: F(-1), 3: F(5)}
+    assert out == {2: F(-7), 3: F(5)}
     assert vec == {0: F(1), 1: F(2), 3: F(5)}
     # coefficient 1 is a sign: its tail entry 3 is negated, no product;
     # coefficient 2 is negated once, then one product and one addition
@@ -102,11 +102,22 @@ def test_normal_form_cancels_the_pivot_entry_without_arithmetic():
     # express reads the same coefficients and clears the pivots the same way
     field.calls.clear()
     canonical = [rows[0], rows[1]]
-    assert express(field, canonical, pivot_index(canonical), {0: F(1), 1: F(2), 2: F(1)}) == [
+    assert express(field, canonical, pivot_index(canonical), {0: F(1), 1: F(2), 2: F(7)}) == [
         (0, F(1)),
         (1, F(2)),
     ]
     assert field.calls == {"sub": 1, "neg": 1, "mul": 1, "add": 1, "is_zero": 2}
+
+
+def test_normal_form_takes_a_sign_row_entry_without_a_product():
+    # F(-1) is the field's minus_one object, so the tail entry of row 1
+    # turns its coefficient's negation, -2, back into 2 by one more neg
+    rows = {0: {0: Q.one, 2: F(3)}, 1: {1: Q.one, 2: F(-1)}}
+    assert rows[1][2] is Q.minus_one
+    vec = {0: F(1), 1: F(2), 3: F(5)}
+    field = CountingField(Q)
+    assert normal_form(field, rows, vec) == {2: F(-1), 3: F(5)}
+    assert field.calls == {"neg": 3, "add": 1, "is_zero": 2}
 
 
 def test_negated_takes_signs_without_arithmetic():

@@ -596,7 +596,7 @@ def test_products_store_one_as_the_field_one_object(sr_z6):
     ones = 0
     for entries in tu._products.values():
         for _, v in entries:
-            if field.is_one(v):
+            if v == field.one:
                 assert v is field.one
                 ones += 1
     assert ones > 0
@@ -614,6 +614,40 @@ def test_products_store_minus_one_as_the_sign_object(sr_z6):
                 assert v is field.minus_one
                 signs += 1
     assert signs > 0
+
+
+@pytest.mark.parametrize("name", ["sr_z6", "cubic_z3"])
+def test_every_stored_sign_is_the_field_sign_object(name, monkeypatch):
+    # the sign objects come from the field alone: nothing in komplex,
+    # smashtensor or grouppres restores them, and _mul skips by identity
+    expressed = []
+    express = komplex.express
+
+    def recording(*args):
+        out = express(*args)
+        expressed.append(out)
+        return out
+
+    monkeypatch.setattr(komplex, "express", recording)
+    pres, _ = load_input(str(FIXTURES / f"{name}.json"))
+    fam = NComplexSlice(pres, 6)
+    report = contracted_complex(fam)
+    assert report.composition_zero and report.exact_in_window
+    field = fam.ctx.field
+    stored = {
+        "columns": [v for g in fam.ctx.columns for col in g.values() for v in col.values()],
+        "products": [v for entries in fam.tu._products.values() for _, v in entries],
+        "rows": [v for x in fam._x.values() for row in x.rows for v in row.values()],
+        "express": [c for out in expressed for _, c in out],
+        "contraction": [v for m in fam._contraction.values() for col in m.values() for v in col.values()],
+        "d_left": [v for m in fam._dl.values() for col in m.values() for v in col.values()],
+        "d_right": [v for m in fam._dr.values() for col in m.values() for v in col.values()],
+    }
+    signs = (field.one, field.minus_one)
+    for where, values in stored.items():
+        fresh = [v for v in values if v in signs and not any(v is s for s in signs)]
+        assert not fresh, f"{len(fresh)} fresh sign tuples in {where}"
+        assert any(v is s for v in values for s in signs), where
 
 
 def test_mul_by_a_sign_object_takes_no_product():
