@@ -119,11 +119,23 @@ def wedge(field, vectors) -> dict:
 
 def _paired(field, table: dict, w: dict):
     """One component of psi (wedge key -> Scalar) on a raw wedge-basis vector."""
+    one, minus_one = field.one, field.minus_one
     total = field.zero
     for combo, c in w.items():
         v = table.get(combo)
         if v is not None:
-            total = field.add(total, field.mul(to_raw(field, v), c))
+            v = to_raw(field, v)
+            if c is one:
+                term = v
+            elif c is minus_one:
+                term = field.neg(v)
+            elif v is one:
+                term = c
+            elif v is minus_one:
+                term = field.neg(c)
+            else:
+                term = field.mul(v, c)
+            total = field.add(total, term)
     return total
 
 

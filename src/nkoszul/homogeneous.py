@@ -58,7 +58,6 @@ from .elim import (
     add_shifted,
     intersection,
     negated,
-    normal_form,
     rank,
 )
 from .scalar import DimensionMismatch
@@ -208,30 +207,18 @@ class _Level:
             start = p + 1
         yield from range(start, self.positions)
 
-    def reduce(self, field, vec: dict) -> dict:
-        """Quotient coordinates of a sparse vector; lower keys pass through.
-
-        ``normal_form`` against the rows, then positions to indices: the
-        reference that ``front`` equals on ``_Tower._front``'s vectors.
-        """
-        if not self.rows:
-            return vec
-        pivots = self.pivots
-        lower = _LOWER
-        red = normal_form(field, self.rows, vec)
-        return {(pos - bisect_left(pivots, pos) if pos < lower else pos): v for pos, v in red.items()}
-
     def front(self, field, j: int, width: int, vec: dict, lowered) -> dict:
         """Letter j in front of a normal form one level down, reduced here.
 
-        ``reduce`` of the vector that puts key b < _LOWER of ``vec`` at
+        The ``normal_form`` against this level's rows, in quotient
+        coordinates, of the vector that puts key b < _LOWER of ``vec`` at
         position j·width + b and, after those, adds ``lowered(j, k)``
         times the entry of each lower key k, in one pass and with the same
         field operations: a free position goes to its index directly, and
         a pivot's entry c adds -c times its row's tail, the row minus its
         pivot entry in quotient coordinates.  The collapse pivots among
         the lower keys come last, in the order ``normal_form`` meets them,
-        so the keys come out in ``reduce``'s order too.
+        so the keys come out in the order ``normal_form`` gives them.
         """
         rows = self.rows
         pivots = self.pivots

@@ -23,7 +23,19 @@ degree-lowering correction maps induced by phi, the contracted complex
 alternating d and d^{N-1}, and the explicit wedge-basis formulas for
 antisymmetrizer presentations are all provided as sparse column maps, with
 rank checks restricted to the safe filtration window <= D - N where
-truncation cannot create spurious homology.  Each map is built once:
+truncation cannot create spurious homology.
+
+The checks build only what their verdicts read, on restrictions of the
+slice family to a lower total degree (``NComplexSlice.restricted``) that
+share its truncated algebra, so the algebra is still built, and a failed
+oracle refused, at D.  Two facts of Berger's bimodule complex set the
+restrictions.  mu, d_l and d_r never raise total filtration degree, so the
+windowed ranks are those of the family restricted to D - N.  Every map of
+the complex is a U-bimodule map, fixed by its values on the generators
+1 (x) w (x) 1 of total degree n in slice n; so d^N = 0, the composition
+test of the contracted complex and the wedge agreement are decided on
+those columns, in the family restricted to max_n, the largest n with
+W_n != 0.  Each map is built once:
 d^{N-1}, the sum of d_l^a d_r^b over a + b = N - 1, comes from the
 recurrence T_k(l) = T_{k-1}(l-1) ∘ d_r(l) + d_l^k(l) (``alternating_step_sum``),
 and each windowed map of the contracted complex is ranked once, by
@@ -34,11 +46,13 @@ share one assembly of their maps out of each position
 agreement read the same maps.  For N = 2 the twisted maps are the
 contraction maps, and each composite of two of them is formed once per
 family (``NComplexSlice.composite_zero``), for d^2 = 0 and the contracted
-complex alike.  phi's left and right lifts share one construction.
+complex alike, on the generator columns of the inner map.  phi's left
+and right lifts share one construction.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -203,21 +217,22 @@ class TruncatedU:
 
 
 class _XSpace:
-    """W_n (x)_K U^{<= D-n} embedded in V^{(x)n} (x) U.
+    """W_n (x)_K U^{<= bound-n} embedded in V^{(x)n} (x) U.
 
     Coordinates are pairs (word number, U-basis index) ordered with the
     highest U-degree first, so a row's pivot block is its filtration
-    level; the canonical rows are nested across levels.
+    level; the canonical rows are nested across levels.  ``bound`` is the
+    slice family's, at most the truncated algebra's.
     """
 
-    def __init__(self, tu: TruncatedU, n: int, w_row_list: list):
+    def __init__(self, tu: TruncatedU, n: int, w_row_list: list, bound: int):
         self.tu = tu
         self.n = n
         ctx = tu.ctx
         field = tu.field
         self.w_rows = w_row_list
         vn = ctx.dimV**n
-        max_u = tu.bound - n
+        max_u = bound - n
         # coordinate order: highest U-degree first, then word number, then index
         flat = []
         for b_idx, (d, _, _) in enumerate(tu.basis):
@@ -348,13 +363,13 @@ class NComplexSlice:
     with total filtration degree within the bound.  Maps are sparse column
     dictionaries; ``d_left``/``d_right`` are the two one-step maps, and the
     q-twisted differential of the N-complex at slice n is
-    d_left - q^{n-1} d_right.
+    d_left - q^{n-1} d_right.  ``restricted(b)`` is the family cut to
+    total degree <= b on the same truncated algebra.
     """
 
     def __init__(self, pres: FilteredPresentation, bound: int):
         self.pres = pres
         self.tu = TruncatedU(pres, bound)
-        self.bound = bound
         ctx = pres.ctx
         self.ctx = ctx
         self.N = pres.N
@@ -366,7 +381,14 @@ class NComplexSlice:
                 )
         self.phi = phi
         self.b0, self.b_decomp = self.tu.monomial_right_free_basis()
-        alg = pres.homogenization()
+        self._alg = pres.homogenization()
+        self._open(bound, self._max_nonzero_w(bound))
+
+    def _open(self, bound: int, max_n: int) -> None:
+        """Empty spaces, maps and restrictions at total degree <= ``bound``."""
+        self.bound = bound
+        self.max_n = max_n
+        self._restrictions: dict[int, NComplexSlice] = {}
         self._x: dict[int, _XSpace] = {}
         self._slice_basis: dict[int, list] = {}
         self._slice_index: dict[int, dict] = {}
@@ -374,19 +396,36 @@ class NComplexSlice:
         self._dr: dict[int, dict] = {}
         self._contraction: dict[int, dict] = {}
         self._composite_zero: dict[int, bool] = {}
-        self._alg = alg
         self._act_cache: dict = {}
-        self.max_n = self._max_nonzero_w()
 
-    def _max_nonzero_w(self) -> int:
-        for n in range(self.bound, -1, -1):
+    def _max_nonzero_w(self, bound: int) -> int:
+        for n in range(bound, -1, -1):
             if w_rows(self._alg, n, self._alg.w_cache):
                 return n
         return 0
 
+    def restricted(self, bound: int) -> "NComplexSlice":
+        """The family cut to total filtration degree <= ``bound``.
+
+        It shares the truncated algebra, phi and the left factors, and
+        builds its own spaces and maps, so none of this family's work is
+        redone; one restriction per bound.  W_{n+1} lies in W_n (x) V, so
+        the nonzero W_n are those with n <= max_n.
+        """
+        if bound == self.bound:
+            return self
+        if not 0 <= bound < self.bound:
+            raise ValueError("a restriction lowers the bound")
+        got = self._restrictions.get(bound)
+        if got is None:
+            got = copy.copy(self)
+            got._open(bound, min(self.max_n, bound))
+            self._restrictions[bound] = got
+        return got
+
     def x_space(self, n: int) -> _XSpace:
         if n not in self._x:
-            self._x[n] = _XSpace(self.tu, n, w_rows(self._alg, n, self._alg.w_cache))
+            self._x[n] = _XSpace(self.tu, n, w_rows(self._alg, n, self._alg.w_cache), self.bound)
         return self._x[n]
 
     def basis(self, n: int) -> list:
@@ -409,6 +448,11 @@ class NComplexSlice:
     def total_degree(self, n: int, key: tuple[int, int]) -> int:
         pos, t = key
         return self.tu.basis[self.b0[pos]][0] + n + self.x_space(n).level[t]
+
+    def generator_columns(self, n: int) -> list:
+        """Sources of slice n of total degree n, the tensors 1 (x) w (x) 1:
+        they generate U (x)_K W_n (x)_K U as a U-bimodule."""
+        return [src for src, key in enumerate(self.basis(n)) if self.total_degree(n, key) == n]
 
     def d_left(self, n: int) -> dict:
         """Columns of d_l : slice n -> slice n-1.
@@ -570,12 +614,17 @@ class NComplexSlice:
         return got
 
     def composite_zero(self, i: int) -> bool:
-        """Whether contraction(i) ∘ contraction(i+1) vanishes, for i >= 1;
-        the composite is formed once per slice family and only its verdict
-        is kept."""
+        """Whether contraction(i) ∘ contraction(i+1) vanishes, for i >= 1.
+
+        Both maps are U-bimodule maps, so the composite vanishes when it
+        does on the generator columns of slice zeta(i+1); it is formed on
+        those alone, once per slice family, and only its verdict is kept.
+        """
         got = self._composite_zero.get(i)
         if got is None:
-            got = map_is_zero(compose_maps(self.contraction(i), self.contraction(i + 1), self.ctx.field))
+            inner = self.contraction(i + 1)
+            gens = on_columns(inner, self.generator_columns(zeta(i + 1, self.N)))
+            got = map_is_zero(compose_maps(self.contraction(i), gens, self.ctx.field))
             self._composite_zero[i] = got
         return got
 
@@ -605,40 +654,42 @@ def map_is_zero(cols: dict) -> bool:
     return all(not vec for vec in cols.values())
 
 
-def _power(step, n: int, N: int, field) -> dict:
-    """Columns of step(n-N+1) ∘ ... ∘ step(n), the N-fold composition out of n."""
-    comp = step(n)
-    for k in range(1, N):
-        comp = compose_maps(step(n - k), comp, field)
-    return comp
+def on_columns(cols: dict, sources: list) -> dict:
+    """The map cut down to the given source columns."""
+    return {src: cols[src] for src in sources}
 
 
 def check_dN_zero(slice_family: NComplexSlice, q: Scalar) -> list[tuple[int, bool]]:
     """d^N = 0 on every slice where N successive maps are defined.
 
-    For N = 2 the twisted maps are the contraction maps, so d^2 out of n
-    is the family's composite out of contraction position n - 1, the one
+    d^N is a U-bimodule map, so it vanishes on U (x)_K W_n (x)_K U when it
+    does on the generators 1 (x) w (x) 1, the columns of total degree n.
+    Every slice n with W_n != 0 has n <= max_n, so the family restricted to
+    max_n holds them all, and d^N is composed there on them alone.  For
+    N = 2 the twisted maps are the contraction maps, so d^2 out of n is
+    that family's composite out of contraction position n - 1, the one
     the contracted complex reads too.
     """
     N = slice_family.N
-    field = slice_family.ctx.field
     if (q**N) != Scalar.one(q.conductor):
         raise ValueError("q must be an N-th root of unity")
     for m in range(1, N):
         if (q**m) == Scalar.one(q.conductor):
             raise ValueError("q must be a primitive N-th root of unity")
-    results = []
     top = slice_family.max_n
     if top < N:
         raise ValueError("bound too small: no slice admits N successive maps")
+    fam = slice_family.restricted(top)
+    field = fam.ctx.field
+    results = []
     for n in range(N, top + 1):
-        if slice_family.slice_dim(n) == 0:
-            continue
         if N == 2:
-            results.append((n, slice_family.composite_zero(n - 1)))
-        else:
-            twisted = _power(lambda m: slice_family.d_twisted(m, q), n, N, field)
-            results.append((n, map_is_zero(twisted)))
+            results.append((n, fam.composite_zero(n - 1)))
+            continue
+        comp = on_columns(fam.d_twisted(n, q), fam.generator_columns(n))
+        for k in range(1, N):
+            comp = compose_maps(fam.d_twisted(n - k, q), comp, field)
+        results.append((n, map_is_zero(comp)))
     return results
 
 
@@ -666,7 +717,13 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     Exactness is asserted only at total filtration degree <= D - N, where a
     truncated complex cannot show spurious homology: the maps preserve the
     filtration and the associated graded complex is checked degreewise
-    elsewhere.
+    elsewhere.  mu, d_l and d_r never raise total degree, so the columns
+    of total degree <= D - N map into the window, and the windowed ranks
+    are those of the family restricted to D - N, all of its columns.  The
+    maps are U-bimodule maps, so consecutive ones compose to zero when
+    they do on the generator columns, which the family restricted to max_n
+    holds (``composite_zero``, shared with d^2).  ``dim_total`` is the
+    slice dimension at D, counted without building a map.
     """
     fam = slice_family
     N = fam.N
@@ -679,21 +736,19 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     top = 0
     while top + 1 < len(zs) and fam.slice_dim(zs[top + 1]) > 0:
         top += 1
-    maps = [fam.mu_matrix()] + [fam.contraction(i) for i in range(1, top + 1)]
-    # composition zero of consecutive maps on the full slices; the
-    # composites of the contraction maps are the family's, shared with d^2
+    gen = fam.restricted(fam.max_n)
     comp_zero = top == 0 or (
-        map_is_zero(compose_maps(maps[0], maps[1], field))
-        and all(fam.composite_zero(i) for i in range(1, top))
+        map_is_zero(compose_maps(gen.mu_matrix(), on_columns(gen.contraction(1), gen.generator_columns(1)), field))
+        and all(gen.composite_zero(i) for i in range(1, top))
     )
 
-    inside = [[fam.total_degree(n, key) <= window for key in fam.basis(n)] for n in zs[: top + 1]]
-    dims = [sum(flags) for flags in inside]
+    win = fam.restricted(window)
+    maps = [win.mu_matrix()] + [win.contraction(i) for i in range(1, top + 1)]
+    dims = [win.slice_dim(n) for n in zs[: top + 1]]
     u_window = fam.tu.dim_filtration(window)
-    columns = [[vec for src, vec in cols.items() if flags[src]] for cols, flags in zip(maps, inside)]
 
     # the map out of position top + 1 is zero
-    ranks = [rank(field, cols) for cols in columns] + [0]
+    ranks = [rank(field, list(cols.values())) for cols in maps] + [0]
 
     positions = []
     for i in range(top + 1):
@@ -787,6 +842,14 @@ class WedgeComplex:
             self._basis[m] = out
             self._index[m] = {key: i for i, key in enumerate(out)}
         return self._basis[m]
+
+    def generator_columns(self, m: int) -> list:
+        """Sources of total degree m, the tensors 1 (x) wedge (x) g."""
+        degree = self.tu.basis
+        b0 = self.family.b0
+        return [
+            src for src, (pos, _, b_idx) in enumerate(self.basis(m)) if degree[b0[pos]][0] + degree[b_idx][0] == 0
+        ]
 
     def _emit(self, out: dict, m_low: int, pos: int, combo: tuple, b_idx: int, coeff) -> None:
         _emit_to_slice(self.ctx.field, out, self._index[m_low], (pos, combo, b_idx), coeff)
@@ -900,23 +963,28 @@ class WedgeComplex:
 
 def wedge_agreement(family: NComplexSlice) -> bool:
     """The wedge formulas match the generic maps under the identification;
-    the group and p = N are the family's."""
-    wc = WedgeComplex(family)
-    field = family.ctx.field
-    N = family.N
-    zs = zeta_degrees(N, family.bound)
+    the group and p = N are the family's.
+
+    The wedge maps, the generic maps and the identification are U-bimodule
+    maps, so the two sides agree when they do on the generator columns
+    1 (x) wedge (x) g of total degree zeta(i).  Every nonzero slice has
+    zeta(i) <= max_n, so they are compared on the family restricted to
+    max_n, whose contraction maps d^2 and the contracted complex read too.
+    """
+    fam = family.restricted(family.max_n)
+    wc = WedgeComplex(fam)
+    field = fam.ctx.field
+    zs = zeta_degrees(fam.N, fam.bound)
     ok = True
     for i in range(1, len(zs)):
         hi, lo = zs[i], zs[i - 1]
-        if family.slice_dim(hi) == 0 or not wc.basis(hi):
+        if fam.slice_dim(hi) == 0 or not wc.basis(hi):
             break
         parity = "odd" if i % 2 == 1 else "even"
-        wedge_map = wc.differential(hi, parity)
-        generic = family.contraction(i)
-        iso_hi = wc.iso_to_generic(hi)
-        iso_lo = wc.iso_to_generic(lo)
-        lhs = compose_maps(generic, iso_hi, field)
-        rhs = compose_maps(iso_lo, wedge_map, field)
+        gens = wc.generator_columns(hi)
+        wedge_map = on_columns(wc.differential(hi, parity), gens)
+        lhs = compose_maps(fam.contraction(i), on_columns(wc.iso_to_generic(hi), gens), field)
+        rhs = compose_maps(wc.iso_to_generic(lo), wedge_map, field)
         if not maps_equal(lhs, rhs, len(wc.basis(hi))):
             ok = False
     return ok

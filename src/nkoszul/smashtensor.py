@@ -216,7 +216,7 @@ class TensorContext:
         Yields (word, raw coefficient) pairs.
         """
         field = self.field
-        one = field.one
+        one, minus_one = field.one, field.minus_one
         cols = self.columns[g]
         partial = [((), one)]
         for letter in word:
@@ -227,6 +227,10 @@ class TensorContext:
                         prod = c
                     elif c is one:
                         prod = raw
+                    elif raw is minus_one:
+                        prod = field.neg(c)
+                    elif c is minus_one:
+                        prod = field.neg(raw)
                     else:
                         prod = field.mul(c, raw)
                     nxt.append((pw + (i,), prod))
@@ -278,14 +282,23 @@ class TensorContext:
     def left_action_sparse(self, g: int, row: dict, degree: int) -> dict:
         """g . (word ⊗ h) = rho(g)(word) ⊗ gh on a sparse degree-n vector."""
         field = self.field
-        one = field.one
+        one, minus_one = field.one, field.minus_one
         mult_row = self.group.mult_table[g]
         out: dict = {}
         for coord, raw in row.items():
             word, h = self.word_of(coord, degree)
             gh = mult_row[h]
             for tw, c in self.apply_group_to_word(g, word):
-                term = raw if c is one else c if raw is one else field.mul(raw, c)
+                if c is one:
+                    term = raw
+                elif raw is one:
+                    term = c
+                elif c is minus_one:
+                    term = field.neg(raw)
+                elif raw is minus_one:
+                    term = field.neg(c)
+                else:
+                    term = field.mul(raw, c)
                 accumulate(field, out, self.coord(tw, gh), term)
         return out
 
@@ -295,14 +308,23 @@ class TensorContext:
         (w ⊗ g)(e_l ⊗ 1) = w ⊗ rho(g) e_l ⊗ g.
         """
         field = self.field
-        one = field.one
+        one, minus_one = field.one, field.minus_one
         order = self.order
         dimV = self.dimV
         out: dict = {}
         for coord, raw in row.items():
             wnum, g = divmod(coord, order)
             for i, c in self.columns[g][letter].items():
-                term = raw if c is one else field.mul(raw, c)
+                if c is one:
+                    term = raw
+                elif raw is one:
+                    term = c
+                elif c is minus_one:
+                    term = field.neg(raw)
+                elif raw is minus_one:
+                    term = field.neg(c)
+                else:
+                    term = field.mul(raw, c)
                 accumulate(field, out, (wnum * dimV + i) * order + g, term)
         return out
 

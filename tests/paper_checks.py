@@ -23,7 +23,18 @@ beside the tests that call them:
 * ``change_of_rings``              -- a field-level algebra extended to
                                      K = k[Gamma];
 * ``is_homomorphic_action``        -- rho(g) rho(h) = rho(gh), entry by entry;
-* ``rebuild_P``                    -- P rebuilt as {x - phi(x) : x in R}.
+* ``rebuild_P``                    -- P rebuilt as {x - phi(x) : x in R};
+* ``full_slice_dN_zero``,
+  ``full_slice_contraction``,
+  ``full_slice_wedge_agreement``   -- the three slice checks on every
+                                     column of every slice up to the
+                                     family's bound: d^N composed on all
+                                     columns, the windowed ranks on the
+                                     columns of total degree <= D - N,
+                                     and the wedge comparison on all
+                                     columns.  The library reads only
+                                     the restrictions these verdicts
+                                     need (``NComplexSlice.restricted``).
 
 Universal quantifiers over tuples of vectors are discharged on strictly
 increasing basis tuples, as in ``nkoszul.grouppres``.
@@ -33,11 +44,11 @@ from itertools import combinations
 from math import comb
 
 from nkoszul.cyclo import get_field
-from nkoszul.elim import SparseEliminator, accumulate, add_scaled, compose_maps, maps_equal, negated
+from nkoszul.elim import SparseEliminator, accumulate, add_scaled, compose_maps, maps_equal, negated, rank
 from nkoszul.filtered import PhiMap
 from nkoszul.grouppres import PsiMap, _id_minus_signed, _over
-from nkoszul.homogeneous import HomogeneousAlgebra
-from nkoszul.komplex import NComplexSlice, _power, map_difference
+from nkoszul.homogeneous import HomogeneousAlgebra, zeta_degrees
+from nkoszul.komplex import ContractionReport, NComplexSlice, WedgeComplex, map_difference, map_is_zero
 from nkoszul.scalar import DimensionMismatch, Scalar, to_raw
 from nkoszul.smashtensor import FilteredSubspace, GroupData, Subbimodule, TensorContext, placement, product_EF
 
@@ -150,14 +161,22 @@ def leibniz_identity_holds(dim_m: int, dim_l: int, r: int, s: int, conductor: in
     return True
 
 
+def power(step, n: int, N: int, field) -> dict:
+    """Columns of step(n-N+1) ∘ ... ∘ step(n), the N-fold composition out of n."""
+    comp = step(n)
+    for k in range(1, N):
+        comp = compose_maps(step(n - k), comp, field)
+    return comp
+
+
 def factorization_identity_holds(slice_family: NComplexSlice, q: Scalar, n: int) -> bool:
     """Product of the twisted maps vs d_l^N - d_r^N vs the phi correction."""
     field = slice_family.ctx.field
     N = slice_family.N
-    twisted = _power(lambda m: slice_family.d_twisted(m, q), n, N, field)
+    twisted = power(lambda m: slice_family.d_twisted(m, q), n, N, field)
     ncols = slice_family.slice_dim(n)
     untwisted = map_difference(
-        _power(slice_family.d_left, n, N, field), _power(slice_family.d_right, n, N, field), field, ncols
+        power(slice_family.d_left, n, N, field), power(slice_family.d_right, n, N, field), field, ncols
     )
     lhs_eq = maps_equal(twisted, untwisted, ncols)
     phi_diff = map_difference(slice_family.phi_left(n), slice_family.phi_right(n), field, ncols)
@@ -226,3 +245,69 @@ def rebuild_P(phi: PhiMap) -> FilteredSubspace:
     # r_t fills the leading degree-N block of P's layout, phi(r_t) the rest
     rows = [{**r, **{c: neg(v) for c, v in value.items()}} for r, value in zip(phi.r_rows, phi.rows)]
     return FilteredSubspace.from_rows(ctx, phi.N, rows, close=False)
+
+
+def full_slice_dN_zero(slice_family: NComplexSlice, q: Scalar) -> list[tuple[int, bool]]:
+    """d^N = 0 composed on every column of each slice n = N..max_n."""
+    field = slice_family.ctx.field
+    N = slice_family.N
+    return [
+        (n, map_is_zero(power(lambda m: slice_family.d_twisted(m, q), n, N, field)))
+        for n in range(N, slice_family.max_n + 1)
+        if slice_family.slice_dim(n)
+    ]
+
+
+def full_slice_contraction(slice_family: NComplexSlice) -> ContractionReport:
+    """The contracted complex on the family's own slices: consecutive maps
+    composed on every column, and each map ranked on its columns of total
+    degree <= D - N."""
+    fam = slice_family
+    N = fam.N
+    field = fam.ctx.field
+    window = fam.bound - N
+    zs = zeta_degrees(N, fam.bound)
+    top = 0
+    while top + 1 < len(zs) and fam.slice_dim(zs[top + 1]) > 0:
+        top += 1
+    maps = [fam.mu_matrix()] + [fam.contraction(i) for i in range(1, top + 1)]
+    comp_zero = all(map_is_zero(compose_maps(maps[i], maps[i + 1], field)) for i in range(top))
+    inside = [[fam.total_degree(n, key) <= window for key in fam.basis(n)] for n in zs[: top + 1]]
+    dims = [sum(flags) for flags in inside]
+    columns = [[vec for src, vec in cols.items() if flags[src]] for cols, flags in zip(maps, inside)]
+    ranks = [rank(field, cols) for cols in columns] + [0]
+    positions = []
+    for i in range(top + 1):
+        ok = ranks[i] + ranks[i + 1] == dims[i]
+        if i == 0:
+            ok = ok and ranks[0] == fam.tu.dim_filtration(window)
+        positions.append(
+            {
+                "i": i,
+                "zeta": zs[i],
+                "dim_total": fam.slice_dim(zs[i]),
+                "dim_window": dims[i],
+                "rank_in": ranks[i + 1],
+                "rank_out": ranks[i],
+                "exact": ok,
+            }
+        )
+    return ContractionReport(fam.bound, window, positions, comp_zero, all(pos["exact"] for pos in positions))
+
+
+def full_slice_wedge_agreement(family: NComplexSlice) -> bool:
+    """The wedge maps against the generic ones on every column of every
+    wedge slice up to the family's bound."""
+    wc = WedgeComplex(family)
+    field = family.ctx.field
+    zs = zeta_degrees(family.N, family.bound)
+    ok = True
+    for i in range(1, len(zs)):
+        hi, lo = zs[i], zs[i - 1]
+        if family.slice_dim(hi) == 0 or not wc.basis(hi):
+            break
+        wedge_map = wc.differential(hi, "odd" if i % 2 == 1 else "even")
+        lhs = compose_maps(family.contraction(i), wc.iso_to_generic(hi), field)
+        rhs = compose_maps(wc.iso_to_generic(lo), wedge_map, field)
+        ok = ok and maps_equal(lhs, rhs, len(wc.basis(hi)))
+    return ok

@@ -1,10 +1,13 @@
 """``--checks all`` skips what does not apply and builds shared work once."""
 
 import json
+from pathlib import Path
 
 from nkoszul import cli
 from nkoszul.cli import RunConfig, run
 from nkoszul.smashtensor import FilteredSubspace
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 DOWN_UP = {
     "presentation": {"builder": "down_up", "alpha": "2", "beta": "-1", "gamma": "1"}
@@ -89,3 +92,16 @@ def test_all_computes_condition_J_once(tmp_path, monkeypatch):
     assert report["checks"]["condition_J"]["ok"] is True
     assert report["checks"]["pbw"]["condition_J"]["holds"] is True
     assert sorted(sides) == ["left", "right"]
+
+
+def test_a_failure_above_the_window_still_refuses_the_slice_checks():
+    # nonjacobi fails the oracle at degree 3, above D - N = 2 at D = 4: the
+    # contraction ranks only the family at D - N, yet the refusal is at D
+    path = str(FIXTURES / "nonjacobi.json")
+    message = "filtration equalities fail at degree 3; the truncated algebra is undefined"
+    report, code = run(RunConfig(input_path=path, degree_bound=4, checks=["contraction"], format="json"))
+    assert (code, report) == (2, {"error": message})
+    report, code = run(RunConfig(input_path=path, degree_bound=4, format="json"))
+    assert code == 1
+    for name in ("dN_zero", "contraction"):
+        assert report["checks"][name] == {"skipped": message, "ok": None}

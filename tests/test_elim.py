@@ -71,6 +71,7 @@ class CountingField:
 
     def __init__(self, field):
         self.field = field
+        self.zero = field.zero
         self.one = field.one
         self.minus_one = field.minus_one
         self.calls: dict = {}

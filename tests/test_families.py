@@ -3,7 +3,9 @@
 The answers come from outside nkoszul (see ``families``): every check
 passes with gr dimensions |Gamma| * C(n + dimV - 1, dimV - 1) when psi is
 built from the form with class factors, and a psi that is not equivariant
-fails Theorem 4.4 and the oracle, with a valid witness.
+fails Theorem 4.4 and the oracle, with a valid witness.  Each passing
+report body is pinned by its sha256, so a faster path through any check
+must give the same report byte for byte.
 """
 
 import json
@@ -14,9 +16,23 @@ import pytest
 from families import family_inputs, non_equivariant
 from nkoszul.cli import RunConfig, run
 from nkoszul.jsonio import parse_input
+from test_bench_digest import load
 from test_oracle_tower import assert_valid_witness
 
 INPUTS = family_inputs(seed=0)
+
+# sha256 of each report body (the report minus ``config``) under ``all``, as
+# the full-slice N-complex checks gave it
+BODY_SHA256 = {
+    "z3": "3bc0427b339c0fdeffe4d9ef2f606c5c34e2b81ec6df0007dc0bb12ff9c53269",
+    "z4": "e7d69cedf1f8c0a36be800e5e6c85f6a9c6d39232166b577b48f4d6527c2dada",
+    "z5": "b1f8600a26dcff918d64b53993c964066a29f5e2daa6fdf858f4dc3d5c7d268d",
+    "z6": "317f96bfb0dfa8980518aff6e36ffb6199c670d584253e4d8cdae48b20ee6cb8",
+    "q8": "daf1337b0bc6ee607c0f3cb5d39a913071935988bfe3c0d487c72a384cd03b39",
+    "s3": "e3a97905c83d032cd7a5396f15721a8dd2b38927981e9f6d9ab421c4fe7c4478",
+}
+
+body_digest = load("check").body_digest
 
 
 def run_input(tmp_path, data: dict, D: int, checks: list):
@@ -35,6 +51,7 @@ def test_every_check_passes_with_the_pbw_dimensions(name, data, D, tmp_path):
     order, dimV = report["input"]["group_order"], report["input"]["dimV"]
     expected = [order * comb(n + dimV - 1, dimV - 1) for n in range(D + 1)]
     assert report["checks"]["oracle"]["candidate_gr_dims"] == expected
+    assert body_digest(report) == BODY_SHA256[name]
 
 
 NONABELIAN = [case for case in INPUTS if case[0] in ("q8", "s3")]

@@ -13,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from nkoszul import komplex
+from nkoszul import grouppres, komplex
 from nkoszul.cyclo import get_field
 from nkoszul.elim import TaggedRows, accumulate, add_maps, add_scaled
-from nkoszul.jsonio import load_input
+from nkoszul.jsonio import load_input, parse_input
 from nkoszul.scalar import MatrixS, Scalar, to_raw
 from nkoszul.smashtensor import GroupData, TensorContext
 from nkoszul.filtered import build_down_up, build_lie
@@ -35,7 +35,14 @@ from nkoszul.komplex import (
     maps_equal,
     wedge_agreement,
 )
-from paper_checks import factorization_identity_holds
+from families import family_inputs
+from paper_checks import (
+    factorization_identity_holds,
+    full_slice_contraction,
+    full_slice_dN_zero,
+    full_slice_wedge_agreement,
+    power,
+)
 from test_elim import CountingField
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
@@ -391,6 +398,9 @@ def test_contraction_detects_non_koszul_homogeneous_input():
     assert not rep.exact_in_window
     failing = [p for p in rep.positions if not p["exact"]]
     assert failing and failing[0]["i"] == 2
+    # the restricted families see what the full slices see
+    assert rep.to_json() == full_slice_contraction(fam).to_json()
+    assert check_dN_zero(fam, S(-1)) == full_slice_dN_zero(fam, S(-1))
 
 
 def test_contraction_euler_characteristic_in_window():
@@ -634,14 +644,21 @@ def test_every_stored_sign_is_the_field_sign_object(name, monkeypatch):
     report = contracted_complex(fam)
     assert report.composition_zero and report.exact_in_window
     field = fam.ctx.field
+    # the maps live on the restrictions the checks read
+    fams = [fam, *fam._restrictions.values()]
+    assert len(fams) > 1
+
+    def entries(attr):
+        return [v for f in fams for m in getattr(f, attr).values() for col in m.values() for v in col.values()]
+
     stored = {
         "columns": [v for g in fam.ctx.columns for col in g.values() for v in col.values()],
         "products": [v for entries in fam.tu._products.values() for _, v in entries],
-        "rows": [v for x in fam._x.values() for row in x.rows for v in row.values()],
+        "rows": [v for f in fams for x in f._x.values() for row in x.rows for v in row.values()],
         "express": [c for out in expressed for _, c in out],
-        "contraction": [v for m in fam._contraction.values() for col in m.values() for v in col.values()],
-        "d_left": [v for m in fam._dl.values() for col in m.values() for v in col.values()],
-        "d_right": [v for m in fam._dr.values() for col in m.values() for v in col.values()],
+        "contraction": entries("_contraction"),
+        "d_left": entries("_dl"),
+        "d_right": entries("_dr"),
     }
     signs = (field.one, field.minus_one)
     for where, values in stored.items():
@@ -650,7 +667,7 @@ def test_every_stored_sign_is_the_field_sign_object(name, monkeypatch):
         assert any(v is s for v in values for s in signs), where
 
 
-def test_mul_by_a_sign_object_takes_no_product():
+def test_mul_by_a_sign_object_takes_no_product(monkeypatch):
     for field in (get_field(1), get_field(6)):
         z = field.add(field.one, field.one)
         counting = CountingField(field)
@@ -661,6 +678,38 @@ def test_mul_by_a_sign_object_takes_no_product():
         assert counting.calls == {"neg": 2}
         assert komplex._mul(counting, z, z) == field.mul(z, z)
         assert counting.calls == {"neg": 2, "mul": 1}
+    # the loops that multiply by group-map entries: -Id over Q, and the
+    # element zeta^3 = -1 of sr_z6's Z/6 over Q(zeta6)
+    neg = MatrixS.from_rows([[-1, 0], [0, -1]])
+    sr_z6_ctx = load_input(str(FIXTURES / "sr_z6.json"))[0].ctx
+    for ctx in (TensorContext(2, GroupData.from_generators([neg])), sr_z6_ctx):
+        field = ctx.field
+        # the element acting as -Id: every entry of its columns is -1
+        g = next(h for h, cols in enumerate(ctx.columns) if all(c == {i: field.minus_one} for i, c in cols.items()))
+        z = field.from_fraction(Fraction(3, 2))
+        word = (0, 1, 0)
+        row = {ctx.coord(word, 0): z, ctx.coord((1, 1, 0), 0): field.minus_one}
+        grown = {ctx.coord((0, 1), g): z, ctx.coord((1, 1), g): field.one}
+        # sign entries against the columns of element 1, diag(zeta, zeta^5) in sr_z6
+        signed = {ctx.coord((0,), 1): field.minus_one, ctx.coord((1,), 1): field.one}
+        table = {(0, 1): S(5, ctx.conductor)}
+        wedged = {(0, 1): field.minus_one}
+
+        def calls():
+            return (
+                ctx.apply_group_to_word(g, word),
+                ctx.left_action_sparse(g, row, 3),
+                ctx.append_letter(grown, 0),
+                ctx.append_letter(signed, 1),
+                grouppres._paired(ctx.field, table, wedged),
+            )
+
+        want = calls()
+        counting = CountingField(field)
+        monkeypatch.setattr(ctx, "field", counting)
+        assert calls() == want
+        assert "mul" not in counting.calls and counting.calls.get("neg")
+        monkeypatch.undo()
 
 
 # -- d^{N-1} by recurrence ----------------------------------------------------
@@ -728,6 +777,7 @@ def test_wedge_agreement_sees_one_flipped_entry(monkeypatch):
     fam = NComplexSlice(pres, 6)
     assert wedge_agreement(fam)
     right_step = WedgeComplex._right_step
+    flips = []
 
     def flipped(self, m):
         cols = right_step(self, m)
@@ -735,10 +785,13 @@ def test_wedge_agreement_sees_one_flipped_entry(monkeypatch):
         src = next(s for s in sorted(cols) if cols[s])
         key = min(cols[src])
         cols[src][key] = field.neg(cols[src][key])
+        flips.append(src in self.generator_columns(m))
         return cols
 
     monkeypatch.setattr(WedgeComplex, "_right_step", flipped)
     assert not wedge_agreement(fam)
+    # the comparison reads the generator columns, and the flip lies in one
+    assert flips and all(flips)
 
 
 @pytest.mark.parametrize("make", [weyl_presentation, cubic_zeta3_presentation])
@@ -779,13 +832,15 @@ def test_maps_equal_reads_a_missing_column_as_empty():
 
 @pytest.mark.parametrize("make", [weyl_presentation, cubic_zeta3_presentation])
 def test_wedge_agreement_reuses_the_contraction_maps(monkeypatch, make):
+    # both read the generic maps of the family restricted to max_n
     pres, _, _ = make()
     fam = NComplexSlice(pres, 6)
+    gen = fam.restricted(fam.max_n)
     built = []
     original = komplex.contraction_map
 
     def counting(left, right, top, *args):
-        if getattr(left, "__self__", None) is fam:  # the generic maps, not the wedge ones
+        if getattr(left, "__self__", None) is gen:  # the generic maps, not the wedge ones
             built.append(top)
         return original(left, right, top, *args)
 
@@ -807,7 +862,7 @@ def fresh_sr_z6(D=6):
 
 def test_dN_zero_and_the_contraction_form_the_N2_product_once(monkeypatch):
     fam = fresh_sr_z6()
-    assert fam.N == 2
+    assert fam.N == 2 and fam.max_n == 2
     products = []
     original = komplex.compose_maps
 
@@ -820,10 +875,17 @@ def test_dN_zero_and_the_contraction_form_the_N2_product_once(monkeypatch):
     rep = contracted_complex(fam)
     assert results and all(flag for _, flag in results)
     assert rep.composition_zero and rep.exact_in_window
-    d1, d2 = fam.contraction(1), fam.contraction(2)
-    assert sum(outer is d1 and inner is d2 for outer, inner in products) == 1
-    # d(1)∘d(2) in dN_zero, then only mu∘d(1) in the contraction
-    assert len(products) == 2 and products[1][1] is d1
+    gen = fam.restricted(fam.max_n)
+    d1, d2 = gen.contraction(1), gen.contraction(2)
+
+    def generators_of(inner, full, n):
+        # the inner map cut to the generator columns, their columns shared
+        return sorted(inner) == gen.generator_columns(n) and all(inner[s] is full[s] for s in inner)
+
+    assert sum(outer is d1 and generators_of(inner, d2, 2) for outer, inner in products) == 1
+    # d(1)∘d(2) in dN_zero, then only mu∘d(1) in the contraction; the
+    # windowed ranks compose nothing
+    assert len(products) == 2 and generators_of(products[1][1], d1, 1)
 
 
 def test_twisted_maps_at_minus_one_are_the_contraction_maps(sr_z6):
@@ -851,7 +913,7 @@ def test_cubic_dN_zero_still_composes_the_twisted_formula():
             return add_maps(field, fam.d_left(m), fam.d_right(m), field.neg(qm), fam.slice_dim(m))
 
         want = [
-            (n, map_is_zero(komplex._power(twisted, n, 3, field)))
+            (n, map_is_zero(power(twisted, n, 3, field)))
             for n in range(3, fam.max_n + 1)
             if fam.slice_dim(n) > 0
         ]
@@ -867,19 +929,80 @@ def test_the_shared_composite_does_not_hide_a_doubled_d_right(monkeypatch, first
     fam = fresh_sr_z6()
     field = fam.ctx.field
     two = field.from_fraction(Fraction(2))
-    original = fam.d_right
+    original = NComplexSlice.d_right
 
-    def doubled(n):
-        cols = original(n)
+    def doubled(self, n):
+        cols = original(self, n)
         if n < first:
             return cols
         return {src: {k: field.mul(two, v) for k, v in col.items()} for src, col in cols.items()}
 
-    monkeypatch.setattr(fam, "d_right", doubled)
+    # on the class, so that every restriction of the family sees it
+    monkeypatch.setattr(NComplexSlice, "d_right", doubled)
     results = check_dN_zero(fam, S(-1, 6))
     assert not all(flag for _, flag in results)
-    assert fam.composite_zero(1) is False
+    assert results == full_slice_dN_zero(fam, S(-1, 6))
+    assert fam.restricted(fam.max_n).composite_zero(1) is False
     rep = contracted_complex(fam)
     assert rep.composition_zero is False
+    assert full_slice_contraction(fam).composition_zero is False
     mu_zero = map_is_zero(compose_maps(fam.mu_matrix(), fam.contraction(1), field))
     assert mu_zero is (first == 2)
+
+
+# -- the restrictions against the full-slice oracles ---------------------------
+
+
+def cli_root(fam):
+    """The root q of unity the CLI's dN_zero uses on the family."""
+    cond = fam.ctx.conductor
+    return S(-1, cond) if fam.N == 2 else Scalar.zeta(cond) ** (cond // fam.N)
+
+
+ORACLE_INPUTS = [
+    (name, lambda name=name: load_input(str(FIXTURES / f"{name}.json"))[0], 6) for name in ("cubic_z3", "sr_z6")
+] + [(name, lambda data=data: parse_input(data)[0], D) for name, data, D in family_inputs(seed=0)]
+
+
+@pytest.mark.parametrize("name, make, D", ORACLE_INPUTS, ids=[name for name, _, _ in ORACLE_INPUTS])
+def test_the_restricted_checks_match_the_full_slice_oracles(name, make, D):
+    fam = NComplexSlice(make(), D)
+    q = cli_root(fam)
+    got = check_dN_zero(fam, q)
+    assert got and all(flag for _, flag in got)
+    assert got == full_slice_dN_zero(fam, q)
+    rep = contracted_complex(fam)
+    assert rep.composition_zero and rep.exact_in_window
+    assert rep.to_json() == full_slice_contraction(fam).to_json()
+    assert wedge_agreement(fam) and full_slice_wedge_agreement(fam)
+    # the windowed ranks came from the family at D - N, the rest from max_n
+    assert sorted(fam._restrictions) == sorted({D - fam.N, fam.max_n} - {D})
+
+
+@pytest.mark.parametrize(
+    "name, triples",
+    [
+        ("cubic_z3", [(101, 39, 140), (1, 101, 102), (0, 1, 1)]),
+        ("sr_z6", [(330, 90, 420), (90, 330, 420), (0, 90, 90)]),
+    ],
+)
+def test_the_window_family_gives_the_windowed_ranks(name, triples):
+    # (rank_in, rank_out, dim_window) per position at D = 6, as the full
+    # slices gave them
+    pres, _ = load_input(str(FIXTURES / f"{name}.json"))
+    rep = contracted_complex(NComplexSlice(pres, 6))
+    assert [(p["rank_in"], p["rank_out"], p["dim_window"]) for p in rep.positions] == triples
+
+
+def test_a_restriction_is_built_once_and_shares_the_algebra():
+    fam = fresh_sr_z6()
+    low = fam.restricted(3)
+    assert fam.restricted(3) is low and fam.restricted(fam.bound) is fam
+    assert low.tu is fam.tu and low.phi is fam.phi and low.b0 is fam.b0
+    assert (low.bound, low.max_n) == (3, fam.max_n)
+    assert fam.restricted(1).max_n == 1
+    # its slices are the full ones cut to total degree <= 3
+    for n in range(4):
+        assert low.slice_dim(n) == sum(fam.total_degree(n, key) <= 3 for key in fam.basis(n))
+    with pytest.raises(ValueError, match="lowers"):
+        fam.restricted(fam.bound + 1)

@@ -36,6 +36,7 @@ from nkoszul.jsonio import load_input
 from nkoszul.scalar import MatrixS, Scalar
 from nkoszul.smashtensor import GroupData, Subbimodule, TensorContext
 from paper_checks import change_of_rings
+from test_tower_step import level_reduce
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -94,7 +95,7 @@ class BalancedTensor:
 
     def reduce(self, vec: dict) -> dict:
         """Quotient coordinates of a sparse (b, t)-vector."""
-        return self.quotient.reduce(self.field, vec)
+        return level_reduce(self.quotient, self.field, vec)
 
 
 def all_words(ctx, length):

@@ -22,7 +22,6 @@ NAMED_ORACLES = {
     "scalar:Subspace.intersect_via_kernel": "the kernel intersection the Zassenhaus one is checked against",
     "smashtensor:W": "the fold of pairwise intersections w_rows is checked against",
     "smashtensor:TensorContext.smash_mul_terms": "the term-dict product the sparse row products are checked against",
-    "homogeneous:_Level.reduce": "the two-pass tower step the fused step is checked against",
     "scalar:rref": "public scalar API",
     "scalar:rank": "public scalar API",
     "scalar:kernel": "public scalar API",

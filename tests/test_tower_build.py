@@ -26,6 +26,7 @@ from nkoszul.homogeneous import _LOWER, _Level, _Tower
 from nkoszul.jsonio import load_input, parse_input
 from test_oracle_tower import random_presentation, reference
 from test_s3_cherednik_report import S3_CHEREDNIK
+from test_tower_step import level_reduce
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -79,7 +80,7 @@ class ReferenceTower(_Tower):
         if key not in self._nf_memo:
             n = len(word)
             self.ensure(n)
-            self._nf_memo[key] = self.levels[n].reduce(self.ctx.field, self._vector(word, g, n))
+            self._nf_memo[key] = level_reduce(self.levels[n], self.ctx.field, self._vector(word, g, n))
         return self._nf_memo[key]
 
 
