@@ -19,12 +19,13 @@ loop onto columns moved by a constant) or a scaled column map
 ``maps_equal``; ``add_maps`` and ``compose_maps`` share one kernel with
 ``add_scaled``'s loop inlined), expressing a vector over fully reduced
 rows, solving over tagged generators, the kernel of a combination
-matrix, the rank of a span (``rank``, the one rank entry point) and the
-Zassenhaus intersection.  A column map is a dict from source column to
-sparse column: the N-complex maps and the group elements' actions on V
-are held so.  Code elsewhere
-builds its sparse vectors and maps through these helpers rather than
-repeating the drop-on-cancel step.
+matrix, the rank of a span (``rank``, the one rank entry point), the
+Zassenhaus intersection, and the rows of a module kept as generators
+under a group's translates (``generators``).  A column map is a dict
+from source column to sparse column: the N-complex maps and the group
+elements' actions on V are held so.  Code elsewhere builds its sparse
+vectors and maps through these helpers rather than repeating the
+drop-on-cancel step.
 
 Ranks need no fully reduced basis: ``rank`` keeps echelon rows only.
 """
@@ -130,6 +131,29 @@ def canonical_rows(field, rows) -> list[dict]:
     elim = SparseEliminator(field)
     elim.add_all(rows)
     return elim.rows_canonical()
+
+
+def generators(field, rows, act, order: int) -> list[int]:
+    """Indices of the rows kept as generators under the translates ``act``.
+
+    A row is kept when it lies outside the span of the translates
+    act(row', g), g < ``order``, of the rows row' kept before it, in input
+    order; one eliminator holds that span.
+    For a K-sub-bimodule X of T(V)#Gamma, K = k[Gamma], and ``act`` the
+    right action of Gamma, the kept rows x give all of X·Y for any right
+    K-module Y: x·h·y = x·(h·y) and h·y lies in Y.  So a product X·Y, a
+    tensor product X ⊗_K Y or a quotient tower's relation rows need only
+    the kept rows, up to |Gamma| times fewer than X's canonical rows.
+    The left action gives the mirror statement for Y·X.  Over the trivial
+    group every row of a basis is kept.
+    """
+    elim = SparseEliminator(field)
+    kept = []
+    for t, row in enumerate(rows):
+        if not elim.contains(row):
+            kept.append(t)
+            elim.add_all(act(row, g) for g in range(order))
+    return kept
 
 
 def rank(field, rows) -> int:

@@ -37,6 +37,7 @@ from .elim import (
     add_scaled,
     combine,
     express,
+    generators,
     normal_form,
     pivot_index,
 )
@@ -323,16 +324,19 @@ class OracleEngine:
     """The filtered pieces F^nU = F^n/J^n, built level by level up to D.
 
     ``tower`` is ``homogeneous._Tower`` on the relations P, the class that
-    builds A_n from R.  Its level n is V ⊗ T_{n-1} ⊕ F^{n-1}U modulo P
-    times the standard monomials of degree n-N, with T_{n-1} the level's
-    top basis: the standard monomials of degree n-1, as many as dim A_{n-1}
-    while the equalities hold.  So dim F^nU = Σ_{d≤n} adim(d) −
-    collapsed(n), where the collapsed rows span the kernel of the lower
-    keys.  The equality J^n ∩ F^{n-1} = J^{n-1} holds iff F^{n-1}U embeds in
-    F^nU, that is iff collapsed(n) = collapsed(n-1).  The first collapsed
-    row is the witness, an element of J^{n0} ∩ F^{n0-1} written over the
-    standard monomials of lower degree.  Every level is built once, and
-    none reaches F^D.
+    builds A_n from R, fed only P's right K-generators (``elim.generators``):
+    P is a K-sub-bimodule, so r·h·s = r·(h·s) for a relation r, a group
+    element h and a standard monomial s, and the kept rows times the
+    standard monomials span what all of P's rows span.  Its level n is
+    V ⊗ T_{n-1} ⊕ F^{n-1}U modulo P times the standard monomials of degree
+    n-N, with T_{n-1} the level's top basis: the standard monomials of
+    degree n-1, as many as dim A_{n-1} while the equalities hold.  So
+    dim F^nU = Σ_{d≤n} adim(d) − collapsed(n), where the collapsed rows
+    span the kernel of the lower keys.  The equality J^n ∩ F^{n-1} =
+    J^{n-1} holds iff F^{n-1}U embeds in F^nU, that is iff collapsed(n) =
+    collapsed(n-1).  The first collapsed row is the witness, an element of
+    J^{n0} ∩ F^{n0-1} written over the standard monomials of lower degree.
+    Every level is built once, and none reaches F^D.
     """
 
     def __init__(self, pres: FilteredPresentation, D: int):
@@ -343,10 +347,13 @@ class OracleEngine:
         self.N = pres.N
         self.alg = pres.homogenization()
         self.D = D
-        # P's canonical rows as terms (word, g, raw)
+        # P's right K-generators as terms (word, g, raw); every block of the
+        # layout starts at a multiple of |Gamma|, so the right action reads
+        # a layout row as it reads a component row
+        rows = pres.P.basis_sparse()
         relations = [
-            [(*pres.P.layout.decode(c), raw) for c, raw in row.items()]
-            for row in pres.P.basis_sparse()
+            [(*pres.P.layout.decode(c), raw) for c, raw in rows[t].items()]
+            for t in generators(ctx.field, rows, ctx.right_action_sparse, ctx.order)
         ]
         self.tower = _Tower(ctx, self.N, relations)
         self.j_dims: dict[int, int] = {}

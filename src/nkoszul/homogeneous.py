@@ -56,6 +56,7 @@ from .elim import (
     accumulate,
     add_scaled,
     add_shifted,
+    generators,
     intersection,
     negated,
     rank,
@@ -107,9 +108,10 @@ class HomogeneousAlgebra:
     def tower(self) -> "_Tower":
         if self._tower is None:
             ctx = self.ctx
+            rows = self.R.basis_sparse()
             relations = [
-                [(*ctx.word_of(c, self.N), raw) for c, raw in row.items()]
-                for row in self.R.basis_sparse()
+                [(*ctx.word_of(c, self.N), raw) for c, raw in rows[t].items()]
+                for t in generators(ctx.field, rows, ctx.right_action_sparse, ctx.order)
             ]
             self._tower = _Tower(ctx, self.N, relations)
         return self._tower
@@ -251,7 +253,15 @@ class _Tower:
     Each relation is a list of terms (word, g, raw) of degree at most N.
     Level n is V ⊗ (degree n-1) plus the standard monomials of lower
     degree, modulo the relations times the standard monomials (s, h) of
-    degree n-N; a term w ⊗ g enters as w·g(s) ⊗ gh.  With R every term has
+    degree n-N; a term w ⊗ g enters as w·g(s) ⊗ gh.  The relations are the
+    right K-generators of R or P (``elim.generators``), K = k[Gamma]: the
+    module is a K-sub-bimodule, so a relation r·h times s is r times h·s,
+    and h·s is, modulo the levels below, a combination of standard
+    monomials of degree at most n-N.  So the kept relations span the same
+    rows as all of the module's, with up to |Gamma| times fewer of them.
+    The levels are spans, so their canonical rows, the collapse rows and
+    every dimension are the same; only the witness, one representative,
+    may depend on the order the rows come in.  With R every term has
     degree N and level n is E ⊗_K A_{n-1} ->> A_n.  With P the lower-degree
     terms give the normal forms tails of lower degree, and a row without a
     degree-n entry, a collapse row, is a failing equality
@@ -354,7 +364,9 @@ class _Tower:
         A term (word, g, raw) gives raw·word·g(s_b): its letters go in front
         of the start, last one first, one ``_Level.front`` per level below
         lv, and the top letter is added into the row with a key shift
-        (``add_shifted``).  The start is {b: one} for the identity,
+        (``add_shifted``); the lower keys of its chain are summed per top
+        letter over the relation's terms, times raw, and put behind that
+        letter once (``_front``).  The start is {b: one} for the identity,
         otherwise ``nf`` of g(s_b) ⊗ g·g_b.  The chains, each suffix (of a
         term's word or of its word less the top letter) times the start,
         are laid out once per level (``steps``), each after its own suffix
@@ -406,13 +418,16 @@ class _Tower:
                 chains.append(level.front(field, j, w, chains[shorter], front_lower))
             for terms, rows in zip(plan, out):
                 row: dict = {}
+                lowers: dict = {}  # letter -> the sum of raw times its chains' lower keys
                 for i, j, raw, d in terms:
                     vec = chains[i]
                     if j is None:
                         add_scaled(field, row, self._lifted(d, vec), raw)
                     elif not add_shifted(field, row, vec, raw, j * width, _LOWER):
                         lower = {k: v for k, v in vec.items() if k >= _LOWER}
-                        add_scaled(field, row, self._front(j, lower, lv), raw)
+                        add_scaled(field, lowers.setdefault(j, {}), lower, raw)
+                for j, lower in lowers.items():
+                    add_scaled(field, row, self._front(j, lower, lv), one)
                 rows.append(row)
         return [row for rows in out for row in rows]
 

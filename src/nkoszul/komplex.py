@@ -58,13 +58,13 @@ from itertools import combinations
 from typing import Optional
 
 from .elim import (
-    SparseEliminator,
     TaggedRows,
     accumulate,
     add_maps,
     add_scaled,
     compose_maps,
     express,
+    generators,
     maps_equal,
     negated,
     pivot_index,
@@ -222,7 +222,9 @@ class _XSpace:
     Coordinates are pairs (word number, U-basis index) ordered with the
     highest U-degree first, so a row's pivot block is its filtration
     level; the canonical rows are nested across levels.  ``bound`` is the
-    slice family's, at most the truncated algebra's.
+    slice family's, at most the truncated algebra's.  The spanning tensors
+    w_t (x) b are taken only for the right K-generators w_t of W_n, kept by
+    ``elim.generators``, the rule the quotient towers and ``mul_E`` share.
     """
 
     def __init__(self, tu: TruncatedU, n: int, w_row_list: list, bound: int):
@@ -248,12 +250,7 @@ class _XSpace:
         self._gen_cache: dict[tuple[int, int], dict] = {}
         # w·g (x) b = w (x) g·b with g·b in U of the same degree, so rows
         # whose right K-translates span W_n give all of W_n (x)_K U
-        right = SparseEliminator(field)
-        gens = []
-        for t, row in enumerate(w_row_list):
-            if not right.contains(row):
-                gens.append(t)
-                right.add_all(ctx.right_action_sparse(row, g) for g in range(ctx.order))
+        gens = generators(field, w_row_list, ctx.right_action_sparse, ctx.order)
         self.tags = [
             (t, b_idx) for t in gens for b_idx, (d, _, _) in enumerate(tu.basis) if d <= max_u
         ]

@@ -32,7 +32,7 @@ from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .cyclo import get_field
-from .elim import SparseEliminator, TaggedRows, accumulate, add_scaled, compose_maps
+from .elim import SparseEliminator, TaggedRows, accumulate, add_scaled, compose_maps, generators
 from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, to_raw
 
 Terms = dict  # {(word tuple, g index): Scalar}
@@ -546,14 +546,27 @@ class FilteredSubspace:
         return FilteredSubspace._of_rows(self.ctx, new_top, rows)
 
     def mul_E(self, side: str) -> "FilteredSubspace":
-        """P·E (side='right') or E·P (side='left'), one degree up."""
+        """P·E (side='right') or E·P (side='left'), one degree up.
+
+        Only P's right K-generators (for 'right') or left K-generators (for
+        'left') are multiplied, kept by ``elim.generators``: P is a
+        K-sub-bimodule, so r·h·(e_l ⊗ g) = r·(h(e_l) ⊗ hg) and
+        (e_l ⊗ g)·h·r = (e_l ⊗ gh)·r, and the translates of the kept rows
+        span P.  The span, and so the canonical rows, are P·E's (E·P's).
+        """
         ctx = self.ctx
         layout = self.layout
         target = Filtration(ctx, self.top_degree + 1)
-        mul = layout.right_mul if side == "right" else layout.left_mul
+        if side == "right":
+            # every block starts at a multiple of |Gamma|, so the right
+            # action reads a layout row as it reads a component row
+            mul, act = layout.right_mul, ctx.right_action_sparse
+        else:
+            mul, act = layout.left_mul, lambda row, g: layout.left_mul(row, None, g, layout)
+        p_rows = self.space.rows
         rows = [
-            mul(row, letter, g, target)
-            for row in self.space.rows
+            mul(p_rows[t], letter, g, target)
+            for t in generators(ctx.field, p_rows, act, ctx.order)
             for letter in range(ctx.dimV)
             for g in range(ctx.order)
         ]

@@ -6,6 +6,7 @@ drawn per conjugacy class (``GroupData.conj_classes``) from a seed:
 
 * Z/m in SL2, generated by diag(zeta_m, zeta_m^-1), for m = 3, 4, 5, 6;
 * Q8, the binary dihedral group of order 8 in SL2(Q(i));
+* BD12, the binary dihedral group of order 12 in SL2(Q(zeta6));
 * S3 on h + h*, the Cherednik input of ``test_s3_cherednik_report``.
 
 Etingof–Ginzburg (Invent. Math. 147, 2002, Thm 1.3): H_{t,c} has the PBW
@@ -51,6 +52,12 @@ def binary_dihedral_q8() -> dict:
     return _sl2_input(4, [["zeta", "0", "0", "zeta^3"], ["0", "1", "-1", "0"]])
 
 
+def binary_dihedral_12() -> dict:
+    """The binary dihedral group of order 12 in SL2(Q(zeta6)), generated by
+    diag(zeta, zeta^5) and [[0, 1], [-1, 0]]."""
+    return _sl2_input(6, [["zeta", "0", "0", "zeta^5"], ["0", "1", "-1", "0"]])
+
+
 def with_class_factors(data: dict, seed: str) -> dict:
     """The input with one class factor per conjugacy class, drawn from ``seed``."""
     context = data["context"]
@@ -70,7 +77,7 @@ def with_class_factors(data: dict, seed: str) -> dict:
 def family_inputs(seed: int = 0) -> list:
     """(name, input, D) for every input: D = 5, and D = 4 for S3."""
     cases = [(f"z{m}", cyclic_sl2(m), 5) for m in (3, 4, 5, 6)]
-    cases += [("q8", binary_dihedral_q8(), 5), ("s3", S3_CHEREDNIK, 4)]
+    cases += [("q8", binary_dihedral_q8(), 5), ("bd12", binary_dihedral_12(), 5), ("s3", S3_CHEREDNIK, 4)]
     return [(name, with_class_factors(data, f"{seed}:{name}"), D) for name, data, D in cases]
 
 

@@ -29,6 +29,7 @@ BODY_SHA256 = {
     "z5": "b1f8600a26dcff918d64b53993c964066a29f5e2daa6fdf858f4dc3d5c7d268d",
     "z6": "317f96bfb0dfa8980518aff6e36ffb6199c670d584253e4d8cdae48b20ee6cb8",
     "q8": "daf1337b0bc6ee607c0f3cb5d39a913071935988bfe3c0d487c72a384cd03b39",
+    "bd12": "0aa467448848388608d62f9ce680fbc5584f4265d31482d71381b5a91206acde",
     "s3": "e3a97905c83d032cd7a5396f15721a8dd2b38927981e9f6d9ab421c4fe7c4478",
 }
 
@@ -54,10 +55,10 @@ def test_every_check_passes_with_the_pbw_dimensions(name, data, D, tmp_path):
     assert body_digest(report) == BODY_SHA256[name]
 
 
-NONABELIAN = [case for case in INPUTS if case[0] in ("q8", "s3")]
+NONABELIAN = [case for case in INPUTS if case[0] in ("q8", "bd12", "s3")]
 
 
-@pytest.mark.parametrize("name, data, D", NONABELIAN, ids=["q8", "s3"])
+@pytest.mark.parametrize("name, data, D", NONABELIAN, ids=[name for name, _, _ in NONABELIAN])
 def test_a_psi_on_one_element_of_a_class_fails_theorem_44(name, data, D, tmp_path):
     bad = non_equivariant(data)
     report, code = run_input(tmp_path, bad, D, ["equivariance", "theorem44", "oracle"])

@@ -149,6 +149,20 @@ def test_tower_matches_the_full_space_elimination(build, D):
     assert tower_std(engine, ref.layout) == reference_std(ref)
 
 
+def all_relations(pres):
+    """Every canonical row of P as terms (word, g, raw): the oracle tower's
+    relations before ``elim.generators`` keeps P's right K-generators."""
+    layout = pres.P.layout
+    return [[(*layout.decode(c), raw) for c, raw in row.items()] for row in pres.P.basis_sparse()]
+
+
+def all_graded_relations(pres):
+    """Every canonical row of R as terms: the graded tower's relations before pruning."""
+    ctx = pres.ctx
+    rows = pres.homogenization().R.basis_sparse()
+    return [[(*ctx.word_of(c, pres.N), raw) for c, raw in row.items()] for row in rows]
+
+
 def random_presentation(rng):
     """A small random filtered presentation: N in {2, 3}, 1-3 elements."""
     kind = rng.choice(["trivial2", "trivial3", "minus", "swap"])
@@ -319,7 +333,7 @@ def test_the_witness_is_written_over_the_standard_monomials():
             continue
         witnesses += 1
         n0, terms = engine.witness
-        fresh = _Tower(pres.ctx, pres.N, engine.tower.relations)
+        fresh = _Tower(pres.ctx, pres.N, all_relations(pres))
         assert terms
         for word, g in terms:
             assert len(word) < n0
@@ -436,7 +450,8 @@ def test_the_tower_builds_every_level_once_past_the_failure(monkeypatch):
 
 def test_the_tower_gives_the_levels_past_its_failure():
     # non-Jacobi fails at degree 3; its degree-4 level has 15 top positions
-    tower = non_jacobi().oracle(5).tower
+    pres = non_jacobi()
+    tower = pres.oracle(5).tower
     assert tower.failed == 3
     assert tower.adim(4) == 15
     reps = tower.reps(4)
@@ -444,7 +459,7 @@ def test_the_tower_gives_the_levels_past_its_failure():
     # a lower-degree element vanished at degree 3 and stays collapsed, with V times it
     assert [level.collapsed for level in tower.levels] == [0, 0, 0, 1, 4, 10]
     # the levels past 3 start from level 3's rows and leave them as they were
-    fresh = _Tower(tower.ctx, tower.N, tower.relations)
+    fresh = _Tower(tower.ctx, tower.N, all_relations(pres))
     fresh.ensure(3)
     assert fresh.levels[3].rows == tower.levels[3].rows
 

@@ -5,8 +5,10 @@ from math import comb
 
 import pytest
 
-from nkoszul.elim import SparseEliminator, intersection
+from families import binary_dihedral_q8, non_equivariant, with_class_factors
+from nkoszul.elim import SparseEliminator, canonical_rows, intersection
 from nkoszul.filtered import FilteredPresentation, build_phi
+from nkoszul.jsonio import parse_input
 from nkoszul.scalar import DimensionMismatch, MatrixS, Scalar
 from nkoszul.smashtensor import (
     FilteredSubspace,
@@ -19,6 +21,7 @@ from nkoszul.smashtensor import (
     product_EF,
 )
 from paper_checks import check_lemma22, ideal_component, is_homomorphic_action, rebuild_P
+from test_oracle_tower import non_equivariant_h_psi, random_presentation
 
 
 def S(x):
@@ -369,6 +372,27 @@ def test_filtered_mul_E_and_truncation():
     # intersection with F^2 is zero and lands in P trivially.
     assert cut.dim == 0
     assert p.contains(cut)
+
+
+def test_mul_E_from_the_generators_is_the_product_of_every_row():
+    """P·E and E·P multiply only P's right and left K-generators; the spans
+    are those of every canonical row of P times every e_l ⊗ g.  Random
+    sub-bimodules over groups of order two and the non-equivariant h_psi
+    over Z/3, whose left and right generators differ, are among the inputs."""
+    rng = random.Random(32)
+    cases = [random_presentation(rng)[0] for _ in range(40)] + list(non_equivariant_h_psi())
+    cases.append(parse_input(non_equivariant(with_class_factors(binary_dihedral_q8(), "0:q8")))[0])
+    for pres in cases:
+        P, ctx = pres.P, pres.ctx
+        target = Filtration(ctx, P.top_degree + 1)
+        for side, mul in (("right", P.layout.right_mul), ("left", P.layout.left_mul)):
+            rows = [
+                mul(row, letter, g, target)
+                for row in P.basis_sparse()
+                for letter in range(ctx.dimV)
+                for g in range(ctx.order)
+            ]
+            assert P.mul_E(side).basis_sparse() == canonical_rows(ctx.field, rows), side
 
 
 def test_filtered_closure_under_group():

@@ -24,7 +24,7 @@ from nkoszul.elim import SparseEliminator, add_scaled
 from nkoszul.filtered import OracleEngine
 from nkoszul.homogeneous import _LOWER, _Level, _Tower
 from nkoszul.jsonio import load_input, parse_input
-from test_oracle_tower import random_presentation, reference
+from test_oracle_tower import all_graded_relations, all_relations, random_presentation, reference
 from test_s3_cherednik_report import S3_CHEREDNIK
 from test_tower_step import level_reduce
 
@@ -84,13 +84,10 @@ class ReferenceTower(_Tower):
         return self._nf_memo[key]
 
 
-def reference_tower(tower):
-    return ReferenceTower(tower.ctx, tower.N, tower.relations)
-
-
-def assert_same_build(tower, bound, nf_degree=4):
-    """The same levels as the reference below the first failure, where it stops."""
-    ref = reference_tower(tower)
+def assert_same_build(tower, relations, bound, nf_degree=4):
+    """The same levels as the reference on all of ``relations`` below the
+    first failure, where the reference stops."""
+    ref = ReferenceTower(tower.ctx, tower.N, relations)
     assert tower.ensure(bound) == ref.ensure(bound)
     assert (tower.failed, tower.witness) == (ref.failed, ref.witness)
     assert len(tower.levels) == bound + 1
@@ -134,8 +131,8 @@ def fresh_graded(pres):
 def test_the_build_matches_the_word_memo_build(build, graded_bound, oracle_bound):
     pres = build()
     # R's tower (homogeneous relations) and P's (lower-degree terms too)
-    assert_same_build(fresh_graded(pres), graded_bound)
-    assert_same_build(OracleEngine(pres, oracle_bound).tower, oracle_bound)
+    assert_same_build(fresh_graded(pres), all_graded_relations(pres), graded_bound)
+    assert_same_build(OracleEngine(pres, oracle_bound).tower, all_relations(pres), oracle_bound)
 
 
 def test_the_build_matches_on_random_presentations():
@@ -144,7 +141,7 @@ def test_the_build_matches_on_random_presentations():
     for _ in range(100):
         pres, D = random_presentation(rng)
         engine = OracleEngine(pres, D)
-        assert_same_build(engine.tower, D, nf_degree=3)
+        assert_same_build(engine.tower, all_relations(pres), D, nf_degree=3)
         failing += engine.tower.failed is not None
         # every level, past the failure too, against the full space
         engine.run()
@@ -163,8 +160,12 @@ def test_the_build_over_the_trivial_group_leaves_the_word_memo_alone():
 
 def test_the_build_over_a_group_memoizes_only_the_start_words():
     """The word memo holds the normal forms of g(s) ⊗ g·g_s for the terms'
-    group elements g ≠ 1 and the standard monomials s of degree lv − N."""
-    tower = fresh_graded(fixture("sr_z6"))
+    group elements g ≠ 1 and the standard monomials s of degree lv − N.
+
+    On sr_z6's oracle tower: its one kept relation, a right K-generator of
+    P, has terms with g ≠ 1.  The graded tower's R = R0 ⊗ K keeps one
+    relation with g = 1 only, which starts no word."""
+    tower = fixture("sr_z6").oracle(6).tower
     ctx = tower.ctx
     mult = ctx.group.mult_table
     assert tower.ensure(6) is None
