@@ -395,10 +395,7 @@ class TaggedRows:
     coefficient vectors c with sum c_i g_i = 0.
     """
 
-    def __init__(self, field, generators, ambient: int | None = None):
-        generators = list(generators)
-        if ambient is None:
-            ambient = 1 + max((c for g in generators for c in g), default=-1)
+    def __init__(self, field, generators, ambient: int):
         self.field = field
         self.ambient = ambient
         self.elim = SparseEliminator(field)

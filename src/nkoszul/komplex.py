@@ -11,12 +11,16 @@ On top sit the spaces U (x)_K W_n (x)_K U truncated to total filtration
 degree <= D.  The right half W_n (x)_K U embeds into V^{(x)n} (x) U by
 moving group coordinates into the right tensorand.  It is spanned by the
 tensors w (x) b with w running over right K-generators of W_n, rows whose
-right translates w·g span W_n, since w·g (x) b = w (x) g·b; so it is
-tagged by about dim W_n / |Gamma| rows of W_n rather than all of them.  The
-left U is collapsed through a right-free monomial basis, which requires
-the pivot words of the ideal rows to be orbit-pure over the group.  That
-holds automatically when the relations extend field-level data (all the
-presentations built by this package); other inputs raise a clear error.
+right translates w·g span W_n, since w·g (x) b = w (x) g·b; so about
+dim W_n / |Gamma| rows of W_n span it rather than all of them.  Each space
+keeps only the canonical rows of that span: a coordinate is arithmetic in
+its word number and U index, and the rows' filtration levels never rise,
+so a slice's size is counted from them (``NComplexSlice.slice_dim``) and
+its basis is listed only where a map is built.  The left U is collapsed
+through a right-free monomial basis, which requires the pivot words of
+the ideal rows to be orbit-pure over the group.  That holds automatically
+when the relations extend field-level data (all the presentations built by
+this package); other inputs raise a clear error.
 
 The differentials d_l and d_r, the q-twisted maps d_l - q^{n-1} d_r, the
 degree-lowering correction maps induced by phi, the contracted complex
@@ -53,8 +57,10 @@ and right lifts share one construction.
 from __future__ import annotations
 
 import copy
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from operator import neg
 from typing import Optional
 
 from .elim import (
@@ -62,6 +68,7 @@ from .elim import (
     accumulate,
     add_maps,
     add_scaled,
+    canonical_rows,
     compose_maps,
     express,
     generators,
@@ -131,7 +138,7 @@ class TruncatedU:
         return self.ctx.field
 
     def dim_filtration(self, n: int) -> int:
-        return sum(self.dims_by_degree[: n + 1])
+        return sum(self.dims_by_degree[: max(n + 1, 0)])
 
     def _reduce(self, terms) -> dict:
         """The sum of c·nf(word, g) over (word, g, raw c), over the basis."""
@@ -217,12 +224,15 @@ class TruncatedU:
 
 
 class _XSpace:
-    """W_n (x)_K U^{<= bound-n} embedded in V^{(x)n} (x) U.
+    """W_n (x)_K U^{<= bound-n} embedded in V^{(x)n} (x) U, kept as its canonical rows.
 
-    Coordinates are pairs (word number, U-basis index) ordered with the
-    highest U-degree first, so a row's pivot block is its filtration
-    level; the canonical rows are nested across levels.  ``bound`` is the
-    slice family's, at most the truncated algebra's.  The spanning tensors
+    ``bound`` is the slice family's, at most the truncated algebra's.  The U
+    basis ascends in degree, so the right factors are its prefix of length
+    ``len(by_pos)``; ``by_pos`` lists them highest degree first, ascending
+    within a degree, and ``pos`` is its inverse.  Word number w beside U
+    index b is coordinate pos[b]·vn + w, vn = dimV^n, so a row's pivot
+    block is its filtration level, the canonical rows are nested across
+    levels, and ``level`` never rises along them.  The spanning tensors
     w_t (x) b are taken only for the right K-generators w_t of W_n, kept by
     ``elim.generators``, the rule the quotient towers and ``mul_E`` share.
     """
@@ -231,69 +241,53 @@ class _XSpace:
         self.tu = tu
         self.n = n
         ctx = tu.ctx
-        field = tu.field
+        degree = tu.basis
         self.w_rows = w_row_list
-        vn = ctx.dimV**n
-        max_u = bound - n
-        # coordinate order: highest U-degree first, then word number, then index
-        flat = []
-        for b_idx, (d, _, _) in enumerate(tu.basis):
-            if d <= max_u:
-                flat.append(b_idx)
-        flat.sort(key=lambda b: (-tu.basis[b][0], b))
-        self.coord_rank: dict[tuple[int, int], int] = {}
-        self.coord_list: list[tuple[int, int]] = []
-        for b in flat:
-            for w in range(vn):
-                self.coord_rank[(w, b)] = len(self.coord_list)
-                self.coord_list.append((w, b))
-        self._gen_cache: dict[tuple[int, int], dict] = {}
+        self.vn = ctx.dimV**n
+        self.by_pos = sorted(range(tu.dim_filtration(bound - n)), key=lambda b: -degree[b][0])
+        self.pos = sorted(range(len(self.by_pos)), key=self.by_pos.__getitem__)  # its inverse
+        self.width = len(self.by_pos) * self.vn
         # w·g (x) b = w (x) g·b with g·b in U of the same degree, so rows
         # whose right K-translates span W_n give all of W_n (x)_K U
-        gens = generators(field, w_row_list, ctx.right_action_sparse, ctx.order)
-        self.tags = [
-            (t, b_idx) for t in gens for b_idx, (d, _, _) in enumerate(tu.basis) if d <= max_u
-        ]
-        self._solver = TaggedRows(
-            field, [self._embed(t, b) for t, b in self.tags], len(self.coord_list)
-        )
-        self.rows = self._solver.span_rows()
+        self.gens = generators(tu.field, w_row_list, ctx.right_action_sparse, ctx.order)
+        self.rows = canonical_rows(tu.field, (self._embed(t, b) for t, b in self.tags))
         self.pivots = [min(r) for r in self.rows]
         self._index = pivot_index(self.rows)
-        self.level = [self.tu.basis[self.coord_list[p][1]][0] for p in self.pivots]
+        self.level = [degree[self.by_pos[p // self.vn]][0] for p in self.pivots]
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    @property
+    def tags(self) -> list:
+        """The spanning tensors w_t (x) b as pairs (t, b), in insertion order."""
+        return [(t, b) for t in self.gens for b in range(len(self.by_pos))]
+
+    def first_within(self, room: int) -> int:
+        """The first row of level <= ``room``; every later row has one too."""
+        return bisect_left(self.level, -room, key=neg)
+
     def express(self, vec: dict) -> list:
         """Coefficients of a vector over the canonical rows."""
         return express(self.tu.field, self.rows, self._index, vec)
 
-    def generator_expression(self, row_idx: int) -> list:
-        """The canonical row as a combination of generators w_t (x) b."""
-        return [(self.tags[i], c) for i, c in self._solver.solve(self.rows[row_idx])]
-
-    def embed_generator(self, t: int, b_idx: int) -> dict:
-        """Embedded vector of w_t (x) b as coordinates (word, U-index)."""
-        key = (t, b_idx)
-        got = self._gen_cache.get(key)
-        if got is None:
-            got = self._gen_cache[key] = self._embed(t, b_idx)
-        return got
+    def coord(self, wnum: int, b_idx: int) -> int:
+        """The coordinate of word number ``wnum`` beside U index ``b_idx``."""
+        return self.pos[b_idx] * self.vn + wnum
 
     def _embed(self, t: int, b_idx: int) -> dict:
+        """w_t (x) b as a vector over the coordinates."""
         tu = self.tu
-        ctx = tu.ctx
         field = tu.field
-        order = ctx.order
+        order = tu.ctx.order
+        pos, vn = self.pos, self.vn
         vec: dict = {}
         for coord, raw in self.w_rows[t].items():
-            g = coord % order
-            wnum = coord // order
+            wnum, g = divmod(coord, order)
             entries = [(b_idx, field.one)] if g == 0 else tu.left_mult_group(b_idx, g)
             for b2, c in entries:
-                accumulate(field, vec, self.coord_rank[(wnum, b2)], _mul(field, raw, c))
+                accumulate(field, vec, pos[b2] * vn + wnum, _mul(field, raw, c))
         return vec
 
     def group_action(self, g: int, row_idx: int) -> list:
@@ -301,40 +295,41 @@ class _XSpace:
         tu = self.tu
         ctx = tu.ctx
         field = tu.field
+        pos, by_pos, vn = self.pos, self.by_pos, self.vn
         vec: dict = {}
         for key, raw in self.rows[row_idx].items():
-            wnum, b = self.coord_list[key]
+            p, wnum = divmod(key, vn)
             word = ctx.num_word(wnum, self.n)
             for tw, c in ctx.apply_group_to_word(g, word):
                 wnum2 = ctx.word_num(tw)
-                for b2, c2 in tu.left_mult_group(b, g):
-                    k = self.coord_rank[(wnum2, b2)]
-                    accumulate(field, vec, k, _mul(field, raw, _mul(field, c, c2)))
+                for b2, c2 in tu.left_mult_group(by_pos[p], g):
+                    accumulate(field, vec, pos[b2] * vn + wnum2, _mul(field, raw, _mul(field, c, c2)))
         return self.express(vec)
 
     def first_letter_split(self, row_idx: int, target: "_XSpace") -> dict:
         """Row as sum over first letters j of vectors in the lower space."""
-        tu = self.tu
-        ctx = tu.ctx
-        vlow = ctx.dimV ** (self.n - 1)
+        by_pos, vn = self.by_pos, self.vn
+        low_pos, vlow = target.pos, target.vn
         blocks: dict[int, dict] = {}
         for key, raw in self.rows[row_idx].items():
-            wnum, b = self.coord_list[key]
+            p, wnum = divmod(key, vn)
             j, rest = divmod(wnum, vlow)
-            blocks.setdefault(j, {})[target.coord_rank[(rest, b)]] = raw
+            blocks.setdefault(j, {})[low_pos[by_pos[p]] * vlow + rest] = raw
         return {j: target.express(vec) for j, vec in sorted(blocks.items())}
 
     def last_letter_image(self, row_idx: int, target: "_XSpace") -> list:
         """Image under moving the last letter into U, over the lower rows."""
         tu = self.tu
-        ctx = tu.ctx
         field = tu.field
+        dimV = tu.ctx.dimV
+        by_pos, vn = self.by_pos, self.vn
+        low_pos, vlow = target.pos, target.vn
         vec: dict = {}
         for key, raw in self.rows[row_idx].items():
-            wnum, b = self.coord_list[key]
-            rest, ell = divmod(wnum, ctx.dimV)
-            for b2, c in tu.left_mult_letter(b, ell):
-                accumulate(field, vec, target.coord_rank[(rest, b2)], _mul(field, raw, c))
+            p, wnum = divmod(key, vn)
+            rest, ell = divmod(wnum, dimV)
+            for b2, c in tu.left_mult_letter(by_pos[p], ell):
+                accumulate(field, vec, low_pos[b2] * vlow + rest, _mul(field, raw, c))
         return target.express(vec)
 
 
@@ -425,22 +420,26 @@ class NComplexSlice:
             self._x[n] = _XSpace(self.tu, n, w_rows(self._alg, n, self._alg.w_cache), self.bound)
         return self._x[n]
 
+    def _first_rows(self, n: int) -> list:
+        """For each left factor b0, the first row t of ``x_space(n)`` that fits
+        beside it: the rows of level at most the room bound - n - deg b0 that
+        b0 leaves are a suffix, as ``level`` never rises."""
+        x = self.x_space(n)
+        degree = self.tu.basis
+        return [x.first_within(self.bound - n - degree[b0_idx][0]) for b0_idx in self.b0]
+
     def basis(self, n: int) -> list:
         if n not in self._slice_basis:
-            x = self.x_space(n)
-            out = []
-            fits: dict[int, list] = {}  # room left for the right factor -> its rows t
-            for pos, b0_idx in enumerate(self.b0):
-                room = self.bound - n - self.tu.basis[b0_idx][0]
-                if room not in fits:
-                    fits[room] = [t for t in range(x.dim) if x.level[t] <= room]
-                out.extend((pos, t) for t in fits[room])
+            dim = self.x_space(n).dim
+            out = [(pos, t) for pos, first in enumerate(self._first_rows(n)) for t in range(first, dim)]
             self._slice_basis[n] = out
             self._slice_index[n] = {key: i for i, key in enumerate(out)}
         return self._slice_basis[n]
 
     def slice_dim(self, n: int) -> int:
-        return len(self.basis(n))
+        """The dimension of slice n, counted without listing its basis."""
+        dim = self.x_space(n).dim
+        return sum(dim - first for first in self._first_rows(n))
 
     def total_degree(self, n: int, key: tuple[int, int]) -> int:
         pos, t = key
@@ -555,6 +554,11 @@ class NComplexSlice:
         solver = TaggedRows(field, gens, ctx.component_dim(n))
         split = [[(tags[i], c) for i, c in solver.solve(w)] for w in w_rows(self._alg, n, self._alg.w_cache)]
         phi0 = self.phi.component(0)
+        # each canonical row of x_hi over its spanning tensors w_t (x) b
+        spanning = x_hi.tags
+        over_tags = TaggedRows(field, [x_hi._embed(t, b) for t, b in spanning], x_hi.width)
+        expressions = [[(spanning[i], c) for i, c in over_tags.solve(row)] for row in x_hi.rows]
+        lowered: dict[tuple[int, int], list] = {}  # w_kappa (x) b over x_lo's rows
 
         def moved(g: int, kappa: int, b_idx: int) -> list:
             """g applied to w_kappa (x) b as (W_{n-N} row, U index, coeff)."""
@@ -566,12 +570,15 @@ class NComplexSlice:
         cols: dict = {}
         for src, (pos, t) in enumerate(self.basis(n)):
             out: dict = {}
-            for (gt, b_idx), cg in x_hi.generator_expression(t):
+            for (gt, b_idx), cg in expressions[t]:
                 for (s, kappa), c2 in split[gt]:
                     for g, c3 in phi0[s].items():
                         scale = field.mul(cg, field.mul(c2, c3))
                         for kappa2, b2, c4 in moved(g, kappa, b_idx):
-                            for t2, c5 in x_lo.express(x_lo.embed_generator(kappa2, b2)):
+                            image = lowered.get((kappa2, b2))
+                            if image is None:
+                                image = lowered[(kappa2, b2)] = x_lo.express(x_lo._embed(kappa2, b2))
+                            for t2, c5 in image:
                                 term = field.mul(scale, field.mul(c4, c5))
                                 _emit_to_slice(field, out, index, (pos, t2), term)
             cols[src] = out
@@ -634,8 +641,7 @@ class NComplexSlice:
             out: dict = {}
             field = self.ctx.field
             for key, raw in x0.rows[t].items():
-                _, b = x0.coord_list[key]
-                add_scaled(field, out, self.tu.multiply_basis(b0_idx, b), raw)
+                add_scaled(field, out, self.tu.multiply_basis(b0_idx, x0.by_pos[key // x0.vn]), raw)
             cols[src] = out
         return cols
 
@@ -874,18 +880,14 @@ class WedgeComplex:
                             _mul(field, coeff, _mul(field, cw, c3)),
                         )
 
-    def differential(self, m: int, parity: str) -> dict:
+    def differential(self, m: int, odd: bool) -> dict:
         """The explicit wedge formula at wedge size m.
 
-        parity "odd" gives the single-step alternating map (the contraction
-        map out of odd homological positions); parity "even" gives the
-        (p-1)-fold sum used out of even positions.
+        ``odd`` gives the single-step alternating map (the contraction map
+        out of odd homological positions); otherwise the (p-1)-fold sum used
+        out of even positions.
         """
-        if parity not in ("odd", "even"):
-            raise ValueError("parity must be 'odd' or 'even'")
-        return contraction_map(
-            self._left_step, self._right_step, m, parity == "odd", self.family.N, self.ctx.field
-        )
+        return contraction_map(self._left_step, self._right_step, m, odd, self.family.N, self.ctx.field)
 
     def _left_step(self, m: int) -> dict:
         field = self.ctx.field
@@ -948,7 +950,7 @@ class WedgeComplex:
                     ]
                 vec: dict = {}
                 for wnum, raw in alt:
-                    accumulate(field, vec, x.coord_rank[(wnum, b_idx)], raw)
+                    accumulate(field, vec, x.coord(wnum, b_idx), raw)
                 image = images[(combo, b_idx)] = x.express(vec)
             out: dict = {}
             for t, c in image:
@@ -977,9 +979,8 @@ def wedge_agreement(family: NComplexSlice) -> bool:
         hi, lo = zs[i], zs[i - 1]
         if fam.slice_dim(hi) == 0 or not wc.basis(hi):
             break
-        parity = "odd" if i % 2 == 1 else "even"
         gens = wc.generator_columns(hi)
-        wedge_map = on_columns(wc.differential(hi, parity), gens)
+        wedge_map = on_columns(wc.differential(hi, i % 2 == 1), gens)
         lhs = compose_maps(fam.contraction(i), on_columns(wc.iso_to_generic(hi), gens), field)
         rhs = compose_maps(wc.iso_to_generic(lo), wedge_map, field)
         if not maps_equal(lhs, rhs, len(wc.basis(hi))):

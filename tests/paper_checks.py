@@ -306,7 +306,7 @@ def full_slice_wedge_agreement(family: NComplexSlice) -> bool:
         hi, lo = zs[i], zs[i - 1]
         if family.slice_dim(hi) == 0 or not wc.basis(hi):
             break
-        wedge_map = wc.differential(hi, "odd" if i % 2 == 1 else "even")
+        wedge_map = wc.differential(hi, i % 2 == 1)
         lhs = compose_maps(family.contraction(i), wc.iso_to_generic(hi), field)
         rhs = compose_maps(wc.iso_to_generic(lo), wedge_map, field)
         ok = ok and maps_equal(lhs, rhs, len(wc.basis(hi)))

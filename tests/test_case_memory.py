@@ -6,9 +6,13 @@ collector switched off a weak reference to the presentation dies as soon
 as the report is built.  The cases cover a slice family that fails to
 build (sl2: the wedge picture does not apply), one that builds over a
 group (sr_z6), and the graded checks with the oracle (down_up).
+
+The last test bounds what the N-complex spaces keep: a deterministic
+tracemalloc peak of the S3 Cherednik contraction.
 """
 
 import gc
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -16,6 +20,9 @@ import pytest
 
 from nkoszul import cli
 from nkoszul.cli import RunConfig, run
+from nkoszul.jsonio import parse_input
+from nkoszul.komplex import NComplexSlice, contracted_complex
+from test_s3_cherednik_report import S3_CHEREDNIK
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -55,3 +62,27 @@ def test_the_presentation_dies_without_the_cyclic_collector(monkeypatch, fixture
         assert refs[0]() is None
     finally:
         gc.enable()
+
+
+# The traced peak of the S3 Cherednik contraction at D=5 is 13.65 MiB with
+# spaces that keep only their canonical rows and count their slices; it was
+# 28.24 MiB when each space also kept its tag columns, its coordinate tables
+# and, at D, a listed slice basis.
+S3_CONTRACTION_PEAK_MIB = 20
+
+
+def test_the_s3_contraction_keeps_its_traced_peak_below_the_bound():
+    pres, _ = parse_input(S3_CHEREDNIK)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base, _ = tracemalloc.get_traced_memory()
+    try:
+        report = contracted_complex(NComplexSlice(pres, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert report.exact_in_window
+    assert (peak - base) / 2**20 < S3_CONTRACTION_PEAK_MIB

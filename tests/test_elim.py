@@ -367,7 +367,7 @@ def test_tagged_rows_span_kernel_and_solve():
 
 
 def test_tagged_rows_solve_rejects_a_vector_outside_the_span():
-    tagged = TaggedRows(Q, [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}])
+    tagged = TaggedRows(Q, [{0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}], 2)
     assert tagged.ambient == 2
     assert tagged.kernel_rows() == [{0: F(1), 1: F(-1, 2)}]
     with pytest.raises(ValueError):

@@ -577,7 +577,8 @@ def test_symplectic_builder_validates_form():
 def test_koszul_differential_injectivity_sweep():
     for e_dim in range(1, 6):
         for p in range(0, e_dim + 1):
-            injective = not TaggedRows(get_field(1), koszul_differential(e_dim, p).values()).kernel_rows()
+            cols = koszul_differential(e_dim, p).values()
+            injective = not TaggedRows(get_field(1), cols, comb(e_dim, p + 1) * e_dim).kernel_rows()
             assert injective == (p < e_dim)
 
 
@@ -585,7 +586,7 @@ def test_koszul_differential_top_degree_kernel():
     # one column, Λ^3 of a 3-space, and no rows: the column spans the kernel
     cols = koszul_differential(3, 3)
     assert cols == {0: {}}
-    assert len(TaggedRows(get_field(1), cols.values()).kernel_rows()) == 1
+    assert len(TaggedRows(get_field(1), cols.values(), 0).kernel_rows()) == 1
 
 
 def test_koszul_differential_single_term():

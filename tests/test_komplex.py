@@ -481,18 +481,10 @@ def test_wedge_odd_even_identical_for_p2():
             cols[src] = out
         return cols
 
-    odd = wc.differential(1, "odd")
+    odd = wc.differential(1, True)
     assert maps_equal(odd, uniform(1), len(wc.basis(1)))
-    even = wc.differential(2, "even")
+    even = wc.differential(2, False)
     assert maps_equal(even, uniform(2), len(wc.basis(2)))
-
-
-def test_wedge_differential_rejects_an_unknown_parity():
-    pres, _, _ = weyl_presentation()
-    wc = WedgeComplex(NComplexSlice(pres, 4))
-    for parity in ("both", "", None):
-        with pytest.raises(ValueError, match="parity"):
-            wc.differential(1, parity)
 
 
 def test_wedge_single_letter_formula():
@@ -507,7 +499,7 @@ def test_wedge_single_letter_formula():
         i for i, (pos, combo, b) in enumerate(basis1)
         if fam.tu.basis[fam.b0[pos]][0] == 0 and fam.tu.basis[b][0] == 0 and combo == (0,)
     )
-    col = wc.differential(1, "odd")[unit]
+    col = wc.differential(1, True)[unit]
     assert len(col) == 2
     vals = sorted(str(Scalar(fam.ctx.field, v)) for v in col.values())
     assert vals == ["-1", "1"]
@@ -529,8 +521,8 @@ def test_graded_part_of_twisted_differential_matches_psi_zero():
         x = fam.x_space(n)
         for i, (pos, t) in enumerate(fam.basis(n)):
             d0, w0, _ = fam.tu.basis[fam.b0[pos]]
-            piv = x.pivots[t]
-            wnum, b = x.coord_list[piv]
+            p, wnum = divmod(x.pivots[t], x.vn)
+            b = x.by_pos[p]
             db, wb, _ = fam.tu.basis[b]
             out[(d0, w0, wnum, db, wb)] = i
         return out
@@ -568,14 +560,16 @@ def sr_z6():
 
 
 def all_generator_rows(x):
-    """The old construction: w_t (x) b for every row t of W_n."""
+    """The old construction: the tagged span of w_t (x) b for every row t of
+    W_n, on coordinates pos[b]·vn + w."""
     tu = x.tu
     max_u = tu.bound - x.n
-    tags = [
-        (t, b) for t in range(len(x.w_rows)) for b, (d, _, _) in enumerate(tu.basis) if d <= max_u
-    ]
-    gens = [x._embed(t, b) for t, b in tags]
-    return TaggedRows(tu.field, gens, len(x.coord_list)).span_rows()
+    rights = [b for b, (d, _, _) in enumerate(tu.basis) if d <= max_u]
+    by_pos = sorted(rights, key=lambda b: (-tu.basis[b][0], b))
+    assert x.by_pos == by_pos
+    assert all(x.pos[b] == p for p, b in enumerate(by_pos))
+    gens = [x._embed(t, b) for t in range(len(x.w_rows)) for b in rights]
+    return TaggedRows(tu.field, gens, len(rights) * x.vn).span_rows()
 
 
 def test_right_generators_tag_one_generator_per_dimension(sr_z6):
@@ -587,15 +581,30 @@ def test_right_generators_tag_one_generator_per_dimension(sr_z6):
         assert x.rows == all_generator_rows(x)
 
 
-def test_generator_expressions_recombine_to_the_rows(sr_z6):
+def test_phi_expresses_each_row_over_its_spanning_tensors(sr_z6, monkeypatch):
+    """The solver ``_phi_map`` builds over x.tags recombines to every row."""
+    built = []
+
+    class Recording(TaggedRows):
+        def __init__(self, field, gens, ambient):
+            gens = list(gens)
+            super().__init__(field, gens, ambient)
+            built.append((gens, self))
+
+    monkeypatch.setattr(komplex, "TaggedRows", Recording)
     field = sr_z6.ctx.field
-    for n in range(sr_z6.max_n + 1):
+    for n in range(sr_z6.N, sr_z6.max_n + 1):
+        sr_z6.phi_left(n)
         x = sr_z6.x_space(n)
-        for row_idx in range(0, x.dim, 7):
+        gens, solver = next(
+            (gens, solver) for gens, solver in built if solver.ambient == x.width and len(gens) == len(x.tags)
+        )
+        assert gens == [x._embed(t, b) for t, b in x.tags]
+        for row in x.rows:
             vec: dict = {}
-            for (t, b), c in x.generator_expression(row_idx):
-                add_scaled(field, vec, x.embed_generator(t, b), c)
-            assert vec == x.rows[row_idx]
+            for i, c in solver.solve(row):
+                add_scaled(field, vec, gens[i], c)
+            assert vec == row
 
 
 def test_products_store_one_as_the_field_one_object(sr_z6):
@@ -1006,3 +1015,38 @@ def test_a_restriction_is_built_once_and_shares_the_algebra():
         assert low.slice_dim(n) == sum(fam.total_degree(n, key) <= 3 for key in fam.basis(n))
     with pytest.raises(ValueError, match="lowers"):
         fam.restricted(fam.bound + 1)
+
+
+# -- slices counted from the levels ---------------------------------------------
+
+
+def listed_slice(fam, n):
+    """Slice n by the filter rule: (pos, t) for every row t of W_n (x)_K U
+    whose level fits the room the left factor leaves."""
+    x = fam.x_space(n)
+    degree = fam.tu.basis
+    return [
+        (pos, t)
+        for pos, b0_idx in enumerate(fam.b0)
+        for t in range(x.dim)
+        if x.level[t] <= fam.bound - n - degree[b0_idx][0]
+    ]
+
+
+@pytest.mark.parametrize("name, make, D", ORACLE_INPUTS, ids=[name for name, _, _ in ORACLE_INPUTS])
+def test_levels_never_rise_and_slices_are_counted_by_the_first_fitting_row(name, make, D):
+    fam = NComplexSlice(make(), D)
+    for family in [fam] + [fam.restricted(b) for b in range(D)]:
+        for n in range(family.max_n + 2):
+            level = family.x_space(n).level
+            assert all(a >= b for a, b in zip(level, level[1:]))
+            assert family.slice_dim(n) == len(listed_slice(family, n))
+            assert family.basis(n) == listed_slice(family, n)
+
+
+def test_the_contraction_lists_no_slice_of_the_bound_family():
+    fam = fresh_sr_z6()
+    contracted_complex(fam)
+    # top and dim_total are counted; the lists are the restrictions'
+    assert fam._x and not fam._slice_basis and not fam._slice_index
+    assert all(low._slice_basis for low in fam._restrictions.values())

@@ -196,7 +196,7 @@ def scalar_extension_slice_by_elimination(alg: HomogeneousAlgebra):
         return alg.R
     field = ctx.field
     rows = alg.R.basis_sparse()
-    offgrid = TaggedRows(field, [{c: v for c, v in r.items() if c % order} for r in rows])
+    offgrid = TaggedRows(field, [{c: v for c, v in r.items() if c % order} for r in rows], alg.R.space.ambient_dim)
     trivial_ctx = TensorContext(ctx.dimV, GroupData.trivial(ctx.dimV, ctx.conductor), ctx.conductor)
     slice_rows = []
     for k in offgrid.kernel_rows():
