@@ -14,13 +14,15 @@ tensors w (x) b with w running over right K-generators of W_n, rows whose
 right translates w·g span W_n, since w·g (x) b = w (x) g·b; so about
 dim W_n / |Gamma| rows of W_n span it rather than all of them.  Each space
 keeps only the canonical rows of that span: a coordinate is arithmetic in
-its word number and U index, and the rows' filtration levels never rise,
-so a slice's size is counted from them (``NComplexSlice.slice_dim``) and
-its basis is listed only where a map is built.  The left U is collapsed
-through a right-free monomial basis, which requires the pivot words of
-the ideal rows to be orbit-pure over the group.  That holds automatically
-when the relations extend field-level data (all the presentations built by
-this package); other inputs raise a clear error.
+its word number and U index, and the rows' filtration levels never rise.
+K = k[Gamma] is semisimple, so the rows of level <= r span
+W_n (x)_K U^{<= r}, and their number is a sum of ranks of degree blocks:
+a slice's size is counted from those (``NComplexSlice.slice_dim``) with
+no space built, and its basis is listed only where a map is built.  The
+left U is collapsed through a right-free monomial basis, which requires
+the pivot words of the ideal rows to be orbit-pure over the group.  That
+holds automatically when the relations extend field-level data (all the
+presentations built by this package); other inputs raise a clear error.
 
 The differentials d_l and d_r, the q-twisted maps d_l - q^{n-1} d_r, the
 degree-lowering correction maps induced by phi, the contracted complex
@@ -42,8 +44,9 @@ those columns, in the family restricted to max_n, the largest n with
 W_n != 0.  Each map is built once:
 d^{N-1}, the sum of d_l^a d_r^b over a + b = N - 1, comes from the
 recurrence T_k(l) = T_{k-1}(l-1) ∘ d_r(l) + d_l^k(l) (``alternating_step_sum``),
-and each windowed map of the contracted complex is ranked once, by
-echelon inserts (``elim.rank``).  The generic and wedge-basis complexes
+and each windowed map out of a position i >= 1 of the contracted complex
+is ranked once, by echelon inserts (``elim.rank``); mu's rank is read off
+the unit.  The generic and wedge-basis complexes
 share one assembly of their maps out of each position
 (``contraction_map``); the generic ones are built once per slice family
 (``NComplexSlice.contraction``), so the contracted complex and the wedge
@@ -57,10 +60,9 @@ and right lifts share one construction.
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from operator import neg
 from typing import Optional
 
 from .elim import (
@@ -223,6 +225,26 @@ class TruncatedU:
 # -- the right tensor factor W_n (x)_K U ------------------------------------
 
 
+def _tensor(tu: TruncatedU, w_row: dict, b_idx: int, pos: list, vn: int) -> dict:
+    """w (x) b in V^{(x)n} (x) U, for a row w of W_n and U index b.
+
+    w·g (x) b = w (x) g·b, so the word number w of each coordinate w·g goes
+    beside every U index b2 of g·b, at coordinate pos[b2]·vn + w; the U
+    indices whose ``pos`` is None are cut off.
+    """
+    field = tu.field
+    order = tu.ctx.order
+    vec: dict = {}
+    for coord, raw in w_row.items():
+        wnum, g = divmod(coord, order)
+        entries = [(b_idx, field.one)] if g == 0 else tu.left_mult_group(b_idx, g)
+        for b2, c in entries:
+            p = pos[b2]
+            if p is not None:
+                accumulate(field, vec, p * vn + wnum, _mul(field, raw, c))
+    return vec
+
+
 class _XSpace:
     """W_n (x)_K U^{<= bound-n} embedded in V^{(x)n} (x) U, kept as its canonical rows.
 
@@ -233,23 +255,21 @@ class _XSpace:
     index b is coordinate pos[b]·vn + w, vn = dimV^n, so a row's pivot
     block is its filtration level, the canonical rows are nested across
     levels, and ``level`` never rises along them.  The spanning tensors
-    w_t (x) b are taken only for the right K-generators w_t of W_n, kept by
-    ``elim.generators``, the rule the quotient towers and ``mul_E`` share.
+    w_t (x) b are taken only for the right K-generators w_t of W_n,
+    ``gens``: w·g (x) b = w (x) g·b with g·b in U of the same degree, so
+    rows whose right K-translates span W_n give all of W_n (x)_K U.
     """
 
-    def __init__(self, tu: TruncatedU, n: int, w_row_list: list, bound: int):
+    def __init__(self, tu: TruncatedU, n: int, w_row_list: list, gens: list, bound: int):
         self.tu = tu
         self.n = n
-        ctx = tu.ctx
         degree = tu.basis
         self.w_rows = w_row_list
-        self.vn = ctx.dimV**n
+        self.vn = tu.ctx.dimV**n
         self.by_pos = sorted(range(tu.dim_filtration(bound - n)), key=lambda b: -degree[b][0])
         self.pos = sorted(range(len(self.by_pos)), key=self.by_pos.__getitem__)  # its inverse
         self.width = len(self.by_pos) * self.vn
-        # w·g (x) b = w (x) g·b with g·b in U of the same degree, so rows
-        # whose right K-translates span W_n give all of W_n (x)_K U
-        self.gens = generators(tu.field, w_row_list, ctx.right_action_sparse, ctx.order)
+        self.gens = gens
         self.rows = canonical_rows(tu.field, (self._embed(t, b) for t, b in self.tags))
         self.pivots = [min(r) for r in self.rows]
         self._index = pivot_index(self.rows)
@@ -264,10 +284,6 @@ class _XSpace:
         """The spanning tensors w_t (x) b as pairs (t, b), in insertion order."""
         return [(t, b) for t in self.gens for b in range(len(self.by_pos))]
 
-    def first_within(self, room: int) -> int:
-        """The first row of level <= ``room``; every later row has one too."""
-        return bisect_left(self.level, -room, key=neg)
-
     def express(self, vec: dict) -> list:
         """Coefficients of a vector over the canonical rows."""
         return express(self.tu.field, self.rows, self._index, vec)
@@ -278,17 +294,7 @@ class _XSpace:
 
     def _embed(self, t: int, b_idx: int) -> dict:
         """w_t (x) b as a vector over the coordinates."""
-        tu = self.tu
-        field = tu.field
-        order = tu.ctx.order
-        pos, vn = self.pos, self.vn
-        vec: dict = {}
-        for coord, raw in self.w_rows[t].items():
-            wnum, g = divmod(coord, order)
-            entries = [(b_idx, field.one)] if g == 0 else tu.left_mult_group(b_idx, g)
-            for b2, c in entries:
-                accumulate(field, vec, pos[b2] * vn + wnum, _mul(field, raw, c))
-        return vec
+        return _tensor(self.tu, self.w_rows[t], b_idx, self.pos, self.vn)
 
     def group_action(self, g: int, row_idx: int) -> list:
         """g · row expressed over the canonical rows (diagonal action)."""
@@ -373,7 +379,13 @@ class NComplexSlice:
                 )
         self.phi = phi
         self.b0, self.b_decomp = self.tu.monomial_right_free_basis()
+        degree = self.tu.basis
+        # (deg b0, the number of left factors b0 of that degree)
+        self._left_degrees = sorted(Counter(degree[b0_idx][0] for b0_idx in self.b0).items())
         self._alg = pres.homogenization()
+        # shared with every restriction: neither depends on the bound
+        self._gens: dict[int, list] = {}
+        self._level_counts: dict[int, list] = {}
         self._open(bound, self._max_nonzero_w(bound))
 
     def _open(self, bound: int, max_n: int) -> None:
@@ -417,29 +429,72 @@ class NComplexSlice:
 
     def x_space(self, n: int) -> _XSpace:
         if n not in self._x:
-            self._x[n] = _XSpace(self.tu, n, w_rows(self._alg, n, self._alg.w_cache), self.bound)
+            w = w_rows(self._alg, n, self._alg.w_cache)
+            self._x[n] = _XSpace(self.tu, n, w, self.w_generators(n), self.bound)
         return self._x[n]
 
-    def _first_rows(self, n: int) -> list:
-        """For each left factor b0, the first row t of ``x_space(n)`` that fits
-        beside it: the rows of level at most the room bound - n - deg b0 that
-        b0 leaves are a suffix, as ``level`` never rises."""
-        x = self.x_space(n)
-        degree = self.tu.basis
-        return [x.first_within(self.bound - n - degree[b0_idx][0]) for b0_idx in self.b0]
+    def w_generators(self, n: int) -> list:
+        """Indices of the right K-generators of W_n (``elim.generators``, the
+        rule the quotient towers and ``mul_E`` share), found once for the
+        family and its restrictions."""
+        got = self._gens.get(n)
+        if got is None:
+            ctx = self.ctx
+            w = w_rows(self._alg, n, self._alg.w_cache)
+            got = self._gens[n] = generators(ctx.field, w, ctx.right_action_sparse, ctx.order)
+        return got
+
+    def rows_within(self, n: int, room: int) -> int:
+        """C_n(room) = dim W_n (x)_K U^{<= room}, counted from degree blocks.
+
+        U^{<= room} is a left K-submodule of U^{<= D-n}, and K = k[Gamma] is
+        semisimple, so it has a left K-complement there and
+        (W_n (x)_K U^{<= D-n}) ∩ (V^{(x)n} (x) U^{<= room}) = W_n (x)_K U^{<= room}:
+        C_n(room) is the number of rows of level <= room in any ``x_space(n)``
+        that holds the room.  The rows of level exactly l are as many as the
+        rank c_n(l) of the tensors w_t (x) b, deg b = l, cut to their degree-l
+        coordinates: g·b never raises degree, so a tensor w_t (x) b with
+        deg b < l has no degree-l part.  c_n(l) does not depend on the bound,
+        so the prefix sums are extended once, as far as asked, for the family
+        and its restrictions.
+        """
+        if room < 0:
+            return 0
+        counts = self._level_counts.setdefault(n, [])
+        if len(counts) <= room:
+            tu = self.tu
+            w = w_rows(self._alg, n, self._alg.w_cache)
+            gens = self.w_generators(n)
+            vn = self.ctx.dimV**n
+            for level in range(len(counts), room + 1):
+                lo, hi = tu.dim_filtration(level - 1), tu.dim_filtration(level)
+                pos = [None] * lo + list(range(hi - lo))
+                block = [_tensor(tu, w[t], b, pos, vn) for t in gens for b in range(lo, hi)]
+                counts.append((counts[-1] if counts else 0) + rank(tu.field, block))
+        return counts[room]
 
     def basis(self, n: int) -> list:
+        """Pairs (pos, t): the rows t of ``x_space(n)`` that fit beside left
+        factor pos, those of level at most the room bound - n - deg b0 it
+        leaves, are the last ``rows_within(n, room)`` ones, as ``level``
+        never rises."""
         if n not in self._slice_basis:
             dim = self.x_space(n).dim
-            out = [(pos, t) for pos, first in enumerate(self._first_rows(n)) for t in range(first, dim)]
+            top = self.bound - n
+            degree = self.tu.basis
+            out = [
+                (pos, t)
+                for pos, b0_idx in enumerate(self.b0)
+                for t in range(dim - self.rows_within(n, top - degree[b0_idx][0]), dim)
+            ]
             self._slice_basis[n] = out
             self._slice_index[n] = {key: i for i, key in enumerate(out)}
         return self._slice_basis[n]
 
     def slice_dim(self, n: int) -> int:
-        """The dimension of slice n, counted without listing its basis."""
-        dim = self.x_space(n).dim
-        return sum(dim - first for first in self._first_rows(n))
+        """The dimension of slice n, the sum of C_n(bound - n - deg b0) over
+        the left factors b0, counted without building ``x_space(n)``."""
+        return sum(count * self.rows_within(n, self.bound - n - d) for d, count in self._left_degrees)
 
     def total_degree(self, n: int, key: tuple[int, int]) -> int:
         pos, t = key
@@ -632,14 +687,17 @@ class NComplexSlice:
             self._composite_zero[i] = got
         return got
 
-    def mu_matrix(self) -> dict:
-        """Multiplication (U (x)_K U)_{<= D} -> U^{<= D} on slice 0."""
+    def mu_matrix(self, sources=None) -> dict:
+        """Multiplication (U (x)_K U)_{<= D} -> U^{<= D} on slice 0, on the
+        given source columns (every one by default)."""
+        field = self.ctx.field
+        basis = self.basis(0)
+        x0 = self.x_space(0)
         cols = {}
-        for src, (pos, t) in enumerate(self.basis(0)):
+        for src in range(len(basis)) if sources is None else sources:
+            pos, t = basis[src]
             b0_idx = self.b0[pos]
-            x0 = self.x_space(0)
             out: dict = {}
-            field = self.ctx.field
             for key, raw in x0.rows[t].items():
                 add_scaled(field, out, self.tu.multiply_basis(b0_idx, x0.by_pos[key // x0.vn]), raw)
             cols[src] = out
@@ -722,11 +780,14 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     filtration and the associated graded complex is checked degreewise
     elsewhere.  mu, d_l and d_r never raise total degree, so the columns
     of total degree <= D - N map into the window, and the windowed ranks
-    are those of the family restricted to D - N, all of its columns.  The
+    are those of the family restricted to D - N, all of its columns.  mu's
+    rank there is dim U^{<= D-N}: the unit is a left factor, every right
+    factor b of degree <= D - N fits beside it, and mu(1 (x) b) = b.  The
     maps are U-bimodule maps, so consecutive ones compose to zero when
     they do on the generator columns, which the family restricted to max_n
-    holds (``composite_zero``, shared with d^2).  ``dim_total`` is the
-    slice dimension at D, counted without building a map.
+    holds (``composite_zero``, shared with d^2); mu is built there only on
+    the columns d(1) reaches from them.  ``top`` and ``dim_total`` are
+    counted at D (``NComplexSlice.slice_dim``), with no space built there.
     """
     fam = slice_family
     N = fam.N
@@ -739,26 +800,24 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
     top = 0
     while top + 1 < len(zs) and fam.slice_dim(zs[top + 1]) > 0:
         top += 1
-    gen = fam.restricted(fam.max_n)
-    comp_zero = top == 0 or (
-        map_is_zero(compose_maps(gen.mu_matrix(), on_columns(gen.contraction(1), gen.generator_columns(1)), field))
-        and all(gen.composite_zero(i) for i in range(1, top))
-    )
+    comp_zero = True
+    if top > 0:
+        gen = fam.restricted(fam.max_n)
+        d1 = on_columns(gen.contraction(1), gen.generator_columns(1))
+        reached = sorted({key for col in d1.values() for key in col})
+        comp_zero = map_is_zero(compose_maps(gen.mu_matrix(reached), d1, field)) and all(
+            gen.composite_zero(i) for i in range(1, top)
+        )
 
     win = fam.restricted(window)
-    maps = [win.mu_matrix()] + [win.contraction(i) for i in range(1, top + 1)]
     dims = [win.slice_dim(n) for n in zs[: top + 1]]
-    u_window = fam.tu.dim_filtration(window)
-
-    # the map out of position top + 1 is zero
-    ranks = [rank(field, list(cols.values())) for cols in maps] + [0]
+    # mu out of position 0, the one map out of every other position, and
+    # the zero map out of position top + 1
+    ranks = [fam.tu.dim_filtration(window)]
+    ranks += [rank(field, list(win.contraction(i).values())) for i in range(1, top + 1)] + [0]
 
     positions = []
     for i in range(top + 1):
-        ok = ranks[i] + ranks[i + 1] == dims[i]
-        if i == 0:
-            # onto U^{<= window} as well
-            ok = ok and ranks[0] == u_window
         positions.append(
             {
                 "i": i,
@@ -767,7 +826,7 @@ def contracted_complex(slice_family: NComplexSlice) -> ContractionReport:
                 "dim_window": dims[i],
                 "rank_in": ranks[i + 1],
                 "rank_out": ranks[i],
-                "exact": ok,
+                "exact": ranks[i] + ranks[i + 1] == dims[i],
             }
         )
     return ContractionReport(

@@ -64,11 +64,12 @@ def test_the_presentation_dies_without_the_cyclic_collector(monkeypatch, fixture
         gc.enable()
 
 
-# The traced peak of the S3 Cherednik contraction at D=5 is 13.65 MiB with
-# spaces that keep only their canonical rows and count their slices; it was
-# 28.24 MiB when each space also kept its tag columns, its coordinate tables
-# and, at D, a listed slice basis.
-S3_CONTRACTION_PEAK_MIB = 20
+# The traced peak of the S3 Cherednik contraction at D=5 is 11.52 MiB when
+# no space is built at D, the slice sizes there counted from degree blocks;
+# it was 13.66 MiB when each W_n (x)_K U was still built at D for its row
+# levels, and 28.24 MiB when each space also kept its tag columns, its
+# coordinate tables and, at D, a listed slice basis.
+S3_CONTRACTION_PEAK_MIB = 12.5
 
 
 def test_the_s3_contraction_keeps_its_traced_peak_below_the_bound():

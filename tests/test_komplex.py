@@ -15,7 +15,7 @@ import pytest
 
 from nkoszul import grouppres, komplex
 from nkoszul.cyclo import get_field
-from nkoszul.elim import TaggedRows, accumulate, add_maps, add_scaled
+from nkoszul.elim import TaggedRows, accumulate, add_maps, add_scaled, canonical_rows
 from nkoszul.jsonio import load_input, parse_input
 from nkoszul.scalar import MatrixS, Scalar, to_raw
 from nkoszul.smashtensor import GroupData, TensorContext
@@ -819,8 +819,9 @@ def test_contraction_eliminates_each_windowed_map_once(monkeypatch, make):
     monkeypatch.setattr(komplex, "rank", counted)
     rep = contracted_complex(fam)
     assert rep.positions == first.positions
-    # mu out of position 0, then one map out of every other position
-    assert len(calls) == len(rep.positions) > 2
+    # one map out of every position i >= 1; mu's rank is read off the unit
+    assert len(calls) == len(rep.positions) - 1 > 1
+    assert rep.positions[0]["rank_out"] == fam.tu.dim_filtration(fam.bound - fam.N)
     for pos, nxt in zip(rep.positions, rep.positions[1:]):
         assert pos["rank_in"] == nxt["rank_out"]
 
@@ -1047,6 +1048,139 @@ def test_levels_never_rise_and_slices_are_counted_by_the_first_fitting_row(name,
 def test_the_contraction_lists_no_slice_of_the_bound_family():
     fam = fresh_sr_z6()
     contracted_complex(fam)
-    # top and dim_total are counted; the lists are the restrictions'
-    assert fam._x and not fam._slice_basis and not fam._slice_index
+    # top and dim_total are counted from degree blocks; the spaces and
+    # the lists are the restrictions'
+    assert not fam._x and not fam._slice_basis and not fam._slice_index
     assert all(low._slice_basis for low in fam._restrictions.values())
+
+
+# -- sizes and ranks that need no space at D -------------------------------------
+
+
+@pytest.mark.parametrize("name, make, D", ORACLE_INPUTS, ids=[name for name, _, _ in ORACLE_INPUTS])
+def test_degree_block_counts_match_the_levels_of_a_space_at_the_bound(name, make, D):
+    # C_n(r), the prefix sums of the degree-block ranks, against the rows
+    # of level <= r of W_n (x)_K U^{<= D-n} built and reduced at D
+    fam = NComplexSlice(make(), D)
+    for n in range(fam.max_n + 2):
+        w = komplex.w_rows(fam._alg, n, fam._alg.w_cache)
+        x = komplex._XSpace(fam.tu, n, w, fam.w_generators(n), D)
+        assert x.dim == fam.rows_within(n, D - n)
+        for r in range(D - n + 1):
+            assert fam.rows_within(n, r) == sum(level <= r for level in x.level), (n, r)
+    assert fam.rows_within(0, -1) == 0
+
+
+@pytest.mark.parametrize("name, make, D", ORACLE_INPUTS, ids=[name for name, _, _ in ORACLE_INPUTS])
+def test_mu_on_the_window_has_the_rank_read_off_the_unit(name, make, D):
+    fam = NComplexSlice(make(), D)
+    win = fam.restricted(D - fam.N)
+    field = fam.ctx.field
+    assert komplex.rank(field, list(win.mu_matrix().values())) == fam.tu.dim_filtration(D - fam.N)
+    assert contracted_complex(fam).positions[0]["rank_out"] == fam.tu.dim_filtration(D - fam.N)
+
+
+@pytest.mark.parametrize("fixture", ["cubic_z3", "sr_z6"])
+def test_the_contraction_builds_no_space_at_the_bound_and_mu_only_where_it_is_read(monkeypatch, fixture):
+    pres, _ = load_input(str(FIXTURES / f"{fixture}.json"))
+    fam = NComplexSlice(pres, 6)
+    assert fam.max_n < fam.bound
+    spaces, mus, ranked = [], [], []
+    make_space, mu_matrix, rank = komplex._XSpace.__init__, NComplexSlice.mu_matrix, komplex.rank
+
+    def recording_space(self, tu, n, w_row_list, gens, bound):
+        spaces.append(bound)
+        make_space(self, tu, n, w_row_list, gens, bound)
+
+    def recording_mu(self, sources=None):
+        cols = mu_matrix(self, sources)
+        mus.append((self, sources, cols))
+        return cols
+
+    def recording_rank(field, rows):
+        ranked.append(rows)
+        return rank(field, rows)
+
+    monkeypatch.setattr(komplex._XSpace, "__init__", recording_space)
+    monkeypatch.setattr(NComplexSlice, "mu_matrix", recording_mu)
+    monkeypatch.setattr(komplex, "rank", recording_rank)
+    rep = contracted_complex(fam)
+    assert rep.composition_zero and rep.exact_in_window
+    assert spaces and fam.bound not in spaces
+    # one windowed map ranked out of every position i >= 1, in order; the
+    # other ranks are the degree blocks of the counts, one per level
+    assert len(rep.positions) > 2
+    gen = fam.restricted(fam.max_n)
+    win = fam.restricted(fam.bound - fam.N)
+    maps = {i: list(win.contraction(i).values()) for i in range(1, len(rep.positions))}
+
+    def same(rows, cols):
+        return len(rows) == len(cols) and all(a is b for a, b in zip(rows, cols))
+
+    assert [i for rows in ranked for i, cols in maps.items() if same(rows, cols)] == list(maps)
+    assert len(ranked) == len(maps) + sum(len(counts) for counts in fam._level_counts.values())
+    # mu once, on the max_n family, on the columns d(1) reaches from the
+    # generator columns
+    d1 = gen.contraction(1)
+    reached = sorted({key for src in gen.generator_columns(1) for key in d1[src]})
+    assert [(fam_, sources) for fam_, sources, _ in mus] == [(gen, reached)]
+    assert len(reached) < len(gen.basis(0))
+    assert mus[0][2] == {src: col for src, col in mu_matrix(gen).items() if src in reached}
+
+
+def right_ideal_rows(ctx, h: int) -> list:
+    """Rows of the right K-submodule of V (x) K generated by v_0 (x) e, e the
+    sum of the powers of h; it is free over K only when h = 1."""
+    field, table = ctx.field, ctx.group.mult_table
+    powers = [0]
+    while table[powers[-1]][h] != 0:
+        powers.append(table[powers[-1]][h])
+    row = {g: field.one for g in powers}  # word number 0 is v_0
+    return canonical_rows(field, [ctx.right_action_sparse(row, g) for g in range(ctx.order)])
+
+
+@pytest.mark.parametrize("name", ["q8", "bd12"])
+def test_degree_block_counts_hold_for_a_W_that_is_not_free_over_K(monkeypatch, name):
+    # the counts need only K semisimple: on W = v_0 (x) eK, not free over K,
+    # they match the levels of a space built at D, though the group moves
+    # standard monomials to lower degree there, so the tensors w (x) b,
+    # deg b = l, uncut would have a larger rank than c(l)
+    _, data, D = next(case for case in family_inputs(seed=0) if case[0] == name)
+    fam = NComplexSlice(parse_input(data)[0], D)
+    ctx, field = fam.ctx, fam.ctx.field
+    w_rows = komplex.w_rows
+    uncut_larger = False
+    for h in range(1, ctx.order):
+        rows = right_ideal_rows(ctx, h)
+        monkeypatch.setattr(komplex, "w_rows", lambda alg, n, cache: rows if n == 1 else w_rows(alg, n, cache))
+        fam._gens.clear()
+        fam._level_counts.clear()
+        gens = fam.w_generators(1)
+        assert len(gens) * ctx.order > len(rows)  # not free over K
+        x = komplex._XSpace(fam.tu, 1, rows, gens, D)
+        for r in range(D):
+            assert fam.rows_within(1, r) == sum(level <= r for level in x.level), (h, r)
+        for level in range(D):
+            lo, hi = fam.tu.dim_filtration(level - 1), fam.tu.dim_filtration(level)
+            every = list(range(hi))  # every U index at its own coordinates
+            uncut = [komplex._tensor(fam.tu, rows[t], b, every, ctx.dimV) for t in gens for b in range(lo, hi)]
+            cut_rank = fam.rows_within(1, level) - fam.rows_within(1, level - 1)
+            uncut_larger |= komplex.rank(field, uncut) > cut_rank
+    assert uncut_larger
+
+
+def test_the_right_generators_of_each_W_n_are_found_once_per_family_tree(monkeypatch):
+    # the counts, the spaces of every restriction and the three slice checks
+    # read one list per n
+    found = []
+    generators = komplex.generators
+
+    def recording(field, rows, act, order):
+        found.append(rows)
+        return generators(field, rows, act, order)
+
+    monkeypatch.setattr(komplex, "generators", recording)
+    fam = fresh_sr_z6()
+    assert check_dN_zero(fam, S(-1, 6)) and contracted_complex(fam).exact_in_window and wedge_agreement(fam)
+    assert len(fam._restrictions) == 2 and all(low._x for low in fam._restrictions.values())
+    assert len(found) == len({id(rows) for rows in found}) == len(fam._gens) > 1
