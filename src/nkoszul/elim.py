@@ -27,7 +27,13 @@ elements' actions on V are held so.  Code elsewhere builds its sparse
 vectors and maps through these helpers rather than repeating the
 drop-on-cancel step.
 
-Ranks need no fully reduced basis: ``rank`` keeps echelon rows only.
+The one-shot consumers keep echelon rows, with no back-substitution per
+insert and no column index: ``rank`` needs no fully reduced basis at all,
+and a quotient tower level, read only once its last row is in, inserts
+with ``echelon_add`` and reduces once with ``back_substitute``.  The
+incremental ones, which reduce against the rows between inserts
+(``generators``, the span of a sub-bimodule under its actions), keep a
+``SparseEliminator``, and so, for now, do the other eliminations.
 """
 
 from __future__ import annotations
@@ -190,6 +196,65 @@ def rank(field, rows) -> int:
                 tails[col] = tail = scaled
             add_scaled(field, row, tail, negated(field, c))
     return len(tails)
+
+
+def echelon_add(field, rows: dict, row: dict) -> int | None:
+    """Insert ``row`` (consumed) into echelon ``rows`` keyed by pivot; the new pivot or None.
+
+    An echelon row has its pivot, its first column, at entry one; it need
+    not vanish at the other pivots.  The row is reduced only until its first
+    column is not a pivot, and is kept from there.  That column is the
+    pivot ``SparseEliminator.add`` gives the same row: the fully reduced
+    row differs from this one by an element of the span, whose first column
+    is a pivot, and vanishes at every pivot, so the two agree up to that
+    column.  So the pivots, and which rows are dependent, are the same.
+    """
+    while row:
+        piv = min(row)
+        prow = rows.get(piv)
+        if prow is None:
+            lead = row[piv]
+            if lead is not field.one:
+                scaled: dict = {}
+                add_scaled(field, scaled, row, field.inv(lead))
+                row = scaled
+            row[piv] = field.one
+            rows[piv] = row
+            return piv
+        add_scaled(field, row, prow, negated(field, row.pop(piv)), skip=piv)
+    return None
+
+
+def reduced_row(field, rows: dict, piv: int) -> dict:
+    """The fully reduced row of pivot ``piv`` among echelon ``rows``.
+
+    Row ``piv`` less, in turn, the multiple of the row of its first entry
+    at another pivot: that row starts there, so the entries at lower pivots
+    stay cleared.  This is ``SparseEliminator.pivot_rows[piv]`` for the
+    same inserts.
+    """
+    row = dict(rows[piv])
+    while hits := [q for q in row if q != piv and q in rows]:
+        q = min(hits)
+        add_scaled(field, row, rows[q], negated(field, row.pop(q)), skip=q)
+    return row
+
+
+def back_substitute(field, rows: dict) -> None:
+    """Make echelon ``rows`` keyed by pivot fully reduced, in place: the canonical rows.
+
+    The ``normal_form`` of each row's tail, pivots descending, against the
+    rows above it, which are fully reduced by then: row p has entries only
+    from p on, so it meets no pivot below p, and the rows it meets vanish
+    at every other pivot.  The result is the reduced echelon basis of the
+    span, which is unique, so it equals ``canonical_rows`` of the rows
+    inserted, whatever their order.
+    """
+    for p in sorted(rows, reverse=True):
+        row = rows[p]
+        for q, c in [(q, c) for q, c in row.items() if q != p and q in rows]:
+            del row[q]
+            add_scaled(field, row, rows[q], negated(field, c), skip=q)
 
 
 def accumulate(field, out: dict, key, value) -> None:

@@ -5,9 +5,13 @@ one ``_Tower`` that also builds the filtered pieces of U = T(V)#Gamma/I(P)
 for the PBW oracle.  Level n works on the positions j·adim(n-1) + b of
 E (x)_K A_{n-1} (letter j, A_{n-1} basis index b) and stores only the
 canonical rows of the relations there, keyed by pivot, with the pivots
-sorted.  The A_n basis is the non-pivot positions in order: position pos
-has basis index pos − bisect_left(pivots, pos), and its monomial is
-decoded on demand through divmod(pos, adim(n-1)) down the levels.  Level n
+sorted.  The rows are inserted in echelon form, reduced only until their
+first column is new, and back-substituted once when the level is done
+(``elim.echelon_add``, ``elim.back_substitute``).  The A_n basis is the
+non-pivot positions in order: position pos has basis index pos minus the
+number of pivots below it, read from a table the level builds when it is
+first read, and its monomial is decoded on demand through
+divmod(pos, adim(n-1)) down the levels.  Level n
 is built on the basis indices b of A_{n-N}, not on their words: a
 relation's row for b puts each term's letters in front of b one at a
 time, each step the letter in front and the pivot-rule reduction in one
@@ -56,10 +60,13 @@ from .elim import (
     accumulate,
     add_scaled,
     add_shifted,
+    back_substitute,
+    echelon_add,
     generators,
     intersection,
     negated,
     rank,
+    reduced_row,
 )
 from .scalar import DimensionMismatch
 from .smashtensor import (
@@ -181,15 +188,17 @@ class _Level:
     index b) and lower keys.  ``pivots`` are the top pivots, those below
     ``positions``, sorted.  The quotient basis is the complement of
     ``pivots`` in range(positions), in order, so position pos has index
-    pos − bisect_left(pivots, pos).  The ``collapsed`` rows with a lower
-    pivot have no top entry: they span the lower-degree elements that
-    vanish in degree n.  A graded tower has none.  ``front`` puts a
+    pos minus the number of pivots below it.  The ``collapsed`` rows with a
+    lower pivot have no top entry: they span the lower-degree elements
+    that vanish in degree n.  A graded tower has none.  ``front`` puts a
     letter in front of a normal form one level down and reduces it here
-    in one pass; a row it meets is re-keyed to indices then and not kept,
-    so a level stores its rows and nothing else.
+    in one pass; a row it meets is re-keyed to indices then and not kept.
+    The first ``front`` builds ``index``, each position's quotient index
+    or -1 at a pivot; a level no ``front`` reads, such as the graded
+    checks' top level, holds its rows and nothing else.
     """
 
-    __slots__ = ("rows", "pivots", "positions", "adim", "collapsed")
+    __slots__ = ("rows", "pivots", "positions", "adim", "collapsed", "index")
 
     def __init__(self, rows: dict, positions: int):
         self.rows = rows
@@ -200,6 +209,8 @@ class _Level:
         self.pivots = pivots
         self.positions = positions
         self.adim = positions - top
+        # built by the first ``front``: a level no front reads holds none
+        self.index: Optional[list] = None
 
     def free(self):
         """The non-pivot positions, ascending: basis index b is the b-th."""
@@ -221,9 +232,12 @@ class _Level:
         pivot entry in quotient coordinates.  The collapse pivots among
         the lower keys come last, in the order ``normal_form`` meets them,
         so the keys come out in the order ``normal_form`` gives them.
+        ``index`` maps each position to its quotient index, -1 at a pivot.
         """
+        index = self.index
+        if index is None:
+            index = self.index = self._index()
         rows = self.rows
-        pivots = self.pivots
         lower = _LOWER
         base = j * width
         out: dict = {}
@@ -231,10 +245,11 @@ class _Level:
         for b, v in vec.items():
             if b < lower:
                 pos = base + b
-                if pos in rows:
+                i = index[pos]
+                if i < 0:
                     hits.append((pos, v))
                 else:
-                    out[pos - bisect_left(pivots, pos)] = v
+                    out[i] = v
         if len(out) + len(hits) < len(vec):
             for k, v in vec.items():
                 if k >= lower:
@@ -242,9 +257,19 @@ class _Level:
             if self.collapsed:
                 hits += [(k, out.pop(k)) for k in [k for k in out if k >= lower and k in rows]]
         for p, c in hits:
-            tail = {(k - bisect_left(pivots, k) if k < lower else k): v for k, v in rows[p].items() if k != p}
+            tail = {(index[k] if k < lower else k): v for k, v in rows[p].items() if k != p}
             add_scaled(field, out, tail, negated(field, c))
         return out
+
+    def _index(self) -> list:
+        """Position -> quotient index, -1 at a pivot: the runs between pivots count on."""
+        index = [-1] * self.positions
+        start = 0
+        for i, p in enumerate(self.pivots):
+            index[start:p] = range(start - i, p - i)
+            start = p + 1
+        index[start:] = range(start - len(self.pivots), self.adim)
+        return index
 
 
 class _Tower:
@@ -275,12 +300,14 @@ class _Tower:
     n-N then spans the rest of J^n, before a failure and after it.  A
     level is a ``_Level`` (no eliminator, no words) and ``reps`` decodes
     monomials on demand.  ``ensure`` builds level n on the basis indices
-    of degree n-N (``_relation_rows``).  Each step of a normal form, in
-    the build and in ``nf``, is one ``_Level.front``: a letter in front
-    and the reduction in one pass over level n's rows, with no vector
-    over its positions in between.  ``_front`` (the letter in front, on
-    level n's positions) followed by ``_Level.reduce`` is the two-pass
-    reference it equals; ``_front`` also carries the collapse rows.
+    of degree n-N (``_relation_rows``), inserts the rows in echelon form
+    and reduces them once, when the level is done.  Each step of a normal
+    form, in the build and in ``nf``, is one ``_Level.front``: a letter in
+    front and the reduction in one pass over level n's rows, with no
+    vector over its positions in between.  ``_front`` (the letter in
+    front, on level n's positions) followed by ``normal_form`` against the
+    level's rows is the two-pass reference it equals; ``_front`` also
+    carries the collapse rows.
     ``_nf_memo`` holds the normal forms ``nf`` gives to outside callers;
     the build adds to it only the starts g(s) ⊗ gh of group elements g ≠ 1.
     """
@@ -327,34 +354,42 @@ class _Tower:
         return self.reps(d)[i - self.starts[d]]
 
     def ensure(self, n: int) -> Optional[int]:
-        """Build the levels up to n, past a failure too; the first failing degree, or None."""
+        """Build the levels up to n, past a failure too; the first failing degree, or None.
+
+        A level's rows go in as echelon rows (``echelon_add``): each is
+        reduced only until its first column is new, and that column is the
+        pivot a fully reduced basis would give it, so the failing degree is
+        the same.  The witness is the fully reduced row of its pivot at the
+        moment it goes in (``reduced_row``).  One sweep (``back_substitute``)
+        then leaves the level's canonical rows: no row is back-substituted
+        per insert and no column index is kept.
+        """
         field = self.ctx.field
         while len(self.levels) <= n:
             lv = len(self.levels)
             below = self.levels[-1]
             positions = self.ctx.dimV * below.adim
-            elim = SparseEliminator(field)
+            rows: dict = {}  # echelon rows by pivot, reduced once the level is done
             if below.collapsed:
-                # the collapse rows one level down and their carried rows;
-                # ``add`` inserts a copy, so the level below stays as it is
+                # the collapse rows one level down, copied, and their carried rows
                 kernel = [row for p, row in below.rows.items() if p >= below.positions]
                 for row in kernel:
-                    elim.add(row)
+                    echelon_add(field, rows, dict(row))
                 for row in kernel:
                     for j in range(self.ctx.dimV):
-                        elim.add(self._front(j, row, lv))
+                        echelon_add(field, rows, self._front(j, row, lv))
             if lv >= self.N:
-                # each row is dropped once inserted; the eliminator keeps its own
-                rows = self._relation_rows(lv)
-                rows.reverse()
-                while rows:
-                    piv = elim.add(rows.pop())
+                # each row is dropped once inserted
+                relation_rows = self._relation_rows(lv)
+                relation_rows.reverse()
+                while relation_rows:
+                    piv = echelon_add(field, rows, relation_rows.pop())
                     if piv is not None and piv >= positions and self.failed is None:
                         # every key is lower: an element of F^{lv-1}U
                         self.failed = lv
-                        self.witness = {k - _LOWER: v for k, v in elim.pivot_rows[piv].items()}
-            # only the rows: the column index serves inserts, and this level is done
-            self.levels.append(_Level(elim.pivot_rows, positions))
+                        self.witness = {k - _LOWER: v for k, v in reduced_row(field, rows, piv).items()}
+            back_substitute(field, rows)
+            self.levels.append(_Level(rows, positions))
             self.starts.append(self.starts[-1] + self.levels[-1].adim)
         return self.failed
 
@@ -435,7 +470,7 @@ class _Tower:
         """Letter j in front of a degree-(n-1) normal form, over level n's keys.
 
         Unreduced: the carried rows of ``ensure`` and the lower-key part of
-        a relation row; with ``_Level.reduce`` the reference for ``_Level.front``.
+        a relation row; with ``normal_form`` the reference for ``_Level.front``.
         """
         base = j * self.levels[n - 1].adim
         lower = _LOWER

@@ -15,10 +15,16 @@ So every check passes and the oracle's candidate gr dimensions are
 |Gamma| * C(n + dimV - 1, dimV - 1).  ``non_equivariant`` perturbs an
 input so that psi is not Gamma-equivariant; by the paper's Theorem 4.4 it
 must fail ``equivariance`` and ``theorem44``, and the oracle must fail.
+
+Berger (J. Algebra 239, 2001): the N-symmetric algebra T(V)/(Λ^N V) is
+N-Koszul with W_n = Λ^n V for n >= N, so its Hilbert series is
+1 / Σ_i (-1)^i C(dimV, ζ(i)) t^ζ(i), ζ(2q) = qN and ζ(2q+1) = qN + 1
+(``berger_dims``).
 """
 
 import copy
 import random
+from math import comb
 
 from nkoszul.jsonio import parse_context
 from test_s3_cherednik_report import S3_CHEREDNIK
@@ -97,3 +103,17 @@ def non_equivariant(data: dict) -> dict:
     psi = {"p": 2, "psi": [{"g": 0, "values": on_identity}, {"g": g, "values": {"[1,2]": "1"}}]}
     out["presentation"] = {"builder": "h_psi", "p": 2, "psi": psi}
     return out
+
+
+def berger_dims(dimV: int, N: int, D: int) -> list:
+    """dim A_n, n <= D, of T(V)/(Λ^N V): the power series inverse of
+    Σ_i (-1)^i C(dimV, ζ(i)) t^ζ(i)."""
+    den = [0] * (D + 1)
+    for i in range(2 * D + 2):
+        z = i // 2 * N + i % 2
+        if z <= D:
+            den[z] += (-1) ** i * comb(dimV, z)
+    dims = [1]
+    for n in range(1, D + 1):
+        dims.append(-sum(den[k] * dims[n - k] for k in range(1, n + 1)))
+    return dims

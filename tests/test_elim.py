@@ -14,15 +14,18 @@ from nkoszul.elim import (
     add_maps,
     add_scaled,
     add_shifted,
+    back_substitute,
     canonical_rows,
     combine,
     compose_maps,
+    echelon_add,
     express,
     intersection,
     negated,
     normal_form,
     pivot_index,
     rank,
+    reduced_row,
 )
 from nkoszul.scalar import MatrixS, Scalar, Subspace, rref, rref_raw
 from nkoszul.smashtensor import GroupData, TensorContext
@@ -476,6 +479,33 @@ def test_echelon_rank_matches_the_eliminator(conductor):
         assert rank(field, rows) == expected
         assert rank(field, iter(rows)) == expected
         assert rows == copies
+
+
+@pytest.mark.parametrize("conductor", [1, 3])
+def test_the_level_builder_matches_the_eliminator(conductor):
+    """Echelon inserts, a pivot's reduced row on demand and one sweep at the
+    end, against ``SparseEliminator`` fed the same rows in the same order."""
+    field = get_field(conductor)
+    rng = random.Random(40 + conductor)
+    dependent = unreduced = 0
+    for _ in range(60):
+        rows = random_field_rows(rng, field, rng.randint(1, 10), rng.randint(2, 9))
+        rng.shuffle(rows)
+        elim = SparseEliminator(field)
+        echelon: dict = {}
+        for row in rows:
+            piv = echelon_add(field, echelon, dict(row))
+            assert piv == elim.add(row)
+            dependent += piv is None
+            if piv is not None:
+                assert min(echelon[piv]) == piv and echelon[piv][piv] is field.one
+                assert reduced_row(field, echelon, piv) == elim.pivot_rows[piv]
+        unreduced += echelon != elim.pivot_rows
+        back_substitute(field, echelon)
+        assert echelon == elim.pivot_rows
+        assert [echelon[p] for p in sorted(echelon)] == canonical_rows(field, rows)
+    # rows that reduce to zero, and levels that the sweep changes
+    assert dependent >= 20 and unreduced >= 20
 
 
 def test_rref_raw_is_the_dense_view_of_the_canonical_rows():

@@ -5,7 +5,9 @@ passes with gr dimensions |Gamma| * C(n + dimV - 1, dimV - 1) when psi is
 built from the form with class factors, and a psi that is not equivariant
 fails Theorem 4.4 and the oracle, with a valid witness.  Each passing
 report body is pinned by its sha256, so a faster path through any check
-must give the same report byte for byte.
+must give the same report byte for byte.  The quotient tower of the
+N-symmetric algebra T(V)/(Λ^N V) over the trivial group must give the
+dimensions of Berger's identity (``families.berger_dims``).
 """
 
 import json
@@ -13,9 +15,11 @@ from math import comb
 
 import pytest
 
-from families import family_inputs, non_equivariant
+from families import berger_dims, family_inputs, non_equivariant
 from nkoszul.cli import RunConfig, run
+from nkoszul.homogeneous import HomogeneousAlgebra
 from nkoszul.jsonio import parse_input
+from nkoszul.smashtensor import GroupData, TensorContext, antisymmetrizer_subbimodule
 from test_bench_digest import load
 from test_oracle_tower import assert_valid_witness
 
@@ -57,6 +61,15 @@ def test_every_check_passes_with_the_pbw_dimensions(name, data, D, tmp_path):
 
 NONABELIAN = [case for case in INPUTS if case[0] in ("q8", "bd12", "s3")]
 
+# the oracle's witness on each non-equivariant input, an element of degree 0
+# that vanishes in degree N = 2, as the tower gave it when each level was one
+# fully reduced eliminator
+WITNESS_TERMS = {
+    "q8": [{"coeff": "1", "word": [], "g": 0}, {"coeff": "-1", "word": [], "g": 3}],
+    "bd12": [{"coeff": "1", "word": [], "g": 0}, {"coeff": "-1", "word": [], "g": 8}],
+    "s3": [{"coeff": "1", "word": [], "g": 0}],
+}
+
 
 @pytest.mark.parametrize("name, data, D", NONABELIAN, ids=[name for name, _, _ in NONABELIAN])
 def test_a_psi_on_one_element_of_a_class_fails_theorem_44(name, data, D, tmp_path):
@@ -64,7 +77,16 @@ def test_a_psi_on_one_element_of_a_class_fails_theorem_44(name, data, D, tmp_pat
     report, code = run_input(tmp_path, bad, D, ["equivariance", "theorem44", "oracle"])
     assert code == 1
     assert report["failures"] == ["equivariance", "theorem44", "oracle"]
+    oracle = report["checks"]["oracle"]
+    assert oracle["witness_degree"] == 2 and oracle["witness"] == {"terms": WITNESS_TERMS[name]}
     pres, _ = parse_input(bad)
     engine = pres.oracle(D)
     assert engine.witness is not None
     assert_valid_witness(pres, engine)
+
+
+@pytest.mark.parametrize("dimV, N, D", [(3, 3, 11), (4, 3, 9), (4, 4, 10), (5, 3, 7)])
+def test_the_n_symmetric_algebra_has_berger_dimensions(dimV, N, D):
+    ctx = TensorContext(dimV, GroupData.trivial(dimV), 1)
+    tower = HomogeneousAlgebra(ctx, N, antisymmetrizer_subbimodule(ctx, N)).tower()
+    assert [tower.adim(n) for n in range(D + 1)] == berger_dims(dimV, N, D)

@@ -17,7 +17,9 @@ must be, not against the reference's.
 """
 
 import gc
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -41,7 +43,7 @@ from nkoszul.homogeneous import _Tower
 from nkoszul.jsonio import load_input
 from nkoszul.komplex import NComplexSlice, TruncatedU
 from nkoszul.scalar import MatrixS, Scalar
-from nkoszul.smashtensor import Filtration, FilteredSubspace, GroupData, TensorContext
+from nkoszul.smashtensor import Filtration, FilteredSubspace, GroupData, TensorContext, terms_to_json
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -323,22 +325,29 @@ def test_sl2_tower_holds_a_row_per_pivot_position():
     assert sum(level.adim for level in engine.tower.levels) == 165
 
 
+# sha256 of the JSON list of [degree, terms] of the witnesses below, as the
+# tower gave them when each level was one fully reduced eliminator
+WITNESS_SHA256 = "9de6a432dfcaad2b85fb672a238a01d4d15c4f0d5bfcc9d2c11d113d93cd0a06"
+
+
 def test_the_witness_is_written_over_the_standard_monomials():
     rng = random.Random(12)
     cases = [random_presentation(rng) for _ in range(150)] + [(pres, 4) for pres in non_equivariant_h_psi()]
-    witnesses = 0
+    witnesses = []
     for pres, D in cases:
         engine = pres.oracle(D)
         if engine.witness is None:
             continue
-        witnesses += 1
         n0, terms = engine.witness
+        witnesses.append([n0, terms_to_json({key: Scalar(pres.ctx.field, v) for key, v in terms.items()})])
         fresh = _Tower(pres.ctx, pres.N, all_relations(pres))
         assert terms
         for word, g in terms:
             assert len(word) < n0
             assert (word, g) in fresh.reps(len(word))
-    assert witnesses >= 90
+    # failing degrees 2 to 6, witnesses of up to 14 terms: each one exactly
+    assert len(witnesses) == 95
+    assert hashlib.sha256(json.dumps(witnesses).encode()).hexdigest() == WITNESS_SHA256
     # the Jacobiator value e_1, with coefficient 1 at its lowest monomial
     pres = non_jacobi()
     rep = oracle_pbw(pres, 12)

@@ -117,7 +117,7 @@ def test_no_level_holds_an_eliminator_a_column_index_or_words():
     alg = group_level("sr_z6")
     tower = alg.tower()
     tower.ensure(6)
-    assert _Level.__slots__ == ("rows", "pivots", "positions", "adim", "collapsed")
+    assert _Level.__slots__ == ("rows", "pivots", "positions", "adim", "collapsed", "index")
     for level in tower.levels:
         assert not hasattr(level, "__dict__")
         assert type(level.rows) is dict
@@ -130,8 +130,19 @@ def test_no_level_holds_an_eliminator_a_column_index_or_words():
         assert level.collapsed == 0  # a graded level has no lower keys
         for slot in _Level.__slots__:
             assert not isinstance(getattr(level, slot), SparseEliminator)
+        # the position table, once a front has read the level
+        if level.index is not None:
+            free = [p - sum(q < p for q in level.pivots) for p in range(level.positions)]
+            assert level.index == [-1 if p in level.rows else i for p, i in enumerate(free)]
     # the kernel is not empty from degree N on, so the rows are exercised
     assert all(tower.levels[n].rows for n in range(alg.N, 7))
+    assert tower.levels[alg.N].index is not None
+    # the build of the cubic's level D reads the levels below it, and
+    # nothing reads level D, so it holds no table
+    cubic = group_level("cubic_z3").tower()
+    cubic.ensure(7)
+    assert cubic.levels[7].rows and cubic.levels[7].index is None
+    assert cubic.levels[6].index is not None
 
 
 # Bytes the tower of cubic_z3 retains after ensure(9), measured with
