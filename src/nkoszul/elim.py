@@ -1,14 +1,18 @@
-"""Incremental row reduction on sparse raw-valued rows: the one elimination engine.
+"""Row reduction on sparse raw-valued rows: the one elimination engine.
 
 Rows are dicts mapping column index to a nonzero raw field element.  The
-eliminator keeps a fully reduced basis: each pivot column appears in exactly
-one row, with the entry ``field.one``.  Every normal form follows from one
-rule, ``normal_form``, which also serves rows kept without an eliminator.
-The coefficient of a basis row in a vector is the vector's entry at that
-row's pivot, so subtracting that multiple of each pivot row met in the
-vector's support, once, clears every pivot column.  Insertion order never
-changes the resulting row space, and the stored basis equals the canonical
-RREF basis of that space.
+engine keeps echelon rows keyed by pivot: a row's pivot is its first
+column, where its entry is ``field.one``, and it need not vanish at the
+other pivots.  An insert (``echelon_add``; ``SparseEliminator.add`` on a
+copy) reduces a row only until its first column is not a pivot, and so
+decides membership too: only a row of the span reduces to zero.  No
+caller needs more between inserts.  Rows read as a basis are swept once,
+after the last insert (``back_substitute``), into the canonical RREF
+basis of the span, which insertion order does not change.  Normal forms
+against swept rows follow from one rule, ``normal_form``: the
+coefficient of a swept row in a vector is the vector's entry at that
+row's pivot.  ``rank`` keeps no basis and pivots on the last column, for
+the reason its docstring gives.
 
 Every subspace in the package is held as such canonical rows (``Subspace``
 in ``scalar``), and the row operations built on the engine live here:
@@ -26,82 +30,39 @@ from source column to sparse column: the N-complex maps and the group
 elements' actions on V are held so.  Code elsewhere builds its sparse
 vectors and maps through these helpers rather than repeating the
 drop-on-cancel step.
-
-The one-shot consumers keep echelon rows, with no back-substitution per
-insert and no column index: ``rank`` needs no fully reduced basis at all,
-and a quotient tower level, read only once its last row is in, inserts
-with ``echelon_add`` and reduces once with ``back_substitute``.  The
-incremental ones, which reduce against the rows between inserts
-(``generators``, the span of a sub-bimodule under its actions), keep a
-``SparseEliminator``, and so, for now, do the other eliminations.
 """
 
 from __future__ import annotations
 
 
 class SparseEliminator:
-    """Maintains the RREF of a growing row space over a cyclotomic field."""
+    """Echelon rows of a growing row space, keyed by pivot, swept when read."""
 
     def __init__(self, field):
         self.field = field
         self.pivot_rows: dict[int, dict] = {}
-        # column -> pivots of the other rows with an entry in that column
-        self._col_index: dict[int, set[int]] = {}
 
     def reduce(self, row: dict) -> dict:
-        """Normal form of a row against the current basis (input unchanged)."""
-        return normal_form(self.field, self.pivot_rows, row)
+        """``row`` reduced until its first column is not a pivot (input
+        unchanged): empty exactly when ``row`` lies in the span."""
+        row = dict(row)
+        _reduce_lead(self.field, self.pivot_rows, row)
+        return row
 
     def add(self, row: dict) -> int | None:
-        """Insert a row; returns the new pivot column or None if dependent."""
-        field = self.field
-        red = self.reduce(row)
-        if not red:
-            return None
-        piv = min(red)
-        lead = red[piv]
-        if lead is not field.one:
-            scaled: dict = {}
-            add_scaled(field, scaled, red, field.inv(lead))
-            red = scaled
-        red[piv] = field.one
-        # Back-substitute into the rows holding the new pivot column, so the
-        # basis stays fully reduced.  Their entry there cancels by
-        # construction, so it is dropped and only the tail is added.
-        tail = {j: v for j, v in red.items() if j != piv}
-        for hp in self._col_index.pop(piv, ()):
-            hrow = self.pivot_rows[hp]
-            add_scaled(field, hrow, tail, negated(field, hrow.pop(piv)))
-            self._index(tail, hrow, hp)
-        self.pivot_rows[piv] = red
-        self._index(tail, red, piv)
-        return piv
+        """Insert a copy of ``row``; returns the new pivot column or None if dependent."""
+        return echelon_add(self.field, self.pivot_rows, dict(row))
 
-    def _index(self, cols, row: dict, pivot: int) -> None:
-        """Bring ``_col_index`` up to date on ``cols`` for the row with this pivot."""
-        index = self._col_index
-        for j in cols:
-            if j not in row:
-                holders = index[j]
-                holders.discard(pivot)
-                if not holders:
-                    del index[j]
-            elif j in index:
-                index[j].add(pivot)
-            else:
-                index[j] = {pivot}
-
-    def add_all(self, rows) -> int:
-        added = 0
+    def add_all(self, rows) -> None:
         for r in rows:
-            if self.add(r) is not None:
-                added += 1
-        return added
+            self.add(r)
 
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
 
     def rows_canonical(self) -> list[dict]:
+        """The canonical RREF rows of the span, by one sweep of the kept rows."""
+        back_substitute(self.field, self.pivot_rows)
         return [dict(self.pivot_rows[p]) for p in sorted(self.pivot_rows)]
 
 
@@ -201,25 +162,34 @@ def rank(field, rows) -> int:
 def echelon_add(field, rows: dict, row: dict) -> int | None:
     """Insert ``row`` (consumed) into echelon ``rows`` keyed by pivot; the new pivot or None.
 
-    An echelon row has its pivot, its first column, at entry one; it need
-    not vanish at the other pivots.  The row is reduced only until its first
-    column is not a pivot, and is kept from there.  That column is the
-    pivot ``SparseEliminator.add`` gives the same row: the fully reduced
+    The row is reduced only until its first column is not a pivot, then
+    scaled so that its entry there is one, and kept from there.  That column
+    is the pivot a fully reduced basis gives the same row: the fully reduced
     row differs from this one by an element of the span, whose first column
     is a pivot, and vanishes at every pivot, so the two agree up to that
     column.  So the pivots, and which rows are dependent, are the same.
     """
+    piv = _reduce_lead(field, rows, row)
+    if piv is None:
+        return None
+    lead = row[piv]
+    if lead is not field.one:
+        scaled: dict = {}
+        add_scaled(field, scaled, row, field.inv(lead))
+        row = scaled
+    row[piv] = field.one
+    rows[piv] = row
+    return piv
+
+
+def _reduce_lead(field, rows: dict, row: dict) -> int | None:
+    """Reduce ``row`` in place against echelon ``rows`` until its first column
+    is not a pivot: that column, or None once the row is zero; the one
+    reduction loop of ``echelon_add`` and ``SparseEliminator.reduce``."""
     while row:
         piv = min(row)
         prow = rows.get(piv)
         if prow is None:
-            lead = row[piv]
-            if lead is not field.one:
-                scaled: dict = {}
-                add_scaled(field, scaled, row, field.inv(lead))
-                row = scaled
-            row[piv] = field.one
-            rows[piv] = row
             return piv
         add_scaled(field, row, prow, negated(field, row.pop(piv)), skip=piv)
     return None
@@ -230,8 +200,8 @@ def reduced_row(field, rows: dict, piv: int) -> dict:
 
     Row ``piv`` less, in turn, the multiple of the row of its first entry
     at another pivot: that row starts there, so the entries at lower pivots
-    stay cleared.  This is ``SparseEliminator.pivot_rows[piv]`` for the
-    same inserts.
+    stay cleared.  This is row ``piv`` of the canonical rows of the span,
+    as ``back_substitute`` makes it, with no other row changed.
     """
     row = dict(rows[piv])
     while hits := [q for q in row if q != piv and q in rows]:
@@ -453,8 +423,9 @@ class TaggedRows:
     """Generator rows eliminated together with one tag column each.
 
     Generator i is inserted as its row plus a one in column ``ambient + i``,
-    with ``ambient`` beyond every generator column.  The canonical rows then
-    split at ``ambient``: those with an earlier pivot restrict to the
+    with ``ambient`` beyond every generator column, and the rows are swept
+    once after the last insert.  The canonical rows then split at
+    ``ambient``: those with an earlier pivot restrict to the
     canonical rows of the generators' span, and those with a pivot at a tag
     are the canonical rows of the kernel of the combination matrix, the
     coefficient vectors c with sum c_i g_i = 0.
@@ -468,6 +439,7 @@ class TaggedRows:
             row = dict(gen)
             row[ambient + i] = field.one
             self.elim.add(row)
+        back_substitute(field, self.elim.pivot_rows)
 
     def span_rows(self) -> list[dict]:
         amb = self.ambient
@@ -488,7 +460,7 @@ class TaggedRows:
         """
         field = self.field
         amb = self.ambient
-        residual = self.elim.reduce(vec)
+        residual = normal_form(field, self.elim.pivot_rows, vec)
         if any(c < amb for c in residual):
             raise ValueError("vector does not lie in the span of the generators")
         return sorted((c - amb, field.neg(v)) for c, v in residual.items())
@@ -498,10 +470,11 @@ def intersection(field, rows_a, rows_b, ambient: int) -> list[dict]:
     """Canonical RREF rows of span(rows_a) ∩ span(rows_b) in k^ambient.
 
     The Zassenhaus construction: the rows (a | a) and (b | 0) are eliminated
-    together, and the canonical rows with a pivot in the second half vanish
-    on the first half and are the canonical rows of the intersection.  The
-    kernel of the combination matrix (``Subspace.intersect_via_kernel``) is
-    the independent oracle the tests compare it with.
+    together and swept once, and the canonical rows with a pivot in the
+    second half vanish on the first half and are the canonical rows of the
+    intersection.  The kernel of the combination matrix
+    (``Subspace.intersect_via_kernel``) is the independent oracle the tests
+    compare it with.
     """
     elim = SparseEliminator(field)
     for r in rows_a:
@@ -510,4 +483,5 @@ def intersection(field, rows_a, rows_b, ambient: int) -> list[dict]:
         elim.add(block)
     elim.add_all(rows_b)
     rows = elim.pivot_rows
+    back_substitute(field, rows)
     return [{j - ambient: x for j, x in rows[p].items()} for p in sorted(rows) if p >= ambient]

@@ -175,7 +175,7 @@ def field_level(alg: HomogeneousAlgebra) -> Optional[HomogeneousAlgebra]:
 # A normal form of degree n keys its degree-n part by A_n basis index b and
 # each lower-degree standard monomial by _LOWER + i, with i = starts[d] + b
 # its global index (degrees ascending).  _LOWER exceeds every position, so
-# in a level's eliminator these keys come after the top degree.
+# in a level's rows these keys come after the top degree.
 _LOWER = 1 << 48
 
 
@@ -236,7 +236,7 @@ class _Level:
         """
         index = self.index
         if index is None:
-            index = self.index = self._index()
+            index = self.index = self._position_table()
         rows = self.rows
         lower = _LOWER
         base = j * width
@@ -261,7 +261,7 @@ class _Level:
             add_scaled(field, out, tail, negated(field, c))
         return out
 
-    def _index(self) -> list:
+    def _position_table(self) -> list:
         """Position -> quotient index, -1 at a pivot: the runs between pivots count on."""
         index = [-1] * self.positions
         start = 0

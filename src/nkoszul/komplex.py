@@ -342,16 +342,14 @@ class _XSpace:
 # -- the complex family -------------------------------------------------
 
 
-def _emit_to_slice(field, out: dict, index: dict, key, value) -> None:
-    """Accumulate ``value`` into column ``out`` at the slice position of ``key``.
-
-    Every map between truncated slices lands inside the bound, so a key
-    without a position is an internal error.
-    """
-    skey = index.get(key)
-    if skey is None:
+def _slice_slot(runs: list, pos: int, t: int) -> int:
+    """The position shift + t of (pos, t) in a slice basis, from the run
+    (first, shift) of left factor pos.  Every map between truncated slices
+    lands inside the bound, so a row t < first is an internal error."""
+    first, shift = runs[pos]
+    if t < first:
         raise RuntimeError("image left the truncated slice")
-    accumulate(field, out, skey, value)
+    return shift + t
 
 
 class NComplexSlice:
@@ -395,7 +393,7 @@ class NComplexSlice:
         self._restrictions: dict[int, NComplexSlice] = {}
         self._x: dict[int, _XSpace] = {}
         self._slice_basis: dict[int, list] = {}
-        self._slice_index: dict[int, dict] = {}
+        self._slice_runs: dict[int, list] = {}
         self._dl: dict[int, dict] = {}
         self._dr: dict[int, dict] = {}
         self._contraction: dict[int, dict] = {}
@@ -477,18 +475,19 @@ class NComplexSlice:
         """Pairs (pos, t): the rows t of ``x_space(n)`` that fit beside left
         factor pos, those of level at most the room bound - n - deg b0 it
         leaves, are the last ``rows_within(n, room)`` ones, as ``level``
-        never rises."""
+        never rises.  So each left factor has one run of rows, which
+        ``_slice_slot`` reads positions from."""
         if n not in self._slice_basis:
             dim = self.x_space(n).dim
             top = self.bound - n
             degree = self.tu.basis
-            out = [
-                (pos, t)
-                for pos, b0_idx in enumerate(self.b0)
-                for t in range(dim - self.rows_within(n, top - degree[b0_idx][0]), dim)
-            ]
+            out: list = []
+            runs = self._slice_runs[n] = []
+            for pos, b0_idx in enumerate(self.b0):
+                first = dim - self.rows_within(n, top - degree[b0_idx][0])
+                runs.append((first, len(out) - first))
+                out.extend((pos, t) for t in range(first, dim))
             self._slice_basis[n] = out
-            self._slice_index[n] = {key: i for i, key in enumerate(out)}
         return self._slice_basis[n]
 
     def slice_dim(self, n: int) -> int:
@@ -522,7 +521,7 @@ class NComplexSlice:
         x_hi = self.x_space(n)
         x_lo = self.x_space(n - 1)
         self.basis(n - 1)
-        index = self._slice_index[n - 1]
+        runs = self._slice_runs[n - 1]
         act_cache: dict[tuple[int, int], list] = self._act_cache.setdefault(n - 1, {})
         splits = [x_hi.first_letter_split(t, x_lo) for t in range(x_hi.dim)]
         right_mult_letter = self.tu.right_mult_letter
@@ -543,9 +542,7 @@ class NComplexSlice:
                                 targets = act_cache[(g, t1)] = x_lo.group_action(g, t1)
                         for t2, c2 in targets:
                             value = _mul(field, cu, _mul(field, cx, c2))
-                            key = index.get((pos2, t2))
-                            if key is None:
-                                raise RuntimeError("image left the truncated slice")
+                            key = _slice_slot(runs, pos2, t2)
                             cur = out.get(key)
                             if cur is None:
                                 out[key] = value
@@ -567,13 +564,13 @@ class NComplexSlice:
         x_hi = self.x_space(n)
         x_lo = self.x_space(n - 1)
         self.basis(n - 1)
-        index = self._slice_index[n - 1]
+        runs = self._slice_runs[n - 1]
         nus = [x_hi.last_letter_image(t, x_lo) for t in range(x_hi.dim)]
         cols: dict = {}
         for src, (pos, t) in enumerate(self.basis(n)):
             out: dict = {}
             for t2, c in nus[t]:
-                _emit_to_slice(field, out, index, (pos, t2), c)
+                accumulate(field, out, _slice_slot(runs, pos, t2), c)
             cols[src] = out
         self._dr[n] = cols
         return cols
@@ -596,7 +593,7 @@ class NComplexSlice:
         x_hi = self.x_space(n)
         x_lo = self.x_space(n - N)
         self.basis(n - N)
-        index = self._slice_index[n - N]
+        runs = self._slice_runs[n - N]
         r_rows = self._alg.R.basis_sparse()
         low = w_rows(self._alg, n - N, self._alg.w_cache)
         if left:
@@ -635,7 +632,7 @@ class NComplexSlice:
                                 image = lowered[(kappa2, b2)] = x_lo.express(x_lo._embed(kappa2, b2))
                             for t2, c5 in image:
                                 term = field.mul(scale, field.mul(c4, c5))
-                                _emit_to_slice(field, out, index, (pos, t2), term)
+                                accumulate(field, out, _slice_slot(runs, pos, t2), term)
             cols[src] = out
         return cols
 
@@ -914,7 +911,10 @@ class WedgeComplex:
         ]
 
     def _emit(self, out: dict, m_low: int, pos: int, combo: tuple, b_idx: int, coeff) -> None:
-        _emit_to_slice(self.ctx.field, out, self._index[m_low], (pos, combo, b_idx), coeff)
+        skey = self._index[m_low].get((pos, combo, b_idx))
+        if skey is None:
+            raise RuntimeError("image left the truncated slice")
+        accumulate(self.ctx.field, out, skey, coeff)
 
     def _left_term(self, out: dict, m_low: int, b0_idx: int, letter: int, combo: tuple, b_idx: int, scale) -> None:
         """(b0 · v_letter) (x) combo (x) b, normalized over b0 · Gamma."""
@@ -994,7 +994,7 @@ class WedgeComplex:
         fam = self.family
         x = fam.x_space(m)
         fam.basis(m)
-        index = fam._slice_index[m]
+        runs = fam._slice_runs[m]
         alts: dict[tuple, list] = {}  # combo -> Alt(combo) as (word number, raw)
         images: dict[tuple, list] = {}  # (combo, b) -> Alt(combo) (x) b over x's rows
         cols = {}
@@ -1013,7 +1013,7 @@ class WedgeComplex:
                 image = images[(combo, b_idx)] = x.express(vec)
             out: dict = {}
             for t, c in image:
-                _emit_to_slice(field, out, index, (pos, t), c)
+                accumulate(field, out, _slice_slot(runs, pos, t), c)
             cols[src] = out
         self._iso[m] = cols
         return cols

@@ -9,8 +9,8 @@ Everything downstream rests on three types:
   sparse raw columns (``MatrixS.sparse_columns``), and ``rref`` and
   ``rank`` its sparse rows,
 * ``Subspace`` -- a subspace of k^n held by the canonical sparse RREF rows
-  of ``elim.SparseEliminator``, so that equal subspaces have identical rows
-  entry for entry.
+  of its span (``elim.canonical_rows``), so that equal subspaces have
+  identical rows entry for entry.
 
 The subspace operations (sum, intersection, kernel, image, membership) run
 on the sparse engine, are pure functions of their inputs and always return
@@ -389,7 +389,7 @@ def _dense(field, row: dict, n: int) -> list:
 def rref_raw(field, rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form of dense raw-valued rows.  Returns (rows, pivots).
 
-    A dense view of the canonical rows of ``SparseEliminator``.
+    A dense view of the canonical rows of ``elim.canonical_rows``.
     """
     if not rows:
         return [], []
@@ -401,7 +401,7 @@ def rref_raw(field, rows: list[list]) -> tuple[list[list], list[int]]:
 class Subspace:
     """A subspace of k^n held by its canonical RREF rows.
 
-    ``rows`` are the sparse canonical rows of ``SparseEliminator`` (column to
+    ``rows`` are the sparse canonical rows of ``elim.canonical_rows`` (column to
     raw value, sorted by pivot, pivot entry one, each pivot column zero in
     every other row); callers must not mutate them.
     """

@@ -44,13 +44,14 @@ from itertools import combinations
 from math import comb
 
 from nkoszul.cyclo import get_field
-from nkoszul.elim import SparseEliminator, accumulate, add_scaled, compose_maps, maps_equal, negated, rank
+from nkoszul.elim import accumulate, add_scaled, compose_maps, maps_equal, negated, rank
 from nkoszul.filtered import PhiMap
 from nkoszul.grouppres import PsiMap, _id_minus_signed, _over
 from nkoszul.homogeneous import HomogeneousAlgebra, zeta_degrees
 from nkoszul.komplex import ContractionReport, NComplexSlice, WedgeComplex, map_difference, map_is_zero
 from nkoszul.scalar import DimensionMismatch, Scalar, to_raw
 from nkoszul.smashtensor import FilteredSubspace, GroupData, Subbimodule, TensorContext, placement, product_EF
+from reduced_eliminator import ReducedEliminator
 
 
 def check_lemma22(E: Subbimodule, Ep: Subbimodule, F: Subbimodule, Fp: Subbimodule, which: str) -> bool:
@@ -217,7 +218,7 @@ def change_of_rings(alg: HomogeneousAlgebra, group: GroupData) -> HomogeneousAlg
     # stability check: rho(g) applied slotwise preserves the relation space
     order = group.order
     lifted = [{c * order: v for c, v in r.items()} for r in alg.R.basis_sparse()]
-    elim = SparseEliminator(alg.ctx.field)
+    elim = ReducedEliminator(alg.ctx.field)
     elim.add_all(alg.R.basis_sparse())
     for g in group.generators:
         for r in lifted:

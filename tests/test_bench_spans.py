@@ -9,6 +9,7 @@ by position; a rename in ``src`` would otherwise only break
 import importlib
 import importlib.util
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -51,3 +52,27 @@ def test_w_rows_keeps_the_parameters_the_tracer_reads():
     homogeneous = importlib.import_module("nkoszul.homogeneous")
     params = list(inspect.signature(homogeneous.w_rows).parameters)
     assert params == ["alg", "n", "cache"]
+
+
+def test_eliminator_add_returns_what_the_tracer_counts():
+    # ``_on_add_return`` counts a non-None return of ``SparseEliminator.add``
+    # as an inserted row: the add returns the new pivot for an independent
+    # row, which need not be the row's first column, and None for a
+    # dependent one
+    tracing = load_tracing()
+    elim = importlib.import_module("nkoszul.elim")
+    field = importlib.import_module("nkoszul.cyclo").get_field(1)
+    eliminator = elim.SparseEliminator(field)
+    rows = [
+        {2: 3, 4: 1},
+        {1: 1, 2: 1},
+        {1: 2, 2: 5, 4: 1},  # twice the second row plus the first
+        {1: 1, 2: 2},  # the second row plus a third of the first, less e_4 / 3
+    ]
+    rows = [{c: field.from_fraction(Fraction(v)) for c, v in row.items()} for row in rows]
+    returns = [eliminator.add(row) for row in rows]
+    assert returns == [2, 1, None, 4]
+    tracer = tracing.Tracer()
+    for pivot in returns:
+        tracer._on_add_return(pivot)
+    assert tracer.counters["elim.rows_inserted"] == 3

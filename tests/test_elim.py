@@ -29,6 +29,7 @@ from nkoszul.elim import (
 )
 from nkoszul.scalar import MatrixS, Scalar, Subspace, rref, rref_raw
 from nkoszul.smashtensor import GroupData, TensorContext
+from reduced_eliminator import ReducedEliminator
 
 Q = get_field(1)
 
@@ -100,7 +101,7 @@ def test_normal_form_cancels_the_pivot_entry_without_arithmetic():
     # coefficient 2 is negated once, then one product and one addition
     # into column 2; the pivot columns 0 and 1 cost no arithmetic
     assert field.calls == {"neg": 2, "mul": 1, "add": 1, "is_zero": 2}
-    eliminator = SparseEliminator(Q)
+    eliminator = ReducedEliminator(Q)
     eliminator.add_all(rows.values())
     assert eliminator.reduce(vec) == out
     # express reads the same coefficients and clears the pivots the same way
@@ -397,51 +398,6 @@ def random_entry(rng, field):
             return x
 
 
-def assert_fully_reduced(field, elim):
-    rows = elim.pivot_rows
-    occupancy: dict = {}
-    for p, row in rows.items():
-        assert min(row) == p and row[p] is field.one
-        assert all(q not in row for q in rows if q != p)
-        for j in row:
-            if j != p:
-                occupancy.setdefault(j, set()).add(p)
-    assert elim._col_index == occupancy
-
-
-@pytest.mark.parametrize("conductor", [1, 3])
-def test_eliminator_invariants_under_shuffled_insertion(conductor):
-    field = get_field(conductor)
-    rng = random.Random(20 + conductor)
-    width = 7
-    for _ in range(25):
-        rows = [
-            {c: random_entry(rng, field) for c in rng.sample(range(width), rng.randint(1, 4))}
-            for _ in range(rng.randint(1, 6))
-        ]
-        # a dependent row, so that some insertions reduce to zero
-        rows.append(combine(field, rows, [(0, random_entry(rng, field)), (len(rows) - 1, field.one)]))
-        canonical = None
-        for _ in range(3):
-            order = rows[:]
-            rng.shuffle(order)
-            elim = SparseEliminator(field)
-            for r in order:
-                elim.add(r)
-                assert_fully_reduced(field, elim)
-            if canonical is None:
-                canonical = elim.rows_canonical()
-            assert elim.rows_canonical() == canonical
-        index = pivot_index(canonical)
-        for _ in range(5):
-            v = {c: random_entry(rng, field) for c in rng.sample(range(width), rng.randint(0, width))}
-            red = elim.reduce(v)
-            assert not set(red) & set(index)
-            diff = dict(v)
-            add_scaled(field, diff, red, field.neg(field.one))
-            assert combine(field, canonical, express(field, canonical, index, diff)) == diff
-
-
 def random_field_rows(rng, field, count, width):
     """Sparse rows over ``field`` with small coefficients, some denominators,
     and about a third of them combinations of earlier rows, so ranks drop."""
@@ -463,7 +419,7 @@ def random_field_rows(rng, field, count, width):
 
 def eliminated_rank(field, rows) -> int:
     """The rank by the fully reduced engine, the oracle for ``rank``."""
-    eliminator = SparseEliminator(field)
+    eliminator = ReducedEliminator(field)
     eliminator.add_all(rows)
     return len(eliminator.pivot_rows)
 
@@ -484,28 +440,88 @@ def test_echelon_rank_matches_the_eliminator(conductor):
 @pytest.mark.parametrize("conductor", [1, 3])
 def test_the_level_builder_matches_the_eliminator(conductor):
     """Echelon inserts, a pivot's reduced row on demand and one sweep at the
-    end, against ``SparseEliminator`` fed the same rows in the same order."""
+    end, and ``SparseEliminator`` asked for membership between inserts,
+    against the fully reduced ``ReducedEliminator`` fed the same rows in the
+    same order."""
     field = get_field(conductor)
     rng = random.Random(40 + conductor)
-    dependent = unreduced = 0
+    probes = random.Random(60 + conductor)
+    dependent = unreduced = inside = outside = 0
     for _ in range(60):
         rows = random_field_rows(rng, field, rng.randint(1, 10), rng.randint(2, 9))
         rng.shuffle(rows)
+        copies = [dict(r) for r in rows]
+        ref = ReducedEliminator(field)
         elim = SparseEliminator(field)
         echelon: dict = {}
-        for row in rows:
+        for k, row in enumerate(rows):
             piv = echelon_add(field, echelon, dict(row))
-            assert piv == elim.add(row)
+            assert piv == ref.add(row) == elim.add(row)
             dependent += piv is None
             if piv is not None:
                 assert min(echelon[piv]) == piv and echelon[piv][piv] is field.one
-                assert reduced_row(field, echelon, piv) == elim.pivot_rows[piv]
-        unreduced += echelon != elim.pivot_rows
+                assert reduced_row(field, echelon, piv) == ref.pivot_rows[piv]
+            assert elim.pivot_rows == echelon
+            # a combination of the rows so far, and a row that may come later
+            combo = combine(field, rows, [(i, random_entry(probes, field)) for i in range(k + 1)])
+            for vec in (combo, probes.choice(rows)):
+                red = elim.reduce(vec)
+                assert elim.contains(vec) == (not red) == ref.contains(vec)
+                if red:
+                    outside += 1
+                    assert min(red) not in echelon and ref.reduce(red) == ref.reduce(vec)
+                else:
+                    inside += 1
+        unreduced += echelon != ref.pivot_rows
+        assert elim.rows_canonical() == ref.rows_canonical()
         back_substitute(field, echelon)
-        assert echelon == elim.pivot_rows
+        assert echelon == ref.pivot_rows
         assert [echelon[p] for p in sorted(echelon)] == canonical_rows(field, rows)
-    # rows that reduce to zero, and levels that the sweep changes
-    assert dependent >= 20 and unreduced >= 20
+        assert rows == copies
+    # rows that reduce to zero, levels that the sweep changes, and both
+    # membership answers
+    assert dependent >= 20 and unreduced >= 20 and inside >= 100 and outside >= 50
+
+
+@pytest.mark.parametrize("conductor", [1, 3])
+def test_tagged_rows_and_intersection_sweep_to_the_reference(conductor):
+    """``TaggedRows`` and ``intersection`` sweep once after their last
+    insert: the split rows and the solutions equal those read off the fully
+    reduced tagged rows, and the intersection equals the kernel oracle."""
+    field = get_field(conductor)
+    rng = random.Random(80 + conductor)
+    raised = 0
+    for _ in range(40):
+        width = rng.randint(1, 7)
+        gens = random_field_rows(rng, field, rng.randint(0, 8), width)
+        tagged = TaggedRows(field, gens, width)
+        ref = ReducedEliminator(field)
+        for i, gen in enumerate(gens):
+            ref.add({**gen, width + i: field.one})
+        rows = ref.pivot_rows
+        assert tagged.span_rows() == [
+            {c: v for c, v in rows[p].items() if c < width} for p in sorted(rows) if p < width
+        ]
+        kernel = tagged.kernel_rows()
+        assert kernel == [{c - width: v for c, v in rows[p].items()} for p in sorted(rows) if p >= width]
+        assert all(combine(field, gens, k.items()) == {} for k in kernel)
+        combo = combine(field, gens, [(i, random_entry(rng, field)) for i in range(len(gens))])
+        other = random_field_rows(rng, field, 1, width)[0]
+        for vec in (combo, other):
+            residual = ref.reduce(vec)
+            if any(c < width for c in residual):
+                raised += 1
+                with pytest.raises(ValueError):
+                    tagged.solve(vec)
+            else:
+                solution = tagged.solve(vec)
+                assert solution == sorted((c - width, field.neg(v)) for c, v in residual.items())
+                assert combine(field, gens, solution) == vec
+        cut = rng.randint(0, len(gens))
+        a, b = gens[:cut], gens[cut:]
+        spans = [Subspace.from_rows(width, part, conductor) for part in (a, b)]
+        assert intersection(field, a, b, width) == spans[0].intersect_via_kernel(spans[1]).rows
+    assert raised >= 5
 
 
 def test_rref_raw_is_the_dense_view_of_the_canonical_rows():

@@ -26,6 +26,7 @@ from nkoszul.komplex import (
     TruncatedU,
     UnsupportedStructure,
     WedgeComplex,
+    _slice_slot,
     alternating_step_sum,
     check_dN_zero,
     compose_maps,
@@ -43,6 +44,7 @@ from paper_checks import (
     full_slice_wedge_agreement,
     power,
 )
+from reduced_eliminator import ReducedEliminator
 from test_elim import CountingField
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
@@ -423,17 +425,16 @@ def test_exactness_ranks_invariant_under_basis_shuffle():
     fam = NComplexSlice(pres, 6)
     rep = contracted_complex(fam)
     rng = random.Random(5)
-    from nkoszul.elim import SparseEliminator
 
     field = fam.ctx.field
     d1 = map_difference(fam.d_left(1), fam.d_right(1), field, fam.slice_dim(1))
     cols = [dict(v) for v in d1.values()]
     rng.shuffle(cols)
-    elim = SparseEliminator(field)
+    elim = ReducedEliminator(field)
     for c in cols:
         elim.add(c)
     full_rank = len(elim.pivot_rows)
-    elim2 = SparseEliminator(field)
+    elim2 = ReducedEliminator(field)
     for c in d1.values():
         elim2.add(dict(c))
     assert full_rank == len(elim2.pivot_rows)
@@ -1045,12 +1046,30 @@ def test_levels_never_rise_and_slices_are_counted_by_the_first_fitting_row(name,
             assert family.basis(n) == listed_slice(family, n)
 
 
+@pytest.mark.parametrize("name, make, D", ORACLE_INPUTS, ids=[name for name, _, _ in ORACLE_INPUTS])
+def test_slice_positions_are_the_run_offsets(name, make, D):
+    """The position arithmetic of ``_slice_slot`` is ``enumerate(basis(n))``,
+    and the last row before a left factor's run has no position."""
+    fam = NComplexSlice(make(), D)
+    for family in [fam] + [fam.restricted(b) for b in range(D)]:
+        for n in range(family.max_n + 2):
+            basis = family.basis(n)
+            runs = family._slice_runs[n]
+            assert [_slice_slot(runs, pos, t) for pos, t in basis] == list(range(len(basis)))
+            dim = family.x_space(n).dim
+            for pos in range(len(family.b0)):
+                first = min([t for p, t in basis if p == pos], default=dim)
+                if first:
+                    with pytest.raises(RuntimeError, match="left the truncated slice"):
+                        _slice_slot(runs, pos, first - 1)
+
+
 def test_the_contraction_lists_no_slice_of_the_bound_family():
     fam = fresh_sr_z6()
     contracted_complex(fam)
     # top and dim_total are counted from degree blocks; the spaces and
     # the lists are the restrictions'
-    assert not fam._x and not fam._slice_basis and not fam._slice_index
+    assert not fam._x and not fam._slice_basis and not fam._slice_runs
     assert all(low._slice_basis for low in fam._restrictions.values())
 
 

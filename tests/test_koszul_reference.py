@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from nkoszul.elim import SparseEliminator, TaggedRows, accumulate, combine, express, pivot_index
+from nkoszul.elim import TaggedRows, accumulate, combine, express, pivot_index
 from nkoszul.filtered import build_lie, prefix_split
 from nkoszul.homogeneous import (
     DegreeCertificate,
@@ -36,6 +36,7 @@ from nkoszul.jsonio import load_input
 from nkoszul.scalar import MatrixS, Scalar
 from nkoszul.smashtensor import GroupData, Subbimodule, TensorContext
 from paper_checks import change_of_rings
+from reduced_eliminator import ReducedEliminator
 from test_tower_step import level_reduce
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
@@ -76,7 +77,7 @@ class BalancedTensor:
         field = ctx.field
         na = tower.adim(a)
         ns = len(rows)
-        elim = SparseEliminator(field)
+        elim = ReducedEliminator(field)
         index = pivot_index(rows)
         reps = tower.reps(a) if ctx.group.generators else []
         for g in ctx.group.generators:
@@ -114,7 +115,7 @@ def reference_certificate(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
     comp_zero = True
     for idx in range(1, len(zetas) - 1):
         m_lo = zetas[idx - 1]
-        elim = SparseEliminator(field)
+        elim = ReducedEliminator(field)
         for rrow in alg.R.basis_sparse():
             for lrow in w_sparse[m_lo]:
                 elim.add(ctx.row_product(rrow, lrow, m_lo))
@@ -155,7 +156,7 @@ def reference_certificate(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
             m_prev = zetas[i - 1]
             bt = bt_for(d - m_prev, m_prev)
             ns = len(w_sparse[m_prev])
-            elim = SparseEliminator(field)
+            elim = ReducedEliminator(field)
             for word in all_words(ctx, d - zetas[i]):
                 for triples in expansions[i]:
                     vec: dict = {}
@@ -204,7 +205,7 @@ def scalar_extension_slice_by_elimination(alg: HomogeneousAlgebra):
         slice_rows.append({c // order: v for c, v in vec.items()})
     if len(slice_rows) * order != alg.R.dim:
         return None
-    elim = SparseEliminator(field)
+    elim = ReducedEliminator(field)
     elim.add_all(rows)
     for s in slice_rows:
         for g in range(order):

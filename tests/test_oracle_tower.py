@@ -37,13 +37,13 @@ from nkoszul.filtered import (
     oracle_pbw,
     pbw_verdict,
 )
-from nkoszul.elim import SparseEliminator
 from nkoszul.grouppres import PsiMap, build_H_psi
 from nkoszul.homogeneous import _Tower
 from nkoszul.jsonio import load_input
 from nkoszul.komplex import NComplexSlice, TruncatedU
 from nkoszul.scalar import MatrixS, Scalar
 from nkoszul.smashtensor import Filtration, FilteredSubspace, GroupData, TensorContext, terms_to_json
+from reduced_eliminator import ReducedEliminator
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -72,7 +72,7 @@ def reference(pres, D):
     """
     ctx = pres.ctx
     layout = Filtration(ctx, D)
-    elim = SparseEliminator(ctx.field)
+    elim = ReducedEliminator(ctx.field)
     ref = SimpleNamespace(ctx=ctx, D=D, layout=layout, elim=elim, j_dims={}, equalities={}, witness=None)
     p_rows = pres.P.extend_top(D).basis_sparse()
     pv_rows = p_rows  # P · V^{⊗m}, advanced each degree
@@ -234,7 +234,7 @@ def placement_span(pres, top):
     def vector(terms):
         return {index.setdefault(key, len(index)): c.raw for key, c in terms.items() if not c.is_zero()}
 
-    span = SparseEliminator(field)
+    span = ReducedEliminator(field)
     for i in range(top - pres.N + 1):
         for j in range(top - pres.N - i + 1):
             for left in itertools.product(range(ctx.dimV), repeat=i):

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from nkoszul.elim import SparseEliminator, add_scaled
+from nkoszul.elim import add_scaled
 from nkoszul.homogeneous import koszul_complex_check
 from nkoszul.jsonio import load_input
+from reduced_eliminator import ReducedEliminator
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -44,7 +45,7 @@ def eliminated_rank(alg, n):
     ctx = alg.ctx
     field = ctx.field
     tower = alg.tower()
-    elim = SparseEliminator(field)
+    elim = ReducedEliminator(field)
     for word in product(range(ctx.dimV), repeat=n - alg.N):
         for rrow in alg.R.basis_sparse():
             vec: dict = {}

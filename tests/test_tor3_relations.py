@@ -14,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from nkoszul.elim import SparseEliminator, accumulate, pivot_index
+from nkoszul.elim import accumulate, pivot_index
 from nkoszul.filtered import build_lie, prefix_split
 from nkoszul.homogeneous import HomogeneousAlgebra, check_tor3_concentration, w_rows
 from nkoszul.jsonio import load_input
 from nkoszul.scalar import Scalar
 from nkoszul.smashtensor import GroupData, Subbimodule, TensorContext
+from reduced_eliminator import ReducedEliminator
 from test_koszul_reference import BalancedTensor, all_words
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
@@ -52,7 +53,7 @@ def tor3_relation_holds(alg, n, w_cache):
     lower = ctx.component_dim(N)
     index = pivot_index(r_rows)
     splits = [prefix_split(field, w, lower, r_rows, index) for w in wn1]
-    elim = SparseEliminator(field)
+    elim = ReducedEliminator(field)
     ns = len(r_rows)
     for word in all_words(ctx, a - 1):
         for split in splits:

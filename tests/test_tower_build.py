@@ -20,10 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from nkoszul.elim import SparseEliminator, add_scaled
+from nkoszul.elim import add_scaled
 from nkoszul.filtered import OracleEngine
 from nkoszul.homogeneous import _LOWER, _Level, _Tower
 from nkoszul.jsonio import load_input, parse_input
+from reduced_eliminator import ReducedEliminator
 from test_oracle_tower import all_graded_relations, all_relations, random_presentation, reference
 from test_s3_cherednik_report import S3_CHEREDNIK
 from test_tower_step import level_reduce
@@ -45,7 +46,7 @@ class ReferenceTower(_Tower):
                 return self.failed
             lv = len(self.levels)
             positions = ctx.dimV * self.levels[-1].adim
-            elim = SparseEliminator(field)
+            elim = ReducedEliminator(field)
             if lv >= self.N:
                 images = {}
                 lower_reps = self.reps(lv - self.N)

@@ -18,6 +18,7 @@ import pytest
 from nkoszul.elim import SparseEliminator, accumulate, add_scaled, express, pivot_index
 from nkoszul.homogeneous import _Level, w_rows
 from nkoszul.jsonio import load_input
+from reduced_eliminator import ReducedEliminator
 from test_koszul_reference import BalancedTensor
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
@@ -33,7 +34,7 @@ class StoredTower:
         self.ctx = ctx = alg.ctx
         order = ctx.order
         self.levels = [
-            (SparseEliminator(ctx.field), order, {g: g for g in range(order)}, [((), g) for g in range(order)])
+            (ReducedEliminator(ctx.field), order, {g: g for g in range(order)}, [((), g) for g in range(order)])
         ]
         self.memo = {((), g): {g: ctx.field.one} for g in range(order)}
 
@@ -52,7 +53,7 @@ class StoredTower:
             lv = len(self.levels)
             prev = self.levels[-1]
             width = prev[1]
-            elim = SparseEliminator(field)
+            elim = ReducedEliminator(field)
             if lv >= self.N:
                 for terms in split:
                     for wb, gb in self.levels[lv - self.N][3]:
@@ -183,7 +184,7 @@ def test_balanced_tensor_matches_the_free_position_index(a):
     bt = BalancedTensor(tower, a, rows, degree)
     # the balance rows, eliminated and indexed as before
     na, ns = tower.adim(a), len(rows)
-    elim = SparseEliminator(field)
+    elim = ReducedEliminator(field)
     index = pivot_index(rows)
     reps = tower.reps(a)
     for g in ctx.group.generators:
