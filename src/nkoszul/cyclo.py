@@ -15,8 +15,9 @@ equal elements have equal raw values, and ``==`` and hashing work on them
 directly.  Signs are the field's own objects: every constructor and
 operation returns ``field.one`` or ``field.minus_one`` itself for a result
 equal to 1 or -1 (``_sign(t, t)`` on every result), so code elsewhere
-skips a product by a sign with an ``is`` test and never restores the
-objects.  Phi_m is monic, so
+never restores the objects, and a product by a sign is skipped with an
+``is`` test: in ``elim.times``, the one product of two raw values, and
+inline in ``elim``'s scaled-row loops.  Phi_m is monic, so
 the reduction modulo Phi_m stays integral and a product is normalized
 once; sums and products of integral elements (den = 1, nearly all of
 them) need no gcd at all.

@@ -16,7 +16,11 @@ the reason its docstring gives.
 
 Every subspace in the package is held as such canonical rows (``Subspace``
 in ``scalar``), and the row operations built on the engine live here:
-adding one value into a sparse row (``accumulate``), adding a scaled row
+the negative and the product of raw values, with no field operation for
+a sign (``negated``, ``times``: outside ``cyclo`` and ``Scalar``, raw
+values are multiplied only by ``times`` or in the scaled-row loops below,
+which take the same sign paths inline), adding one value into a sparse
+row (``accumulate``), adding a scaled row
 (``add_scaled``, the one scaled-row loop, and ``add_shifted``, the same
 loop onto columns moved by a constant) or a scaled column map
 (``add_maps``), composing and comparing column maps (``compose_maps``,
@@ -91,6 +95,19 @@ def negated(field, c):
     if c is field.minus_one:
         return field.one
     return field.neg(c)
+
+
+def times(field, a, b):
+    """a * b, without a field product when a factor is a sign."""
+    if a is field.one:
+        return b
+    if b is field.one:
+        return a
+    if a is field.minus_one:
+        return negated(field, b)
+    if b is field.minus_one:
+        return negated(field, a)
+    return field.mul(a, b)
 
 
 def canonical_rows(field, rows) -> list[dict]:
@@ -472,7 +489,9 @@ def intersection(field, rows_a, rows_b, ambient: int) -> list[dict]:
     The Zassenhaus construction: the rows (a | a) and (b | 0) are eliminated
     together and swept once, and the canonical rows with a pivot in the
     second half vanish on the first half and are the canonical rows of the
-    intersection.  The kernel of the combination matrix
+    intersection.  Only those rows are swept: a row has no entry before its
+    pivot, so a row with a pivot at or past ``ambient`` meets only rows like
+    it.  The kernel of the combination matrix
     (``Subspace.intersect_via_kernel``) is the independent oracle the tests
     compare it with.
     """
@@ -482,6 +501,6 @@ def intersection(field, rows_a, rows_b, ambient: int) -> list[dict]:
         block.update((ambient + j, x) for j, x in r.items())
         elim.add(block)
     elim.add_all(rows_b)
-    rows = elim.pivot_rows
+    rows = {p: row for p, row in elim.pivot_rows.items() if p >= ambient}
     back_substitute(field, rows)
-    return [{j - ambient: x for j, x in rows[p].items()} for p in sorted(rows) if p >= ambient]
+    return [{j - ambient: x for j, x in rows[p].items()} for p in sorted(rows)]

@@ -33,7 +33,7 @@ from itertools import combinations
 from typing import Optional
 
 from .cyclo import get_field
-from .elim import TaggedRows, accumulate, add_scaled, negated
+from .elim import TaggedRows, accumulate, add_scaled, negated, times
 from .filtered import FilteredPresentation
 from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, to_raw
 from .smashtensor import (
@@ -100,8 +100,7 @@ def wedge(field, vectors) -> dict:
     in S, and otherwise (-1)^k e_(S ∪ {i}), k the members of S above i.
     Keys are ascending tuples of coordinates.
     """
-    one = field.one
-    out = {(): one}
+    out = {(): field.one}
     for vec in vectors:
         nxt: dict = {}
         for S, c in out.items():
@@ -109,7 +108,7 @@ def wedge(field, vectors) -> dict:
                 pos = bisect_left(S, i)
                 if pos < len(S) and S[pos] == i:
                     continue
-                term = c if x is one else x if c is one else field.mul(c, x)
+                term = times(field, c, x)
                 if (len(S) - pos) % 2:
                     term = negated(field, term)
                 accumulate(field, nxt, S[:pos] + (i,) + S[pos:], term)
@@ -119,23 +118,11 @@ def wedge(field, vectors) -> dict:
 
 def _paired(field, table: dict, w: dict):
     """One component of psi (wedge key -> Scalar) on a raw wedge-basis vector."""
-    one, minus_one = field.one, field.minus_one
     total = field.zero
     for combo, c in w.items():
         v = table.get(combo)
         if v is not None:
-            v = to_raw(field, v)
-            if c is one:
-                term = v
-            elif c is minus_one:
-                term = field.neg(v)
-            elif v is one:
-                term = c
-            elif v is minus_one:
-                term = field.neg(c)
-            else:
-                term = field.mul(v, c)
-            total = field.add(total, term)
+            total = field.add(total, times(field, to_raw(field, v), c))
     return total
 
 
@@ -351,7 +338,7 @@ def build_psi_corollary45(
             for target, c in wedge(field, [t_inv[i] for i in combo]).items():
                 value = on_component.get(target)
                 if value is not None:
-                    total = field.add(total, field.mul(c, value))
+                    total = field.add(total, times(field, c, value))
             if not field.is_zero(total):
                 table[combo] = Scalar(field, total)
         if factors is not None:

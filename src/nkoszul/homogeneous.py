@@ -67,6 +67,7 @@ from .elim import (
     negated,
     rank,
     reduced_row,
+    times,
 )
 from .scalar import DimensionMismatch
 from .smashtensor import (
@@ -794,7 +795,7 @@ def _koszul_certificate(alg: HomogeneousAlgebra, D: int) -> KoszulCertificate:
                     word, g = ctx.word_of(coord, m)
                     tail = split.setdefault((word[:delta], g), {})
                     for tw, c in ctx.apply_group_to_word(inverses[g], word[delta:]):
-                        accumulate(field, tail, ctx.word_num(tw), field.mul(raw, c))
+                        accumulate(field, tail, ctx.word_num(tw), times(field, raw, c))
                 splits[m, delta].append(split)
         width = ctx.dimV ** (m - delta)
 

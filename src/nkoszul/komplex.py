@@ -75,9 +75,9 @@ from .elim import (
     express,
     generators,
     maps_equal,
-    negated,
     pivot_index,
     rank,
+    times,
 )
 from .filtered import FilteredPresentation, build_phi
 from .grouppres import wedge
@@ -88,20 +88,6 @@ from .smashtensor import alternating_sum_terms
 
 class UnsupportedStructure(ValueError):
     """The truncated algebra lacks the structure a construction needs."""
-
-
-def _mul(field, a, b):
-    """a * b, without a field product when a factor is a sign object."""
-    one, minus_one = field.one, field.minus_one
-    if a is one:
-        return b
-    if b is one:
-        return a
-    if a is minus_one:
-        return negated(field, b)
-    if b is minus_one:
-        return negated(field, a)
-    return field.mul(a, b)
 
 
 class TruncatedU:
@@ -241,7 +227,7 @@ def _tensor(tu: TruncatedU, w_row: dict, b_idx: int, pos: list, vn: int) -> dict
         for b2, c in entries:
             p = pos[b2]
             if p is not None:
-                accumulate(field, vec, p * vn + wnum, _mul(field, raw, c))
+                accumulate(field, vec, p * vn + wnum, times(field, raw, c))
     return vec
 
 
@@ -309,7 +295,7 @@ class _XSpace:
             for tw, c in ctx.apply_group_to_word(g, word):
                 wnum2 = ctx.word_num(tw)
                 for b2, c2 in tu.left_mult_group(by_pos[p], g):
-                    accumulate(field, vec, pos[b2] * vn + wnum2, _mul(field, raw, _mul(field, c, c2)))
+                    accumulate(field, vec, pos[b2] * vn + wnum2, times(field, raw, times(field, c, c2)))
         return self.express(vec)
 
     def first_letter_split(self, row_idx: int, target: "_XSpace") -> dict:
@@ -335,7 +321,7 @@ class _XSpace:
             p, wnum = divmod(key, vn)
             rest, ell = divmod(wnum, dimV)
             for b2, c in tu.left_mult_letter(by_pos[p], ell):
-                accumulate(field, vec, low_pos[b2] * vlow + rest, _mul(field, raw, c))
+                accumulate(field, vec, low_pos[b2] * vlow + rest, times(field, raw, c))
         return target.express(vec)
 
 
@@ -517,7 +503,6 @@ class NComplexSlice:
             raise ValueError("d_l needs a positive tensor degree")
         field = self.ctx.field
         one = field.one
-        add, is_zero = field.add, field.is_zero
         x_hi = self.x_space(n)
         x_lo = self.x_space(n - 1)
         self.basis(n - 1)
@@ -541,15 +526,7 @@ class NComplexSlice:
                             if targets is None:
                                 targets = act_cache[(g, t1)] = x_lo.group_action(g, t1)
                         for t2, c2 in targets:
-                            value = _mul(field, cu, _mul(field, cx, c2))
-                            key = _slice_slot(runs, pos2, t2)
-                            cur = out.get(key)
-                            if cur is None:
-                                out[key] = value
-                            elif is_zero(nv := add(cur, value)):
-                                del out[key]
-                            else:
-                                out[key] = nv
+                            accumulate(field, out, _slice_slot(runs, pos2, t2), times(field, cu, times(field, cx, c2)))
             cols[src] = out
         self._dl[n] = cols
         return cols
@@ -625,13 +602,13 @@ class NComplexSlice:
             for (gt, b_idx), cg in expressions[t]:
                 for (s, kappa), c2 in split[gt]:
                     for g, c3 in phi0[s].items():
-                        scale = field.mul(cg, field.mul(c2, c3))
+                        scale = times(field, cg, times(field, c2, c3))
                         for kappa2, b2, c4 in moved(g, kappa, b_idx):
                             image = lowered.get((kappa2, b2))
                             if image is None:
                                 image = lowered[(kappa2, b2)] = x_lo.express(x_lo._embed(kappa2, b2))
                             for t2, c5 in image:
-                                term = field.mul(scale, field.mul(c4, c5))
+                                term = times(field, scale, times(field, c4, c5))
                                 accumulate(field, out, _slice_slot(runs, pos, t2), term)
             cols[src] = out
         return cols
@@ -921,7 +898,7 @@ class WedgeComplex:
         field = self.ctx.field
         for b2, c in self.tu.right_mult_letter(b0_idx, letter):
             pos2, g = self.family.b_decomp[b2]
-            coeff = _mul(field, scale, c)
+            coeff = times(field, scale, c)
             if g == 0:
                 self._emit(out, m_low, pos2, combo, b_idx, coeff)
             else:
@@ -936,7 +913,7 @@ class WedgeComplex:
                             pos2,
                             combo2,
                             b3,
-                            _mul(field, coeff, _mul(field, cw, c3)),
+                            times(field, coeff, times(field, cw, c3)),
                         )
 
     def differential(self, m: int, odd: bool) -> dict:
@@ -974,7 +951,7 @@ class WedgeComplex:
                 rest = combo[:jpos] + combo[jpos + 1 :]
                 sign_r = field.one if (m - 1 - jpos) % 2 == 0 else field.minus_one
                 for b2, c in self.tu.left_mult_letter(b_idx, letter):
-                    self._emit(out, m - 1, pos, rest, b2, _mul(field, sign_r, c))
+                    self._emit(out, m - 1, pos, rest, b2, times(field, sign_r, c))
             cols[src] = out
         return cols
 

@@ -32,7 +32,7 @@ from bisect import bisect_right
 from typing import Iterable, Sequence
 
 from .cyclo import get_field
-from .elim import SparseEliminator, TaggedRows, accumulate, add_scaled, compose_maps, generators
+from .elim import SparseEliminator, TaggedRows, accumulate, add_scaled, compose_maps, generators, times
 from .scalar import DimensionMismatch, MatrixS, Scalar, Subspace, to_raw
 
 Terms = dict  # {(word tuple, g index): Scalar}
@@ -216,25 +216,10 @@ class TensorContext:
         Yields (word, raw coefficient) pairs.
         """
         field = self.field
-        one, minus_one = field.one, field.minus_one
         cols = self.columns[g]
-        partial = [((), one)]
+        partial = [((), field.one)]
         for letter in word:
-            nxt = []
-            for pw, c in partial:
-                for i, raw in cols[letter].items():
-                    if raw is one:
-                        prod = c
-                    elif c is one:
-                        prod = raw
-                    elif raw is minus_one:
-                        prod = field.neg(c)
-                    elif c is minus_one:
-                        prod = field.neg(raw)
-                    else:
-                        prod = field.mul(c, raw)
-                    nxt.append((pw + (i,), prod))
-            partial = nxt
+            partial = [(pw + (i,), times(field, c, raw)) for pw, c in partial for i, raw in cols[letter].items()]
         return partial
 
     def smash_mul_terms(self, a: Terms, b: Terms) -> Terms:
@@ -282,24 +267,13 @@ class TensorContext:
     def left_action_sparse(self, g: int, row: dict, degree: int) -> dict:
         """g . (word ⊗ h) = rho(g)(word) ⊗ gh on a sparse degree-n vector."""
         field = self.field
-        one, minus_one = field.one, field.minus_one
         mult_row = self.group.mult_table[g]
         out: dict = {}
         for coord, raw in row.items():
             word, h = self.word_of(coord, degree)
             gh = mult_row[h]
             for tw, c in self.apply_group_to_word(g, word):
-                if c is one:
-                    term = raw
-                elif raw is one:
-                    term = c
-                elif c is minus_one:
-                    term = field.neg(raw)
-                elif raw is minus_one:
-                    term = field.neg(c)
-                else:
-                    term = field.mul(raw, c)
-                accumulate(field, out, self.coord(tw, gh), term)
+                accumulate(field, out, self.coord(tw, gh), times(field, raw, c))
         return out
 
     def append_letter(self, row: dict, letter: int) -> dict:
@@ -308,24 +282,13 @@ class TensorContext:
         (w ⊗ g)(e_l ⊗ 1) = w ⊗ rho(g) e_l ⊗ g.
         """
         field = self.field
-        one, minus_one = field.one, field.minus_one
         order = self.order
         dimV = self.dimV
         out: dict = {}
         for coord, raw in row.items():
             wnum, g = divmod(coord, order)
             for i, c in self.columns[g][letter].items():
-                if c is one:
-                    term = raw
-                elif raw is one:
-                    term = c
-                elif c is minus_one:
-                    term = field.neg(raw)
-                elif raw is minus_one:
-                    term = field.neg(c)
-                else:
-                    term = field.mul(raw, c)
-                accumulate(field, out, (wnum * dimV + i) * order + g, term)
+                accumulate(field, out, (wnum * dimV + i) * order + g, times(field, raw, c))
         return out
 
     def row_product(self, row1: dict, row2: dict, degree2: int) -> dict:

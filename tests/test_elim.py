@@ -387,6 +387,25 @@ def test_intersection_matches_the_kernel_oracle():
         assert intersection(Q, a, b, 4) == oracle.rows
 
 
+def test_intersection_sweeps_only_the_rows_it_returns(monkeypatch):
+    # the rows with a pivot below the ambient width are dropped, so they
+    # are left as echelon rows: row 0 keeps its entry at pivot 1
+    made = []
+
+    class Recording(SparseEliminator):
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+    monkeypatch.setattr("nkoszul.elim.SparseEliminator", Recording)
+    a = [{0: F(1), 1: F(1)}, {1: F(1)}]
+    b = [{0: F(1)}]
+    assert intersection(Q, a, b, 2) == [{0: F(1)}]
+    (kept,) = made
+    assert kept.pivot_rows[0] == {0: F(1), 1: F(1), 2: F(1), 3: F(1)}
+    assert kept.pivot_rows[1] == {1: F(1), 3: F(1)}
+
+
 def random_entry(rng, field):
     """A small nonzero element: an integer or half-integer over Q, a + b·ζ over Q(ζ3)."""
     while True:

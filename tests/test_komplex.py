@@ -15,7 +15,7 @@ import pytest
 
 from nkoszul import grouppres, komplex
 from nkoszul.cyclo import get_field
-from nkoszul.elim import TaggedRows, accumulate, add_maps, add_scaled, canonical_rows
+from nkoszul.elim import TaggedRows, accumulate, add_maps, add_scaled, canonical_rows, times
 from nkoszul.jsonio import load_input, parse_input
 from nkoszul.scalar import MatrixS, Scalar, to_raw
 from nkoszul.smashtensor import GroupData, TensorContext
@@ -639,7 +639,7 @@ def test_products_store_minus_one_as_the_sign_object(sr_z6):
 @pytest.mark.parametrize("name", ["sr_z6", "cubic_z3"])
 def test_every_stored_sign_is_the_field_sign_object(name, monkeypatch):
     # the sign objects come from the field alone: nothing in komplex,
-    # smashtensor or grouppres restores them, and _mul skips by identity
+    # smashtensor or grouppres restores them, and elim.times skips by identity
     expressed = []
     express = komplex.express
 
@@ -681,12 +681,12 @@ def test_mul_by_a_sign_object_takes_no_product(monkeypatch):
     for field in (get_field(1), get_field(6)):
         z = field.add(field.one, field.one)
         counting = CountingField(field)
-        assert komplex._mul(counting, field.minus_one, z) == field.neg(z)
-        assert komplex._mul(counting, z, field.minus_one) == field.neg(z)
-        assert komplex._mul(counting, field.minus_one, field.minus_one) is field.one
-        assert komplex._mul(counting, field.one, field.minus_one) is field.minus_one
+        assert times(counting, field.minus_one, z) == field.neg(z)
+        assert times(counting, z, field.minus_one) == field.neg(z)
+        assert times(counting, field.minus_one, field.minus_one) is field.one
+        assert times(counting, field.one, field.minus_one) is field.minus_one
         assert counting.calls == {"neg": 2}
-        assert komplex._mul(counting, z, z) == field.mul(z, z)
+        assert times(counting, z, z) == field.mul(z, z)
         assert counting.calls == {"neg": 2, "mul": 1}
     # the loops that multiply by group-map entries: -Id over Q, and the
     # element zeta^3 = -1 of sr_z6's Z/6 over Q(zeta6)
@@ -712,6 +712,8 @@ def test_mul_by_a_sign_object_takes_no_product(monkeypatch):
                 ctx.append_letter(grown, 0),
                 ctx.append_letter(signed, 1),
                 grouppres._paired(ctx.field, table, wedged),
+                grouppres.wedge(ctx.field, [ctx.columns[g][1], ctx.columns[g][0]]),
+                grouppres.wedge(ctx.field, [ctx.columns[g][0], {0: z, 1: z}]),
             )
 
         want = calls()

@@ -92,3 +92,26 @@ def test_every_callable_in_src_has_a_caller_in_src():
 def test_every_named_oracle_is_still_defined():
     defined = {target for target, _, _, _ in definitions()}
     assert set(NAMED_ORACLES) <= defined
+
+
+# the modules that make the sign objects and the products by them
+SIGN_AWARE = {"cyclo", "scalar", "elim"}
+
+
+def test_products_and_sign_tests_stay_in_the_sign_aware_modules():
+    # a product of raw values elsewhere is elim.times, which skips a sign
+    # factor; a hand-written sign ladder would read field.mul or test a
+    # value against minus_one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in SIGN_AWARE:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "mul":
+                found.append(f"{path.stem}:{node.lineno} reads .mul")
+            elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                for side in (node.left, *node.comparators):
+                    name = side.attr if isinstance(side, ast.Attribute) else getattr(side, "id", None)
+                    if name == "minus_one":
+                        found.append(f"{path.stem}:{node.lineno} tests identity with minus_one")
+    assert found == []
