@@ -17,7 +17,8 @@ operation returns ``field.one`` or ``field.minus_one`` itself for a result
 equal to 1 or -1 (``_sign(t, t)`` on every result), so code elsewhere
 never restores the objects, and a product by a sign is skipped with an
 ``is`` test: in ``elim.times``, the one product of two raw values, and
-inline in ``elim``'s scaled-row loops.  Phi_m is monic, so
+inline in ``elim``'s two scaled-row loops, ``add_scaled`` and
+``add_shifted``.  Phi_m is monic, so
 the reduction modulo Phi_m stays integral and a product is normalized
 once; sums and products of integral elements (den = 1, nearly all of
 them) need no gcd at all.

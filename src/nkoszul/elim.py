@@ -18,21 +18,20 @@ Every subspace in the package is held as such canonical rows (``Subspace``
 in ``scalar``), and the row operations built on the engine live here:
 the negative and the product of raw values, with no field operation for
 a sign (``negated``, ``times``: outside ``cyclo`` and ``Scalar``, raw
-values are multiplied only by ``times`` or in the scaled-row loops below,
-which take the same sign paths inline), adding one value into a sparse
-row (``accumulate``), adding a scaled row
-(``add_scaled``, the one scaled-row loop, and ``add_shifted``, the same
-loop onto columns moved by a constant) or a scaled column map
-(``add_maps``), composing and comparing column maps (``compose_maps``,
-``maps_equal``; ``add_maps`` and ``compose_maps`` share one kernel with
-``add_scaled``'s loop inlined), expressing a vector over fully reduced
-rows, solving over tagged generators, the kernel of a combination
-matrix, the rank of a span (``rank``, the one rank entry point), the
-Zassenhaus intersection, and the rows of a module kept as generators
-under a group's translates (``generators``).  A column map is a dict
-from source column to sparse column: the N-complex maps and the group
-elements' actions on V are held so.  Code elsewhere builds its sparse
-vectors and maps through these helpers rather than repeating the
+values are multiplied only by ``times`` or in the two scaled-row loops,
+``add_scaled`` and ``add_shifted``, which take the same sign paths
+inline), adding one value into a sparse row (``accumulate``), adding a
+scaled row (``add_scaled``; ``add_shifted`` runs its loop onto columns
+moved by a constant) or a scaled column map (``add_maps``), composing and
+comparing column maps (``compose_maps``, ``maps_equal``; ``add_maps`` and
+``compose_maps`` sum through ``add_scaled``), expressing a vector over
+fully reduced rows, solving over tagged generators, the kernel of a
+combination matrix, the rank of a span (``rank``, the one rank entry
+point), the Zassenhaus intersection, and the rows of a module kept as
+generators under a group's translates (``generators``).  A column map is
+a dict from source column to sparse column: the N-complex maps and the
+group elements' actions on V are held so.  Code elsewhere builds its
+sparse vectors and maps through these helpers rather than repeating the
 drop-on-cancel step.
 """
 
@@ -290,6 +289,9 @@ def add_shifted(field, out: dict, row: dict, c, shift: int, stop: int) -> bool:
 
     The loop is ``add_scaled``'s, with its sign and ``field.one`` paths, so
     the shifted copy of ``row`` that ``add_scaled`` would read is never built.
+    Building that copy and calling ``add_scaled`` made perfbench's
+    ``graded_cyclotomic`` 17% slower (median ``wall_s`` 0.0554 -> 0.0650,
+    6 alternating pairs on a shared 2-core VM), so the loop stays.
     """
     one, minus_one = field.one, field.minus_one
     unit = c is one
@@ -319,75 +321,31 @@ def add_shifted(field, out: dict, row: dict, c, shift: int, stop: int) -> bool:
 def add_maps(field, a: dict, b: dict, c, n_cols: int) -> dict:
     """Columns of ``a + c * b`` for sparse column maps on columns 0..n_cols-1."""
     empty: dict = {}
-    return _combine_columns(
-        field, ((src, ((a.get(src, empty), field.one), (b.get(src, empty), c))) for src in range(n_cols))
-    )
+    cols = {}
+    for src in range(n_cols):
+        cols[src] = out = dict(a.get(src, empty))
+        add_scaled(field, out, b.get(src, empty), c)
+    return cols
 
 
 def compose_maps(outer: dict, inner: dict, field) -> dict:
-    """Columns of outer ∘ inner for sparse column maps."""
-    empty: dict = {}
-    return _combine_columns(
-        field, ((src, ((outer.get(mid, empty), c) for mid, c in vec.items())) for src, vec in inner.items())
-    )
+    """Columns of outer ∘ inner for sparse column maps, summed by ``add_scaled``.
 
-
-def _combine_columns(field, columns) -> dict:
-    """The column sum of c * col over the terms (col, c), for each pair
-    (src, terms) of ``columns``; the one loop of ``add_maps`` and
-    ``compose_maps``.
-
-    Each column starts as a copy of its first term's column, a plain one
-    when c = 1, so composing with a map of one entry per column (the wedge
-    isomorphisms) copies dicts.  Map entries and coefficients are nonzero,
-    as every map stores them, so a copied entry needs no zero test.  The other
-    terms are added in place with ``add_scaled``'s field operations, sign
-    paths and drop-on-cancel, inlined so that no call is made per term;
-    the result equals repeated ``add_scaled`` calls, key order and sign
-    objects included.
+    A term with c = 1 onto an empty column is a plain copy, as ``add_scaled``
+    would make it with no zero tests (map entries are nonzero): composing
+    with a map of one entry per column (the wedge isomorphisms) copies dicts.
     """
-    one, minus_one = field.one, field.minus_one
-    add, sub, neg, mul, is_zero = field.add, field.sub, field.neg, field.mul, field.is_zero
+    empty: dict = {}
+    one = field.one
     cols = {}
-    for src, terms in columns:
-        out = None
-        for col, c in terms:
-            if out is None:
-                if c is one:
-                    out = dict(col)
-                elif c is minus_one:
-                    out = {k: minus_one if v is one else one if v is minus_one else neg(v) for k, v in col.items()}
-                else:
-                    out = {k: c if v is one else neg(c) if v is minus_one else mul(c, v) for k, v in col.items()}
-            elif c is one:
-                for k, v in col.items():
-                    cur = out.get(k)
-                    if cur is None:
-                        out[k] = v
-                    elif is_zero(nv := add(cur, v)):
-                        del out[k]
-                    else:
-                        out[k] = nv
-            elif c is minus_one:
-                for k, v in col.items():
-                    cur = out.get(k)
-                    if cur is None:
-                        out[k] = minus_one if v is one else one if v is minus_one else neg(v)
-                    elif is_zero(nv := sub(cur, v)):
-                        del out[k]
-                    else:
-                        out[k] = nv
+    for src, vec in inner.items():
+        out: dict = {}
+        for mid, c in vec.items():
+            if not out and c is one:
+                out = dict(outer.get(mid, empty))
             else:
-                for k, v in col.items():
-                    term = c if v is one else neg(c) if v is minus_one else mul(c, v)
-                    cur = out.get(k)
-                    if cur is None:
-                        out[k] = term
-                    elif is_zero(nv := add(cur, term)):
-                        del out[k]
-                    else:
-                        out[k] = nv
-        cols[src] = {} if out is None else out
+                add_scaled(field, out, outer.get(mid, empty), c)
+        cols[src] = out
     return cols
 
 

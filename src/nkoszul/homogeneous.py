@@ -124,9 +124,6 @@ class HomogeneousAlgebra:
             self._tower = _Tower(ctx, self.N, relations)
         return self._tower
 
-    def zeta(self, n: int) -> int:
-        return zeta(n, self.N)
-
     def __repr__(self):
         return f"HomogeneousAlgebra(dimV={self.ctx.dimV}, |G|={self.ctx.order}, N={self.N}, dimR={self.R.dim})"
 

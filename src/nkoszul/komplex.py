@@ -63,7 +63,6 @@ import copy
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 from .elim import (
     TaggedRows,
@@ -118,8 +117,6 @@ class TruncatedU:
         ]
         self.dims_by_degree = [self.tower.levels[d].adim for d in range(bound + 1)]
         self._products: dict[tuple, list] = {}
-        self._b0: Optional[list] = None
-        self._b0_index: Optional[dict] = None
 
     @property
     def field(self):
@@ -189,8 +186,6 @@ class TruncatedU:
         are not orbit-pure, in which case the collapsed representation of
         U (x)_K - is unavailable.
         """
-        if self._b0 is not None:
-            return self._b0, self._b0_index
         by_word: dict[tuple[int, ...], dict] = {}  # word -> {g: basis index}
         for idx, (_, word, g) in enumerate(self.basis):
             by_word.setdefault(word, {})[g] = idx
@@ -201,11 +196,7 @@ class TruncatedU:
             )
         b0 = [idx for idx, (_, _, g) in enumerate(self.basis) if g == 0]
         b0_pos = {idx: pos for pos, idx in enumerate(b0)}
-        self._b0 = b0
-        self._b0_index = {
-            idx: (b0_pos[by_word[word][0]], g) for idx, (_, word, g) in enumerate(self.basis)
-        }
-        return b0, self._b0_index
+        return b0, {idx: (b0_pos[by_word[word][0]], g) for idx, (_, word, g) in enumerate(self.basis)}
 
 
 # -- the right tensor factor W_n (x)_K U ------------------------------------
@@ -384,7 +375,6 @@ class NComplexSlice:
         self._dr: dict[int, dict] = {}
         self._contraction: dict[int, dict] = {}
         self._composite_zero: dict[int, bool] = {}
-        self._act_cache: dict = {}
 
     def _max_nonzero_w(self, bound: int) -> int:
         for n in range(bound, -1, -1):
@@ -495,7 +485,7 @@ class NComplexSlice:
 
         The first letter j of a row of W_n moves into the left factor: each
         b0 · v_j is expanded over b0 · Gamma, and u = b0' · g with g != 1
-        pushes g through the lower rows (``group_action``, cached per slice).
+        pushes g through the lower rows (``group_action``, cached for this map).
         """
         if n in self._dl:
             return self._dl[n]
@@ -507,7 +497,7 @@ class NComplexSlice:
         x_lo = self.x_space(n - 1)
         self.basis(n - 1)
         runs = self._slice_runs[n - 1]
-        act_cache: dict[tuple[int, int], list] = self._act_cache.setdefault(n - 1, {})
+        act_cache: dict[tuple[int, int], list] = {}
         splits = [x_hi.first_letter_split(t, x_lo) for t in range(x_hi.dim)]
         right_mult_letter = self.tu.right_mult_letter
         b_decomp = self.b_decomp
@@ -661,14 +651,14 @@ class NComplexSlice:
             self._composite_zero[i] = got
         return got
 
-    def mu_matrix(self, sources=None) -> dict:
+    def mu_matrix(self, sources) -> dict:
         """Multiplication (U (x)_K U)_{<= D} -> U^{<= D} on slice 0, on the
-        given source columns (every one by default)."""
+        given source columns."""
         field = self.ctx.field
         basis = self.basis(0)
         x0 = self.x_space(0)
         cols = {}
-        for src in range(len(basis)) if sources is None else sources:
+        for src in sources:
             pos, t = basis[src]
             b0_idx = self.b0[pos]
             out: dict = {}

@@ -271,7 +271,7 @@ def full_slice_contraction(slice_family: NComplexSlice) -> ContractionReport:
     top = 0
     while top + 1 < len(zs) and fam.slice_dim(zs[top + 1]) > 0:
         top += 1
-    maps = [fam.mu_matrix()] + [fam.contraction(i) for i in range(1, top + 1)]
+    maps = [fam.mu_matrix(range(len(fam.basis(0))))] + [fam.contraction(i) for i in range(1, top + 1)]
     comp_zero = all(map_is_zero(compose_maps(maps[i], maps[i + 1], field)) for i in range(top))
     inside = [[fam.total_degree(n, key) <= window for key in fam.basis(n)] for n in zs[: top + 1]]
     dims = [sum(flags) for flags in inside]

@@ -959,7 +959,7 @@ def test_the_shared_composite_does_not_hide_a_doubled_d_right(monkeypatch, first
     rep = contracted_complex(fam)
     assert rep.composition_zero is False
     assert full_slice_contraction(fam).composition_zero is False
-    mu_zero = map_is_zero(compose_maps(fam.mu_matrix(), fam.contraction(1), field))
+    mu_zero = map_is_zero(compose_maps(fam.mu_matrix(range(len(fam.basis(0)))), fam.contraction(1), field))
     assert mu_zero is (first == 2)
 
 
@@ -1097,7 +1097,7 @@ def test_mu_on_the_window_has_the_rank_read_off_the_unit(name, make, D):
     fam = NComplexSlice(make(), D)
     win = fam.restricted(D - fam.N)
     field = fam.ctx.field
-    assert komplex.rank(field, list(win.mu_matrix().values())) == fam.tu.dim_filtration(D - fam.N)
+    assert komplex.rank(field, list(win.mu_matrix(range(len(win.basis(0)))).values())) == fam.tu.dim_filtration(D - fam.N)
     assert contracted_complex(fam).positions[0]["rank_out"] == fam.tu.dim_filtration(D - fam.N)
 
 
@@ -1113,7 +1113,7 @@ def test_the_contraction_builds_no_space_at_the_bound_and_mu_only_where_it_is_re
         spaces.append(bound)
         make_space(self, tu, n, w_row_list, gens, bound)
 
-    def recording_mu(self, sources=None):
+    def recording_mu(self, sources):
         cols = mu_matrix(self, sources)
         mus.append((self, sources, cols))
         return cols
@@ -1146,7 +1146,7 @@ def test_the_contraction_builds_no_space_at_the_bound_and_mu_only_where_it_is_re
     reached = sorted({key for src in gen.generator_columns(1) for key in d1[src]})
     assert [(fam_, sources) for fam_, sources, _ in mus] == [(gen, reached)]
     assert len(reached) < len(gen.basis(0))
-    assert mus[0][2] == {src: col for src, col in mu_matrix(gen).items() if src in reached}
+    assert mus[0][2] == {src: col for src, col in mu_matrix(gen, range(len(gen.basis(0)))).items() if src in reached}
 
 
 def right_ideal_rows(ctx, h: int) -> list:

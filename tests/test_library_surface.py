@@ -5,7 +5,10 @@ somewhere in ``src`` outside its own body.  Code that only tests reach
 belongs beside the tests (``paper_checks.py`` holds the paper-statement
 oracles) or nowhere.  References are matched by name, read off the syntax
 tree: a module-level function counts as used when its name is read or
-taken as an attribute, a method when it is taken as an attribute.  The
+taken as an attribute, a method when it is taken as an attribute.  An
+attribute taken on a class of ``src`` by name, ``ClassName.attr``, counts
+only for a method of that class or of a class it names as a base, so a
+dead method cannot hide behind a namesake on another class.  The
 exceptions are the dunders, the callables the benchmark's tracer patches
 (``perfbench/tracing.py``'s ``SPANS``), and the named oracles below.
 """
@@ -38,29 +41,50 @@ def span_targets() -> set:
 
 
 def definitions():
-    """(module:qualname, name, is_method, node) for every top-level function
+    """(module:qualname, name, node) for every top-level function
     and every method of a top-level class."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield f"{path.stem}:{node.name}", node.name, False, node
+                yield f"{path.stem}:{node.name}", node.name, node
             elif isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield f"{path.stem}:{node.name}.{sub.name}", sub.name, True, sub
+                        yield f"{path.stem}:{node.name}.{sub.name}", sub.name, sub
+
+
+def class_bases() -> dict:
+    """Class name -> the names of the bases it lists, for every top-level
+    class in src."""
+    return {
+        node.name: [base.id for base in node.bases if isinstance(base, ast.Name)]
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
 
 
 def references():
-    """(module, line, name, is_attribute) for every name read and every
-    attribute taken in src."""
+    """(module, line, name, owners) for every name read and every attribute
+    taken in src.  ``owners`` are the classes whose method the reference can
+    be, ``""`` standing for the module level: only that for a name read;
+    for an attribute taken on a src class by name, that class and the
+    classes it names as bases, transitively; None, any, for any other
+    attribute."""
+    bases = class_bases()
+
+    def lineage(cls):
+        return {cls}.union(*(lineage(b) for b in bases.get(cls, ())))
+
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.append((path.stem, node.lineno, node.id, False))
+                out.append((path.stem, node.lineno, node.id, {""}))
             elif isinstance(node, ast.Attribute):
-                out.append((path.stem, node.lineno, node.attr, True))
+                owner = getattr(node.value, "id", None)
+                out.append((path.stem, node.lineno, node.attr, lineage(owner) if owner in bases else None))
     return out
 
 
@@ -68,15 +92,16 @@ def unreferenced() -> list:
     """The non-dunder definitions no reference outside their own body reaches."""
     refs = references()
     out = []
-    for target, name, is_method, node in definitions():
+    for target, name, node in definitions():
         if name.startswith("__") and name.endswith("__"):
             continue
-        module = target.split(":")[0]
+        module, qualname = target.split(":")
+        cls = qualname.rpartition(".")[0]
         used = any(
             ref == name
-            and (is_attr or not is_method)
+            and (owners is None or cls in owners)
             and not (mod == module and node.lineno <= line <= node.end_lineno)
-            for mod, line, ref, is_attr in refs
+            for mod, line, ref, owners in refs
         )
         if not used:
             out.append(target)
@@ -90,12 +115,25 @@ def test_every_callable_in_src_has_a_caller_in_src():
 
 
 def test_every_named_oracle_is_still_defined():
-    defined = {target for target, _, _, _ in definitions()}
+    defined = {target for target, _, _ in definitions()}
     assert set(NAMED_ORACLES) <= defined
 
 
 # the modules that make the sign objects and the products by them
 SIGN_AWARE = {"cyclo", "scalar", "elim"}
+
+# elim's sign paths: the negative and product by a sign, and the two
+# scaled-row loops every other row and map operation goes through
+ELIM_SIGN_PATHS = {"negated", "times", "add_scaled", "add_shifted"}
+
+
+def minus_one_tests(tree):
+    """The comparisons in ``tree`` that test identity with ``minus_one``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            sides = (node.left, *node.comparators)
+            if any(getattr(side, "attr", getattr(side, "id", None)) == "minus_one" for side in sides):
+                yield node
 
 
 def test_products_and_sign_tests_stay_in_the_sign_aware_modules():
@@ -106,12 +144,23 @@ def test_products_and_sign_tests_stay_in_the_sign_aware_modules():
     for path in sorted(SRC.glob("*.py")):
         if path.stem in SIGN_AWARE:
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "mul":
                 found.append(f"{path.stem}:{node.lineno} reads .mul")
-            elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
-                for side in (node.left, *node.comparators):
-                    name = side.attr if isinstance(side, ast.Attribute) else getattr(side, "id", None)
-                    if name == "minus_one":
-                        found.append(f"{path.stem}:{node.lineno} tests identity with minus_one")
+        found += [f"{path.stem}:{node.lineno} tests identity with minus_one" for node in minus_one_tests(tree)]
     assert found == []
+
+
+def test_elim_tests_signs_only_in_its_sign_paths():
+    # add_maps and compose_maps sum through add_scaled; an inline copy of
+    # its sign paths anywhere else in elim would test a value against
+    # minus_one
+    tree = ast.parse((SRC / "elim.py").read_text(encoding="utf-8"))
+    allowed = {
+        node
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef) and func.name in ELIM_SIGN_PATHS
+        for node in minus_one_tests(func)
+    }
+    assert [node.lineno for node in minus_one_tests(tree) if node not in allowed] == []
