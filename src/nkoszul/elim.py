@@ -289,9 +289,13 @@ def add_shifted(field, out: dict, row: dict, c, shift: int, stop: int) -> bool:
 
     The loop is ``add_scaled``'s, with its sign and ``field.one`` paths, so
     the shifted copy of ``row`` that ``add_scaled`` would read is never built.
-    Building that copy and calling ``add_scaled`` made perfbench's
+    Its one caller, the tower build (``homogeneous._Tower._relation_rows``),
+    adds a top term here only when the term's chain is a dict; a chain that
+    is a single standard monomial is added there without a row.  Building
+    the shifted copy and calling ``add_scaled`` once made perfbench's
     ``graded_cyclotomic`` 17% slower (median ``wall_s`` 0.0554 -> 0.0650,
-    6 alternating pairs on a shared 2-core VM), so the loop stays.
+    6 alternating pairs on a shared 2-core VM), when every top term came
+    here; that figure predates the int chains and was not measured again.
     """
     one, minus_one = field.one, field.minus_one
     unit = c is one

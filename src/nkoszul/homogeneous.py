@@ -14,8 +14,10 @@ first read, and its monomial is decoded on demand through
 divmod(pos, adim(n-1)) down the levels.  Level n
 is built on the basis indices b of A_{n-N}, not on their words: a
 relation's row for b puts each term's letters in front of b one at a
-time, each step the letter in front and the pivot-rule reduction in one
-pass straight into basis indices (``_Level.front``), so over the trivial
+time.  While the product is one standard monomial it stays that basis
+index, and a letter in front of it is a read of the level's table; any
+other step is the letter in front and the pivot-rule reduction in one
+pass straight into basis indices (``_Level.front``).  So over the trivial
 group the build decodes no monomial and stores no normal form of a word.
 With lower-degree relation terms (the filtered pieces of U) a level can
 collapse: some rows have no top entry.  The build goes on past that
@@ -191,9 +193,10 @@ class _Level:
     that vanish in degree n.  A graded tower has none.  ``front`` puts a
     letter in front of a normal form one level down and reduces it here
     in one pass; a row it meets is re-keyed to indices then and not kept.
-    The first ``front`` builds ``index``, each position's quotient index
-    or -1 at a pivot; a level no ``front`` reads, such as the graded
-    checks' top level, holds its rows and nothing else.
+    The first read of ``table`` (by ``front``, or by the build of the
+    level above, whose steps read it directly) builds ``index``, each
+    position's quotient index or -1 at a pivot; a level nothing reads,
+    such as the graded checks' top level, holds its rows and nothing else.
     """
 
     __slots__ = ("rows", "pivots", "positions", "adim", "collapsed", "index")
@@ -232,9 +235,7 @@ class _Level:
         so the keys come out in the order ``normal_form`` gives them.
         ``index`` maps each position to its quotient index, -1 at a pivot.
         """
-        index = self.index
-        if index is None:
-            index = self.index = self._position_table()
+        index = self.table()
         rows = self.rows
         lower = _LOWER
         base = j * width
@@ -259,14 +260,17 @@ class _Level:
             add_scaled(field, out, tail, negated(field, c))
         return out
 
-    def _position_table(self) -> list:
-        """Position -> quotient index, -1 at a pivot: the runs between pivots count on."""
-        index = [-1] * self.positions
-        start = 0
-        for i, p in enumerate(self.pivots):
-            index[start:p] = range(start - i, p - i)
-            start = p + 1
-        index[start:] = range(start - len(self.pivots), self.adim)
+    def table(self) -> list:
+        """``index``, built on the first read: position -> quotient index,
+        -1 at a pivot; the runs between pivots count on."""
+        index = self.index
+        if index is None:
+            index = self.index = [-1] * self.positions
+            start = 0
+            for i, p in enumerate(self.pivots):
+                index[start:p] = range(start - i, p - i)
+                start = p + 1
+            index[start:] = range(start - len(self.pivots), self.adim)
         return index
 
 
@@ -300,9 +304,12 @@ class _Tower:
     monomials on demand.  ``ensure`` builds level n on the basis indices
     of degree n-N (``_relation_rows``), inserts the rows in echelon form
     and reduces them once, when the level is done.  Each step of a normal
-    form, in the build and in ``nf``, is one ``_Level.front``: a letter in
-    front and the reduction in one pass over level n's rows, with no
-    vector over its positions in between.  ``_front`` (the letter in
+    form in ``nf``, and each step of the build that meets a pivot or
+    starts from more than one standard monomial, is one ``_Level.front``:
+    a letter in front and the reduction in one pass over level n's rows,
+    with no vector over its positions in between.  A step of the build
+    from a single standard monomial to a free position is one read of
+    the level's ``table``.  ``_front`` (the letter in
     front, on level n's positions) followed by ``normal_form`` against the
     level's rows is the two-pass reference it equals; ``_front`` also
     carries the collapse rows.
@@ -396,16 +403,27 @@ class _Tower:
 
         A term (word, g, raw) gives raw·word·g(s_b): its letters go in front
         of the start, last one first, one ``_Level.front`` per level below
-        lv, and the top letter is added into the row with a key shift
-        (``add_shifted``); the lower keys of its chain are summed per top
-        letter over the relation's terms, times raw, and put behind that
-        letter once (``_front``).  The start is {b: one} for the identity,
-        otherwise ``nf`` of g(s_b) ⊗ g·g_b.  The chains, each suffix (of a
-        term's word or of its word less the top letter) times the start,
-        are laid out once per level (``steps``), each after its own suffix
-        one letter shorter; those of one b are shared by all relations,
-        then dropped.  Rows are built b-major and returned relation-major,
-        the order that picks the witness.
+        lv, and the top letter is added into the row with a key shift; the
+        lower keys of its chain are summed per top letter over the
+        relation's terms, times raw, and put behind that letter once
+        (``_front``).  The chains, each suffix (of a term's word or of its
+        word less the top letter) times the start, are laid out once per
+        level (``steps``), each after its own suffix one letter shorter;
+        those of one b are shared by all relations, then dropped.
+
+        A chain that is a standard monomial, one basis index with
+        coefficient one, is held as that int.  The start is b for the
+        identity, otherwise the dict ``nf`` of g(s_b) ⊗ g·g_b.  A step from
+        an int reads the position j·w + i in the level's ``table`` and
+        stays an int at a free position; at a pivot it is {i: one} for
+        ``_Level.front``, as every step from a dict is.  A top term with an
+        int chain adds raw at column j·width + i, dropping the entry when
+        the sum cancels; one with a dict chain goes through
+        ``add_shifted``, and a lower term through ``_lifted``.  The values
+        are those ``add_shifted`` gives on {i: one}: where raw = -1 meets
+        an entry, ``add_shifted`` subtracts one and this adds raw, since
+        only ``elim`` tests a value against -1.  Rows are built b-major and
+        returned relation-major, the order that picks the witness.
         """
         ctx = self.ctx
         field = ctx.field
@@ -415,9 +433,10 @@ class _Tower:
         base = lv - self.N
         width = levels[lv - 1].adim
         moved = {g for terms in self.relations for _, g, _ in terms} - {0}
-        # the chains of one b, by index: the starts, then the steps
+        # the chains of one b, by index: the starts, then the steps (an int is a basis index)
         index = {((), g): i for i, g in enumerate([0, *moved])}
-        steps: list = []  # (level, letter, width below, index of the suffix one letter shorter)
+        # per step: (level, its table, letter·width, letter, width below, index of the suffix one letter shorter)
+        steps: list = []
         plan: list = []  # per relation: a top term (chain, letter, raw, None), a lower one (chain, None, raw, degree)
         for terms in self.relations:
             plan.append([])
@@ -427,7 +446,8 @@ class _Tower:
                 for k in range(len(suffix) - 1, -1, -1):
                     if (suffix[k:], g) not in index:
                         d = base + len(suffix) - k
-                        steps.append((levels[d], suffix[k], levels[d - 1].adim, index[suffix[k + 1 :], g]))
+                        level, j, w = levels[d], suffix[k], levels[d - 1].adim
+                        steps.append((level, level.table(), j * w, j, w, index[suffix[k + 1 :], g]))
                         index[suffix[k:], g] = len(index)
                 i = index[suffix, g]
                 plan[-1].append((i, word[0], raw, None) if top else (i, None, raw, base + len(word)))
@@ -436,7 +456,7 @@ class _Tower:
         images: dict = {}  # g(s) for each (g, word of s), this level only
         out: list = [[] for _ in self.relations]
         for b in range(levels[base].adim):
-            chains = [{b: one}]
+            chains: list = [b]
             if moved:
                 wb, gb = reps[b]
                 for g in moved:
@@ -447,13 +467,33 @@ class _Tower:
                     for tw, c in image:
                         add_scaled(field, start, self.nf(tw, mult[g][gb]), c)
                     chains.append(start)
-            for level, j, w, shorter in steps:
-                chains.append(level.front(field, j, w, chains[shorter], front_lower))
+            for level, table, at, j, w, shorter in steps:
+                vec = chains[shorter]
+                if vec.__class__ is int:
+                    i = table[at + vec]
+                    chains.append(i if i >= 0 else level.front(field, j, w, {vec: one}, front_lower))
+                else:
+                    chains.append(level.front(field, j, w, vec, front_lower))
             for terms, rows in zip(plan, out):
                 row: dict = {}
                 lowers: dict = {}  # letter -> the sum of raw times its chains' lower keys
                 for i, j, raw, d in terms:
                     vec = chains[i]
+                    if vec.__class__ is int:
+                        if j is not None:
+                            # raw at the int's column (raw is never zero); a sum that cancels is dropped
+                            col = j * width + vec
+                            cur = row.get(col)
+                            if cur is None:
+                                row[col] = raw
+                            else:
+                                cur = field.add(cur, raw)
+                                if field.is_zero(cur):
+                                    del row[col]
+                                else:
+                                    row[col] = cur
+                            continue
+                        vec = {vec: one}
                     if j is None:
                         add_scaled(field, row, self._lifted(d, vec), raw)
                     elif not add_shifted(field, row, vec, raw, j * width, _LOWER):

@@ -842,6 +842,11 @@ class WedgeComplex:
     that W_m is the span of antisymmetrized tensors with group coefficients
     and the wedge words index it freely over K.  The group and p = N are
     the family's.
+
+    ``basis(m)`` lists (pos, combo, b) left factor by left factor, each a
+    run of the C(dimV, m) combinations in order times the right factors b
+    of degree at most ``top``; ``_slot`` reads a key's place from its run
+    (first slot, dim U^{<=top}) and the combination's rank.
     """
 
     def __init__(self, family: NComplexSlice):
@@ -849,25 +854,40 @@ class WedgeComplex:
         self.tu = family.tu
         self.ctx = family.ctx
         self._basis: dict[int, list] = {}
-        self._index: dict[int, dict] = {}
+        self._runs: dict[int, list] = {}  # per left factor (first slot, dim U^{<=top}), None past the bound
+        self._ranks: dict[int, dict] = {}  # combination -> its place in combinations(range(dimV), m)
         self._iso: dict[int, dict] = {}
 
     def basis(self, m: int) -> list:
         if m not in self._basis:
             out = []
-            dimV = self.ctx.dimV
+            runs = []
+            combos = list(combinations(range(self.ctx.dimV), m))
             for pos, b0_idx in enumerate(self.family.b0):
                 # the U basis ascends in degree, so the right factors of
                 # degree at most ``top`` are a prefix of it
                 top = self.family.bound - self.tu.basis[b0_idx][0] - m
                 if top < 0:
+                    runs.append(None)
                     continue
                 right = range(self.tu.dim_filtration(top))
-                for combo in combinations(range(dimV), m):
+                runs.append((len(out), len(right)))
+                for combo in combos:
                     out.extend((pos, combo, b_idx) for b_idx in right)
             self._basis[m] = out
-            self._index[m] = {key: i for i, key in enumerate(out)}
+            self._runs[m] = runs
+            self._ranks[m] = {combo: r for r, combo in enumerate(combos)}
         return self._basis[m]
+
+    def _slot(self, m: int, pos: int, combo: tuple, b_idx: int) -> int:
+        """The place of (pos, combo, b_idx) in ``basis(m)``; a key outside
+        the truncated slice is an internal error."""
+        run = self._runs[m][pos]
+        rank = self._ranks[m].get(combo)
+        if run is None or rank is None or b_idx >= run[1]:
+            raise RuntimeError("image left the truncated slice")
+        first, width = run
+        return first + rank * width + b_idx
 
     def generator_columns(self, m: int) -> list:
         """Sources of total degree m, the tensors 1 (x) wedge (x) g."""
@@ -878,10 +898,7 @@ class WedgeComplex:
         ]
 
     def _emit(self, out: dict, m_low: int, pos: int, combo: tuple, b_idx: int, coeff) -> None:
-        skey = self._index[m_low].get((pos, combo, b_idx))
-        if skey is None:
-            raise RuntimeError("image left the truncated slice")
-        accumulate(self.ctx.field, out, skey, coeff)
+        accumulate(self.ctx.field, out, self._slot(m_low, pos, combo, b_idx), coeff)
 
     def _left_term(self, out: dict, m_low: int, b0_idx: int, letter: int, combo: tuple, b_idx: int, scale) -> None:
         """(b0 · v_letter) (x) combo (x) b, normalized over b0 · Gamma."""

@@ -1066,6 +1066,28 @@ def test_slice_positions_are_the_run_offsets(name, make, D):
                         _slice_slot(runs, pos, first - 1)
 
 
+@pytest.mark.parametrize("name", ["cubic_z3", "sr_z6"])
+def test_wedge_slots_are_the_basis_order(name):
+    """``WedgeComplex._slot`` is ``enumerate(basis(m))`` on the two
+    N-complex bench fixtures at their bench bound D = 6, on the family and
+    on the one ``wedge_agreement`` reads; a right factor past its left
+    factor's run, or a left factor with no run, has no slot."""
+    fam = NComplexSlice(load_input(str(FIXTURES / f"{name}.json"))[0], 6)
+    past_the_bound = 0
+    for family in (fam, fam.restricted(fam.max_n)):
+        wc = WedgeComplex(family)
+        for m in range(family.ctx.dimV + 1):
+            basis = wc.basis(m)
+            assert basis
+            assert [wc._slot(m, *key) for key in basis] == list(range(len(basis)))
+            combo = basis[0][1]
+            for pos, run in enumerate(wc._runs[m]):
+                past_the_bound += run is None
+                with pytest.raises(RuntimeError, match="left the truncated slice"):
+                    wc._slot(m, pos, combo, run[1] if run else 0)
+    assert past_the_bound
+
+
 def test_the_contraction_lists_no_slice_of_the_bound_family():
     fam = fresh_sr_z6()
     contracted_complex(fam)

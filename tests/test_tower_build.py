@@ -3,19 +3,25 @@
 ``_Tower.ensure`` builds the row of relation r and basis index b of
 degree lv − N from b itself: each term's letters go in front of the start
 g(s_b), last one first, with one reduction per level below lv, and the
-suffix chains of one b are shared by all relations, then dropped.  The
-start is {b: one} for the identity, so over the trivial group the build
-never touches the word memo ``_nf_memo``.  ``ReferenceTower`` below is the
-earlier build, which decoded every basis monomial and took the normal form
-of every term's word through ``nf``, filling that memo, and stopped at the
-first failing degree.  It is the oracle the rows and normal forms below
-that degree, the first failure and the witness are compared with; the
-levels past the failure are compared with the full-space ``reference``.
+suffix chains of one b are shared by all relations, then dropped.  A chain
+that is a standard monomial is held as its basis index: the start is the
+int b for the identity, a step to a free position is one read of the
+level's position table, and only a step that meets a pivot turns the
+chain into the dict {i: one} for ``_Level.front``.  So over the trivial
+group the build never touches the word memo ``_nf_memo``.
+``ReferenceTower`` below is the earlier build, which decoded every basis
+monomial and took the normal form of every term's word through ``nf``,
+filling that memo, and stopped at the first failing degree.  It is the
+oracle the rows and normal forms below that degree, the first failure and
+the witness are compared with; the levels past the failure are compared
+with the full-space ``reference``.
 """
 
 import gc
 import itertools
 import random
+import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -194,3 +200,91 @@ def test_the_build_leaves_no_reference_cycle(name, bound):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# One ``_Level.front`` call that ``_relation_rows`` makes itself: the
+# chain it extends (an int or a dict) and that chain's place in the
+# chains of one b, the vector passed and the result.
+Step = namedtuple("Step", "level j width chain shorter vec out")
+
+
+def record_build_steps(monkeypatch) -> list:
+    """The ``Step`` of every ``_Level.front`` call made by ``_relation_rows``
+    itself, not through ``nf`` or ``_front_lower``; the caller's locals
+    give the chain the call extends."""
+    steps = []
+    front = _Level.front
+    code = _Tower._relation_rows.__code__
+
+    def recorded(self, field, j, width, vec, lowered):
+        out = front(self, field, j, width, vec, lowered)
+        caller = sys._getframe(1)
+        if caller.f_code is code:
+            chain, shorter = caller.f_locals["vec"], caller.f_locals["shorter"]
+            steps.append(Step(self, j, width, chain, shorter, vec, out))
+        return out
+
+    monkeypatch.setattr(_Level, "front", recorded)
+    return steps
+
+
+def assert_turned_at_a_pivot(step, one):
+    """An int chain reaches ``front`` only as {i: one} at a pivot position."""
+    assert step.vec == {step.chain: one} and next(iter(step.vec.values())) is one
+    assert step.level.table()[step.j * step.width + step.chain] < 0
+
+
+def test_the_cubic_build_steps_through_front_only_at_pivots(monkeypatch):
+    """The cubic's graded tower to degree 9 holds its 9 chains per basis
+    index b as ints until one meets a pivot: the dict build made
+    9·Σ adim(lv − 3) = 8,568 ``_Level.front`` calls, one per chain and b,
+    and this build makes at most a tenth of them (672).  Every call takes
+    an int turned into {i: one} at a pivot or a dict an earlier step gave
+    (the trivial group starts no dict); some ints turn after an int step,
+    and the dict they turn into is stepped on."""
+    tower = fresh_graded(fixture("cubic_z3"))
+    one = tower.ctx.field.one
+    steps = record_build_steps(monkeypatch)
+    assert tower.ensure(9) is None
+    dict_build = 9 * sum(tower.levels[lv - tower.N].adim for lv in range(tower.N, 10))
+    assert dict_build == 8568
+    assert 0 < len(steps) <= dict_build // 10
+    given = set()  # the results of earlier steps, kept alive in ``steps``
+    turned = set()
+    turned_mid_chain = continued = 0
+    for step in steps:
+        if type(step.chain) is int:
+            assert_turned_at_a_pivot(step, one)
+            turned.add(id(step.out))
+            turned_mid_chain += step.shorter > 0
+        else:
+            assert step.vec is step.chain and id(step.vec) in given
+            continued += id(step.vec) in turned
+        given.add(id(step.out))
+    assert turned_mid_chain and continued
+
+
+@pytest.mark.parametrize(
+    "name, bound, group_starts, failed",
+    [("sr_z6", 6, True, None), ("nonjacobi", 8, False, 3)],
+    ids=["sr_z6_oracle", "nonjacobi_oracle"],
+)
+def test_an_int_chain_turns_into_a_dict_at_a_pivot(monkeypatch, name, bound, group_starts, failed):
+    """On sr_z6's oracle tower, whose relation has terms with g ≠ 1 and so
+    dict starts beside the int one, and on nonjacobi's, which fails at
+    degree 3 and carries lower keys: some chain goes from an int to the
+    dict {i: one} at a pivot, and the levels are still the word-memo
+    build's."""
+    pres = fixture(name)
+    tower = OracleEngine(pres, bound).tower
+    one = tower.ctx.field.one
+    steps = record_build_steps(monkeypatch)
+    assert_same_build(tower, all_relations(pres), bound)
+    assert any(type(step.chain) is int for step in steps)
+    for step in steps:
+        if type(step.chain) is int:
+            assert_turned_at_a_pivot(step, one)
+        else:
+            assert step.vec is step.chain
+    moved = {g for terms in tower.relations for _, g, _ in terms} - {0}
+    assert (bool(moved), tower.failed) == (group_starts, failed)

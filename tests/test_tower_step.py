@@ -152,6 +152,41 @@ def test_the_fused_build_makes_no_more_multiplications(monkeypatch):
         assert len(calls) <= two_pass, name
 
 
+# The field operations of the build that held every chain as a dict,
+# counted by the wrapper below (CPython 3.11.7): its graded towers of the
+# cubic to degree 9 and of sr_z6 to degree 6.
+DICT_CHAIN_OPERATIONS = {
+    "cubic_z3": {"add": 0, "sub": 330, "neg": 0, "mul": 0},
+    "sr_z6": {"add": 0, "sub": 0, "neg": 0, "mul": 0},
+}
+
+
+def test_the_int_chain_build_makes_no_more_field_operations(monkeypatch):
+    """The wrapper of ``test_the_fused_build_makes_no_more_multiplications``
+    on ``add``, ``sub``, ``neg`` and ``mul``.  Where the dict build
+    subtracted one from an entry (``add_shifted``'s path for raw = -1), an
+    int chain adds raw = -1, the same value: the cubic's 330 subtractions
+    are 330 additions, so the two are counted together."""
+    calls: dict = {}
+    for cls in (cyclo.RationalField, cyclo.CyclotomicField):
+        for op in ("add", "sub", "neg", "mul"):
+            method = getattr(cls, op)
+
+            def counted(self, *args, method=method, op=op):
+                calls[op] = calls.get(op, 0) + 1
+                return method(self, *args)
+
+            monkeypatch.setattr(cls, op, counted)
+    for name, bound in (("cubic_z3", 9), ("sr_z6", 6)):
+        tower = graded(name)
+        calls.clear()
+        tower.ensure(bound)
+        before = DICT_CHAIN_OPERATIONS[name]
+        got = {op: calls.get(op, 0) for op in before}
+        assert got["add"] + got["sub"] <= before["add"] + before["sub"], name
+        assert got["neg"] <= before["neg"] and got["mul"] <= before["mul"], name
+
+
 def test_the_build_negates_no_sign_object(monkeypatch):
     """Subtracting a sign entry gives the other sign object, not a fresh
     copy, so the cubic's graded build to degree 9 calls ``neg`` on neither
